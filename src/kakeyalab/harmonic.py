@@ -172,6 +172,8 @@ class Density:
         return Density(self.ctx, data=self.to_float().data + other.to_float().data)
 
     def __sub__(self, other: "Density") -> "Density":
+        if self.ctx != other.ctx:
+            raise ValueError("mismatched ring contexts")
         if self.lane == "exact" and other.lane == "exact":
             d = self.den * other.den // gcd(self.den, other.den)
             num = self.num * (d // self.den) - other.num * (d // other.den)
@@ -376,9 +378,8 @@ def xray_transform(f: Density, u: ProjDirection, pivot_rule: str = "first") -> D
     Mass is conserved: integral of f_u over Q_u equals integral of f.
     """
     ctx = f.ctx
-    dirs = tables.directions(ctx)
-    ui = dirs.index(u)
-    idx = tables.xray_table(ctx, pivot_rule)[ui]
+    ui = tables.directions(ctx).index(u)
+    idx = tables.coset_table(ctx, 1, pivot_rule)[0][ui]
     qctx = ctx.quotient()
     if f.lane == "exact":
         return Density(qctx, num=f.num[idx].sum(axis=1), den=f.den * ctx.modulus)
@@ -391,7 +392,7 @@ def xray_all(f: Density, pivot_rule: str = "first"):
     Exact lane: (P, size/N) int64 numerators over denominator den*N.
     Float lane: (P, size/N) values.
     """
-    idx = tables.xray_table(f.ctx, pivot_rule)
+    idx = tables.coset_table(f.ctx, 1, pivot_rule)[0]
     if f.lane == "exact":
         return f.num[idx].sum(axis=2), f.den * f.ctx.modulus
     return f.data[idx].sum(axis=2) / f.ctx.modulus, None
@@ -414,21 +415,19 @@ def uperp_sum(f: Density, u: ProjDirection):
 
 
 def uperp_sum_spatial(f: Density, u: ProjDirection):
-    """The spatial form N**(-n-1) sum_{z,t} f(z) conj f(z + t u)."""
+    """The spatial form N**(-n-1) sum_{z,t} f(z) conj f(z + t u).
+
+    Grouping z by its line z + <u> turns the double sum into
+    N**(-n-1) sum_c |S_c|**2 over the line sums S_c.
+    """
     ctx = f.ctx
     ui = tables.directions(ctx).index(u)
-    idx = tables.line_table(ctx)[ui]
+    idx = tables.coset_table(ctx, 1)[0][ui]
     if f.lane == "exact":
-        line_sums = f.num[idx].sum(axis=1)
-        total = int(np.dot(f.num, line_sums))
-        return Fraction(total, f.den**2 * ctx.size * ctx.modulus)
-    line_sums = f.data[idx].sum(axis=1)
-    return complex(np.dot(np.conj(f.data), line_sums)) / (ctx.size * ctx.modulus)
-
-
-def quotient_l2(f_u: Density):
-    """integral over Q_u of |f_u|**2."""
-    return f_u.power_mean(2)
+        sums = f.num[idx].sum(axis=1).astype(object)
+        return Fraction(int((sums * sums).sum()), f.den**2 * ctx.size * ctx.modulus)
+    sums = f.data[idx].sum(axis=1)
+    return float((np.abs(sums) ** 2).sum()) / (ctx.size * ctx.modulus)
 
 
 def xray_l2_spatial(f: Density, pivot_rule: str = "first"):
@@ -571,20 +570,6 @@ def band_constant(i: int, m: int, ctx: RingContext) -> Fraction:
     return max(Fraction(proj_size(v, m - 1), proj_size(v, m)) for v in members)
 
 
-def band_constancy_modulus(ctx: RingContext, i: int) -> int:
-    """Least scale modulus M with every band-i valuation dividing M, if any.
-
-    Divisibility bands are constant on cosets of M_i (hence of M_{i+1});
-    numeric bands over factorial scales may admit no such scale within
-    M_{i+1}, the case the verifier reports on.
-    """
-    members = band_valuation_sets(ctx)[i]
-    m = 1
-    for v in members:
-        m = m * v // gcd(m, v)
-    return m
-
-
 def induce_to_modulus(f: Density, M: int) -> Density:
     """Reinterpret an M-periodic density on (Z/MZ)^n (or pull back if N | M).
 
@@ -602,21 +587,14 @@ def induce_to_modulus(f: Density, M: int) -> Density:
     if N % M:
         raise ValueError(f"modulus {M} neither divides nor is divided by {N}")
     labels = tables.coset_labels(ctx, M)
+    first = np.unique(labels, return_index=True)[1]  # least rank per coset, in label order
     if f.lane == "exact":
-        first = np.full(M**n, -1, dtype=np.int64)
-        for rank, lbl in enumerate(labels):
-            if first[lbl] < 0:
-                first[lbl] = rank
         rep = f.num[first]
         spread = rep[labels]
         if not (spread == f.num).all():
             worst = Fraction(int(np.abs(spread - f.num).max()), f.den)
             raise ConstancyError(f"density is not constant on cosets of {M}*(Z/{N}Z)^{n}", worst)
         return Density(new_ctx, num=rep, den=f.den)
-    first = np.full(M**n, -1, dtype=np.int64)
-    for rank, lbl in enumerate(labels):
-        if first[lbl] < 0:
-            first[lbl] = rank
     rep = f.data[first]
     spread = rep[labels]
     worst = float(np.abs(spread - f.data).max())

@@ -5,8 +5,16 @@ normalized mass of |f| over any translate:
 
     maxop_k f(U) = max_a N**(-k) sum_{x in U} |f(a + x)|
 
-(f_star is the unnormalized line version, f_star = N * maxop_1 f).  The
-constants half evaluates, factor by factor and with no simplification,
+(f_star is the unnormalized line version, f_star = N * maxop_1 f).  A
+flat U through the origin is a submodule, so the mass of |f| on a + U
+depends only on the coset of a: both operators read tables.coset_table,
+sum each coset once, and take the largest coset sum per flat.  The
+witness is the lexicographically least achieving shift, which is the
+least rank among the cosets that reach the maximum.  The exact lane sums
+int64 numerators under the shared headroom check; the float lane sums
+doubles, one coset at a time.
+
+The constants half evaluates, factor by factor and with no simplification,
 the integer-density bound constant, the rounding-based rational-density
 constant, and the scale-chain constant that feeds the 2-flat norm
 inequality.
@@ -52,16 +60,28 @@ class MaximalProfile:
         return max(self.values)
 
 
-def _profile_from_sums(ctx: RingContext, keys, sums: np.ndarray, den: int, k: int,
-                       exact: bool) -> MaximalProfile:
-    """sums: (num_keys, num_shifts); shift axis is in rank (= lex) order."""
-    best = sums.max(axis=1)
-    arg = sums.argmax(axis=1)
-    witnesses = tuple(ctx.unrank(int(a)) for a in arg)
-    if exact:
-        values = tuple(Fraction(int(b), den) for b in best)
+def _maximal(f: Density, k: int, keys, pivot_rule: str = "first") -> MaximalProfile:
+    """Sum |f| over every coset of every k-flat once, then take row maxima.
+
+    All shifts in one coset share its sum, so the lex-least achieving
+    shift is the least rank among the winning cosets.
+    """
+    ctx = f.ctx
+    table, least = tables.coset_table(ctx, k, pivot_rule)
+    npts = ctx.modulus**k
+    if f.lane == "exact":
+        num = np.abs(f.num)
+        _check_headroom(int(num.max(initial=0)) * npts)
+        sums = num[table].sum(axis=2)
     else:
-        values = tuple(float(b) / den for b in best)
+        sums = np.abs(f.data)[table].sum(axis=2)
+    best = sums.max(axis=1)
+    arg = np.where(sums == best[:, None], least, ctx.size).min(axis=1)
+    witnesses = tuple(ctx.unrank(int(a)) for a in arg)
+    if f.lane == "exact":
+        values = tuple(Fraction(int(b), f.den * npts) for b in best)
+    else:
+        values = tuple(float(b) / npts for b in best)
     return MaximalProfile(k, tuple(keys), values, witnesses)
 
 
@@ -69,37 +89,15 @@ def line_maximal(f: Density, pivot_rule: str = "first") -> MaximalProfile:
     """maxop_1 over every direction of P (Z/NZ)^(n-1).
 
     Absolute values are taken inside, matching the operator definition;
-    nonnegative inputs are unaffected.
+    nonnegative inputs are unaffected.  pivot_rule picks the line table's
+    row order only; values and witnesses do not depend on it.
     """
-    ctx = f.ctx
-    idx = tables.line_table(ctx)
-    dirs = tables.directions(ctx)
-    if f.lane == "exact":
-        num = np.abs(f.num)
-        _check_headroom(int(num.max(initial=0)) * ctx.modulus)
-        sums = num[idx].sum(axis=2)
-        return _profile_from_sums(ctx, dirs, sums, f.den * ctx.modulus, 1, True)
-    vals = np.abs(f.data)
-    sums = vals[idx].sum(axis=2)
-    return _profile_from_sums(ctx, dirs, sums, ctx.modulus, 1, False)
+    return _maximal(f, 1, tables.directions(f.ctx), pivot_rule)
 
 
 def flat_maximal(f: Density, k: int) -> MaximalProfile:
     """maxop_k over every flat of Gr((Z/NZ)^n, k)."""
-    ctx = f.ctx
-    if not 1 <= k <= ctx.dimension:
-        raise ValueError("need 1 <= k <= n")
-    idx = tables.flat_table(ctx, k)
-    keys = tables.flats(ctx, k)
-    npts = ctx.modulus**k
-    if f.lane == "exact":
-        num = np.abs(f.num)
-        _check_headroom(int(num.max(initial=0)) * npts)
-        sums = num[idx].sum(axis=2)
-        return _profile_from_sums(ctx, keys, sums, f.den * npts, k, True)
-    vals = np.abs(f.data)
-    sums = vals[idx].sum(axis=2)
-    return _profile_from_sums(ctx, keys, sums, npts, k, False)
+    return _maximal(f, k, tables.flats(f.ctx, k))
 
 
 def f_star(f: Density) -> MaximalProfile:

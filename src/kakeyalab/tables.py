@@ -1,7 +1,11 @@
 """Precomputed index tables shared by the transform and maximal-operator code.
 
-Everything here is keyed by an immutable RingContext and cached, so the
-cost of building gather tensors is paid once per ring.  Arrays are
+Everything here is keyed by an immutable RingContext and cached, so each
+table is built once per ring.  The central one is coset_table: for every
+k-flat U through the origin it lists each coset a + U of (Z/NZ)^n once,
+as a row of point ranks, plus the least rank of each row.  The X-ray
+(k = 1) sums rows in place of fibers, and the maximal operators sum rows
+in place of shifts, so no coset is summed more than once.  Arrays are
 returned non-writeable; treat them as shared read-only state.
 """
 from __future__ import annotations
@@ -10,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Flat, ProjDirection, QuotientChart, enumerate_grassmannian, enumerate_proj, quotient_chart
-from .ring import RingContext
+from .geometry import Flat, ProjDirection, enumerate_grassmannian, enumerate_proj
+from .ring import RingContext, _crt_basis
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -76,57 +80,57 @@ def orthogonality_mask(ctx: RingContext) -> np.ndarray:
     return _freeze(dots == 0)
 
 
-@lru_cache(maxsize=None)
-def line_table(ctx: RingContext) -> np.ndarray:
-    """(P, size, N) int32: rank of a + t*u per direction u, shift a, step t."""
-    N = ctx.modulus
-    grid = coord_grid(ctx)
-    dirs = direction_matrix(ctx)
-    steps = np.arange(N, dtype=np.int64)
-    out = np.empty((len(dirs), ctx.size, N), dtype=np.int32)
-    for i, u in enumerate(dirs):
-        pts = (grid[:, None, :] + steps[None, :, None] * u[None, None, :]) % N
-        out[i] = rank_points(pts, ctx)
-    return _freeze(out)
+def _lex_grid(N: int, m: int) -> np.ndarray:
+    """(N**m, m) every vector of (Z/NZ)^m in lex order; one empty row at m = 0."""
+    if m == 0:
+        return np.zeros((1, 0), dtype=np.int64)
+    return coord_grid(RingContext.generic(N, m))
 
 
 @lru_cache(maxsize=None)
-def flat_table(ctx: RingContext, k: int) -> np.ndarray:
-    """(F, size, N**k) int32: rank of a + x per flat, shift a, flat point x."""
-    from .geometry import flat_points
+def coset_table(ctx: RingContext, k: int, pivot_rule: str = "first") -> tuple[np.ndarray, np.ndarray]:
+    """Every coset a + U of every k-flat U through the origin, once.
 
-    N = ctx.modulus
-    grid = coord_grid(ctx)
-    fl = flats(ctx, k)
-    npts = N**k
-    out = np.empty((len(fl), ctx.size, npts), dtype=np.int32)
-    for i, F in enumerate(fl):
-        pts = np.array(sorted(flat_points(F)), dtype=np.int64)
-        shifted = (grid[:, None, :] + pts[None, :, :]) % N
-        out[i] = rank_points(shifted, ctx)
-    return _freeze(out)
+    Returns (table, least).  table is (F, size // N**k, N**k) int32; row y
+    of flat i lists the ranks of section(y) + sum_j t_j g_j over t in
+    (Z/NZ)^k in lex order, where g_j are the generators and section(y)
+    places the quotient point y in (Z/NZ)^(n-k) on the non-pivot columns
+    of each CRT component (zeros on the pivots).  least is (F, size // N**k),
+    the smallest rank in each row.  Flats follow directions(ctx) for k = 1
+    and flats(ctx, k) above.
 
-
-@lru_cache(maxsize=None)
-def charts(ctx: RingContext, pivot_rule: str = "first") -> tuple[QuotientChart, ...]:
-    return tuple(quotient_chart(u, ctx, pivot_rule) for u in directions(ctx))
-
-
-@lru_cache(maxsize=None)
-def xray_table(ctx: RingContext, pivot_rule: str = "first") -> np.ndarray:
-    """(P, size/N, N) int32: rank of section(y) + t*u per direction."""
-    N = ctx.modulus
-    qctx = ctx.quotient()
-    qsize = qctx.size
-    qgrid = coord_grid(qctx)
-    steps = np.arange(N, dtype=np.int64)
-    dirs = directions(ctx)
-    out = np.empty((len(dirs), qsize, N), dtype=np.int32)
-    for i, (u, chart) in enumerate(zip(dirs, charts(ctx, pivot_rule))):
-        secs = np.array([chart.section(tuple(y)) for y in qgrid], dtype=np.int64)
-        pts = (secs[:, None, :] + steps[None, :, None] * np.array(u.rep, dtype=np.int64)) % N
-        out[i] = rank_points(pts, ctx)
-    return _freeze(out)
+    A pivot is the first (pivot_rule "last": last) unit coordinate of a
+    generator modulo p, which for k = 1 is the QuotientChart pivot, so
+    row y of a line table is the fiber of y under that chart: the X-ray
+    reads the table directly.  For k >= 2 the pivots are the echelon
+    pivots of the canonical generators and only the "first" rule applies.
+    """
+    N, n = ctx.modulus, ctx.dimension
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    if k > 1 and pivot_rule != "first":
+        raise ValueError("pivot_rule 'last' applies to lines only")
+    if k == 1:
+        gens = direction_matrix(ctx)[:, None, :]  # (F, k, n)
+    else:
+        gens = np.array([f.generators for f in flats(ctx, k)], dtype=np.int64)
+    offsets = _lex_grid(N, k) @ gens % N  # (F, N**k, n): the points of U
+    quotient = _lex_grid(N, n - k)
+    components = []
+    for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)):
+        unit = gens % p != 0
+        if pivot_rule == "first":
+            pivots = unit.argmax(axis=2)
+        else:
+            pivots = n - 1 - unit[:, :, ::-1].argmax(axis=2)
+        components.append((e, quotient % q, pivots))
+    table = np.empty((len(gens), len(quotient), N**k), dtype=np.int32)
+    for i in range(len(gens)):
+        sections = np.zeros((len(quotient), n), dtype=np.int64)
+        for e, y, pivots in components:
+            sections[:, np.delete(np.arange(n), pivots[i])] += e * y
+        table[i] = rank_points((sections[:, None, :] + offsets[i]) % N, ctx)
+    return _freeze(table), _freeze(table.min(axis=2))
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from . import tables
 from .geometry import proj_size
 from .harmonic import (ConstancyError, Density, band_constant, band_project,
                        fourier_forward, fourier_inverse, induce_to_modulus,
-                       xray_all, xray_l2_spatial, xray_l2_spectral, xray_transform,
+                       xray_all, xray_l2_spatial, xray_l2_spectral,
                        _rational_from_int_coeffs)
 from .maximal import (appendix_constant, chain_constant, flat_maximal,
                       line_maximal, rounding_g)
@@ -269,16 +269,16 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
     started = time.perf_counter()
     n = ctx.dimension
     bands = range(ctx.num_bands) if band is None else [band]
-    dirs = tables.directions(ctx)
+    qctx = ctx.quotient()
     worst = Fraction(0)
     witness = None
     violations = []
     for t, f in enumerate(_corpus(ctx, seed, trials)):
         for i in bands:
-            fi = band_project(f, i)
+            nums, den = xray_all(band_project(f, i))
             m_next = scale(i + 1, ctx, beyond_truncation=True)
-            for ui, u in enumerate(dirs):
-                h = xray_transform(fi, u)
+            for ui, row in enumerate(nums):
+                h = Density.from_numden(qctx, row, den)
                 prof = line_maximal(h)
                 lhs = _frac_mean(prof.values, n - 1)
                 try:

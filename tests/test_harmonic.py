@@ -104,6 +104,42 @@ class TestXray:
             assert fu.value(y) == total / 6
 
 
+    @pytest.mark.parametrize("rule", ["first", "last"])
+    def test_line_table_rows_are_chart_fibers(self, rule):
+        # row y of a direction's line table is section(y) + t*u, t = 0..N-1
+        from kakeyalab import tables
+        from kakeyalab.geometry import quotient_chart
+
+        for ctx in (RingContext.generic(12, 2), RingContext.generic(6, 3)):
+            N = ctx.modulus
+            table, least = tables.coset_table(ctx, 1, rule)
+            for ui, u in enumerate(tables.directions(ctx)):
+                chart = quotient_chart(u, ctx, rule)
+                for y in ctx.quotient().points():
+                    sec = chart.section(y)
+                    row = [ctx.rank(tuple((s + t * c) % N for s, c in zip(sec, u.rep)))
+                           for t in range(N)]
+                    yi = ctx.quotient().rank(y)
+                    assert table[ui, yi].tolist() == row
+                    assert least[ui, yi] == min(row)
+
+
+class TestDensityArithmetic:
+    def test_mismatched_contexts_rejected(self):
+        a = Density.constant(RingContext.padic(2, 2, 2), 1)
+        b = Density.constant(RingContext.generic(4, 2), 1)
+        with pytest.raises(ValueError, match="mismatched ring contexts"):
+            a + b
+        with pytest.raises(ValueError, match="mismatched ring contexts"):
+            a - b
+
+    def test_sub_matches_values(self):
+        ctx = RingContext.generic(6, 2)
+        f = random_density(ctx, seed=5, dist="uniform-rational")
+        g = random_density(ctx, seed=6, dist="sparse")
+        assert (f - g).values() == tuple(a - b for a, b in zip(f.values(), g.values()))
+
+
 class TestUperp:
     def test_constant(self):
         ctx = RingContext.padic(2, 2, 2)
@@ -233,6 +269,23 @@ class TestBands:
             f1 = band_project(f, 1)
             with pytest.raises(ConstancyError):
                 induce_to_modulus(f1, 6)
+
+    def test_constancy_violation_value(self):
+        # the violation is max |f(x) - f(r)| over x, r the least-rank point
+        # of x's coset of M*(Z/NZ)^n
+        ctx = RingContext.profinite(3, 2, ScaleSemantics.NUMERIC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            f1 = band_project(random_density(ctx, seed=41, dist="sparse"), 1)
+        first = {}
+        for x in ctx.points():
+            first.setdefault(tuple(c % 6 for c in x), x)
+        expected = max(abs(f1.value(x) - f1.value(first[tuple(c % 6 for c in x)]))
+                       for x in ctx.points())
+        assert expected > 0
+        with pytest.raises(ConstancyError) as err:
+            induce_to_modulus(f1, 6)
+        assert err.value.violation == expected
 
     def test_band_constants(self):
         assert band_constant(1, 3, RingContext.padic(2, 1, 3)) == Fraction(3, 7)

@@ -1,17 +1,19 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kakeyalab import tables
 from kakeyalab.geometry import canonical_direction, flat_points
 from kakeyalab.harmonic import Density
 from kakeyalab.maximal import (appendix_constant, chain_constant, f_star,
                                flat_maximal, line_maximal, maxN_constant,
                                mweight, rounding_g)
 from kakeyalab.ring import RingContext
-from kakeyalab.verify import random_density
+from kakeyalab.verify import DISTRIBUTIONS, random_density
 
 
 def brute_line_max(f, u, ctx):
@@ -128,6 +130,96 @@ class TestFlatMaximal:
         p_line = line_maximal(f)
         p_flat = flat_maximal(f, 1)
         assert sorted(p_line.values) == sorted(p_flat.values)
+
+
+def brute_profile(f, point_sets, k):
+    """Oracle: sum |f| over a + U at every shift a, in rank order, and keep
+    the first (lex-least) shift reaching the maximum."""
+    ctx = f.ctx
+    N = ctx.modulus
+    vals = np.abs(f.num).astype(object) if f.lane == "exact" else np.abs(f.data)
+    grid = np.array(list(ctx.points()), dtype=np.int64)
+    place = np.array([N ** (ctx.dimension - 1 - i) for i in range(ctx.dimension)])
+    values, witnesses = [], []
+    for pts in point_sets:
+        pts = np.array(sorted(pts), dtype=np.int64)
+        sums = vals[(grid[:, None, :] + pts[None]) % N @ place].sum(axis=1)
+        a = max(range(ctx.size), key=lambda i: (sums[i], -i))
+        values.append(Fraction(int(sums[a]), f.den * N**k) if f.lane == "exact"
+                      else float(sums[a]) / N**k)
+        witnesses.append(ctx.unrank(a))
+    return values, witnesses
+
+
+def line_point_sets(ctx):
+    N = ctx.modulus
+    return [{tuple(t * c % N for c in u.rep) for t in range(N)} for u in tables.directions(ctx)]
+
+
+class TestCosetOracle:
+    """Both operators against shift-by-shift sums over flat_points."""
+
+    RINGS = [RingContext.padic(2, 2, 3), RingContext.generic(6, 3),
+             RingContext.generic(12, 2), RingContext.generic(12, 1)]
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=lambda c: c.describe())
+    def test_exact_values_and_witnesses(self, ctx):
+        for t in range(4):
+            f = random_density(ctx, seed=1000 + t, dist=DISTRIBUTIONS[t], trial=t)
+            prof = line_maximal(f)
+            assert (list(prof.values), list(prof.witnesses)) == brute_profile(f, line_point_sets(ctx), 1)
+            for k in range(1, ctx.dimension + 1):
+                prof = flat_maximal(f, k)
+                sets = [flat_points(F) for F in tables.flats(ctx, k)]
+                assert (list(prof.values), list(prof.witnesses)) == brute_profile(f, sets, k)
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=lambda c: c.describe())
+    def test_float_values_and_witnesses(self, ctx):
+        N = ctx.modulus
+        for t in range(4):
+            f = random_density(ctx, seed=1100 + t, dist=DISTRIBUTIONS[t], lane="float", trial=t)
+            cases = [(line_maximal(f), line_point_sets(ctx), 1)]
+            for k in range(1, ctx.dimension + 1):
+                cases.append((flat_maximal(f, k),
+                              [flat_points(F) for F in tables.flats(ctx, k)], k))
+            for prof, sets, k in cases:
+                values, _ = brute_profile(f, sets, k)
+                assert np.allclose(prof.values, values, rtol=0, atol=1e-12)
+                for value, wit, pts in zip(prof.values, prof.witnesses, sets):
+                    reached = sum(abs(f.value(tuple((a + x) % N for a, x in zip(wit, p))))
+                                  for p in pts) / N**k
+                    assert abs(reached - value) <= 1e-12
+
+    def test_sums_are_exact_past_float_precision(self):
+        # entries near 2**55 / N**k pass the headroom check, but their coset
+        # sums exceed 2**53, where float64 accumulation rounds
+        ctx = RingContext.padic(2, 2, 3)
+        rng = np.random.default_rng(3)
+        rounded = False
+        for k in range(1, ctx.dimension + 1):
+            base = 2**55 // ctx.modulus**k
+            num = base + rng.integers(0, 2**20, ctx.size)
+            f = Density.from_numden(ctx, num, 1)
+            sets = [flat_points(F) for F in tables.flats(ctx, k)]
+            prof = flat_maximal(f, k)
+            assert (list(prof.values), list(prof.witnesses)) == brute_profile(f, sets, k)
+            table, _ = tables.coset_table(ctx, k)
+            exact = num[table].sum(axis=2)
+            rounded |= bool((num.astype(np.float64)[table].sum(axis=2) != exact).any())
+        assert rounded
+
+    def test_larger_ring_table_size(self):
+        # by arithmetic a (F, size, N**2) shift table would take about 1.9 GB
+        ctx = RingContext.padic(2, 4, 3)
+        table, least = tables.coset_table(ctx, 2)
+        F = len(tables.flats(ctx, 2))
+        assert table.shape == (F, ctx.size // 16**2, 16**2)
+        assert table.nbytes == 4 * F * ctx.size
+        plane = tables.flats(ctx, 2)[5]
+        shifted = [tuple((a + 1) % 16 for a in p) for p in flat_points(plane)]
+        prof = flat_maximal(Density.indicator(ctx, shifted), 2)
+        assert prof.value(plane) == 1 and prof.witness(plane) == min(shifted)
+        assert sum(v == 1 for v in prof.values) == 1
 
 
 class TestFStar:
