@@ -3,7 +3,8 @@
 Values live in Q(zeta_N) represented as coefficient vectors in the basis
 1, zeta, ..., zeta^(N-1) (so multiplication by a root of unity is a cyclic
 shift).  Equality and rationality tests reduce modulo the N-th cyclotomic
-polynomial, where the representation is canonical.
+polynomial, where the representation is canonical; reduction_matrix(N)
+is that reduction as an integer matrix.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +61,14 @@ def reduce_mod_cyclotomic(coeffs: Sequence, N: int) -> tuple:
             for j in range(deg + 1):
                 rem[i - deg + j] -= c * phi[j]
     return tuple(rem[:deg])
+
+
+@lru_cache(maxsize=None)
+def reduction_matrix(N: int) -> np.ndarray:
+    """Read-only (N, phi(N)) int64 matrix; row j is zeta**j modulo the monic Phi_N."""
+    R = np.array([reduce_mod_cyclotomic(e, N) for e in np.eye(N, dtype=int).tolist()], dtype=np.int64)
+    R.setflags(write=False)
+    return R
 
 
 @dataclass(frozen=True)
@@ -153,9 +164,3 @@ class Cyclotomic:
 
     def __hash__(self):
         return hash((self.order, self.reduced()))
-
-    def __complex__(self) -> complex:
-        import cmath
-
-        N = self.order
-        return sum(complex(c) * cmath.exp(2j * cmath.pi * j / N) for j, c in enumerate(self.coeffs))

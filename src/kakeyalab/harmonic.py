@@ -7,10 +7,11 @@ Conventions (Haar = average):
     f(x)       = sum_a e(-<x,a>/N) f^(a)
     f_u(y)     = N**(-1) sum_t f(section(y) + t u)        (X-ray along u)
 
-Two value lanes: the exact lane stores a density as shared-denominator
-integer numerators and keeps every identity in Q (spectra carry integer
-cyclotomic coefficient vectors); the float lane uses numpy doubles and
-complexes for large sweeps.
+Two value lanes: the exact lane is integer linear algebra (densities as
+shared-denominator int64 numerators, spectra as integer vectors in
+Z[zeta_N], rational values read off with cyclotomic.reduction_matrix(N),
+every step under an int64 headroom check); the float lane uses numpy
+doubles and complexes, and numpy's FFT, for large sweeps.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tables
-from .cyclotomic import Cyclotomic, reduce_mod_cyclotomic
+from .cyclotomic import Cyclotomic, reduction_matrix
 from .geometry import ProjDirection, proj_size
 from .ring import DualFrequency, PAdic, Profinite, RingContext, ScaleSemantics, scale
 
@@ -39,11 +40,16 @@ class ConstancyError(Exception):
         self.violation = violation
 
 
-def _check_headroom(bound: int) -> None:
+def _check_headroom(bound: int | float) -> None:
     if bound >= _INT_HEADROOM:
         raise OverflowError(
             "exact-lane intermediate values would overflow int64; "
             "reduce density magnitudes or denominators")
+
+
+def _abs_sum(x: np.ndarray) -> float:
+    """sum |x|, accumulated in float64 so that the bound itself cannot wrap."""
+    return float(np.abs(x, dtype=np.float64).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +158,6 @@ class Density:
             return Density(self.ctx, num=np.abs(self.num), den=self.den)
         return Density(self.ctx, data=np.abs(self.data))
 
-    def is_nonnegative(self) -> bool:
-        if self.lane == "exact":
-            return bool((self.num >= 0).all())
-        return bool((np.real(self.data) >= 0).all() and np.allclose(np.imag(self.data), 0))
-
     def to_float(self) -> "Density":
         if self.lane == "float":
             return self
@@ -167,18 +168,18 @@ class Density:
             raise ValueError("mismatched ring contexts")
         if self.lane == "exact" and other.lane == "exact":
             d = self.den * other.den // gcd(self.den, other.den)
-            num = self.num * (d // self.den) + other.num * (d // other.den)
-            return Density(self.ctx, num=num, den=d)
+            sa, sb = d // self.den, d // other.den
+            _check_headroom(int(np.abs(self.num).max()) * sa + int(np.abs(other.num).max()) * sb)
+            return Density(self.ctx, num=self.num * sa + other.num * sb, den=d)
         return Density(self.ctx, data=self.to_float().data + other.to_float().data)
 
+    def __neg__(self) -> "Density":
+        if self.lane == "exact":
+            return Density(self.ctx, num=-self.num, den=self.den)
+        return Density(self.ctx, data=-self.data)
+
     def __sub__(self, other: "Density") -> "Density":
-        if self.ctx != other.ctx:
-            raise ValueError("mismatched ring contexts")
-        if self.lane == "exact" and other.lane == "exact":
-            d = self.den * other.den // gcd(self.den, other.den)
-            num = self.num * (d // self.den) - other.num * (d // other.den)
-            return Density(self.ctx, num=num, den=d)
-        return Density(self.ctx, data=self.to_float().data - other.to_float().data)
+        return self + -other
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Density):
@@ -256,26 +257,31 @@ class Spectrum:
             self._corr = corr
         return self._corr
 
+    def masses(self, masks: np.ndarray):
+        """sum_{a in mask} |f^(a)|**2 per row of a boolean (rows, size) mask:
+        (int64 numerators, den**2) in the exact lane, (floats, None) in the float lane."""
+        if self.lane == "exact":
+            return _rationalize(self.correlations(), self.ctx.modulus, masks), self.den**2
+        return masks @ (np.abs(self.values) ** 2), None
+
     def plancherel(self):
         """sum_a |f^(a)|**2, exact in the exact lane."""
-        if self.lane == "exact":
-            total = self.correlations().sum(axis=0, dtype=object)
-            return _rational_from_int_coeffs(total, self.ctx.modulus, self.den**2)
-        return float((np.abs(self.values) ** 2).sum())
-
-    def to_float(self) -> "Spectrum":
-        if self.lane == "float":
-            return self
-        N = self.ctx.modulus
-        roots = np.exp(2j * np.pi * np.arange(N) / N)
-        return Spectrum(self.ctx, values=self.coeffs @ roots / self.den)
+        nums, den = self.masses(np.ones((1, self.ctx.size), dtype=bool))
+        return Fraction(int(nums[0]), den) if self.lane == "exact" else float(nums[0])
 
 
-def _rational_from_int_coeffs(coeffs: Sequence, N: int, den: int) -> Fraction:
-    red = reduce_mod_cyclotomic([int(c) for c in coeffs], N)
-    if any(red[1:]):
+def _rationalize(C: np.ndarray, N: int, masks: np.ndarray | None = None) -> np.ndarray:
+    """Integer values of rows C (..., N) over zeta_N**j, or of masks @ C; rows
+    are reduced before the masked sum, which then runs over phi(N) columns."""
+    R = reduction_matrix(N)
+    _check_headroom(int(np.abs(C).max(initial=0)) * int(np.abs(R).sum(axis=0).max()))
+    red = C @ R
+    if masks is not None:
+        _check_headroom(_abs_sum(red))  # bounds every masked sum
+        red = masks.astype(np.int64) @ red
+    if red[..., 1:].any():
         raise ValueError("cyclotomic value is not rational")
-    return Fraction(int(red[0]) if red else 0, den)
+    return red[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,69 +289,63 @@ def _rational_from_int_coeffs(coeffs: Sequence, N: int, den: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _pass_index(N: int, sign: int) -> np.ndarray:
+    """Read-only (N, N, N) gather index [a, x, j] = x*N + (j - sign*x*a) mod N."""
+    a, x, j = np.ogrid[:N, :N, :N]
+    idx = x * N + (j - sign * x * a) % N
+    idx.setflags(write=False)
+    return idx
+
+
 def _axis_pass_exact(C: np.ndarray, ctx: RingContext, axis: int, sign: int) -> np.ndarray:
-    """One separable stage: out[.., a, ..] = sum_x zeta**(sign*x*a) in[.., x, ..]."""
+    """One separable stage: out[.., a, ..] = sum_x zeta**(sign*x*a) in[.., x, ..],
+    as one gather of the shifted (x, j) coefficients per output frequency a."""
     N, n = ctx.modulus, ctx.dimension
-    shaped = C.reshape((N,) * n + (N,))
-    moved = np.moveaxis(shaped, axis, 0)
-    flat = moved.reshape(N, -1, N)
-    out = np.zeros_like(flat)
-    for a in range(N):
-        acc = out[a]
-        for x in range(N):
-            acc += np.roll(flat[x], (sign * x * a) % N, axis=-1)
-    return np.moveaxis(out.reshape(moved.shape), 0, axis).reshape(ctx.size, N)
+    moved = np.moveaxis(C.reshape((N,) * (n + 1)), axis, n - 1)
+    flat = moved.reshape(-1, N * N)
+    out = np.empty((flat.shape[0], N, N), dtype=C.dtype)
+    # gathering every a at once costs N times the memory and is slower on large rings
+    for a, index in enumerate(_pass_index(N, sign)):
+        out[:, a] = flat.take(index, axis=1).sum(axis=1)
+    return np.moveaxis(out.reshape(moved.shape), n - 1, axis).reshape(ctx.size, N)
 
 
 def fourier_forward(f: Density) -> Spectrum:
-    """f^(a) = N**(-n) sum_x e(<x,a>/N) f(x), by per-axis passes.
+    """f^(a) = N**(-n) sum_x e(<x,a>/N) f(x).
 
-    The exact lane multiplies by roots of unity as cyclic shifts of
-    integer coefficient vectors, so the result is exact; the naive
-    double-sum oracle lives in fourier_forward_naive for tests.
+    Exact lane: per-axis integer passes over Z[zeta_N].  Float lane:
+    numpy.fft.ifftn, whose sign and scaling are this convention.  The
+    naive double-sum oracle lives in fourier_forward_naive for tests.
     """
     ctx = f.ctx
     N, n = ctx.modulus, ctx.dimension
     if f.lane == "exact":
-        _check_headroom(int(np.abs(f.num).sum()))
+        _check_headroom(_abs_sum(f.num))
         C = np.zeros((ctx.size, N), dtype=np.int64)
         C[:, 0] = f.num
         for axis in range(n):
             C = _axis_pass_exact(C, ctx, axis, +1)
         return Spectrum(ctx, coeffs=C, den=f.den * ctx.size)
-    data = f.data.astype(np.complex128).reshape((N,) * n)
-    W = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N) / N
-    for axis in range(n):
-        data = np.moveaxis(np.tensordot(W, np.moveaxis(data, axis, 0), axes=(1, 0)), 0, axis)
-    return Spectrum(ctx, values=data.reshape(ctx.size))
+    return Spectrum(ctx, values=np.fft.ifftn(f.data.reshape((N,) * n)).reshape(ctx.size))
 
 
 def fourier_inverse(s: Spectrum) -> Density:
     """f(x) = sum_a e(-<x,a>/N) f^(a).
 
-    Exact spectra of rational densities invert to exact densities; a
-    hand-built spectrum whose inverse is irrational is rejected.
+    Exact lane: integer passes, then one reduction modulo the monic Phi_N
+    gives integer values over the spectrum's denominator; a hand-built
+    spectrum whose inverse is irrational is rejected.  Float lane: fftn.
     """
     ctx = s.ctx
     N, n = ctx.modulus, ctx.dimension
     if s.lane == "exact":
-        C = s.coeffs.copy()
+        _check_headroom(_abs_sum(s.coeffs))
+        C = s.coeffs
         for axis in range(n):
             C = _axis_pass_exact(C, ctx, axis, -1)
-        nums = []
-        for row in C:
-            nums.append(_rational_from_int_coeffs(row, N, 1))
-        den = s.den
-        for q in nums:
-            den = den // gcd(den, q.denominator) * q.denominator
-        scale_up = den // s.den
-        num = np.array([int(q * scale_up) for q in nums], dtype=np.int64)
-        return Density(ctx, num=num, den=den)
-    data = s.values.reshape((N,) * n)
-    W = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(N)) / N)
-    for axis in range(n):
-        data = np.moveaxis(np.tensordot(W, np.moveaxis(data, axis, 0), axes=(1, 0)), 0, axis)
-    return Density(ctx, data=data.reshape(ctx.size))
+        return Density(ctx, num=_rationalize(C, N), den=s.den)
+    return Density(ctx, data=np.fft.fftn(s.values.reshape((N,) * n)).reshape(ctx.size))
 
 
 def fourier_forward_naive(f: Density) -> Spectrum:
@@ -404,14 +404,10 @@ def uperp_sum(f: Density, u: ProjDirection):
     Equals the quotient-side mass integral of |f_u|**2 and the spatial
     double sum N**(-n-1) sum_{z,t} f(z) conj f(z+tu).
     """
-    s = fourier_forward(f)
     ctx = f.ctx
     ui = tables.directions(ctx).index(u)
-    mask = tables.orthogonality_mask(ctx)[ui]
-    if s.lane == "exact":
-        total = s.correlations()[mask].sum(axis=0, dtype=object)
-        return _rational_from_int_coeffs(total, ctx.modulus, s.den**2)
-    return float((np.abs(s.values[mask]) ** 2).sum())
+    nums, den = fourier_forward(f).masses(tables.orthogonality_mask(ctx)[ui:ui + 1])
+    return Fraction(int(nums[0]), den) if f.lane == "exact" else float(nums[0])
 
 
 def uperp_sum_spatial(f: Density, u: ProjDirection):
@@ -444,20 +440,14 @@ def xray_l2_spatial(f: Density, pivot_rule: str = "first"):
 
 def xray_l2_spectral(f: Density):
     """sum_a ratio(v(a)) |f^(a)|**2 with ratio(v) = |P(Z/v)^{n-2}| / |P(Z/v)^{n-1}|."""
-    ctx = f.ctx
-    n = ctx.dimension
-    s = fourier_forward(f)
-    vals = tables.valuations(ctx)
-    if s.lane == "exact":
-        corr = s.correlations()
-        total = Fraction(0)
-        for v in sorted(set(int(x) for x in vals)):
-            rows = corr[vals == v].sum(axis=0, dtype=object)
-            mass = _rational_from_int_coeffs(rows, ctx.modulus, s.den**2)
-            total += Fraction(proj_size(v, n - 1), proj_size(v, n)) * mass
-        return total
-    weights = np.array([proj_size(int(v), n - 1) / proj_size(int(v), n) for v in vals])
-    return float((weights * np.abs(s.values) ** 2).sum())
+    n = f.ctx.dimension
+    vals = tables.valuations(f.ctx)
+    levels = np.unique(vals)
+    nums, den = fourier_forward(f).masses(vals == levels[:, None])
+    ratios = [Fraction(proj_size(int(v), n - 1), proj_size(int(v), n)) for v in levels]
+    if f.lane == "exact":
+        return sum(r * int(m) for r, m in zip(ratios, nums)) / den
+    return float(sum(float(r) * m for r, m in zip(ratios, nums)))
 
 
 def orthogonal_fraction(a: Sequence[int], ctx: RingContext) -> Fraction:
@@ -536,6 +526,8 @@ def band_project(f: Density, i: int, method: str = "coset") -> Density:
         for d in ctx.divisors():
             if v % d == 0:
                 weights[d] = weights.get(d, 0) + _mobius(v // d)
+    # every coset sum is at most sum |f|
+    _check_headroom(_abs_sum(f.num) * sum(abs(w) * d**n for d, w in weights.items()))
     num = np.zeros(ctx.size, dtype=np.int64)
     for d, w in sorted(weights.items()):
         if w == 0:

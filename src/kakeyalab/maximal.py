@@ -245,6 +245,15 @@ def _ln(x) -> Fraction:
     return Fraction(math.log(x))
 
 
+def _later_primes_block(factors, n: int) -> Fraction:
+    """last * prod_{i=2}^{r-1} mid_i: the factors after the first prime."""
+    pr, kr = factors[-1]
+    block = Fraction(1, 2 * (kr + _ceil_log(pr, n)))
+    for p_i, k_i in factors[1:-1]:
+        block *= 1 / (2 * (k_i * _ln(p_i) + 1) * (k_i + _ceil_log(p_i, n)))
+    return block
+
+
 def maxN_constant(f: Density, ctx: RingContext) -> Fraction:
     """The integer-density bound constant, evaluated factor by factor.
 
@@ -268,11 +277,7 @@ def maxN_constant(f: Density, ctx: RingContext) -> Fraction:
     first = 1 / (2 * (_ln(mw) + 1) * ceil_term)
     if len(factors) == 1:
         return first**n
-    pr, kr = factors[-1]
-    block = Fraction(1, 2 * (kr + _ceil_log(pr, n)))
-    for p_i, k_i in factors[1:-1]:
-        block *= 1 / (2 * (k_i * _ln(p_i) + 1) * (k_i + _ceil_log(p_i, n)))
-    return first**n * block**n
+    return first**n * _later_primes_block(factors, n)**n
 
 
 def appendix_constant(N: int, n: int) -> Fraction:
@@ -293,12 +298,7 @@ def appendix_constant(N: int, n: int) -> Fraction:
     lg = _ln(N) / _ln(p1)
     lgn = _ln(n) / _ln(p1)
     first = 1 / (2 * (2 * _ln(N) + 1) * (2 * lg + lgn + 1))
-    pr, kr = factors[-1]
-    block = Fraction(1, 2 * (kr + _ceil_log(pr, n)))
-    for p_i, k_i in factors[1:-1]:
-        block *= 1 / (2 * (k_i * _ln(p_i) + 1) * (k_i + _ceil_log(p_i, n)))
-    d = first**n * block**n
-    return d / (2**n + 1)
+    return first**n * _later_primes_block(factors, n)**n / (2**n + 1)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeyalab.cyclotomic import Cyclotomic, cyclotomic_poly, reduce_mod_cyclotomic
+import numpy as np
+
+from kakeyalab.cyclotomic import (Cyclotomic, cyclotomic_poly, reduce_mod_cyclotomic,
+                                  reduction_matrix)
 
 
 KNOWN_POLYS = {
@@ -75,3 +78,14 @@ def test_reduce_handles_long_input():
     assert red == (0, 0, 0, 0)
     val = Cyclotomic(5, tuple(Fraction(1) for _ in range(5))) * 2
     assert val.is_zero()
+
+
+def test_reduction_matrix_is_the_reduction():
+    rng = np.random.default_rng(0)
+    for N in range(1, 31):
+        R = reduction_matrix(N)
+        assert R.shape == (N, len(cyclotomic_poly(N)) - 1) and not R.flags.writeable
+        for j in range(N):
+            assert R[j].tolist() == list(reduce_mod_cyclotomic([0] * j + [1] + [0] * (N - 1 - j), N))
+        for row in rng.integers(-1000, 1000, size=(5, N)):
+            assert (row @ R).tolist() == list(reduce_mod_cyclotomic(row.tolist(), N))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeyalab.geometry import canonical_direction, enumerate_proj, proj_size
-from kakeyalab.harmonic import (ConstancyError, Density, band_constant,
+from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, band_constant,
                                 band_project, band_valuation_sets,
                                 fourier_forward, fourier_forward_naive,
                                 fourier_inverse, induce_to_modulus,
@@ -45,12 +45,32 @@ class TestFourier:
             assert fourier_inverse(fourier_forward(f)) == f
 
     def test_fast_path_matches_naive_oracle(self):
-        for ctx in (RingContext.generic(6, 2), RingContext.padic(2, 2, 2)):
+        # every coefficient in both lanes; unlike a round trip or Plancherel,
+        # this also tells the transform apart from its conjugate
+        for ctx in (RingContext.generic(6, 2), RingContext.padic(2, 2, 2),
+                    RingContext.profinite(2, 2), RingContext.padic(2, 2, 3),
+                    RingContext.padic(3, 1, 3)):
             f = random_density(ctx, seed=3, dist="uniform-rational")
-            fast = fourier_forward(f)
-            naive = fourier_forward_naive(f)
-            for a in list(ctx.points())[:: max(1, ctx.size // 12)]:
-                assert (fast.coefficient(a) - naive.coefficient(a)).is_zero()
+            fast, naive = fourier_forward(f), fourier_forward_naive(f)
+            assert fast.den == naive.den and np.array_equal(fast.coeffs, naive.coeffs)
+            ff = f.to_float()
+            gap = np.abs(fourier_forward(ff).values - fourier_forward_naive(ff).values).max()
+            assert gap < 1e-12
+
+    def test_inverse_rejects_irrational_spectrum(self):
+        # f^(0) = zeta_3 makes f the constant zeta_3
+        ctx = RingContext.padic(3, 1, 2)
+        coeffs = np.zeros((ctx.size, 3), dtype=np.int64)
+        coeffs[ctx.rank((0, 0)), 1] = 1
+        with pytest.raises(ValueError, match="not rational"):
+            fourier_inverse(Spectrum(ctx, coeffs=coeffs, den=1))
+
+    def test_inverse_headroom(self):
+        # sum |coeffs| = 2**63; unchecked, f(0) wrapped to -2**63
+        ctx = RingContext.padic(2, 1, 2)
+        s = Spectrum(ctx, coeffs=[[2**62, 0], [2**62, 0], [0, 0], [0, 0]], den=1)
+        with pytest.raises(OverflowError):
+            fourier_inverse(s)
 
     def test_float_lane_round_trip(self):
         ctx = RingContext.generic(12, 2)
@@ -64,6 +84,30 @@ class TestFourier:
             assert fourier_forward(f).plancherel() == f.power_mean(2)
             ff = f.to_float()
             assert abs(fourier_forward(ff).plancherel() - ff.power_mean(2)) < 1e-10
+
+
+class TestMasses:
+    @pytest.mark.parametrize("ctx", [RingContext.profinite(2, 2), RingContext.padic(2, 2, 3)],
+                             ids=lambda c: c.describe())
+    def test_masses_match_norm_squares(self, ctx):
+        f = random_density(ctx, seed=31, dist="uniform-rational")
+        masks = np.random.default_rng(1).random((4, ctx.size)) < 0.5
+        s = fourier_forward(f)
+        norms = [s.coefficient(ctx.unrank(i)).norm_squared().rational_value()
+                 for i in range(ctx.size)]
+        expected = [sum(q for q, keep in zip(norms, row) if keep) for row in masks]
+        nums, den = s.masses(masks)
+        assert [Fraction(int(m), den) for m in nums] == expected
+        fnums, fden = fourier_forward(f.to_float()).masses(masks)
+        assert fden is None
+        assert np.abs(fnums - np.array(expected, dtype=float)).max() < 1e-12
+
+    def test_irrational_mass_rejected(self):
+        # |1 + zeta_5|**2 = 2 + zeta_5 + zeta_5**4 is irrational
+        ctx = RingContext.padic(5, 1, 1)
+        s = Spectrum(ctx, coeffs=[[1, 1, 0, 0, 0]] + [[0] * 5] * 4, den=1)
+        with pytest.raises(ValueError, match="not rational"):
+            s.plancherel()
 
 
 class TestXray:
@@ -132,6 +176,17 @@ class TestDensityArithmetic:
             a + b
         with pytest.raises(ValueError, match="mismatched ring contexts"):
             a - b
+
+    def test_sum_overflow_raises(self):
+        # unchecked, this returned the numerator -4611686366319737641
+        # instead of 13835057707389813975
+        ctx = RingContext.padic(2, 1, 1)
+        a, b, c = (Density.constant(ctx, Fraction(1, 2**31 - d)) for d in (1, 19, 61))
+        assert (a + b).values()[0] == Fraction(1, 2**31 - 1) + Fraction(1, 2**31 - 19)
+        with pytest.raises(OverflowError):
+            a + b + c
+        with pytest.raises(OverflowError):
+            a - b - c
 
     def test_sub_matches_values(self):
         ctx = RingContext.generic(6, 2)
@@ -286,6 +341,16 @@ class TestBands:
         with pytest.raises(ConstancyError) as err:
             induce_to_modulus(f1, 6)
         assert err.value.violation == expected
+
+    def test_band_project_headroom(self):
+        # unchecked, band 2 at the origin wrapped to -2**58
+        ctx = RingContext.padic(2, 2, 2)
+        num = np.zeros(ctx.size, dtype=np.int64)
+        num[:2] = 2**60, 1
+        f = Density(ctx, num=num, den=1)
+        assert band_project(f, 0).value((0, 0)) == Fraction(2**60 + 1, 16)
+        with pytest.raises(OverflowError):
+            band_project(f, 2)
 
     def test_band_constants(self):
         assert band_constant(1, 3, RingContext.padic(2, 1, 3)) == Fraction(3, 7)
