@@ -1,9 +1,10 @@
 """Command-line surface: verification suites, constants, searches, transforms.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error,
-3 resource cap (enumeration cap or search budget).  Identical config and
-seed produce byte-identical outputs; wall times are only written when
---timings is given so default reports stay reproducible.
+3 resource cap (enumeration cap, a coset table over physical memory, or
+search budget).  Identical config and seed produce byte-identical
+outputs; wall times are only written when --timings is given so default
+reports stay reproducible.
 """
 from __future__ import annotations
 

@@ -118,6 +118,8 @@ class Density:
     def indicator(cls, ctx: RingContext, points: Iterable[Sequence[int]], lane: str = "exact") -> "Density":
         num = np.zeros(ctx.size, dtype=np.int64)
         for p in points:
+            if len(p) != ctx.dimension:
+                raise ValueError(f"point {tuple(p)} has {len(p)} coordinates, need {ctx.dimension}")
             num[ctx.rank(p)] = 1
         if lane == "exact":
             return cls(ctx, num=num, den=1)

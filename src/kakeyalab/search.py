@@ -2,17 +2,24 @@
 
 Point sets are bitmasks over the ranked points of (Z/NZ)^n, so unions,
 containment tests and cardinalities are single integer operations.  The
-greedy pass and the branch-and-bound minimizer are both deterministic:
-ties break on enumeration (lexicographic) order everywhere.
+translates of each flat are the rows of tables.coset_table, turned into
+bitmasks once per (ring, k) by translate_options.  The greedy pass and the
+branch-and-bound minimizer are both deterministic: ties break on
+enumeration (lexicographic) order everywhere.  The exact search fixes the
+first direction's translate to the one through the origin, since any
+translate of a Kakeya set is a Kakeya set of the same size.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from . import tables
-from .geometry import Flat, flat_points
+from .geometry import Flat
 from .ring import RingContext
 
 
@@ -46,31 +53,67 @@ class KakeyaCertificate:
         return frozenset(self.points)
 
 
-def _translate_masks(ctx: RingContext, flat: Flat) -> list[tuple[int, tuple[int, ...]]]:
-    """Distinct translates of a flat as (bitmask, lex-least shift) pairs,
-    ordered by that shift."""
-    N = ctx.modulus
-    base = sorted(flat_points(flat))
-    seen: dict[int, tuple[int, ...]] = {}
-    for i in range(ctx.size):
-        a = ctx.unrank(i)
-        mask = 0
-        for pt in base:
-            mask |= 1 << ctx.rank(tuple((p + c) % N for p, c in zip(pt, a)))
-        if mask not in seen:
-            seen[mask] = a
-    return sorted(seen.items(), key=lambda kv: kv[1])
+@lru_cache(maxsize=None)
+def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Per flat of tables.flats(ctx, k), its distinct translates as
+    (bitmask, lex-least shift) pairs ordered by that shift.
+
+    The translates of a flat U are its cosets a + U, which are the rows of
+    tables.coset_table(ctx, k); a row's lex-least shift is its lex-least
+    point, the row's least rank.  For k = 1 the table follows
+    tables.directions(ctx), which is the order of tables.flats(ctx, 1).
+    """
+    table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
+    grid = tables.coord_grid(ctx)
+    out = []
+    for rows, lows in zip(table, least):
+        order = np.argsort(lows)
+        onehot = np.zeros((len(rows), ctx.size), dtype=bool)
+        onehot[np.arange(len(rows))[:, None], rows[order]] = True
+        packed = np.packbits(onehot, axis=1, bitorder="little")
+        masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        shifts = [tuple(pt) for pt in grid[lows[order]].tolist()]
+        out.append(tuple(zip(masks, shifts)))
+    return tuple(out)
 
 
-def _certificate(ctx: RingContext, k: int, chosen: Sequence[tuple[Flat, int, tuple[int, ...]]],
+Choice = tuple[int, int, tuple[int, ...]]  # (flat index, translate mask, shift)
+
+
+def _certificate(ctx: RingContext, k: int, chosen: Sequence[Choice],
                  optimal: bool) -> KakeyaCertificate:
+    flats = tables.flats(ctx, k)
     union = 0
     witnesses = []
-    for flat, mask, shift in chosen:
+    for fi, mask, shift in sorted(chosen):
         union |= mask
-        witnesses.append((flat, shift))
+        witnesses.append((flats[fi], shift))
     pts = tuple(ctx.unrank(i) for i in range(ctx.size) if union >> i & 1)
     return KakeyaCertificate(k, ctx, pts, tuple(witnesses), optimal)
+
+
+def _greedy(options) -> list[Choice]:
+    """The choices of greedy_kakeya, in the order they were committed."""
+    remaining = list(range(len(options)))
+    union = 0
+    chosen: list[Choice] = []
+    while remaining:
+        free = ~union
+        best = None
+        for fi in remaining:
+            # candidates come in (direction, shift) order, so only a
+            # strictly cheaper one replaces the best so far
+            for mask, shift in options[fi]:
+                cost = (mask & free).bit_count()
+                if best is None or cost < best[0]:
+                    best = (cost, fi, mask, shift)
+            if best[0] == 0:
+                break
+        _, fi, mask, shift = best
+        chosen.append((fi, mask, shift))
+        union |= mask
+        remaining.remove(fi)
+    return chosen
 
 
 def greedy_kakeya(ctx: RingContext, k: int) -> KakeyaCertificate:
@@ -79,27 +122,7 @@ def greedy_kakeya(ctx: RingContext, k: int) -> KakeyaCertificate:
     lex-least minimizing shift."""
     if not 1 <= k <= ctx.dimension:
         raise ValueError("need 1 <= k <= n")
-    flats = tables.flats(ctx, k)
-    options = [_translate_masks(ctx, F) for F in flats]
-    remaining = list(range(len(flats)))
-    union = 0
-    chosen: list[tuple[Flat, int, tuple[int, ...]]] = []
-    while remaining:
-        best = None
-        for fi in remaining:
-            for mask, shift in options[fi]:
-                cost = bin(mask & ~union).count("1")
-                cand = (cost, fi, shift, mask)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-                if cost == 0:
-                    break
-        cost, fi, shift, mask = best
-        chosen.append((flats[fi], mask, shift))
-        union |= mask
-        remaining.remove(fi)
-    chosen.sort(key=lambda c: flats.index(c[0]))
-    return _certificate(ctx, k, chosen, optimal=False)
+    return _certificate(ctx, k, _greedy(translate_options(ctx, k)), optimal=False)
 
 
 def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> KakeyaCertificate:
@@ -112,40 +135,49 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
     remaining directions, which never overestimates the cost of a
     completion.  Budget counts expanded nodes; exhaustion raises
     BudgetExceeded carrying the best certificate found so far.
+
+    The root keeps only its first branch, the first direction's translate
+    through the origin.  A translate of a Kakeya set is a Kakeya set of
+    the same size, so translating an optimum until that translate passes
+    through the origin gives an optimum inside the first branch; later
+    root branches could never strictly improve the incumbent.  The nodes
+    visited are therefore a prefix of those of the unrestricted search,
+    with the same result, and a budget runs out at the same node or not
+    at all.
     """
     if not 1 <= k <= ctx.dimension:
         raise ValueError("need 1 <= k <= n")
-    flats = tables.flats(ctx, k)
     if k == ctx.dimension:
-        full = flats[0]
-        return _certificate(ctx, k, [(full, (1 << ctx.size) - 1, (0,) * ctx.dimension)], optimal=True)
+        return _certificate(ctx, k, [(0, (1 << ctx.size) - 1, (0,) * ctx.dimension)], optimal=True)
 
-    options = [_translate_masks(ctx, F) for F in flats]
-    seed = greedy_kakeya(ctx, k)
-    mask_by_shift = [dict((shift, mask) for mask, shift in opts) for opts in options]
-    best_chosen = [(flat, mask_by_shift[flats.index(flat)][shift], shift)
-                   for flat, shift in seed.witnesses]
-    best_size = seed.size
+    options = translate_options(ctx, k)
+    masks = [[m for m, _ in opts] for opts in options]
+    best_chosen = _greedy(options)
+    union = 0
+    for _, mask, _ in best_chosen:
+        union |= mask
+    best_size = union.bit_count()
     nodes = 0
-    order = sorted(range(len(flats)), key=lambda fi: -min(bin(m).count("1") for m, _ in options[fi]))
+    order = sorted(range(len(options)), key=lambda fi: -min(m.bit_count() for m in masks[fi]))
 
     def lower_bound(union: int, pos: int) -> int:
-        have = bin(union).count("1")
+        have = union.bit_count()
+        free = ~union
         worst = 0
         for fi in order[pos:]:
-            inc = min(bin(m & ~union).count("1") for m, _ in options[fi])
+            inc = min((m & free).bit_count() for m in masks[fi])
             worst = max(worst, inc)
             if have + worst >= best_size:
                 break
         return have + worst
 
-    def dfs(pos: int, union: int, chosen: list[tuple[Flat, int, tuple[int, ...]]]):
+    def dfs(pos: int, union: int, chosen: list[Choice]):
         nonlocal nodes, best_size, best_chosen
         if nodes >= budget:
             raise _Exhausted()
         nodes += 1
         if pos == len(order):
-            size = bin(union).count("1")
+            size = union.bit_count()
             if size < best_size:
                 best_size = size
                 best_chosen = list(chosen)
@@ -153,53 +185,51 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
         if lower_bound(union, pos) >= best_size:
             return
         fi = order[pos]
-        ranked = sorted(options[fi], key=lambda ms: (bin(ms[0] & ~union).count("1"), ms[1]))
-        if ranked[0][0] & ~union == 0:
-            # a translate already inside the union dominates every other
-            # choice (swapping it in can only shrink the final union), so
-            # only that branch needs exploring
+        free = ~union
+        # options are in shift order and the sort is stable, so ties on
+        # cost stay in shift order
+        ranked = sorted(options[fi], key=lambda ms: (ms[0] & free).bit_count())
+        if pos == 0 or ranked[0][0] & free == 0:
+            # at the root: the translate through the origin (see above);
+            # elsewhere a translate already inside the union dominates every
+            # other choice (swapping it in can only shrink the final union)
             ranked = ranked[:1]
         for mask, shift in ranked:
-            chosen.append((flats[fi], mask, shift))
+            chosen.append((fi, mask, shift))
             dfs(pos + 1, union | mask, chosen)
             chosen.pop()
 
     try:
         dfs(0, 0, [])
     except _Exhausted:
-        raise BudgetExceeded(_finish(ctx, k, flats, best_chosen)) from None
-    return _finish(ctx, k, flats, best_chosen, optimal=True)
+        raise BudgetExceeded(_certificate(ctx, k, best_chosen, optimal=False)) from None
+    return _certificate(ctx, k, best_chosen, optimal=True)
 
 
 class _Exhausted(Exception):
     pass
 
 
-def _finish(ctx, k, flats, chosen, optimal: bool = False) -> KakeyaCertificate:
-    chosen = sorted(chosen, key=lambda c: flats.index(c[0]))
-    return _certificate(ctx, k, chosen, optimal)
-
-
 def certify(points: Sequence[Sequence[int]], ctx: RingContext, k: int) -> KakeyaCertificate:
     """Check that a point set contains a translate of every k-flat.
 
-    Raises ValueError naming the first uncovered direction otherwise.
+    Raises ValueError naming the first uncovered direction otherwise, and
+    on a point with the wrong number of coordinates.
     """
     mask = 0
     pts = []
     for p in points:
+        if len(p) != ctx.dimension:
+            raise ValueError(f"point {tuple(p)} has {len(p)} coordinates, need {ctx.dimension}")
         reduced = tuple(c % ctx.modulus for c in p)
         r = ctx.rank(reduced)
         if not mask >> r & 1:
             pts.append(reduced)
         mask |= 1 << r
+    options = translate_options(ctx, k)
     witnesses = []
-    for flat in tables.flats(ctx, k):
-        hit = None
-        for tmask, shift in _translate_masks(ctx, flat):
-            if tmask & ~mask == 0:
-                hit = shift
-                break
+    for flat, opts in zip(tables.flats(ctx, k), options):
+        hit = next((shift for tmask, shift in opts if tmask & ~mask == 0), None)
         if hit is None:
             raise ValueError(f"no translate of {flat.generators} lies inside the set")
         witnesses.append((flat, hit))

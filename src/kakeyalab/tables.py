@@ -10,12 +10,28 @@ returned non-writeable; treat them as shared read-only state.
 """
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Flat, ProjDirection, enumerate_grassmannian, enumerate_proj
+from .geometry import (EnumerationCapError, Flat, ProjDirection, enumerate_grassmannian,
+                       enumerate_proj, gr_size)
 from .ring import RingContext, _crt_basis
+
+
+class TableMemoryError(EnumerationCapError):
+    """A table refused because its bytes exceed the machine's physical memory."""
+
+    def __init__(self, nbytes: int, memory: int):
+        Exception.__init__(self, f"table of {nbytes} bytes exceeds physical memory of {memory} bytes")
+        self.estimate = nbytes
+        self.cap = memory
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -104,12 +120,18 @@ def coset_table(ctx: RingContext, k: int, pivot_rule: str = "first") -> tuple[np
     row y of a line table is the fiber of y under that chart: the X-ray
     reads the table directly.  For k >= 2 the pivots are the echelon
     pivots of the canonical generators and only the "first" rule applies.
+
+    A table of more bytes (4 * F * size) than the machine's physical
+    memory raises TableMemoryError before anything is enumerated.
     """
     N, n = ctx.modulus, ctx.dimension
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if k > 1 and pivot_rule != "first":
         raise ValueError("pivot_rule 'last' applies to lines only")
+    nbytes, memory = 4 * gr_size(N, n, k) * ctx.size, _physical_memory()
+    if nbytes > memory:
+        raise TableMemoryError(nbytes, memory)
     if k == 1:
         gens = direction_matrix(ctx)[:, None, :]  # (F, k, n)
     else:

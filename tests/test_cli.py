@@ -105,6 +105,11 @@ class TestSearchCommand:
                            "-k", "3"], capsys)
         assert code == 2
 
+    def test_oversized_coset_table_exits_3(self, capsys):
+        code = main(["search", "-k", "1", "--mode", "padic", "-p", "2", "-l", "10", "-n", "3"])
+        assert code == 3
+        assert "exceeds physical memory" in capsys.readouterr().err
+
     def test_budget_exhaustion_exits_3_with_artifact(self, capsys, tmp_path):
         out = tmp_path / "cert.json"
         code, _ = run_cli(["search", "--mode", "padic", "-p", "3", "-l", "1", "-n", "3",

@@ -169,6 +169,13 @@ class TestXray:
 
 
 class TestDensityArithmetic:
+    def test_indicator_rejects_wrong_point_length(self):
+        ctx = RingContext.padic(2, 1, 2)
+        with pytest.raises(ValueError, match="coordinates"):
+            Density.indicator(ctx, [(0, 1, 1)])
+        with pytest.raises(ValueError, match="coordinates"):
+            Density.indicator(ctx, [(1,)])
+
     def test_mismatched_contexts_rejected(self):
         a = Density.constant(RingContext.padic(2, 2, 2), 1)
         b = Density.constant(RingContext.generic(4, 2), 1)
