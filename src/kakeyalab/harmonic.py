@@ -440,14 +440,19 @@ def xray_l2_spatial(f: Density, pivot_rule: str = "first"):
     return float((np.abs(nums) ** 2).sum() / (qsize * nums.shape[0]))
 
 
-def xray_l2_spectral(f: Density):
-    """sum_a ratio(v(a)) |f^(a)|**2 with ratio(v) = |P(Z/v)^{n-2}| / |P(Z/v)^{n-1}|."""
-    n = f.ctx.dimension
-    vals = tables.valuations(f.ctx)
+def xray_l2_spectral(f: Density | Spectrum):
+    """sum_a ratio(v(a)) |f^(a)|**2 with ratio(v) = |P(Z/v)^{n-2}| / |P(Z/v)^{n-1}|.
+
+    f may be given by its spectrum, so that a caller which needs the
+    transform anyway takes it once.
+    """
+    s = f if isinstance(f, Spectrum) else fourier_forward(f)
+    n = s.ctx.dimension
+    vals = tables.valuations(s.ctx)
     levels = np.unique(vals)
-    nums, den = fourier_forward(f).masses(vals == levels[:, None])
+    nums, den = s.masses(vals == levels[:, None])
     ratios = [Fraction(proj_size(int(v), n - 1), proj_size(int(v), n)) for v in levels]
-    if f.lane == "exact":
+    if s.lane == "exact":
         return sum(r * int(m) for r, m in zip(ratios, nums)) / den
     return float(sum(float(r) * m for r, m in zip(ratios, nums)))
 
@@ -564,37 +569,46 @@ def band_constant(i: int, m: int, ctx: RingContext) -> Fraction:
     return max(Fraction(proj_size(v, m - 1), proj_size(v, m)) for v in members)
 
 
-def induce_to_modulus(f: Density, M: int) -> Density:
-    """Reinterpret an M-periodic density on (Z/MZ)^n (or pull back if N | M).
+def induce_rows(rows: np.ndarray, ctx: RingContext, M: int):
+    """induce_to_modulus for an (R, size) stack of value rows at once.
 
-    Raises ConstancyError when f is not constant on cosets of M*(Z/NZ)^n.
+    Returns (the context at M, the (R, M**n) induced rows, (R,) gaps).
+    gaps[r] is the largest |rows[r] - its value at the least rank of the
+    coset|, so it is zero exactly when row r is constant on the cosets of
+    M*(Z/NZ)^n; a row with a nonzero gap has no induced density, and its
+    induced row only lists those least representatives.  A pull-back
+    (N | M) has every gap zero.
     """
-    ctx = f.ctx
     N, n = ctx.modulus, ctx.dimension
     new_ctx = _context_at_modulus(ctx, M, n)
     if M % N == 0:
-        grid = tables.coord_grid(new_ctx) % N
-        idx = tables.rank_points(grid, ctx)
-        if f.lane == "exact":
-            return Density(new_ctx, num=f.num[idx], den=f.den)
-        return Density(new_ctx, data=f.data[idx])
+        idx = tables.rank_points(tables.coord_grid(new_ctx) % N, ctx)
+        return new_ctx, rows[:, idx], np.zeros(len(rows), dtype=rows.real.dtype)
     if N % M:
         raise ValueError(f"modulus {M} neither divides nor is divided by {N}")
     labels = tables.coset_labels(ctx, M)
     first = np.unique(labels, return_index=True)[1]  # least rank per coset, in label order
-    if f.lane == "exact":
-        rep = f.num[first]
-        spread = rep[labels]
-        if not (spread == f.num).all():
-            worst = Fraction(int(np.abs(spread - f.num).max()), f.den)
-            raise ConstancyError(f"density is not constant on cosets of {M}*(Z/{N}Z)^{n}", worst)
-        return Density(new_ctx, num=rep, den=f.den)
-    rep = f.data[first]
-    spread = rep[labels]
-    worst = float(np.abs(spread - f.data).max())
-    if worst > 1e-9:
-        raise ConstancyError(f"density is not constant on cosets of {M}*(Z/{N}Z)^{n}", Fraction(worst).limit_denominator())
-    return Density(new_ctx, data=rep)
+    rep = rows[:, first]
+    return new_ctx, rep, np.abs(rep[:, labels] - rows).max(axis=1)
+
+
+def induce_to_modulus(f: Density, M: int) -> Density:
+    """Reinterpret an M-periodic density on (Z/MZ)^n (or pull back if N | M).
+
+    Raises ConstancyError when f is not constant on cosets of M*(Z/NZ)^n
+    (in the float lane: off by more than 1e-9).
+    """
+    ctx = f.ctx
+    exact = f.lane == "exact"
+    new_ctx, induced, gaps = induce_rows((f.num if exact else f.data)[None], ctx, M)
+    gap = gaps[0]
+    if gap > (0 if exact else 1e-9):
+        worst = Fraction(int(gap), f.den) if exact else Fraction(float(gap)).limit_denominator()
+        raise ConstancyError(f"density is not constant on cosets of {M}*(Z/{ctx.modulus}Z)^"
+                             f"{ctx.dimension}", worst)
+    if exact:
+        return Density(new_ctx, num=induced[0], den=f.den)
+    return Density(new_ctx, data=induced[0])
 
 
 def _context_at_modulus(ctx: RingContext, M: int, n: int) -> RingContext:

@@ -7,12 +7,13 @@ normalized mass of |f| over any translate:
 
 (f_star is the unnormalized line version, f_star = N * maxop_1 f).  A
 flat U through the origin is a submodule, so the mass of |f| on a + U
-depends only on the coset of a: both operators read tables.coset_table,
-sum each coset once, and take the largest coset sum per flat.  The
-witness is the lexicographically least achieving shift, which is the
-least rank among the cosets that reach the maximum.  The exact lane sums
-int64 numerators under the shared headroom check; the float lane sums
-doubles, one coset at a time.
+depends only on the coset of a: coset_maxima reads tables.coset_table,
+sums each coset once, and takes the largest coset sum per flat, for a
+whole stack of rows (every X-ray of a density, say) in chunked gathers.
+Both operators are one row of it.  The witness is the lexicographically
+least achieving shift, which is the least rank among the cosets that
+reach the maximum.  The exact lane sums int64 numerators under the
+shared headroom check; the float lane sums doubles, one coset at a time.
 
 The constants half evaluates, factor by factor and with no simplification,
 the integer-density bound constant, the rounding-based rational-density
@@ -60,28 +61,51 @@ class MaximalProfile:
         return max(self.values)
 
 
-def _maximal(f: Density, k: int, keys, pivot_rule: str = "first") -> MaximalProfile:
-    """Sum |f| over every coset of every k-flat once, then take row maxima.
+# Rows per gather chunk are chosen so that one chunk's gather holds about
+# this many bytes of int64 (one row, if a single row's gather is larger).
+# A tall stack gathered at once can take tens of GiB: the induced X-rays of
+# profinite(3,3) band 3 would take about 45 GiB.
+_CHUNK_BYTES = 1 << 20
 
-    All shifts in one coset share its sum, so the lex-least achieving
-    shift is the least rank among the winning cosets.
+
+def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, pivot_rule: str = "first",
+                 witnesses: bool = False):
+    """The largest coset sum of |rows| per k-flat, for a stack of rows at once.
+
+    rows is (R, size): int64 numerators (the exact lane, under the headroom
+    check) or floats.  Returns (R, F) maxima, flats in coset_table order.
+    With witnesses=True it returns (maxima, least), where least[r, i] is the
+    least rank among the cosets of flat i whose sum reaches the maximum:
+    all shifts in a coset share its sum, so that is the lex-least achieving
+    shift.  Rows are gathered a chunk at a time, about _CHUNK_BYTES each,
+    so the full (R, F, size // N**k, N**k) gather never sits in memory.
     """
-    ctx = f.ctx
     table, least = tables.coset_table(ctx, k, pivot_rule)
+    if rows.dtype.kind == "i":  # the largest |row entry|, without an abs copy of the stack
+        _check_headroom(max(int(rows.max(initial=0)), -int(rows.min(initial=0))) * ctx.modulus**k)
+    step = max(1, _CHUNK_BYTES // (8 * table.size))
+    best = np.empty((len(rows), len(table)), dtype=rows.real.dtype)
+    arg = np.empty(best.shape, dtype=np.int64) if witnesses else None
+    for lo in range(0, len(rows), step):
+        sums = np.abs(rows[lo:lo + step])[:, table].sum(axis=3)
+        top = sums.max(axis=2)
+        best[lo:lo + step] = top
+        if witnesses:
+            arg[lo:lo + step] = np.where(sums == top[..., None], least, ctx.size).min(axis=2)
+    return (best, arg) if witnesses else best
+
+
+def _maximal(f: Density, k: int, keys, pivot_rule: str = "first") -> MaximalProfile:
+    """One row of coset_maxima, as exact or float values with witnesses."""
+    ctx = f.ctx
     npts = ctx.modulus**k
+    rows = f.num[None] if f.lane == "exact" else f.data[None]
+    best, arg = coset_maxima(rows, ctx, k, pivot_rule, witnesses=True)
+    witnesses = tuple(map(tuple, tables.coord_grid(ctx)[arg[0]].tolist()))
     if f.lane == "exact":
-        num = np.abs(f.num)
-        _check_headroom(int(num.max(initial=0)) * npts)
-        sums = num[table].sum(axis=2)
+        values = tuple(Fraction(b, f.den * npts) for b in best[0].tolist())
     else:
-        sums = np.abs(f.data)[table].sum(axis=2)
-    best = sums.max(axis=1)
-    arg = np.where(sums == best[:, None], least, ctx.size).min(axis=1)
-    witnesses = tuple(ctx.unrank(int(a)) for a in arg)
-    if f.lane == "exact":
-        values = tuple(Fraction(int(b), f.den * npts) for b in best)
-    else:
-        values = tuple(float(b) / npts for b in best)
+        values = tuple(b / npts for b in best[0].tolist())
     return MaximalProfile(k, tuple(keys), values, witnesses)
 
 

@@ -168,14 +168,20 @@ def coset_labels(ctx: RingContext, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def lift_map(ctx: RingContext) -> dict[tuple[int, int], int]:
-    """(direction index, quotient-direction index) -> 2-flat index."""
-    from .geometry import lift_direction
+    """(direction index, quotient-direction index) -> 2-flat index.
 
+    The lift of (u, w) is the 2-flat whose image in the quotient chart of u
+    is the line <w>: the union of the rows of u's line table at the
+    quotient points t w.  Each union is matched, as a sorted rank set, with
+    the coset through the origin (row 0) of a flat of coset_table(ctx, 2).
+    """
+    N = ctx.modulus
     qctx = ctx.quotient()
-    fl = flats(ctx, 2)
-    flat_index = {f: i for i, f in enumerate(fl)}
-    out = {}
-    for ui, u in enumerate(directions(ctx)):
-        for wi, w in enumerate(directions(qctx)):
-            out[(ui, wi)] = flat_index[lift_direction(u, w, ctx)]
-    return out
+    lines = coset_table(ctx, 1)[0]
+    t = np.arange(N)[None, :, None]
+    qlines = rank_points(t * direction_matrix(qctx)[:, None, :] % N, qctx)  # (Pq, N) ranks of t w
+    lifts = np.sort(lines[:, qlines].reshape(len(lines), len(qlines), N * N), axis=2)
+    planes = np.sort(coset_table(ctx, 2)[0][:, 0], axis=1)
+    flat_index = {plane.tobytes(): i for i, plane in enumerate(planes)}
+    return {(ui, wi): flat_index[lift.tobytes()]
+            for ui, row in enumerate(lifts) for wi, lift in enumerate(row)}

@@ -20,11 +20,10 @@ import numpy as np
 
 from . import tables
 from .geometry import proj_size
-from .harmonic import (ConstancyError, Density, band_constant, band_project,
-                       fourier_forward, fourier_inverse, induce_to_modulus,
-                       xray_all, xray_l2_spatial, xray_l2_spectral)
-from .maximal import (appendix_constant, chain_constant, flat_maximal,
-                      line_maximal, rounding_g)
+from .harmonic import (Density, band_constant, band_project, fourier_forward,
+                       fourier_inverse, induce_rows, xray_all, xray_l2_spectral)
+from .maximal import (appendix_constant, chain_constant, coset_maxima,
+                      flat_maximal, line_maximal, rounding_g)
 from .ring import RingContext, scale
 
 FLOAT_EQ_TOL = 1e-9
@@ -113,7 +112,16 @@ def _corpus(ctx: RingContext, seed: int, trials: int, lane: str = "exact") -> It
 
 
 def _frac_mean(values: Sequence[Fraction], power: int = 1) -> Fraction:
-    return Fraction(sum(v**power for v in values), len(values))
+    """Mean of v**power, summed as integers over one common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    total = sum((v.numerator * (den // v.denominator)) ** power for v in values)
+    return Fraction(total, den**power * len(values))
+
+
+def _line_moments(rows: np.ndarray, ctx: RingContext, power: int) -> np.ndarray:
+    """sum_w (largest line sum of |row| in direction w)**power per row, as
+    Python ints (object dtype), so the powers cannot wrap."""
+    return (coset_maxima(rows, ctx, 1).astype(object) ** power).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +186,25 @@ def verify_plancherel(ctx: RingContext, trials: int, seed: int) -> VerificationR
 def verify_xray_l2(ctx: RingContext, trials: int, seed: int) -> VerificationReport:
     """The X-ray l2 identity: avg_u integral |f_u|^2 equals the
     valuation-weighted spectral sum, and per direction the orthogonal-sum identity
-    sum_{a in u-perp} |f^(a)|^2 = integral |f_u|^2, all exact."""
+    sum_{a in u-perp} |f^(a)|^2 = integral |f_u|^2, all exact.  Each trial
+    takes one transform and one set of X-rays, which both identities share."""
     started = time.perf_counter()
     worst = Fraction(0)
     witness = None
     mask = tables.orthogonality_mask(ctx)
     qsize = ctx.size // ctx.modulus
     for t, f in enumerate(_corpus(ctx, seed, trials)):
-        spatial = xray_l2_spatial(f)
-        spectral = xray_l2_spectral(f)
-        diff = abs(spatial - spectral)
-        if diff > worst:
-            worst, witness = diff, {"trial": t, "side": "identity"}
-        spec, spec_den = fourier_forward(f).masses(mask)
+        s = fourier_forward(f)
         nums, den = xray_all(f)
         xray_den = den**2 * qsize
+        row_l2 = (nums.astype(object) ** 2).sum(axis=1)  # integral |f_u|^2 * xray_den
+        spatial = Fraction(int(row_l2.sum()), xray_den * len(nums))
+        diff = abs(spatial - xray_l2_spectral(s))
+        if diff > worst:
+            worst, witness = diff, {"trial": t, "side": "identity"}
+        spec, spec_den = s.masses(mask)
         common = math.lcm(spec_den, xray_den)
-        diffs = np.abs(spec.astype(object) * (common // spec_den)
-                       - (nums.astype(object) ** 2).sum(axis=1) * (common // xray_den))
+        diffs = np.abs(spec.astype(object) * (common // spec_den) - row_l2 * (common // xray_den))
         ui = int(np.argmax(diffs))  # all directions at once; the first largest gap
         diff = Fraction(int(diffs[ui]), common)
         if diff > worst:
@@ -264,7 +273,12 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
 
     with f'_{i,u} the scale-M_{i+1} version of the X-ray of the band
     component.  If the band is not coset-constant (numeric semantics over
-    factorial scales), the constancy violation is reported instead."""
+    factorial scales), the constancy violation is reported instead.
+
+    Per trial and band every X-ray row is checked at once: one constancy
+    check over the stack (induce_rows), one coset_maxima per side, and the
+    (n-1)-th power sums as Python ints, compared over a common denominator.
+    The witness is the first direction with the largest gap."""
     started = time.perf_counter()
     n = ctx.dimension
     bands = range(ctx.num_bands) if band is None else [band]
@@ -276,21 +290,27 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
         for i in bands:
             nums, den = xray_all(band_project(f, i))
             m_next = scale(i + 1, ctx, beyond_truncation=True)
-            for ui, row in enumerate(nums):
-                h = Density.from_numden(qctx, row, den)
-                prof = line_maximal(h)
-                lhs = _frac_mean(prof.values, n - 1)
-                try:
-                    h2 = induce_to_modulus(h, m_next)
-                except ConstancyError as err:
-                    violations.append({"trial": t, "band": i, "direction": ui,
-                                       "violation": str(err.violation)})
-                    continue
-                prof2 = line_maximal(h2)
-                rhs = _frac_mean(prof2.values, n - 1)
-                diff = abs(lhs - rhs)
-                if diff > worst:
-                    worst, witness = diff, {"trial": t, "band": i, "direction": ui}
+            mctx, induced, gaps = induce_rows(nums, qctx, m_next)
+            for ui in np.flatnonzero(gaps):
+                violations.append({"trial": t, "band": i, "direction": int(ui),
+                                   "violation": str(Fraction(int(gaps[ui]), den))})
+            kept = np.flatnonzero(gaps == 0)
+            if not len(kept):
+                continue
+            # a line maximum at modulus M is best / (den * M), so each side's
+            # mean of (n-1)-th powers is a moment over (den * M)**(n-1) * #directions;
+            # every row is summed (a violating row only wastes its sums), so
+            # only the small moment arrays are indexed, not the row stacks
+            lhs = _line_moments(nums, qctx, n - 1)
+            lhs_den = (den * qctx.modulus) ** (n - 1) * len(tables.directions(qctx))
+            rhs = _line_moments(induced, mctx, n - 1)
+            rhs_den = (den * mctx.modulus) ** (n - 1) * len(tables.directions(mctx))
+            common = math.lcm(lhs_den, rhs_den)
+            diffs = np.abs(lhs[kept] * (common // lhs_den) - rhs[kept] * (common // rhs_den)).tolist()
+            j = diffs.index(max(diffs))  # the first direction with the largest gap
+            diff = Fraction(diffs[j], common)
+            if diff > worst:
+                worst, witness = diff, {"trial": t, "band": i, "direction": int(kept[j])}
     details = {}
     if violations:
         details["constancy_violations"] = violations[:5]
@@ -303,27 +323,34 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
 def verify_projmax(ctx: RingContext, trials: int, seed: int) -> VerificationReport:
     """The plane-to-line projection identity: for band-limited g = |f_i|,
     maxop_2 g at the lift of (u, w) equals maxop_1 of the X-ray g_u at w,
-    exactly."""
+    exactly.
+
+    Per trial both sides are integer arrays over one denominator: the
+    plane maxima read at the flats of tables.lift_map against the line
+    maxima of every X-ray row, taken in one coset_maxima call."""
     started = time.perf_counter()
     if ctx.dimension < 2:
         return _skip("projmax", ctx, "needs n >= 2")
     lift = tables.lift_map(ctx)
     qctx = ctx.quotient()
-    qdirs = tables.directions(qctx)
+    nq = len(tables.directions(qctx))
+    lifted = np.array([[lift[(ui, wi)] for wi in range(nq)]
+                       for ui in range(len(tables.directions(ctx)))])
     worst = Fraction(0)
     witness = None
     nbands = ctx.num_bands
     for t, f in enumerate(_corpus(ctx, seed, trials)):
         g = band_project(f, t % nbands).abs()
-        prof2 = flat_maximal(g, 2)
-        nums, den = xray_all(g)
-        for ui in range(len(tables.directions(ctx))):
-            gu = Density.from_numden(qctx, nums[ui], den)
-            prof1 = line_maximal(gu)
-            for wi in range(len(qdirs)):
-                diff = abs(prof2.values[lift[(ui, wi)]] - prof1.values[wi])
-                if diff > worst:
-                    worst, witness = diff, {"trial": t, "direction": ui, "quotient_direction": wi}
+        plane = coset_maxima(g.num[None], ctx, 2)[0]
+        nums, _ = xray_all(g)
+        # plane maxima are over g.den * N**2 (N**2 points a plane); X-ray rows
+        # are over g.den * N and a line has N points, so both share it
+        gaps = np.abs(plane[lifted] - coset_maxima(nums, qctx, 1))
+        j = int(np.argmax(gaps))  # the first largest gap in (u, w) order
+        diff = Fraction(int(gaps.flat[j]), g.den * ctx.modulus**2)
+        if diff > worst:
+            ui, wi = divmod(j, nq)
+            worst, witness = diff, {"trial": t, "direction": ui, "quotient_direction": wi}
     rep = VerificationReport("projmax", ctx.describe(), trials, "eq-exact",
                              worst, worst == 0, witness)
     return _timed(rep, started)

@@ -261,6 +261,23 @@ class TestLiftDirection:
         with pytest.raises(ValueError):
             lift_direction(u, ProjDirection(4, (2, 2)), ctx)
 
+    @pytest.mark.parametrize("ctx", [RingContext.padic(2, 2, 3), RingContext.padic(2, 3, 3),
+                                     RingContext.padic(3, 2, 3), RingContext.generic(6, 3),
+                                     RingContext.profinite(2, 3), RingContext.padic(2, 1, 4),
+                                     RingContext.generic(12, 2), RingContext.padic(3, 1, 2)],
+                             ids=lambda c: c.describe())
+    def test_lift_map_matches_lift_direction(self, ctx):
+        # the coset-table lift map against one lift_direction per (u, w) pair
+        from kakeyalab import tables
+
+        qctx = ctx.quotient()
+        flat_index = {F: i for i, F in enumerate(tables.flats(ctx, 2))}
+        expected = {(ui, wi): flat_index[lift_direction(u, w, ctx)]
+                    for ui, u in enumerate(tables.directions(ctx))
+                    for wi, w in enumerate(tables.directions(qctx))}
+        lift = tables.lift_map(ctx)
+        assert lift == expected and list(lift) == list(expected)
+
 
 class TestLineCrtDecompose:
     def test_diagonal_mod6(self):

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from kakeyalab.geometry import canonical_direction, enumerate_proj, proj_size
 from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, band_constant,
                                 band_project, band_valuation_sets,
                                 fourier_forward, fourier_forward_naive,
-                                fourier_inverse, induce_to_modulus,
+                                fourier_inverse, induce_rows, induce_to_modulus,
                                 orthogonal_fraction, uperp_sum, uperp_sum_spatial,
                                 xray_l2_spatial, xray_l2_spectral, xray_transform)
 from kakeyalab.ring import RingContext, ScaleSemantics
@@ -195,6 +196,26 @@ class TestDensityArithmetic:
         with pytest.raises(OverflowError):
             a - b - c
 
+    @given(st.lists(st.integers(-(2**45), 2**45), min_size=4, max_size=4),
+           st.lists(st.integers(-(2**45), 2**45), min_size=4, max_size=4),
+           st.integers(2**14, 2**30), st.integers(2**14, 2**30))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_exact_or_overflow(self, a, b, da, db):
+        # ROADMAP 4(a): with large, often coprime denominators a sum is the
+        # exact rational sum or an OverflowError, never a wrapped int64
+        ctx = RingContext.padic(2, 1, 2)
+        f, g = Density.from_numden(ctx, a, da), Density.from_numden(ctx, b, db)
+        exact = tuple(x + y for x, y in zip(f.values(), g.values()))
+        common = math.lcm(f.den, g.den)
+        bound = (max(abs(int(x)) for x in f.num) * (common // f.den)
+                 + max(abs(int(y)) for y in g.num) * (common // g.den))
+        try:
+            total = f + g
+        except OverflowError:
+            assert bound >= 2**61
+        else:
+            assert total.values() == exact and bound < 2**61
+
     def test_sub_matches_values(self):
         ctx = RingContext.generic(6, 2)
         f = random_density(ctx, seed=5, dist="uniform-rational")
@@ -238,6 +259,12 @@ class TestXrayL2Identity:
         ctx = RingContext.padic(2, 2, 2)
         f = random_density(ctx, seed=1, dist="ball")
         assert xray_l2_spatial(f) == xray_l2_spectral(f)
+
+    def test_spectral_side_takes_a_spectrum(self):
+        ctx = RingContext.padic(2, 2, 3)
+        for lane in ("exact", "float"):
+            f = random_density(ctx, seed=61, dist="uniform-rational", lane=lane)
+            assert xray_l2_spectral(fourier_forward(f)) == xray_l2_spectral(f)
 
     def test_representative_independent(self):
         # same identity under the alternate chart pivot rule
@@ -348,6 +375,29 @@ class TestBands:
         with pytest.raises(ConstancyError) as err:
             induce_to_modulus(f1, 6)
         assert err.value.violation == expected
+
+    def test_induce_rows_matches_induce_to_modulus(self):
+        # one stack of rows: a gap per row exactly where induce_to_modulus
+        # raises, with the same violation, and the same induced values elsewhere
+        ctx = RingContext.profinite(3, 2, ScaleSemantics.NUMERIC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dens = [band_project(random_density(ctx, seed=41 + t, dist="sparse"), i)
+                    for t in range(3) for i in range(ctx.num_bands)]
+        den = math.lcm(*(f.den for f in dens))
+        rows = np.stack([f.num * (den // f.den) for f in dens])
+        for M in (2, 6, 24, 120):
+            mctx, induced, gaps = induce_rows(rows, ctx, M)
+            assert mctx.modulus == M and induced.shape == (len(dens), mctx.size)
+            for f, row, gap in zip(dens, induced, gaps):
+                try:
+                    h = induce_to_modulus(f, M)
+                except ConstancyError as err:
+                    assert err.violation == Fraction(int(gap), den) > 0
+                else:
+                    assert gap == 0 and h == Density(mctx, num=row, den=den)
+            if M == 6:
+                assert gaps.any() and not gaps.all()
 
     def test_band_project_headroom(self):
         # unchecked, band 2 at the origin wrapped to -2**58

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from kakeyalab import tables
 from kakeyalab.geometry import canonical_direction, flat_points
 from kakeyalab.harmonic import Density
-from kakeyalab.maximal import (appendix_constant, chain_constant, f_star,
-                               flat_maximal, line_maximal, maxN_constant,
+import kakeyalab.maximal as maximal
+from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
+                               f_star, flat_maximal, line_maximal, maxN_constant,
                                mweight, rounding_g)
 from kakeyalab.ring import RingContext
 from kakeyalab.verify import DISTRIBUTIONS, random_density
@@ -220,6 +221,60 @@ class TestCosetOracle:
         prof = flat_maximal(Density.indicator(ctx, shifted), 2)
         assert prof.value(plane) == 1 and prof.witness(plane) == min(shifted)
         assert sum(v == 1 for v in prof.values) == 1
+
+
+class TestCosetMaxima:
+    """The batched gather against one profile per row."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 8, 100])
+    def test_chunk_boundaries(self, monkeypatch, chunk_rows):
+        # 7 rows split into chunks of every size, including ragged last chunks
+        ctx = RingContext.generic(6, 2)
+        rows = np.stack([random_density(ctx, seed=40 + r, dist=DISTRIBUTIONS[r % 4], trial=r).num
+                         * (r + 1) for r in range(7)])
+        for k in (1, 2):
+            npts = ctx.modulus**k
+            table, _ = tables.coset_table(ctx, k)
+            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * table.size * chunk_rows)
+            best, least = coset_maxima(rows, ctx, k, witnesses=True)
+            assert best.dtype == np.int64 and best.shape == (7, len(table))
+            assert np.array_equal(best, coset_maxima(rows, ctx, k))
+            for r, row in enumerate(rows):
+                prof = flat_maximal(Density.from_numden(ctx, row, 1), k)
+                assert [Fraction(int(b), npts) for b in best[r]] == list(prof.values)
+                assert [ctx.rank(w) for w in prof.witnesses] == least[r].tolist()
+
+    def test_row_maxima_above_int32_are_exact(self):
+        # coset sums near 2**40 (past int32; their squares pass int64) come
+        # back exactly, as Python-int brute sums say
+        ctx = RingContext.padic(2, 2, 3)
+        rng = np.random.default_rng(5)
+        rows = 2**38 + rng.integers(0, 2**30, (5, ctx.size))
+        rows[1] = -rows[1]  # absolute values are taken inside
+        for k in (1, 2):
+            table, _ = tables.coset_table(ctx, k)
+            best = coset_maxima(rows, ctx, k)
+            brute = [[max(sum(abs(int(row[i])) for i in coset) for coset in flat)
+                      for flat in table] for row in rows]
+            assert best.tolist() == brute
+            assert best.min() > 2**31
+
+    @given(st.lists(st.integers(-(2**62), 2**62), min_size=16, max_size=16),
+           st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_or_overflow(self, values, scale):
+        # ROADMAP 4(a): an exact-lane maximum is either the exact integer or
+        # an OverflowError, never a wrapped int64
+        ctx = RingContext.padic(2, 2, 2)
+        rows = np.array([values, [v // 2**scale for v in values]], dtype=np.int64)
+        table, _ = tables.coset_table(ctx, 1)
+        brute = [[max(sum(abs(v) for v in np.asarray(row, dtype=object)[coset]) for coset in flat)
+                  for flat in table] for row in rows]
+        if max(abs(v) for v in values) * ctx.modulus >= 2**61:
+            with pytest.raises(OverflowError):
+                coset_maxima(rows, ctx, 1)
+        else:
+            assert coset_maxima(rows, ctx, 1).tolist() == brute
 
 
 class TestFStar:

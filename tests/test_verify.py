@@ -5,10 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kakeyalab.harmonic import Density
-from kakeyalab.ring import RingContext, ScaleSemantics
+import kakeyalab.verify as verify
+from kakeyalab import tables
+from kakeyalab.harmonic import (ConstancyError, Density, band_project,
+                                induce_to_modulus, xray_all)
+from kakeyalab.maximal import flat_maximal, line_maximal
+from kakeyalab.ring import RingContext, ScaleSemantics, scale
 from kakeyalab.serialize import reports_to_json
-from kakeyalab.verify import (random_density, run_checks,
+from kakeyalab.verify import (DISTRIBUTIONS, VerificationReport, random_density, run_checks,
                               verify_divisor_reduction, verify_freqbound,
                               verify_main_theorem, verify_maxest,
                               verify_plancherel, verify_projmax,
@@ -150,6 +154,144 @@ class TestIndividualChecks:
         ctx = RingContext.profinite(2, 3)
         rep = verify_divisor_reduction(ctx, None, trials=2, seed=0)
         assert rep.passed and rep.worst_slack == 0
+
+
+def corpus(ctx, seed, trials):
+    return [random_density(ctx, seed, DISTRIBUTIONS[t % 4], trial=t) for t in range(trials)]
+
+
+def mean_power(values, power):
+    return Fraction(sum(v**power for v in values), len(values))
+
+
+def divisor_reduction_oracle(ctx, band, densities):
+    """The check one X-ray row at a time, through line_maximal and
+    induce_to_modulus, with Fraction means."""
+    n = ctx.dimension
+    bands = range(ctx.num_bands) if band is None else [band]
+    qctx = ctx.quotient()
+    worst, witness, violations = Fraction(0), None, []
+    for t, f in enumerate(densities):
+        for i in bands:
+            nums, den = xray_all(band_project(f, i))
+            m_next = scale(i + 1, ctx, beyond_truncation=True)
+            for ui, row in enumerate(nums):
+                h = Density.from_numden(qctx, row, den)
+                lhs = mean_power(line_maximal(h).values, n - 1)
+                try:
+                    h2 = induce_to_modulus(h, m_next)
+                except ConstancyError as err:
+                    violations.append({"trial": t, "band": i, "direction": ui,
+                                       "violation": str(err.violation)})
+                    continue
+                diff = abs(lhs - mean_power(line_maximal(h2).values, n - 1))
+                if diff > worst:
+                    worst, witness = diff, {"trial": t, "band": i, "direction": ui}
+    details = {}
+    if violations:
+        details["constancy_violations"] = violations[:5]
+        details["violation_count"] = len(violations)
+    return VerificationReport("divisor-reduction", ctx.describe(), len(densities), "eq-exact",
+                              worst, worst == 0 and not violations, witness, details)
+
+
+def projmax_oracle(ctx, densities, lift=None):
+    """The check one (u, w) pair at a time, through flat_maximal and
+    line_maximal profiles."""
+    lift = tables.lift_map(ctx) if lift is None else lift
+    qctx = ctx.quotient()
+    worst, witness = Fraction(0), None
+    for t, f in enumerate(densities):
+        g = band_project(f, t % ctx.num_bands).abs()
+        prof2 = flat_maximal(g, 2)
+        nums, den = xray_all(g)
+        for ui in range(len(tables.directions(ctx))):
+            prof1 = line_maximal(Density.from_numden(qctx, nums[ui], den))
+            for wi in range(len(tables.directions(qctx))):
+                diff = abs(prof2.values[lift[(ui, wi)]] - prof1.values[wi])
+                if diff > worst:
+                    worst, witness = diff, {"trial": t, "direction": ui, "quotient_direction": wi}
+    return VerificationReport("projmax", ctx.describe(), len(densities), "eq-exact",
+                              worst, worst == 0, witness)
+
+
+def large_densities(ctx, count):
+    """Integer densities near 2**40, whose X-ray row maxima pass 2**31."""
+    rng = np.random.default_rng(17)
+    return [Density.from_numden(ctx, 2**40 + rng.integers(0, 2**36, ctx.size), 1)
+            for _ in range(count)]
+
+
+class TestBatchedAgainstRowOracles:
+    """verify_divisor_reduction and verify_projmax take one batched maximum
+    per band; the row-by-row loops they replaced must give the same JSON."""
+
+    RINGS = [RingContext.padic(2, 2, 3), RingContext.profinite(2, 3),
+             RingContext.padic(3, 1, 3), RingContext.profinite(2, 2)]
+    NUMERIC = RingContext.profinite(3, 2, ScaleSemantics.NUMERIC)
+
+    @pytest.mark.parametrize("ctx", RINGS, ids=lambda c: c.describe())
+    def test_divisor_reduction(self, ctx):
+        for seed in (0, 1):
+            rep = verify_divisor_reduction(ctx, None, trials=4, seed=seed)
+            oracle = divisor_reduction_oracle(ctx, None, corpus(ctx, seed, 4))
+            assert reports_to_json([rep]) == reports_to_json([oracle])
+
+    def test_divisor_reduction_numeric_violations(self):
+        # numeric semantics over factorial scales: rows that break coset
+        # constancy are reported, in order, and the rest are still compared
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = verify_divisor_reduction(self.NUMERIC, None, trials=3, seed=2)
+            oracle = divisor_reduction_oracle(self.NUMERIC, None, corpus(self.NUMERIC, 2, 3))
+        assert rep.details["violation_count"] > 5
+        assert reports_to_json([rep]) == reports_to_json([oracle])
+
+    @pytest.mark.parametrize("ctx", RINGS + [NUMERIC], ids=lambda c: c.describe())
+    def test_projmax(self, ctx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = verify_projmax(ctx, trials=4, seed=3)
+            oracle = projmax_oracle(ctx, corpus(ctx, 3, 4))
+        assert reports_to_json([rep]) == reports_to_json([oracle])
+
+    def test_projmax_wrong_lift_same_witness(self, monkeypatch):
+        # a failing report: the first largest gap in (u, w) order is the witness
+        ctx = RingContext.padic(2, 2, 3)
+        lift = dict(tables.lift_map(ctx))
+        keys = sorted(lift)
+        lift[keys[3]], lift[keys[40]] = lift[keys[40]], lift[keys[3]]
+        monkeypatch.setattr(verify.tables, "lift_map", lambda c: lift)
+        rep = verify_projmax(ctx, trials=4, seed=0)
+        assert not rep.passed
+        assert reports_to_json([rep]) == reports_to_json([projmax_oracle(ctx, corpus(ctx, 0, 4), lift)])
+
+    def test_xray_l2_one_transform_and_one_xray_per_trial(self, monkeypatch):
+        # counted wherever they are called from, the identity's helpers included
+        import kakeyalab.harmonic as harmonic
+
+        calls = {"fourier_forward": 0, "xray_all": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(harmonic, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(harmonic, name, counted)
+            monkeypatch.setattr(verify, name, counted)
+        rep = verify_xray_l2(CTX6, trials=5, seed=0)
+        assert rep.passed and calls == {"fourier_forward": 5, "xray_all": 5}
+
+    def test_large_rows_are_exact(self, monkeypatch):
+        # row maxima past 2**31, so (n-1)-th powers pass 2**62: the batched
+        # moments must not wrap
+        ctx = RingContext.padic(2, 2, 3)
+        dens = large_densities(ctx, 2)
+        assert max(int(xray_all(band_project(f, i))[0].max())
+                   for f in dens for i in range(ctx.num_bands)) > 2**31
+        monkeypatch.setattr(verify, "_corpus", lambda c, seed, trials: iter(dens))
+        rep = verify_divisor_reduction(ctx, None, trials=2, seed=0)
+        assert reports_to_json([rep]) == reports_to_json([divisor_reduction_oracle(ctx, None, dens)])
+        rep = verify_projmax(ctx, trials=2, seed=0)
+        assert reports_to_json([rep]) == reports_to_json([projmax_oracle(ctx, dens)])
 
 
 class TestBesicovitchCases:
