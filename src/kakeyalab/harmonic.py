@@ -149,9 +149,14 @@ class Density:
         return self.data.sum() / self.ctx.size
 
     def power_mean(self, p: int):
-        """E_x |f(x)|**p, exact for integer p in the exact lane."""
+        """E_x |f(x)|**p, exact for integer p in the exact lane.
+
+        The exact sum runs in int64 when size * max|num|**p is under the
+        headroom, and over Python ints (object dtype) past it."""
         if self.lane == "exact":
-            total = sum(abs(int(v)) ** p for v in self.num)
+            top = max(int(self.num.max(initial=0)), -int(self.num.min(initial=0)))
+            vals = self.num if top**p * self.ctx.size < _INT_HEADROOM else self.num.astype(object)
+            total = int((np.abs(vals) ** p).sum())
             return Fraction(total, self.den**p * self.ctx.size)
         return (np.abs(self.data) ** p).sum() / self.ctx.size
 
@@ -572,24 +577,26 @@ def band_constant(i: int, m: int, ctx: RingContext) -> Fraction:
 def induce_rows(rows: np.ndarray, ctx: RingContext, M: int):
     """induce_to_modulus for an (R, size) stack of value rows at once.
 
-    Returns (the context at M, the (R, M**n) induced rows, (R,) gaps).
-    gaps[r] is the largest |rows[r] - its value at the least rank of the
-    coset|, so it is zero exactly when row r is constant on the cosets of
+    Returns (the context at M, an (M**n,) index, (R,) gaps).  The induced
+    row r is rows[r, index]: index[x] is the rank in ctx of the point that
+    carries the value at point x of the context at M, so the induced stack
+    need not be built (coset_maxima reads rows through it).  gaps[r] is
+    the largest |rows[r] - its value at the least rank of the coset|, so
+    it is zero exactly when row r is constant on the cosets of
     M*(Z/NZ)^n; a row with a nonzero gap has no induced density, and its
-    induced row only lists those least representatives.  A pull-back
-    (N | M) has every gap zero.
+    index only picks those least representatives.  A pull-back (N | M)
+    has every gap zero.
     """
     N, n = ctx.modulus, ctx.dimension
     new_ctx = _context_at_modulus(ctx, M, n)
     if M % N == 0:
         idx = tables.rank_points(tables.coord_grid(new_ctx) % N, ctx)
-        return new_ctx, rows[:, idx], np.zeros(len(rows), dtype=rows.real.dtype)
+        return new_ctx, idx, np.zeros(len(rows), dtype=rows.real.dtype)
     if N % M:
         raise ValueError(f"modulus {M} neither divides nor is divided by {N}")
     labels = tables.coset_labels(ctx, M)
     first = np.unique(labels, return_index=True)[1]  # least rank per coset, in label order
-    rep = rows[:, first]
-    return new_ctx, rep, np.abs(rep[:, labels] - rows).max(axis=1)
+    return new_ctx, first, np.abs(rows[:, first[labels]] - rows).max(axis=1)
 
 
 def induce_to_modulus(f: Density, M: int) -> Density:
@@ -600,15 +607,16 @@ def induce_to_modulus(f: Density, M: int) -> Density:
     """
     ctx = f.ctx
     exact = f.lane == "exact"
-    new_ctx, induced, gaps = induce_rows((f.num if exact else f.data)[None], ctx, M)
+    row = f.num if exact else f.data
+    new_ctx, idx, gaps = induce_rows(row[None], ctx, M)
     gap = gaps[0]
     if gap > (0 if exact else 1e-9):
         worst = Fraction(int(gap), f.den) if exact else Fraction(float(gap)).limit_denominator()
         raise ConstancyError(f"density is not constant on cosets of {M}*(Z/{ctx.modulus}Z)^"
                              f"{ctx.dimension}", worst)
     if exact:
-        return Density(new_ctx, num=induced[0], den=f.den)
-    return Density(new_ctx, data=induced[0])
+        return Density(new_ctx, num=row[idx], den=f.den)
+    return Density(new_ctx, data=row[idx])
 
 
 def _context_at_modulus(ctx: RingContext, M: int, n: int) -> RingContext:

@@ -9,11 +9,14 @@ normalized mass of |f| over any translate:
 flat U through the origin is a submodule, so the mass of |f| on a + U
 depends only on the coset of a: coset_maxima reads tables.coset_table,
 sums each coset once, and takes the largest coset sum per flat, for a
-whole stack of rows (every X-ray of a density, say) in chunked gathers.
+whole stack of rows (every X-ray of a density, say).  It works point-major:
+a chunk of rows is held as (points, rows), so every gathered point copies
+its values for all rows of the chunk at once, and the points of each coset
+are added slab by slab into an accumulator for a block of flats.
 Both operators are one row of it.  The witness is the lexicographically
 least achieving shift, which is the least rank among the cosets that
 reach the maximum.  The exact lane sums int64 numerators under the
-shared headroom check; the float lane sums doubles, one coset at a time.
+shared headroom check; the float lane sums doubles.
 
 The constants half evaluates, factor by factor and with no simplification,
 the integer-density bound constant, the rounding-based rational-density
@@ -61,37 +64,69 @@ class MaximalProfile:
         return max(self.values)
 
 
-# Rows per gather chunk are chosen so that one chunk's gather holds about
-# this many bytes of int64 (one row, if a single row's gather is larger).
-# A tall stack gathered at once can take tens of GiB: the induced X-rays of
-# profinite(3,3) band 3 would take about 45 GiB.
-_CHUNK_BYTES = 1 << 20
+# Two budgets, both in bytes of int64.  A chunk of rows is taken point-major
+# as (size, rows) and holds about _CHUNK_BYTES: each gathered index then
+# copies one contiguous value per row, which pays only when chunks are
+# wide (about 130 rows on padic(5,3,2); at 6 rows a stack there ran 3x
+# slower).  Within a chunk the flats go in blocks whose accumulator and
+# whose index, converted once from the int32 table (numpy gathers faster
+# through intp), each hold at most about _BLOCK_BYTES, small enough to stay
+# in cache; for one row the index is the whole gather.  A tall stack
+# gathered at once could take tens of GiB (the induced X-rays of
+# profinite(3,3) band 3 would take about 45 GiB).
+_CHUNK_BYTES = 1 << 24
+_BLOCK_BYTES = 1 << 18
 
 
 def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, pivot_rule: str = "first",
-                 witnesses: bool = False):
+                 witnesses: bool = False, index: np.ndarray | None = None):
     """The largest coset sum of |rows| per k-flat, for a stack of rows at once.
 
     rows is (R, size): int64 numerators (the exact lane, under the headroom
-    check) or floats.  Returns (R, F) maxima, flats in coset_table order.
-    With witnesses=True it returns (maxima, least), where least[r, i] is the
-    least rank among the cosets of flat i whose sum reaches the maximum:
-    all shifts in a coset share its sum, so that is the lex-least achieving
-    shift.  Rows are gathered a chunk at a time, about _CHUNK_BYTES each,
-    so the full (R, F, size // N**k, N**k) gather never sits in memory.
+    check) or floats.  With an index, row r is read through it: its value
+    at point x of ctx is rows[r, index[x]] (a pull-back, say, from
+    harmonic.induce_rows), so the induced stack is never built.  Returns
+    (R, F) maxima, flats in coset_table order.  With witnesses=True it
+    returns (maxima, least), where least[r, i] is the least rank among the
+    cosets of flat i whose sum reaches the maximum: all shifts in a coset
+    share its sum, so that is the lex-least achieving shift.
+
+    The sums run point-major: a chunk of rows (about _CHUNK_BYTES) is
+    taken as |rows|.T, shape (size, rows), and for each block of flats
+    (about _BLOCK_BYTES) the N**k points of every coset are added into a
+    (flats, size // N**k, rows) accumulator one table[:, :, j] slab at a
+    time.  A chunk of one row is one gather per block, summed over the
+    coset axis.  Float sums therefore depend on the chunking in their last
+    bits; integer sums do not.
     """
     table, least = tables.coset_table(ctx, k, pivot_rule)
-    if rows.dtype.kind == "i":  # the largest |row entry|, without an abs copy of the stack
+    nflats, ncosets, npts = table.shape
+    exact = rows.dtype.kind == "i"
+    if exact:  # the largest |row entry|, without an abs copy of the stack
         _check_headroom(max(int(rows.max(initial=0)), -int(rows.min(initial=0))) * ctx.modulus**k)
-    step = max(1, _CHUNK_BYTES // (8 * table.size))
-    best = np.empty((len(rows), len(table)), dtype=rows.real.dtype)
+    dtype = np.int64 if exact else rows.real.dtype
+    step = max(1, _CHUNK_BYTES // (8 * ctx.size))
+    best = np.empty((len(rows), nflats), dtype=dtype)
     arg = np.empty(best.shape, dtype=np.int64) if witnesses else None
     for lo in range(0, len(rows), step):
-        sums = np.abs(rows[lo:lo + step])[:, table].sum(axis=3)
-        top = sums.max(axis=2)
-        best[lo:lo + step] = top
-        if witnesses:
-            arg[lo:lo + step] = np.where(sums == top[..., None], least, ctx.size).min(axis=2)
+        a = np.ascontiguousarray(np.abs(rows[lo:lo + step]).T, dtype=dtype)  # (size, r)
+        if index is not None:
+            a = a[index]
+        width = a.shape[1]
+        block = max(1, _BLOCK_BYTES // (8 * ncosets * max(npts, width)))
+        for f0 in range(0, nflats, block):
+            t = table[f0:f0 + block].astype(np.intp)
+            if width == 1:
+                sums = np.einsum("fqj->fq", a[:, 0][t])[..., None]
+            else:
+                sums = a[t[:, :, 0]]
+                for j in range(1, npts):
+                    sums += a[t[:, :, j]]
+            top = sums.max(axis=1)  # (flats in the block, r)
+            best[lo:lo + step, f0:f0 + block] = top.T
+            if witnesses:
+                arg[lo:lo + step, f0:f0 + block] = np.where(
+                    sums == top[:, None], least[f0:f0 + block, :, None], ctx.size).min(axis=1).T
     return (best, arg) if witnesses else best
 
 

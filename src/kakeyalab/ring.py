@@ -204,10 +204,6 @@ class RingContext:
         return RingContext(self.modulus, self.factorization, self.dimension - 1,
                            self.mode, self.scale_semantics, self.cap)
 
-    def with_dimension(self, n: int) -> "RingContext":
-        return RingContext(self.modulus, self.factorization, n,
-                           self.mode, self.scale_semantics, self.cap)
-
     # -- scales --------------------------------------------------------
 
     @property
@@ -276,10 +272,6 @@ def _crt_basis(N: int) -> tuple[tuple[int, int], ...]:
         e = (m * pow(m, -1, q)) % N if m > 1 else 1 % N
         out.append((q, e))
     return tuple(out)
-
-
-def crt_split_scalar(x: int, N: int) -> tuple[int, ...]:
-    return tuple(x % q for q, _ in _crt_basis(N))
 
 
 def crt_combine_scalar(parts: Sequence[int], N: int) -> int:

@@ -118,10 +118,12 @@ def _frac_mean(values: Sequence[Fraction], power: int = 1) -> Fraction:
     return Fraction(total, den**power * len(values))
 
 
-def _line_moments(rows: np.ndarray, ctx: RingContext, power: int) -> np.ndarray:
+def _line_moments(rows: np.ndarray, ctx: RingContext, power: int,
+                  index: np.ndarray | None = None) -> np.ndarray:
     """sum_w (largest line sum of |row| in direction w)**power per row, as
-    Python ints (object dtype), so the powers cannot wrap."""
-    return (coset_maxima(rows, ctx, 1).astype(object) ** power).sum(axis=1)
+    Python ints (object dtype), so the powers cannot wrap.  With an index
+    the rows are read through it (see coset_maxima)."""
+    return (coset_maxima(rows, ctx, 1, index=index).astype(object) ** power).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,7 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
         for i in bands:
             nums, den = xray_all(band_project(f, i))
             m_next = scale(i + 1, ctx, beyond_truncation=True)
-            mctx, induced, gaps = induce_rows(nums, qctx, m_next)
+            mctx, index, gaps = induce_rows(nums, qctx, m_next)
             for ui in np.flatnonzero(gaps):
                 violations.append({"trial": t, "band": i, "direction": int(ui),
                                    "violation": str(Fraction(int(gaps[ui]), den))})
@@ -303,7 +305,7 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
             # only the small moment arrays are indexed, not the row stacks
             lhs = _line_moments(nums, qctx, n - 1)
             lhs_den = (den * qctx.modulus) ** (n - 1) * len(tables.directions(qctx))
-            rhs = _line_moments(induced, mctx, n - 1)
+            rhs = _line_moments(nums, mctx, n - 1, index)
             rhs_den = (den * mctx.modulus) ** (n - 1) * len(tables.directions(mctx))
             common = math.lcm(lhs_den, rhs_den)
             diffs = np.abs(lhs[kept] * (common // lhs_den) - rhs[kept] * (common // rhs_den)).tolist()

@@ -222,6 +222,30 @@ class TestDensityArithmetic:
         g = random_density(ctx, seed=6, dist="sparse")
         assert (f - g).values() == tuple(a - b for a, b in zip(f.values(), g.values()))
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_power_mean_at_headroom_boundary(self, p):
+        # size * top**p just under 2**61 sums in int64, one past it over
+        # Python ints; both equal the Python-int sum.  At top = 2**40 and
+        # p >= 2 an int64 sum of the powers would wrap
+        ctx = RingContext.padic(2, 2, 2)
+        under = int(((2**61 - 1) // ctx.size) ** (1 / p))
+        while (under + 1) ** p * ctx.size < 2**61:
+            under += 1
+        while under**p * ctx.size >= 2**61:
+            under -= 1
+        for top in (under, under + 1, 2**40):
+            num = [1, -top] + [(-1) ** i * (top - 7 * i) for i in range(ctx.size - 2)]
+            f = Density.from_numden(ctx, num, 3)
+            brute = sum(abs(v) ** p for v in num)
+            assert f.power_mean(p) == Fraction(brute, 3**p * ctx.size)
+            assert f.abs().power_mean(p) == f.power_mean(p)
+
+    def test_power_mean_min_int64_and_zero(self):
+        ctx = RingContext.padic(2, 1, 1)
+        f = Density.from_numden(ctx, [-(2**63), 1], 1)
+        assert f.power_mean(2) == Fraction(2**126 + 1, 2)
+        assert Density.constant(ctx, 0).power_mean(3) == 0
+
 
 class TestUperp:
     def test_constant(self):
@@ -387,9 +411,9 @@ class TestBands:
         den = math.lcm(*(f.den for f in dens))
         rows = np.stack([f.num * (den // f.den) for f in dens])
         for M in (2, 6, 24, 120):
-            mctx, induced, gaps = induce_rows(rows, ctx, M)
-            assert mctx.modulus == M and induced.shape == (len(dens), mctx.size)
-            for f, row, gap in zip(dens, induced, gaps):
+            mctx, index, gaps = induce_rows(rows, ctx, M)
+            assert mctx.modulus == M and index.shape == (mctx.size,)
+            for f, row, gap in zip(dens, rows[:, index], gaps):
                 try:
                     h = induce_to_modulus(f, M)
                 except ConstancyError as err:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from kakeyalab import tables
 from kakeyalab.geometry import canonical_direction, flat_points
-from kakeyalab.harmonic import Density
+from kakeyalab.harmonic import Density, induce_rows
 import kakeyalab.maximal as maximal
 from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
                                f_star, flat_maximal, line_maximal, maxN_constant,
@@ -224,25 +226,66 @@ class TestCosetOracle:
 
 
 class TestCosetMaxima:
-    """The batched gather against one profile per row."""
+    """The point-major kernel against Python-int coset sums."""
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 8, 100])
     def test_chunk_boundaries(self, monkeypatch, chunk_rows):
-        # 7 rows split into chunks of every size, including ragged last chunks
+        # 7 rows split into chunks of every size, including ragged last
+        # chunks of one row (one gather per block) and wider ones, where
+        # each row's N**k coset points are added one slab at a time; the
+        # flats go one per block, in ragged blocks, or all in one block
         ctx = RingContext.generic(6, 2)
         rows = np.stack([random_density(ctx, seed=40 + r, dist=DISTRIBUTIONS[r % 4], trial=r).num
                          * (r + 1) for r in range(7)])
-        for k in (1, 2):
+        monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
+        for block_bytes, k in itertools.product((1, 3000, 1 << 30), (1, 2)):
+            monkeypatch.setattr(maximal, "_BLOCK_BYTES", block_bytes)
             npts = ctx.modulus**k
-            table, _ = tables.coset_table(ctx, k)
-            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * table.size * chunk_rows)
+            sets = line_point_sets(ctx) if k == 1 else [flat_points(F) for F in tables.flats(ctx, k)]
             best, least = coset_maxima(rows, ctx, k, witnesses=True)
-            assert best.dtype == np.int64 and best.shape == (7, len(table))
+            assert best.dtype == np.int64 and best.shape == (7, len(sets))
             assert np.array_equal(best, coset_maxima(rows, ctx, k))
+            fbest = coset_maxima(rows / 7, ctx, k)
             for r, row in enumerate(rows):
-                prof = flat_maximal(Density.from_numden(ctx, row, 1), k)
-                assert [Fraction(int(b), npts) for b in best[r]] == list(prof.values)
-                assert [ctx.rank(w) for w in prof.witnesses] == least[r].tolist()
+                values, wits = brute_profile(Density.from_numden(ctx, row, 1), sets, k)
+                assert [Fraction(int(b), npts) for b in best[r]] == values
+                assert [ctx.unrank(int(w)) for w in least[r]] == wits
+                fvalues, _ = brute_profile(Density.from_float(ctx, row / 7), sets, k)
+                assert np.abs(fbest[r] / npts - np.array(fvalues)).max() < 1e-12
+
+    def test_index_reads_pulled_back_rows(self, monkeypatch):
+        # rows read through a pull-back index equal the built induced stack
+        ctx = RingContext.padic(2, 2, 2)
+        rows = np.stack([random_density(ctx, seed=60 + r, dist=DISTRIBUTIONS[r % 4], trial=r).num
+                         for r in range(5)])
+        mctx, index, gaps = induce_rows(rows, ctx, 8)
+        assert not gaps.any() and mctx.modulus == 8
+        for chunk_rows in (1, 2, 5):
+            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * mctx.size * chunk_rows)
+            for k in (1, 2):
+                got = coset_maxima(rows, mctx, k, witnesses=True, index=index)
+                want = coset_maxima(rows[:, index], mctx, k, witnesses=True)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_peak_memory_is_bounded_by_the_budgets(self, monkeypatch):
+        # a tall stack is summed a chunk and a block at a time: the peak
+        # stays within a small multiple of the budgets plus the outputs,
+        # far below the whole stack's (R, F, size // N, N) gather
+        ctx = RingContext.padic(3, 3, 2)
+        rows = np.random.default_rng(8).integers(-(2**20), 2**20, (117, ctx.size))
+        table, _ = tables.coset_table(ctx, 1)
+        monkeypatch.setattr(maximal, "_CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(maximal, "_BLOCK_BYTES", 1 << 14)
+        for stack in (rows, rows[:1]):
+            coset_maxima(stack, ctx, 1, witnesses=True)  # warm any lazy state
+            tracemalloc.start()
+            try:
+                best, least = coset_maxima(stack, ctx, 1, witnesses=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * ((1 << 16) + (1 << 14)) + best.nbytes + least.nbytes
+            assert 8 * len(stack) * table.size > 2 * peak
 
     def test_row_maxima_above_int32_are_exact(self):
         # coset sums near 2**40 (past int32; their squares pass int64) come
