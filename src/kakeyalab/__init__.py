@@ -8,16 +8,14 @@ from .geometry import (EnumerationCapError, Flat, ProjDirection, QuotientChart,
                        canonical_direction, canonical_flat, enumerate_grassmannian,
                        enumerate_proj, flat_points, gr_size, lift_direction,
                        line_crt_decompose, proj_size, quotient_chart)
-from .cyclotomic import Cyclotomic, cyclotomic_poly
+from .cyclotomic import cyclotomic_poly
 from .harmonic import (ConstancyError, Density, Spectrum, band_constant,
                        band_project, band_valuation_sets, fourier_forward,
-                       fourier_forward_naive, fourier_inverse, induce_to_modulus,
-                       uperp_sum, uperp_sum_spatial, xray_l2_spatial,
-                       xray_l2_spectral, xray_transform)
+                       fourier_inverse, induce_to_modulus, xray_l2_spectral,
+                       xray_transform)
 from .maximal import (ChainConstant, ConstantLedger, MaximalProfile,
                       appendix_constant, chain_constant, constant_ledger, f_star,
-                      flat_maximal, line_maximal, maxN_constant, mweight,
-                      projmax_identity_check, rounding_g)
+                      flat_maximal, line_maximal, maxN_constant, mweight, rounding_g)
 from .search import (BudgetExceeded, KakeyaCertificate, certify,
                      exact_min_kakeya, greedy_kakeya)
 from .verify import (CHECK_IDS, VerificationReport, random_density, run_checks,

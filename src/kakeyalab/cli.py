@@ -9,7 +9,6 @@ reports stay reproducible.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -43,8 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lane", choices=("exact", "float"), default="exact")
         p.add_argument("--seed", type=int)
         p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--workers", type=int,
-                       default=int(os.environ.get("KAKEYALAB_WORKERS", "1")))
+        # accepted and ignored: checks run sequentially, and the benchmark's
+        # suite workload still passes --workers 1
+        p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
         p.add_argument("--format", choices=("json", "text", "csv"), default=None)
         p.add_argument("--output", type=Path)
         p.add_argument("--timings", action="store_true")
@@ -123,8 +123,7 @@ def cmd_verify(args) -> int:
     if checks == ["all"]:
         checks = list(verify.CHECK_IDS)
     try:
-        reports = verify.run_checks(checks, seed=seed, trials=args.trials,
-                                    ctx=ctx, workers=max(1, args.workers))
+        reports = verify.run_checks(checks, seed=seed, trials=args.trials, ctx=ctx)
     except KeyError as err:
         raise SystemExit2(f"unknown check id {err.args[0]!r}; known: {', '.join(verify.CHECK_IDS)}")
     fmt = args.format or "json"

@@ -1,15 +1,13 @@
-"""Exact arithmetic with roots of unity.
+"""Cyclotomic polynomials and reduction modulo them.
 
-Values live in Q(zeta_N) represented as coefficient vectors in the basis
-1, zeta, ..., zeta^(N-1) (so multiplication by a root of unity is a cyclic
-shift).  Equality and rationality tests reduce modulo the N-th cyclotomic
-polynomial, where the representation is canonical; reduction_matrix(N)
-is that reduction as an integer matrix.
+The exact lane writes values of Z[zeta_N] as coefficient vectors in the
+basis 1, zeta, ..., zeta^(N-1) (so multiplication by a root of unity is a
+cyclic shift).  Reduced modulo the N-th cyclotomic polynomial the
+representation is canonical, so equality and rationality are read off the
+remainder; reduction_matrix(N) is that reduction as an integer matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -69,98 +67,3 @@ def reduction_matrix(N: int) -> np.ndarray:
     R = np.array([reduce_mod_cyclotomic(e, N) for e in np.eye(N, dtype=int).tolist()], dtype=np.int64)
     R.setflags(write=False)
     return R
-
-
-@dataclass(frozen=True)
-class Cyclotomic:
-    """An element of Q(zeta_N) with exact Fraction coefficients."""
-
-    order: int
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def zero(cls, order: int) -> "Cyclotomic":
-        return cls(order, tuple(Fraction(0) for _ in range(order)))
-
-    @classmethod
-    def from_rational(cls, order: int, value) -> "Cyclotomic":
-        c = [Fraction(0)] * order
-        c[0] = Fraction(value)
-        return cls(order, tuple(c))
-
-    @classmethod
-    def root(cls, order: int, power: int, weight=1) -> "Cyclotomic":
-        """weight * zeta_order**power."""
-        c = [Fraction(0)] * order
-        c[power % order] = Fraction(weight)
-        return cls(order, tuple(c))
-
-    def _check(self, other: "Cyclotomic") -> None:
-        if self.order != other.order:
-            raise ValueError("mixed cyclotomic orders")
-
-    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        return Cyclotomic(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self._check(other)
-        return Cyclotomic(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other) -> "Cyclotomic":
-        if isinstance(other, Cyclotomic):
-            self._check(other)
-            N = self.order
-            out = [Fraction(0)] * N
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        if b:
-                            out[(i + j) % N] += a * b
-            return Cyclotomic(N, tuple(out))
-        return Cyclotomic(self.order, tuple(a * Fraction(other) for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def shift(self, power: int) -> "Cyclotomic":
-        """Multiply by zeta**power (a cyclic shift of the coefficients)."""
-        N = self.order
-        power %= N
-        return Cyclotomic(N, self.coeffs[N - power:] + self.coeffs[:N - power])
-
-    def conjugate(self) -> "Cyclotomic":
-        N = self.order
-        return Cyclotomic(N, tuple(self.coeffs[(N - j) % N] for j in range(N)))
-
-    def norm_squared(self) -> "Cyclotomic":
-        return self * self.conjugate()
-
-    def reduced(self) -> tuple[Fraction, ...]:
-        return reduce_mod_cyclotomic(self.coeffs, self.order)
-
-    def is_zero(self) -> bool:
-        return not any(self.reduced())
-
-    def is_rational(self) -> bool:
-        r = self.reduced()
-        return not any(r[1:])
-
-    def rational_value(self) -> Fraction:
-        r = self.reduced()
-        if any(r[1:]):
-            raise ValueError("value is not rational")
-        return r[0] if r else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Cyclotomic):
-            if self.order != other.order:
-                return NotImplemented
-            return (self - other).is_zero()
-        try:
-            q = Fraction(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return (self - Cyclotomic.from_rational(self.order, q)).is_zero()
-
-    def __hash__(self):
-        return hash((self.order, self.reduced()))

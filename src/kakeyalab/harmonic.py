@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import tables
-from .cyclotomic import Cyclotomic, reduction_matrix
+from .cyclotomic import reduction_matrix
 from .geometry import ProjDirection, proj_size
 from .ring import DualFrequency, PAdic, Profinite, RingContext, ScaleSemantics, scale
 
@@ -244,13 +244,6 @@ class Spectrum:
         return tuple(DualFrequency(tuple(int(c) for c in grid[i]), int(vals[i]))
                      for i in range(self.ctx.size))
 
-    def coefficient(self, a: Sequence[int]):
-        i = self.ctx.rank(a)
-        if self.lane == "exact":
-            N = self.ctx.modulus
-            return Cyclotomic(N, tuple(Fraction(int(c), self.den) for c in self.coeffs[i]))
-        return complex(self.values[i])
-
     def correlations(self) -> np.ndarray:
         """(size, N) integer coefficients of den**2 * |f^(a)|**2 per a."""
         if self._corr is None:
@@ -322,8 +315,7 @@ def fourier_forward(f: Density) -> Spectrum:
     """f^(a) = N**(-n) sum_x e(<x,a>/N) f(x).
 
     Exact lane: per-axis integer passes over Z[zeta_N].  Float lane:
-    numpy.fft.ifftn, whose sign and scaling are this convention.  The
-    naive double-sum oracle lives in fourier_forward_naive for tests.
+    numpy.fft.ifftn, whose sign and scaling are this convention.
     """
     ctx = f.ctx
     N, n = ctx.modulus, ctx.dimension
@@ -353,25 +345,6 @@ def fourier_inverse(s: Spectrum) -> Density:
             C = _axis_pass_exact(C, ctx, axis, -1)
         return Density(ctx, num=_rationalize(C, N), den=s.den)
     return Density(ctx, data=np.fft.fftn(s.values.reshape((N,) * n)).reshape(ctx.size))
-
-
-def fourier_forward_naive(f: Density) -> Spectrum:
-    """O(N**(2n)) direct character sums; the testing oracle for the fast path."""
-    ctx = f.ctx
-    N = ctx.modulus
-    grid = tables.coord_grid(ctx)
-    if f.lane == "exact":
-        C = np.zeros((ctx.size, N), dtype=np.int64)
-        for ia in range(ctx.size):
-            a = grid[ia]
-            for ix in range(ctx.size):
-                C[ia, int(grid[ix] @ a % N)] += f.num[ix]
-        return Spectrum(ctx, coeffs=C, den=f.den * ctx.size)
-    vals = np.zeros(ctx.size, dtype=np.complex128)
-    for ia in range(ctx.size):
-        phases = np.exp(2j * np.pi * (grid @ grid[ia] % N) / N)
-        vals[ia] = (phases * f.data).sum() / ctx.size
-    return Spectrum(ctx, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -405,46 +378,6 @@ def xray_all(f: Density, pivot_rule: str = "first"):
     return f.data[idx].sum(axis=2) / f.ctx.modulus, None
 
 
-def uperp_sum(f: Density, u: ProjDirection):
-    """sum over a with <u,a> = 0 of |f^(a)|**2.
-
-    Equals the quotient-side mass integral of |f_u|**2 and the spatial
-    double sum N**(-n-1) sum_{z,t} f(z) conj f(z+tu).
-    """
-    ctx = f.ctx
-    ui = tables.directions(ctx).index(u)
-    nums, den = fourier_forward(f).masses(tables.orthogonality_mask(ctx)[ui:ui + 1])
-    return Fraction(int(nums[0]), den) if f.lane == "exact" else float(nums[0])
-
-
-def uperp_sum_spatial(f: Density, u: ProjDirection):
-    """The spatial form N**(-n-1) sum_{z,t} f(z) conj f(z + t u).
-
-    Grouping z by its line z + <u> turns the double sum into
-    N**(-n-1) sum_c |S_c|**2 over the line sums S_c.
-    """
-    ctx = f.ctx
-    ui = tables.directions(ctx).index(u)
-    idx = tables.coset_table(ctx, 1)[0][ui]
-    if f.lane == "exact":
-        sums = f.num[idx].sum(axis=1).astype(object)
-        return Fraction(int((sums * sums).sum()), f.den**2 * ctx.size * ctx.modulus)
-    sums = f.data[idx].sum(axis=1)
-    return float((np.abs(sums) ** 2).sum()) / (ctx.size * ctx.modulus)
-
-
-def xray_l2_spatial(f: Density, pivot_rule: str = "first"):
-    """avg over u in P of integral |f_u|**2, computed on the quotient side."""
-    nums, den = xray_all(f, pivot_rule)
-    ctx = f.ctx
-    qsize = ctx.size // ctx.modulus
-    if f.lane == "exact":
-        _check_headroom(int(np.abs(nums).max(initial=0)) ** 2 * qsize)
-        total = int((nums.astype(object) ** 2).sum())
-        return Fraction(total, den**2 * qsize * nums.shape[0])
-    return float((np.abs(nums) ** 2).sum() / (qsize * nums.shape[0]))
-
-
 def xray_l2_spectral(f: Density | Spectrum):
     """sum_a ratio(v(a)) |f^(a)|**2 with ratio(v) = |P(Z/v)^{n-2}| / |P(Z/v)^{n-1}|.
 
@@ -460,13 +393,6 @@ def xray_l2_spectral(f: Density | Spectrum):
     if s.lane == "exact":
         return sum(r * int(m) for r, m in zip(ratios, nums)) / den
     return float(sum(float(r) * m for r, m in zip(ratios, nums)))
-
-
-def orthogonal_fraction(a: Sequence[int], ctx: RingContext) -> Fraction:
-    """Enumerated fraction of directions u with <u, a> = 0 mod N."""
-    dirs = tables.direction_matrix(ctx)
-    dots = dirs @ np.array([c % ctx.modulus for c in a], dtype=np.int64) % ctx.modulus
-    return Fraction(int((dots == 0).sum()), len(dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -515,22 +441,21 @@ def _mobius(n: int) -> int:
     return m
 
 
-def band_project(f: Density, i: int, method: str = "coset") -> Density:
+def band_project(f: Density, i: int) -> Density:
     """The scale-i component of f (Littlewood-Paley piece).
 
     The component is the inverse transform of the spectrum restricted to
-    frequencies with valuation in band i.  The default exact-lane path
-    evaluates the equal coset-average kernel
+    frequencies with valuation in band i, which is how the float lane
+    computes it (_band_project_spectral).  The exact lane evaluates the
+    equal coset-average kernel
 
         f_i = sum_{v in band(i)} sum_{d | v} mu(v/d) E[f | x mod d],
 
-    which stays in Q; method="spectral" computes the defining spectral
-    sum instead (the cross-check used by the tests).  Bands partition the
-    dual, so sum_i f_i = f exactly.
+    which stays in Q.  Bands partition the dual, so sum_i f_i = f exactly.
     """
     ctx = f.ctx
     members = band_valuation_sets(ctx)[i]
-    if method == "spectral" or f.lane == "float":
+    if f.lane == "float":
         return _band_project_spectral(f, members)
     N, n = ctx.modulus, ctx.dimension
     weights: dict[int, int] = {}

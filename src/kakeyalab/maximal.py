@@ -166,36 +166,6 @@ def f_star(f: Density) -> MaximalProfile:
     return MaximalProfile(1, prof.keys, tuple(v * N for v in prof.values), prof.witnesses)
 
 
-def projmax_identity_check(f_band: Density, u) -> dict:
-    """Check maxop_2 |f_band| (lift(u, w)) = maxop_1 (|f_band|)_u (w) per w.
-
-    f_band is a scale-band component (possibly signed); both sides run on
-    its absolute value, matching the operators' built-in absolute values.
-    Returns per-quotient-direction values and the worst discrepancy,
-    which is exactly zero in the exact lane.
-    """
-    from . import tables
-    from .geometry import lift_direction
-    from .harmonic import xray_transform
-
-    ctx = f_band.ctx
-    g = f_band.abs()
-    prof2 = flat_maximal(g, 2)
-    gu = xray_transform(g, u)
-    prof1 = line_maximal(gu)
-    qctx = ctx.quotient()
-    rows = []
-    worst = Fraction(0) if g.lane == "exact" else 0.0
-    for w in tables.directions(qctx):
-        lifted = lift_direction(u, w, ctx)
-        lhs = prof2.value(lifted)
-        rhs = prof1.value(w)
-        worst = max(worst, abs(lhs - rhs))
-        rows.append({"quotient_direction": w.rep, "plane_value": lhs, "line_value": rhs})
-    return {"direction": u.rep, "entries": rows, "worst_discrepancy": worst,
-            "equal": worst == 0}
-
-
 # ---------------------------------------------------------------------------
 # p-maximal weight and rounding
 # ---------------------------------------------------------------------------

@@ -62,8 +62,16 @@ def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[
     tables.coset_table(ctx, k); a row's lex-least shift is its lex-least
     point, the row's least rank.  For k = 1 the table follows
     tables.directions(ctx), which is the order of tables.flats(ctx, 1).
+
+    Bitmasks of more bytes (F * C * ceil(size / 8), for F flats of C
+    cosets each) than the machine's physical memory raise
+    tables.TableMemoryError before any is built, as an oversized table does.
     """
     table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
+    F, C, _ = table.shape
+    nbytes, memory = F * C * -(-ctx.size // 8), tables._physical_memory()
+    if nbytes > memory:
+        raise tables.TableMemoryError(nbytes, memory)
     grid = tables.coord_grid(ctx)
     out = []
     for rows, lows in zip(table, least):

@@ -14,17 +14,18 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import tables
+from . import search, tables
 from .geometry import proj_size
 from .harmonic import (Density, band_constant, band_project, fourier_forward,
                        fourier_inverse, induce_rows, xray_all, xray_l2_spectral)
 from .maximal import (appendix_constant, chain_constant, coset_maxima,
                       flat_maximal, line_maximal, rounding_g)
-from .ring import RingContext, scale
+from .ring import Generic, RingContext, scale
 
 FLOAT_EQ_TOL = 1e-9
 FLOAT_INEQ_TOL = -1e-12
@@ -42,18 +43,13 @@ class VerificationReport:
     passed: bool
     witness: dict | None = None
     details: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # set by run_checks
 
     @property
     def status(self) -> str:
         if self.details.get("skipped"):
             return "skipped"
         return "pass" if self.passed else "FAIL"
-
-
-def _timed(report: VerificationReport, started: float) -> VerificationReport:
-    report.wall_time = time.perf_counter() - started
-    return report
 
 
 def _skip(check: str, ctx: RingContext, reason: str) -> VerificationReport:
@@ -134,7 +130,6 @@ def _line_moments(rows: np.ndarray, ctx: RingContext, power: int,
 def verify_radius_lemma(ctx: RingContext) -> VerificationReport:
     """Enumerated orthogonal-direction fraction equals the projective ratio
     proj_size(v(a), n-1) / proj_size(v(a), n) for every dual frequency."""
-    started = time.perf_counter()
     n = ctx.dimension
     mask = tables.orthogonality_mask(ctx)
     counts = mask.sum(axis=0)
@@ -148,15 +143,13 @@ def verify_radius_lemma(ctx: RingContext) -> VerificationReport:
         if abs(diff) > worst:
             worst = abs(diff)
             witness = {"frequency": list(map(int, tables.coord_grid(ctx)[i])), "valuation": v}
-    rep = VerificationReport("radiusN", ctx.describe(), ctx.size, "eq-exact",
-                             worst, worst == 0, witness)
-    return _timed(rep, started)
+    return VerificationReport("radiusN", ctx.describe(), ctx.size, "eq-exact",
+                              worst, worst == 0, witness)
 
 
 def verify_plancherel(ctx: RingContext, trials: int, seed: int) -> VerificationReport:
     """Plancherel and the Fourier round trip: exact in the rational lane,
     within 1e-10 in the float lane."""
-    started = time.perf_counter()
     worst_exact = Fraction(0)
     worst_float = 0.0
     witness = None
@@ -179,10 +172,9 @@ def verify_plancherel(ctx: RingContext, trials: int, seed: int) -> VerificationR
             if fdiff > 1e-10:
                 witness = {"trial": t, "lane": "float"}
     passed = worst_exact == 0 and worst_float <= 1e-10
-    rep = VerificationReport("plancherel", ctx.describe(), trials, "eq-exact",
-                             worst_exact, passed, witness,
-                             details={"float_worst": worst_float})
-    return _timed(rep, started)
+    return VerificationReport("plancherel", ctx.describe(), trials, "eq-exact",
+                              worst_exact, passed, witness,
+                              details={"float_worst": worst_float})
 
 
 def verify_xray_l2(ctx: RingContext, trials: int, seed: int) -> VerificationReport:
@@ -190,7 +182,6 @@ def verify_xray_l2(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
     valuation-weighted spectral sum, and per direction the orthogonal-sum identity
     sum_{a in u-perp} |f^(a)|^2 = integral |f_u|^2, all exact.  Each trial
     takes one transform and one set of X-rays, which both identities share."""
-    started = time.perf_counter()
     worst = Fraction(0)
     witness = None
     mask = tables.orthogonality_mask(ctx)
@@ -211,9 +202,8 @@ def verify_xray_l2(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
         diff = Fraction(int(diffs[ui]), common)
         if diff > worst:
             worst, witness = diff, {"trial": t, "direction": ui, "side": "orthogonal sum"}
-    rep = VerificationReport("xray-l2", ctx.describe(), trials, "eq-exact",
-                             worst, worst == 0, witness)
-    return _timed(rep, started)
+    return VerificationReport("xray-l2", ctx.describe(), trials, "eq-exact",
+                              worst, worst == 0, witness)
 
 
 def verify_freqbound(ctx: RingContext, p: int, trials: int, seed: int) -> VerificationReport:
@@ -223,7 +213,6 @@ def verify_freqbound(ctx: RingContext, p: int, trials: int, seed: int) -> Verifi
 
     p = 2 is checked exactly; p > 2 runs in the float lane with slack
     logged (the interpolation consequence)."""
-    started = time.perf_counter()
     if p < 2:
         return _skip(f"freqbound[p={p}]", ctx, "needs p >= 2")
     n = ctx.dimension
@@ -248,9 +237,8 @@ def verify_freqbound(ctx: RingContext, p: int, trials: int, seed: int) -> Verifi
                 worst, witness = slack, {"trial": t, "band": i}
             if (exact and slack < 0) or (not exact and slack < FLOAT_INEQ_TOL):
                 ok = False
-    rep = VerificationReport(f"freqbound[p={p}]", ctx.describe(), trials,
-                             "ge-exact" if exact else "ge-float", worst, ok, witness)
-    return _timed(rep, started)
+    return VerificationReport(f"freqbound[p={p}]", ctx.describe(), trials,
+                              "ge-exact" if exact else "ge-float", worst, ok, witness)
 
 
 def _xray_power_mean_exact(f: Density, p: int) -> Fraction:
@@ -281,7 +269,6 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
     check over the stack (induce_rows), one coset_maxima per side, and the
     (n-1)-th power sums as Python ints, compared over a common denominator.
     The witness is the first direction with the largest gap."""
-    started = time.perf_counter()
     n = ctx.dimension
     bands = range(ctx.num_bands) if band is None else [band]
     qctx = ctx.quotient()
@@ -317,9 +304,8 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
     if violations:
         details["constancy_violations"] = violations[:5]
         details["violation_count"] = len(violations)
-    rep = VerificationReport("divisor-reduction", ctx.describe(), trials, "eq-exact",
-                             worst, worst == 0 and not violations, witness, details)
-    return _timed(rep, started)
+    return VerificationReport("divisor-reduction", ctx.describe(), trials, "eq-exact",
+                              worst, worst == 0 and not violations, witness, details)
 
 
 def verify_projmax(ctx: RingContext, trials: int, seed: int) -> VerificationReport:
@@ -330,7 +316,6 @@ def verify_projmax(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
     Per trial both sides are integer arrays over one denominator: the
     plane maxima read at the flats of tables.lift_map against the line
     maxima of every X-ray row, taken in one coset_maxima call."""
-    started = time.perf_counter()
     if ctx.dimension < 2:
         return _skip("projmax", ctx, "needs n >= 2")
     lift = tables.lift_map(ctx)
@@ -353,15 +338,13 @@ def verify_projmax(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
         if diff > worst:
             ui, wi = divmod(j, nq)
             worst, witness = diff, {"trial": t, "direction": ui, "quotient_direction": wi}
-    rep = VerificationReport("projmax", ctx.describe(), trials, "eq-exact",
-                             worst, worst == 0, witness)
-    return _timed(rep, started)
+    return VerificationReport("projmax", ctx.describe(), trials, "eq-exact",
+                              worst, worst == 0, witness)
 
 
 def verify_rounding(ctx: RingContext, trials: int, seed: int) -> VerificationReport:
     """Grid rounding: g >= f pointwise and sum g^n <= (2^n + 1) sum f^n on
     densities normalized to carry at least unit power mass."""
-    started = time.perf_counter()
     n = ctx.dimension
     worst = Fraction(10**9)
     witness = None
@@ -380,8 +363,7 @@ def verify_rounding(ctx: RingContext, trials: int, seed: int) -> VerificationRep
         if slack < 0:
             ok = False
             witness = {"trial": t, "failure": "mass bound"}
-    rep = VerificationReport("rounding", ctx.describe(), trials, "ge-exact", worst, ok, witness)
-    return _timed(rep, started)
+    return VerificationReport("rounding", ctx.describe(), trials, "ge-exact", worst, ok, witness)
 
 
 def _unit_box_density(ctx: RingContext, seed: int, trial: int) -> Density:
@@ -399,7 +381,6 @@ def verify_maxest(ctx: RingContext, trials: int, seed: int,
     """Line maximal bound with the explicit rounding constant:
 
         E_x |f|^n >= appendix_constant(N, n) * E_u (maxop_1 f(u))^n."""
-    started = time.perf_counter()
     n = ctx.dimension
     c = appendix_constant(ctx.modulus, n)
     worst = Fraction(10**9)
@@ -417,10 +398,9 @@ def verify_maxest(ctx: RingContext, trials: int, seed: int,
         if slack < 0:
             ok = False
             witness = {"trial": t, "failure": "inequality violated"}
-    rep = VerificationReport("maxest", ctx.describe(), len(densities), "ge-exact",
-                             worst, ok, witness,
-                             details={"constant": str(c.limit_denominator(10**12))})
-    return _timed(rep, started)
+    return VerificationReport("maxest", ctx.describe(), len(densities), "ge-exact",
+                              worst, ok, witness,
+                              details={"constant": str(c.limit_denominator(10**12))})
 
 
 def verify_main_theorem(ctx: RingContext, trials: int, seed: int) -> VerificationReport:
@@ -435,7 +415,6 @@ def verify_main_theorem(ctx: RingContext, trials: int, seed: int) -> Verificatio
 
     The ball indicator's two sides are recorded as a tightness probe but
     not asserted."""
-    started = time.perf_counter()
     n = ctx.dimension
     if n < 3:
         return _skip("main-theorem", ctx, "needs n >= 3")
@@ -468,13 +447,12 @@ def verify_main_theorem(ctx: RingContext, trials: int, seed: int) -> Verificatio
     prof = flat_maximal(ball, 2)
     probe_lhs = chain.effective * _frac_mean(prof.values, n - 1)
     probe_rhs = ball.power_mean(n - 1)
-    rep = VerificationReport("main-theorem", ctx.describe(), trials, "ge-exact",
-                             worst, ok, witness,
-                             details={
-                                 "chain_sum": chain.partial_sums[-1],
-                                 "ball_probe_lhs_over_rhs": float(probe_lhs / probe_rhs),
-                             })
-    return _timed(rep, started)
+    return VerificationReport("main-theorem", ctx.describe(), trials, "ge-exact",
+                              worst, ok, witness,
+                              details={
+                                  "chain_sum": chain.partial_sums[-1],
+                                  "ball_probe_lhs_over_rhs": float(probe_lhs / probe_rhs),
+                              })
 
 
 def verify_besicovitch(points: Sequence[Sequence[int]], ctx: RingContext) -> VerificationReport:
@@ -482,7 +460,6 @@ def verify_besicovitch(points: Sequence[Sequence[int]], ctx: RingContext) -> Ver
     delta_sq = min_U maxop_2(1_S)(U),
 
         measure(S) >= effective_chain_constant * delta_sq^(n-1)."""
-    started = time.perf_counter()
     n = ctx.dimension
     if n < 3:
         return _skip("besicovitch", ctx, "needs n >= 3")
@@ -493,18 +470,14 @@ def verify_besicovitch(points: Sequence[Sequence[int]], ctx: RingContext) -> Ver
     measure = Fraction(len({tuple(c % ctx.modulus for c in p) for p in points}), ctx.size)
     bound = chain.effective * delta_sq ** (n - 1)
     slack = measure - bound
-    rep = VerificationReport("besicovitch", ctx.describe(), 1, "ge-exact", slack,
-                             slack >= 0, None,
-                             details={"delta_sq": str(delta_sq), "measure": str(measure)})
-    return _timed(rep, started)
+    return VerificationReport("besicovitch", ctx.describe(), 1, "ge-exact", slack,
+                              slack >= 0, None,
+                              details={"delta_sq": str(delta_sq), "measure": str(measure)})
 
 
 # ---------------------------------------------------------------------------
 # suite orchestration
 # ---------------------------------------------------------------------------
-
-CHECK_IDS = ("radiusN", "plancherel", "xray-l2", "freqbound", "divisor-reduction",
-             "projmax", "rounding", "maxest", "main-theorem", "besicovitch")
 
 
 def corpus_rings() -> list[RingContext]:
@@ -533,24 +506,16 @@ def besicovitch_rings() -> list[RingContext]:
     return [RingContext.padic(2, 1, 3), RingContext.padic(3, 1, 3)]
 
 
-def _has_bands(ctx: RingContext) -> bool:
-    from .ring import Generic
-
-    return not isinstance(ctx.mode, Generic)
-
-
 def search_certificates(rings_2flat: Sequence[RingContext] | None = None,
                         rings_line: Sequence[RingContext] | None = None):
     """Search products for the adversarial corpus: exact 2-flat minima over
     the tiny prime rings and greedy line certificates over prime rings."""
-    from .search import exact_min_kakeya, greedy_kakeya
-
     rings_2flat = besicovitch_rings() if rings_2flat is None else rings_2flat
     if rings_line is None:
         rings_line = [RingContext.padic(2, 1, 2), RingContext.padic(3, 1, 2),
                       RingContext.padic(2, 1, 3), RingContext.padic(3, 1, 3)]
-    exact_certs = [exact_min_kakeya(ctx, 2) for ctx in rings_2flat]
-    greedy_certs = [greedy_kakeya(ctx, 1) for ctx in rings_line]
+    exact_certs = [search.exact_min_kakeya(ctx, 2) for ctx in rings_2flat]
+    greedy_certs = [search.greedy_kakeya(ctx, 1) for ctx in rings_line]
     return exact_certs, greedy_certs
 
 
@@ -558,7 +523,6 @@ def verify_besicovitch_suite() -> list[VerificationReport]:
     """Criterion bundle: every exact minimum 2-flat certificate satisfies the
     quantitative lower bound at full containment, and every line certificate
     over a prime modulus satisfies |S| >= N**n / 2**(n-1)."""
-    started = time.perf_counter()
     exact_certs, greedy_certs = search_certificates()
     reports = []
     for cert in exact_certs:
@@ -577,116 +541,116 @@ def verify_besicovitch_suite() -> list[VerificationReport]:
             worst, witness = slack, {"ring": cert.ctx.describe(), "size": cert.size}
         if slack < 0:
             ok = False
-    rep = VerificationReport("besicovitch[k=1 size bound]", "prime rings",
-                             len(greedy_certs), "ge-exact", worst, ok, witness)
-    reports.append(_timed(rep, started))
+    reports.append(VerificationReport("besicovitch[k=1 size bound]", "prime rings",
+                                      len(greedy_certs), "ge-exact", worst, ok, witness))
     return reports
 
 
+def _needs_bands(ctx: RingContext) -> str | None:
+    return "no scale sequence" if isinstance(ctx.mode, Generic) else None
+
+
+def _needs_bands_n3(ctx: RingContext) -> str | None:
+    if isinstance(ctx.mode, Generic) or ctx.dimension < 3:
+        return "needs bands and n >= 3"
+    return None
+
+
+def _small(trials: int) -> int:
+    return max(1, trials // 5)
+
+
+def _certificate_maxest(trials: int, seed: int) -> Iterator[VerificationReport]:
+    """maxest once more per search ring, with the certificates' indicators
+    added to its corpus."""
+    exact_certs, greedy_certs = search_certificates()
+    by_ring: dict[RingContext, list[Density]] = {}
+    for cert in exact_certs + greedy_certs:
+        by_ring.setdefault(cert.ctx, []).append(Density.indicator(cert.ctx, cert.points))
+    for c, extra in by_ring.items():
+        yield verify_maxest(c, _small(trials), seed, tuple(extra))
+
+
+def _greedy_besicovitch(ctx: RingContext) -> list[VerificationReport]:
+    cert = search.greedy_kakeya(ctx, 2)
+    return [verify_besicovitch(cert.points, ctx)]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of CHECKS.
+
+    rings: the default rings, those that meet needs.  needs: the reason a
+    ring is skipped, or None.  small: runs trials // 5 (at least 1), not
+    trials.  run: (ring, trials, seed) -> its reports.  default: (trials,
+    seed) -> further reports of a run on the default rings.  The rows call
+    the checks by their names in this module, so a patched or traced check
+    is the one that runs.
+    """
+
+    rings: Callable[[], Sequence[RingContext]]
+    run: Callable[[RingContext, int, int], Iterable[VerificationReport]]
+    needs: Callable[[RingContext], str | None] = lambda ctx: None
+    small: bool = False
+    default: Callable[[int, int], Iterable[VerificationReport]] | None = None
+
+
+CHECKS = {
+    "radiusN": Check(lambda: corpus_rings(), lambda c, t, s: [verify_radius_lemma(c)]),
+    "plancherel": Check(lambda: corpus_rings(), lambda c, t, s: [verify_plancherel(c, t, s)]),
+    "xray-l2": Check(lambda: corpus_rings(), lambda c, t, s: [verify_xray_l2(c, t, s)]),
+    # moments p = 2 (the exact lane), 3 and n - 1, the main theorem's exponent
+    "freqbound": Check(lambda: corpus_rings(),
+                       lambda c, t, s: (verify_freqbound(c, p, t, s)
+                                        for p in sorted({2, 3, max(2, c.dimension - 1)})),
+                       _needs_bands),
+    "divisor-reduction": Check(lambda: projmax_rings(),
+                               lambda c, t, s: [verify_divisor_reduction(c, None, t, s)],
+                               _needs_bands, small=True),
+    "projmax": Check(lambda: projmax_rings(), lambda c, t, s: [verify_projmax(c, t, s)],
+                     _needs_bands, small=True),
+    "rounding": Check(lambda: corpus_rings(), lambda c, t, s: [verify_rounding(c, t, s)],
+                      small=True),
+    "maxest": Check(lambda: corpus_rings(), lambda c, t, s: [verify_maxest(c, t, s)],
+                    default=_certificate_maxest),
+    "main-theorem": Check(lambda: main_theorem_rings(),
+                          lambda c, t, s: [verify_main_theorem(c, t, s)], _needs_bands_n3),
+    # the default run checks the search certificates, not rings of its own
+    "besicovitch": Check(lambda: (), lambda c, t, s: _greedy_besicovitch(c), _needs_bands_n3,
+                         default=lambda t, s: verify_besicovitch_suite()),
+}
+CHECK_IDS = tuple(CHECKS)
+
+
+def _ring_reports(cid: str, check: Check, ctx: RingContext, trials: int,
+                  seed: int) -> Iterable[VerificationReport]:
+    reason = check.needs(ctx)
+    return [_skip(cid, ctx, reason)] if reason else check.run(ctx, trials, seed)
+
+
 def run_checks(check_ids: Sequence[str], seed: int = 0, trials: int = 100,
-               ctx: RingContext | None = None, workers: int = 1,
-               freq_exponents: Sequence[int] = (2, 3)) -> list[VerificationReport]:
+               ctx: RingContext | None = None) -> list[VerificationReport]:
     """Run named checks over their default rings (or one explicit ring).
 
-    Per-check trial counts follow the documented defaults when trials=100:
-    the heavy exact identities run trials per ring, the maximal-operator
-    profile checks run trials // 5 per ring.
+    Each check runs on each of its rings with its row's trial count
+    (trials, or trials // 5 for the maximal-operator profile checks); an
+    explicit ring that does not meet a check's needs gets a skip report.
+    Each report's wall_time is the time since its job started or yielded
+    the report before it, so it covers all the work done for it, searches
+    included.
     """
-    for cid in check_ids:
-        if cid not in CHECK_IDS:
-            raise KeyError(cid)
-    jobs: list[tuple[str, Callable[[], VerificationReport]]] = []
-    small = max(1, trials // 5)
-
-    def rings_for(default: list[RingContext], need_bands: bool = False,
-                  need_dim3: bool = False) -> list[RingContext]:
-        if ctx is not None:
-            return [ctx]
-        out = default
-        if need_bands:
-            out = [c for c in out if _has_bands(c)]
-        if need_dim3:
-            out = [c for c in out if c.dimension >= 3]
-        return out
-
-    for cid in check_ids:
-        if cid == "radiusN":
-            for c in rings_for(corpus_rings()):
-                jobs.append((cid, lambda c=c: verify_radius_lemma(c)))
-        elif cid == "plancherel":
-            for c in rings_for(corpus_rings()):
-                jobs.append((cid, lambda c=c: verify_plancherel(c, trials, seed)))
-        elif cid == "xray-l2":
-            for c in rings_for(corpus_rings()):
-                jobs.append((cid, lambda c=c: verify_xray_l2(c, trials, seed)))
-        elif cid == "freqbound":
-            for c in rings_for(corpus_rings(), need_bands=True):
-                if not _has_bands(c):
-                    jobs.append((cid, lambda c=c: _skip("freqbound", c, "no scale sequence")))
-                    continue
-                exps = sorted({p for p in freq_exponents if p >= 2} | ({c.dimension - 1} if c.dimension >= 3 else set()))
-                for p in exps:
-                    jobs.append((cid, lambda c=c, p=p: verify_freqbound(c, p, trials, seed)))
-        elif cid == "divisor-reduction":
-            for c in rings_for(projmax_rings(), need_bands=True):
-                if not _has_bands(c):
-                    jobs.append((cid, lambda c=c: _skip("divisor-reduction", c, "no scale sequence")))
-                    continue
-                jobs.append((cid, lambda c=c: verify_divisor_reduction(c, None, small, seed)))
-        elif cid == "projmax":
-            for c in rings_for(projmax_rings(), need_bands=True):
-                if not _has_bands(c):
-                    jobs.append((cid, lambda c=c: _skip("projmax", c, "no scale sequence")))
-                    continue
-                jobs.append((cid, lambda c=c: verify_projmax(c, small, seed)))
-        elif cid == "rounding":
-            for c in rings_for(corpus_rings()):
-                jobs.append((cid, lambda c=c: verify_rounding(c, small, seed)))
-        elif cid == "maxest":
-            cert_extras: list[tuple[RingContext, tuple[Density, ...]]] = []
-            if ctx is None:
-                exact_certs, greedy_certs = search_certificates()
-                by_ring: dict[RingContext, list[Density]] = {}
-                for cert in exact_certs + greedy_certs:
-                    by_ring.setdefault(cert.ctx, []).append(
-                        Density.indicator(cert.ctx, cert.points))
-                cert_extras = [(c, tuple(ds)) for c, ds in by_ring.items()]
-            for c in rings_for(corpus_rings()):
-                jobs.append((cid, lambda c=c: verify_maxest(c, trials, seed)))
-            for c, extra in cert_extras:
-                jobs.append((cid, lambda c=c, e=extra: verify_maxest(c, small, seed, e)))
-        elif cid == "main-theorem":
-            for c in rings_for(main_theorem_rings(), need_bands=True, need_dim3=True):
-                if not _has_bands(c) or c.dimension < 3:
-                    jobs.append((cid, lambda c=c: _skip("main-theorem", c, "needs bands and n >= 3")))
-                    continue
-                jobs.append((cid, lambda c=c: verify_main_theorem(c, trials, seed)))
-        elif cid == "besicovitch":
-            if ctx is None:
-                jobs.append((cid, verify_besicovitch_suite))
-            else:
-                if ctx.dimension >= 3 and _has_bands(ctx):
-                    from .search import greedy_kakeya
-
-                    def job(c=ctx):
-                        cert = greedy_kakeya(c, 2)
-                        return verify_besicovitch(cert.points, c)
-
-                    jobs.append((cid, job))
-                else:
-                    jobs.append((cid, lambda c=ctx: _skip("besicovitch", c, "needs bands and n >= 3")))
-
-    results: list[VerificationReport] = []
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn) for _, fn in jobs]
-            for fut in futures:
-                out = fut.result()
-                results.extend(out if isinstance(out, list) else [out])
-    else:
-        for _, fn in jobs:
-            out = fn()
-            results.extend(out if isinstance(out, list) else [out])
-    return results
+    checks = [(cid, CHECKS[cid]) for cid in check_ids]  # KeyError before any check runs
+    reports: list[VerificationReport] = []
+    for cid, check in checks:
+        count = _small(trials) if check.small else trials
+        rings = [ctx] if ctx is not None else [c for c in check.rings() if not check.needs(c)]
+        jobs = [partial(_ring_reports, cid, check, c, count, seed) for c in rings]
+        if ctx is None and check.default is not None:
+            jobs.append(partial(check.default, trials, seed))
+        for job in jobs:
+            started = time.perf_counter()
+            for rep in job():
+                now = time.perf_counter()
+                rep.wall_time, started = now - started, now
+                reports.append(rep)
+    return reports

@@ -1,10 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from kakeyalab import verify
 from kakeyalab.cli import main
 from kakeyalab.ring import RingContext
 from kakeyalab.serialize import (certificate_points_from_json, density_from_csv,
@@ -51,6 +54,17 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["all_passed"] is False
         assert payload["reports"][0]["details"]["violation_count"] > 0
+
+    def test_check_ids_documented(self, capsys, monkeypatch):
+        # the README's "Check ids:" line and the verify help both list
+        # exactly the ids of the check table, in its order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        line = readme.split("Check ids:", 1)[1].split("or `all`", 1)[0]
+        assert tuple(re.findall(r"`([^`]+)`", line)) == verify.CHECK_IDS
+        monkeypatch.setenv("COLUMNS", "500")  # one help line per argument
+        assert main(["verify", "--help"]) == 0
+        help_line = next(ln for ln in capsys.readouterr().out.splitlines() if "ids:" in ln)
+        assert tuple(help_line.split("ids:", 1)[1].strip().split(", ")) == verify.CHECK_IDS
 
     def test_determinism_hashes(self, capsys, tmp_path):
         out1 = tmp_path / "a.json"

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from kakeyalab.cyclotomic import (Cyclotomic, cyclotomic_poly, reduce_mod_cyclotomic,
-                                  reduction_matrix)
+from kakeyalab.cyclotomic import cyclotomic_poly, reduce_mod_cyclotomic, reduction_matrix
+from oracles import Cyclotomic
 
 
 KNOWN_POLYS = {

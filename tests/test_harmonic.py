@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeyalab.geometry import canonical_direction, enumerate_proj, proj_size
-from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, band_constant,
-                                band_project, band_valuation_sets,
-                                fourier_forward, fourier_forward_naive,
-                                fourier_inverse, induce_rows, induce_to_modulus,
-                                orthogonal_fraction, uperp_sum, uperp_sum_spatial,
-                                xray_l2_spatial, xray_l2_spectral, xray_transform)
+from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _band_project_spectral,
+                                band_constant, band_project, band_valuation_sets,
+                                fourier_forward, fourier_inverse, induce_rows,
+                                induce_to_modulus, xray_l2_spectral, xray_transform)
 from kakeyalab.ring import RingContext, ScaleSemantics
 from kakeyalab.verify import random_density
+from oracles import (band_project_naive, coefficient, fourier_forward_naive,
+                     orthogonal_fraction, uperp_sum, uperp_sum_spatial, xray_l2_spatial)
 
 RINGS_SMALL = [
     RingContext.padic(2, 2, 2),
@@ -29,15 +29,15 @@ class TestFourier:
     def test_constant_transforms_to_delta(self):
         ctx = RingContext.generic(6, 2)
         s = fourier_forward(Density.constant(ctx, 1))
-        assert s.coefficient((0, 0)).rational_value() == 1
+        assert coefficient(s, (0, 0)).rational_value() == 1
         for a in [(1, 0), (3, 2), (5, 5)]:
-            assert s.coefficient(a).is_zero()
+            assert coefficient(s, a).is_zero()
 
     def test_delta_transforms_to_constant(self):
         ctx = RingContext.padic(3, 1, 2)
         s = fourier_forward(Density.indicator(ctx, [(0, 0)]))
         for a in ctx.points():
-            assert s.coefficient(a).rational_value() == Fraction(1, 9)
+            assert coefficient(s, a).rational_value() == Fraction(1, 9)
 
     @pytest.mark.parametrize("ctx", RINGS_SMALL, ids=lambda c: c.describe())
     def test_round_trip_exact(self, ctx):
@@ -52,11 +52,28 @@ class TestFourier:
                     RingContext.profinite(2, 2), RingContext.padic(2, 2, 3),
                     RingContext.padic(3, 1, 3)):
             f = random_density(ctx, seed=3, dist="uniform-rational")
-            fast, naive = fourier_forward(f), fourier_forward_naive(f)
-            assert fast.den == naive.den and np.array_equal(fast.coeffs, naive.coeffs)
+            fast, (coeffs, den) = fourier_forward(f), fourier_forward_naive(f)
+            assert fast.den == den and (fast.coeffs == coeffs).all()
             ff = f.to_float()
-            gap = np.abs(fourier_forward(ff).values - fourier_forward_naive(ff).values).max()
+            gap = np.abs(fourier_forward(ff).values - fourier_forward_naive(ff)).max()
             assert gap < 1e-12
+
+    @given(st.lists(st.integers(0, 2**62), min_size=9, max_size=9),
+           st.integers(0, 8), st.sampled_from((1, -1)), st.integers(1, 2**20))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_or_overflow(self, values, shift, sign, den):
+        # the exact transform is the Python-int character sum or an
+        # OverflowError, never a wrapped int64; one-signed values make the
+        # zero coefficient, their sum, pass 2**63 at small shifts
+        ctx = RingContext.padic(3, 1, 2)
+        f = Density.from_numden(ctx, [sign * (v >> shift) for v in values], den)
+        coeffs, naive_den = fourier_forward_naive(f)
+        try:
+            s = fourier_forward(f)
+        except OverflowError:
+            assert sum(abs(int(v)) for v in f.num) > 2**60
+        else:
+            assert s.den == naive_den and (s.coeffs == coeffs).all()
 
     def test_inverse_rejects_irrational_spectrum(self):
         # f^(0) = zeta_3 makes f the constant zeta_3
@@ -94,7 +111,7 @@ class TestMasses:
         f = random_density(ctx, seed=31, dist="uniform-rational")
         masks = np.random.default_rng(1).random((4, ctx.size)) < 0.5
         s = fourier_forward(f)
-        norms = [s.coefficient(ctx.unrank(i)).norm_squared().rational_value()
+        norms = [coefficient(s, ctx.unrank(i)).norm_squared().rational_value()
                  for i in range(ctx.size)]
         expected = [sum(q for q, keep in zip(norms, row) if keep) for row in masks]
         nums, den = s.masses(masks)
@@ -360,7 +377,23 @@ class TestBands:
     def test_kernel_matches_spectral_definition(self, ctx):
         f = random_density(ctx, seed=92, dist="sparse")
         for i in range(ctx.num_bands):
-            assert band_project(f, i) == band_project(f, i, method="spectral")
+            assert band_project(f, i) == _band_project_spectral(f, band_valuation_sets(ctx)[i])
+
+    @given(st.lists(st.integers(-(2**62), 2**62), min_size=16, max_size=16),
+           st.integers(0, 12), st.integers(1, 2**20), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_or_overflow(self, values, shift, den, i):
+        # a band component is its spectral definition in Python ints or an
+        # OverflowError, never a wrapped int64; the coset weights of band i
+        # sum to at most size**2 here
+        ctx = RingContext.padic(2, 2, 2)
+        f = Density.from_numden(ctx, [v >> shift for v in values], den)
+        try:
+            fi = band_project(f, i)
+        except OverflowError:
+            assert sum(abs(int(v)) for v in f.num) * ctx.size**2 > 2**60
+        else:
+            assert fi.values() == band_project_naive(f, i)
 
     def test_band_component_is_coset_constant(self):
         ctx = RingContext.padic(2, 3, 2)

@@ -17,6 +17,7 @@ from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
                                mweight, rounding_g)
 from kakeyalab.ring import RingContext
 from kakeyalab.verify import DISTRIBUTIONS, random_density
+from oracles import projmax_identity_check
 
 
 def brute_line_max(f, u, ctx):
@@ -470,7 +471,6 @@ class TestProjmaxIdentity:
     def test_band_zero_both_sides_are_mean(self):
         # constant band: every plane value and line value equals the integral
         from kakeyalab.harmonic import band_project
-        from kakeyalab.maximal import projmax_identity_check
 
         ctx = RingContext.padic(2, 2, 3)
         f = random_density(ctx, seed=71, dist="uniform-rational")
@@ -482,7 +482,6 @@ class TestProjmaxIdentity:
 
     def test_exact_all_directions_mod4(self):
         from kakeyalab.harmonic import band_project
-        from kakeyalab.maximal import projmax_identity_check
 
         ctx = RingContext.padic(2, 2, 3)
         f = random_density(ctx, seed=72, dist="uniform-rational")
@@ -494,7 +493,6 @@ class TestProjmaxIdentity:
     def test_float_lane_mod9(self):
         # float-lane agreement at (Z/9)^3 within 1e-9
         from kakeyalab.harmonic import band_project
-        from kakeyalab.maximal import projmax_identity_check
 
         ctx = RingContext.padic(3, 2, 3)
         for t in range(5):

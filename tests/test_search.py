@@ -74,6 +74,22 @@ class TestTranslateOptions:
         assert isinstance(err.value, EnumerationCapError)
         assert str(4 * 1_835_008 * 2**30) in str(err.value)
 
+    def test_bitmasks_over_memory_refused(self, monkeypatch, capsys):
+        # padic(2,3,3) lines: a 229,376-byte table, but 112 lines of 64
+        # cosets, each a 64-byte bitmask, take 458,752 bytes
+        from kakeyalab.cli import main
+
+        ctx = RingContext.padic(2, 3, 3)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 300_000)
+        translate_options.cache_clear()
+        with pytest.raises(TableMemoryError) as err:
+            translate_options(ctx, 1)
+        assert str(112 * 64 * 64) in str(err.value)
+        assert main(["search", "-k", "1", "--mode", "padic", "-p", "2", "-l", "3", "-n", "3"]) == 3
+        assert "exceeds physical memory" in capsys.readouterr().err
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 500_000)
+        assert len(translate_options(ctx, 1)) == 112
+
 
 class TestGreedy:
     def test_k_equals_n_is_whole_space(self):

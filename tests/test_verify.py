@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from fractions import Fraction
 
@@ -328,10 +329,76 @@ class TestSuite:
         b = run_checks(["radiusN", "plancherel", "rounding"], seed=4, trials=5, ctx=CTX6)
         assert reports_to_json(a) == reports_to_json(b)
 
-    def test_worker_pool_matches_sequential(self):
-        seq = run_checks(["radiusN", "plancherel"], seed=1, trials=3, ctx=CTX, workers=1)
-        par = run_checks(["radiusN", "plancherel"], seed=1, trials=3, ctx=CTX, workers=4)
-        assert reports_to_json(seq) == reports_to_json(par)
+    def test_workers_flag_and_env_change_nothing(self, monkeypatch, capsys):
+        # checks run sequentially: --workers is accepted and ignored, and
+        # KAKEYALAB_WORKERS is not read
+        from kakeyalab import cli
+
+        monkeypatch.delenv("KAKEYALAB_WORKERS", raising=False)
+        argv = ["verify", "--mode", "padic", "-p", "2", "-l", "2", "-n", "2",
+                "--seed", "1", "--trials", "3", "radiusN", "plancherel"]
+        outs = []
+        for extra, env in (([], None), (["--workers", "4"], None), ([], "4")):
+            if env is not None:
+                monkeypatch.setenv("KAKEYALAB_WORKERS", env)
+            assert cli.main(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_wall_time_covers_the_whole_job(self, monkeypatch):
+        # a report's time counts the work done for it before its check
+        # starts (the greedy search of besicovitch), and the table calls the
+        # check patched into the module, not one captured at import
+        import kakeyalab.search as search
+
+        def slow(fn):
+            def sleeping(*args, **kwargs):
+                time.sleep(0.05)
+                return fn(*args, **kwargs)
+            return sleeping
+
+        monkeypatch.setattr(search, "greedy_kakeya", slow(search.greedy_kakeya))
+        monkeypatch.setattr(verify, "verify_plancherel", slow(verify.verify_plancherel))
+        reports = run_checks(["besicovitch", "plancherel"], trials=1,
+                             ctx=RingContext.padic(2, 1, 3))
+        assert [r.check for r in reports] == ["besicovitch", "plancherel"]
+        assert all(r.passed and r.wall_time >= 0.05 for r in reports)
+
+    REPORTS = {
+        "generic(N=4) n=3": [
+            ("radiusN", "pass", 64, {}),
+            ("plancherel", "pass", 3, {"float_worst": pytest.approx(0.0, abs=1e-12)}),
+            ("xray-l2", "pass", 3, {}),
+            ("freqbound", "skipped", 0, {"skipped": "no scale sequence"}),
+            ("divisor-reduction", "skipped", 0, {"skipped": "no scale sequence"}),
+            ("projmax", "skipped", 0, {"skipped": "no scale sequence"}),
+            ("rounding", "pass", 1, {}),
+            ("maxest", "pass", 3, {"constant": "560/316496410737"}),
+            ("main-theorem", "skipped", 0, {"skipped": "needs bands and n >= 3"}),
+            ("besicovitch", "skipped", 0, {"skipped": "needs bands and n >= 3"}),
+        ],
+        "padic(p=2, ell=2) n=2": [
+            ("radiusN", "pass", 16, {}),
+            ("plancherel", "pass", 3, {"float_worst": pytest.approx(6.66e-16, abs=1e-12)}),
+            ("xray-l2", "pass", 3, {}),
+            ("freqbound[p=2]", "pass", 3, {}),
+            ("freqbound[p=3]", "pass", 3, {}),
+            ("divisor-reduction", "pass", 1, {}),
+            ("projmax", "pass", 1, {}),
+            ("rounding", "pass", 1, {}),
+            ("maxest", "pass", 3, {"constant": "695531/256584497214"}),
+            ("main-theorem", "skipped", 0, {"skipped": "needs bands and n >= 3"}),
+            ("besicovitch", "skipped", 0, {"skipped": "needs bands and n >= 3"}),
+        ],
+    }
+
+    @pytest.mark.parametrize("ctx", [RingContext.generic(4, 3), CTX], ids=lambda c: c.describe())
+    def test_every_check_on_an_explicit_ring(self, ctx):
+        # the check table's needs and trial rules: what each check id
+        # reports on a ring without bands and on a ring of dimension 2
+        got = [(r.check, r.status, r.trials, r.details)
+               for cid in verify.CHECK_IDS for r in run_checks([cid], seed=2, trials=3, ctx=ctx)]
+        assert got == self.REPORTS[ctx.describe()]
 
     def test_json_schema(self):
         reports = run_checks(["radiusN"], ctx=CTX)
