@@ -10,6 +10,7 @@ Conventions (Haar = average):
 Two value lanes: the exact lane is integer linear algebra (densities as
 shared-denominator int64 numerators, spectra as integer vectors in
 Z[zeta_N], rational values read off with cyclotomic.reduction_matrix(N),
+spectral sums over groups of frequency ranks such as tables.perp_index,
 every step under an int64 headroom check); the float lane uses numpy
 doubles and complexes, and numpy's FFT, for large sweeps.
 """
@@ -30,6 +31,13 @@ from .geometry import ProjDirection, proj_size
 from .ring import DualFrequency, PAdic, Profinite, RingContext, ScaleSemantics, scale
 
 _INT_HEADROOM = 1 << 61
+# Bytes that one block of a gather holds: the (rows, N, N) shifted
+# coefficients of Spectrum.correlations, the intp index of a block of groups
+# in Spectrum.masses, and the (directions, size/N, N) lines of the exact
+# xray_all.  Gathered whole on generic(30,3), the first would take 194 MB
+# and the last 610 MB.  Blocks of 4 MB ran the exact xray_all of
+# padic(5,2,3) about 3x slower than blocks of this size, which stay in cache.
+_BLOCK_BYTES = 1 << 18
 
 
 class ConstancyError(Exception):
@@ -50,6 +58,22 @@ def _check_headroom(bound: int | float) -> None:
 def _abs_sum(x: np.ndarray) -> float:
     """sum |x|, accumulated in float64 so that the bound itself cannot wrap."""
     return float(np.abs(x, dtype=np.float64).sum())
+
+
+def _abs_max(x: np.ndarray) -> int:
+    """max |x| of an integer array as a Python int (abs(-2**63) wraps in int64)."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def power_sum(x: np.ndarray, p: int, axis: int | None = None):
+    """sum |x|**p of an int64 array (along axis), exact.
+
+    The sum runs in int64 when max|x|**p times the number of terms summed
+    is under the headroom, and over Python ints (object dtype) past it, so
+    the result is an int64 or an object array (or scalar)."""
+    count = x.size if axis is None else x.shape[axis]
+    vals = x if _abs_max(x) ** p * count < _INT_HEADROOM else x.astype(object)
+    return (np.abs(vals) ** p).sum(axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +173,9 @@ class Density:
         return self.data.sum() / self.ctx.size
 
     def power_mean(self, p: int):
-        """E_x |f(x)|**p, exact for integer p in the exact lane.
-
-        The exact sum runs in int64 when size * max|num|**p is under the
-        headroom, and over Python ints (object dtype) past it."""
+        """E_x |f(x)|**p, exact for integer p in the exact lane (power_sum)."""
         if self.lane == "exact":
-            top = max(int(self.num.max(initial=0)), -int(self.num.min(initial=0)))
-            vals = self.num if top**p * self.ctx.size < _INT_HEADROOM else self.num.astype(object)
-            total = int((np.abs(vals) ** p).sum())
-            return Fraction(total, self.den**p * self.ctx.size)
+            return Fraction(int(power_sum(self.num, p)), self.den**p * self.ctx.size)
         return (np.abs(self.data) ** p).sum() / self.ctx.size
 
     def abs(self) -> "Density":
@@ -245,43 +263,79 @@ class Spectrum:
                      for i in range(self.ctx.size))
 
     def correlations(self) -> np.ndarray:
-        """(size, N) integer coefficients of den**2 * |f^(a)|**2 per a."""
+        """(size, N) integer coefficients of den**2 * |f^(a)|**2 per a:
+        corr[a, m] = sum_j C[a, j] C[a, j - m], one gather of the shifted
+        coefficients and one integer matmul per block of rows (about
+        _BLOCK_BYTES)."""
         if self._corr is None:
             C = self.coeffs
             N = self.ctx.modulus
-            _check_headroom(int(np.abs(C).max(initial=0)) ** 2 * N * self.ctx.size)
+            _check_headroom(_abs_max(C) ** 2 * N * self.ctx.size)
+            shifts = (np.arange(N)[:, None] - np.arange(N)) % N  # [j, m] = j - m
             corr = np.empty_like(C)
-            for m in range(N):
-                corr[:, m] = (C * np.roll(C, m, axis=1)).sum(axis=1)
+            step = max(1, _BLOCK_BYTES // (8 * N * N))
+            for lo in range(0, len(C), step):
+                block = C[lo:lo + step]
+                corr[lo:lo + step] = (block[:, None, :] @ block[:, shifts])[:, 0]
             corr.setflags(write=False)
             self._corr = corr
         return self._corr
 
-    def masses(self, masks: np.ndarray):
-        """sum_{a in mask} |f^(a)|**2 per row of a boolean (rows, size) mask:
-        (int64 numerators, den**2) in the exact lane, (floats, None) in the float lane."""
+    def masses(self, groups):
+        """sum_{a in g} |f^(a)|**2 per group g of frequency ranks: (int64
+        numerators, den**2) in the exact lane, (floats, None) in the float lane.
+
+        groups is a sequence of rank arrays, each free of repeats; a 2-D
+        array (equal-size groups, such as tables.perp_index) is gathered a
+        block of groups at a time.  The float lane sums through the 0/1
+        (groups, size) mask, one matrix-vector product."""
         if self.lane == "exact":
-            return _rationalize(self.correlations(), self.ctx.modulus, masks), self.den**2
-        return masks @ (np.abs(self.values) ** 2), None
+            return _rationalize(self.correlations(), self.ctx.modulus, groups), self.den**2
+        mask = np.zeros((len(groups), self.ctx.size), dtype=bool)
+        for row, g in zip(mask, groups):
+            row[g] = True
+        return mask @ (np.abs(self.values) ** 2), None
 
     def plancherel(self):
         """sum_a |f^(a)|**2, exact in the exact lane."""
-        nums, den = self.masses(np.ones((1, self.ctx.size), dtype=bool))
+        nums, den = self.masses(np.arange(self.ctx.size)[None])
         return Fraction(int(nums[0]), den) if self.lane == "exact" else float(nums[0])
 
 
-def _rationalize(C: np.ndarray, N: int, masks: np.ndarray | None = None) -> np.ndarray:
-    """Integer values of rows C (..., N) over zeta_N**j, or of masks @ C; rows
-    are reduced before the masked sum, which then runs over phi(N) columns."""
+def _rationalize(C: np.ndarray, N: int, groups=None) -> np.ndarray:
+    """Integer values of rows C (..., N) over zeta_N**j, or of their sums
+    over each group of row indexes (see Spectrum.masses); rows are reduced
+    before the group sums, which then run over phi(N) columns."""
     R = reduction_matrix(N)
-    _check_headroom(int(np.abs(C).max(initial=0)) * int(np.abs(R).sum(axis=0).max()))
+    _check_headroom(_abs_max(C) * int(np.abs(R).sum(axis=0).max()))
     red = C @ R
-    if masks is not None:
-        _check_headroom(_abs_sum(red))  # bounds every masked sum
-        red = masks.astype(np.int64) @ red
+    if groups is not None:
+        _check_headroom(_abs_sum(red))  # bounds every group sum
+        red = _group_sums(red, groups)
     if red[..., 1:].any():
         raise ValueError("cyclotomic value is not rational")
     return red[..., 0]
+
+
+def _group_sums(x: np.ndarray, groups) -> np.ndarray:
+    """(G, c) sums x[g].sum(axis=0) per group g of row indexes of x (size, c).
+
+    Column by column, each column is gathered through a block of groups
+    converted once to intp: a block of a 2-D array of equal-size groups
+    holds about _BLOCK_BYTES of index, and any other group is a block of
+    its own."""
+    if isinstance(groups, np.ndarray) and groups.ndim == 2:
+        step = max(1, _BLOCK_BYTES // (8 * groups.shape[1]))
+        blocks = [(lo, groups[lo:lo + step]) for lo in range(0, len(groups), step)]
+    else:
+        blocks = [(i, np.asarray(g)[None]) for i, g in enumerate(groups)]
+    columns = np.ascontiguousarray(x.T)
+    out = np.empty((len(groups), len(columns)), dtype=x.dtype)
+    for lo, block in blocks:
+        block = block.astype(np.intp)
+        for c, column in enumerate(columns):
+            out[lo:lo + len(block), c] = column[block].sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +416,7 @@ def xray_transform(f: Density, u: ProjDirection, pivot_rule: str = "first") -> D
     idx = tables.coset_table(ctx, 1, pivot_rule)[0][ui]
     qctx = ctx.quotient()
     if f.lane == "exact":
+        _check_headroom(_abs_max(f.num) * ctx.modulus)  # bounds every line sum
         return Density(qctx, num=f.num[idx].sum(axis=1), den=f.den * ctx.modulus)
     return Density(qctx, data=f.data[idx].sum(axis=1) / ctx.modulus)
 
@@ -369,13 +424,25 @@ def xray_transform(f: Density, u: ProjDirection, pivot_rule: str = "first") -> D
 def xray_all(f: Density, pivot_rule: str = "first"):
     """X-ray numerators along every direction at once.
 
-    Exact lane: (P, size/N) int64 numerators over denominator den*N.
-    Float lane: (P, size/N) values.
+    Exact lane: (P, size/N) int64 numerators over denominator den*N,
+    under the headroom check.  They are summed a block of directions at a
+    time, as coset_maxima does for one row: the block's table rows are
+    converted once to intp (numpy gathers faster through it) and the
+    gathered (directions, size/N, N) block, about _BLOCK_BYTES, is summed
+    over its lines, so no (P, size/N, N) array is built.  Float lane:
+    (P, size/N) values from one gather summed along each line; its bits
+    depend on that order.
     """
-    idx = tables.coset_table(f.ctx, 1, pivot_rule)[0]
-    if f.lane == "exact":
-        return f.num[idx].sum(axis=2), f.den * f.ctx.modulus
-    return f.data[idx].sum(axis=2) / f.ctx.modulus, None
+    N = f.ctx.modulus
+    table = tables.coset_table(f.ctx, 1, pivot_rule)[0]
+    if f.lane == "float":
+        return f.data[table].sum(axis=2) / N, None
+    _check_headroom(_abs_max(f.num) * N)  # bounds every line sum
+    sums = np.empty(table.shape[:2], dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (8 * table[0].size))
+    for lo in range(0, len(table), step):
+        sums[lo:lo + step] = np.einsum("fqj->fq", f.num[table[lo:lo + step].astype(np.intp)])
+    return sums, f.den * N
 
 
 def xray_l2_spectral(f: Density | Spectrum):
@@ -388,7 +455,7 @@ def xray_l2_spectral(f: Density | Spectrum):
     n = s.ctx.dimension
     vals = tables.valuations(s.ctx)
     levels = np.unique(vals)
-    nums, den = s.masses(vals == levels[:, None])
+    nums, den = s.masses([np.flatnonzero(vals == v) for v in levels])
     ratios = [Fraction(proj_size(int(v), n - 1), proj_size(int(v), n)) for v in levels]
     if s.lane == "exact":
         return sum(r * int(m) for r, m in zip(ratios, nums)) / den

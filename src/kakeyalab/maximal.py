@@ -34,7 +34,7 @@ import numpy as np
 
 from . import tables
 from .geometry import proj_size
-from .harmonic import Density, _check_headroom
+from .harmonic import Density, _abs_max, _check_headroom
 from .ring import RingContext, scale
 
 
@@ -103,7 +103,7 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, pivot_rule: str = "
     nflats, ncosets, npts = table.shape
     exact = rows.dtype.kind == "i"
     if exact:  # the largest |row entry|, without an abs copy of the stack
-        _check_headroom(max(int(rows.max(initial=0)), -int(rows.min(initial=0))) * ctx.modulus**k)
+        _check_headroom(_abs_max(rows) * ctx.modulus**k)
     dtype = np.int64 if exact else rows.real.dtype
     step = max(1, _CHUNK_BYTES // (8 * ctx.size))
     best = np.empty((len(rows), nflats), dtype=dtype)

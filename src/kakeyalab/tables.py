@@ -87,15 +87,6 @@ def flats(ctx: RingContext, k: int) -> tuple[Flat, ...]:
     return tuple(enumerate_grassmannian(ctx, k))
 
 
-@lru_cache(maxsize=None)
-def orthogonality_mask(ctx: RingContext) -> np.ndarray:
-    """(P, size) boolean: <u, a> = 0 mod N per direction u and frequency a."""
-    dirs = direction_matrix(ctx)
-    grid = coord_grid(ctx)
-    dots = dirs @ grid.T % ctx.modulus
-    return _freeze(dots == 0)
-
-
 def _lex_grid(N: int, m: int) -> np.ndarray:
     """(N**m, m) every vector of (Z/NZ)^m in lex order; one empty row at m = 0."""
     if m == 0:
@@ -104,7 +95,7 @@ def _lex_grid(N: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def coset_table(ctx: RingContext, k: int, pivot_rule: str = "first") -> tuple[np.ndarray, np.ndarray]:
+def coset_table(ctx: RingContext, k: int, pivot_rule: str) -> tuple[np.ndarray, np.ndarray]:
     """Every coset a + U of every k-flat U through the origin, once.
 
     Returns (table, least).  table is (F, size // N**k, N**k) int32; row y
@@ -123,6 +114,8 @@ def coset_table(ctx: RingContext, k: int, pivot_rule: str = "first") -> tuple[np
 
     A table of more bytes (4 * F * size) than the machine's physical
     memory raises TableMemoryError before anything is enumerated.
+    pivot_rule has no default, so that every caller passes it positionally
+    and each (ring, k, rule) is one cache entry.
     """
     N, n = ctx.modulus, ctx.dimension
     if not 1 <= k <= n:
@@ -155,6 +148,48 @@ def coset_table(ctx: RingContext, k: int, pivot_rule: str = "first") -> tuple[np
     return _freeze(table), _freeze(table.min(axis=2))
 
 
+# Directions per block of perp_index, so that its (directions, N**(n-1), n)
+# coordinate stack stays near this many bytes of int64.
+_PERP_BLOCK_BYTES = 1 << 23
+
+
+@lru_cache(maxsize=None)
+def perp_index(ctx: RingContext) -> np.ndarray:
+    """(P, N**(n-1)) int32: row u lists, ascending, the ranks of the
+    frequencies a with <u, a> = 0 mod N, directions in directions(ctx) order.
+
+    u^perp is solved, not searched for: per CRT component q = p**e, a pivot
+    coordinate i of u is a unit mod p, the other coordinates of a run over
+    (Z/qZ)^(n-1) and a_i = -u_i**(-1) sum_{j != i} u_j a_j mod q.  The
+    components are combined with the CRT idempotents, a block of directions
+    at a time, so no (P, size) dot product is built.
+    """
+    N, n = ctx.modulus, ctx.dimension
+    dirs = direction_matrix(ctx)
+    free = _lex_grid(N, n - 1)  # (N**(n-1), n-1)
+    out = np.empty((len(dirs), len(free)), dtype=np.int32)
+    step = max(1, _PERP_BLOCK_BYTES // (8 * n * len(free)))
+    for lo in range(0, len(dirs), step):
+        u = dirs[lo:lo + step]
+        coords = np.zeros((n, len(u), len(free)), dtype=np.int64)  # a_j per (u, free point)
+        for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)):
+            inverse = np.array([pow(c, -1, q) if c % p else 0 for c in range(q)])
+            pivots = (u % p != 0).argmax(axis=1)[:, None]
+            fq = free % q
+            cols = []  # a_j is free coordinate j off the pivot, j - 1 past it, 0 on it
+            for j in range(n):
+                before = fq[:, j] if j < n - 1 else 0
+                after = fq[:, j - 1] if j else 0
+                cols.append(np.where(j == pivots, 0, np.where(j > pivots, after, before)))
+            dots = sum(u[:, j, None] * cols[j] for j in range(n))
+            solved = -inverse[np.take_along_axis(u, pivots, axis=1) % q] * dots % q
+            for j in range(n):
+                coords[j] += e * np.where(j == pivots, solved, cols[j])
+        ranks = sum(coords[j] % N * N ** (n - 1 - j) for j in range(n))
+        out[lo:lo + step] = np.sort(ranks, axis=1)
+    return _freeze(out)
+
+
 @lru_cache(maxsize=None)
 def coset_labels(ctx: RingContext, d: int) -> np.ndarray:
     """(size,) label of x mod d, ranked in (Z/dZ)^n; d must divide N."""
@@ -177,11 +212,11 @@ def lift_map(ctx: RingContext) -> dict[tuple[int, int], int]:
     """
     N = ctx.modulus
     qctx = ctx.quotient()
-    lines = coset_table(ctx, 1)[0]
+    lines = coset_table(ctx, 1, "first")[0]
     t = np.arange(N)[None, :, None]
     qlines = rank_points(t * direction_matrix(qctx)[:, None, :] % N, qctx)  # (Pq, N) ranks of t w
     lifts = np.sort(lines[:, qlines].reshape(len(lines), len(qlines), N * N), axis=2)
-    planes = np.sort(coset_table(ctx, 2)[0][:, 0], axis=1)
+    planes = np.sort(coset_table(ctx, 2, "first")[0][:, 0], axis=1)
     flat_index = {plane.tobytes(): i for i, plane in enumerate(planes)}
     return {(ui, wi): flat_index[lift.tobytes()]
             for ui, row in enumerate(lifts) for wi, lift in enumerate(row)}

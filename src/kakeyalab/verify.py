@@ -22,7 +22,7 @@ import numpy as np
 from . import search, tables
 from .geometry import proj_size
 from .harmonic import (Density, band_constant, band_project, fourier_forward,
-                       fourier_inverse, induce_rows, xray_all, xray_l2_spectral)
+                       fourier_inverse, induce_rows, power_sum, xray_all, xray_l2_spectral)
 from .maximal import (appendix_constant, chain_constant, coset_maxima,
                       flat_maximal, line_maximal, rounding_g)
 from .ring import Generic, RingContext, scale
@@ -129,20 +129,30 @@ def _line_moments(rows: np.ndarray, ctx: RingContext, power: int,
 
 def verify_radius_lemma(ctx: RingContext) -> VerificationReport:
     """Enumerated orthogonal-direction fraction equals the projective ratio
-    proj_size(v(a), n-1) / proj_size(v(a), n) for every dual frequency."""
+    proj_size(v(a), n-1) / proj_size(v(a), n) for every dual frequency.
+
+    The directions orthogonal to each frequency are counted off the u^perp
+    index in one bincount; per valuation level v the counts are compared as
+    the integers counts * proj_size(v, n) and P * proj_size(v, n-1).  The
+    witness is the first frequency with the largest gap."""
     n = ctx.dimension
-    mask = tables.orthogonality_mask(ctx)
-    counts = mask.sum(axis=0)
+    perp = tables.perp_index(ctx)
+    counts = np.bincount(perp.ravel(), minlength=ctx.size)
     vals = tables.valuations(ctx)
-    P = mask.shape[0]
+    P = len(perp)
     worst = Fraction(0)
+    first = ctx.size  # rank of the witness
+    for v in np.unique(vals).tolist():
+        ranks = np.flatnonzero(vals == v)
+        gaps = np.abs(counts[ranks] * proj_size(v, n) - P * proj_size(v, n - 1))
+        j = int(np.argmax(gaps))
+        diff = Fraction(int(gaps[j]), P * proj_size(v, n))
+        if diff > worst or (diff == worst != 0 and ranks[j] < first):
+            worst, first = diff, int(ranks[j])
     witness = None
-    for i in range(ctx.size):
-        v = int(vals[i])
-        diff = Fraction(int(counts[i]), P) - Fraction(proj_size(v, n - 1), proj_size(v, n))
-        if abs(diff) > worst:
-            worst = abs(diff)
-            witness = {"frequency": list(map(int, tables.coord_grid(ctx)[i])), "valuation": v}
+    if worst:
+        witness = {"frequency": list(map(int, tables.coord_grid(ctx)[first])),
+                   "valuation": int(vals[first])}
     return VerificationReport("radiusN", ctx.describe(), ctx.size, "eq-exact",
                               worst, worst == 0, witness)
 
@@ -184,18 +194,18 @@ def verify_xray_l2(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
     takes one transform and one set of X-rays, which both identities share."""
     worst = Fraction(0)
     witness = None
-    mask = tables.orthogonality_mask(ctx)
+    perp = tables.perp_index(ctx)
     qsize = ctx.size // ctx.modulus
     for t, f in enumerate(_corpus(ctx, seed, trials)):
         s = fourier_forward(f)
         nums, den = xray_all(f)
         xray_den = den**2 * qsize
-        row_l2 = (nums.astype(object) ** 2).sum(axis=1)  # integral |f_u|^2 * xray_den
+        row_l2 = power_sum(nums, 2, axis=1).astype(object)  # integral |f_u|^2 * xray_den
         spatial = Fraction(int(row_l2.sum()), xray_den * len(nums))
         diff = abs(spatial - xray_l2_spectral(s))
         if diff > worst:
             worst, witness = diff, {"trial": t, "side": "identity"}
-        spec, spec_den = s.masses(mask)
+        spec, spec_den = s.masses(perp)
         common = math.lcm(spec_den, xray_den)
         diffs = np.abs(spec.astype(object) * (common // spec_den) - row_l2 * (common // xray_den))
         ui = int(np.argmax(diffs))  # all directions at once; the first largest gap
@@ -244,8 +254,7 @@ def verify_freqbound(ctx: RingContext, p: int, trials: int, seed: int) -> Verifi
 def _xray_power_mean_exact(f: Density, p: int) -> Fraction:
     nums, den = xray_all(f)
     qsize = f.ctx.size // f.ctx.modulus
-    total = int((np.abs(nums.astype(object)) ** p).sum())
-    return Fraction(total, den**p * qsize * nums.shape[0])
+    return Fraction(int(power_sum(nums, p)), den**p * qsize * nums.shape[0])
 
 
 def _xray_power_mean_float(f: Density, p: int) -> float:

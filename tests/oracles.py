@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from kakeyalab import tables
-from kakeyalab.cyclotomic import reduce_mod_cyclotomic
+from kakeyalab.cyclotomic import reduce_mod_cyclotomic, reduction_matrix
 from kakeyalab.geometry import ProjDirection, lift_direction
 from kakeyalab.harmonic import (Density, Spectrum, band_valuation_sets, fourier_forward,
                                 xray_all, xray_transform)
@@ -186,20 +186,54 @@ def band_project_naive(f: Density, i: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def correlations_roll(s: Spectrum) -> np.ndarray:
+    """den**2 |f^(a)|**2 coefficients by N shifted copies of the spectrum:
+    corr[:, m] = sum_j C[:, j] C[:, j - m], summed as Python ints."""
+    C = s.coeffs.astype(object)
+    return np.stack([(C * np.roll(C, m, axis=1)).sum(axis=1)
+                     for m in range(s.ctx.modulus)], axis=1)
+
+
+def masses_dense(s: Spectrum, masks: np.ndarray):
+    """Spectrum.masses through a boolean (rows, size) mask: the reduced
+    correlations times the mask in the exact lane, mask @ |f^(a)|**2 in the
+    float lane (the product whose bits the float lane keeps)."""
+    if s.lane == "float":
+        return masks @ (np.abs(s.values) ** 2), None
+    red = masks.astype(object) @ (correlations_roll(s) @ reduction_matrix(s.ctx.modulus).astype(object))
+    if red[:, 1:].any():
+        raise ValueError("cyclotomic value is not rational")
+    return red[:, 0], s.den**2
+
+
 # ---------------------------------------------------------------------------
 # X-ray identities
 # ---------------------------------------------------------------------------
 
 
+def orthogonality_mask(ctx) -> np.ndarray:
+    """(P, size) boolean: <u, a> = 0 mod N per direction u and frequency a,
+    from the dense dot product of every direction with every frequency."""
+    dots = tables.direction_matrix(ctx) @ tables.coord_grid(ctx).T % ctx.modulus
+    return dots == 0
+
+
+def xray_all_gather(f: Density) -> np.ndarray:
+    """Exact X-ray numerators of every direction as Python ints, from the
+    whole (P, size/N, N) gather of the line table."""
+    return f.num.astype(object)[tables.coset_table(f.ctx, 1, "first")[0]].sum(axis=2)
+
+
 def uperp_sum(f: Density, u: ProjDirection):
-    """sum over a with <u,a> = 0 of |f^(a)|**2.
+    """sum over a with <u,a> = 0 of |f^(a)|**2, the frequencies read off the
+    dense orthogonality mask.
 
     Equals the quotient-side mass integral of |f_u|**2 and the spatial
     double sum N**(-n-1) sum_{z,t} f(z) conj f(z+tu).
     """
     ctx = f.ctx
     ui = tables.directions(ctx).index(u)
-    nums, den = fourier_forward(f).masses(tables.orthogonality_mask(ctx)[ui:ui + 1])
+    nums, den = fourier_forward(f).masses([np.flatnonzero(orthogonality_mask(ctx)[ui])])
     return Fraction(int(nums[0]), den) if f.lane == "exact" else float(nums[0])
 
 
@@ -211,7 +245,7 @@ def uperp_sum_spatial(f: Density, u: ProjDirection):
     """
     ctx = f.ctx
     ui = tables.directions(ctx).index(u)
-    idx = tables.coset_table(ctx, 1)[0][ui]
+    idx = tables.coset_table(ctx, 1, "first")[0][ui]
     if f.lane == "exact":
         sums = f.num[idx].sum(axis=1).astype(object)
         return Fraction(int((sums * sums).sum()), f.den**2 * ctx.size * ctx.modulus)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -210,3 +211,19 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_passed"]
+
+
+# sha256 of the default JSON of `kakeyalab verify all --trials 5 --seed S`.
+# A performance change keeps these bytes; a change that must move them
+# updates the digest here and says in CHANGES.md which fields moved and why.
+GOLDEN_REPORTS = {
+    1: "0fbdc9df2789c5a8b887de15d547baa856d47f3f141e6d9e996f894c5082b5ab",
+    2: "1a960dc5e98d1cf21929cbec1c7127e815771e8dca76a9a3fc64846292fbd938",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_REPORTS))
+def test_verify_all_report_bytes_are_frozen(seed, capsys):
+    code, out = run_cli(["verify", "all", "--trials", "5", "--seed", str(seed)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[seed]

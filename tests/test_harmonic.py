@@ -1,21 +1,26 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kakeyalab.harmonic as harmonic
+from kakeyalab import tables
 from kakeyalab.geometry import canonical_direction, enumerate_proj, proj_size
 from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _band_project_spectral,
                                 band_constant, band_project, band_valuation_sets,
                                 fourier_forward, fourier_inverse, induce_rows,
-                                induce_to_modulus, xray_l2_spectral, xray_transform)
+                                induce_to_modulus, power_sum, xray_all, xray_l2_spectral,
+                                xray_transform)
 from kakeyalab.ring import RingContext, ScaleSemantics
-from kakeyalab.verify import random_density
-from oracles import (band_project_naive, coefficient, fourier_forward_naive,
-                     orthogonal_fraction, uperp_sum, uperp_sum_spatial, xray_l2_spatial)
+from kakeyalab.verify import DISTRIBUTIONS, corpus_rings, random_density
+from oracles import (band_project_naive, coefficient, correlations_roll, fourier_forward_naive,
+                     masses_dense, orthogonal_fraction, orthogonality_mask, uperp_sum,
+                     uperp_sum_spatial, xray_all_gather, xray_l2_spatial)
 
 RINGS_SMALL = [
     RingContext.padic(2, 2, 2),
@@ -114,9 +119,10 @@ class TestMasses:
         norms = [coefficient(s, ctx.unrank(i)).norm_squared().rational_value()
                  for i in range(ctx.size)]
         expected = [sum(q for q, keep in zip(norms, row) if keep) for row in masks]
-        nums, den = s.masses(masks)
+        groups = [np.flatnonzero(row) for row in masks]
+        nums, den = s.masses(groups)
         assert [Fraction(int(m), den) for m in nums] == expected
-        fnums, fden = fourier_forward(f.to_float()).masses(masks)
+        fnums, fden = fourier_forward(f.to_float()).masses(groups)
         assert fden is None
         assert np.abs(fnums - np.array(expected, dtype=float)).max() < 1e-12
 
@@ -126,6 +132,85 @@ class TestMasses:
         s = Spectrum(ctx, coeffs=[[1, 1, 0, 0, 0]] + [[0] * 5] * 4, den=1)
         with pytest.raises(ValueError, match="not rational"):
             s.plancherel()
+
+    @pytest.mark.parametrize("ctx", [RingContext.profinite(2, 3), RingContext.padic(3, 2, 3),
+                                     RingContext.generic(12, 2)], ids=lambda c: c.describe())
+    def test_groups_match_dense_mask_product(self, ctx):
+        # u^perp, the valuation levels and the whole dual, as rank groups,
+        # against the boolean-mask product they replace; floats bit for bit
+        vals = tables.valuations(ctx)
+        levels = np.unique(vals)
+        cases = [(orthogonality_mask(ctx), tables.perp_index(ctx)),
+                 (vals == levels[:, None], [np.flatnonzero(vals == v) for v in levels]),
+                 (np.ones((1, ctx.size), dtype=bool), np.arange(ctx.size)[None])]
+        for t, dist in enumerate(DISTRIBUTIONS):
+            f = random_density(ctx, seed=33, dist=dist, trial=t)
+            for s in (fourier_forward(f), fourier_forward(f.to_float())):
+                for masks, groups in cases:
+                    nums, den = s.masses(groups)
+                    want, want_den = masses_dense(s, masks)
+                    assert den == want_den and nums.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_mass_blocks(self, monkeypatch, rows):
+        # blocks of one and of two groups, the last block ragged (117 groups)
+        ctx = RingContext.padic(3, 2, 3)
+        perp = tables.perp_index(ctx)
+        monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 8 * perp.shape[1] * rows)
+        s = fourier_forward(random_density(ctx, seed=35))
+        assert s.masses(perp)[0].tolist() == masses_dense(s, orthogonality_mask(ctx))[0].tolist()
+
+
+class TestCorrelations:
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_blocks_match_roll(self, monkeypatch, rows):
+        # 27 rows in blocks of 1, 2 and 4 rows: every last block but the
+        # first is ragged
+        ctx = RingContext.padic(3, 1, 3)
+        monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 8 * 3 * 3 * rows)
+        for t, dist in enumerate(DISTRIBUTIONS):
+            s = fourier_forward(random_density(ctx, seed=37, dist=dist, trial=t))
+            assert s.correlations().tolist() == correlations_roll(s).tolist()
+
+    def test_default_budget_matches_roll(self):
+        for ctx in (RingContext.generic(12, 2), RingContext.padic(2, 3, 3)):
+            s = fourier_forward(random_density(ctx, seed=38))
+            corr = s.correlations()
+            assert corr.dtype == np.int64 and not corr.flags.writeable
+            assert corr.tolist() == correlations_roll(s).tolist()
+
+
+class TestPowerSum:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_both_sides_of_headroom(self, p):
+        # count * top**p just under 2**61 sums in int64, just past it over
+        # Python ints; both equal the Python-int sum
+        count = 7
+        under = int(((2**61 - 1) // count) ** (1 / p))
+        while (under + 1) ** p * count < 2**61:
+            under += 1
+        while under**p * count >= 2**61:
+            under -= 1
+        for top, kind in ((under, np.int64), (under + 1, int)):
+            x = np.array([top, -top, 0, 1, -(top // 3), top - 5, 2], dtype=np.int64)
+            got = power_sum(x, p)
+            assert type(got) is kind  # the int64 sum, or the Python-int one
+            assert int(got) == sum(abs(int(v)) ** p for v in x)
+
+    def test_axis_sums(self):
+        x = np.array([[2**40, -3, 5], [-(2**20), 7, -(2**41)]], dtype=np.int64)
+        for p in (1, 2, 3):
+            rows = power_sum(x, p, axis=1)
+            cols = power_sum(x, p, axis=0)
+            assert [int(v) for v in rows] == [sum(abs(int(v)) ** p for v in r) for r in x]
+            assert [int(v) for v in cols] == [sum(abs(int(v)) ** p for v in c) for c in x.T]
+
+    def test_min_int64(self):
+        # abs(-2**63) wraps in int64; the bound is taken over Python ints
+        x = np.array([-(2**63), 1, 0], dtype=np.int64)
+        assert power_sum(x, 1) == 2**63 + 1
+        assert power_sum(x, 2) == 2**126 + 1
+        assert power_sum(np.zeros(3, dtype=np.int64), 4) == 0
 
 
 class TestXray:
@@ -165,6 +250,76 @@ class TestXray:
                         for t in range(6))
             assert fu.value(y) == total / 6
 
+
+    @pytest.mark.parametrize("ctx", corpus_rings(), ids=lambda c: c.describe())
+    def test_xray_all_matches_gather(self, ctx):
+        for t, dist in enumerate(DISTRIBUTIONS):
+            f = random_density(ctx, seed=45, dist=dist, trial=t)
+            nums, den = xray_all(f)
+            assert nums.dtype == np.int64 and den == f.den * ctx.modulus
+            assert nums.tolist() == xray_all_gather(f).tolist()
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_xray_all_blocks(self, monkeypatch, rows):
+        # blocks of one and of five directions (117 directions)
+        ctx = RingContext.padic(3, 2, 3)
+        monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 8 * ctx.size * rows)
+        f = random_density(ctx, seed=46)
+        assert xray_all(f)[0].tolist() == xray_all_gather(f).tolist()
+
+    def test_xray_all_builds_no_line_gather(self, monkeypatch):
+        # the exact lane never holds the (P, size/N, N) int64 gather: only
+        # a block of it and of its intp index, and the result
+        ctx = RingContext.padic(3, 2, 3)
+        f = random_density(ctx, seed=47)
+        full = 8 * tables.coset_table(ctx, 1, "first")[0].size
+        monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 1 << 14)
+        xray_all(f)  # warm any lazy state
+        tracemalloc.start()
+        try:
+            nums, _ = xray_all(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (1 << 14) + 2 * nums.nbytes
+        assert full > 4 * peak
+
+    @given(st.lists(st.integers(-(2**62), 2**62), min_size=4, max_size=4), st.integers(0, 3))
+    @example([2**62] * 4, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_xray_all_exact_or_overflow(self, values, shift):
+        # every line sum is the Python-int sum or an OverflowError, never a
+        # wrapped int64
+        ctx = RingContext.padic(2, 1, 2)
+        f = Density.from_numden(ctx, [v >> shift for v in values], 1)
+        if max(abs(int(v)) for v in f.num) * ctx.modulus >= 2**61:
+            with pytest.raises(OverflowError):
+                xray_all(f)
+        else:
+            assert xray_all(f)[0].tolist() == xray_all_gather(f).tolist()
+
+    @given(st.lists(st.integers(-(2**62), 2**62), min_size=4, max_size=4), st.integers(0, 3))
+    @example([2**62] * 4, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_xray_transform_exact_or_overflow(self, values, shift):
+        ctx = RingContext.padic(2, 1, 2)
+        f = Density.from_numden(ctx, [v >> shift for v in values], 1)
+        for u, row in zip(tables.directions(ctx), xray_all_gather(f)):
+            if max(abs(int(v)) for v in f.num) * ctx.modulus >= 2**61:
+                with pytest.raises(OverflowError):
+                    xray_transform(f, u)
+            else:
+                assert xray_transform(f, u).values() == tuple(Fraction(v, 2) for v in row)
+
+    def test_xray_headroom(self):
+        # unchecked, every row sum of xray_all read -2**63, and
+        # xray_transform gave -2**62 for the line sum +2**63 over N = 2
+        ctx = RingContext.padic(2, 1, 2)
+        f = Density.from_numden(ctx, [2**62] * 4, 1)
+        with pytest.raises(OverflowError):
+            xray_all(f)
+        with pytest.raises(OverflowError):
+            xray_transform(f, tables.directions(ctx)[0])
 
     @pytest.mark.parametrize("rule", ["first", "last"])
     def test_line_table_rows_are_chart_fibers(self, rule):
@@ -265,6 +420,30 @@ class TestDensityArithmetic:
 
 
 class TestUperp:
+    @pytest.mark.parametrize("ctx", corpus_rings() + [RingContext.padic(2, 4, 3),
+                                                      RingContext.generic(30, 2),
+                                                      RingContext.generic(6, 4)],
+                             ids=lambda c: c.describe())
+    def test_perp_index_matches_dense_mask(self, ctx):
+        # row u lists, ascending, the frequencies of the dense mask's row u
+        perp = tables.perp_index(ctx)
+        mask = orthogonality_mask(ctx)
+        assert perp.dtype == np.int32 and not perp.flags.writeable
+        assert perp.shape == (len(mask), ctx.modulus ** (ctx.dimension - 1))
+        for row, index in zip(mask, perp):
+            assert np.array_equal(np.flatnonzero(row), index)
+
+    def test_perp_index_blocks(self, monkeypatch):
+        # one direction per block gives the same index
+        ctx = RingContext.generic(12, 3)
+        whole = tables.perp_index(ctx)
+        monkeypatch.setattr(tables, "_PERP_BLOCK_BYTES", 1)
+        tables.perp_index.cache_clear()
+        try:
+            assert np.array_equal(tables.perp_index(ctx), whole)
+        finally:
+            tables.perp_index.cache_clear()
+
     def test_constant(self):
         ctx = RingContext.padic(2, 2, 2)
         f = Density.constant(ctx, 1)

@@ -324,6 +324,16 @@ class TestSuite:
         assert [r.check for r in reports] == ["radiusN", "plancherel"]
         assert all(r.passed for r in reports)
 
+    def test_one_coset_table_per_ring_k_and_rule(self):
+        # lift_map, coset_maxima and xray_all ask for the same three tables
+        # (lines and planes of the ring, lines of its quotient): three cache
+        # entries, not one more per spelling of the call
+        for cached in vars(tables).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        verify_projmax(RingContext.padic(2, 3, 3), 1, 1)
+        assert tables.coset_table.cache_info().currsize == 3
+
     def test_reports_reproducible_bytes(self):
         a = run_checks(["radiusN", "plancherel", "rounding"], seed=4, trials=5, ctx=CTX6)
         b = run_checks(["radiusN", "plancherel", "rounding"], seed=4, trials=5, ctx=CTX6)
