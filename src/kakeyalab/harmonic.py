@@ -12,7 +12,8 @@ shared-denominator int64 numerators, spectra as integer vectors in
 Z[zeta_N], rational values read off with cyclotomic.reduction_matrix(N),
 spectral sums over groups of frequency ranks such as tables.perp_index,
 every step under an int64 headroom check); the float lane uses numpy
-doubles and complexes, and numpy's FFT, for large sweeps.
+doubles and complexes, and numpy's FFT, for large sweeps.  The X-rays
+and the u^perp masses sum over index rows through tables.blocked_sums.
 """
 from __future__ import annotations
 
@@ -31,13 +32,6 @@ from .geometry import ProjDirection, proj_size
 from .ring import DualFrequency, PAdic, Profinite, RingContext, ScaleSemantics, scale
 
 _INT_HEADROOM = 1 << 61
-# Bytes that one block of a gather holds: the (rows, N, N) shifted
-# coefficients of Spectrum.correlations, the intp index of a block of groups
-# in Spectrum.masses, and the (directions, size/N, N) lines of the exact
-# xray_all.  Gathered whole on generic(30,3), the first would take 194 MB
-# and the last 610 MB.  Blocks of 4 MB ran the exact xray_all of
-# padic(5,2,3) about 3x slower than blocks of this size, which stay in cache.
-_BLOCK_BYTES = 1 << 18
 
 
 class ConstancyError(Exception):
@@ -63,6 +57,13 @@ def _abs_sum(x: np.ndarray) -> float:
 def _abs_max(x: np.ndarray) -> int:
     """max |x| of an integer array as a Python int (abs(-2**63) wraps in int64)."""
     return max(int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
+def _negatable(x: np.ndarray) -> np.ndarray:
+    """x, unless it holds -2**63, whose int64 negation wraps (OverflowError)."""
+    if x.min(initial=0) == np.iinfo(np.int64).min:
+        raise OverflowError("-2**63 has no int64 negation")
+    return x
 
 
 def power_sum(x: np.ndarray, p: int, axis: int | None = None):
@@ -180,7 +181,7 @@ class Density:
 
     def abs(self) -> "Density":
         if self.lane == "exact":
-            return Density(self.ctx, num=np.abs(self.num), den=self.den)
+            return Density(self.ctx, num=np.abs(_negatable(self.num)), den=self.den)
         return Density(self.ctx, data=np.abs(self.data))
 
     def to_float(self) -> "Density":
@@ -194,13 +195,13 @@ class Density:
         if self.lane == "exact" and other.lane == "exact":
             d = self.den * other.den // gcd(self.den, other.den)
             sa, sb = d // self.den, d // other.den
-            _check_headroom(int(np.abs(self.num).max()) * sa + int(np.abs(other.num).max()) * sb)
+            _check_headroom(_abs_max(self.num) * sa + _abs_max(other.num) * sb)
             return Density(self.ctx, num=self.num * sa + other.num * sb, den=d)
         return Density(self.ctx, data=self.to_float().data + other.to_float().data)
 
     def __neg__(self) -> "Density":
         if self.lane == "exact":
-            return Density(self.ctx, num=-self.num, den=self.den)
+            return Density(self.ctx, num=-_negatable(self.num), den=self.den)
         return Density(self.ctx, data=-self.data)
 
     def __sub__(self, other: "Density") -> "Density":
@@ -266,14 +267,14 @@ class Spectrum:
         """(size, N) integer coefficients of den**2 * |f^(a)|**2 per a:
         corr[a, m] = sum_j C[a, j] C[a, j - m], one gather of the shifted
         coefficients and one integer matmul per block of rows (about
-        _BLOCK_BYTES)."""
+        tables._BLOCK_BYTES; whole, generic(30,3) would take 194 MB)."""
         if self._corr is None:
             C = self.coeffs
             N = self.ctx.modulus
             _check_headroom(_abs_max(C) ** 2 * N * self.ctx.size)
             shifts = (np.arange(N)[:, None] - np.arange(N)) % N  # [j, m] = j - m
             corr = np.empty_like(C)
-            step = max(1, _BLOCK_BYTES // (8 * N * N))
+            step = max(1, tables._BLOCK_BYTES // (8 * N * N))
             for lo in range(0, len(C), step):
                 block = C[lo:lo + step]
                 corr[lo:lo + step] = (block[:, None, :] @ block[:, shifts])[:, 0]
@@ -286,8 +287,8 @@ class Spectrum:
         numerators, den**2) in the exact lane, (floats, None) in the float lane.
 
         groups is a sequence of rank arrays, each free of repeats; a 2-D
-        array (equal-size groups, such as tables.perp_index) is gathered a
-        block of groups at a time.  The float lane sums through the 0/1
+        array (equal-size groups, such as tables.perp_index) is read through
+        tables.blocked_sums.  The float lane sums through the 0/1
         (groups, size) mask, one matrix-vector product."""
         if self.lane == "exact":
             return _rationalize(self.correlations(), self.ctx.modulus, groups), self.den**2
@@ -320,21 +321,16 @@ def _rationalize(C: np.ndarray, N: int, groups=None) -> np.ndarray:
 def _group_sums(x: np.ndarray, groups) -> np.ndarray:
     """(G, c) sums x[g].sum(axis=0) per group g of row indexes of x (size, c).
 
-    Column by column, each column is gathered through a block of groups
-    converted once to intp: a block of a 2-D array of equal-size groups
-    holds about _BLOCK_BYTES of index, and any other group is a block of
-    its own."""
+    A 2-D array of equal-size groups is read column by column through
+    tables.blocked_sums; any other groups are summed one group at a time."""
+    out = np.empty((len(groups), x.shape[1]), dtype=x.dtype)
     if isinstance(groups, np.ndarray) and groups.ndim == 2:
-        step = max(1, _BLOCK_BYTES // (8 * groups.shape[1]))
-        blocks = [(lo, groups[lo:lo + step]) for lo in range(0, len(groups), step)]
+        for c, column in enumerate(np.ascontiguousarray(x.T)):
+            for lo, sums in tables.blocked_sums(column, groups):
+                out[lo:lo + len(sums), c] = sums
     else:
-        blocks = [(i, np.asarray(g)[None]) for i, g in enumerate(groups)]
-    columns = np.ascontiguousarray(x.T)
-    out = np.empty((len(groups), len(columns)), dtype=x.dtype)
-    for lo, block in blocks:
-        block = block.astype(np.intp)
-        for c, column in enumerate(columns):
-            out[lo:lo + len(block), c] = column[block].sum(axis=1)
+        for i, g in enumerate(groups):
+            out[i] = x[g].sum(axis=0)
     return out
 
 
@@ -422,27 +418,24 @@ def xray_transform(f: Density, u: ProjDirection, pivot_rule: str = "first") -> D
 
 
 def xray_all(f: Density, pivot_rule: str = "first"):
-    """X-ray numerators along every direction at once.
+    """X-ray line sums along every direction at once.
 
     Exact lane: (P, size/N) int64 numerators over denominator den*N,
-    under the headroom check.  They are summed a block of directions at a
-    time, as coset_maxima does for one row: the block's table rows are
-    converted once to intp (numpy gathers faster through it) and the
-    gathered (directions, size/N, N) block, about _BLOCK_BYTES, is summed
-    over its lines, so no (P, size/N, N) array is built.  Float lane:
-    (P, size/N) values from one gather summed along each line; its bits
-    depend on that order.
+    under the headroom check.  Float lane: (P, size/N) values and None.
+    The lines are the rows of the line table, summed a block of directions
+    at a time by tables.blocked_sums, so no (P, size/N, N) gather is built;
+    float sums are bit for bit those of one whole gather.
     """
     N = f.ctx.modulus
     table = tables.coset_table(f.ctx, 1, pivot_rule)[0]
-    if f.lane == "float":
-        return f.data[table].sum(axis=2) / N, None
-    _check_headroom(_abs_max(f.num) * N)  # bounds every line sum
-    sums = np.empty(table.shape[:2], dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (8 * table[0].size))
-    for lo in range(0, len(table), step):
-        sums[lo:lo + step] = np.einsum("fqj->fq", f.num[table[lo:lo + step].astype(np.intp)])
-    return sums, f.den * N
+    exact = f.lane == "exact"
+    if exact:
+        _check_headroom(_abs_max(f.num) * N)  # bounds every line sum
+    values = f.num if exact else f.data
+    sums = np.empty(table.shape[:2], dtype=values.dtype)
+    for lo, block in tables.blocked_sums(values, table):
+        sums[lo:lo + len(block)] = block
+    return (sums, f.den * N) if exact else (sums / N, None)
 
 
 def xray_l2_spectral(f: Density | Spectrum):

@@ -10,9 +10,9 @@ flat U through the origin is a submodule, so the mass of |f| on a + U
 depends only on the coset of a: coset_maxima reads tables.coset_table,
 sums each coset once, and takes the largest coset sum per flat, for a
 whole stack of rows (every X-ray of a density, say).  It works point-major:
-a chunk of rows is held as (points, rows), so every gathered point copies
-its values for all rows of the chunk at once, and the points of each coset
-are added slab by slab into an accumulator for a block of flats.
+a chunk of rows is held as (points, rows), and tables.blocked_sums adds
+the points of each coset, a block of flats at a time, so every gathered
+point copies its values for all rows of the chunk at once.
 Both operators are one row of it.  The witness is the lexicographically
 least achieving shift, which is the least rank among the cosets that
 reach the maximum.  The exact lane sums int64 numerators under the
@@ -28,13 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from . import tables
 from .geometry import proj_size
-from .harmonic import Density, _abs_max, _check_headroom
+from .harmonic import _INT_HEADROOM, Density, _abs_max, _check_headroom
 from .ring import RingContext, scale
 
 
@@ -64,18 +63,14 @@ class MaximalProfile:
         return max(self.values)
 
 
-# Two budgets, both in bytes of int64.  A chunk of rows is taken point-major
-# as (size, rows) and holds about _CHUNK_BYTES: each gathered index then
-# copies one contiguous value per row, which pays only when chunks are
-# wide (about 130 rows on padic(5,3,2); at 6 rows a stack there ran 3x
-# slower).  Within a chunk the flats go in blocks whose accumulator and
-# whose index, converted once from the int32 table (numpy gathers faster
-# through intp), each hold at most about _BLOCK_BYTES, small enough to stay
-# in cache; for one row the index is the whole gather.  A tall stack
-# gathered at once could take tens of GiB (the induced X-rays of
-# profinite(3,3) band 3 would take about 45 GiB).
+# Bytes of int64 in a chunk of rows, taken point-major as (size, rows):
+# each gathered index then copies one contiguous value per row, which pays
+# only when chunks are wide (about 130 rows on padic(5,3,2); at 6 rows a
+# stack there ran 3x slower).  A tall stack gathered at once could take
+# tens of GiB (the induced X-rays of profinite(3,3) band 3 would take
+# about 45 GiB).  Within a chunk, tables.blocked_sums sizes the blocks of
+# flats.
 _CHUNK_BYTES = 1 << 24
-_BLOCK_BYTES = 1 << 18
 
 
 def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, pivot_rule: str = "first",
@@ -92,41 +87,31 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, pivot_rule: str = "
     share its sum, so that is the lex-least achieving shift.
 
     The sums run point-major: a chunk of rows (about _CHUNK_BYTES) is
-    taken as |rows|.T, shape (size, rows), and for each block of flats
-    (about _BLOCK_BYTES) the N**k points of every coset are added into a
-    (flats, size // N**k, rows) accumulator one table[:, :, j] slab at a
-    time.  A chunk of one row is one gather per block, summed over the
-    coset axis.  Float sums therefore depend on the chunking in their last
-    bits; integer sums do not.
+    taken as |rows|.T, shape (size, rows), and tables.blocked_sums adds
+    the N**k points of every coset for a block of flats; a chunk of one
+    row goes in as that row.  Float sums therefore depend on the chunking
+    in their last bits; integer sums do not.
     """
     table, least = tables.coset_table(ctx, k, pivot_rule)
-    nflats, ncosets, npts = table.shape
     exact = rows.dtype.kind == "i"
     if exact:  # the largest |row entry|, without an abs copy of the stack
         _check_headroom(_abs_max(rows) * ctx.modulus**k)
     dtype = np.int64 if exact else rows.real.dtype
     step = max(1, _CHUNK_BYTES // (8 * ctx.size))
-    best = np.empty((len(rows), nflats), dtype=dtype)
+    best = np.empty((len(rows), len(table)), dtype=dtype)
     arg = np.empty(best.shape, dtype=np.int64) if witnesses else None
     for lo in range(0, len(rows), step):
         a = np.ascontiguousarray(np.abs(rows[lo:lo + step]).T, dtype=dtype)  # (size, r)
         if index is not None:
             a = a[index]
-        width = a.shape[1]
-        block = max(1, _BLOCK_BYTES // (8 * ncosets * max(npts, width)))
-        for f0 in range(0, nflats, block):
-            t = table[f0:f0 + block].astype(np.intp)
-            if width == 1:
-                sums = np.einsum("fqj->fq", a[:, 0][t])[..., None]
-            else:
-                sums = a[t[:, :, 0]]
-                for j in range(1, npts):
-                    sums += a[t[:, :, j]]
-            top = sums.max(axis=1)  # (flats in the block, r)
-            best[lo:lo + step, f0:f0 + block] = top.T
+        for f0, sums in tables.blocked_sums(a[:, 0] if a.shape[1] == 1 else a, table):
+            sums = sums.reshape(*sums.shape[:2], -1)  # (flats in the block, cosets, r)
+            f1 = f0 + len(sums)
+            top = sums.max(axis=1)
+            best[lo:lo + step, f0:f1] = top.T
             if witnesses:
-                arg[lo:lo + step, f0:f0 + block] = np.where(
-                    sums == top[:, None], least[f0:f0 + block, :, None], ctx.size).min(axis=1).T
+                arg[lo:lo + step, f0:f1] = np.where(
+                    sums == top[:, None], least[f0:f1, :, None], ctx.size).min(axis=1).T
     return (best, arg) if witnesses else best
 
 
@@ -180,54 +165,25 @@ def mweight(f: Density, p: int) -> int:
 
         max over u, z in L_0(u) of sum_{x in L_p(u)} f((x, z)).
 
-    Over a prime-power modulus this is simply max_u f_star(u).
+    Over a prime-power modulus this is simply max_u f_star(u).  The
+    witness line is the line-table row whose least rank is the witness;
+    its points step along u for t = 0..N-1, so those with one mod-N0
+    component z are those with t fixed mod N0: a column of the row taken
+    as (p**k, N0).
     """
     ctx = f.ctx
-    N, n = ctx.modulus, ctx.dimension
+    N = ctx.modulus
     if N % p:
         raise ValueError(f"{p} does not divide the modulus {N}")
     if f.lane != "exact" or f.den != 1 or (f.num < 0).any():
         raise ValueError("mweight needs a nonnegative integer-valued density")
     q = 1
-    rest = N
-    while rest % p == 0:
-        rest //= p
+    while N % (q * p) == 0:
         q *= p
-    prof = line_maximal(f)
-    best = 0
-    for u, a in zip(prof.keys, prof.witnesses):
-        line_pts_p = _line_points(a, u.rep, q, n)
-        line_pts_0 = _line_points(a, u.rep, rest, n)
-        for z in line_pts_0:
-            total = 0
-            for x in line_pts_p:
-                point = _combine_point(x, z, q, rest, N, n)
-                total += int(f.num[ctx.rank(point)])
-            best = max(best, total)
-    return best
-
-
-def _line_points(a: Sequence[int], u: Sequence[int], m: int, n: int) -> list[tuple[int, ...]]:
-    if m == 1:
-        return [(0,) * n]
-    seen = []
-    got = set()
-    for t in range(m):
-        pt = tuple((a[i] + t * u[i]) % m for i in range(n))
-        if pt not in got:
-            got.add(pt)
-            seen.append(pt)
-    return seen
-
-
-def _combine_point(x: Sequence[int], z: Sequence[int], q: int, rest: int, N: int, n: int) -> tuple[int, ...]:
-    if rest == 1:
-        return tuple(x)
-    if q == 1:
-        return tuple(z)
-    inv_q = pow(q, -1, rest)
-    inv_r = pow(rest, -1, q)
-    return tuple((x[i] * rest * inv_r + z[i] * q * inv_q) % N for i in range(n))
+    table, least = tables.coset_table(ctx, 1, "first")
+    arg = coset_maxima(f.num[None], ctx, 1, witnesses=True)[1][0]
+    rows = table[np.arange(len(table)), (least == arg[:, None]).argmax(axis=1)]
+    return int(f.num[rows].reshape(len(rows), q, N // q).sum(axis=1).max())
 
 
 def rounding_g(f: Density) -> Density:
@@ -243,8 +199,8 @@ def rounding_g(f: Density) -> Density:
     N = ctx.modulus
     if (f.num < 0).any() or (f.num > f.den).any():
         raise ValueError("rounding requires 0 <= f <= 1")
-    scaled = np.array([-((-int(v) * N) // f.den) for v in f.num], dtype=np.int64)
-    return Density(ctx, num=scaled, den=N)
+    num = f.num if f.den * N < _INT_HEADROOM else f.num.astype(object)  # num * N <= den * N
+    return Density(ctx, num=-(-num * N // f.den), den=N)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +240,14 @@ def _later_primes_block(factors, n: int) -> Fraction:
 
 
 def maxN_constant(f: Density, ctx: RingContext) -> Fraction:
+    """The integer-density bound constant at mw = mweight(f, p_1)."""
+    return _maxN_at_weight(mweight(f, ctx.factorization[0][0]), ctx)
+
+
+def _maxN_at_weight(mw: int, ctx: RingContext) -> Fraction:
     """The integer-density bound constant, evaluated factor by factor.
 
-    With N = p_1**k_1 ... p_r**k_r (primes ascending) and
-    mw = mweight(f, p_1):
+    With N = p_1**k_1 ... p_r**k_r (primes ascending) and weight mw:
 
         first  = 1 / (2 (ln mw + 1) ceil(log_{p_1} mw + log_{p_1} n))
         last   = 1 / (2 (k_r + ceil(log_{p_r} n)))
@@ -301,7 +261,6 @@ def maxN_constant(f: Density, ctx: RingContext) -> Fraction:
     n = ctx.dimension
     factors = ctx.factorization
     p1 = factors[0][0]
-    mw = mweight(f, p1)
     ceil_term = _ceil_log(p1, mw * n)
     first = 1 / (2 * (_ln(mw) + 1) * ceil_term)
     if len(factors) == 1:
@@ -380,8 +339,8 @@ def chain_constant(ctx: RingContext, depth: int) -> ChainConstant:
 class ConstantLedger:
     """All explicit constants for one ring, ready for serialization.
 
-    maxN_reference is the integer-density constant evaluated on the
-    single-point indicator (weight 1), the cleanest reproducible anchor.
+    maxN_reference is the integer-density constant at weight 1, the
+    mweight of a single-point indicator: the cleanest reproducible anchor.
     """
 
     modulus: int
@@ -392,9 +351,8 @@ class ConstantLedger:
 
 
 def constant_ledger(ctx: RingContext, depth: int | None = None) -> ConstantLedger:
-    point = Density.indicator(ctx, [(0,) * ctx.dimension])
     chain = None
     if ctx.dimension >= 3:
         chain = chain_constant(ctx, ctx.num_bands if depth is None else depth)
-    return ConstantLedger(ctx.modulus, ctx.dimension, maxN_constant(point, ctx),
+    return ConstantLedger(ctx.modulus, ctx.dimension, _maxN_at_weight(1, ctx),
                           appendix_constant(ctx.modulus, ctx.dimension), chain)

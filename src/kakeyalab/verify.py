@@ -21,8 +21,9 @@ import numpy as np
 
 from . import search, tables
 from .geometry import proj_size
-from .harmonic import (Density, band_constant, band_project, fourier_forward,
-                       fourier_inverse, induce_rows, power_sum, xray_all, xray_l2_spectral)
+from .harmonic import (_INT_HEADROOM, Density, _abs_max, band_constant, band_project,
+                       fourier_forward, fourier_inverse, induce_rows, power_sum, xray_all,
+                       xray_l2_spectral)
 from .maximal import (appendix_constant, chain_constant, coset_maxima,
                       flat_maximal, line_maximal, rounding_g)
 from .ring import Generic, RingContext, scale
@@ -361,7 +362,10 @@ def verify_rounding(ctx: RingContext, trials: int, seed: int) -> VerificationRep
     for t in range(trials):
         f = _unit_box_density(ctx, seed, t)
         g = rounding_g(f)
-        if not all(gv >= fv for gv, fv in zip(g.values(), f.values())):
+        gn, fn = g.num, f.num  # g >= f is g.num * f.den >= f.num * g.den
+        if max(_abs_max(gn) * f.den, _abs_max(fn) * g.den) >= _INT_HEADROOM:
+            gn, fn = gn.astype(object), fn.astype(object)
+        if not (gn * f.den >= fn * g.den).all():
             ok = False
             witness = {"trial": t, "failure": "g < f somewhere"}
         lhs = g.power_mean(n) * ctx.size

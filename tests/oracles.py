@@ -300,3 +300,37 @@ def projmax_identity_check(f_band: Density, u) -> dict:
         rows.append({"quotient_direction": w.rep, "plane_value": lhs, "line_value": rhs})
     return {"direction": u.rep, "entries": rows, "worst_discrepancy": worst,
             "equal": worst == 0}
+
+
+def mweight_lines(f: Density, p: int) -> int:
+    """mweight by its definition, point by point over Python ints: the
+    f_star witness line split into its mod-p**k and mod-N0 point sets,
+    each point of a sub-line rebuilt from its two components by the CRT."""
+    ctx = f.ctx
+    N, n = ctx.modulus, ctx.dimension
+    q, rest = 1, N
+    while rest % p == 0:
+        rest //= p
+        q *= p
+
+    def line_points(a, u, m):
+        seen = []
+        for t in range(m):
+            pt = tuple((a[i] + t * u[i]) % m for i in range(n))
+            if pt not in seen:
+                seen.append(pt)
+        return seen
+
+    def combine(x, z):
+        if rest == 1:
+            return tuple(x)
+        return tuple((x[i] * rest * pow(rest, -1, q) + z[i] * q * pow(q, -1, rest)) % N
+                     for i in range(n))
+
+    prof = line_maximal(f)
+    best = 0
+    for u, a in zip(prof.keys, prof.witnesses):
+        for z in line_points(a, u.rep, rest):
+            best = max(best, sum(int(f.num[ctx.rank(combine(x, z))])
+                                 for x in line_points(a, u.rep, q)))
+    return best

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -227,3 +228,29 @@ def test_verify_all_report_bytes_are_frozen(seed, capsys):
     code, out = run_cli(["verify", "all", "--trials", "5", "--seed", str(seed)], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[seed]
+
+
+# sha256 of the default JSON of `kakeyalab constants` on two rings, frozen
+# like GOLDEN_REPORTS.
+GOLDEN_LEDGERS = {
+    ("--mode", "padic", "-p", "2", "-l", "3", "-n", "3"):
+        "35477a4996d300691ff8fb6a3e0a41a30d2adb6ffa7a869ca730a5b3681abac5",
+    ("--mode", "profinite", "-L", "2", "-n", "3"):
+        "9d9048e917be1a8283292c6f54a2d8f94acb7d5f1b365979fe6a3132ef02054e",
+}
+
+
+@pytest.mark.parametrize("ring", sorted(GOLDEN_LEDGERS), ids=" ".join)
+def test_constants_bytes_are_frozen(ring, capsys):
+    code, out = run_cli(["constants", *ring], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LEDGERS[ring]
+
+
+def test_constants_build_nothing_ring_sized(capsys):
+    # padic(2,10,3) has 2**30 points; the ledger evaluates its reference
+    # constant at weight 1, so no density or line table of that size is built
+    start = time.perf_counter()
+    code, out = run_cli(["constants", "--mode", "padic", "-p", "2", "-l", "10", "-n", "3"], capsys)
+    assert code == 0 and json.loads(out)["ledger"]
+    assert time.perf_counter() - start < 10

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import kakeyalab.harmonic as harmonic
 from kakeyalab import tables
 from kakeyalab.geometry import canonical_direction, enumerate_proj, proj_size
 from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _band_project_spectral,
@@ -156,7 +155,7 @@ class TestMasses:
         # blocks of one and of two groups, the last block ragged (117 groups)
         ctx = RingContext.padic(3, 2, 3)
         perp = tables.perp_index(ctx)
-        monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 8 * perp.shape[1] * rows)
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * perp.shape[1] * rows)
         s = fourier_forward(random_density(ctx, seed=35))
         assert s.masses(perp)[0].tolist() == masses_dense(s, orthogonality_mask(ctx))[0].tolist()
 
@@ -167,7 +166,7 @@ class TestCorrelations:
         # 27 rows in blocks of 1, 2 and 4 rows: every last block but the
         # first is ragged
         ctx = RingContext.padic(3, 1, 3)
-        monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 8 * 3 * 3 * rows)
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * 3 * 3 * rows)
         for t, dist in enumerate(DISTRIBUTIONS):
             s = fourier_forward(random_density(ctx, seed=37, dist=dist, trial=t))
             assert s.correlations().tolist() == correlations_roll(s).tolist()
@@ -263,7 +262,7 @@ class TestXray:
     def test_xray_all_blocks(self, monkeypatch, rows):
         # blocks of one and of five directions (117 directions)
         ctx = RingContext.padic(3, 2, 3)
-        monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 8 * ctx.size * rows)
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * ctx.size * rows)
         f = random_density(ctx, seed=46)
         assert xray_all(f)[0].tolist() == xray_all_gather(f).tolist()
 
@@ -273,7 +272,7 @@ class TestXray:
         ctx = RingContext.padic(3, 2, 3)
         f = random_density(ctx, seed=47)
         full = 8 * tables.coset_table(ctx, 1, "first")[0].size
-        monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 1 << 14)
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
         xray_all(f)  # warm any lazy state
         tracemalloc.start()
         try:
@@ -282,6 +281,39 @@ class TestXray:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * (1 << 14) + 2 * nums.nbytes
+        assert full > 4 * peak
+
+    @pytest.mark.parametrize("rows", [1, 5, None])
+    @pytest.mark.parametrize("ctx", [RingContext.padic(3, 2, 3), RingContext.generic(12, 2)],
+                             ids=lambda c: c.describe())
+    def test_float_xray_all_is_the_whole_gather(self, monkeypatch, ctx, rows):
+        # bit for bit, on real and complex rows, with blocks of one and of
+        # five directions and at the default budget
+        if rows is not None:
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * ctx.size * rows)
+        table = tables.coset_table(ctx, 1, "first")[0]
+        rng = np.random.default_rng(48)
+        for f in (random_density(ctx, seed=48, lane="float"),
+                  Density.from_float(ctx, rng.normal(size=ctx.size) + 1j * rng.normal(size=ctx.size))):
+            values, den = xray_all(f)
+            assert den is None
+            assert np.array_equal(values, f.data[table].sum(axis=2) / ctx.modulus)
+
+    def test_float_xray_all_builds_no_line_gather(self, monkeypatch):
+        # the float lane holds a block of the gather and of its intp index,
+        # never the (P, size/N, N) gather
+        ctx = RingContext.padic(3, 2, 3)
+        f = random_density(ctx, seed=47, lane="float")
+        full = 8 * tables.coset_table(ctx, 1, "first")[0].size
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
+        xray_all(f)  # warm any lazy state
+        tracemalloc.start()
+        try:
+            values, _ = xray_all(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (1 << 14) + 3 * values.nbytes
         assert full > 4 * peak
 
     @given(st.lists(st.integers(-(2**62), 2**62), min_size=4, max_size=4), st.integers(0, 3))
@@ -411,6 +443,15 @@ class TestDensityArithmetic:
             brute = sum(abs(v) ** p for v in num)
             assert f.power_mean(p) == Fraction(brute, 3**p * ctx.size)
             assert f.abs().power_mean(p) == f.power_mean(p)
+
+    @pytest.mark.parametrize("op", [lambda f: f + f, lambda f: f - f, lambda f: -f,
+                                    lambda f: f.abs()], ids=["add", "sub", "neg", "abs"])
+    def test_min_int64_raises(self, op):
+        # -2**63 has no int64 negation: f + f wrapped to [0, 0], and -f and
+        # f.abs() gave -2**63 back
+        f = Density.from_numden(RingContext.padic(2, 1, 1), [-(2**63), 0], 1)
+        with pytest.raises(OverflowError):
+            op(f)
 
     def test_power_mean_min_int64_and_zero(self):
         ctx = RingContext.padic(2, 1, 1)

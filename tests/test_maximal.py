@@ -17,7 +17,7 @@ from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
                                mweight, rounding_g)
 from kakeyalab.ring import RingContext
 from kakeyalab.verify import DISTRIBUTIONS, random_density
-from oracles import projmax_identity_check
+from oracles import mweight_lines, projmax_identity_check
 
 
 def brute_line_max(f, u, ctx):
@@ -240,7 +240,7 @@ class TestCosetMaxima:
                          * (r + 1) for r in range(7)])
         monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
         for block_bytes, k in itertools.product((1, 3000, 1 << 30), (1, 2)):
-            monkeypatch.setattr(maximal, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", block_bytes)
             npts = ctx.modulus**k
             sets = line_point_sets(ctx) if k == 1 else [flat_points(F) for F in tables.flats(ctx, k)]
             best, least = coset_maxima(rows, ctx, k, witnesses=True)
@@ -276,7 +276,7 @@ class TestCosetMaxima:
         rows = np.random.default_rng(8).integers(-(2**20), 2**20, (117, ctx.size))
         table, _ = tables.coset_table(ctx, 1, "first")
         monkeypatch.setattr(maximal, "_CHUNK_BYTES", 1 << 16)
-        monkeypatch.setattr(maximal, "_BLOCK_BYTES", 1 << 14)
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
         for stack in (rows, rows[:1]):
             coset_maxima(stack, ctx, 1, witnesses=True)  # warm any lazy state
             tracemalloc.start()
@@ -361,6 +361,20 @@ class TestMweight:
                 best = max(best, total)
         assert got == best
 
+    @pytest.mark.parametrize("ctx", [RingContext.generic(6, 2), RingContext.generic(12, 2),
+                                     RingContext.generic(30, 2), RingContext.generic(10, 3),
+                                     RingContext.generic(12, 3), RingContext.profinite(2, 3)],
+                             ids=lambda c: c.describe())
+    def test_matches_line_oracle_for_every_prime(self, ctx):
+        # the coset-table sub-line sums equal the point-by-point CRT lines
+        rng = np.random.default_rng(ctx.modulus)
+        densities = [random_density(ctx, seed=70, dist=dist, trial=t)
+                     for t, dist in enumerate(("sparse", "sparse", "flat-supported", "ball"))]
+        densities.append(Density.from_numden(ctx, rng.integers(0, 10, ctx.size), 1))
+        for f in densities:
+            for p, _ in ctx.factorization:
+                assert mweight(f, p) == mweight_lines(f, p)
+
     def test_rejects_non_divisor(self):
         ctx = RingContext.padic(3, 1, 2)
         with pytest.raises(ValueError):
@@ -387,6 +401,14 @@ class TestRounding:
         ctx = RingContext.padic(2, 1, 2)
         with pytest.raises(ValueError):
             rounding_g(Density.constant(ctx, 2))
+
+    def test_past_int64_headroom(self):
+        # den * N past 2**61: the rounding runs over Python ints
+        ctx = RingContext.padic(2, 1, 2)
+        den = 2**61 - 1
+        f = Density.from_numden(ctx, [0, 1, den // 2, den], den)
+        want = tuple(Fraction(math.ceil(2 * v), 2) for v in f.values())
+        assert rounding_g(f).values() == want
 
     def test_mass_bound(self):
         from kakeyalab.verify import _unit_box_density
