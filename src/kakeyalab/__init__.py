@@ -1,13 +1,11 @@
 """kakeyalab: an exact computational laboratory for maximal Kakeya
 estimates, X-ray transforms and extremal set searches over (Z/NZ)^n."""
 
-from .ring import (DualFrequency, Generic, PAdic, Profinite, RingContext,
-                   ScaleOverflowError, ScaleSemantics, crt_combine, crt_split,
-                   dual_frequency, dual_valuation, factorize, scale)
-from .geometry import (EnumerationCapError, Flat, ProjDirection, QuotientChart,
-                       canonical_direction, canonical_flat, enumerate_grassmannian,
-                       enumerate_proj, flat_points, gr_size, lift_direction,
-                       line_crt_decompose, proj_size, quotient_chart)
+from .ring import (Generic, PAdic, Profinite, RingContext, ScaleOverflowError,
+                   ScaleSemantics, factorize, scale)
+from .geometry import (EnumerationCapError, Flat, ProjDirection, canonical_direction,
+                       enumerate_grassmannian, enumerate_proj, flat_points, gr_size,
+                       proj_size)
 from .cyclotomic import cyclotomic_poly
 from .harmonic import (ConstancyError, Density, Spectrum, band_constant,
                        band_project, band_valuation_sets, fourier_forward,

@@ -17,7 +17,7 @@ from .geometry import EnumerationCapError, canonical_direction
 from .harmonic import (Density, band_constant, band_project, band_valuation_sets,
                        fourier_forward, fourier_inverse, xray_transform)
 from .maximal import appendix_constant, chain_constant, flat_maximal, line_maximal
-from .ring import RingContext, ScaleSemantics
+from .ring import RingContext, ScaleSemantics, ScaleUndefinedError
 from .search import BudgetExceeded, exact_min_kakeya, greedy_kakeya
 
 EXIT_OK = 0
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except EnumerationCapError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_RESOURCE
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, ScaleUndefinedError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
 

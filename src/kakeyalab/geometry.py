@@ -1,10 +1,15 @@
-"""Projective directions, Grassmannians, flats and quotients over Z/NZ.
+"""Projective directions, Grassmannians and flats over Z/NZ.
 
 A direction is a point of P (Z/NZ)^(n-1) = Gr((Z/NZ)^n, 1); a k-flat is a
 rank-k free direct summand given by a k x n generator matrix whose k x k
 minors include a unit modulo every prime dividing N.  Canonical forms are
 chosen per prime-power CRT component and recombined, which keeps every
 object unique, cheap to compare and stable under enumeration order.
+
+Nothing here works object by object on quotients: the quotient chart
+along a direction, the lift of a quotient direction to a 2-flat and the
+CRT split of a line are read off the coset table (tables.coset_table,
+tables.lift_map, maximal.mweight).
 """
 from __future__ import annotations
 
@@ -41,8 +46,8 @@ class ProjDirection:
 @dataclass(frozen=True)
 class Flat:
     """Canonical k-flat: generator matrix in per-component reduced echelon
-    form with unit pivots scaled to 1, plus a basepoint reduced modulo the
-    generated submodule (zero for subspaces)."""
+    form with unit pivots scaled to 1, plus a basepoint (zero for the
+    subspaces that enumerate_grassmannian lists)."""
 
     modulus: int
     k: int
@@ -166,69 +171,6 @@ def enumerate_proj(ctx: RingContext, cap: int | None = None) -> list[ProjDirecti
     return out
 
 
-def _component_rref(rows: Sequence[Sequence[int]], q: int, p: int, n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Reduced echelon form over Z/qZ with unit pivots scaled to 1.
-
-    Uniqueness: restricting the result to its pivot columns gives the
-    identity, so two reduced matrices generating the same submodule are
-    equal entrywise.
-    """
-    work = [[c % q for c in row] for row in rows]
-    k = len(work)
-    placed: list[tuple[int, int]] = []
-    remaining = list(range(k))
-    for col in range(n):
-        hit = None
-        for ri in remaining:
-            if work[ri][col] % p:
-                hit = ri
-                break
-        if hit is None:
-            continue
-        remaining.remove(hit)
-        inv = pow(work[hit][col], -1, q)
-        work[hit] = [c * inv % q for c in work[hit]]
-        for rj in range(k):
-            if rj != hit and work[rj][col] % q:
-                f = work[rj][col]
-                work[rj] = [(a - f * b) % q for a, b in zip(work[rj], work[hit])]
-        placed.append((col, hit))
-        if len(placed) == k:
-            break
-    if len(placed) < k:
-        raise ValueError(f"generators have no unit {k}x{k} minor mod {p}")
-    ordered = [tuple(work[ri]) for _, ri in placed]
-    return ordered, [col for col, _ in placed]
-
-
-def canonical_flat(rows: Sequence[Sequence[int]], ctx: RingContext,
-                   basepoint: Sequence[int] | None = None) -> Flat:
-    """Canonicalize a generator matrix (and optional basepoint) to a Flat.
-
-    The basepoint is reduced to the unique coset representative vanishing
-    on the pivot columns of each CRT component.
-    """
-    N, n = ctx.modulus, ctx.dimension
-    k = len(rows)
-    base = [0] * n if basepoint is None else [c % N for c in basepoint]
-    if N == 1:
-        return Flat(1, k, tuple(tuple(0 for _ in range(n)) for _ in range(k)), (0,) * n)
-    comp_rows = []
-    comp_base = []
-    for p, r in ctx.factorization:
-        q = p**r
-        rref, pivots = _component_rref(rows, q, p, n)
-        b = [c % q for c in base]
-        for col, row in zip(pivots, rref):
-            f = b[col]
-            if f:
-                b = [(a - f * g) % q for a, g in zip(b, row)]
-        comp_rows.append(rref)
-        comp_base.append(tuple(b))
-    gens = tuple(_combine_vectors([comp[i] for comp in comp_rows], N) for i in range(k))
-    return Flat(N, k, gens, _combine_vectors(comp_base, N))
-
-
 def _component_flats(q: int, p: int, n: int, k: int) -> Iterable[tuple[tuple[int, ...], ...]]:
     """Canonical rank-k echelon matrices over Z/qZ, one per submodule."""
     nonunits = range(0, q, p)
@@ -283,106 +225,3 @@ def flat_points(flat: Flat) -> frozenset[tuple[int, ...]]:
     if len(pts) != N**flat.k:
         raise ValueError(f"flat spans {len(pts)} points, expected {N**flat.k}")
     return frozenset(pts)
-
-
-# ---------------------------------------------------------------------------
-# quotients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotientChart:
-    """Coordinates on Q_u = (Z/NZ)^n / <u>, isomorphic to (Z/NZ)^(n-1).
-
-    Built per CRT component by eliminating one unit coordinate of u (a
-    globally unit coordinate may not exist, e.g. (2,3) mod 6).  forward
-    has fibers exactly the cosets of <u>; section reinserts 0 at the
-    eliminated coordinate of each component, so forward o section = id.
-    Both maps are linear, which downstream identities rely on.
-    """
-
-    direction: ProjDirection
-    modulus: int
-    dimension: int
-    components: tuple[tuple[int, int, tuple[int, ...]], ...]  # (q, pivot, u mod q)
-
-    def forward(self, x: Sequence[int]) -> tuple[int, ...]:
-        N = self.modulus
-        comp_values = []
-        for q, pivot, uc in self.components:
-            t = x[pivot] % q
-            reduced = [(x[i] - t * uc[i]) % q for i in range(self.dimension) if i != pivot]
-            comp_values.append(reduced)
-        return _combine_vectors(comp_values, N)
-
-    def section(self, y: Sequence[int]) -> tuple[int, ...]:
-        N = self.modulus
-        comp_values = []
-        for q, pivot, _ in self.components:
-            lifted = [c % q for c in y]
-            lifted.insert(pivot, 0)
-            comp_values.append(lifted)
-        return _combine_vectors(comp_values, N)
-
-
-def quotient_chart(u: ProjDirection, ctx: RingContext, pivot_rule: str = "first") -> QuotientChart:
-    """Chart for the quotient along u.
-
-    pivot_rule "last" eliminates the last unit coordinate instead of the
-    first; identities verified downstream must not depend on the choice,
-    and the test suite re-runs one of them under the alternate rule.
-    """
-    if ctx.dimension < 2:
-        raise ValueError("quotient requires dimension >= 2")
-    N = ctx.modulus
-    comps = []
-    for p, r in ctx.factorization:
-        q = p**r
-        uc = tuple(c % q for c in u.rep)
-        units = [j for j, c in enumerate(uc) if c % p]
-        if not units:
-            raise ValueError("direction is not canonical for this ring")
-        pivot = units[0] if pivot_rule == "first" else units[-1]
-        if uc[pivot] != 1:
-            inv = pow(uc[pivot], -1, q)
-            uc = tuple(c * inv % q for c in uc)
-        comps.append((q, pivot, uc))
-    return QuotientChart(u, N, ctx.dimension, tuple(comps))
-
-
-def lift_direction(u: ProjDirection, w: ProjDirection, ctx: RingContext) -> Flat:
-    """The unique 2-flat containing <u> whose image in Q_u is <w>.
-
-    For fixed u this map is a bijection from P Q_u onto the 2-flats
-    containing u; w must be a canonical direction of the quotient ring.
-    """
-    qctx = ctx.quotient()
-    if w != canonical_direction(w.rep, qctx):
-        raise ValueError(f"{w.rep} is not a canonical direction of the quotient")
-    chart = quotient_chart(u, ctx)
-    s = chart.section(w.rep)
-    return canonical_flat([u.rep, s], ctx)
-
-
-def line_crt_decompose(line: Flat, p: int) -> tuple[Flat, Flat]:
-    """Split a line mod p**k * N0 into its line mod p**k and line mod N0.
-
-    The point set of the input equals the CRT product of the two
-    component point sets (gcd(p, N0) = 1 required).
-    """
-    if line.k != 1:
-        raise ValueError("only lines (k = 1) decompose this way")
-    N = line.modulus
-    if N % p:
-        raise ValueError(f"{p} does not divide the modulus {N}")
-    q = 1
-    rest = N
-    while rest % p == 0:
-        rest //= p
-        q *= p
-    n = line.dimension
-    ctx_p = RingContext.generic(q, n)
-    ctx_0 = RingContext.generic(rest, n)
-    line_p = canonical_flat([line.generators[0]], ctx_p, line.basepoint)
-    line_0 = canonical_flat([line.generators[0]], ctx_0, line.basepoint)
-    return line_p, line_0

@@ -29,7 +29,7 @@ import numpy as np
 from . import tables
 from .cyclotomic import reduction_matrix
 from .geometry import ProjDirection, proj_size
-from .ring import DualFrequency, PAdic, Profinite, RingContext, ScaleSemantics, scale
+from .ring import PAdic, Profinite, RingContext, ScaleSemantics, scale
 
 _INT_HEADROOM = 1 << 61
 
@@ -257,12 +257,6 @@ class Spectrum:
     def lane(self) -> str:
         return "float" if self.values is not None else "exact"
 
-    def frequencies(self) -> tuple[DualFrequency, ...]:
-        vals = tables.valuations(self.ctx)
-        grid = tables.coord_grid(self.ctx)
-        return tuple(DualFrequency(tuple(int(c) for c in grid[i]), int(vals[i]))
-                     for i in range(self.ctx.size))
-
     def correlations(self) -> np.ndarray:
         """(size, N) integer coefficients of den**2 * |f^(a)|**2 per a:
         corr[a, m] = sum_j C[a, j] C[a, j - m], one gather of the shifted
@@ -402,14 +396,14 @@ def fourier_inverse(s: Spectrum) -> Density:
 # ---------------------------------------------------------------------------
 
 
-def xray_transform(f: Density, u: ProjDirection, pivot_rule: str = "first") -> Density:
+def xray_transform(f: Density, u: ProjDirection) -> Density:
     """Pushforward of f to Q_u: f_u(y) = N**(-1) sum_t f(section(y) + t u).
 
     Mass is conserved: integral of f_u over Q_u equals integral of f.
     """
     ctx = f.ctx
     ui = tables.directions(ctx).index(u)
-    idx = tables.coset_table(ctx, 1, pivot_rule)[0][ui]
+    idx = tables.coset_table(ctx, 1)[0][ui]
     qctx = ctx.quotient()
     if f.lane == "exact":
         _check_headroom(_abs_max(f.num) * ctx.modulus)  # bounds every line sum
@@ -417,7 +411,7 @@ def xray_transform(f: Density, u: ProjDirection, pivot_rule: str = "first") -> D
     return Density(qctx, data=f.data[idx].sum(axis=1) / ctx.modulus)
 
 
-def xray_all(f: Density, pivot_rule: str = "first"):
+def xray_all(f: Density):
     """X-ray line sums along every direction at once.
 
     Exact lane: (P, size/N) int64 numerators over denominator den*N,
@@ -427,7 +421,7 @@ def xray_all(f: Density, pivot_rule: str = "first"):
     float sums are bit for bit those of one whole gather.
     """
     N = f.ctx.modulus
-    table = tables.coset_table(f.ctx, 1, pivot_rule)[0]
+    table = tables.coset_table(f.ctx, 1)[0]
     exact = f.lane == "exact"
     if exact:
         _check_headroom(_abs_max(f.num) * N)  # bounds every line sum
@@ -490,6 +484,13 @@ def band_valuation_sets(ctx: RingContext) -> tuple[frozenset[int], ...]:
     return tuple(bands)
 
 
+def _band(ctx: RingContext, i: int) -> frozenset[int]:
+    """The valuations of band i; an index outside 0..num_bands-1 is refused."""
+    if not 0 <= i < ctx.num_bands:
+        raise ValueError(f"band index {i} is outside 0..{ctx.num_bands - 1}")
+    return band_valuation_sets(ctx)[i]
+
+
 def _mobius(n: int) -> int:
     from .ring import factorize
 
@@ -514,7 +515,7 @@ def band_project(f: Density, i: int) -> Density:
     which stays in Q.  Bands partition the dual, so sum_i f_i = f exactly.
     """
     ctx = f.ctx
-    members = band_valuation_sets(ctx)[i]
+    members = _band(ctx, i)
     if f.lane == "float":
         return _band_project_spectral(f, members)
     N, n = ctx.modulus, ctx.dimension
@@ -553,7 +554,7 @@ def band_constant(i: int, m: int, ctx: RingContext) -> Fraction:
     In p-adic mode this is the ratio at M_i; an empty band yields 0.  The
     value never exceeds 1/min-band-valuation.
     """
-    members = band_valuation_sets(ctx)[i]
+    members = _band(ctx, i)
     if not members:
         return Fraction(0)
     return max(Fraction(proj_size(v, m - 1), proj_size(v, m)) for v in members)

@@ -73,8 +73,8 @@ class MaximalProfile:
 _CHUNK_BYTES = 1 << 24
 
 
-def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, pivot_rule: str = "first",
-                 witnesses: bool = False, index: np.ndarray | None = None):
+def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, witnesses: bool = False,
+                 index: np.ndarray | None = None):
     """The largest coset sum of |rows| per k-flat, for a stack of rows at once.
 
     rows is (R, size): int64 numerators (the exact lane, under the headroom
@@ -92,7 +92,7 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, pivot_rule: str = "
     row goes in as that row.  Float sums therefore depend on the chunking
     in their last bits; integer sums do not.
     """
-    table, least = tables.coset_table(ctx, k, pivot_rule)
+    table, least = tables.coset_table(ctx, k)
     exact = rows.dtype.kind == "i"
     if exact:  # the largest |row entry|, without an abs copy of the stack
         _check_headroom(_abs_max(rows) * ctx.modulus**k)
@@ -115,12 +115,12 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, pivot_rule: str = "
     return (best, arg) if witnesses else best
 
 
-def _maximal(f: Density, k: int, keys, pivot_rule: str = "first") -> MaximalProfile:
+def _maximal(f: Density, k: int, keys) -> MaximalProfile:
     """One row of coset_maxima, as exact or float values with witnesses."""
     ctx = f.ctx
     npts = ctx.modulus**k
     rows = f.num[None] if f.lane == "exact" else f.data[None]
-    best, arg = coset_maxima(rows, ctx, k, pivot_rule, witnesses=True)
+    best, arg = coset_maxima(rows, ctx, k, witnesses=True)
     witnesses = tuple(map(tuple, tables.coord_grid(ctx)[arg[0]].tolist()))
     if f.lane == "exact":
         values = tuple(Fraction(b, f.den * npts) for b in best[0].tolist())
@@ -129,14 +129,13 @@ def _maximal(f: Density, k: int, keys, pivot_rule: str = "first") -> MaximalProf
     return MaximalProfile(k, tuple(keys), values, witnesses)
 
 
-def line_maximal(f: Density, pivot_rule: str = "first") -> MaximalProfile:
+def line_maximal(f: Density) -> MaximalProfile:
     """maxop_1 over every direction of P (Z/NZ)^(n-1).
 
     Absolute values are taken inside, matching the operator definition;
-    nonnegative inputs are unaffected.  pivot_rule picks the line table's
-    row order only; values and witnesses do not depend on it.
+    nonnegative inputs are unaffected.
     """
-    return _maximal(f, 1, tables.directions(f.ctx), pivot_rule)
+    return _maximal(f, 1, tables.directions(f.ctx))
 
 
 def flat_maximal(f: Density, k: int) -> MaximalProfile:
@@ -180,7 +179,7 @@ def mweight(f: Density, p: int) -> int:
     q = 1
     while N % (q * p) == 0:
         q *= p
-    table, least = tables.coset_table(ctx, 1, "first")
+    table, least = tables.coset_table(ctx, 1)
     arg = coset_maxima(f.num[None], ctx, 1, witnesses=True)[1][0]
     rows = table[np.arange(len(table)), (least == arg[:, None]).argmax(axis=1)]
     return int(f.num[rows].reshape(len(rows), q, N // q).sum(axis=1).max())

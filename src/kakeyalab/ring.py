@@ -239,29 +239,6 @@ def scale(i: int, ctx: RingContext, beyond_truncation: bool = False) -> int:
     return m
 
 
-def dual_valuation(a: Sequence[int], N: int) -> int:
-    """Least positive v with v*a = 0 in ((Z/NZ)^n)^, i.e. N/gcd(a_1,...,a_n,N).
-
-    The zero frequency has valuation 1, matching M_0 = 1.
-    """
-    g = N
-    for c in a:
-        g = math.gcd(g, c % N)
-    return N // g
-
-
-@dataclass(frozen=True)
-class DualFrequency:
-    """A dual-group element together with its valuation (v | N always)."""
-
-    components: tuple[int, ...]
-    valuation: int
-
-
-def dual_frequency(a: Sequence[int], N: int) -> DualFrequency:
-    return DualFrequency(tuple(c % N for c in a), dual_valuation(a, N))
-
-
 @lru_cache(maxsize=None)
 def _crt_basis(N: int) -> tuple[tuple[int, int], ...]:
     """Pairs (q_j, e_j) with e_j = 1 mod q_j and e_j = 0 mod N/q_j."""
@@ -279,22 +256,3 @@ def crt_combine_scalar(parts: Sequence[int], N: int) -> int:
     if len(parts) != len(basis):
         raise ValueError("component count does not match factorization")
     return sum(c * e for c, (_, e) in zip(parts, basis)) % N
-
-
-def crt_split(x: Sequence[int], ctx: RingContext) -> tuple[tuple[int, ...], ...]:
-    """Split a vector mod N into its vectors mod p_j**r_j (a ring isomorphism)."""
-    N = ctx.modulus
-    return tuple(tuple(c % (p**r) for c in x) for p, r in ctx.factorization)
-
-
-def crt_combine(parts: Sequence[Sequence[int]], ctx: RingContext) -> tuple[int, ...]:
-    """Inverse of crt_split."""
-    N = ctx.modulus
-    basis = _crt_basis(N)
-    if len(parts) != len(basis):
-        raise ValueError("component count does not match factorization")
-    n = ctx.dimension
-    out = []
-    for i in range(n):
-        out.append(sum(part[i] * e for part, (_, e) in zip(parts, basis)) % N)
-    return tuple(out)

@@ -67,7 +67,7 @@ def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[
     cosets each) than the machine's physical memory raise
     tables.TableMemoryError before any is built, as an oversized table does.
     """
-    table, least = tables.coset_table(ctx, k, "first")  # refuses oversized rings first
+    table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
     F, C, _ = table.shape
     nbytes, memory = F * C * -(-ctx.size // 8), tables._physical_memory()
     if nbytes > memory:

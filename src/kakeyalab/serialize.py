@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tables
 from .geometry import Flat, ProjDirection
 from .harmonic import Density, Spectrum
 from .maximal import ChainConstant, MaximalProfile
@@ -98,31 +99,41 @@ def density_to_json(f: Density) -> str:
     return canonical_json(payload)
 
 
-def density_from_json(text: str, ctx: RingContext) -> Density:
+def _read_payload(text: str, ctx: RingContext, kind: str, body: str) -> dict:
+    """The JSON object of a density or spectrum file for ctx; a file of
+    another kind or ring, or one missing a field, raises ValueError."""
     payload = json.loads(text)
-    if payload.get("kind") != "density":
-        raise ValueError("not a density file")
+    if not isinstance(payload, dict) or payload.get("kind") != kind:
+        raise ValueError(f"not a {kind} file")
+    missing = [key for key in ("modulus", "dimension", "lane", body) if key not in payload]
+    if missing:
+        raise ValueError(f"{kind} file lacks {', '.join(missing)}")
     if payload["modulus"] != ctx.modulus or payload["dimension"] != ctx.dimension:
-        raise ValueError("density file does not match the configured ring")
+        raise ValueError(f"{kind} file does not match the configured ring")
+    return payload
+
+
+def density_from_json(text: str, ctx: RingContext) -> Density:
+    payload = _read_payload(text, ctx, "density", "values")
     if payload["lane"] == "exact":
         return Density.exact(ctx, [parse_value(v) for v in payload["values"]])
     return Density.from_float(ctx, np.array([complex(re, im) for re, im in payload["values"]]))
 
 
 def spectrum_to_json(s: Spectrum) -> str:
-    freqs = s.frequencies()
+    freqs = zip(tables.coord_grid(s.ctx).tolist(), tables.valuations(s.ctx).tolist())
     if s.lane == "exact":
         coeffs = [{
-            "frequency": list(fr.components),
-            "valuation": fr.valuation,
+            "frequency": a,
+            "valuation": v,
             "root_coefficients": [frac_str(Fraction(int(c), s.den)) for c in s.coeffs[i]],
-        } for i, fr in enumerate(freqs)]
+        } for i, (a, v) in enumerate(freqs)]
     else:
         coeffs = [{
-            "frequency": list(fr.components),
-            "valuation": fr.valuation,
+            "frequency": a,
+            "valuation": v,
             "value": [float(s.values[i].real), float(s.values[i].imag)],
-        } for i, fr in enumerate(freqs)]
+        } for i, (a, v) in enumerate(freqs)]
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "spectrum",
@@ -196,11 +207,7 @@ def certificate_to_json(cert: KakeyaCertificate) -> str:
 
 
 def spectrum_from_json(text: str, ctx: RingContext) -> Spectrum:
-    payload = json.loads(text)
-    if payload.get("kind") != "spectrum":
-        raise ValueError("not a spectrum file")
-    if payload["modulus"] != ctx.modulus or payload["dimension"] != ctx.dimension:
-        raise ValueError("spectrum file does not match the configured ring")
+    payload = _read_payload(text, ctx, "spectrum", "coefficients")
     N = ctx.modulus
     if payload["lane"] == "exact":
         rows = []

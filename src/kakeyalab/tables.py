@@ -67,7 +67,8 @@ def rank_points(coords: np.ndarray, ctx: RingContext) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def valuations(ctx: RingContext) -> np.ndarray:
-    """Dual valuation of every frequency, indexed by rank."""
+    """Dual valuation of every frequency, indexed by rank: v(a) =
+    N / gcd(a_1, ..., a_n, N), the least v >= 1 with v a = 0 (so v(0) = 1)."""
     grid = coord_grid(ctx)
     N = ctx.modulus
     g = np.full(ctx.size, N, dtype=np.int64)
@@ -99,7 +100,7 @@ def _lex_grid(N: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def coset_table(ctx: RingContext, k: int, pivot_rule: str) -> tuple[np.ndarray, np.ndarray]:
+def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every coset a + U of every k-flat U through the origin, once.
 
     Returns (table, least).  table is (F, size // N**k, N**k) int32; row y
@@ -110,22 +111,18 @@ def coset_table(ctx: RingContext, k: int, pivot_rule: str) -> tuple[np.ndarray, 
     the smallest rank in each row.  Flats follow directions(ctx) for k = 1
     and flats(ctx, k) above.
 
-    A pivot is the first (pivot_rule "last": last) unit coordinate of a
-    generator modulo p, which for k = 1 is the QuotientChart pivot, so
-    row y of a line table is the fiber of y under that chart: the X-ray
-    reads the table directly.  For k >= 2 the pivots are the echelon
-    pivots of the canonical generators and only the "first" rule applies.
+    This is the package's one quotient chart.  The pivot of a generator is
+    its first unit coordinate mod p, per CRT component p**e of N; for the
+    canonical generators of a k-flat these are its echelon pivots.  So row
+    y of a line table is the fiber over y of Q_u = (Z/NZ)^n / <u>, and the
+    X-ray reads the table directly.
 
     A table of more bytes (4 * F * size) than the machine's physical
     memory raises TableMemoryError before anything is enumerated.
-    pivot_rule has no default, so that every caller passes it positionally
-    and each (ring, k, rule) is one cache entry.
     """
     N, n = ctx.modulus, ctx.dimension
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    if k > 1 and pivot_rule != "first":
-        raise ValueError("pivot_rule 'last' applies to lines only")
     nbytes, memory = 4 * gr_size(N, n, k) * ctx.size, _physical_memory()
     if nbytes > memory:
         raise TableMemoryError(nbytes, memory)
@@ -137,12 +134,7 @@ def coset_table(ctx: RingContext, k: int, pivot_rule: str) -> tuple[np.ndarray, 
     quotient = _lex_grid(N, n - k)
     components = []
     for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)):
-        unit = gens % p != 0
-        if pivot_rule == "first":
-            pivots = unit.argmax(axis=2)
-        else:
-            pivots = n - 1 - unit[:, :, ::-1].argmax(axis=2)
-        components.append((e, quotient % q, pivots))
+        components.append((e, quotient % q, (gens % p != 0).argmax(axis=2)))
     table = np.empty((len(gens), len(quotient), N**k), dtype=np.int32)
     for i in range(len(gens)):
         sections = np.zeros((len(quotient), n), dtype=np.int64)
@@ -243,8 +235,10 @@ def coset_labels(ctx: RingContext, d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def lift_map(ctx: RingContext) -> dict[tuple[int, int], int]:
-    """(direction index, quotient-direction index) -> 2-flat index.
+def lift_map(ctx: RingContext) -> np.ndarray:
+    """(P, Pq) int64: entry [u, w] is the index in flats(ctx, 2) of the lift
+    of (u, w), u and w indexed as in directions(ctx) and
+    directions(ctx.quotient()).
 
     The lift of (u, w) is the 2-flat whose image in the quotient chart of u
     is the line <w>: the union of the rows of u's line table at the
@@ -253,11 +247,11 @@ def lift_map(ctx: RingContext) -> dict[tuple[int, int], int]:
     """
     N = ctx.modulus
     qctx = ctx.quotient()
-    lines = coset_table(ctx, 1, "first")[0]
+    lines = coset_table(ctx, 1)[0]
     t = np.arange(N)[None, :, None]
     qlines = rank_points(t * direction_matrix(qctx)[:, None, :] % N, qctx)  # (Pq, N) ranks of t w
     lifts = np.sort(lines[:, qlines].reshape(len(lines), len(qlines), N * N), axis=2)
-    planes = np.sort(coset_table(ctx, 2, "first")[0][:, 0], axis=1)
+    planes = np.sort(coset_table(ctx, 2)[0][:, 0], axis=1)
     flat_index = {plane.tobytes(): i for i, plane in enumerate(planes)}
-    return {(ui, wi): flat_index[lift.tobytes()]
-            for ui, row in enumerate(lifts) for wi, lift in enumerate(row)}
+    return _freeze(np.array([[flat_index[lift.tobytes()] for lift in row] for row in lifts],
+                            dtype=np.int64))

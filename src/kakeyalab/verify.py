@@ -330,9 +330,6 @@ def verify_projmax(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
         return _skip("projmax", ctx, "needs n >= 2")
     lift = tables.lift_map(ctx)
     qctx = ctx.quotient()
-    nq = len(tables.directions(qctx))
-    lifted = np.array([[lift[(ui, wi)] for wi in range(nq)]
-                       for ui in range(len(tables.directions(ctx)))])
     worst = Fraction(0)
     witness = None
     nbands = ctx.num_bands
@@ -342,11 +339,11 @@ def verify_projmax(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
         nums, _ = xray_all(g)
         # plane maxima are over g.den * N**2 (N**2 points a plane); X-ray rows
         # are over g.den * N and a line has N points, so both share it
-        gaps = np.abs(plane[lifted] - coset_maxima(nums, qctx, 1))
+        gaps = np.abs(plane[lift] - coset_maxima(nums, qctx, 1))
         j = int(np.argmax(gaps))  # the first largest gap in (u, w) order
         diff = Fraction(int(gaps.flat[j]), g.den * ctx.modulus**2)
         if diff > worst:
-            ui, wi = divmod(j, nq)
+            ui, wi = divmod(j, lift.shape[1])
             worst, witness = diff, {"trial": t, "direction": ui, "quotient_direction": wi}
     return VerificationReport("projmax", ctx.describe(), trials, "eq-exact",
                               worst, worst == 0, witness)

@@ -14,10 +14,11 @@ import numpy as np
 
 from kakeyalab import tables
 from kakeyalab.cyclotomic import reduce_mod_cyclotomic, reduction_matrix
-from kakeyalab.geometry import ProjDirection, lift_direction
+from kakeyalab.geometry import ProjDirection, flat_points
 from kakeyalab.harmonic import (Density, Spectrum, band_valuation_sets, fourier_forward,
                                 xray_all, xray_transform)
 from kakeyalab.maximal import flat_maximal, line_maximal
+from kakeyalab.ring import crt_combine_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +132,33 @@ def coefficient(s: Spectrum, a: Sequence[int]):
 
 
 # ---------------------------------------------------------------------------
+# quotient charts
+# ---------------------------------------------------------------------------
+
+
+def chart_section(u: ProjDirection, y: Sequence[int], ctx) -> tuple[int, ...]:
+    """The section of the quotient chart of u at a point y of (Z/NZ)^(n-1),
+    point by point: per CRT component q = p**e, y mod q with 0 inserted at
+    u's first unit coordinate mod p, recombined with crt_combine_scalar."""
+    comps = []
+    for p, e in ctx.factorization:
+        lifted = [c % p**e for c in y]
+        lifted.insert(next(j for j, c in enumerate(u.rep) if c % p), 0)
+        comps.append(lifted)
+    return tuple(crt_combine_scalar([c[i] for c in comps], ctx.modulus)
+                 for i in range(ctx.dimension))
+
+
+def lift_points(u: ProjDirection, w: ProjDirection, ctx) -> frozenset[tuple[int, ...]]:
+    """The lift of (u, w), the 2-flat through u whose image in the quotient
+    chart of u is <w>, as the span {t u + s section(w)}."""
+    N = ctx.modulus
+    sec = chart_section(u, w.rep, ctx)
+    return frozenset(tuple((t * a + s * b) % N for a, b in zip(u.rep, sec))
+                     for t in range(N) for s in range(N))
+
+
+# ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
@@ -221,7 +249,7 @@ def orthogonality_mask(ctx) -> np.ndarray:
 def xray_all_gather(f: Density) -> np.ndarray:
     """Exact X-ray numerators of every direction as Python ints, from the
     whole (P, size/N, N) gather of the line table."""
-    return f.num.astype(object)[tables.coset_table(f.ctx, 1, "first")[0]].sum(axis=2)
+    return f.num.astype(object)[tables.coset_table(f.ctx, 1)[0]].sum(axis=2)
 
 
 def uperp_sum(f: Density, u: ProjDirection):
@@ -245,7 +273,7 @@ def uperp_sum_spatial(f: Density, u: ProjDirection):
     """
     ctx = f.ctx
     ui = tables.directions(ctx).index(u)
-    idx = tables.coset_table(ctx, 1, "first")[0][ui]
+    idx = tables.coset_table(ctx, 1)[0][ui]
     if f.lane == "exact":
         sums = f.num[idx].sum(axis=1).astype(object)
         return Fraction(int((sums * sums).sum()), f.den**2 * ctx.size * ctx.modulus)
@@ -253,9 +281,9 @@ def uperp_sum_spatial(f: Density, u: ProjDirection):
     return float((np.abs(sums) ** 2).sum()) / (ctx.size * ctx.modulus)
 
 
-def xray_l2_spatial(f: Density, pivot_rule: str = "first"):
+def xray_l2_spatial(f: Density):
     """avg over u in P of integral |f_u|**2, computed on the quotient side."""
-    nums, den = xray_all(f, pivot_rule)
+    nums, den = xray_all(f)
     ctx = f.ctx
     qsize = ctx.size // ctx.modulus
     if f.lane == "exact":
@@ -290,11 +318,11 @@ def projmax_identity_check(f_band: Density, u) -> dict:
     gu = xray_transform(g, u)
     prof1 = line_maximal(gu)
     qctx = ctx.quotient()
+    planes = {flat_points(F): F for F in tables.flats(ctx, 2)}
     rows = []
     worst = Fraction(0) if g.lane == "exact" else 0.0
     for w in tables.directions(qctx):
-        lifted = lift_direction(u, w, ctx)
-        lhs = prof2.value(lifted)
+        lhs = prof2.value(planes[lift_points(u, w, ctx)])
         rhs = prof1.value(w)
         worst = max(worst, abs(lhs - rhs))
         rows.append({"quotient_direction": w.rep, "plane_value": lhs, "line_value": rhs})

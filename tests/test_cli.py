@@ -191,6 +191,31 @@ class TestTransformCommand:
         assert code == 0
         assert out.splitlines()[0] == "flat,value,witness"
 
+    @pytest.mark.parametrize("ring, index", [
+        (["--mode", "padic", "-p", "3", "-l", "1", "-n", "2"], "9"),
+        (["--mode", "padic", "-p", "3", "-l", "1", "-n", "2"], "-1"),
+        (["--mode", "generic", "-N", "3", "-n", "2"], "0"),
+    ], ids=["past-last-band", "negative", "no-scales"])
+    def test_bad_band_exits_2(self, ring, index, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(density_to_csv(random_density(RingContext.generic(3, 2), seed=8)))
+        code = main(["transform", *ring, "--op", "band", "--index", index, "--input", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("op, payload", [
+        ("xray", {"kind": "density", "dimension": 2, "lane": "exact", "values": []}),
+        ("xray", [{"kind": "density"}]),
+        ("ifourier", {"kind": "spectrum", "modulus": 3, "dimension": 2, "lane": "exact"}),
+    ], ids=["density-without-modulus", "density-as-list", "spectrum-without-coefficients"])
+    def test_malformed_json_exits_2(self, op, payload, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        ring = ["--mode", "padic", "-p", "3", "-l", "1", "-n", "2"]
+        code = main(["transform", *ring, "--op", op, "--direction", "1,0", "--input", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_row_named(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2,value\n0,0,1\n0,1,oops\n")
@@ -254,3 +279,31 @@ def test_constants_build_nothing_ring_sized(capsys):
     code, out = run_cli(["constants", "--mode", "padic", "-p", "2", "-l", "10", "-n", "3"], capsys)
     assert code == 0 and json.loads(out)["ledger"]
     assert time.perf_counter() - start < 10
+
+
+# sha256 of the default output of `kakeyalab transform` on one fixed
+# density file (the seed-8 uniform-rational density of padic(2,2,3) as
+# CSV), per operation, frozen like GOLDEN_REPORTS.
+GOLDEN_TRANSFORMS = {
+    ("--op", "fourier"):
+        "1f2801bd6cbb01dc78ae8db48345260ae77c39675abf31a55054145de1a57e0e",
+    ("--op", "xray", "--direction", "1,2,3"):
+        "aba58f3d194a2a9ea976e775d6a8e9ada93cc9ff8059384a69e43e401284bf3b",
+    ("--op", "band", "--index", "1"):
+        "c0b93d93dae0912257097c2b692a0e7ad8934a83a6efe7fb333bdff974323413",
+    ("--op", "maximal", "-k", "1"):
+        "0a0be3dc587ae42266db7cd3e5fb328b896e8194f6bcaeb7df09f6c557a8f72a",
+    ("--op", "maximal", "-k", "2"):
+        "2604f1cb649ad7938edddd464d1cd1f3755bfae0ab5d2f457cf9b26c94fd2e2a",
+}
+
+
+@pytest.mark.parametrize("op", sorted(GOLDEN_TRANSFORMS), ids=" ".join)
+def test_transform_bytes_are_frozen(op, capsys, tmp_path):
+    ctx = RingContext.padic(2, 2, 3)
+    path = tmp_path / "f.csv"
+    path.write_text(density_to_csv(random_density(ctx, seed=8, dist="uniform-rational")))
+    ring = ["--mode", "padic", "-p", "2", "-l", "2", "-n", "3"]
+    code, out = run_cli(["transform", *ring, *op, "--input", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TRANSFORMS[op]

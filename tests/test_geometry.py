@@ -1,16 +1,17 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kakeyalab import tables
 from kakeyalab.geometry import (EnumerationCapError, Flat, canonical_direction,
-                                canonical_flat, enumerate_grassmannian,
-                                enumerate_proj, flat_points, gr_size,
-                                lift_direction, line_crt_decompose, proj_size,
-                                quotient_chart)
+                                enumerate_grassmannian, enumerate_proj, flat_points,
+                                gr_size, proj_size)
 from kakeyalab.ring import RingContext, factorize
+from oracles import lift_points
 
 
 def brute_force_directions(N, n):
@@ -140,31 +141,16 @@ class TestGrassmannian:
         point_sets = {flat_points(F) for F in flats}
         assert len(point_sets) == len(flats)
 
-    def test_canonical_flat_is_stable(self):
-        ctx = RingContext.generic(6, 3)
-        import random
-
-        rng = random.Random(5)
-        for F in enumerate_grassmannian(ctx, 2):
-            # replace generators by random invertible combinations
-            for _ in range(3):
-                a, b, c, d = (rng.randrange(6) for _ in range(4))
-                if math.gcd((a * d - b * c) % 6, 6) != 1:
-                    continue
-                g1 = tuple((a * x + b * y) % 6 for x, y in zip(*F.generators))
-                g2 = tuple((c * x + d * y) % 6 for x, y in zip(*F.generators))
-                assert canonical_flat([g1, g2], ctx) == F
-
 
 class TestFlatPoints:
     def test_axis_line(self):
         ctx = RingContext.padic(3, 1, 2)
-        F = canonical_flat([(1, 0)], ctx)
+        F = Flat(3, 1, ((1, 0),), (0, 0))
         assert flat_points(F) == {(0, 0), (1, 0), (2, 0)}
 
     def test_plane_mod2(self):
         ctx = RingContext.padic(2, 1, 3)
-        F = canonical_flat([(1, 0, 0), (0, 1, 0)], ctx)
+        F = Flat(2, 2, ((1, 0, 0), (0, 1, 0)), (0, 0, 0))
         assert flat_points(F) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)}
 
     def test_cardinality(self):
@@ -182,135 +168,75 @@ class TestFlatPoints:
 
 
 class TestQuotient:
+    """The line table of a direction u is the quotient chart of u: row y
+    lists the points over y in Q_u = (Z/NZ)^n / <u>."""
+
+    @staticmethod
+    def fiber_of(ctx, ui):
+        table = tables.coset_table(ctx, 1)[0][ui]
+        fiber = np.empty(ctx.size, dtype=np.int64)
+        fiber[table] = np.arange(len(table))[:, None]
+        return fiber
+
     def test_axis_chart(self):
         ctx = RingContext.padic(3, 1, 2)
-        u = canonical_direction((1, 0), ctx)
-        chart = quotient_chart(u, ctx)
+        ui = tables.directions(ctx).index(canonical_direction((1, 0), ctx))
+        fiber = self.fiber_of(ctx, ui)
         for x in ctx.points():
-            assert chart.forward(x) == (x[1],)
+            assert fiber[ctx.rank(x)] == x[1]
 
     def test_mixed_component_chart_mod6(self):
+        # (2, 3) has no coordinate that is a unit mod 6
         ctx = RingContext.generic(6, 2)
         u = canonical_direction((2, 3), ctx)
-        chart = quotient_chart(u, ctx)
-        fiber = [x for x in ctx.points() if chart.forward(x) == chart.forward((0, 0))]
+        fiber = self.fiber_of(ctx, tables.directions(ctx).index(u))
+        row = [x for x in ctx.points() if fiber[ctx.rank(x)] == fiber[0]]
         line = sorted({tuple(t * c % 6 for c in u.rep) for t in range(6)})
-        assert sorted(fiber) == line
-        assert len(fiber) == 6
+        assert sorted(row) == line
+        assert len(row) == 6
 
     def test_fibers_are_cosets(self):
         for N, n in ((4, 2), (6, 3), (5, 3)):
             ctx = RingContext.generic(N, n)
-            for u in enumerate_proj(ctx)[:6]:
-                chart = quotient_chart(u, ctx)
+            points = list(ctx.points())
+            for ui, u in enumerate(tables.directions(ctx)[:6]):
+                fiber = self.fiber_of(ctx, ui)
                 line = {tuple(t * c % N for c in u.rep) for t in range(N)}
-                for x in list(ctx.points())[:: max(1, ctx.size // 20)]:
-                    fx = chart.forward(x)
-                    for y in ctx.points():
-                        same = chart.forward(y) == fx
+                for x in points[:: max(1, ctx.size // 20)]:
+                    for y in points:
+                        same = fiber[ctx.rank(x)] == fiber[ctx.rank(y)]
                         in_coset = tuple((a - b) % N for a, b in zip(x, y)) in line
                         assert same == in_coset
 
-    def test_section_is_right_inverse(self):
-        ctx = RingContext.generic(5, 3)
-        u = canonical_direction((1, 2, 0), ctx)
-        chart = quotient_chart(u, ctx)
-        qctx = ctx.quotient()
-        for y in qctx.points():
-            assert chart.forward(chart.section(y)) == y
 
-    def test_pivot_rule_variants_agree_on_fibers(self):
-        ctx = RingContext.generic(6, 3)
-        u = canonical_direction((2, 3, 1), ctx)
-        first = quotient_chart(u, ctx, "first")
-        last = quotient_chart(u, ctx, "last")
-        for x in list(ctx.points())[::7]:
-            for y in list(ctx.points())[::5]:
-                assert (first.forward(x) == first.forward(y)) == (last.forward(x) == last.forward(y))
-
-
-class TestLiftDirection:
+class TestLiftMap:
     def test_plane_example(self):
         ctx = RingContext.padic(2, 1, 3)
-        u = canonical_direction((1, 0, 0), ctx)
-        w = canonical_direction((1, 0), ctx.quotient())
-        U = lift_direction(u, w, ctx)
+        ui = tables.directions(ctx).index(canonical_direction((1, 0, 0), ctx))
+        wi = tables.directions(ctx.quotient()).index(canonical_direction((1, 0), ctx.quotient()))
+        U = tables.flats(ctx, 2)[tables.lift_map(ctx)[ui, wi]]
         assert flat_points(U) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)}
 
-    def test_bijection_onto_flats_containing_u(self):
-        ctx = RingContext.padic(3, 1, 3)
-        u = canonical_direction((1, 1, 2), ctx)
-        qctx = ctx.quotient()
-        images = [lift_direction(u, w, ctx) for w in enumerate_proj(qctx)]
-        assert len(set(images)) == len(images) == 4
-        containing = [F for F in enumerate_grassmannian(ctx, 2)
-                      if u.rep in flat_points(F)]
-        assert set(images) == set(containing)
-
-    def test_images_contain_u(self):
-        ctx = RingContext.generic(4, 3)
-        u = canonical_direction((0, 1, 0), ctx)
-        for w in enumerate_proj(ctx.quotient()):
-            assert u.rep in flat_points(lift_direction(u, w, ctx))
-
-    def test_rejects_bad_quotient_direction(self):
-        ctx = RingContext.padic(2, 2, 3)
-        u = canonical_direction((1, 0, 0), ctx)
-        from kakeyalab.geometry import ProjDirection
-
-        with pytest.raises(ValueError):
-            lift_direction(u, ProjDirection(4, (2, 2)), ctx)
+    @pytest.mark.parametrize("ctx", [RingContext.padic(3, 1, 3), RingContext.generic(4, 3),
+                                     RingContext.generic(6, 3)], ids=lambda c: c.describe())
+    def test_bijection_onto_flats_containing_u(self, ctx):
+        # each row of the lift map lists every 2-flat containing u, once
+        lift = tables.lift_map(ctx)
+        planes = [flat_points(F) for F in tables.flats(ctx, 2)]
+        for u, row in zip(tables.directions(ctx), lift.tolist()):
+            assert len(set(row)) == len(row)
+            assert set(row) == {i for i, pts in enumerate(planes) if u.rep in pts}
 
     @pytest.mark.parametrize("ctx", [RingContext.padic(2, 2, 3), RingContext.padic(2, 3, 3),
                                      RingContext.padic(3, 2, 3), RingContext.generic(6, 3),
                                      RingContext.profinite(2, 3), RingContext.padic(2, 1, 4),
                                      RingContext.generic(12, 2), RingContext.padic(3, 1, 2)],
                              ids=lambda c: c.describe())
-    def test_lift_map_matches_lift_direction(self, ctx):
-        # the coset-table lift map against one lift_direction per (u, w) pair
-        from kakeyalab import tables
-
-        qctx = ctx.quotient()
-        flat_index = {F: i for i, F in enumerate(tables.flats(ctx, 2))}
-        expected = {(ui, wi): flat_index[lift_direction(u, w, ctx)]
-                    for ui, u in enumerate(tables.directions(ctx))
-                    for wi, w in enumerate(tables.directions(qctx))}
+    def test_lift_map_matches_span_oracle(self, ctx):
+        # the coset-table lift map against the span {t u + s section(w)} per (u, w) pair
+        qdirs = tables.directions(ctx.quotient())
+        planes = [flat_points(F) for F in tables.flats(ctx, 2)]
         lift = tables.lift_map(ctx)
-        assert lift == expected and list(lift) == list(expected)
-
-
-class TestLineCrtDecompose:
-    def test_diagonal_mod6(self):
-        ctx = RingContext.generic(6, 2)
-        L = canonical_flat([(1, 1)], ctx)
-        Lp, L0 = line_crt_decompose(L, 2)
-        assert flat_points(Lp) == {(0, 0), (1, 1)}
-        assert flat_points(L0) == {(0, 0), (1, 1), (2, 2)}
-
-    def test_component_directions_mod6(self):
-        ctx = RingContext.generic(6, 2)
-        L = canonical_flat([(2, 3)], ctx)
-        Lp, L0 = line_crt_decompose(L, 2)
-        assert Lp.generators == ((0, 1),)
-        assert L0.generators == ((1, 0),)
-
-    def test_point_set_is_crt_product(self):
-        import random
-
-        from kakeyalab.ring import crt_combine_scalar
-
-        rng = random.Random(3)
-        ctx = RingContext.generic(12, 2)
-        for _ in range(10):
-            while True:
-                try:
-                    d = canonical_direction((rng.randrange(12), rng.randrange(12)), ctx)
-                    break
-                except ValueError:
-                    continue
-            L = canonical_flat([d.rep], ctx, basepoint=(1, 2))
-            Lp, L0 = line_crt_decompose(L, 2)
-            product = {tuple(crt_combine_scalar((a, b), 12) for a, b in zip(xp, x0))
-                       for xp in flat_points(Lp) for x0 in flat_points(L0)}
-            assert product == flat_points(L)
-            assert len(product) == 12
+        assert lift.shape == (len(tables.directions(ctx)), len(qdirs)) and lift.dtype == np.int64
+        for u, row in zip(tables.directions(ctx), lift.tolist()):
+            assert [planes[i] for i in row] == [lift_points(u, w, ctx) for w in qdirs]

@@ -17,9 +17,10 @@ from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _band_project
                                 xray_transform)
 from kakeyalab.ring import RingContext, ScaleSemantics
 from kakeyalab.verify import DISTRIBUTIONS, corpus_rings, random_density
-from oracles import (band_project_naive, coefficient, correlations_roll, fourier_forward_naive,
-                     masses_dense, orthogonal_fraction, orthogonality_mask, uperp_sum,
-                     uperp_sum_spatial, xray_all_gather, xray_l2_spatial)
+from oracles import (band_project_naive, chart_section, coefficient, correlations_roll,
+                     fourier_forward_naive, masses_dense, orthogonal_fraction,
+                     orthogonality_mask, uperp_sum, uperp_sum_spatial, xray_all_gather,
+                     xray_l2_spatial)
 
 RINGS_SMALL = [
     RingContext.padic(2, 2, 2),
@@ -239,12 +240,9 @@ class TestXray:
         ctx = RingContext.generic(6, 2)
         f = random_density(ctx, seed=23, dist="uniform-rational")
         u = canonical_direction((1, 4), ctx)
-        from kakeyalab.geometry import quotient_chart
-
-        chart = quotient_chart(u, ctx)
         fu = xray_transform(f, u)
         for y in ctx.quotient().points():
-            sec = chart.section(y)
+            sec = chart_section(u, y, ctx)
             total = sum(f.value(tuple((s + t * c) % 6 for s, c in zip(sec, u.rep)))
                         for t in range(6))
             assert fu.value(y) == total / 6
@@ -271,7 +269,7 @@ class TestXray:
         # a block of it and of its intp index, and the result
         ctx = RingContext.padic(3, 2, 3)
         f = random_density(ctx, seed=47)
-        full = 8 * tables.coset_table(ctx, 1, "first")[0].size
+        full = 8 * tables.coset_table(ctx, 1)[0].size
         monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
         xray_all(f)  # warm any lazy state
         tracemalloc.start()
@@ -291,7 +289,7 @@ class TestXray:
         # five directions and at the default budget
         if rows is not None:
             monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * ctx.size * rows)
-        table = tables.coset_table(ctx, 1, "first")[0]
+        table = tables.coset_table(ctx, 1)[0]
         rng = np.random.default_rng(48)
         for f in (random_density(ctx, seed=48, lane="float"),
                   Density.from_float(ctx, rng.normal(size=ctx.size) + 1j * rng.normal(size=ctx.size))):
@@ -304,7 +302,7 @@ class TestXray:
         # never the (P, size/N, N) gather
         ctx = RingContext.padic(3, 2, 3)
         f = random_density(ctx, seed=47, lane="float")
-        full = 8 * tables.coset_table(ctx, 1, "first")[0].size
+        full = 8 * tables.coset_table(ctx, 1)[0].size
         monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
         xray_all(f)  # warm any lazy state
         tracemalloc.start()
@@ -353,19 +351,14 @@ class TestXray:
         with pytest.raises(OverflowError):
             xray_transform(f, tables.directions(ctx)[0])
 
-    @pytest.mark.parametrize("rule", ["first", "last"])
-    def test_line_table_rows_are_chart_fibers(self, rule):
+    def test_line_table_rows_are_chart_fibers(self):
         # row y of a direction's line table is section(y) + t*u, t = 0..N-1
-        from kakeyalab import tables
-        from kakeyalab.geometry import quotient_chart
-
         for ctx in (RingContext.generic(12, 2), RingContext.generic(6, 3)):
             N = ctx.modulus
-            table, least = tables.coset_table(ctx, 1, rule)
+            table, least = tables.coset_table(ctx, 1)
             for ui, u in enumerate(tables.directions(ctx)):
-                chart = quotient_chart(u, ctx, rule)
                 for y in ctx.quotient().points():
-                    sec = chart.section(y)
+                    sec = chart_section(u, y, ctx)
                     row = [ctx.rank(tuple((s + t * c) % N for s, c in zip(sec, u.rep)))
                            for t in range(N)]
                     yi = ctx.quotient().rank(y)
@@ -526,12 +519,6 @@ class TestXrayL2Identity:
         for lane in ("exact", "float"):
             f = random_density(ctx, seed=61, dist="uniform-rational", lane=lane)
             assert xray_l2_spectral(fourier_forward(f)) == xray_l2_spectral(f)
-
-    def test_representative_independent(self):
-        # same identity under the alternate chart pivot rule
-        ctx = RingContext.generic(6, 3)
-        f = random_density(ctx, seed=77, dist="uniform-rational")
-        assert xray_l2_spatial(f, pivot_rule="last") == xray_l2_spectral(f)
 
 
 class TestRadiusFraction:
@@ -697,6 +684,16 @@ class TestBands:
                 members = band_valuation_sets(ctx)[i]
                 if members:
                     assert band_constant(i, ctx.dimension, ctx) <= Fraction(1, min(members))
+
+    @pytest.mark.parametrize("i", [-1, -3, 3, 9])
+    def test_band_index_out_of_range(self, i):
+        # band -1 used to be the last band by Python indexing
+        ctx = RingContext.padic(3, 1, 2)  # bands 0 and 1
+        for f in (random_density(ctx, seed=95), random_density(ctx, seed=95, lane="float")):
+            with pytest.raises(ValueError, match="band index"):
+                band_project(f, i)
+        with pytest.raises(ValueError, match="band index"):
+            band_constant(i, 2, ctx)
 
     def test_float_band_partition(self):
         ctx = RingContext.padic(2, 2, 2)

@@ -207,7 +207,7 @@ class TestCosetOracle:
             sets = [flat_points(F) for F in tables.flats(ctx, k)]
             prof = flat_maximal(f, k)
             assert (list(prof.values), list(prof.witnesses)) == brute_profile(f, sets, k)
-            table, _ = tables.coset_table(ctx, k, "first")
+            table, _ = tables.coset_table(ctx, k)
             exact = num[table].sum(axis=2)
             rounded |= bool((num.astype(np.float64)[table].sum(axis=2) != exact).any())
         assert rounded
@@ -215,7 +215,7 @@ class TestCosetOracle:
     def test_larger_ring_table_size(self):
         # by arithmetic a (F, size, N**2) shift table would take about 1.9 GB
         ctx = RingContext.padic(2, 4, 3)
-        table, least = tables.coset_table(ctx, 2, "first")
+        table, least = tables.coset_table(ctx, 2)
         F = len(tables.flats(ctx, 2))
         assert table.shape == (F, ctx.size // 16**2, 16**2)
         assert table.nbytes == 4 * F * ctx.size
@@ -274,7 +274,7 @@ class TestCosetMaxima:
         # far below the whole stack's (R, F, size // N, N) gather
         ctx = RingContext.padic(3, 3, 2)
         rows = np.random.default_rng(8).integers(-(2**20), 2**20, (117, ctx.size))
-        table, _ = tables.coset_table(ctx, 1, "first")
+        table, _ = tables.coset_table(ctx, 1)
         monkeypatch.setattr(maximal, "_CHUNK_BYTES", 1 << 16)
         monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
         for stack in (rows, rows[:1]):
@@ -296,7 +296,7 @@ class TestCosetMaxima:
         rows = 2**38 + rng.integers(0, 2**30, (5, ctx.size))
         rows[1] = -rows[1]  # absolute values are taken inside
         for k in (1, 2):
-            table, _ = tables.coset_table(ctx, k, "first")
+            table, _ = tables.coset_table(ctx, k)
             best = coset_maxima(rows, ctx, k)
             brute = [[max(sum(abs(int(row[i])) for i in coset) for coset in flat)
                       for flat in table] for row in rows]
@@ -311,7 +311,7 @@ class TestCosetMaxima:
         # an OverflowError, never a wrapped int64
         ctx = RingContext.padic(2, 2, 2)
         rows = np.array([values, [v // 2**scale for v in values]], dtype=np.int64)
-        table, _ = tables.coset_table(ctx, 1, "first")
+        table, _ = tables.coset_table(ctx, 1)
         brute = [[max(sum(abs(v) for v in np.asarray(row, dtype=object)[coset]) for coset in flat)
                   for flat in table] for row in rows]
         if max(abs(v) for v in values) * ctx.modulus >= 2**61:

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeyalab.ring import (DualFrequency, Profinite, RingContext,
-                            ScaleOverflowError, ScaleUndefinedError, crt_combine,
-                            crt_split, dual_frequency, dual_valuation, factorize,
-                            scale)
+from kakeyalab import tables
+from kakeyalab.ring import (Profinite, RingContext, ScaleOverflowError, ScaleUndefinedError,
+                            crt_combine_scalar, factorize, scale)
 
 
 def trial_division_oracle(n):
@@ -43,68 +42,71 @@ class TestFactorize:
 
 
 class TestCrt:
+    """crt_combine_scalar inverts the split x -> (x mod q) over the prime
+    powers q of N, a ring isomorphism."""
+
+    @staticmethod
+    def split(x, N):
+        return [x % p**r for p, r in factorize(N)]
+
     def test_scalar_example(self):
-        ctx = RingContext.generic(12, 1)
-        assert crt_split((7,), ctx) == ((3,), (1,))
-        assert crt_combine([(3,), (1,)], ctx) == (7,)
+        assert self.split(7, 12) == [3, 1]
+        assert crt_combine_scalar([3, 1], 12) == 7
 
     def test_zero_vector(self):
-        ctx = RingContext.generic(30, 3)
-        parts = crt_split((0, 0, 0), ctx)
-        assert all(all(c == 0 for c in part) for part in parts)
-        assert crt_combine(parts, ctx) == (0, 0, 0)
+        assert self.split(0, 30) == [0, 0, 0]
+        assert crt_combine_scalar([0, 0, 0], 30) == 0
 
     def test_round_trip_mod_30(self):
-        import random
-
-        rng = random.Random(2024)
-        ctx = RingContext.generic(30, 2)
-        for _ in range(1000):
-            x = (rng.randrange(30), rng.randrange(30))
-            assert crt_combine(crt_split(x, ctx), ctx) == x
+        for x in range(30):
+            assert crt_combine_scalar(self.split(x, 30), 30) == x
 
     def test_componentwise_ring_map(self):
-        ctx = RingContext.generic(12, 2)
-        x, y = (5, 7), (10, 3)
-        sx, sy = crt_split(x, ctx), crt_split(y, ctx)
-        total = tuple((a + b) % 12 for a, b in zip(x, y))
-        split_sum = tuple(tuple((a + b) % q for a, b in zip(px, py))
-                          for (px, py), q in zip(zip(sx, sy), (4, 3)))
-        assert crt_split(total, ctx) == split_sum
+        for x, y in ((5, 7), (10, 3), (11, 11)):
+            for op in (lambda a, b: a + b, lambda a, b: a * b):
+                parts = [op(a, b) for a, b in zip(self.split(x, 12), self.split(y, 12))]
+                assert crt_combine_scalar(parts, 12) == op(x, y) % 12
+
+    def test_rejects_wrong_component_count(self):
+        with pytest.raises(ValueError):
+            crt_combine_scalar([1], 12)
 
 
 class TestDualValuation:
+    """tables.valuations against the least annihilator, found by scanning."""
+
     def scan_oracle(self, a, N):
         for m in range(1, N + 1):
             if all(m * c % N == 0 for c in a):
                 return m
         raise AssertionError("no annihilator found")
 
+    @staticmethod
+    def valuation(a, N):
+        ctx = RingContext.generic(N, len(a))
+        return int(tables.valuations(ctx)[ctx.rank(a)])
+
     def test_examples(self):
-        assert dual_valuation((2, 0), 4) == 2 == self.scan_oracle((2, 0), 4)
-        assert dual_valuation((0, 0, 0), 9) == 1
-        assert dual_valuation((3, 0), 9) == 3 == self.scan_oracle((3, 0), 9)
+        assert self.valuation((2, 0), 4) == 2 == self.scan_oracle((2, 0), 4)
+        assert self.valuation((0, 0, 0), 9) == 1
+        assert self.valuation((3, 0), 9) == 3 == self.scan_oracle((3, 0), 9)
 
     def test_scan_oracle_everywhere(self):
         for N in (4, 6, 9, 12):
-            for a0 in range(N):
-                for a1 in range(N):
-                    v = dual_valuation((a0, a1), N)
-                    assert v == self.scan_oracle((a0, a1), N)
-                    assert N % v == 0
+            ctx = RingContext.generic(N, 2)
+            vals = tables.valuations(ctx)
+            for a, v in zip(ctx.points(), vals.tolist()):
+                assert v == self.scan_oracle(a, N)
+                assert N % v == 0
 
     @given(st.integers(min_value=2, max_value=60),
-           st.lists(st.integers(min_value=0, max_value=59), min_size=1, max_size=4))
+           st.lists(st.integers(min_value=0, max_value=59), min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_minimality(self, N, a):
-        v = dual_valuation(a, N)
+        v = self.valuation(a, N)
         assert all(v * c % N == 0 for c in a)
         for m in range(1, v):
             assert any(m * c % N != 0 for c in a)
-
-    def test_frequency_wrapper(self):
-        f = dual_frequency((2, 0), 4)
-        assert f == DualFrequency((2, 0), 2)
 
 
 class TestScales:

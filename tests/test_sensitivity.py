@@ -65,8 +65,8 @@ def test_maxest_detects_overstated_maximal_values(monkeypatch):
     # slack scale (1/constant)**(1/n) before the inequality can flip
     true_line = maximal.line_maximal
 
-    def inflated(f, pivot_rule="first"):
-        prof = true_line(f, pivot_rule)
+    def inflated(f):
+        prof = true_line(f)
         return maximal.MaximalProfile(prof.k, prof.keys,
                                       tuple(v * 10**6 for v in prof.values),
                                       prof.witnesses)
@@ -82,11 +82,10 @@ def test_projmax_detects_wrong_lift(monkeypatch):
     true_lift = tables.lift_map.__wrapped__
 
     def scrambled(ctx):
-        mapping = dict(true_lift(ctx))
-        keys = sorted(mapping)
+        lift = true_lift(ctx).copy()
         # swap two image flats so one (u, w) pair points at the wrong plane
-        mapping[keys[0]], mapping[keys[1]] = mapping[keys[1]], mapping[keys[0]]
-        return mapping
+        lift[0, [0, 1]] = lift[0, [1, 0]]
+        return lift
 
     monkeypatch.setattr(verify.tables, "lift_map", scrambled)
     rep = verify.verify_projmax(CTX3D, trials=3, seed=0)

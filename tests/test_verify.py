@@ -259,9 +259,8 @@ class TestBatchedAgainstRowOracles:
     def test_projmax_wrong_lift_same_witness(self, monkeypatch):
         # a failing report: the first largest gap in (u, w) order is the witness
         ctx = RingContext.padic(2, 2, 3)
-        lift = dict(tables.lift_map(ctx))
-        keys = sorted(lift)
-        lift[keys[3]], lift[keys[40]] = lift[keys[40]], lift[keys[3]]
+        lift = tables.lift_map(ctx).copy()
+        lift.flat[[3, 40]] = lift.flat[[40, 3]]  # the 4th and 41st pairs in (u, w) order
         monkeypatch.setattr(verify.tables, "lift_map", lambda c: lift)
         rep = verify_projmax(ctx, trials=4, seed=0)
         assert not rep.passed
