@@ -39,23 +39,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-N", type=int, help="modulus (generic mode)")
         p.add_argument("-n", type=int, help="ambient dimension")
         p.add_argument("--semantics", choices=("numeric", "divisibility"))
-        p.add_argument("--lane", choices=("exact", "float"), default="exact")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int, default=100)
-        # accepted and ignored: checks run sequentially, and the benchmark's
-        # suite workload still passes --workers 1
-        p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
-        p.add_argument("--format", choices=("json", "text", "csv"), default=None)
         p.add_argument("--output", type=Path)
-        p.add_argument("--timings", action="store_true")
-        p.add_argument("--ci", action="store_true", help="require an explicit --seed for randomized commands")
 
     pv = sub.add_parser("verify", help="run lemma/theorem checks")
     add_ring_args(pv)
+    pv.add_argument("--seed", type=int)
+    pv.add_argument("--trials", type=int, default=100)
+    pv.add_argument("--ci", action="store_true", help="require an explicit --seed")
+    pv.add_argument("--timings", action="store_true")
+    # accepted and ignored: checks run sequentially, and the benchmark's
+    # suite workload still passes --workers 1
+    pv.add_argument("--workers", type=int, help=argparse.SUPPRESS)
+    pv.add_argument("--format", choices=("json", "text"), default="json")
     pv.add_argument("checks", nargs="+", help=f"check ids or 'all'; ids: {', '.join(verify.CHECK_IDS)}")
 
     pc = sub.add_parser("constants", help="tabulate explicit constants per band")
     add_ring_args(pc)
+    pc.add_argument("--format", choices=("json", "csv"), default="json")
     pc.add_argument("--depth", type=int, default=None)
 
     ps = sub.add_parser("search", help="search for small Kakeya-type sets")
@@ -66,6 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("transform", help="apply a transform to a density file")
     add_ring_args(pt)
+    pt.add_argument("--lane", choices=("exact", "float"), default="exact",
+                    help="lane the input density is read into")
+    pt.add_argument("--format", choices=("json", "csv"), default="json",
+                    help="csv is for --op maximal only")
     pt.add_argument("--op", choices=("fourier", "ifourier", "xray", "band", "maximal"), required=True)
     pt.add_argument("--input", type=Path, required=True)
     pt.add_argument("--direction", help="comma-separated direction for xray")
@@ -108,17 +112,11 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _seed(args, randomized: bool) -> int:
-    if args.seed is None:
-        if args.ci and randomized:
-            raise SystemExit2("--seed is required for randomized commands in CI mode")
-        return 0
-    return args.seed
-
-
 def cmd_verify(args) -> int:
     ctx = _ctx_from_args(args)
-    seed = _seed(args, randomized=True)
+    if args.seed is None and args.ci:
+        raise SystemExit2("--seed is required in CI mode")
+    seed = 0 if args.seed is None else args.seed
     checks = list(args.checks)
     if checks == ["all"]:
         checks = list(verify.CHECK_IDS)
@@ -126,8 +124,7 @@ def cmd_verify(args) -> int:
         reports = verify.run_checks(checks, seed=seed, trials=args.trials, ctx=ctx)
     except KeyError as err:
         raise SystemExit2(f"unknown check id {err.args[0]!r}; known: {', '.join(verify.CHECK_IDS)}")
-    fmt = args.format or "json"
-    if fmt == "text":
+    if args.format == "text":
         _emit(serialize.reports_to_table(reports), args)
     else:
         _emit(serialize.reports_to_json(reports, include_timings=args.timings), args)
@@ -184,7 +181,7 @@ def cmd_constants(args) -> int:
         "ledger": serialize.ledger_to_obj(constant_ledger(ctx, depth)),
         "tables": tables_out,
     }
-    if (args.format or "json") == "csv":
+    if args.format == "csv":
         lines = ["semantics,band,scale,band_constant,appendix_constant_next_scale,chain_term,chain_partial_sum"]
         for sem, rows in tables_out.items():
             for r in rows:
@@ -230,23 +227,27 @@ def cmd_search(args) -> int:
     return exit_code
 
 
-def _read_density(path: Path, ctx: RingContext, lane: str) -> Density:
+def _read_density(path: Path, ctx: RingContext) -> Density:
     text = path.read_text()
     if path.suffix == ".json":
         return serialize.density_from_json(text, ctx)
-    return serialize.density_from_csv(text, ctx, lane)
+    return serialize.density_from_csv(text, ctx)
 
 
 def cmd_transform(args) -> int:
     ctx = _ctx_from_args(args)
     if ctx is None:
         raise SystemExit2("transform needs an explicit ring (--mode ...)")
+    if args.format == "csv" and args.op != "maximal":
+        raise SystemExit2("--format csv is only for --op maximal")
     if args.op == "ifourier":
         spectrum = serialize.spectrum_from_json(args.input.read_text(), ctx)
         density = fourier_inverse(spectrum)
         _emit(serialize.density_to_json(density), args)
         return EXIT_OK
-    f = _read_density(args.input, ctx, args.lane)
+    f = _read_density(args.input, ctx)
+    if args.lane == "float":
+        f = f.to_float()
     if args.op == "fourier":
         _emit(serialize.spectrum_to_json(fourier_forward(f)), args)
     elif args.op == "xray":
@@ -262,7 +263,7 @@ def cmd_transform(args) -> int:
         if args.k is None:
             raise SystemExit2("maximal needs -k")
         profile = line_maximal(f) if args.k == 1 else flat_maximal(f, args.k)
-        if (args.format or "json") == "csv":
+        if args.format == "csv":
             _emit(serialize.profile_to_csv(profile), args)
         else:
             _emit(serialize.profile_to_json(profile), args)

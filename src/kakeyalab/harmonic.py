@@ -12,8 +12,11 @@ shared-denominator int64 numerators, spectra as integer vectors in
 Z[zeta_N], rational values read off with cyclotomic.reduction_matrix(N),
 spectral sums over groups of frequency ranks such as tables.perp_index,
 every step under an int64 headroom check); the float lane uses numpy
-doubles and complexes, and numpy's FFT, for large sweeps.  The X-rays
-and the u^perp masses sum over index rows through tables.blocked_sums.
+doubles and complexes, and numpy's FFT.  Every verification check runs
+in the exact lane; floats run only in the FFT round trip that
+plancherel holds beside the exact one, and in `transform --lane float`.
+The X-rays and the u^perp masses sum over index rows through
+tables.blocked_sums.
 """
 from __future__ import annotations
 
@@ -133,22 +136,18 @@ class Density:
         return cls(ctx, data=np.asarray(data, dtype=complex if np.iscomplexobj(data) else np.float64))
 
     @classmethod
-    def constant(cls, ctx: RingContext, value, lane: str = "exact") -> "Density":
-        if lane == "exact":
-            v = Fraction(value)
-            return cls(ctx, num=np.full(ctx.size, v.numerator, dtype=np.int64), den=v.denominator)
-        return cls(ctx, data=np.full(ctx.size, float(value)))
+    def constant(cls, ctx: RingContext, value) -> "Density":
+        v = Fraction(value)
+        return cls(ctx, num=np.full(ctx.size, v.numerator, dtype=np.int64), den=v.denominator)
 
     @classmethod
-    def indicator(cls, ctx: RingContext, points: Iterable[Sequence[int]], lane: str = "exact") -> "Density":
+    def indicator(cls, ctx: RingContext, points: Iterable[Sequence[int]]) -> "Density":
         num = np.zeros(ctx.size, dtype=np.int64)
         for p in points:
             if len(p) != ctx.dimension:
                 raise ValueError(f"point {tuple(p)} has {len(p)} coordinates, need {ctx.dimension}")
             num[ctx.rank(p)] = 1
-        if lane == "exact":
-            return cls(ctx, num=num, den=1)
-        return cls(ctx, data=num.astype(np.float64))
+        return cls(ctx, num=num, den=1)
 
     # -- basics -----------------------------------------------------------
 

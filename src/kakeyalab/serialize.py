@@ -65,12 +65,15 @@ def density_to_csv(f: Density) -> str:
     return out.getvalue()
 
 
-def density_from_csv(text: str, ctx: RingContext, lane: str = "exact") -> Density:
+def density_from_csv(text: str, ctx: RingContext) -> Density:
+    """The exact density of a CSV file with one row per point; a point
+    outside 0..N-1 or given twice raises ValueError naming its row."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if not header or header[-1] != "value" or len(header) != ctx.dimension + 1:
         raise ValueError(f"bad density header {header!r}: expected x1,...,x{ctx.dimension},value")
     values = [Fraction(0)] * ctx.size
+    seen = set()
     for row_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -81,9 +84,13 @@ def density_from_csv(text: str, ctx: RingContext, lane: str = "exact") -> Densit
             value = parse_value(row[-1])
         except ValueError as err:
             raise ValueError(f"row {row_no}: {err}") from None
+        if not all(0 <= c < ctx.modulus for c in point):
+            raise ValueError(f"row {row_no}: point {point} is outside 0..{ctx.modulus - 1}")
+        if point in seen:
+            raise ValueError(f"row {row_no}: point {point} is given twice")
+        seen.add(point)
         values[ctx.rank(point)] = value
-    f = Density.exact(ctx, values)
-    return f.to_float() if lane == "float" else f
+    return Density.exact(ctx, values)
 
 
 def density_to_json(f: Density) -> str:
@@ -207,24 +214,31 @@ def certificate_to_json(cert: KakeyaCertificate) -> str:
 
 
 def spectrum_from_json(text: str, ctx: RingContext) -> Spectrum:
+    """The spectrum of a JSON file; an entry that is not an object with a
+    frequency and its lane's value field raises ValueError."""
     payload = _read_payload(text, ctx, "spectrum", "coefficients")
-    N = ctx.modulus
-    if payload["lane"] == "exact":
+    exact = payload["lane"] == "exact"
+    key = "root_coefficients" if exact else "value"
+    entries = []
+    for pos, entry in enumerate(payload["coefficients"]):
+        if not isinstance(entry, dict) or "frequency" not in entry or key not in entry:
+            raise ValueError(f"spectrum coefficient {pos} is not an object with frequency and {key}")
+        entries.append((ctx.rank(entry["frequency"]), entry[key]))
+    if exact:
         rows = []
         den = 1
-        for entry in payload["coefficients"]:
-            coeffs = [parse_value(c) for c in entry["root_coefficients"]]
+        for rank, values in entries:
+            coeffs = [parse_value(c) for c in values]
             for c in coeffs:
                 den = den * c.denominator // gcd(den, c.denominator)
-            rows.append((ctx.rank(entry["frequency"]), coeffs))
-        mat = np.zeros((ctx.size, N), dtype=np.int64)
+            rows.append((rank, coeffs))
+        mat = np.zeros((ctx.size, ctx.modulus), dtype=np.int64)
         for rank, coeffs in rows:
             mat[rank] = [int(c * den) for c in coeffs]
         return Spectrum(ctx, coeffs=mat, den=int(den))
     values = np.zeros(ctx.size, dtype=np.complex128)
-    for entry in payload["coefficients"]:
-        re, im = entry["value"]
-        values[ctx.rank(entry["frequency"])] = complex(re, im)
+    for rank, (re, im) in entries:
+        values[rank] = complex(re, im)
     return Spectrum(ctx, values=values)
 
 
@@ -241,21 +255,13 @@ def certificate_points_from_json(text: str) -> tuple[int, int, int, list[tuple[i
 # ---------------------------------------------------------------------------
 
 
-def _slack_obj(value):
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    return float(value)
-
-
 def report_to_obj(report: VerificationReport, include_timings: bool = False) -> dict:
     obj = {
         "check": report.check,
         "ring": report.ring,
         "trials": report.trials,
         "comparator": report.comparator,
-        "worst_slack": _slack_obj(report.worst_slack),
+        "worst_slack": None if report.worst_slack is None else frac_str(report.worst_slack),
         "status": report.status,
         "witness": report.witness,
         "details": report.details,
@@ -275,15 +281,13 @@ def reports_to_json(reports: Sequence[VerificationReport], include_timings: bool
     return canonical_json(payload)
 
 
-def _slack_text(value) -> str:
+def _slack_text(value: Fraction | None) -> str:
     if value is None:
         return "-"
-    if isinstance(value, Fraction):
-        if value == 0:
-            return "0 (exact)"
-        text = frac_str(value)
-        return text if len(text) <= 20 else f"~{float(value):.3e}"
-    return f"{float(value):.3e}"
+    if value == 0:
+        return "0 (exact)"
+    text = frac_str(value)
+    return text if len(text) <= 20 else f"~{float(value):.3e}"
 
 
 def reports_to_table(reports: Sequence[VerificationReport]) -> str:

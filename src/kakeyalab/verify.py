@@ -1,10 +1,11 @@
 """Executable checks for the identities and inequalities the package implements.
 
-Each check returns a VerificationReport.  Rational-lane equalities carry
-zero tolerance; float-lane equalities allow 1e-9; inequalities need
-slack >= 0 exactly, or >= -1e-12 in the float lane.  Reports are pure
-functions of (check, ring, seed, trials), so a rerun with the same
-configuration reproduces them byte for byte.
+Each check returns a VerificationReport, compared on exact rationals:
+equalities carry zero tolerance and inequalities need slack >= 0.  The
+float lane runs only inside plancherel, whose numpy FFT round trip is
+held to 1e-10 beside the exact one.  Reports are pure functions of
+(check, ring, seed, trials), so a rerun with the same configuration
+reproduces them byte for byte.
 """
 from __future__ import annotations
 
@@ -28,9 +29,6 @@ from .maximal import (appendix_constant, chain_constant, coset_maxima,
                       flat_maximal, line_maximal, rounding_g)
 from .ring import Generic, RingContext, scale
 
-FLOAT_EQ_TOL = 1e-9
-FLOAT_INEQ_TOL = -1e-12
-
 
 @dataclass
 class VerificationReport:
@@ -39,8 +37,8 @@ class VerificationReport:
     check: str
     ring: str
     trials: int
-    comparator: str  # "eq-exact" | "eq-float" | "ge-exact" | "ge-float"
-    worst_slack: object
+    comparator: str  # "eq-exact" | "ge-exact" | "n/a" (skipped)
+    worst_slack: Fraction | None
     passed: bool
     witness: dict | None = None
     details: dict = field(default_factory=dict)
@@ -72,7 +70,7 @@ def _rng_for(ctx: RingContext, seed: int, dist: str, trial: int) -> random.Rando
 
 
 def random_density(ctx: RingContext, seed: int, dist: str = "uniform-rational",
-                   lane: str = "exact", trial: int = 0) -> Density:
+                   trial: int = 0) -> Density:
     """Deterministic seeded density; sparse and flat-supported bias toward
     adversarial structure, ball is a single radius-1/N point."""
     rng = _rng_for(ctx, seed, dist, trial)
@@ -80,32 +78,30 @@ def random_density(ctx: RingContext, seed: int, dist: str = "uniform-rational",
     if dist == "uniform-rational":
         den = rng.choice((2, 3, 4, 6, 8, 12))
         num = np.array([rng.randint(0, 4 * den) for _ in range(size)], dtype=np.int64)
-        f = Density.from_numden(ctx, num, den)
-    elif dist == "sparse":
+        return Density.from_numden(ctx, num, den)
+    if dist == "sparse":
         num = np.zeros(size, dtype=np.int64)
         support = rng.sample(range(size), max(1, size // 8))
         for i in support:
             num[i] = rng.randint(1, 9)
-        f = Density.from_numden(ctx, num, 1)
-    elif dist == "flat-supported":
+        return Density.from_numden(ctx, num, 1)
+    if dist == "flat-supported":
         k = rng.randint(1, min(2, ctx.dimension))
         flat = rng.choice(tables.flats(ctx, k))
         shift = ctx.unrank(rng.randrange(size))
         from .geometry import flat_points
 
         pts = [tuple((a + b) % ctx.modulus for a, b in zip(p, shift)) for p in flat_points(flat)]
-        f = Density.indicator(ctx, pts)
-    elif dist == "ball":
-        f = Density.indicator(ctx, [ctx.unrank(rng.randrange(size))])
-    else:
-        raise ValueError(f"unknown distribution {dist!r}")
-    return f.to_float() if lane == "float" else f
+        return Density.indicator(ctx, pts)
+    if dist == "ball":
+        return Density.indicator(ctx, [ctx.unrank(rng.randrange(size))])
+    raise ValueError(f"unknown distribution {dist!r}")
 
 
-def _corpus(ctx: RingContext, seed: int, trials: int, lane: str = "exact") -> Iterable[Density]:
+def _corpus(ctx: RingContext, seed: int, trials: int) -> Iterable[Density]:
     for t in range(trials):
         dist = DISTRIBUTIONS[t % len(DISTRIBUTIONS)]
-        yield random_density(ctx, seed, dist, lane, trial=t)
+        yield random_density(ctx, seed, dist, trial=t)
 
 
 def _frac_mean(values: Sequence[Fraction], power: int = 1) -> Fraction:
@@ -222,46 +218,24 @@ def verify_freqbound(ctx: RingContext, p: int, trials: int, seed: int) -> Verifi
 
         avg_u integral |f_{i,u}|^p <= band_constant(i, n) * integral |f|^p.
 
-    p = 2 is checked exactly; p > 2 runs in the float lane with slack
-    logged (the interpolation consequence)."""
+    The band components of a rational density are rational and p is an
+    integer, so both sides are exact power sums for every p >= 2."""
     if p < 2:
         return _skip(f"freqbound[p={p}]", ctx, "needs p >= 2")
     n = ctx.dimension
-    nbands = ctx.num_bands
-    exact = p == 2
-    worst = Fraction(10**9) if exact else float("inf")
+    qsize = ctx.size // ctx.modulus
+    worst = Fraction(10**9)
     witness = None
-    ok = True
     for t, f in enumerate(_corpus(ctx, seed, trials)):
-        rhs_base = f.power_mean(p) if exact else f.to_float().power_mean(p)
-        for i in range(nbands):
-            bc = band_constant(i, n, ctx)
-            if exact:
-                fi = band_project(f, i)
-                lhs = _xray_power_mean_exact(fi, 2)
-                slack = bc * rhs_base - lhs
-            else:
-                fi = band_project(f.to_float(), i)
-                lhs = _xray_power_mean_float(fi, p)
-                slack = float(bc) * rhs_base - lhs
+        rhs_base = f.power_mean(p)
+        for i in range(ctx.num_bands):
+            nums, den = xray_all(band_project(f, i))
+            lhs = Fraction(int(power_sum(nums, p)), den**p * qsize * len(nums))
+            slack = band_constant(i, n, ctx) * rhs_base - lhs
             if slack < worst:
                 worst, witness = slack, {"trial": t, "band": i}
-            if (exact and slack < 0) or (not exact and slack < FLOAT_INEQ_TOL):
-                ok = False
-    return VerificationReport(f"freqbound[p={p}]", ctx.describe(), trials,
-                              "ge-exact" if exact else "ge-float", worst, ok, witness)
-
-
-def _xray_power_mean_exact(f: Density, p: int) -> Fraction:
-    nums, den = xray_all(f)
-    qsize = f.ctx.size // f.ctx.modulus
-    return Fraction(int(power_sum(nums, p)), den**p * qsize * nums.shape[0])
-
-
-def _xray_power_mean_float(f: Density, p: int) -> float:
-    nums, _ = xray_all(f)
-    qsize = f.ctx.size // f.ctx.modulus
-    return float((np.abs(nums) ** p).sum() / (qsize * nums.shape[0]))
+    return VerificationReport(f"freqbound[p={p}]", ctx.describe(), trials, "ge-exact",
+                              worst, worst >= 0, witness)
 
 
 def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
@@ -609,7 +583,7 @@ CHECKS = {
     "radiusN": Check(lambda: corpus_rings(), lambda c, t, s: [verify_radius_lemma(c)]),
     "plancherel": Check(lambda: corpus_rings(), lambda c, t, s: [verify_plancherel(c, t, s)]),
     "xray-l2": Check(lambda: corpus_rings(), lambda c, t, s: [verify_xray_l2(c, t, s)]),
-    # moments p = 2 (the exact lane), 3 and n - 1, the main theorem's exponent
+    # moments p = 2, 3 and n - 1, the main theorem's exponent
     "freqbound": Check(lambda: corpus_rings(),
                        lambda c, t, s: (verify_freqbound(c, p, t, s)
                                         for p in sorted({2, 3, max(2, c.dimension - 1)})),

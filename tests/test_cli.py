@@ -13,10 +13,12 @@ from kakeyalab import verify
 from kakeyalab.cli import main
 from kakeyalab.ring import RingContext
 from kakeyalab.serialize import (certificate_points_from_json, density_from_csv,
-                                 density_to_csv, parse_value)
+                                 density_to_csv, density_to_json, parse_value)
 from kakeyalab.verify import random_density
 
 RING = ["--mode", "padic", "-p", "2", "-l", "2", "-n", "2"]
+# the fields of a padic(3,1,2) spectrum file, short of its coefficients
+SPECTRUM = {"kind": "spectrum", "modulus": 3, "dimension": 2, "lane": "exact"}
 
 
 def run_cli(args, capsys):
@@ -207,7 +209,13 @@ class TestTransformCommand:
         ("xray", {"kind": "density", "dimension": 2, "lane": "exact", "values": []}),
         ("xray", [{"kind": "density"}]),
         ("ifourier", {"kind": "spectrum", "modulus": 3, "dimension": 2, "lane": "exact"}),
-    ], ids=["density-without-modulus", "density-as-list", "spectrum-without-coefficients"])
+        ("ifourier", {**SPECTRUM, "coefficients": [["0/1"] * 3]}),
+        ("ifourier", {**SPECTRUM, "coefficients": [{"root_coefficients": ["0/1"] * 3}]}),
+        ("ifourier", {**SPECTRUM, "coefficients": [{"frequency": [0, 0]}]}),
+        ("ifourier", {**SPECTRUM, "lane": "float", "coefficients": [{"frequency": [0, 0]}]}),
+    ], ids=["density-without-modulus", "density-as-list", "spectrum-without-coefficients",
+            "coefficient-as-list", "coefficient-without-frequency",
+            "coefficient-without-root-coefficients", "float-coefficient-without-value"])
     def test_malformed_json_exits_2(self, op, payload, capsys, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(payload))
@@ -222,6 +230,54 @@ class TestTransformCommand:
         ring = ["--mode", "padic", "-p", "3", "-l", "1", "-n", "2"]
         code = main(["transform", *ring, "--op", "fourier", "--input", str(bad)])
         assert code == 2
+
+    # 5 is not a coordinate mod 3 (it was read as 2), and a repeated point
+    # overwrote the earlier row
+    @pytest.mark.parametrize("rows, bad_row", [
+        ("0,0,2\n5,0,1\n", 3),
+        ("0,0,1\n1,0,1\n0,0,2\n", 4),
+    ], ids=["coordinate-out-of-range", "repeated-point"])
+    def test_bad_point_row_named(self, rows, bad_row, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,value\n" + rows)
+        ring = ["--mode", "padic", "-p", "3", "-l", "1", "-n", "2"]
+        code = main(["transform", *ring, "--op", "fourier", "--input", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: row {bad_row}: ")
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_float_lane_whatever_the_format(self, suffix, capsys, tmp_path):
+        ctx = RingContext.padic(3, 1, 2)
+        f = random_density(ctx, seed=8, dist="uniform-rational")
+        path = tmp_path / f"f{suffix}"
+        path.write_text(density_to_csv(f) if suffix == ".csv" else density_to_json(f))
+        ring = ["--mode", "padic", "-p", "3", "-l", "1", "-n", "2"]
+        code, out = run_cli(["transform", *ring, "--op", "xray", "--direction", "1,0",
+                             "--lane", "float", "--input", str(path)], capsys)
+        assert code == 0 and json.loads(out)["lane"] == "float"
+
+    @pytest.mark.parametrize("op", [["fourier"], ["xray", "--direction", "1,0"],
+                                    ["band", "--index", "0"]], ids=lambda op: op[0])
+    def test_csv_only_for_maximal(self, op, density_file, capsys):
+        _, _, path = density_file
+        ring = ["--mode", "padic", "-p", "3", "-l", "1", "-n", "2"]
+        code = main(["transform", *ring, "--op", *op, "--format", "csv", "--input", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# each option is parsed only by the command that reads it
+@pytest.mark.parametrize("args", [
+    ["verify", *RING, "--lane", "float", "radiusN"],
+    ["search", *RING, "-k", "1", "--seed", "1"],
+    ["constants", *RING, "--trials", "5"],
+    ["verify", *RING, "--format", "csv", "radiusN"],
+    ["constants", *RING, "--format", "text"],
+], ids=["verify-lane", "search-seed", "constants-trials", "verify-csv", "constants-text"])
+def test_option_of_another_command_exits_2(args, capsys):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "error: " in err
 
 
 class TestCsvRoundTrip:
@@ -243,8 +299,8 @@ def test_console_entry_point_runs():
 # A performance change keeps these bytes; a change that must move them
 # updates the digest here and says in CHANGES.md which fields moved and why.
 GOLDEN_REPORTS = {
-    1: "0fbdc9df2789c5a8b887de15d547baa856d47f3f141e6d9e996f894c5082b5ab",
-    2: "1a960dc5e98d1cf21929cbec1c7127e815771e8dca76a9a3fc64846292fbd938",
+    1: "832e531de01349a7d182c0daa0ab676c44d836475a54e32618118ff9f4d43e81",
+    2: "341d23a02c4c3f3edd182b20a6bf6f25cb3519e4b57ea18f4a24514a87d66cdf",
 }
 
 

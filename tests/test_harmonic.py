@@ -97,7 +97,7 @@ class TestFourier:
 
     def test_float_lane_round_trip(self):
         ctx = RingContext.generic(12, 2)
-        f = random_density(ctx, seed=9, dist="uniform-rational", lane="float")
+        f = random_density(ctx, seed=9, dist="uniform-rational").to_float()
         back = fourier_inverse(fourier_forward(f))
         assert np.abs(back.data - f.data).max() < 1e-10
 
@@ -291,7 +291,7 @@ class TestXray:
             monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * ctx.size * rows)
         table = tables.coset_table(ctx, 1)[0]
         rng = np.random.default_rng(48)
-        for f in (random_density(ctx, seed=48, lane="float"),
+        for f in (random_density(ctx, seed=48).to_float(),
                   Density.from_float(ctx, rng.normal(size=ctx.size) + 1j * rng.normal(size=ctx.size))):
             values, den = xray_all(f)
             assert den is None
@@ -301,7 +301,7 @@ class TestXray:
         # the float lane holds a block of the gather and of its intp index,
         # never the (P, size/N, N) gather
         ctx = RingContext.padic(3, 2, 3)
-        f = random_density(ctx, seed=47, lane="float")
+        f = random_density(ctx, seed=47).to_float()
         full = 8 * tables.coset_table(ctx, 1)[0].size
         monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
         xray_all(f)  # warm any lazy state
@@ -516,8 +516,8 @@ class TestXrayL2Identity:
 
     def test_spectral_side_takes_a_spectrum(self):
         ctx = RingContext.padic(2, 2, 3)
-        for lane in ("exact", "float"):
-            f = random_density(ctx, seed=61, dist="uniform-rational", lane=lane)
+        exact = random_density(ctx, seed=61, dist="uniform-rational")
+        for f in (exact, exact.to_float()):
             assert xray_l2_spectral(fourier_forward(f)) == xray_l2_spectral(f)
 
 
@@ -689,7 +689,7 @@ class TestBands:
     def test_band_index_out_of_range(self, i):
         # band -1 used to be the last band by Python indexing
         ctx = RingContext.padic(3, 1, 2)  # bands 0 and 1
-        for f in (random_density(ctx, seed=95), random_density(ctx, seed=95, lane="float")):
+        for f in (random_density(ctx, seed=95), random_density(ctx, seed=95).to_float()):
             with pytest.raises(ValueError, match="band index"):
                 band_project(f, i)
         with pytest.raises(ValueError, match="band index"):
@@ -697,7 +697,7 @@ class TestBands:
 
     def test_float_band_partition(self):
         ctx = RingContext.padic(2, 2, 2)
-        f = random_density(ctx, seed=94, dist="uniform-rational", lane="float")
+        f = random_density(ctx, seed=94, dist="uniform-rational").to_float()
         total = band_project(f, 0)
         for i in range(1, ctx.num_bands):
             total = total + band_project(f, i)

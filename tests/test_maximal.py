@@ -181,7 +181,7 @@ class TestCosetOracle:
     def test_float_values_and_witnesses(self, ctx):
         N = ctx.modulus
         for t in range(4):
-            f = random_density(ctx, seed=1100 + t, dist=DISTRIBUTIONS[t], lane="float", trial=t)
+            f = random_density(ctx, seed=1100 + t, dist=DISTRIBUTIONS[t], trial=t).to_float()
             cases = [(line_maximal(f), line_point_sets(ctx), 1)]
             for k in range(1, ctx.dimension + 1):
                 cases.append((flat_maximal(f, k),
@@ -518,7 +518,7 @@ class TestProjmaxIdentity:
 
         ctx = RingContext.padic(3, 2, 3)
         for t in range(5):
-            f = random_density(ctx, seed=900 + t, dist="uniform-rational", lane="float")
+            f = random_density(ctx, seed=900 + t, dist="uniform-rational").to_float()
             g = band_project(f, 1 + t % 2)
             u = canonical_direction((1, t % 3, 1), ctx)
             result = projmax_identity_check(g, u)

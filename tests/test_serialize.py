@@ -60,7 +60,7 @@ def test_spectrum_json_round_trip_exact():
 
 
 def test_spectrum_json_float():
-    f = random_density(CTX, seed=3, dist="uniform-rational", lane="float")
+    f = random_density(CTX, seed=3, dist="uniform-rational").to_float()
     s = fourier_forward(f)
     s2 = spectrum_from_json(spectrum_to_json(s), CTX)
     assert np.abs(s2.values - s.values).max() < 1e-12

@@ -80,9 +80,20 @@ class TestIndividualChecks:
         assert rep.passed and rep.comparator == "ge-exact"
         assert rep.worst_slack >= 0
 
-    def test_freqbound_p3_float(self):
+    def test_freqbound_p3_exact(self):
         rep = verify_freqbound(CTX, 3, trials=6, seed=0)
-        assert rep.passed and rep.comparator == "ge-float"
+        assert rep.passed and rep.comparator == "ge-exact"
+        assert isinstance(rep.worst_slack, Fraction) and rep.worst_slack >= 0
+
+    @pytest.mark.parametrize("ctx", [c for c in verify.corpus_rings()
+                                     if c.dimension == 2 and not verify._needs_bands(c)],
+                             ids=lambda c: c.describe())
+    def test_freqbound_p3_attained_in_the_plane(self, ctx):
+        # a line indicator (trial 2 or 6 is flat-supported) meets the p = 3
+        # bound with equality on every banded n = 2 corpus ring, which only
+        # an exact comparison can tell from a rounding error
+        rep = verify_freqbound(ctx, 3, trials=8, seed=0)
+        assert rep.passed and rep.worst_slack == 0
 
     def test_freqbound_rejects_small_p(self):
         rep = verify_freqbound(CTX, 1, trials=2, seed=0)
