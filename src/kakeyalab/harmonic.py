@@ -15,8 +15,8 @@ every step under an int64 headroom check); the float lane uses numpy
 doubles and complexes, and numpy's FFT.  Every verification check runs
 in the exact lane; floats run only in the FFT round trip that
 plancherel holds beside the exact one, and in `transform --lane float`.
-The X-rays and the u^perp masses sum over index rows through
-tables.blocked_sums.
+The X-rays, the u^perp masses and each axis pass of the exact transform
+sum over index rows through tables.blocked_sums.
 """
 from __future__ import annotations
 
@@ -334,24 +334,26 @@ def _group_sums(x: np.ndarray, groups) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pass_index(N: int, sign: int) -> np.ndarray:
-    """Read-only (N, N, N) gather index [a, x, j] = x*N + (j - sign*x*a) mod N."""
-    a, x, j = np.ogrid[:N, :N, :N]
-    idx = x * N + (j - sign * x * a) % N
+    """Read-only (N*N, N) int32 index: row a*N + j lists x*N + (j - sign*x*a) mod N
+    over x, the (x, coefficient) rows that one pass sums into (a, j)."""
+    a, j, x = np.ogrid[:N, :N, :N]
+    idx = (x * N + (j - sign * x * a) % N).reshape(N * N, N).astype(np.int32)
     idx.setflags(write=False)
     return idx
 
 
 def _axis_pass_exact(C: np.ndarray, ctx: RingContext, axis: int, sign: int) -> np.ndarray:
-    """One separable stage: out[.., a, ..] = sum_x zeta**(sign*x*a) in[.., x, ..],
-    as one gather of the shifted (x, j) coefficients per output frequency a."""
+    """One separable stage: out[.., a, ..] = sum_x zeta**(sign*x*a) in[.., x, ..].
+
+    The pass axis and the coefficient axis lead an (N*N, size/N) stack,
+    and tables.blocked_sums sums it over the rows of _pass_index."""
     N, n = ctx.modulus, ctx.dimension
-    moved = np.moveaxis(C.reshape((N,) * (n + 1)), axis, n - 1)
-    flat = moved.reshape(-1, N * N)
-    out = np.empty((flat.shape[0], N, N), dtype=C.dtype)
-    # gathering every a at once costs N times the memory and is slower on large rings
-    for a, index in enumerate(_pass_index(N, sign)):
-        out[:, a] = flat.take(index, axis=1).sum(axis=1)
-    return np.moveaxis(out.reshape(moved.shape), n - 1, axis).reshape(ctx.size, N)
+    front = np.moveaxis(C.reshape((N,) * (n + 1)), (axis, n), (0, 1))
+    values = front.reshape(N * N, -1)
+    out = np.empty_like(values)
+    for lo, sums in tables.blocked_sums(values, _pass_index(N, sign)):
+        out[lo:lo + len(sums)] = sums
+    return np.moveaxis(out.reshape(front.shape), (0, 1), (axis, n)).reshape(ctx.size, N)
 
 
 def fourier_forward(f: Density) -> Spectrum:
@@ -440,7 +442,7 @@ def xray_l2_spectral(f: Density | Spectrum):
     s = f if isinstance(f, Spectrum) else fourier_forward(f)
     n = s.ctx.dimension
     vals = tables.valuations(s.ctx)
-    levels = np.unique(vals)
+    levels = np.flatnonzero(np.bincount(vals))  # ascending; np.unique would import numpy.ma
     nums, den = s.masses([np.flatnonzero(vals == v) for v in levels])
     ratios = [Fraction(proj_size(int(v), n - 1), proj_size(int(v), n)) for v in levels]
     if s.lane == "exact":

@@ -10,7 +10,8 @@ returned non-writeable; treat them as shared read-only state.
 
 Every reader of an index table sums values over its rows through one
 kernel, blocked_sums: the X-rays and the coset maxima over coset_table,
-the u^perp masses over perp_index.
+the u^perp masses over perp_index, and the axis passes of the exact
+Fourier transform over their (N*N, N) pass index.
 """
 from __future__ import annotations
 

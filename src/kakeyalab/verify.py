@@ -139,7 +139,7 @@ def verify_radius_lemma(ctx: RingContext) -> VerificationReport:
     P = len(perp)
     worst = Fraction(0)
     first = ctx.size  # rank of the witness
-    for v in np.unique(vals).tolist():
+    for v in np.flatnonzero(np.bincount(vals)).tolist():  # ascending levels, as np.unique
         ranks = np.flatnonzero(vals == v)
         gaps = np.abs(counts[ranks] * proj_size(v, n) - P * proj_size(v, n - 1))
         j = int(np.argmax(gaps))

@@ -174,11 +174,12 @@ def fourier_forward_naive(f: Density):
     N = ctx.modulus
     grid = tables.coord_grid(ctx)
     if f.lane == "exact":
-        points, num = grid.tolist(), [int(v) for v in f.num]
+        num = np.array([int(v) for v in f.num], dtype=object)
         C = np.zeros((ctx.size, N), dtype=object)
-        for ia, a in enumerate(points):
-            for x, v in zip(points, num):
-                C[ia, sum(xi * ai for xi, ai in zip(x, a)) % N] += v
+        for ia, a in enumerate(grid):
+            phase = grid @ a % N  # <x, a> mod N for every x
+            for j in range(N):
+                C[ia, j] = num[phase == j].sum()
         den = f.den * ctx.size
         g = math.gcd(den, *C.ravel())
         return C // g, den // g

@@ -295,6 +295,18 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["all_passed"]
 
 
+def test_verify_all_never_imports_numpy_ma():
+    # numpy imports numpy.ma lazily (np.unique does, through np.ma.is_masked),
+    # about 15 ms and 1 MB in each fresh process
+    code = ("import sys\nfrom kakeyalab import cli\n"
+            "cli.main(['verify', 'all', '--trials', '1'])\n"
+            "print('numpy.ma' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0
+    assert proc.stderr.strip() == "False"
+
+
 # sha256 of the default JSON of `kakeyalab verify all --trials 5 --seed S`.
 # A performance change keeps these bytes; a change that must move them
 # updates the digest here and says in CHANGES.md which fields moved and why.

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from kakeyalab import tables
 from kakeyalab.geometry import canonical_direction, enumerate_proj, proj_size
-from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _band_project_spectral,
-                                band_constant, band_project, band_valuation_sets,
-                                fourier_forward, fourier_inverse, induce_rows,
-                                induce_to_modulus, power_sum, xray_all, xray_l2_spectral,
-                                xray_transform)
+from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _axis_pass_exact,
+                                _band_project_spectral, _pass_index, band_constant,
+                                band_project, band_valuation_sets, fourier_forward,
+                                fourier_inverse, induce_rows, induce_to_modulus, power_sum,
+                                xray_all, xray_l2_spectral, xray_transform)
 from kakeyalab.ring import RingContext, ScaleSemantics
 from kakeyalab.verify import DISTRIBUTIONS, corpus_rings, random_density
 from oracles import (band_project_naive, chart_section, coefficient, correlations_roll,
@@ -55,13 +55,57 @@ class TestFourier:
         # this also tells the transform apart from its conjugate
         for ctx in (RingContext.generic(6, 2), RingContext.padic(2, 2, 2),
                     RingContext.profinite(2, 2), RingContext.padic(2, 2, 3),
-                    RingContext.padic(3, 1, 3)):
+                    RingContext.padic(3, 1, 3), RingContext.generic(12, 3)):
             f = random_density(ctx, seed=3, dist="uniform-rational")
             fast, (coeffs, den) = fourier_forward(f), fourier_forward_naive(f)
             assert fast.den == den and (fast.coeffs == coeffs).all()
             ff = f.to_float()
             gap = np.abs(fourier_forward(ff).values - fourier_forward_naive(ff)).max()
             assert gap < 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    @pytest.mark.parametrize("ctx", [RingContext.padic(3, 2, 3), RingContext.generic(6, 2),
+                                     RingContext.generic(12, 2)], ids=lambda c: c.describe())
+    def test_pass_blocks(self, monkeypatch, ctx, rows):
+        # the (N*N, size/N) stack of a pass in blocks of one, two and five
+        # rows; its 81, 36 and 144 rows leave a ragged last block at five
+        # rows, and the 81 of padic(3,2,3) also at two
+        N = ctx.modulus
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * max(N, ctx.size // N) * rows)
+        f = random_density(ctx, seed=5, dist="uniform-rational")
+        s, (coeffs, den) = fourier_forward(f), fourier_forward_naive(f)
+        assert s.den == den and (s.coeffs == coeffs).all()
+        assert fourier_inverse(s) == f
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("N", [2, 6, 9, 12])
+    def test_pass_index_rows(self, N, sign):
+        # row a*N + j reads coefficient (j - sign*x*a) mod N of each x once
+        idx = _pass_index(N, sign)
+        assert idx.shape == (N * N, N) and idx.dtype == np.int32 and not idx.flags.writeable
+        x = np.arange(N)
+        assert (idx // N == x).all()
+        a, j = np.divmod(np.arange(N * N), N)
+        assert (idx % N == (j[:, None] - sign * x * a[:, None]) % N).all()
+
+    def test_pass_builds_no_whole_gather(self, monkeypatch):
+        # one exact pass holds a block of the (size/N, N*N, N) gather, the
+        # value stack, its sums and the result, never the whole gather
+        ctx = RingContext.generic(12, 3)
+        N = ctx.modulus
+        C = np.zeros((ctx.size, N), dtype=np.int64)
+        C[:, 0] = random_density(ctx, seed=49, dist="uniform-rational").num
+        full = 8 * ctx.size * N * N
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
+        _axis_pass_exact(C, ctx, 1, 1)  # warm the index cache
+        tracemalloc.start()
+        try:
+            _axis_pass_exact(C, ctx, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (1 << 14) + 3 * C.nbytes
+        assert full > 3 * peak
 
     @given(st.lists(st.integers(0, 2**62), min_size=9, max_size=9),
            st.integers(0, 8), st.sampled_from((1, -1)), st.integers(1, 2**20))
