@@ -5,8 +5,10 @@ table is built once per ring.  The central one is coset_table: for every
 k-flat U through the origin it lists each coset a + U of (Z/NZ)^n once,
 as a row of point ranks, plus the least rank of each row.  The X-ray
 (k = 1) sums rows in place of fibers, and the maximal operators sum rows
-in place of shifts, so no coset is summed more than once.  Arrays are
-returned non-writeable; treat them as shared read-only state.
+in place of shifts, so no coset is summed more than once.  Its ranks are
+uint16 on rings of at most 65,535 points and int32 above, so readers
+index with it and never compute in its dtype.  Arrays are returned
+non-writeable; treat them as shared read-only state.
 
 Every reader of an index table sums values over its rows through one
 kernel, blocked_sums: the X-rays and the coset maxima over coset_table,
@@ -100,17 +102,23 @@ def _lex_grid(N: int, m: int) -> np.ndarray:
     return coord_grid(RingContext.generic(N, m))
 
 
+def _rank_dtype(ctx: RingContext) -> np.dtype:
+    """The dtype of coset_table: uint16 while every rank and the sentinel
+    ctx.size (coset_maxima's "no witness") fit, int32 above."""
+    return np.dtype(np.uint16 if ctx.size <= np.iinfo(np.uint16).max else np.int32)
+
+
 @lru_cache(maxsize=None)
 def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every coset a + U of every k-flat U through the origin, once.
 
-    Returns (table, least).  table is (F, size // N**k, N**k) int32; row y
-    of flat i lists the ranks of section(y) + sum_j t_j g_j over t in
-    (Z/NZ)^k in lex order, where g_j are the generators and section(y)
-    places the quotient point y in (Z/NZ)^(n-k) on the non-pivot columns
-    of each CRT component (zeros on the pivots).  least is (F, size // N**k),
-    the smallest rank in each row.  Flats follow directions(ctx) for k = 1
-    and flats(ctx, k) above.
+    Returns (table, least).  table is (F, size // N**k, N**k) of ranks in
+    _rank_dtype(ctx); row y of flat i lists the ranks of
+    section(y) + sum_j t_j g_j over t in (Z/NZ)^k in lex order, where g_j
+    are the generators and section(y) places the quotient point y in
+    (Z/NZ)^(n-k) on the non-pivot columns of each CRT component (zeros on
+    the pivots).  least is (F, size // N**k), the smallest rank in each
+    row.  Flats follow directions(ctx) for k = 1 and flats(ctx, k) above.
 
     This is the package's one quotient chart.  The pivot of a generator is
     its first unit coordinate mod p, per CRT component p**e of N; for the
@@ -118,36 +126,58 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     y of a line table is the fiber over y of Q_u = (Z/NZ)^n / <u>, and the
     X-ray reads the table directly.
 
-    A table of more bytes (4 * F * size) than the machine's physical
-    memory raises TableMemoryError before anything is enumerated.
+    The rows are built a block of flats (about _BLOCK_BYTES of ranks) at a
+    time, one coordinate at a time: section plus offset, reduced mod N by
+    one conditional subtract, folded into the rank by Horner's rule in the
+    table's own dtype.  A table of more bytes (itemsize * F * size) than
+    the machine's physical memory raises TableMemoryError before anything
+    is enumerated.
     """
     N, n = ctx.modulus, ctx.dimension
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    nbytes, memory = 4 * gr_size(N, n, k) * ctx.size, _physical_memory()
+    dtype = _rank_dtype(ctx)
+    F = gr_size(N, n, k)
+    nbytes, memory = dtype.itemsize * F * ctx.size, _physical_memory()
     if nbytes > memory:
         raise TableMemoryError(nbytes, memory)
     if k == 1:
         gens = direction_matrix(ctx)[:, None, :]  # (F, k, n)
     else:
         gens = np.array([f.generators for f in flats(ctx, k)], dtype=np.int64)
-    offsets = _lex_grid(N, k) @ gens % N  # (F, N**k, n): the points of U
-    quotient = _lex_grid(N, n - k)
-    components = []
-    for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)):
-        components.append((e, quotient % q, (gens % p != 0).argmax(axis=2)))
-    table = np.empty((len(gens), len(quotient), N**k), dtype=np.int32)
-    for i in range(len(gens)):
-        sections = np.zeros((len(quotient), n), dtype=np.int64)
-        for e, y, pivots in components:
-            sections[:, np.delete(np.arange(n), pivots[i])] += e * y
-        table[i] = rank_points((sections[:, None, :] + offsets[i]) % N, ctx)
-    return _freeze(table), _freeze(table.min(axis=2))
+    lex, quotient = _lex_grid(N, k), _lex_grid(N, n - k)
+    Q = len(quotient)
+    # per CRT component p**e: row m is the quotient coordinate m placed by
+    # the idempotent; column j reads row j - #(pivots before j) off the
+    # pivots and the last row, zero, on them
+    parts = [(p, np.vstack([(e * (quotient % q) % N).T, np.zeros((1, Q), dtype=np.int64)]))
+             for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N))]
+    table = np.empty((F, Q, N**k), dtype=dtype)
+    least = np.empty((F, Q), dtype=dtype)
+    step = max(1, _BLOCK_BYTES // (dtype.itemsize * ctx.size))
+    for lo in range(0, F, step):
+        g = gens[lo:lo + step]
+        offsets = (lex @ g % N).astype(dtype)  # (B, N**k, n): the points of U
+        sections = np.zeros((len(g), n, Q), dtype=np.int64)
+        for p, placed in parts:
+            pivot = ((g % p != 0).argmax(axis=2)[:, :, None] == np.arange(n)).any(axis=1)
+            sections += placed[np.where(pivot, n - k, np.arange(n) - pivot.cumsum(axis=1))]
+        sections = (sections % N).astype(dtype)
+        out = table[lo:lo + step]
+        out[...] = 0
+        for j in range(n):
+            c = sections[:, j, :, None] + offsets[:, None, :, j]
+            c -= (c >= N) * dtype.type(N)
+            out *= N
+            out += c
+        least[lo:lo + step] = out.min(axis=2)
+    return _freeze(table), _freeze(least)
 
 
 # Bytes that one block of a gather holds: the intp index and the gathered
-# values of a block of blocked_sums, and the shifted coefficients of a
-# block of harmonic.Spectrum.correlations.  Gathered whole on
+# values of a block of blocked_sums, the shifted coefficients of a block
+# of harmonic.Spectrum.correlations, and the ranks of a block of flats
+# that coset_table builds.  Gathered whole on
 # generic(30,3), the line-table X-ray would take 610 MB.  Blocks of 4 MB
 # ran the exact X-ray of padic(5,2,3) about 3x slower than blocks of this
 # size, which stay in cache.

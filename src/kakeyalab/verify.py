@@ -69,6 +69,25 @@ def _rng_for(ctx: RingContext, seed: int, dist: str, trial: int) -> random.Rando
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _randints(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """count values of rng.randint(0, n - 1), the same as a loop of them.
+
+    CPython draws each from one 32-bit word, keeps its top n.bit_length()
+    bits and draws again while that is n or more.  The words are read from
+    getrandbits(32 * m), least significant word first, which is their
+    order in the stream.  The last call may draw words past the last value
+    kept, so the rng must not be drawn from afterwards.
+    """
+    bits = n.bit_length()
+    out = np.empty(0, dtype=np.int64)
+    while len(out) < count:
+        m = ((count - len(out)) << bits) // n + 1  # about enough words to finish
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        values = words >> (32 - bits)
+        out = np.concatenate([out, values[values < n]])
+    return out[:count]
+
+
 def random_density(ctx: RingContext, seed: int, dist: str = "uniform-rational",
                    trial: int = 0) -> Density:
     """Deterministic seeded density; sparse and flat-supported bias toward
@@ -77,8 +96,7 @@ def random_density(ctx: RingContext, seed: int, dist: str = "uniform-rational",
     size = ctx.size
     if dist == "uniform-rational":
         den = rng.choice((2, 3, 4, 6, 8, 12))
-        num = np.array([rng.randint(0, 4 * den) for _ in range(size)], dtype=np.int64)
-        return Density.from_numden(ctx, num, den)
+        return Density.from_numden(ctx, _randints(rng, 4 * den + 1, size), den)
     if dist == "sparse":
         num = np.zeros(size, dtype=np.int64)
         support = rng.sample(range(size), max(1, size // 8))

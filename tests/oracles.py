@@ -18,7 +18,7 @@ from kakeyalab.geometry import ProjDirection, flat_points
 from kakeyalab.harmonic import (Density, Spectrum, band_valuation_sets, fourier_forward,
                                 xray_all, xray_transform)
 from kakeyalab.maximal import flat_maximal, line_maximal
-from kakeyalab.ring import crt_combine_scalar
+from kakeyalab.ring import _crt_basis, crt_combine_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,30 @@ def chart_section(u: ProjDirection, y: Sequence[int], ctx) -> tuple[int, ...]:
         comps.append(lifted)
     return tuple(crt_combine_scalar([c[i] for c in comps], ctx.modulus)
                  for i in range(ctx.dimension))
+
+
+def coset_table_per_flat(ctx, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """tables.coset_table built one flat at a time, as int32: each flat's
+    sections put the quotient points on its non-pivot columns with
+    np.delete, and its (Q, N**k, n) int64 coordinate stack is ranked by
+    the place-value product."""
+    N, n = ctx.modulus, ctx.dimension
+    if k == 1:
+        gens = tables.direction_matrix(ctx)[:, None, :]
+    else:
+        gens = np.array([f.generators for f in tables.flats(ctx, k)], dtype=np.int64)
+    offsets = tables._lex_grid(N, k) @ gens % N
+    quotient = tables._lex_grid(N, n - k)
+    components = []
+    for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)):
+        components.append((e, quotient % q, (gens % p != 0).argmax(axis=2)))
+    table = np.empty((len(gens), len(quotient), N**k), dtype=np.int32)
+    for i in range(len(gens)):
+        sections = np.zeros((len(quotient), n), dtype=np.int64)
+        for e, y, pivots in components:
+            sections[:, np.delete(np.arange(n), pivots[i])] += e * y
+        table[i] = tables.rank_points((sections[:, None, :] + offsets[i]) % N, ctx)
+    return table, table.min(axis=2)
 
 
 def lift_points(u: ProjDirection, w: ProjDirection, ctx) -> frozenset[tuple[int, ...]]:
@@ -363,3 +387,13 @@ def mweight_lines(f: Density, p: int) -> int:
             best = max(best, sum(int(f.num[ctx.rank(combine(x, z))])
                                  for x in line_points(a, u.rep, q)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# seeded draws
+# ---------------------------------------------------------------------------
+
+
+def randints_loop(rng, n: int, count: int) -> np.ndarray:
+    """count values of rng.randint(0, n - 1), one call each."""
+    return np.array([rng.randint(0, n - 1) for _ in range(count)], dtype=np.int64)

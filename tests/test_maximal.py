@@ -16,8 +16,8 @@ from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
                                f_star, flat_maximal, line_maximal, maxN_constant,
                                mweight, rounding_g)
 from kakeyalab.ring import RingContext
-from kakeyalab.verify import DISTRIBUTIONS, random_density
-from oracles import mweight_lines, projmax_identity_check
+from kakeyalab.verify import DISTRIBUTIONS, corpus_rings, random_density
+from oracles import coset_table_per_flat, mweight_lines, projmax_identity_check
 
 
 def brute_line_max(f, u, ctx):
@@ -218,12 +218,68 @@ class TestCosetOracle:
         table, least = tables.coset_table(ctx, 2)
         F = len(tables.flats(ctx, 2))
         assert table.shape == (F, ctx.size // 16**2, 16**2)
-        assert table.nbytes == 4 * F * ctx.size
+        assert table.dtype == np.uint16 and table.nbytes == 2 * F * ctx.size
         plane = tables.flats(ctx, 2)[5]
         shifted = [tuple((a + 1) % 16 for a in p) for p in flat_points(plane)]
         prof = flat_maximal(Density.indicator(ctx, shifted), 2)
         assert prof.value(plane) == 1 and prof.witness(plane) == min(shifted)
         assert sum(v == 1 for v in prof.values) == 1
+
+
+class TestCosetTableBuild:
+    """The blocked build against the flat-by-flat oracle, its rank dtype
+    and its memory."""
+
+    RINGS = corpus_rings() + [RingContext.padic(2, 1, 1), RingContext.generic(6, 1),
+                              RingContext.padic(2, 1, 4), RingContext.padic(2, 2, 4),
+                              RingContext.padic(2, 17, 1)]  # 131,072 points: int32 ranks
+
+    @pytest.mark.parametrize("blocks", ["default", "one flat", "ragged"])
+    @pytest.mark.parametrize("ctx", RINGS, ids=lambda c: c.describe())
+    def test_equals_per_flat_oracle(self, monkeypatch, ctx, blocks):
+        itemsize = tables._rank_dtype(ctx).itemsize
+        for k in range(1, ctx.dimension + 1):
+            want, want_least = coset_table_per_flat(ctx, k)
+            F = len(want)
+            if blocks == "one flat":
+                monkeypatch.setattr(tables, "_BLOCK_BYTES", itemsize * ctx.size)
+            elif blocks == "ragged":  # the fewest flats per block that leave a short last one
+                step = next((b for b in range(2, F) if F % b), 1)
+                monkeypatch.setattr(tables, "_BLOCK_BYTES", step * itemsize * ctx.size)
+            table, least = tables.coset_table.__wrapped__(ctx, k)
+            assert table.dtype == least.dtype == tables._rank_dtype(ctx)
+            assert np.array_equal(table.astype(np.int64), want)
+            assert np.array_equal(least.astype(np.int64), want_least)
+
+    def test_rank_dtype_holds_every_rank_and_the_sentinel(self):
+        assert tables._rank_dtype(RingContext.generic(255, 2)) == np.uint16  # 65,025 points
+        assert tables._rank_dtype(RingContext.generic(256, 2)) == np.int32  # 65,536 points
+
+    def test_memory_guard_counts_the_rank_dtype(self, monkeypatch):
+        # memory between the uint16 and the int32 bytes of a table: a
+        # uint16 ring builds, a ring past 65,535 points is refused
+        small, large = RingContext.padic(2, 2, 3), RingContext.generic(256, 2)
+        F = len(tables.direction_matrix(small))
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 3 * F * small.size)
+        assert tables.coset_table.__wrapped__(small, 1)[0].nbytes == 2 * F * small.size
+        P = len(tables.direction_matrix(large))
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 3 * P * large.size)
+        with pytest.raises(tables.TableMemoryError) as err:
+            tables.coset_table.__wrapped__(large, 1)
+        assert err.value.estimate == 4 * P * large.size
+
+    def test_peak_memory_is_a_few_blocks_past_the_table(self, monkeypatch):
+        ctx = RingContext.generic(12, 3)
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
+        tables.coset_table.__wrapped__(ctx, 1)  # warm the cached grids and directions
+        tracemalloc.start()
+        try:
+            table, least = tables.coset_table.__wrapped__(ctx, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + least.nbytes + 8 * (1 << 14)
+        assert 8 * len(table) * ctx.size * ctx.dimension > 8 * peak  # the (F, Q, N, n) int64 stack
 
 
 class TestCosetMaxima:

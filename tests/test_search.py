@@ -75,7 +75,7 @@ class TestTranslateOptions:
         assert str(4 * 1_835_008 * 2**30) in str(err.value)
 
     def test_bitmasks_over_memory_refused(self, monkeypatch, capsys):
-        # padic(2,3,3) lines: a 229,376-byte table, but 112 lines of 64
+        # padic(2,3,3) lines: a 114,688-byte table, but 112 lines of 64
         # cosets, each a 64-byte bitmask, take 458,752 bytes
         from kakeyalab.cli import main
 

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 import warnings
 from fractions import Fraction
@@ -19,6 +20,7 @@ from kakeyalab.verify import (DISTRIBUTIONS, VerificationReport, random_density,
                               verify_plancherel, verify_projmax,
                               verify_radius_lemma, verify_rounding,
                               verify_xray_l2)
+from oracles import randints_loop
 
 CTX = RingContext.padic(2, 2, 2)
 CTX6 = RingContext.profinite(2, 2)
@@ -58,6 +60,13 @@ class TestRandomDensity:
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
             random_density(CTX, seed=0, dist="bogus")
+
+    @pytest.mark.parametrize("den", [2, 3, 4, 6, 8, 12])
+    def test_bulk_draw_equals_the_randint_loop(self, den):
+        for count in (1, 2, 3, 16, 27, 144, 1728, 27_000):
+            for seed in range(3):
+                got = verify._randints(random.Random(seed), 4 * den + 1, count)
+                assert np.array_equal(got, randints_loop(random.Random(seed), 4 * den + 1, count))
 
 
 class TestIndividualChecks:
