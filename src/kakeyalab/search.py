@@ -1,13 +1,22 @@
 """Search for small sets containing a k-flat translate in every direction.
 
-Point sets are bitmasks over the ranked points of (Z/NZ)^n, so unions,
-containment tests and cardinalities are single integer operations.  The
-translates of each flat are the rows of tables.coset_table, turned into
-bitmasks once per (ring, k) by translate_options.  The greedy pass and the
-branch-and-bound minimizer are both deterministic: ties break on
-enumeration (lexicographic) order everywhere.  The exact search fixes the
-first direction's translate to the one through the origin, since any
-translate of a Kakeya set is a Kakeya set of the same size.
+The translates of each flat are its cosets, the rows of
+tables.coset_table, and a search choice is a (flat, coset) pair: a flat
+index and a row of its table.  The greedy pass and certify work on
+coverage counts over that table.  Covering a point x lowers the count of
+uncovered points of exactly one coset per flat, the one holding x, so the
+greedy keeps those counts in an (F, C) array and updates them through the
+inverse index coset_of (the coset of each flat that holds each point).
+The exact branch and bound runs on rings small enough that a translate is
+one machine word: there each translate is a Python int bitmask, built once
+per (ring, k) by translate_options, and a node's costs are ANDs and
+popcounts.
+
+Both searches are deterministic: ties break on enumeration order, flats
+in table order and translates in the order of their lex-least shift.  The
+exact search fixes the first direction's translate to the one through the
+origin, since any translate of a Kakeya set is a Kakeya set of the same
+size.
 """
 from __future__ import annotations
 
@@ -85,43 +94,85 @@ def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[
     return tuple(out)
 
 
-Choice = tuple[int, int, tuple[int, ...]]  # (flat index, translate mask, shift)
+Choice = tuple[int, int]  # (flat index, row of the flat's coset table)
 
 
 def _certificate(ctx: RingContext, k: int, chosen: Sequence[Choice],
                  optimal: bool) -> KakeyaCertificate:
+    """The union of the chosen cosets, one per flat, with each coset's
+    lex-least point as its flat's witness shift."""
+    table, least = tables.coset_table(ctx, k)
+    fs, rows = np.array(sorted(chosen), dtype=np.intp).reshape(-1, 2).T
+    covered = np.zeros(ctx.size, dtype=bool)
+    covered[table[fs, rows]] = True
+    grid = tables.coord_grid(ctx)
     flats = tables.flats(ctx, k)
-    union = 0
-    witnesses = []
-    for fi, mask, shift in sorted(chosen):
-        union |= mask
-        witnesses.append((flats[fi], shift))
-    pts = tuple(ctx.unrank(i) for i in range(ctx.size) if union >> i & 1)
-    return KakeyaCertificate(k, ctx, pts, tuple(witnesses), optimal)
+    shifts = grid[least[fs, rows]].tolist()
+    witnesses = tuple((flats[f], tuple(s)) for f, s in zip(fs.tolist(), shifts))
+    points = tuple(map(tuple, grid[covered].tolist()))
+    return KakeyaCertificate(k, ctx, points, witnesses, optimal)
 
 
-def _greedy(options) -> list[Choice]:
-    """The choices of greedy_kakeya, in the order they were committed."""
-    remaining = list(range(len(options)))
-    union = 0
+def _coset_of(table: np.ndarray, order: np.ndarray, size: int) -> np.ndarray:
+    """(F, size): entry [f, x] is the position j of the coset of flat f
+    that holds point x, where order[f, j] is its row of table; in the
+    smallest unsigned dtype that holds C - 1.
+
+    One scatter of the table rows, a block of flats (about
+    tables._BLOCK_BYTES of intp index) at a time.  More bytes than the
+    machine's physical memory raise tables.TableMemoryError before any is
+    allocated.
+    """
+    F, C, M = table.shape
+    dtype = np.min_scalar_type(C - 1)
+    nbytes, memory = dtype.itemsize * F * size, tables._physical_memory()
+    if nbytes > memory:
+        raise tables.TableMemoryError(nbytes, memory)
+    position = np.empty((F, C), dtype=dtype)
+    np.put_along_axis(position, order, np.arange(C, dtype=dtype)[None, :], axis=1)
+    out = np.empty((F, size), dtype=dtype)
+    flat_out = out.reshape(-1)
+    step = max(1, tables._BLOCK_BYTES // (8 * size))
+    for lo in range(0, F, step):
+        block = table[lo:lo + step]
+        index = block + (np.arange(lo, lo + len(block), dtype=np.intp) * size)[:, None, None]
+        flat_out[index] = position[lo:lo + step, :, None]
+    return out
+
+
+def _greedy(ctx: RingContext, k: int) -> tuple[list[Choice], int]:
+    """The choices of greedy_kakeya, in the order they were committed, and
+    the size of their union.
+
+    cost[f, j] counts the uncovered points of the j-th coset of flat f in
+    lex-least-shift order, and low[f] is the least cost of flat f.  A step
+    commits the first minimum in (flat, shift) order, then lowers, by one
+    bincount of the newly covered points, the one count per flat and
+    point of the coset holding it.  A committed flat's costs are set to
+    size + 1: it loses at most size - N**k points after that, so its
+    counts stay above any coset's size and it is never the minimum again.
+    """
+    table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
+    F, C, M = table.shape
+    order = np.argsort(least, axis=1)
+    coset_of = _coset_of(table, order, ctx.size)
+    cost = np.full((F, C), M, dtype=np.int64)
+    low = np.full(F, M, dtype=np.int64)
+    keys = np.arange(F)[:, None] * C  # cost.flat index of (f, 0)
+    covered = np.zeros(ctx.size, dtype=bool)
     chosen: list[Choice] = []
-    while remaining:
-        free = ~union
-        best = None
-        for fi in remaining:
-            # candidates come in (direction, shift) order, so only a
-            # strictly cheaper one replaces the best so far
-            for mask, shift in options[fi]:
-                cost = (mask & free).bit_count()
-                if best is None or cost < best[0]:
-                    best = (cost, fi, mask, shift)
-            if best[0] == 0:
-                break
-        _, fi, mask, shift = best
-        chosen.append((fi, mask, shift))
-        union |= mask
-        remaining.remove(fi)
-    return chosen
+    for _ in range(F):
+        f = int(low.argmin())
+        row = int(order[f, cost[f].argmin()])
+        chosen.append((f, row))
+        cost[f] = low[f] = ctx.size + 1
+        points = table[f, row]
+        new = points[~covered[points]]
+        if len(new):
+            covered[new] = True
+            cost -= np.bincount((keys + coset_of[:, new]).ravel(), minlength=F * C).reshape(F, C)
+            cost.min(axis=1, out=low)
+    return chosen, int(covered.sum())
 
 
 def greedy_kakeya(ctx: RingContext, k: int) -> KakeyaCertificate:
@@ -130,19 +181,20 @@ def greedy_kakeya(ctx: RingContext, k: int) -> KakeyaCertificate:
     lex-least minimizing shift."""
     if not 1 <= k <= ctx.dimension:
         raise ValueError("need 1 <= k <= n")
-    return _certificate(ctx, k, _greedy(translate_options(ctx, k)), optimal=False)
+    return _certificate(ctx, k, _greedy(ctx, k)[0], optimal=False)
 
 
 def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> KakeyaCertificate:
     """Minimum-cardinality certificate by depth-first branch and bound.
 
-    Nodes assign one translate per direction, cheapest increments first;
-    a direction already covered by the current union is claimed at zero
-    cost without branching (a dominant choice).  The pruning bound is
-    |union| plus the largest single-direction minimum increment over the
-    remaining directions, which never overestimates the cost of a
-    completion.  Budget counts expanded nodes; exhaustion raises
-    BudgetExceeded carrying the best certificate found so far.
+    Nodes assign one translate per direction, in flat order, cheapest
+    increments first; a direction already covered by the current union is
+    claimed at zero cost without branching (a dominant choice).  A node is
+    pruned when some remaining direction's minimum increment alone brings
+    the union to the incumbent's size, a bound that never overestimates
+    the cost of a completion.  Budget counts expanded nodes (at least 1);
+    exhaustion raises BudgetExceeded carrying the best certificate found
+    so far.  The greedy cover is the first incumbent.
 
     The root keeps only its first branch, the first direction's translate
     through the origin.  A translate of a Kakeya set is a Kakeya set of
@@ -155,63 +207,85 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
     """
     if not 1 <= k <= ctx.dimension:
         raise ValueError("need 1 <= k <= n")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     if k == ctx.dimension:
-        return _certificate(ctx, k, [(0, (1 << ctx.size) - 1, (0,) * ctx.dimension)], optimal=True)
+        return _certificate(ctx, k, [(0, 0)], optimal=True)
 
-    options = translate_options(ctx, k)
-    masks = [[m for m, _ in opts] for opts in options]
-    best_chosen = _greedy(options)
-    union = 0
-    for _, mask, _ in best_chosen:
-        union |= mask
-    best_size = union.bit_count()
+    masks = [[m for m, _ in opts] for opts in translate_options(ctx, k)]
+    F = len(masks)
+    best_chosen, best_size = _greedy(ctx, k)
+    picks = [0] * F  # per flat, the position of its translate in shift order
+    best_picks = None
+    hint = [0] * F  # per flat, the translate of least increment when last scanned
     nodes = 0
-    order = sorted(range(len(options)), key=lambda fi: -min(m.bit_count() for m in masks[fi]))
+    bit_count = int.bit_count
 
-    def lower_bound(union: int, pos: int) -> int:
-        have = union.bit_count()
-        free = ~union
-        worst = 0
-        for fi in order[pos:]:
-            inc = min((m & free).bit_count() for m in masks[fi])
-            worst = max(worst, inc)
-            if have + worst >= best_size:
-                break
-        return have + worst
-
-    def dfs(pos: int, union: int, chosen: list[Choice]):
-        nonlocal nodes, best_size, best_chosen
+    def dfs(pos: int, union: int, have: int):
+        # have is the size of union
+        nonlocal nodes, best_size, best_picks
         if nodes >= budget:
             raise _Exhausted()
         nodes += 1
-        if pos == len(order):
-            size = union.bit_count()
-            if size < best_size:
-                best_size = size
-                best_chosen = list(chosen)
+        if pos == F:
+            if have < best_size:
+                best_size = have
+                best_picks = list(picks)
             return
-        if lower_bound(union, pos) >= best_size:
-            return
-        fi = order[pos]
+        # prune when some remaining flat's least increment is >= need: the
+        # node's own flat first, as its increments also rank the children,
+        # then each later flat, skipped when its hint translate is cheaper
         free = ~union
-        # options are in shift order and the sort is stable, so ties on
-        # cost stay in shift order
-        ranked = sorted(options[fi], key=lambda ms: (ms[0] & free).bit_count())
-        if pos == 0 or ranked[0][0] & free == 0:
-            # at the root: the translate through the origin (see above);
-            # elsewhere a translate already inside the union dominates every
-            # other choice (swapping it in can only shrink the final union)
-            ranked = ranked[:1]
-        for mask, shift in ranked:
-            chosen.append((fi, mask, shift))
-            dfs(pos + 1, union | mask, chosen)
-            chosen.pop()
+        need = best_size - have
+        incs = list(map(bit_count, map(free.__and__, masks[pos])))
+        least = min(incs)
+        if least >= need:
+            return
+        for fi in range(pos + 1, F):
+            ms = masks[fi]
+            if bit_count(ms[hint[fi]] & free) < need:
+                continue
+            incs_fi = list(map(bit_count, map(free.__and__, ms)))
+            low = min(incs_fi)
+            if low >= need:
+                return
+            hint[fi] = incs_fi.index(low)
+        if pos == 0:
+            # at the root: the translate through the origin (see above)
+            ranked = [0]
+        elif least == 0:
+            # a translate already inside the union dominates every other
+            # choice (swapping it in can only shrink the final union)
+            ranked = [incs.index(0)]
+        else:
+            # a stable sort, so ties on cost stay in shift order
+            ranked = sorted(range(len(incs)), key=incs.__getitem__)
+        row_masks = masks[pos]
+        for i, j in enumerate(ranked):
+            size = have + incs[j]
+            if size >= best_size:
+                # this child and every later one, none cheaper, are nodes
+                # that their own size prunes: count them without a visit
+                rest = len(ranked) - i
+                if nodes + rest > budget:
+                    raise _Exhausted()
+                nodes += rest
+                return
+            picks[pos] = j
+            dfs(pos + 1, union | row_masks[j], size)
 
     try:
-        dfs(0, 0, [])
+        dfs(0, 0, 0)
+        optimal = True
     except _Exhausted:
-        raise BudgetExceeded(_certificate(ctx, k, best_chosen, optimal=False)) from None
-    return _certificate(ctx, k, best_chosen, optimal=True)
+        optimal = False
+    if best_picks is not None:
+        order = np.argsort(tables.coset_table(ctx, k)[1], axis=1)
+        best_chosen = [(f, int(order[f, j])) for f, j in enumerate(best_picks)]
+    cert = _certificate(ctx, k, best_chosen, optimal=optimal)
+    if not optimal:
+        raise BudgetExceeded(cert)
+    return cert
 
 
 class _Exhausted(Exception):
@@ -222,23 +296,28 @@ def certify(points: Sequence[Sequence[int]], ctx: RingContext, k: int) -> Kakeya
     """Check that a point set contains a translate of every k-flat.
 
     Raises ValueError naming the first uncovered direction otherwise, and
-    on a point with the wrong number of coordinates.
+    on a point with the wrong number of coordinates.  The witness of each
+    flat is the lex-least shift of its translates inside the set.
     """
-    mask = 0
-    pts = []
+    ranked: dict[int, tuple[int, ...]] = {}
     for p in points:
         if len(p) != ctx.dimension:
             raise ValueError(f"point {tuple(p)} has {len(p)} coordinates, need {ctx.dimension}")
         reduced = tuple(c % ctx.modulus for c in p)
-        r = ctx.rank(reduced)
-        if not mask >> r & 1:
-            pts.append(reduced)
-        mask |= 1 << r
-    options = translate_options(ctx, k)
-    witnesses = []
-    for flat, opts in zip(tables.flats(ctx, k), options):
-        hit = next((shift for tmask, shift in opts if tmask & ~mask == 0), None)
-        if hit is None:
-            raise ValueError(f"no translate of {flat.generators} lies inside the set")
-        witnesses.append((flat, hit))
-    return KakeyaCertificate(k, ctx, tuple(sorted(pts)), tuple(witnesses), optimal=False)
+        ranked.setdefault(ctx.rank(reduced), reduced)
+    table, least = tables.coset_table(ctx, k)
+    covered = np.zeros(ctx.size, dtype=np.int64)
+    covered[list(ranked)] = 1
+    # a coset lies inside the set when all its N**k points are covered;
+    # elsewhere its least rank is replaced by size, which no rank reaches
+    shifts = np.empty(len(table), dtype=np.int64)
+    for lo, counts in tables.blocked_sums(covered, table):
+        inside = np.where(counts == table.shape[2], least[lo:lo + len(counts)], ctx.size)
+        shifts[lo:lo + len(counts)] = inside.min(axis=1)
+    flats = tables.flats(ctx, k)
+    missing = np.flatnonzero(shifts == ctx.size)
+    if len(missing):
+        raise ValueError(f"no translate of {flats[missing[0]].generators} lies inside the set")
+    grid = tables.coord_grid(ctx)
+    witnesses = tuple(zip(flats, map(tuple, grid[shifts].tolist())))
+    return KakeyaCertificate(k, ctx, tuple(sorted(ranked.values())), witnesses, optimal=False)

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -508,17 +508,16 @@ def besicovitch_rings() -> list[RingContext]:
     return [RingContext.padic(2, 1, 3), RingContext.padic(3, 1, 3)]
 
 
-def search_certificates(rings_2flat: Sequence[RingContext] | None = None,
-                        rings_line: Sequence[RingContext] | None = None):
+@lru_cache(maxsize=None)
+def search_certificates() -> tuple[tuple[search.KakeyaCertificate, ...],
+                                   tuple[search.KakeyaCertificate, ...]]:
     """Search products for the adversarial corpus: exact 2-flat minima over
-    the tiny prime rings and greedy line certificates over prime rings."""
-    rings_2flat = besicovitch_rings() if rings_2flat is None else rings_2flat
-    if rings_line is None:
-        rings_line = [RingContext.padic(2, 1, 2), RingContext.padic(3, 1, 2),
-                      RingContext.padic(2, 1, 3), RingContext.padic(3, 1, 3)]
-    exact_certs = [search.exact_min_kakeya(ctx, 2) for ctx in rings_2flat]
-    greedy_certs = [search.greedy_kakeya(ctx, 1) for ctx in rings_line]
-    return exact_certs, greedy_certs
+    the tiny prime rings and greedy line certificates over prime rings.
+    Built once per process and shared by the checks that read them."""
+    rings_line = [RingContext.padic(2, 1, 2), RingContext.padic(3, 1, 2),
+                  RingContext.padic(2, 1, 3), RingContext.padic(3, 1, 3)]
+    return (tuple(search.exact_min_kakeya(ctx, 2) for ctx in besicovitch_rings()),
+            tuple(search.greedy_kakeya(ctx, 1) for ctx in rings_line))
 
 
 def verify_besicovitch_suite() -> list[VerificationReport]:

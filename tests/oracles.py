@@ -19,6 +19,7 @@ from kakeyalab.harmonic import (Density, Spectrum, band_valuation_sets, fourier_
                                 xray_all, xray_transform)
 from kakeyalab.maximal import flat_maximal, line_maximal
 from kakeyalab.ring import _crt_basis, crt_combine_scalar
+from kakeyalab.search import BudgetExceeded, KakeyaCertificate, translate_options
 
 
 # ---------------------------------------------------------------------------
@@ -397,3 +398,132 @@ def mweight_lines(f: Density, p: int) -> int:
 def randints_loop(rng, n: int, count: int) -> np.ndarray:
     """count values of rng.randint(0, n - 1), one call each."""
     return np.array([rng.randint(0, n - 1) for _ in range(count)], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Kakeya searches on bitmasks
+# ---------------------------------------------------------------------------
+# The searches as they ran before they read coverage counts: every
+# translate a Python int bitmask (search.translate_options), unions and
+# costs big-int ORs, ANDs and popcounts.  Choices are (flat, mask, shift).
+
+
+def _certificate_bitmask(ctx, k: int, chosen, optimal: bool):
+    flats = tables.flats(ctx, k)
+    union = 0
+    witnesses = []
+    for fi, mask, shift in sorted(chosen):
+        union |= mask
+        witnesses.append((flats[fi], shift))
+    pts = tuple(ctx.unrank(i) for i in range(ctx.size) if union >> i & 1)
+    return KakeyaCertificate(k, ctx, pts, tuple(witnesses), optimal)
+
+
+def greedy_bitmask_choices(options) -> list:
+    """The greedy choices, in the order they were committed: each step
+    scans every translate of every remaining flat for the fewest new
+    points, the first such in (flat, shift) order."""
+    remaining = list(range(len(options)))
+    union = 0
+    chosen = []
+    while remaining:
+        free = ~union
+        best = None
+        for fi in remaining:
+            for mask, shift in options[fi]:
+                cost = (mask & free).bit_count()
+                if best is None or cost < best[0]:
+                    best = (cost, fi, mask, shift)
+            if best[0] == 0:
+                break
+        _, fi, mask, shift = best
+        chosen.append((fi, mask, shift))
+        union |= mask
+        remaining.remove(fi)
+    return chosen
+
+
+def greedy_bitmask(ctx, k: int):
+    return _certificate_bitmask(ctx, k, greedy_bitmask_choices(translate_options(ctx, k)),
+                                optimal=False)
+
+
+def exact_bitmask(ctx, k: int, budget: int = 5_000_000):
+    """(certificate, nodes expanded) of the branch and bound on bitmasks;
+    raises BudgetExceeded, as search.exact_min_kakeya does, when the
+    budget runs out."""
+    if k == ctx.dimension:
+        cert = _certificate_bitmask(ctx, k, [(0, (1 << ctx.size) - 1, (0,) * ctx.dimension)], True)
+        return cert, 0
+    options = translate_options(ctx, k)
+    masks = [[m for m, _ in opts] for opts in options]
+    best_chosen = greedy_bitmask_choices(options)
+    union = 0
+    for _, mask, _ in best_chosen:
+        union |= mask
+    best_size = union.bit_count()
+    nodes = 0
+    order = sorted(range(len(options)), key=lambda fi: -min(m.bit_count() for m in masks[fi]))
+
+    class Exhausted(Exception):
+        pass
+
+    def lower_bound(union, pos):
+        have = union.bit_count()
+        free = ~union
+        worst = 0
+        for fi in order[pos:]:
+            worst = max(worst, min((m & free).bit_count() for m in masks[fi]))
+            if have + worst >= best_size:
+                break
+        return have + worst
+
+    def dfs(pos, union, chosen):
+        nonlocal nodes, best_size, best_chosen
+        if nodes >= budget:
+            raise Exhausted()
+        nodes += 1
+        if pos == len(order):
+            if union.bit_count() < best_size:
+                best_size = union.bit_count()
+                best_chosen = list(chosen)
+            return
+        if lower_bound(union, pos) >= best_size:
+            return
+        fi = order[pos]
+        free = ~union
+        ranked = sorted(options[fi], key=lambda ms: (ms[0] & free).bit_count())
+        if pos == 0 or ranked[0][0] & free == 0:
+            ranked = ranked[:1]
+        for mask, shift in ranked:
+            chosen.append((fi, mask, shift))
+            dfs(pos + 1, union | mask, chosen)
+            chosen.pop()
+
+    try:
+        dfs(0, 0, [])
+    except Exhausted:
+        raise BudgetExceeded(_certificate_bitmask(ctx, k, best_chosen, False)) from None
+    return _certificate_bitmask(ctx, k, best_chosen, True), nodes
+
+
+def certify_bitmask(points, ctx, k: int):
+    """search.certify on bitmasks: the first translate in shift order of
+    each flat whose mask lies inside the set's mask."""
+    mask = 0
+    pts = []
+    for p in points:
+        if len(p) != ctx.dimension:
+            raise ValueError(f"point {tuple(p)} has {len(p)} coordinates, need {ctx.dimension}")
+        reduced = tuple(c % ctx.modulus for c in p)
+        r = ctx.rank(reduced)
+        if not mask >> r & 1:
+            pts.append(reduced)
+        mask |= 1 << r
+    witnesses = []
+    for flat, opts in zip(tables.flats(ctx, k), translate_options(ctx, k)):
+        hit = next((shift for tmask, shift in opts if tmask & ~mask == 0), None)
+        if hit is None:
+            raise ValueError(f"no translate of {flat.generators} lies inside the set")
+        witnesses.append((flat, hit))
+    return KakeyaCertificate(k, ctx, tuple(sorted(pts)), tuple(witnesses), optimal=False)

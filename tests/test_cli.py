@@ -128,6 +128,15 @@ class TestSearchCommand:
         assert code == 3
         assert "exceeds physical memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exits_2(self, budget, capsys, tmp_path):
+        out = tmp_path / "cert.json"
+        code = main(["search", "--mode", "padic", "-p", "3", "-l", "1", "-n", "3", "-k", "2",
+                     "--strategy", "exact", "--budget", budget, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: budget must be at least 1\n"
+        assert not out.exists()
+
     def test_budget_exhaustion_exits_3_with_artifact(self, capsys, tmp_path):
         out = tmp_path / "cert.json"
         code, _ = run_cli(["search", "--mode", "padic", "-p", "3", "-l", "1", "-n", "3",
@@ -321,6 +330,23 @@ def test_verify_all_report_bytes_are_frozen(seed, capsys):
     code, out = run_cli(["verify", "all", "--trials", "5", "--seed", str(seed)], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[seed]
+
+
+def test_verify_all_searches_once(monkeypatch, capsys):
+    # maxest and besicovitch share one set of search certificates
+    from kakeyalab import search
+
+    calls = []
+    exact = search.exact_min_kakeya
+    monkeypatch.setattr(search, "exact_min_kakeya",
+                        lambda *args, **kw: calls.append(args) or exact(*args, **kw))
+    verify.search_certificates.cache_clear()
+    try:
+        code, _ = run_cli(["verify", "all", "--trials", "1", "--seed", "1"], capsys)
+    finally:
+        verify.search_certificates.cache_clear()
+    assert code == 0
+    assert len(calls) == len(verify.besicovitch_rings()) == 2
 
 
 # sha256 of the default JSON of `kakeyalab constants` on two rings, frozen

@@ -1,16 +1,20 @@
 import hashlib
 import itertools
+import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from kakeyalab import tables
+from kakeyalab import search, tables
 from kakeyalab.geometry import EnumerationCapError, enumerate_grassmannian, flat_points
 from kakeyalab.ring import RingContext
 from kakeyalab.search import (BudgetExceeded, certify, exact_min_kakeya,
                               greedy_kakeya, translate_options)
 from kakeyalab.tables import TableMemoryError
+from oracles import (certify_bitmask, exact_bitmask, greedy_bitmask,
+                     greedy_bitmask_choices)
 
 
 def shift_by_shift_translates(ctx, flat):
@@ -76,7 +80,8 @@ class TestTranslateOptions:
 
     def test_bitmasks_over_memory_refused(self, monkeypatch, capsys):
         # padic(2,3,3) lines: a 114,688-byte table, but 112 lines of 64
-        # cosets, each a 64-byte bitmask, take 458,752 bytes
+        # cosets, each a 64-byte bitmask, take 458,752 bytes; only the
+        # exact search builds bitmasks
         from kakeyalab.cli import main
 
         ctx = RingContext.padic(2, 3, 3)
@@ -85,7 +90,8 @@ class TestTranslateOptions:
         with pytest.raises(TableMemoryError) as err:
             translate_options(ctx, 1)
         assert str(112 * 64 * 64) in str(err.value)
-        assert main(["search", "-k", "1", "--mode", "padic", "-p", "2", "-l", "3", "-n", "3"]) == 3
+        assert main(["search", "-k", "1", "--mode", "padic", "-p", "2", "-l", "3", "-n", "3",
+                     "--strategy", "exact"]) == 3
         assert "exceeds physical memory" in capsys.readouterr().err
         monkeypatch.setattr(tables, "_physical_memory", lambda: 500_000)
         assert len(translate_options(ctx, 1)) == 112
@@ -247,3 +253,127 @@ class TestCertify:
         ctx = RingContext.padic(2, 1, 2)
         with pytest.raises(ValueError, match="no translate"):
             certify([(0, 0), (1, 0)], ctx, 1)
+
+
+def ring_id(case):
+    return getattr(case, "describe", lambda: str(case))()
+
+
+class TestCosetOf:
+    @pytest.mark.parametrize("ctx,k", [(RingContext.padic(2, 2, 3), 2),
+                                       (RingContext.generic(6, 3), 1),
+                                       (RingContext.generic(17, 3), 1)], ids=ring_id)
+    def test_each_point_lies_in_its_coset(self, ctx, k):
+        table, least = tables.coset_table(ctx, k)
+        order = np.argsort(least, axis=1)
+        coset_of = search._coset_of(table, order, ctx.size)
+        F, C, _ = table.shape
+        assert coset_of.shape == (F, ctx.size)
+        assert coset_of.dtype == (np.uint8 if C <= 256 else np.uint16)  # C = 289 at N = 17
+        # every point of row order[f, j] of flat f reads j
+        got = np.take_along_axis(coset_of, table.reshape(F, -1).astype(np.intp), axis=1)
+        assert (got.reshape(table.shape) == np.argsort(order, axis=1)[:, :, None]).all()
+
+    def test_over_memory_refused(self, monkeypatch, capsys):
+        # padic(2,3,3) lines: 112 lines of 64 cosets, so one byte per
+        # (line, point), 57,344 bytes, refused once the table is built
+        from kakeyalab.cli import main
+
+        ctx = RingContext.padic(2, 3, 3)
+        tables.coset_table(ctx, 1)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 57_343)
+        with pytest.raises(TableMemoryError) as err:
+            greedy_kakeya(ctx, 1)
+        assert err.value.estimate == 112 * 512
+        assert main(["search", "-k", "1", "--mode", "padic", "-p", "2", "-l", "3", "-n", "3"]) == 3
+        assert "exceeds physical memory" in capsys.readouterr().err
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 57_344)
+        assert greedy_kakeya(ctx, 1).size == greedy_bitmask(ctx, 1).size
+
+
+class TestAgainstBitmaskOracles:
+    """The searches on coverage counts make the choices, node for node,
+    of the searches on bitmasks they replaced."""
+
+    GREEDY = [(RingContext.padic(2, 2, 3), 1), (RingContext.padic(2, 2, 3), 2),
+              (RingContext.generic(6, 3), 1), (RingContext.generic(6, 3), 2),
+              (RingContext.padic(3, 2, 3), 2), (RingContext.profinite(2, 3), 1),
+              (RingContext.profinite(2, 3), 2), (RingContext.generic(12, 2), 1),
+              (RingContext.padic(2, 1, 4), 2)]
+
+    @pytest.mark.parametrize("ctx,k", GREEDY, ids=ring_id)
+    def test_greedy_choices(self, ctx, k):
+        table, least = tables.coset_table(ctx, k)
+        grid = tables.coord_grid(ctx)
+        chosen, size = search._greedy(ctx, k)
+        committed = [(f, tuple(grid[least[f, row]].tolist())) for f, row in chosen]
+        want = greedy_bitmask_choices(translate_options(ctx, k))
+        assert committed == [(f, shift) for f, _, shift in want]
+        assert greedy_kakeya(ctx, k) == greedy_bitmask(ctx, k)
+        assert size == greedy_kakeya(ctx, k).size
+
+    @pytest.mark.parametrize("ctx,k", [(RingContext.padic(2, 1, 2), 1),
+                                       (RingContext.padic(3, 1, 2), 1),
+                                       (RingContext.padic(2, 2, 2), 1),
+                                       (RingContext.padic(2, 1, 3), 2),
+                                       (RingContext.generic(6, 2), 1),
+                                       (RingContext.padic(2, 2, 3), 2),
+                                       (RingContext.padic(2, 2, 3), 3)], ids=ring_id)
+    def test_certify_on_random_sets(self, ctx, k):
+        rng = random.Random(f"certify|{ctx.describe()}|{k}")
+        points = list(ctx.points())
+        base = list(greedy_kakeya(ctx, k).points)
+        sets = [base, base[1:], points, [], [(p[0] + ctx.modulus,) + p[1:] for p in base]]
+        for _ in range(30):
+            sets.append(rng.sample(points, rng.randint(1, ctx.size)))
+            sets.append(base + rng.sample(points, rng.randint(0, 4)))
+        outcomes = set()
+        for pts in sets:
+            try:
+                want = certify_bitmask(pts, ctx, k)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    certify(pts, ctx, k)
+                assert str(got.value) == str(err)
+                outcomes.add("error")
+            else:
+                assert certify(pts, ctx, k) == want
+                outcomes.add("certified")
+        assert outcomes == {"error", "certified"}
+
+    def test_certify_malformed_point(self):
+        ctx = RingContext.padic(2, 1, 3)
+        pts = [(0, 0, 0), (1, 1)]
+        with pytest.raises(ValueError) as want:
+            certify_bitmask(pts, ctx, 1)
+        with pytest.raises(ValueError) as got:
+            certify(pts, ctx, 1)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("ctx,k", [(RingContext.padic(7, 1, 2), 1),
+                                       (RingContext.padic(2, 2, 3), 2),
+                                       (RingContext.padic(3, 1, 3), 2),
+                                       (RingContext.padic(2, 3, 2), 1),
+                                       (RingContext.generic(6, 2), 1),
+                                       (RingContext.padic(2, 2, 2), 1),
+                                       (RingContext.padic(2, 1, 3), 2)], ids=ring_id)
+    def test_exact_certificates_and_nodes(self, ctx, k):
+        want, nodes = exact_bitmask(ctx, k)
+        # a budget of exactly the oracle's node count completes, one node
+        # less runs out: the search expands the same number of nodes
+        assert exact_min_kakeya(ctx, k, budget=nodes) == want
+        budgets = sorted({b for b in (1, 2, 3, 1000, 3000, 5000, nodes // 2, nodes - 1)
+                          if 1 <= b < nodes})
+        assert nodes - 1 in budgets
+        for budget in budgets:
+            with pytest.raises(BudgetExceeded) as expected:
+                exact_bitmask(ctx, k, budget)
+            with pytest.raises(BudgetExceeded) as got:
+                exact_min_kakeya(ctx, k, budget)
+            assert got.value.certificate == expected.value.certificate
+
+    def test_budget_below_one_refused(self):
+        ctx = RingContext.padic(2, 1, 3)
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget"):
+                exact_min_kakeya(ctx, 2, budget=budget)
