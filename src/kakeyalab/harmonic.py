@@ -17,9 +17,16 @@ in the exact lane; floats run only in the FFT round trip that
 plancherel holds beside the exact one, and in `transform --lane float`.
 The X-rays, the u^perp masses and each axis pass of the exact transform
 sum over index rows through tables.blocked_sums.
+
+Densities and spectra may be stacks of T rows, each over its own
+denominator.  The transforms, xray_all, band_project and Spectrum.masses
+run one density as a stack of one, so a check takes each exact step once
+per chunk of trials: as many as fit tables._BLOCK_BYTES in the check's
+widest stack.  Every headroom check bounds each row on its own.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -32,7 +39,7 @@ import numpy as np
 from . import tables
 from .cyclotomic import reduction_matrix
 from .geometry import ProjDirection, proj_size
-from .ring import PAdic, Profinite, RingContext, ScaleSemantics, scale
+from .ring import PAdic, Profinite, RingContext, ScaleSemantics, factorize, scale
 
 _INT_HEADROOM = 1 << 61
 
@@ -52,9 +59,9 @@ def _check_headroom(bound: int | float) -> None:
             "reduce density magnitudes or denominators")
 
 
-def _abs_sum(x: np.ndarray) -> float:
-    """sum |x|, accumulated in float64 so that the bound itself cannot wrap."""
-    return float(np.abs(x, dtype=np.float64).sum())
+def _abs_sum(x: np.ndarray, ndim: int) -> float:
+    """Largest sum |x| over the trailing ndim axes, in float64 so it cannot wrap."""
+    return float(np.abs(x, dtype=np.float64).sum(axis=tuple(range(-ndim, 0))).max())
 
 
 def _abs_max(x: np.ndarray) -> int:
@@ -69,15 +76,33 @@ def _negatable(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _lowest_terms(x: np.ndarray, den):
+    """x and den over the gcd of den and all entries of x, row by row for a
+    stack (den a sequence); dens come back as Python ints (an object array)."""
+    if np.ndim(den) == 0:
+        g = gcd(int(np.gcd.reduce(np.abs(x), axis=None)), int(den))
+        return (x // g if g > 1 else x), int(den) // g
+    rows = np.gcd.reduce(np.abs(x).reshape(len(den), -1), axis=1).tolist()
+    g = [gcd(r, int(d)) for r, d in zip(rows, den)]
+    if max(g, default=0) > 1:
+        x = x // np.array(g, dtype=np.int64).reshape((-1,) + (1,) * (x.ndim - 1))
+    return x, np.array([int(d) // c for d, c in zip(den, g)], dtype=object)
+
+
 def power_sum(x: np.ndarray, p: int, axis: int | None = None):
     """sum |x|**p of an int64 array (along axis), exact.
 
     The sum runs in int64 when max|x|**p times the number of terms summed
     is under the headroom, and over Python ints (object dtype) past it, so
-    the result is an int64 or an object array (or scalar)."""
+    the result is an int64 or an object array (or scalar).  Python ints are
+    taken a block of terms (about tables._BLOCK_BYTES of int64) at a time."""
     count = x.size if axis is None else x.shape[axis]
-    vals = x if _abs_max(x) ** p * count < _INT_HEADROOM else x.astype(object)
-    return (np.abs(vals) ** p).sum(axis=axis)
+    if _abs_max(x) ** p * count < _INT_HEADROOM:
+        return (np.abs(x) ** p).sum(axis=axis)
+    terms = x.reshape(-1) if axis is None else np.moveaxis(x, axis, -1)
+    step = max(1, tables._BLOCK_BYTES * count // (8 * x.size))
+    return sum((np.abs(terms[..., lo:lo + step].astype(object)) ** p).sum(axis=-1)
+               for lo in range(0, count, step))
 
 
 # ---------------------------------------------------------------------------
@@ -90,39 +115,30 @@ class Density:
 
     Exact lane: values[i] = num[i] / den with a single positive shared
     denominator.  Float lane: a numpy array (complex permitted, which only
-    arises inside band projections).
+    arises inside band projections).  A stack of T densities has (T, size)
+    values and a (T,) object array of dens; the transforms, xray_all,
+    band_project and to_float take stacks, the other methods one density.
     """
 
     __slots__ = ("ctx", "num", "den", "data")
 
     def __init__(self, ctx: RingContext, *, num=None, den=None, data=None):
         self.ctx = ctx
-        if data is None:
-            num = np.array(num, dtype=np.int64)  # always copy before freezing
-            if num.shape != (ctx.size,):
-                raise ValueError(f"expected {ctx.size} values, got {num.shape}")
-            g = int(np.gcd.reduce(np.abs(num))) if num.any() else 0
-            g = gcd(g, den)
-            if g > 1:
-                num = num // g
-                den = den // g
-            num.setflags(write=False)
-            self.num, self.den, self.data = num, int(den), None
-        else:
-            data = np.array(data)
-            if data.shape != (ctx.size,):
-                raise ValueError(f"expected {ctx.size} values, got {data.shape}")
-            data.setflags(write=False)
-            self.num, self.den, self.data = None, None, data
+        exact = data is None
+        values = np.array(num if exact else data, dtype=np.int64 if exact else None)  # copied
+        if values.shape[-1:] != (ctx.size,) or values.ndim > 2:
+            raise ValueError(f"expected {ctx.size} values, got {values.shape}")
+        if exact:
+            values, den = _lowest_terms(values, den)
+        values.setflags(write=False)
+        self.num, self.den, self.data = (values, den, None) if exact else (None, None, values)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def exact(cls, ctx: RingContext, values: Iterable) -> "Density":
         fracs = [Fraction(v) for v in values]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
+        den = math.lcm(*(f.denominator for f in fracs))
         num = np.array([int(f * den) for f in fracs], dtype=object)
         _check_headroom(int(max(abs(int(x)) for x in num)) if len(fracs) else 0)
         return cls(ctx, num=num.astype(np.int64), den=den)
@@ -186,7 +202,7 @@ class Density:
     def to_float(self) -> "Density":
         if self.lane == "float":
             return self
-        return Density(self.ctx, data=self.num.astype(np.float64) / self.den)
+        return Density(self.ctx, data=self.num / np.asarray(self.den, dtype=np.float64)[..., None])
 
     def __add__(self, other: "Density") -> "Density":
         if self.ctx != other.ctx:
@@ -230,7 +246,8 @@ class Spectrum:
     """Fourier coefficients indexed by the dual group (rank order).
 
     Exact lane: coefficient a is (1/den) * sum_j coeffs[a, j] zeta_N**j
-    with integer coeffs.  Float lane: a complex vector.
+    with integer coeffs.  Float lane: a complex vector.  A stack of T
+    spectra leads with a T axis and keeps one den per row, as Density does.
     """
 
     __slots__ = ("ctx", "coeffs", "den", "values", "_corr")
@@ -239,14 +256,9 @@ class Spectrum:
         self.ctx = ctx
         self._corr = None
         if values is None:
-            coeffs = np.array(coeffs, dtype=np.int64)  # always copy before freezing
-            g = int(np.gcd.reduce(np.abs(coeffs).ravel())) if coeffs.any() else 0
-            g = gcd(g, den)
-            if g > 1:
-                coeffs = coeffs // g
-                den = den // g
+            coeffs, den = _lowest_terms(np.array(coeffs, dtype=np.int64), den)  # copied
             coeffs.setflags(write=False)
-            self.coeffs, self.den, self.values = coeffs, int(den), None
+            self.coeffs, self.den, self.values = coeffs, den, None
         else:
             values = np.array(values, dtype=np.complex128)
             values.setflags(write=False)
@@ -257,13 +269,13 @@ class Spectrum:
         return "float" if self.values is not None else "exact"
 
     def correlations(self) -> np.ndarray:
-        """(size, N) integer coefficients of den**2 * |f^(a)|**2 per a:
-        corr[a, m] = sum_j C[a, j] C[a, j - m], one gather of the shifted
-        coefficients and one integer matmul per block of rows (about
-        tables._BLOCK_BYTES; whole, generic(30,3) would take 194 MB)."""
+        """(size, N) integer coefficients of den**2 * |f^(a)|**2 per a (per
+        row of a stack): corr[a, m] = sum_j C[a, j] C[a, j - m], one gather
+        of the shifted coefficients and one integer matmul per block of rows
+        (about tables._BLOCK_BYTES; whole, generic(30,3) would take 194 MB)."""
         if self._corr is None:
-            C = self.coeffs
             N = self.ctx.modulus
+            C = self.coeffs.reshape(-1, N)
             _check_headroom(_abs_max(C) ** 2 * N * self.ctx.size)
             shifts = (np.arange(N)[:, None] - np.arange(N)) % N  # [j, m] = j - m
             corr = np.empty_like(C)
@@ -271,24 +283,26 @@ class Spectrum:
             for lo in range(0, len(C), step):
                 block = C[lo:lo + step]
                 corr[lo:lo + step] = (block[:, None, :] @ block[:, shifts])[:, 0]
+            corr = corr.reshape(self.coeffs.shape)
             corr.setflags(write=False)
             self._corr = corr
         return self._corr
 
     def masses(self, groups):
         """sum_{a in g} |f^(a)|**2 per group g of frequency ranks: (int64
-        numerators, den**2) in the exact lane, (floats, None) in the float lane.
+        numerators, den**2) in the exact lane, (floats, None) in the float
+        lane; a stack gives (T, groups) numerators and T denominators.
 
         groups is a sequence of rank arrays, each free of repeats; a 2-D
         array (equal-size groups, such as tables.perp_index) is read through
         tables.blocked_sums.  The float lane sums through the 0/1
-        (groups, size) mask, one matrix-vector product."""
+        (groups, size) mask, one matrix product."""
         if self.lane == "exact":
             return _rationalize(self.correlations(), self.ctx.modulus, groups), self.den**2
         mask = np.zeros((len(groups), self.ctx.size), dtype=bool)
         for row, g in zip(mask, groups):
             row[g] = True
-        return mask @ (np.abs(self.values) ** 2), None
+        return (mask @ (np.abs(self.values) ** 2).T).T, None
 
     def plancherel(self):
         """sum_a |f^(a)|**2, exact in the exact lane."""
@@ -298,33 +312,34 @@ class Spectrum:
 
 def _rationalize(C: np.ndarray, N: int, groups=None) -> np.ndarray:
     """Integer values of rows C (..., N) over zeta_N**j, or of their sums
-    over each group of row indexes (see Spectrum.masses); rows are reduced
-    before the group sums, which then run over phi(N) columns."""
+    over each group of row indexes per spectrum (see Spectrum.masses); rows
+    are reduced before the group sums, which then run over phi(N) columns."""
     R = reduction_matrix(N)
     _check_headroom(_abs_max(C) * int(np.abs(R).sum(axis=0).max()))
     red = C @ R
     if groups is not None:
-        _check_headroom(_abs_sum(red))  # bounds every group sum
-        red = _group_sums(red, groups)
+        _check_headroom(_abs_sum(red, 2))  # bounds every group sum
+        sums = _group_sums(red.reshape((-1,) + red.shape[-2:]), groups)
+        red = sums.reshape(red.shape[:-2] + sums.shape[1:])
     if red[..., 1:].any():
         raise ValueError("cyclotomic value is not rational")
     return red[..., 0]
 
 
 def _group_sums(x: np.ndarray, groups) -> np.ndarray:
-    """(G, c) sums x[g].sum(axis=0) per group g of row indexes of x (size, c).
+    """(T, G, c) sums x[t, g].sum(axis=0) per group g of rows of x (T, size, c).
 
-    A 2-D array of equal-size groups is read column by column through
-    tables.blocked_sums; any other groups are summed one group at a time."""
-    out = np.empty((len(groups), x.shape[1]), dtype=x.dtype)
-    if isinstance(groups, np.ndarray) and groups.ndim == 2:
-        for c, column in enumerate(np.ascontiguousarray(x.T)):
-            for lo, sums in tables.blocked_sums(column, groups):
-                out[lo:lo + len(sums), c] = sums
-    else:
-        for i, g in enumerate(groups):
-            out[i] = x[g].sum(axis=0)
-    return out
+    A 2-D array of equal-size groups is read through tables.blocked_sums,
+    every column of every spectrum as a row of one call; any other groups
+    are summed one group at a time."""
+    T, size, c = x.shape
+    if not (isinstance(groups, np.ndarray) and groups.ndim == 2):
+        return np.stack([x.take(g, axis=1).sum(axis=1) for g in groups], axis=1)
+    out = np.empty((T * c, len(groups)), dtype=x.dtype)
+    rows = np.moveaxis(x, 1, 2).reshape(T * c, size)
+    for lo, sums in tables.blocked_sums(rows, groups, rows=True):
+        out[:, lo:lo + sums.shape[1]] = sums
+    return np.moveaxis(out.reshape(T, c, -1), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +360,20 @@ def _pass_index(N: int, sign: int) -> np.ndarray:
 def _axis_pass_exact(C: np.ndarray, ctx: RingContext, axis: int, sign: int) -> np.ndarray:
     """One separable stage: out[.., a, ..] = sum_x zeta**(sign*x*a) in[.., x, ..].
 
-    The pass axis and the coefficient axis lead an (N*N, size/N) stack,
-    and tables.blocked_sums sums it over the rows of _pass_index."""
+    The pass axis and the coefficient axis of a (T, size, N) stack (T = 1
+    for one spectrum) lead an (N*N, T*size/N) stack, and
+    tables.blocked_sums sums it over the rows of _pass_index."""
     N, n = ctx.modulus, ctx.dimension
-    front = np.moveaxis(C.reshape((N,) * (n + 1)), (axis, n), (0, 1))
+    front = np.moveaxis(C.reshape((-1,) + (N,) * (n + 1)), (axis + 1, n + 1), (0, 1))
     values = front.reshape(N * N, -1)
     out = np.empty_like(values)
     for lo, sums in tables.blocked_sums(values, _pass_index(N, sign)):
         out[lo:lo + len(sums)] = sums
-    return np.moveaxis(out.reshape(front.shape), (0, 1), (axis, n)).reshape(ctx.size, N)
+    return np.moveaxis(out.reshape(front.shape), (0, 1), (axis + 1, n + 1)).reshape(C.shape)
 
 
 def fourier_forward(f: Density) -> Spectrum:
-    """f^(a) = N**(-n) sum_x e(<x,a>/N) f(x).
+    """f^(a) = N**(-n) sum_x e(<x,a>/N) f(x), of one density or a stack.
 
     Exact lane: per-axis integer passes over Z[zeta_N].  Float lane:
     numpy.fft.ifftn, whose sign and scaling are this convention.
@@ -365,17 +381,18 @@ def fourier_forward(f: Density) -> Spectrum:
     ctx = f.ctx
     N, n = ctx.modulus, ctx.dimension
     if f.lane == "exact":
-        _check_headroom(_abs_sum(f.num))
-        C = np.zeros((ctx.size, N), dtype=np.int64)
-        C[:, 0] = f.num
+        _check_headroom(_abs_sum(f.num, 1))
+        C = np.zeros(f.num.shape + (N,), dtype=np.int64)
+        C[..., 0] = f.num
         for axis in range(n):
             C = _axis_pass_exact(C, ctx, axis, +1)
         return Spectrum(ctx, coeffs=C, den=f.den * ctx.size)
-    return Spectrum(ctx, values=np.fft.ifftn(f.data.reshape((N,) * n)).reshape(ctx.size))
+    grid = f.data.reshape(f.data.shape[:-1] + (N,) * n)
+    return Spectrum(ctx, values=np.fft.ifftn(grid, axes=range(-n, 0)).reshape(f.data.shape))
 
 
 def fourier_inverse(s: Spectrum) -> Density:
-    """f(x) = sum_a e(-<x,a>/N) f^(a).
+    """f(x) = sum_a e(-<x,a>/N) f^(a), of one spectrum or a stack.
 
     Exact lane: integer passes, then one reduction modulo the monic Phi_N
     gives integer values over the spectrum's denominator; a hand-built
@@ -384,12 +401,13 @@ def fourier_inverse(s: Spectrum) -> Density:
     ctx = s.ctx
     N, n = ctx.modulus, ctx.dimension
     if s.lane == "exact":
-        _check_headroom(_abs_sum(s.coeffs))
+        _check_headroom(_abs_sum(s.coeffs, 2))
         C = s.coeffs
         for axis in range(n):
             C = _axis_pass_exact(C, ctx, axis, -1)
         return Density(ctx, num=_rationalize(C, N), den=s.den)
-    return Density(ctx, data=np.fft.fftn(s.values.reshape((N,) * n)).reshape(ctx.size))
+    grid = s.values.reshape(s.values.shape[:-1] + (N,) * n)
+    return Density(ctx, data=np.fft.fftn(grid, axes=range(-n, 0)).reshape(s.values.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -398,38 +416,37 @@ def fourier_inverse(s: Spectrum) -> Density:
 
 
 def xray_transform(f: Density, u: ProjDirection) -> Density:
-    """Pushforward of f to Q_u: f_u(y) = N**(-1) sum_t f(section(y) + t u).
+    """Pushforward of f to Q_u: f_u(y) = N**(-1) sum_t f(section(y) + t u),
+    the X-ray of xray_all along u alone.
 
     Mass is conserved: integral of f_u over Q_u equals integral of f.
     """
-    ctx = f.ctx
-    ui = tables.directions(ctx).index(u)
-    idx = tables.coset_table(ctx, 1)[0][ui]
-    qctx = ctx.quotient()
-    if f.lane == "exact":
-        _check_headroom(_abs_max(f.num) * ctx.modulus)  # bounds every line sum
-        return Density(qctx, num=f.num[idx].sum(axis=1), den=f.den * ctx.modulus)
-    return Density(qctx, data=f.data[idx].sum(axis=1) / ctx.modulus)
+    nums, den = xray_all(f, tables.directions(f.ctx).index(u))
+    qctx = f.ctx.quotient()
+    return Density(qctx, data=nums) if den is None else Density(qctx, num=nums, den=den)
 
 
-def xray_all(f: Density):
-    """X-ray line sums along every direction at once.
+def xray_all(f: Density, direction: int | None = None):
+    """X-ray line sums along every direction (or the one of that index).
 
-    Exact lane: (P, size/N) int64 numerators over denominator den*N,
-    under the headroom check.  Float lane: (P, size/N) values and None.
-    The lines are the rows of the line table, summed a block of directions
-    at a time by tables.blocked_sums, so no (P, size/N, N) gather is built;
-    float sums are bit for bit those of one whole gather.
+    Exact lane: (P, size/N) int64 numerators ((T, P, size/N) for a stack)
+    over denominator den*N, under the headroom check.  Float lane: values
+    and None.  The lines are the rows of the line table, summed a block of
+    directions at a time by tables.blocked_sums, which converts a block to
+    intp once for every row, so no (P, size/N, N) gather is built; float
+    sums are bit for bit those of one whole gather.
     """
     N = f.ctx.modulus
     table = tables.coset_table(f.ctx, 1)[0]
+    table = table if direction is None else table[direction]
     exact = f.lane == "exact"
     if exact:
         _check_headroom(_abs_max(f.num) * N)  # bounds every line sum
     values = f.num if exact else f.data
-    sums = np.empty(table.shape[:2], dtype=values.dtype)
-    for lo, block in tables.blocked_sums(values, table):
-        sums[lo:lo + len(block)] = block
+    sums = np.empty(values.shape[:-1] + table.shape[:-1], dtype=values.dtype)
+    stack = values.ndim - 1  # 1 for a stack of rows, whose sums lead with the row axis
+    for lo, block in tables.blocked_sums(values, table, rows=bool(stack)):
+        sums[(slice(None),) * stack + (slice(lo, lo + block.shape[stack]),)] = block
     return (sums, f.den * N) if exact else (sums / N, None)
 
 
@@ -437,7 +454,8 @@ def xray_l2_spectral(f: Density | Spectrum):
     """sum_a ratio(v(a)) |f^(a)|**2 with ratio(v) = |P(Z/v)^{n-2}| / |P(Z/v)^{n-1}|.
 
     f may be given by its spectrum, so that a caller which needs the
-    transform anyway takes it once.
+    transform anyway takes it once.  A stack gives an array, one value per
+    row (Fractions in the exact lane).
     """
     s = f if isinstance(f, Spectrum) else fourier_forward(f)
     n = s.ctx.dimension
@@ -446,8 +464,9 @@ def xray_l2_spectral(f: Density | Spectrum):
     nums, den = s.masses([np.flatnonzero(vals == v) for v in levels])
     ratios = [Fraction(proj_size(int(v), n - 1), proj_size(int(v), n)) for v in levels]
     if s.lane == "exact":
-        return sum(r * int(m) for r, m in zip(ratios, nums)) / den
-    return float(sum(float(r) * m for r, m in zip(ratios, nums)))
+        nums = nums.astype(object)
+        return sum(r * nums[..., j] for j, r in enumerate(ratios)) / den
+    return sum(float(r) * nums[..., j] for j, r in enumerate(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +512,24 @@ def _band(ctx: RingContext, i: int) -> frozenset[int]:
 
 
 def _mobius(n: int) -> int:
-    from .ring import factorize
-
-    m = 1
-    for _, r in factorize(n):
-        if r > 1:
-            return 0
-        m = -m
-    return m
+    primes = factorize(n)
+    return 0 if any(r > 1 for _, r in primes) else (-1) ** len(primes)
 
 
-def band_project(f: Density, i: int) -> Density:
-    """The scale-i component of f (Littlewood-Paley piece).
+@lru_cache(maxsize=None)
+def _band_weights(ctx: RingContext, bands: tuple[int, ...]):
+    """[(d, w)] per divisor d weighed, w[b] = d**n sum mu(v/d) over the v in band bands[b]
+    that d divides; and max_b sum_d |w[b]|, which bounds a band's values by sum |f|."""
+    w = np.array([[sum(_mobius(v // d) for v in _band(ctx, b) if v % d == 0) * d**ctx.dimension
+                   for d in ctx.divisors()] for b in bands], dtype=np.int64)
+    weighed = [(d, col) for d, col in zip(ctx.divisors(), w.T) if col.any()]
+    return weighed, int(np.abs(w).sum(axis=1).max())
+
+
+def band_project(f: Density, i) -> Density:
+    """The scale-i component of f (Littlewood-Paley piece), per row of a
+    stack.  The exact lane also takes a sequence of bands i, whose result
+    holds row t's component in band i[b] at row t * len(i) + b.
 
     The component is the inverse transform of the spectrum restricted to
     frequencies with valuation in band i, which is how the float lane
@@ -513,40 +538,38 @@ def band_project(f: Density, i: int) -> Density:
 
         f_i = sum_{v in band(i)} sum_{d | v} mu(v/d) E[f | x mod d],
 
-    which stays in Q.  Bands partition the dual, so sum_i f_i = f exactly.
+    which stays in Q, with one coset sum per divisor d for all bands and
+    rows: on (N/d, d) per coordinate, the sums over x mod d are sums over
+    the N/d axes.  Bands partition the dual, so sum_i f_i = f exactly.
     """
     ctx = f.ctx
-    members = _band(ctx, i)
     if f.lane == "float":
-        return _band_project_spectral(f, members)
+        return _band_project_spectral(f, _band(ctx, i))
+    bands = tuple(np.atleast_1d(i).tolist())
+    weights, bound = _band_weights(ctx, bands)
+    _check_headroom(_abs_sum(f.num, 1) * bound)  # every coset sum is at most sum |f|
     N, n = ctx.modulus, ctx.dimension
-    weights: dict[int, int] = {}
-    for v in members:
-        for d in ctx.divisors():
-            if v % d == 0:
-                weights[d] = weights.get(d, 0) + _mobius(v // d)
-    # every coset sum is at most sum |f|
-    _check_headroom(_abs_sum(f.num) * sum(abs(w) * d**n for d, w in weights.items()))
-    num = np.zeros(ctx.size, dtype=np.int64)
-    for d, w in sorted(weights.items()):
-        if w == 0:
-            continue
-        labels = tables.coset_labels(ctx, d)
-        sums = np.zeros(d**n, dtype=np.int64)
-        np.add.at(sums, labels, f.num)
-        num += w * d**n * sums[labels]
-    return Density(ctx, num=num, den=f.den * ctx.size)
+    rows = f.num.reshape(-1, 1, ctx.size)
+    num = np.zeros((len(rows), len(bands), ctx.size), dtype=np.int64)
+    for d, w in weights:
+        cells = (N // d, d) * n  # x_k = q d + r: the sum over each q axis is over x mod d
+        sums = rows.reshape(rows.shape[:2] + cells).sum(axis=tuple(range(2, 2 * n + 2, 2)),
+                                                        keepdims=True)
+        view = num.reshape(num.shape[:2] + cells)
+        view += w.reshape((-1,) + (1,) * 2 * n) * sums
+    if f.num.ndim + np.ndim(i) == 1:
+        return Density(ctx, num=num.reshape(ctx.size), den=f.den * ctx.size)
+    dens = np.repeat(np.array(f.den, ndmin=1, dtype=object) * ctx.size, len(bands))
+    return Density(ctx, num=num.reshape(-1, ctx.size), den=dens)
 
 
 def _band_project_spectral(f: Density, members: frozenset[int]) -> Density:
-    ctx = f.ctx
-    vals = tables.valuations(ctx)
-    keep = np.isin(vals, sorted(members))
+    keep = np.isin(tables.valuations(f.ctx), sorted(members))
     s = fourier_forward(f)
     if s.lane == "exact":
         coeffs = np.where(keep[:, None], s.coeffs, 0)
-        return fourier_inverse(Spectrum(ctx, coeffs=coeffs, den=s.den))
-    return fourier_inverse(Spectrum(ctx, values=np.where(keep, s.values, 0)))
+        return fourier_inverse(Spectrum(f.ctx, coeffs=coeffs, den=s.den))
+    return fourier_inverse(Spectrum(f.ctx, values=np.where(keep, s.values, 0)))
 
 
 def band_constant(i: int, m: int, ctx: RingContext) -> Fraction:
@@ -576,14 +599,14 @@ def induce_rows(rows: np.ndarray, ctx: RingContext, M: int):
     """
     N, n = ctx.modulus, ctx.dimension
     new_ctx = _context_at_modulus(ctx, M, n)
+    # for M | N, the least rank of the coset of x is that of x mod M
+    index = tables.rank_points(tables.coord_grid(new_ctx) % N, ctx)
     if M % N == 0:
-        idx = tables.rank_points(tables.coord_grid(new_ctx) % N, ctx)
-        return new_ctx, idx, np.zeros(len(rows), dtype=rows.real.dtype)
+        return new_ctx, index, np.zeros(len(rows), dtype=rows.real.dtype)
     if N % M:
         raise ValueError(f"modulus {M} neither divides nor is divided by {N}")
-    labels = tables.coset_labels(ctx, M)
-    first = np.unique(labels, return_index=True)[1]  # least rank per coset, in label order
-    return new_ctx, first, np.abs(rows[:, first[labels]] - rows).max(axis=1)
+    least = tables.rank_points(tables.coord_grid(ctx) % M, ctx)
+    return new_ctx, index, np.abs(rows[:, least] - rows).max(axis=1)
 
 
 def induce_to_modulus(f: Density, M: int) -> Density:
@@ -595,31 +618,21 @@ def induce_to_modulus(f: Density, M: int) -> Density:
     ctx = f.ctx
     exact = f.lane == "exact"
     row = f.num if exact else f.data
-    new_ctx, idx, gaps = induce_rows(row[None], ctx, M)
-    gap = gaps[0]
+    new_ctx, idx, (gap,) = induce_rows(row[None], ctx, M)
     if gap > (0 if exact else 1e-9):
         worst = Fraction(int(gap), f.den) if exact else Fraction(float(gap)).limit_denominator()
         raise ConstancyError(f"density is not constant on cosets of {M}*(Z/{ctx.modulus}Z)^"
                              f"{ctx.dimension}", worst)
-    if exact:
-        return Density(new_ctx, num=row[idx], den=f.den)
-    return Density(new_ctx, data=row[idx])
+    return Density(new_ctx, num=row[idx], den=f.den) if exact else Density(new_ctx, data=row[idx])
 
 
 def _context_at_modulus(ctx: RingContext, M: int, n: int) -> RingContext:
     if isinstance(ctx.mode, PAdic):
-        p = ctx.mode.p
-        ell = 0
-        m = M
-        while m % p == 0:
-            m //= p
-            ell += 1
-        if m == 1 and ell >= 1:
+        p, ell = ctx.mode.p, round(math.log(M, ctx.mode.p))
+        if ell >= 1 and p**ell == M:
             return RingContext.padic(p, ell, n, ctx.scale_semantics, ctx.cap)
     if isinstance(ctx.mode, Profinite):
-        L = 1
-        while math.factorial(L + 1) < M:
-            L += 1
-        if math.factorial(L + 1) == M and L >= 1:
+        L = next(L for L in itertools.count(1) if math.factorial(L + 1) >= M)
+        if math.factorial(L + 1) == M:
             return RingContext.profinite(L, n, ctx.scale_semantics, ctx.cap)
     return RingContext.generic(M, n, ctx.cap)

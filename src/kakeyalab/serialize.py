@@ -11,7 +11,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -225,17 +225,12 @@ def spectrum_from_json(text: str, ctx: RingContext) -> Spectrum:
             raise ValueError(f"spectrum coefficient {pos} is not an object with frequency and {key}")
         entries.append((ctx.rank(entry["frequency"]), entry[key]))
     if exact:
-        rows = []
-        den = 1
-        for rank, values in entries:
-            coeffs = [parse_value(c) for c in values]
-            for c in coeffs:
-                den = den * c.denominator // gcd(den, c.denominator)
-            rows.append((rank, coeffs))
+        rows = [(rank, [parse_value(c) for c in values]) for rank, values in entries]
+        den = lcm(*(c.denominator for _, coeffs in rows for c in coeffs))
         mat = np.zeros((ctx.size, ctx.modulus), dtype=np.int64)
         for rank, coeffs in rows:
             mat[rank] = [int(c * den) for c in coeffs]
-        return Spectrum(ctx, coeffs=mat, den=int(den))
+        return Spectrum(ctx, coeffs=mat, den=den)
     values = np.zeros(ctx.size, dtype=np.complex128)
     for rank, (re, im) in entries:
         values[rank] = complex(re, im)

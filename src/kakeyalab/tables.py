@@ -18,7 +18,7 @@ Fourier transform over their (N*N, N) pass index.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,34 +50,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def coord_grid(ctx: RingContext) -> np.ndarray:
     """(size, n) coordinates of every point, in rank order."""
     N, n = ctx.modulus, ctx.dimension
-    idx = np.arange(ctx.size, dtype=np.int64)
-    out = np.empty((ctx.size, n), dtype=np.int64)
-    for j in range(n):
-        out[:, n - 1 - j] = (idx // N**j) % N
-    return _freeze(out)
-
-
-@lru_cache(maxsize=None)
-def place_values(ctx: RingContext) -> np.ndarray:
-    N, n = ctx.modulus, ctx.dimension
-    return _freeze(np.array([N ** (n - 1 - i) for i in range(n)], dtype=np.int64))
+    return _freeze(np.arange(ctx.size)[:, None] // N ** np.arange(n - 1, -1, -1) % N)
 
 
 def rank_points(coords: np.ndarray, ctx: RingContext) -> np.ndarray:
-    """Ranks of an (..., n) array of coordinates (already reduced mod N)."""
-    return coords @ place_values(ctx)
+    """Ranks of an (..., n) array of coordinates (already reduced mod N):
+    coordinate j weighs N**(n-1-j)."""
+    return coords @ ctx.modulus ** np.arange(ctx.dimension - 1, -1, -1)
 
 
 @lru_cache(maxsize=None)
 def valuations(ctx: RingContext) -> np.ndarray:
     """Dual valuation of every frequency, indexed by rank: v(a) =
     N / gcd(a_1, ..., a_n, N), the least v >= 1 with v a = 0 (so v(0) = 1)."""
-    grid = coord_grid(ctx)
     N = ctx.modulus
-    g = np.full(ctx.size, N, dtype=np.int64)
-    for j in range(ctx.dimension):
-        g = np.gcd(g, grid[:, j])
-    return _freeze(N // g)
+    return _freeze(N // np.gcd.reduce(coord_grid(ctx), axis=1, initial=N))
 
 
 @lru_cache(maxsize=None)
@@ -174,41 +161,46 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(table), _freeze(least)
 
 
-# Bytes that one block of a gather holds: the intp index and the gathered
-# values of a block of blocked_sums, the shifted coefficients of a block
-# of harmonic.Spectrum.correlations, and the ranks of a block of flats
-# that coset_table builds.  Gathered whole on
-# generic(30,3), the line-table X-ray would take 610 MB.  Blocks of 4 MB
-# ran the exact X-ray of padic(5,2,3) about 3x slower than blocks of this
-# size, which stay in cache.
+# Bytes that one block of work holds: the intp index and gathered values
+# of a block of blocked_sums, the shifted coefficients of a block of
+# harmonic.Spectrum.correlations, a block of harmonic.power_sum's Python
+# ints, the ranks of a block of flats that coset_table builds, and the
+# widest stack of a chunk of trials of the spectral checks in verify.
+# Gathered whole on generic(30,3), the line-table X-ray would take 610 MB;
+# blocks of 4 MB ran the exact X-ray of padic(5,2,3) about 3x slower.
 _BLOCK_BYTES = 1 << 18
 
 
-def blocked_sums(values: np.ndarray, index: np.ndarray):
+def blocked_sums(values: np.ndarray, index: np.ndarray, rows: bool = False):
     """Yield (lo, sums) over blocks of leading rows of an integer index
     table (..., m): sums is values[index[lo:hi]] summed over the last axis.
 
     Each block of index is converted once to intp (numpy gathers faster
     through it) and holds, with its gather, about _BLOCK_BYTES.  values is
-    (size,) or (size, r).  A 1-D row is gathered whole per block and
-    reduced by einsum for integers and .sum for floats, so float sums are
-    bit for bit those of one whole gather.  An (size, r) stack is added
-    one index slab index[..., j] at a time, each gathered point copying
-    its r contiguous values, so sums is (block, ..., r).
+    one row (size,), rows (R, size) with rows set, or an (size, r) stack.
+    Each row is gathered whole per block and reduced by einsum for integers
+    and .sum for floats, so float sums are bit for bit those of one whole
+    gather; sums is then (block, ...), or (R, block, ...) for rows.  An
+    (size, r) stack is added one index slab index[..., j] at a time, each
+    gathered point copying its r contiguous values: sums is (block, ..., r).
     """
     m = index.shape[-1]
-    width = values.shape[1] if values.ndim == 2 else 1
+    slabs = values.ndim == 2 and not rows
+    width = values.shape[1] if slabs else 1
     step = max(1, _BLOCK_BYTES // (8 * (index[0].size // m) * max(m, width)))
+    add_up = partial(np.einsum, "...j->...") if values.dtype.kind == "i" else partial(np.sum, axis=-1)
     for lo in range(0, len(index), step):
         t = index[lo:lo + step].astype(np.intp)
-        if values.ndim == 2:
+        if slabs:
             sums = values[t[..., 0]]
             for j in range(1, m):
                 sums += values[t[..., j]]
-        elif values.dtype.kind == "i":
-            sums = np.einsum("...j->...", values[t])
+        elif rows:
+            sums = np.empty((len(values),) + t.shape[:-1], dtype=values.dtype)
+            for row, out in zip(values, sums):
+                add_up(row[t], out=out)
         else:
-            sums = values[t].sum(axis=-1)
+            sums = add_up(values[t])
         yield lo, sums
 
 
@@ -252,17 +244,6 @@ def perp_index(ctx: RingContext) -> np.ndarray:
         ranks = sum(coords[j] % N * N ** (n - 1 - j) for j in range(n))
         out[lo:lo + step] = np.sort(ranks, axis=1)
     return _freeze(out)
-
-
-@lru_cache(maxsize=None)
-def coset_labels(ctx: RingContext, d: int) -> np.ndarray:
-    """(size,) label of x mod d, ranked in (Z/dZ)^n; d must divide N."""
-    if ctx.modulus % d:
-        raise ValueError(f"{d} does not divide {ctx.modulus}")
-    grid = coord_grid(ctx) % d
-    n = ctx.dimension
-    weights = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    return _freeze(grid @ weights)
 
 
 @lru_cache(maxsize=None)

@@ -16,15 +16,16 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import search, tables
 from .geometry import proj_size
-from .harmonic import (_INT_HEADROOM, Density, _abs_max, band_constant, band_project,
-                       fourier_forward, fourier_inverse, induce_rows, power_sum, xray_all,
-                       xray_l2_spectral)
+from .harmonic import (_INT_HEADROOM, Density, Spectrum, _abs_max, band_constant,
+                       band_project, fourier_forward, fourier_inverse, induce_rows,
+                       power_sum, xray_all, xray_l2_spectral)
 from .maximal import (appendix_constant, chain_constant, coset_maxima,
                       flat_maximal, line_maximal, rounding_g)
 from .ring import Generic, RingContext, scale
@@ -97,29 +98,37 @@ def random_density(ctx: RingContext, seed: int, dist: str = "uniform-rational",
     if dist == "uniform-rational":
         den = rng.choice((2, 3, 4, 6, 8, 12))
         return Density.from_numden(ctx, _randints(rng, 4 * den + 1, size), den)
+    num = np.zeros(size, dtype=np.int64)
     if dist == "sparse":
-        num = np.zeros(size, dtype=np.int64)
         support = rng.sample(range(size), max(1, size // 8))
-        for i in support:
-            num[i] = rng.randint(1, 9)
-        return Density.from_numden(ctx, num, 1)
-    if dist == "flat-supported":
+        num[support] = _randints(rng, 9, len(support)) + 1
+    elif dist == "flat-supported":
         k = rng.randint(1, min(2, ctx.dimension))
-        flat = rng.choice(tables.flats(ctx, k))
-        shift = ctx.unrank(rng.randrange(size))
-        from .geometry import flat_points
-
-        pts = [tuple((a + b) % ctx.modulus for a, b in zip(p, shift)) for p in flat_points(flat)]
-        return Density.indicator(ctx, pts)
-    if dist == "ball":
-        return Density.indicator(ctx, [ctx.unrank(rng.randrange(size))])
-    raise ValueError(f"unknown distribution {dist!r}")
+        flats = tables.flats(ctx, k)
+        gens = np.array(flats[rng.randrange(len(flats))].generators)
+        pts = tables._lex_grid(ctx.modulus, k) @ gens + tables.coord_grid(ctx)[rng.randrange(size)]
+        num[tables.rank_points(pts % ctx.modulus, ctx)] = 1
+    elif dist == "ball":
+        num[rng.randrange(size)] = 1
+    else:
+        raise ValueError(f"unknown distribution {dist!r}")
+    return Density.from_numden(ctx, num, 1)
 
 
 def _corpus(ctx: RingContext, seed: int, trials: int) -> Iterable[Density]:
     for t in range(trials):
         dist = DISTRIBUTIONS[t % len(DISTRIBUTIONS)]
         yield random_density(ctx, seed, dist, trial=t)
+
+
+def _stacks(ctx: RingContext, seed: int, trials: int, width: int) -> Iterator[tuple[int, Density]]:
+    """The corpus, drawn once, as (first trial, stack) chunks of as many trials
+    as fit their widest stack, width int64s a trial, in tables._BLOCK_BYTES."""
+    corpus = _corpus(ctx, seed, trials)
+    step = max(1, tables._BLOCK_BYTES // (8 * width))
+    for lo in range(0, trials, step):
+        chunk = list(islice(corpus, step))
+        yield lo, Density(ctx, num=[f.num for f in chunk], den=[f.den for f in chunk])
 
 
 def _frac_mean(values: Sequence[Fraction], power: int = 1) -> Fraction:
@@ -174,28 +183,33 @@ def verify_radius_lemma(ctx: RingContext) -> VerificationReport:
 
 def verify_plancherel(ctx: RingContext, trials: int, seed: int) -> VerificationReport:
     """Plancherel and the Fourier round trip: exact in the rational lane,
-    within 1e-10 in the float lane."""
-    worst_exact = Fraction(0)
-    worst_float = 0.0
-    witness = None
-    for t, f in enumerate(_corpus(ctx, seed, trials)):
+    within 1e-10 in the float lane.  Each chunk of trials (_stacks) takes
+    one exact transform and one FFT each way; float sums stay per trial."""
+    worst_exact, worst_float, witness = Fraction(0), 0.0, None
+    for lo, f in _stacks(ctx, seed, trials, ctx.size * ctx.modulus):
         s = fourier_forward(f)
-        diff = abs(f.power_mean(2) - s.plancherel())
+        masses, den = s.masses(np.arange(ctx.size)[None])
         back = fourier_inverse(s)
-        if diff > worst_exact or back != f:
-            if back != f:
-                diff = max(diff, Fraction(1))
-            worst_exact = max(worst_exact, diff)
-            witness = {"trial": t, "lane": "exact"}
+        same = (back.num == f.num).all(axis=1) & (back.den == f.den)
+        power = power_sum(f.num, 2, axis=1)
         ff = f.to_float()
         sf = fourier_forward(ff)
-        fdiff = abs(ff.power_mean(2) - sf.plancherel())
-        fback = fourier_inverse(sf)
-        fdiff = max(fdiff, float(np.abs(fback.data - ff.data).max()))
-        if fdiff > worst_float:
-            worst_float = fdiff
-            if fdiff > 1e-10:
-                witness = {"trial": t, "lane": "float"}
+        fpower = (np.abs(ff.data) ** 2).sum(axis=1) / ctx.size
+        fback = np.abs(fourier_inverse(sf).data - ff.data).max(axis=1)
+        for j in range(len(f.num)):
+            diff = abs(Fraction(int(power[j]), f.den[j]**2 * ctx.size)
+                       - Fraction(int(masses[j, 0]), den[j]))
+            if diff > worst_exact or not same[j]:
+                if not same[j]:
+                    diff = max(diff, Fraction(1))
+                worst_exact = max(worst_exact, diff)
+                witness = {"trial": lo + j, "lane": "exact"}
+            fdiff = abs(fpower[j] - Spectrum(ctx, values=sf.values[j]).plancherel())
+            fdiff = max(fdiff, float(fback[j]))
+            if fdiff > worst_float:
+                worst_float = fdiff
+                if fdiff > 1e-10:
+                    witness = {"trial": lo + j, "lane": "float"}
     passed = worst_exact == 0 and worst_float <= 1e-10
     return VerificationReport("plancherel", ctx.describe(), trials, "eq-exact",
                               worst_exact, passed, witness,
@@ -205,28 +219,30 @@ def verify_plancherel(ctx: RingContext, trials: int, seed: int) -> VerificationR
 def verify_xray_l2(ctx: RingContext, trials: int, seed: int) -> VerificationReport:
     """The X-ray l2 identity: avg_u integral |f_u|^2 equals the
     valuation-weighted spectral sum, and per direction the orthogonal-sum identity
-    sum_{a in u-perp} |f^(a)|^2 = integral |f_u|^2, all exact.  Each trial
-    takes one transform and one set of X-rays, which both identities share."""
-    worst = Fraction(0)
-    witness = None
-    perp = tables.perp_index(ctx)
-    qsize = ctx.size // ctx.modulus
-    for t, f in enumerate(_corpus(ctx, seed, trials)):
+    sum_{a in u-perp} |f^(a)|^2 = integral |f_u|^2, all exact.  Each chunk
+    of trials (_stacks) takes one transform and one X-ray pass, which both
+    identities share."""
+    worst, witness = Fraction(0), None
+    perp, qsize = tables.perp_index(ctx), ctx.size // ctx.modulus
+    for lo, f in _stacks(ctx, seed, trials, max(perp.shape[0] * qsize, ctx.size * ctx.modulus)):
         s = fourier_forward(f)
         nums, den = xray_all(f)
-        xray_den = den**2 * qsize
-        row_l2 = power_sum(nums, 2, axis=1).astype(object)  # integral |f_u|^2 * xray_den
-        spatial = Fraction(int(row_l2.sum()), xray_den * len(nums))
-        diff = abs(spatial - xray_l2_spectral(s))
-        if diff > worst:
-            worst, witness = diff, {"trial": t, "side": "identity"}
+        spectral = xray_l2_spectral(s)
         spec, spec_den = s.masses(perp)
-        common = math.lcm(spec_den, xray_den)
-        diffs = np.abs(spec.astype(object) * (common // spec_den) - row_l2 * (common // xray_den))
-        ui = int(np.argmax(diffs))  # all directions at once; the first largest gap
-        diff = Fraction(int(diffs[ui]), common)
-        if diff > worst:
-            worst, witness = diff, {"trial": t, "direction": ui, "side": "orthogonal sum"}
+        row_l2 = power_sum(nums, 2, axis=2).astype(object)  # integral |f_u|^2 * xray_den
+        for j in range(len(nums)):
+            xray_den = den[j]**2 * qsize
+            spatial = Fraction(int(row_l2[j].sum()), xray_den * len(perp))
+            diff = abs(spatial - spectral[j])
+            if diff > worst:
+                worst, witness = diff, {"trial": lo + j, "side": "identity"}
+            common = math.lcm(spec_den[j], xray_den)
+            diffs = np.abs(spec[j].astype(object) * (common // spec_den[j])
+                           - row_l2[j] * (common // xray_den))
+            ui = int(np.argmax(diffs))  # all directions at once; the first largest gap
+            diff = Fraction(int(diffs[ui]), common)
+            if diff > worst:
+                worst, witness = diff, {"trial": lo + j, "direction": ui, "side": "orthogonal sum"}
     return VerificationReport("xray-l2", ctx.describe(), trials, "eq-exact",
                               worst, worst == 0, witness)
 
@@ -237,21 +253,25 @@ def verify_freqbound(ctx: RingContext, p: int, trials: int, seed: int) -> Verifi
         avg_u integral |f_{i,u}|^p <= band_constant(i, n) * integral |f|^p.
 
     The band components of a rational density are rational and p is an
-    integer, so both sides are exact power sums for every p >= 2."""
+    integer, so both sides are exact power sums for every p >= 2.  Each
+    chunk of trials (_stacks) takes one projection into all bands and one
+    X-ray pass."""
     if p < 2:
         return _skip(f"freqbound[p={p}]", ctx, "needs p >= 2")
-    n = ctx.dimension
-    qsize = ctx.size // ctx.modulus
-    worst = Fraction(10**9)
-    witness = None
-    for t, f in enumerate(_corpus(ctx, seed, trials)):
-        rhs_base = f.power_mean(p)
-        for i in range(ctx.num_bands):
-            nums, den = xray_all(band_project(f, i))
-            lhs = Fraction(int(power_sum(nums, p)), den**p * qsize * len(nums))
-            slack = band_constant(i, n, ctx) * rhs_base - lhs
+    n, bands = ctx.dimension, ctx.num_bands
+    P, qsize = len(tables.directions(ctx)), ctx.size // ctx.modulus
+    constants = [band_constant(i, n, ctx) for i in range(bands)]
+    worst, witness = Fraction(10**9), None
+    for lo, f in _stacks(ctx, seed, trials, bands * P * qsize):
+        rhs = power_sum(f.num, p, axis=1)
+        nums, den = xray_all(band_project(f, range(bands)))
+        lhs = power_sum(nums.reshape(len(nums), -1), p, axis=1)
+        for r in range(len(nums)):
+            j, i = divmod(r, bands)
+            rhs_base = Fraction(int(rhs[j]), f.den[j]**p * ctx.size)
+            slack = constants[i] * rhs_base - Fraction(int(lhs[r]), den[r]**p * qsize * P)
             if slack < worst:
-                worst, witness = slack, {"trial": t, "band": i}
+                worst, witness = slack, {"trial": lo + j, "band": i}
     return VerificationReport(f"freqbound[p={p}]", ctx.describe(), trials, "ge-exact",
                               worst, worst >= 0, witness)
 
@@ -274,9 +294,7 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
     n = ctx.dimension
     bands = range(ctx.num_bands) if band is None else [band]
     qctx = ctx.quotient()
-    worst = Fraction(0)
-    witness = None
-    violations = []
+    worst, witness, violations = Fraction(0), None, []
     for t, f in enumerate(_corpus(ctx, seed, trials)):
         for i in bands:
             nums, den = xray_all(band_project(f, i))
@@ -322,8 +340,7 @@ def verify_projmax(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
         return _skip("projmax", ctx, "needs n >= 2")
     lift = tables.lift_map(ctx)
     qctx = ctx.quotient()
-    worst = Fraction(0)
-    witness = None
+    worst, witness = Fraction(0), None
     nbands = ctx.num_bands
     for t, f in enumerate(_corpus(ctx, seed, trials)):
         g = band_project(f, t % nbands).abs()
@@ -484,16 +501,8 @@ def verify_besicovitch(points: Sequence[Sequence[int]], ctx: RingContext) -> Ver
 
 def corpus_rings() -> list[RingContext]:
     """The documented default rings: N in {4, 6, 8, 9, 12}, n in {2, 3}."""
-    out = []
-    for n in (2, 3):
-        out.extend([
-            RingContext.padic(2, 2, n),
-            RingContext.profinite(2, n),
-            RingContext.padic(2, 3, n),
-            RingContext.padic(3, 2, n),
-            RingContext.generic(12, n),
-        ])
-    return out
+    return [ring for n in (2, 3) for ring in (RingContext.padic(2, 2, n), RingContext.profinite(2, n),
+            RingContext.padic(2, 3, n), RingContext.padic(3, 2, n), RingContext.generic(12, n))]
 
 
 def projmax_rings() -> list[RingContext]:

@@ -15,11 +15,13 @@ import numpy as np
 from kakeyalab import tables
 from kakeyalab.cyclotomic import reduce_mod_cyclotomic, reduction_matrix
 from kakeyalab.geometry import ProjDirection, flat_points
-from kakeyalab.harmonic import (Density, Spectrum, band_valuation_sets, fourier_forward,
-                                xray_all, xray_transform)
+from kakeyalab.harmonic import (Density, Spectrum, band_constant, band_project,
+                                band_valuation_sets, fourier_forward, fourier_inverse,
+                                power_sum, xray_all, xray_l2_spectral, xray_transform)
 from kakeyalab.maximal import flat_maximal, line_maximal
 from kakeyalab.ring import _crt_basis, crt_combine_scalar
 from kakeyalab.search import BudgetExceeded, KakeyaCertificate, translate_options
+from kakeyalab.verify import VerificationReport, _rng_for
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +400,103 @@ def mweight_lines(f: Density, p: int) -> int:
 def randints_loop(rng, n: int, count: int) -> np.ndarray:
     """count values of rng.randint(0, n - 1), one call each."""
     return np.array([rng.randint(0, n - 1) for _ in range(count)], dtype=np.int64)
+
+
+def random_density_loop(ctx, seed: int, dist: str = "uniform-rational", trial: int = 0) -> Density:
+    """verify.random_density drawn point by point: one rng.randint per
+    sparse value, rng.choice of the flat, its points from flat_points and
+    the indicators through Density.indicator."""
+    rng = _rng_for(ctx, seed, dist, trial)
+    size = ctx.size
+    if dist == "uniform-rational":
+        den = rng.choice((2, 3, 4, 6, 8, 12))
+        return Density.from_numden(ctx, randints_loop(rng, 4 * den + 1, size), den)
+    if dist == "sparse":
+        num = np.zeros(size, dtype=np.int64)
+        for i in rng.sample(range(size), max(1, size // 8)):
+            num[i] = rng.randint(1, 9)
+        return Density.from_numden(ctx, num, 1)
+    if dist == "flat-supported":
+        k = rng.randint(1, min(2, ctx.dimension))
+        flat = rng.choice(tables.flats(ctx, k))
+        shift = ctx.unrank(rng.randrange(size))
+        return Density.indicator(ctx, [tuple((a + b) % ctx.modulus for a, b in zip(p, shift))
+                                       for p in flat_points(flat)])
+    if dist == "ball":
+        return Density.indicator(ctx, [ctx.unrank(rng.randrange(size))])
+    raise ValueError(f"unknown distribution {dist!r}")
+
+
+# ---------------------------------------------------------------------------
+# spectral checks one trial at a time
+# ---------------------------------------------------------------------------
+# verify_plancherel, verify_xray_l2 and verify_freqbound as they ran before
+# they took stacks of trials: one transform, one X-ray and one band
+# projection per trial (and band), each over the trial's own density.
+
+
+def plancherel_rows(ctx, densities) -> VerificationReport:
+    worst_exact, worst_float, witness = Fraction(0), 0.0, None
+    for t, f in enumerate(densities):
+        s = fourier_forward(f)
+        diff = abs(f.power_mean(2) - s.plancherel())
+        back = fourier_inverse(s)
+        if diff > worst_exact or back != f:
+            if back != f:
+                diff = max(diff, Fraction(1))
+            worst_exact = max(worst_exact, diff)
+            witness = {"trial": t, "lane": "exact"}
+        ff = f.to_float()
+        sf = fourier_forward(ff)
+        fdiff = abs(ff.power_mean(2) - sf.plancherel())
+        fdiff = max(fdiff, float(np.abs(fourier_inverse(sf).data - ff.data).max()))
+        if fdiff > worst_float:
+            worst_float = fdiff
+            if fdiff > 1e-10:
+                witness = {"trial": t, "lane": "float"}
+    passed = worst_exact == 0 and worst_float <= 1e-10
+    return VerificationReport("plancherel", ctx.describe(), len(densities), "eq-exact",
+                              worst_exact, passed, witness, details={"float_worst": worst_float})
+
+
+def xray_l2_rows(ctx, densities) -> VerificationReport:
+    worst, witness = Fraction(0), None
+    perp = tables.perp_index(ctx)
+    qsize = ctx.size // ctx.modulus
+    for t, f in enumerate(densities):
+        s = fourier_forward(f)
+        nums, den = xray_all(f)
+        xray_den = den**2 * qsize
+        row_l2 = power_sum(nums, 2, axis=1).astype(object)
+        spatial = Fraction(int(row_l2.sum()), xray_den * len(nums))
+        diff = abs(spatial - xray_l2_spectral(s))
+        if diff > worst:
+            worst, witness = diff, {"trial": t, "side": "identity"}
+        spec, spec_den = s.masses(perp)
+        common = math.lcm(spec_den, xray_den)
+        diffs = np.abs(spec.astype(object) * (common // spec_den) - row_l2 * (common // xray_den))
+        ui = int(np.argmax(diffs))
+        diff = Fraction(int(diffs[ui]), common)
+        if diff > worst:
+            worst, witness = diff, {"trial": t, "direction": ui, "side": "orthogonal sum"}
+    return VerificationReport("xray-l2", ctx.describe(), len(densities), "eq-exact",
+                              worst, worst == 0, witness)
+
+
+def freqbound_rows(ctx, p: int, densities) -> VerificationReport:
+    n = ctx.dimension
+    qsize = ctx.size // ctx.modulus
+    worst, witness = Fraction(10**9), None
+    for t, f in enumerate(densities):
+        rhs_base = f.power_mean(p)
+        for i in range(ctx.num_bands):
+            nums, den = xray_all(band_project(f, i))
+            lhs = Fraction(int(power_sum(nums, p)), den**p * qsize * len(nums))
+            slack = band_constant(i, n, ctx) * rhs_base - lhs
+            if slack < worst:
+                worst, witness = slack, {"trial": t, "band": i}
+    return VerificationReport(f"freqbound[p={p}]", ctx.describe(), len(densities), "ge-exact",
+                              worst, worst >= 0, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -780,3 +780,77 @@ class TestInvariantProperties:
         for i in range(1, ctx.num_bands):
             total = total + band_project(f, i)
         assert total == f
+
+
+def stack_of(densities):
+    return Density(densities[0].ctx, num=[f.num for f in densities],
+                   den=[f.den for f in densities])
+
+
+class TestStacks:
+    """A stack of densities runs through the code that runs one density:
+    every row of a stacked result is that density's own result, bit for
+    bit, and a headroom check trips for the stack exactly when it trips
+    for one of its rows."""
+
+    @pytest.mark.parametrize("ctx", RINGS_SMALL + [RingContext.generic(12, 2)],
+                             ids=lambda c: c.describe())
+    def test_rows_are_the_one_density_results(self, ctx):
+        dens = [random_density(ctx, 60, DISTRIBUTIONS[t % 4], trial=t) for t in range(6)]
+        f = stack_of(dens)
+        s = fourier_forward(f)
+        back = fourier_inverse(s)
+        perp = tables.perp_index(ctx)
+        masses, mass_dens = s.masses(perp)
+        nums, xray_dens = xray_all(f)
+        spectral = xray_l2_spectral(s)
+        fs = fourier_forward(f.to_float())
+        fback = fourier_inverse(fs)
+        for t, g in enumerate(dens):
+            one = fourier_forward(g)
+            assert s.den[t] == one.den and (s.coeffs[t] == one.coeffs).all()
+            assert (s.correlations()[t] == one.correlations()).all()
+            assert back.den[t] == g.den and (back.num[t] == g.num).all()
+            m, d = one.masses(perp)
+            assert mass_dens[t] == d and (masses[t] == m).all()
+            x, xd = xray_all(g)
+            assert xray_dens[t] == xd and (nums[t] == x).all()
+            assert spectral[t] == xray_l2_spectral(one)
+            assert np.array_equal(fs.values[t], fourier_forward(g.to_float()).values)
+            assert np.array_equal(fback.data[t], fourier_inverse(fourier_forward(g.to_float())).data)
+        if ctx.mode.describe().startswith("generic"):
+            return
+        bands = range(ctx.num_bands)
+        every = band_project(f, bands)
+        for t, g in enumerate(dens):
+            for i in bands:
+                assert band_project(f, i).den[t] == band_project(g, i).den
+                for h in (band_project(f, i).num[t], every.num[t * len(bands) + i]):
+                    assert (h == band_project(g, i).num).all()
+                assert every.den[t * len(bands) + i] == band_project(g, i).den
+
+    def test_rows_keep_their_own_lowest_terms(self):
+        ctx = RingContext.padic(2, 2, 2)
+        f = Density(ctx, num=[np.full(16, 6), np.arange(16) * 4, np.zeros(16)], den=[4, 6, 5])
+        assert f.den.tolist() == [2, 3, 1]
+        assert f.num[0].tolist() == [3] * 16 and f.num[1].tolist() == (np.arange(16) * 2).tolist()
+        assert not f.num[2].any()
+
+    def test_headroom_trips_with_the_stack_exactly_when_a_row_does(self):
+        # the transforms and the band projection bound each row's sum |f|;
+        # the small row alone passes, the large one alone trips
+        ctx = RingContext.padic(2, 2, 2)
+        small = random_density(ctx, 0)
+        large = Density.from_numden(ctx, np.full(16, 2**58), 1)
+        for step in (fourier_forward, lambda g: band_project(g, 0)):
+            step(small)
+            for f in (large, stack_of([small, large]), stack_of([large, small])):
+                with pytest.raises(OverflowError):
+                    step(f)
+        coeffs = np.zeros((ctx.size, ctx.modulus), dtype=np.int64)
+        coeffs[:8, 0] = 2**60
+        s = Spectrum(ctx, coeffs=[fourier_forward(small).coeffs, coeffs],
+                     den=[fourier_forward(small).den, 1])
+        with pytest.raises(OverflowError):
+            fourier_inverse(s)
+        fourier_inverse(Spectrum(ctx, coeffs=s.coeffs[:1], den=s.den[:1]))

@@ -20,7 +20,9 @@ from kakeyalab.verify import (DISTRIBUTIONS, VerificationReport, random_density,
                               verify_plancherel, verify_projmax,
                               verify_radius_lemma, verify_rounding,
                               verify_xray_l2)
-from oracles import randints_loop
+import oracles
+from oracles import (freqbound_rows, plancherel_rows, randints_loop, random_density_loop,
+                     xray_l2_rows)
 
 CTX = RingContext.padic(2, 2, 2)
 CTX6 = RingContext.profinite(2, 2)
@@ -67,6 +69,15 @@ class TestRandomDensity:
             for seed in range(3):
                 got = verify._randints(random.Random(seed), 4 * den + 1, count)
                 assert np.array_equal(got, randints_loop(random.Random(seed), 4 * den + 1, count))
+
+
+    @pytest.mark.parametrize("ctx", verify.corpus_rings(), ids=lambda c: c.describe())
+    def test_vectorized_draws_equal_the_loop(self, ctx):
+        for dist in DISTRIBUTIONS:
+            for seed in range(4):
+                for trial in range(12):
+                    want = random_density_loop(ctx, seed, dist, trial)
+                    assert random_density(ctx, seed, dist, trial) == want
 
 
 class TestIndividualChecks:
@@ -287,18 +298,22 @@ class TestBatchedAgainstRowOracles:
         assert reports_to_json([rep]) == reports_to_json([projmax_oracle(ctx, corpus(ctx, 0, 4), lift)])
 
     def test_xray_l2_one_transform_and_one_xray_per_trial(self, monkeypatch):
-        # counted wherever they are called from, the identity's helpers included
+        # counted in rows, since the check passes stacks of trials, wherever
+        # they are called from, the identity's helpers included; the small
+        # block splits the 5 trials into chunks of one
         import kakeyalab.harmonic as harmonic
 
-        calls = {"fourier_forward": 0, "xray_all": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(harmonic, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+        for name in ("fourier_forward", "xray_all"):
+            def counted(f, _real=getattr(harmonic, name), _name=name):
+                rows[_name] += len(f.num) if f.num.ndim == 2 else 1
+                return _real(f)
             monkeypatch.setattr(harmonic, name, counted)
             monkeypatch.setattr(verify, name, counted)
-        rep = verify_xray_l2(CTX6, trials=5, seed=0)
-        assert rep.passed and calls == {"fourier_forward": 5, "xray_all": 5}
+        for block in (tables._BLOCK_BYTES, 1 << 10):
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+            rows = {"fourier_forward": 0, "xray_all": 0}
+            rep = verify_xray_l2(CTX6, trials=5, seed=0)
+            assert rep.passed and rows == {"fourier_forward": 5, "xray_all": 5}
 
     def test_large_rows_are_exact(self, monkeypatch):
         # row maxima past 2**31, so (n-1)-th powers pass 2**62: the batched
@@ -312,6 +327,104 @@ class TestBatchedAgainstRowOracles:
         assert reports_to_json([rep]) == reports_to_json([divisor_reduction_oracle(ctx, None, dens)])
         rep = verify_projmax(ctx, trials=2, seed=0)
         assert reports_to_json([rep]) == reports_to_json([projmax_oracle(ctx, dens)])
+
+
+def spectral_reports(ctx, trials, seed):
+    """The stacked plancherel, xray-l2 and freqbound reports, and their row oracles'."""
+    dens = corpus(ctx, seed, trials)
+    got = [verify_plancherel(ctx, trials, seed), verify_xray_l2(ctx, trials, seed)]
+    want = [plancherel_rows(ctx, dens), xray_l2_rows(ctx, dens)]
+    if not verify._needs_bands(ctx):
+        got += [verify_freqbound(ctx, p, trials, seed) for p in (2, 3)]
+        want += [freqbound_rows(ctx, p, dens) for p in (2, 3)]
+    return reports_to_json(got), reports_to_json(want)
+
+
+class TestStackedAgainstRowOracles:
+    """plancherel, xray-l2 and freqbound run each exact step once per chunk
+    of trials; the trial-by-trial loops they replaced must give the same
+    JSON, in one chunk and split into many."""
+
+    @pytest.mark.parametrize("block", [None, 1 << 12], ids=["one-chunk", "small-chunks"])
+    @pytest.mark.parametrize("ctx", verify.corpus_rings(), ids=lambda c: c.describe())
+    def test_corpus(self, monkeypatch, ctx, block):
+        if block:
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+        for trials in (1, 4, 7, 13):
+            got, want = spectral_reports(ctx, trials, seed=trials)
+            assert got == want
+
+    def test_chunks_split(self, monkeypatch):
+        # the small block really splits 13 trials, into chunks of more than one
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 12)
+        ctx = RingContext.padic(2, 2, 2)
+        sizes = [len(f.num) for _, f in verify._stacks(ctx, 0, 13, ctx.size * ctx.modulus)]
+        assert sum(sizes) == 13 and len(sizes) > 1 and max(sizes) > 1
+
+    def test_failing_reports_name_the_same_witness(self, monkeypatch):
+        # a shrunken band constant and a doubled spectrum fail the checks:
+        # the first (trial, band) with the least slack, and the last trial
+        # whose gap grew, are the witnesses of both; chunks of one and two
+        # trials put them past the first chunk
+        from kakeyalab import harmonic
+
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 10)  # chunks of one and two trials
+
+        def shrunken(i, m, c, _real=harmonic.band_constant):
+            return _real(i, m, c) / 10**9
+
+        def doubled(f, _real=harmonic.fourier_forward):
+            s = _real(f)
+            if s.lane == "exact":
+                return harmonic.Spectrum(s.ctx, coeffs=s.coeffs * 2, den=s.den)
+            return harmonic.Spectrum(s.ctx, values=s.values * 2)
+
+        def scaled(s, _real=harmonic.xray_l2_spectral):
+            return _real(s) * Fraction(11, 10)
+
+        rings = (RingContext.padic(2, 2, 2), RingContext.profinite(2, 3))
+        for module in (verify, oracles):
+            monkeypatch.setattr(module, "band_constant", shrunken)
+            monkeypatch.setattr(module, "fourier_forward", doubled)
+        for ctx in rings:
+            got, want = spectral_reports(ctx, 9, seed=5)
+            assert got == want
+            assert not any(rep["status"] == "pass" for rep in json.loads(got)["reports"])
+        # the identity alone fails: its witness is the trial of the largest sum
+        monkeypatch.undo()
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 10)
+        for module in (verify, oracles):
+            monkeypatch.setattr(module, "xray_l2_spectral", scaled)
+        for ctx in rings:
+            got, want = spectral_reports(ctx, 9, seed=5)
+            assert got == want
+            witness = json.loads(got)["reports"][1]["witness"]
+            assert witness["side"] == "identity" and witness["trial"] > 0
+
+    @pytest.mark.parametrize("ctx", [RingContext.padic(2, 2, 2), RingContext.padic(2, 2, 3),
+                                     RingContext.profinite(2, 2)], ids=lambda c: c.describe())
+    def test_large_numerators(self, monkeypatch, ctx):
+        # numerators near 2**40 overflow the spectral checks' headroom and
+        # pass the band projections'; a stack raises OverflowError exactly
+        # where the rows do, and otherwise gives the rows' report
+        dens = corpus(ctx, 0, 3) + large_densities(ctx, 2)
+        monkeypatch.setattr(verify, "_corpus", lambda c, seed, trials: iter(dens))
+        cases = [(lambda: verify_plancherel(ctx, 5, 0), lambda: plancherel_rows(ctx, dens)),
+                 (lambda: verify_xray_l2(ctx, 5, 0), lambda: xray_l2_rows(ctx, dens))]
+        cases += [(lambda p=p: verify_freqbound(ctx, p, 5, 0), lambda p=p: freqbound_rows(ctx, p, dens))
+                  for p in (2, 3)]
+        outcomes = []
+        for check, rows in cases:
+            try:
+                want = reports_to_json([rows()])
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    check()
+                outcomes.append("overflow")
+            else:
+                assert reports_to_json([check()]) == want
+                outcomes.append("report")
+        assert outcomes == ["overflow", "overflow", "report", "report"]
 
 
 class TestBesicovitchCases:
