@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     except SystemExit2 as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-    except EnumerationCapError as err:
+    except (EnumerationCapError, OverflowError) as err:  # a table or the int64 headroom
         sys.stderr.write(f"error: {err}\n")
         return EXIT_RESOURCE
     except (ValueError, OSError, ScaleUndefinedError) as err:

@@ -9,14 +9,15 @@ normalized mass of |f| over any translate:
 flat U through the origin is a submodule, so the mass of |f| on a + U
 depends only on the coset of a: coset_maxima reads tables.coset_table,
 sums each coset once, and takes the largest coset sum per flat, for a
-whole stack of rows (every X-ray of a density, say).  It works point-major:
-a chunk of rows is held as (points, rows), and tables.blocked_sums adds
-the points of each coset, a block of flats at a time, so every gathered
-point copies its values for all rows of the chunk at once.
-Both operators are one row of it.  The witness is the lexicographically
-least achieving shift, which is the least rank among the cosets that
-reach the maximum.  The exact lane sums int64 numerators under the
-shared headroom check; the float lane sums doubles.
+whole stack of rows (every X-ray of a density, say).  tables.blocked_sums
+adds the points of each coset, a block of flats at a time.  A wide chunk
+of rows is read point-major, as (points, rows), so that every gathered
+point copies its values for all rows at once; a narrow one is read
+row-major, each row gathered whole.  Both operators are one row of it.
+The witness is the lexicographically least achieving shift, which is the
+least rank among the cosets that reach the maximum.  The exact lane sums
+int64 numerators under the shared headroom check; the float lane sums
+doubles.
 
 The constants half evaluates, factor by factor and with no simplification,
 the integer-density bound constant, the rounding-based rational-density
@@ -63,14 +64,16 @@ class MaximalProfile:
         return max(self.values)
 
 
-# Bytes of int64 in a chunk of rows, taken point-major as (size, rows):
-# each gathered index then copies one contiguous value per row, which pays
-# only when chunks are wide (about 130 rows on padic(5,3,2); at 6 rows a
-# stack there ran 3x slower).  A tall stack gathered at once could take
-# tens of GiB (the induced X-rays of profinite(3,3) band 3 would take
+# Bytes of int64 in a chunk of rows.  A tall stack gathered at once could
+# take tens of GiB (the induced X-rays of profinite(3,3) band 3 would take
 # about 45 GiB).  Within a chunk, tables.blocked_sums sizes the blocks of
-# flats.
+# flats.  A chunk of _POINT_MAJOR_ROWS rows or more is read point-major,
+# a narrower one row-major.  Timed in coset_maxima (medians of 15, 2 cores,
+# generic(12,3) k=1, padic(3,2,3) k=2, padic(5,3,2) k=1, padic(2,3,3) k=1
+# and 2), row-major ran 2-9x faster at 2-4 rows and point-major 1.2-1.7x
+# faster at 24-32; they crossed at 10-20 rows, lowest on generic(12,3).
 _CHUNK_BYTES = 1 << 24
+_POINT_MAJOR_ROWS = 12
 
 
 def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, witnesses: bool = False,
@@ -86,11 +89,13 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, witnesses: bool = F
     cosets of flat i whose sum reaches the maximum: all shifts in a coset
     share its sum, so that is the lex-least achieving shift.
 
-    The sums run point-major: a chunk of rows (about _CHUNK_BYTES) is
-    taken as |rows|.T, shape (size, rows), and tables.blocked_sums adds
-    the N**k points of every coset for a block of flats; a chunk of one
-    row goes in as that row.  Float sums therefore depend on the chunking
-    in their last bits; integer sums do not.
+    The sums run a chunk of rows (about _CHUNK_BYTES) at a time, and
+    tables.blocked_sums adds the N**k points of every coset for a block of
+    flats.  A chunk of _POINT_MAJOR_ROWS rows or more is taken
+    point-major, as |rows|.T of shape (size, rows); a narrower one is taken
+    row-major, each row gathered whole, and a chunk of one row goes in as
+    that row.  Float sums therefore depend on the chunking in their last
+    bits; integer sums do not.
     """
     table, least = tables.coset_table(ctx, k)
     exact = rows.dtype.kind == "i"
@@ -101,11 +106,16 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, witnesses: bool = F
     best = np.empty((len(rows), len(table)), dtype=dtype)
     arg = np.empty(best.shape, dtype=np.int64) if witnesses else None
     for lo in range(0, len(rows), step):
-        a = np.ascontiguousarray(np.abs(rows[lo:lo + step]).T, dtype=dtype)  # (size, r)
+        a = np.abs(rows[lo:lo + step]).astype(dtype, copy=False)
+        r, narrow = len(a), len(a) < _POINT_MAJOR_ROWS
+        if not narrow:
+            a = np.ascontiguousarray(a.T)  # (size, r)
         if index is not None:
-            a = a[index]
-        for f0, sums in tables.blocked_sums(a[:, 0] if a.shape[1] == 1 else a, table):
-            sums = sums.reshape(*sums.shape[:2], -1)  # (flats in the block, cosets, r)
+            a = a[:, index] if narrow else a[index]
+        for f0, sums in tables.blocked_sums(a[0] if len(a) == 1 else a, table, rows=narrow):
+            if narrow:  # (r, flats in the block, cosets), or (flats, cosets) for one row
+                sums = np.moveaxis(sums.reshape(r, *sums.shape[-2:]), 0, -1)
+            # sums is (flats in the block, cosets, r)
             f1 = f0 + len(sums)
             top = sums.max(axis=1)
             best[lo:lo + step, f0:f1] = top.T

@@ -195,7 +195,7 @@ def blocked_sums(values: np.ndarray, index: np.ndarray, rows: bool = False):
             sums = values[t[..., 0]]
             for j in range(1, m):
                 sums += values[t[..., j]]
-        elif rows:
+        elif values.ndim == 2:
             sums = np.empty((len(values),) + t.shape[:-1], dtype=values.dtype)
             for row, out in zip(values, sums):
                 add_up(row[t], out=out)
@@ -259,11 +259,11 @@ def lift_map(ctx: RingContext) -> np.ndarray:
     """
     N = ctx.modulus
     qctx = ctx.quotient()
+    planes = np.sort(coset_table(ctx, 2)[0][:, 0], axis=1)  # refused, if at all, before the gather
     lines = coset_table(ctx, 1)[0]
     t = np.arange(N)[None, :, None]
     qlines = rank_points(t * direction_matrix(qctx)[:, None, :] % N, qctx)  # (Pq, N) ranks of t w
     lifts = np.sort(lines[:, qlines].reshape(len(lines), len(qlines), N * N), axis=2)
-    planes = np.sort(coset_table(ctx, 2)[0][:, 0], axis=1)
     flat_index = {plane.tobytes(): i for i, plane in enumerate(planes)}
     return _freeze(np.array([[flat_index[lift.tobytes()] for lift in row] for row in lifts],
                             dtype=np.int64))

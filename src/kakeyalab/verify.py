@@ -10,13 +10,13 @@ reproduces them byte for byte.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,8 +26,7 @@ from .geometry import proj_size
 from .harmonic import (_INT_HEADROOM, Density, Spectrum, _abs_max, band_constant,
                        band_project, fourier_forward, fourier_inverse, induce_rows,
                        power_sum, xray_all, xray_l2_spectral)
-from .maximal import (appendix_constant, chain_constant, coset_maxima,
-                      flat_maximal, line_maximal, rounding_g)
+from .maximal import appendix_constant, chain_constant, coset_maxima, flat_maximal, rounding_g
 from .ring import Generic, RingContext, scale
 
 
@@ -121,29 +120,38 @@ def _corpus(ctx: RingContext, seed: int, trials: int) -> Iterable[Density]:
         yield random_density(ctx, seed, dist, trial=t)
 
 
-def _stacks(ctx: RingContext, seed: int, trials: int, width: int) -> Iterator[tuple[int, Density]]:
-    """The corpus, drawn once, as (first trial, stack) chunks of as many trials
-    as fit their widest stack, width int64s a trial, in tables._BLOCK_BYTES."""
-    corpus = _corpus(ctx, seed, trials)
+def _stacks(ctx: RingContext, seed: int, trials: int, width: int,
+            extra: Sequence[Density] = ()) -> Iterator[tuple[int, Density]]:
+    """The corpus, drawn once, then extra, as (first trial, stack) chunks of as
+    many trials as fit their widest stack, width int64s a trial, in
+    tables._BLOCK_BYTES."""
+    densities = itertools.chain(_corpus(ctx, seed, trials), extra)
     step = max(1, tables._BLOCK_BYTES // (8 * width))
-    for lo in range(0, trials, step):
-        chunk = list(islice(corpus, step))
+    for lo in range(0, trials + len(extra), step):
+        chunk = list(itertools.islice(densities, step))
         yield lo, Density(ctx, num=[f.num for f in chunk], den=[f.den for f in chunk])
 
 
-def _frac_mean(values: Sequence[Fraction], power: int = 1) -> Fraction:
-    """Mean of v**power, summed as integers over one common denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    total = sum((v.numerator * (den // v.denominator)) ** power for v in values)
-    return Fraction(total, den**power * len(values))
+def _power_means(f: Density, power: int) -> list[Fraction]:
+    """E_x |f(x)|**power per row of a stack, exact."""
+    sums = power_sum(f.num, power, axis=1)
+    return [Fraction(int(m), d**power * f.ctx.size) for m, d in zip(sums, f.den)]
+
+
+def _maximal_means(rows: np.ndarray, dens, ctx: RingContext, k: int, power: int) -> list[Fraction]:
+    """E_U (maxop_k row(U))**power per row over its den, exact: a k-flat
+    maximum is best / (den * N**k), so the mean is a power sum of best."""
+    best = coset_maxima(rows, ctx, k)
+    return [Fraction(int(m), (d * ctx.modulus**k)**power * best.shape[1])
+            for m, d in zip(power_sum(best, power, axis=1), dens)]
 
 
 def _line_moments(rows: np.ndarray, ctx: RingContext, power: int,
                   index: np.ndarray | None = None) -> np.ndarray:
     """sum_w (largest line sum of |row| in direction w)**power per row, as
-    Python ints (object dtype), so the powers cannot wrap.  With an index
-    the rows are read through it (see coset_maxima)."""
-    return (coset_maxima(rows, ctx, 1, index=index).astype(object) ** power).sum(axis=1)
+    Python ints (object dtype), so that scaling them cannot wrap.  With an
+    index the rows are read through it (see coset_maxima)."""
+    return power_sum(coset_maxima(rows, ctx, 1, index=index), power, axis=1).astype(object)
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +343,30 @@ def verify_projmax(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
 
     Per trial both sides are integer arrays over one denominator: the
     plane maxima read at the flats of tables.lift_map against the line
-    maxima of every X-ray row, taken in one coset_maxima call."""
+    maxima of every X-ray row.  Each chunk of trials (_stacks) takes one
+    coset_maxima per side and one X-ray pass; each trial is projected into
+    its band on its own, under that band's headroom check."""
     if ctx.dimension < 2:
         return _skip("projmax", ctx, "needs n >= 2")
     lift = tables.lift_map(ctx)
     qctx = ctx.quotient()
     worst, witness = Fraction(0), None
-    nbands = ctx.num_bands
-    for t, f in enumerate(_corpus(ctx, seed, trials)):
-        g = band_project(f, t % nbands).abs()
-        plane = coset_maxima(g.num[None], ctx, 2)[0]
+    nbands, (P, Pq) = ctx.num_bands, lift.shape
+    for lo, f in _stacks(ctx, seed, trials, P * (ctx.size // ctx.modulus)):
+        g = [band_project(Density(ctx, num=num, den=den), (lo + j) % nbands)
+             for j, (num, den) in enumerate(zip(f.num, f.den))]
+        g = Density(ctx, num=[h.num for h in g], den=[h.den for h in g]).abs()
+        plane = coset_maxima(g.num, ctx, 2)
         nums, _ = xray_all(g)
+        lines = coset_maxima(nums.reshape(-1, nums.shape[-1]), qctx, 1).reshape(len(nums), P, Pq)
         # plane maxima are over g.den * N**2 (N**2 points a plane); X-ray rows
         # are over g.den * N and a line has N points, so both share it
-        gaps = np.abs(plane[lift] - coset_maxima(nums, qctx, 1))
-        j = int(np.argmax(gaps))  # the first largest gap in (u, w) order
-        diff = Fraction(int(gaps.flat[j]), g.den * ctx.modulus**2)
-        if diff > worst:
-            ui, wi = divmod(j, lift.shape[1])
-            worst, witness = diff, {"trial": t, "direction": ui, "quotient_direction": wi}
+        gaps = np.abs(plane[:, lift] - lines).reshape(len(nums), -1)
+        for j, i in enumerate(np.argmax(gaps, axis=1).tolist()):  # the first largest gap in (u, w) order
+            diff = Fraction(int(gaps[j, i]), g.den[j] * ctx.modulus**2)
+            if diff > worst:
+                ui, wi = divmod(i, Pq)
+                worst, witness = diff, {"trial": lo + j, "direction": ui, "quotient_direction": wi}
     return VerificationReport("projmax", ctx.describe(), trials, "eq-exact",
                               worst, worst == 0, witness)
 
@@ -399,26 +412,22 @@ def verify_maxest(ctx: RingContext, trials: int, seed: int,
                   extra: Sequence[Density] = ()) -> VerificationReport:
     """Line maximal bound with the explicit rounding constant:
 
-        E_x |f|^n >= appendix_constant(N, n) * E_u (maxop_1 f(u))^n."""
+        E_x |f|^n >= appendix_constant(N, n) * E_u (maxop_1 f(u))^n.
+
+    Each chunk of the corpus and extra (_stacks) takes one coset_maxima."""
     n = ctx.dimension
     c = appendix_constant(ctx.modulus, n)
-    worst = Fraction(10**9)
-    witness = None
-    ok = True
-    densities = list(_corpus(ctx, seed, trials))
-    densities.extend(extra)
-    for t, f in enumerate(densities):
-        prof = line_maximal(f)
-        lhs = f.power_mean(n)
-        rhs = c * _frac_mean(prof.values, n)
-        slack = lhs - rhs
-        if slack < worst:
-            worst, witness = slack, {"trial": t}
-        if slack < 0:
-            ok = False
-            witness = {"trial": t, "failure": "inequality violated"}
-    return VerificationReport("maxest", ctx.describe(), len(densities), "ge-exact",
-                              worst, ok, witness,
+    worst, witness = Fraction(10**9), None  # passes iff no slack is negative
+    for lo, f in _stacks(ctx, seed, trials, ctx.size, extra):
+        lhs, rhs = _power_means(f, n), _maximal_means(f.num, f.den, ctx, 1, n)
+        for j in range(len(lhs)):
+            slack = lhs[j] - c * rhs[j]
+            if slack < worst:
+                worst, witness = slack, {"trial": lo + j}
+            if slack < 0:
+                witness = {"trial": lo + j, "failure": "inequality violated"}
+    return VerificationReport("maxest", ctx.describe(), trials + len(extra), "ge-exact",
+                              worst, worst >= 0, witness,
                               details={"constant": str(c.limit_denominator(10**12))})
 
 
@@ -433,44 +442,42 @@ def verify_main_theorem(ctx: RingContext, trials: int, seed: int) -> Verificatio
             <= band_ratio_i * avg_x f^{n-1}.
 
     The ball indicator's two sides are recorded as a tightness probe but
-    not asserted."""
+    not asserted.
+
+    Each chunk of trials (_stacks, the ball last) takes one projection into
+    all bands and one coset_maxima over its densities and their bands."""
     n = ctx.dimension
     if n < 3:
         return _skip("main-theorem", ctx, "needs n >= 3")
     if ctx.num_bands < 2:
         return _skip("main-theorem", ctx, "needs >= 2 bands in truncation")
-    chain = chain_constant(ctx, ctx.num_bands)
-    worst = Fraction(10**9)
-    witness = None
-    ok = True
+    bands = ctx.num_bands
+    chain = chain_constant(ctx, bands)
+    worst, witness = Fraction(10**9), None  # passes iff no slack is negative
     band_consts = [appendix_constant(scale(i + 1, ctx, beyond_truncation=True), n - 1)
-                   for i in range(ctx.num_bands)]
-    band_ratios = [band_constant(i, n, ctx) for i in range(ctx.num_bands)]
-    for t, f in enumerate(_corpus(ctx, seed, trials)):
-        rhs = f.power_mean(n - 1)
-        prof = flat_maximal(f, 2)
-        slack = rhs - chain.effective * _frac_mean(prof.values, n - 1)
-        if slack < worst:
-            worst, witness = slack, {"trial": t, "stage": "chain"}
-        if slack < 0:
-            ok = False
-        for i in range(ctx.num_bands):
-            g = band_project(f, i).abs()
-            prof_i = flat_maximal(g, 2)
-            band_slack = band_ratios[i] * rhs - band_consts[i] * _frac_mean(prof_i.values, n - 1)
-            if band_slack < worst:
-                worst, witness = band_slack, {"trial": t, "stage": f"band {i}"}
-            if band_slack < 0:
-                ok = False
+                   for i in range(bands)]
+    band_ratios = [band_constant(i, n, ctx) for i in range(bands)]
     ball = random_density(ctx, seed, "ball")
-    prof = flat_maximal(ball, 2)
-    probe_lhs = chain.effective * _frac_mean(prof.values, n - 1)
-    probe_rhs = ball.power_mean(n - 1)
+    for lo, f in _stacks(ctx, seed, trials, (1 + bands) * ctx.size, (ball,)):
+        T = min(len(f.num), trials - lo)  # the chunk's trials; the ball's bands are not needed
+        g = band_project(f, range(bands))  # row t * bands + i: band i of row t
+        means = _maximal_means(np.concatenate([f.num, g.num[:T * bands]]),
+                               [*f.den, *g.den[:T * bands]], ctx, 2, n - 1)
+        rhs = _power_means(f, n - 1)
+        for j in range(T):
+            slack = rhs[j] - chain.effective * means[j]
+            if slack < worst:
+                worst, witness = slack, {"trial": lo + j, "stage": "chain"}
+            for i, band_mean in enumerate(means[len(f.num) + j * bands:][:bands]):
+                band_slack = band_ratios[i] * rhs[j] - band_consts[i] * band_mean
+                if band_slack < worst:
+                    worst, witness = band_slack, {"trial": lo + j, "stage": f"band {i}"}
     return VerificationReport("main-theorem", ctx.describe(), trials, "ge-exact",
-                              worst, ok, witness,
+                              worst, worst >= 0, witness,
                               details={
                                   "chain_sum": chain.partial_sums[-1],
-                                  "ball_probe_lhs_over_rhs": float(probe_lhs / probe_rhs),
+                                  # the last chunk ends with the ball
+                                  "ball_probe_lhs_over_rhs": float(chain.effective * means[T] / rhs[T]),
                               })
 
 

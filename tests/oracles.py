@@ -18,8 +18,9 @@ from kakeyalab.geometry import ProjDirection, flat_points
 from kakeyalab.harmonic import (Density, Spectrum, band_constant, band_project,
                                 band_valuation_sets, fourier_forward, fourier_inverse,
                                 power_sum, xray_all, xray_l2_spectral, xray_transform)
-from kakeyalab.maximal import flat_maximal, line_maximal
-from kakeyalab.ring import _crt_basis, crt_combine_scalar
+from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima, flat_maximal,
+                               line_maximal)
+from kakeyalab.ring import _crt_basis, crt_combine_scalar, scale
 from kakeyalab.search import BudgetExceeded, KakeyaCertificate, translate_options
 from kakeyalab.verify import VerificationReport, _rng_for
 
@@ -497,6 +498,86 @@ def freqbound_rows(ctx, p: int, densities) -> VerificationReport:
                 worst, witness = slack, {"trial": t, "band": i}
     return VerificationReport(f"freqbound[p={p}]", ctx.describe(), len(densities), "ge-exact",
                               worst, worst >= 0, witness)
+
+
+# ---------------------------------------------------------------------------
+# maximal-side checks one trial at a time
+# ---------------------------------------------------------------------------
+# verify_main_theorem, verify_maxest and verify_projmax as they ran before
+# they took stacks of trials: one maximal profile per trial (and band),
+# its values one Fraction per flat, averaged by frac_mean.
+
+
+def frac_mean(values, power: int = 1) -> Fraction:
+    """Mean of v**power, summed as integers over one common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    total = sum((v.numerator * (den // v.denominator)) ** power for v in values)
+    return Fraction(total, den**power * len(values))
+
+
+def main_theorem_rows(ctx, densities, ball) -> VerificationReport:
+    """The check on densities, with ball as its tightness probe."""
+    n = ctx.dimension
+    chain = chain_constant(ctx, ctx.num_bands)
+    worst, witness, ok = Fraction(10**9), None, True
+    band_consts = [appendix_constant(scale(i + 1, ctx, beyond_truncation=True), n - 1)
+                   for i in range(ctx.num_bands)]
+    band_ratios = [band_constant(i, n, ctx) for i in range(ctx.num_bands)]
+    for t, f in enumerate(densities):
+        rhs = f.power_mean(n - 1)
+        slack = rhs - chain.effective * frac_mean(flat_maximal(f, 2).values, n - 1)
+        if slack < worst:
+            worst, witness = slack, {"trial": t, "stage": "chain"}
+        if slack < 0:
+            ok = False
+        for i in range(ctx.num_bands):
+            prof_i = flat_maximal(band_project(f, i).abs(), 2)
+            band_slack = band_ratios[i] * rhs - band_consts[i] * frac_mean(prof_i.values, n - 1)
+            if band_slack < worst:
+                worst, witness = band_slack, {"trial": t, "stage": f"band {i}"}
+            if band_slack < 0:
+                ok = False
+    probe_lhs = chain.effective * frac_mean(flat_maximal(ball, 2).values, n - 1)
+    probe_rhs = ball.power_mean(n - 1)
+    return VerificationReport("main-theorem", ctx.describe(), len(densities), "ge-exact",
+                              worst, ok, witness,
+                              details={"chain_sum": chain.partial_sums[-1],
+                                       "ball_probe_lhs_over_rhs": float(probe_lhs / probe_rhs)})
+
+
+def maxest_rows(ctx, densities) -> VerificationReport:
+    n = ctx.dimension
+    c = appendix_constant(ctx.modulus, n)
+    worst, witness, ok = Fraction(10**9), None, True
+    for t, f in enumerate(densities):
+        slack = f.power_mean(n) - c * frac_mean(line_maximal(f).values, n)
+        if slack < worst:
+            worst, witness = slack, {"trial": t}
+        if slack < 0:
+            ok = False
+            witness = {"trial": t, "failure": "inequality violated"}
+    return VerificationReport("maxest", ctx.describe(), len(densities), "ge-exact",
+                              worst, ok, witness,
+                              details={"constant": str(c.limit_denominator(10**12))})
+
+
+def projmax_rows(ctx, densities) -> VerificationReport:
+    """One coset_maxima call per side and trial."""
+    lift = tables.lift_map(ctx)
+    qctx = ctx.quotient()
+    worst, witness = Fraction(0), None
+    for t, f in enumerate(densities):
+        g = band_project(f, t % ctx.num_bands).abs()
+        plane = coset_maxima(g.num[None], ctx, 2)[0]
+        nums, _ = xray_all(g)
+        gaps = np.abs(plane[lift] - coset_maxima(nums, qctx, 1))
+        j = int(np.argmax(gaps))
+        diff = Fraction(int(gaps.flat[j]), g.den * ctx.modulus**2)
+        if diff > worst:
+            ui, wi = divmod(j, lift.shape[1])
+            worst, witness = diff, {"trial": t, "direction": ui, "quotient_direction": wi}
+    return VerificationReport("projmax", ctx.describe(), len(densities), "eq-exact",
+                              worst, worst == 0, witness)
 
 
 # ---------------------------------------------------------------------------

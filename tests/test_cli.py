@@ -240,6 +240,16 @@ class TestTransformCommand:
         code = main(["transform", *ring, "--op", "fourier", "--input", str(bad)])
         assert code == 2
 
+    def test_headroom_refusal_exits_3(self, capsys, tmp_path):
+        # values of 2**62 fit int64, but their exact transform would not
+        path = tmp_path / "big.csv"
+        path.write_text("x1,x2,value\n" + "".join(f"{a},{b},{2**62}\n"
+                                                   for a in range(3) for b in range(3)))
+        ring = ["--mode", "padic", "-p", "3", "-l", "1", "-n", "2"]
+        code = main(["transform", *ring, "--op", "fourier", "--input", str(path)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: exact-lane intermediate values")
+
     # 5 is not a coordinate mod 3 (it was read as 2), and a repeated point
     # overwrote the earlier row
     @pytest.mark.parametrize("rows, bad_row", [

@@ -217,6 +217,23 @@ class TestLiftMap:
         U = tables.flats(ctx, 2)[tables.lift_map(ctx)[ui, wi]]
         assert flat_points(U) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)}
 
+    def test_refuses_before_it_gathers(self, monkeypatch):
+        # with too little memory for the plane table, lift_map raises on
+        # asking for it, before the line table is built or gathered
+        ctx = RingContext.padic(2, 2, 4)
+        asked = []
+
+        def recorded(c, k, _real=tables.coset_table.__wrapped__):
+            asked.append(k)
+            return _real(c, k)
+
+        monkeypatch.setattr(tables, "coset_table", recorded)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 1 << 10)
+        with pytest.raises(tables.TableMemoryError) as err:
+            tables.lift_map.__wrapped__(ctx)
+        assert asked == [2]
+        assert err.value.estimate == 2 * gr_size(4, 4, 2) * ctx.size > 1 << 10
+
     @pytest.mark.parametrize("ctx", [RingContext.padic(3, 1, 3), RingContext.generic(4, 3),
                                      RingContext.generic(6, 3)], ids=lambda c: c.describe())
     def test_bijection_onto_flats_containing_u(self, ctx):

@@ -283,19 +283,24 @@ class TestCosetTableBuild:
 
 
 class TestCosetMaxima:
-    """The point-major kernel against Python-int coset sums."""
+    """The point-major and row-major kernels against Python-int coset sums
+    and each other."""
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 8, 100])
     def test_chunk_boundaries(self, monkeypatch, chunk_rows):
         # 7 rows split into chunks of every size, including ragged last
-        # chunks of one row (one gather per block) and wider ones, where
-        # each row's N**k coset points are added one slab at a time; the
-        # flats go one per block, in ragged blocks, or all in one block
+        # chunks of one row (one gather per block) and wider ones, read
+        # row-major (each row gathered whole, as the shipped threshold reads
+        # them all) or point-major (each row's N**k coset points added one
+        # slab at a time); the flats go one per block, in ragged blocks, or
+        # all in one block
         ctx = RingContext.generic(6, 2)
         rows = np.stack([random_density(ctx, seed=40 + r, dist=DISTRIBUTIONS[r % 4], trial=r).num
                          * (r + 1) for r in range(7)])
         monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
-        for block_bytes, k in itertools.product((1, 3000, 1 << 30), (1, 2)):
+        for point_major, block_bytes, k in itertools.product(
+                (1, maximal._POINT_MAJOR_ROWS), (1, 3000, 1 << 30), (1, 2)):
+            monkeypatch.setattr(maximal, "_POINT_MAJOR_ROWS", point_major)
             monkeypatch.setattr(tables, "_BLOCK_BYTES", block_bytes)
             npts = ctx.modulus**k
             sets = line_point_sets(ctx) if k == 1 else [flat_points(F) for F in tables.flats(ctx, k)]
@@ -323,6 +328,26 @@ class TestCosetMaxima:
                 got = coset_maxima(rows, mctx, k, witnesses=True, index=index)
                 want = coset_maxima(rows[:, index], mctx, k, witnesses=True)
                 assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("pulled_back", [False, True], ids=["rows", "index"])
+    def test_layouts_agree(self, monkeypatch, pulled_back):
+        # a chunk read point-major and the same chunk read row-major give
+        # identical integer maxima and witnesses: 1, 2 and either side of
+        # the threshold rows, in one chunk and in chunks of three
+        base = RingContext.padic(2, 2, 2)
+        width = maximal._POINT_MAJOR_ROWS
+        rows = np.stack([random_density(base, seed=70 + r, dist=DISTRIBUTIONS[r % 4], trial=r).num
+                         * (r + 1) for r in range(width)])
+        ctx, index = induce_rows(rows, base, 8)[:2] if pulled_back else (base, None)
+        for R, chunk_rows, k in itertools.product((1, 2, width - 1, width), (3, width), (1, 2)):
+            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
+            got = []
+            # every chunk point-major, the shipped threshold, every chunk row-major
+            for threshold in (1, width, len(rows) + 1):
+                monkeypatch.setattr(maximal, "_POINT_MAJOR_ROWS", threshold)
+                got.append(coset_maxima(rows[:R], ctx, k, witnesses=True, index=index))
+            for best, least in got[1:]:
+                assert np.array_equal(best, got[0][0]) and np.array_equal(least, got[0][1])
 
     def test_peak_memory_is_bounded_by_the_budgets(self, monkeypatch):
         # a tall stack is summed a chunk and a block at a time: the peak

@@ -60,20 +60,22 @@ def test_radius_lemma_detects_wrong_count(monkeypatch):
     assert not rep.passed
 
 
+def inflated_maxima(rows, ctx, k, **kwargs):
+    return maximal.coset_maxima(rows, ctx, k, **kwargs) * 10**6
+
+
 def test_maxest_detects_overstated_maximal_values(monkeypatch):
     # the explicit constant is tiny, so the inflation must exceed the real
     # slack scale (1/constant)**(1/n) before the inequality can flip
-    true_line = maximal.line_maximal
-
-    def inflated(f):
-        prof = true_line(f)
-        return maximal.MaximalProfile(prof.k, prof.keys,
-                                      tuple(v * 10**6 for v in prof.values),
-                                      prof.witnesses)
-
-    monkeypatch.setattr(verify, "line_maximal", inflated)
+    monkeypatch.setattr(verify, "coset_maxima", inflated_maxima)
     rep = verify.verify_maxest(CTX, trials=3, seed=0)
     assert not rep.passed
+
+
+def test_main_theorem_detects_overstated_maximal_values(monkeypatch):
+    monkeypatch.setattr(verify, "coset_maxima", inflated_maxima)
+    rep = verify.verify_main_theorem(CTX3D, trials=3, seed=0)
+    assert not rep.passed and rep.worst_slack < 0
 
 
 def test_projmax_detects_wrong_lift(monkeypatch):

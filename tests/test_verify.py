@@ -11,7 +11,7 @@ import kakeyalab.verify as verify
 from kakeyalab import tables
 from kakeyalab.harmonic import (ConstancyError, Density, band_project,
                                 induce_to_modulus, xray_all)
-from kakeyalab.maximal import flat_maximal, line_maximal
+from kakeyalab.maximal import appendix_constant, flat_maximal, line_maximal
 from kakeyalab.ring import RingContext, ScaleSemantics, scale
 from kakeyalab.serialize import reports_to_json
 from kakeyalab.verify import (DISTRIBUTIONS, VerificationReport, random_density, run_checks,
@@ -21,8 +21,8 @@ from kakeyalab.verify import (DISTRIBUTIONS, VerificationReport, random_density,
                               verify_radius_lemma, verify_rounding,
                               verify_xray_l2)
 import oracles
-from oracles import (freqbound_rows, plancherel_rows, randints_loop, random_density_loop,
-                     xray_l2_rows)
+from oracles import (freqbound_rows, main_theorem_rows, maxest_rows, plancherel_rows,
+                     projmax_rows, randints_loop, random_density_loop, xray_l2_rows)
 
 CTX = RingContext.padic(2, 2, 2)
 CTX6 = RingContext.profinite(2, 2)
@@ -425,6 +425,114 @@ class TestStackedAgainstRowOracles:
                 assert reports_to_json([check()]) == want
                 outcomes.append("report")
         assert outcomes == ["overflow", "overflow", "report", "report"]
+
+
+def maximal_reports(ctx, trials, seed, extra=()):
+    """The stacked maxest, projmax and main-theorem reports (those the ring
+    meets the needs of), and their row oracles'."""
+    dens = corpus(ctx, seed, trials)
+    got = [verify_maxest(ctx, trials, seed, extra)]
+    want = [maxest_rows(ctx, dens + list(extra))]
+    if not verify._needs_bands(ctx):
+        got.append(verify_projmax(ctx, trials, seed))
+        want.append(projmax_rows(ctx, dens))
+    if not verify._needs_bands_n3(ctx) and ctx.num_bands >= 2:
+        got.append(verify_main_theorem(ctx, trials, seed))
+        want.append(main_theorem_rows(ctx, dens, random_density(ctx, seed, "ball")))
+    return reports_to_json(got), reports_to_json(want)
+
+
+class TestMaximalStackedAgainstRowOracles:
+    """maxest, projmax and main-theorem take one coset_maxima per side and
+    chunk of trials, and integer moments; the trial-by-trial loops they
+    replaced must give the same JSON, in one chunk and split into many."""
+
+    RINGS = [RingContext.padic(2, 3, 3), RingContext.padic(3, 2, 3), RingContext.generic(12, 3),
+             RingContext.padic(2, 2, 3), RingContext.profinite(2, 3)]
+
+    @pytest.mark.parametrize("block", [None, 1 << 16], ids=["one-chunk", "small-chunks"])
+    @pytest.mark.parametrize("ctx", RINGS, ids=lambda c: c.describe())
+    def test_maximal_rings(self, monkeypatch, ctx, block):
+        if block:
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+        for trials in (0, 1, 4, 9):
+            got, want = maximal_reports(ctx, trials, seed=trials)
+            assert got == want
+
+    def test_chunks_split(self, monkeypatch):
+        # the small block splits main-theorem's 8 trials into chunks of
+        # three, the ball riding in the last
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 16)
+        ctx = RingContext.padic(2, 3, 3)
+        ball = random_density(ctx, 0, "ball")
+        width = (1 + ctx.num_bands) * ctx.size
+        chunks = list(verify._stacks(ctx, 0, 8, width, (ball,)))
+        assert [(lo, len(f.num)) for lo, f in chunks] == [(0, 3), (3, 3), (6, 3)]
+        assert (chunks[-1][1].num[-1] == ball.num).all()
+
+    def test_maxest_extras_of_mixed_denominators(self, monkeypatch):
+        from kakeyalab.search import greedy_kakeya
+
+        rng = np.random.default_rng(3)
+        extra = [Density.indicator(CTX3D, greedy_kakeya(CTX3D, 1).points)]
+        extra += [Density.from_numden(CTX3D, rng.integers(0, 4 * d, CTX3D.size), d) for d in (5, 7, 12)]
+        assert len({f.den for f in extra}) == 4
+        for block in (None, 1 << 10):  # chunks of two densities put extras in every chunk
+            if block:
+                monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+            for trials in (0, 3):
+                rep = verify_maxest(CTX3D, trials, 1, extra)
+                assert rep.trials == trials + 4
+                want = maxest_rows(CTX3D, corpus(CTX3D, 1, trials) + extra)
+                assert reports_to_json([rep]) == reports_to_json([want])
+
+    def test_failing_reports_name_the_same_witness(self, monkeypatch):
+        # an inflated appendix constant fails maxest on every trial and
+        # main-theorem on its bands: the witnesses are the last violation
+        # and the first least slack, past the first chunk
+        def inflated(N, n, _real=appendix_constant):
+            return _real(N, n) * 10**12
+
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 16)
+        for module in (verify, oracles):
+            monkeypatch.setattr(module, "appendix_constant", inflated)
+        for ctx in (RingContext.padic(2, 3, 3), RingContext.padic(3, 2, 3)):
+            got, want = maximal_reports(ctx, 9, seed=1)
+            assert got == want
+            reports = json.loads(got)["reports"]
+            assert [rep["status"] for rep in reports] == ["FAIL", "pass", "FAIL"]
+            assert reports[0]["witness"] == {"trial": 8, "failure": "inequality violated"}
+            assert reports[2]["witness"] == {"trial": 4, "stage": "band 0"}
+
+    @pytest.mark.parametrize("ctx, bits, expected", [
+        (RingContext.padic(2, 2, 3), 40, ["report"] * 3),
+        (RingContext.padic(2, 2, 3), 50, ["report", "report", "overflow"]),
+        (RingContext.padic(2, 3, 3), 44, ["report", "overflow", "overflow"]),
+    ], ids=["2^40", "2^50", "2^44"])
+    def test_large_numerators(self, monkeypatch, ctx, bits, expected):
+        # numerators near 2**bits overflow some checks' headroom and pass
+        # others'; a stack raises OverflowError exactly where the rows do, and
+        # otherwise gives the rows' report
+        rng = np.random.default_rng(17)
+        dens = corpus(ctx, 0, 3) + [Density.from_numden(ctx, 2**bits + rng.integers(0, 2**36, ctx.size), 1)
+                                    for _ in range(2)]
+        monkeypatch.setattr(verify, "_corpus", lambda c, seed, trials: iter(dens))
+        ball = random_density(ctx, 0, "ball")
+        cases = [(lambda: verify_maxest(ctx, 5, 0), lambda: maxest_rows(ctx, dens)),
+                 (lambda: verify_projmax(ctx, 5, 0), lambda: projmax_rows(ctx, dens)),
+                 (lambda: verify_main_theorem(ctx, 5, 0), lambda: main_theorem_rows(ctx, dens, ball))]
+        outcomes = []
+        for check, rows in cases:
+            try:
+                want = reports_to_json([rows()])
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    check()
+                outcomes.append("overflow")
+            else:
+                assert reports_to_json([check()]) == want
+                outcomes.append("report")
+        assert outcomes == expected
 
 
 class TestBesicovitchCases:
