@@ -16,7 +16,10 @@ doubles and complexes, and numpy's FFT.  Every verification check runs
 in the exact lane; floats run only in the FFT round trip that
 plancherel holds beside the exact one, and in `transform --lane float`.
 The X-rays, the u^perp masses and each axis pass of the exact transform
-sum over index rows through tables.blocked_sums.
+sum over index rows through tables.blocked_sums.  Where the bound that a
+headroom check computes is under 2**31 (_sum_dtype), the exact X-rays,
+coset maxima and transform passes gather and add int32, half the bytes;
+their results are int64 again.
 
 Densities and spectra may be stacks of T rows, each over its own
 denominator.  The transforms, xray_all, band_project and Spectrum.masses
@@ -57,6 +60,14 @@ def _check_headroom(bound: int | float) -> None:
         raise OverflowError(
             "exact-lane intermediate values would overflow int64; "
             "reduce density magnitudes or denominators")
+
+
+def _sum_dtype(bound: int | float) -> np.dtype:
+    """The integer dtype of sums bounded by bound in absolute value, under
+    the headroom check: int32 below 2**31, which halves the bytes a gather
+    moves, and int64 above."""
+    _check_headroom(bound)
+    return np.dtype(np.int32 if bound < 1 << 31 else np.int64)
 
 
 def _abs_sum(x: np.ndarray, ndim: int) -> float:
@@ -276,7 +287,7 @@ class Spectrum:
         if self._corr is None:
             N = self.ctx.modulus
             C = self.coeffs.reshape(-1, N)
-            _check_headroom(_abs_max(C) ** 2 * N * self.ctx.size)
+            _check_headroom(_abs_max(C) ** 2 * N)  # an entry sums N products
             shifts = (np.arange(N)[:, None] - np.arange(N)) % N  # [j, m] = j - m
             corr = np.empty_like(C)
             step = max(1, tables._BLOCK_BYTES // (8 * N * N))
@@ -381,8 +392,7 @@ def fourier_forward(f: Density) -> Spectrum:
     ctx = f.ctx
     N, n = ctx.modulus, ctx.dimension
     if f.lane == "exact":
-        _check_headroom(_abs_sum(f.num, 1))
-        C = np.zeros(f.num.shape + (N,), dtype=np.int64)
+        C = np.zeros(f.num.shape + (N,), dtype=_sum_dtype(_abs_sum(f.num, 1)))
         C[..., 0] = f.num
         for axis in range(n):
             C = _axis_pass_exact(C, ctx, axis, +1)
@@ -401,11 +411,10 @@ def fourier_inverse(s: Spectrum) -> Density:
     ctx = s.ctx
     N, n = ctx.modulus, ctx.dimension
     if s.lane == "exact":
-        _check_headroom(_abs_sum(s.coeffs, 2))
-        C = s.coeffs
+        C = s.coeffs.astype(_sum_dtype(_abs_sum(s.coeffs, 2)), copy=False)
         for axis in range(n):
             C = _axis_pass_exact(C, ctx, axis, -1)
-        return Density(ctx, num=_rationalize(C, N), den=s.den)
+        return Density(ctx, num=_rationalize(C.astype(np.int64, copy=False), N), den=s.den)
     grid = s.values.reshape(s.values.shape[:-1] + (N,) * n)
     return Density(ctx, data=np.fft.fftn(grid, axes=range(-n, 0)).reshape(s.values.shape))
 
@@ -430,24 +439,31 @@ def xray_all(f: Density, direction: int | None = None):
     """X-ray line sums along every direction (or the one of that index).
 
     Exact lane: (P, size/N) int64 numerators ((T, P, size/N) for a stack)
-    over denominator den*N, under the headroom check.  Float lane: values
-    and None.  The lines are the rows of the line table, summed a block of
-    directions at a time by tables.blocked_sums, which converts a block to
-    intp once for every row, so no (P, size/N, N) gather is built; float
-    sums are bit for bit those of one whole gather.
+    over denominator den*N, under the headroom check, summed in int32
+    where that bound allows.  Float lane: values and None.  The lines of
+    every direction are summed through tables.coset_plan, one stage per
+    CRT component, so a composite ring never builds its line table.  The
+    float lane and one direction read the rows of the line table itself,
+    each row gathered whole a block of directions at a time, so float sums
+    are bit for bit those of one whole gather.
     """
-    N = f.ctx.modulus
-    table = tables.coset_table(f.ctx, 1)[0]
-    table = table if direction is None else table[direction]
+    ctx = f.ctx
     exact = f.lane == "exact"
-    if exact:
-        _check_headroom(_abs_max(f.num) * N)  # bounds every line sum
     values = f.num if exact else f.data
-    sums = np.empty(values.shape[:-1] + table.shape[:-1], dtype=values.dtype)
-    stack = values.ndim - 1  # 1 for a stack of rows, whose sums lead with the row axis
-    for lo, block in tables.blocked_sums(values, table, rows=bool(stack)):
-        sums[(slice(None),) * stack + (slice(lo, lo + block.shape[stack]),)] = block
-    return (sums, f.den * N) if exact else (sums / N, None)
+    rows = values.reshape(-1, ctx.size)
+    if exact:  # the bound covers every line sum
+        rows = rows.astype(_sum_dtype(_abs_max(f.num) * ctx.modulus), copy=False)
+    if exact and direction is None:
+        plan = tables.coset_plan(ctx, 1)
+    else:
+        table = tables.coset_table(ctx, 1)[0]
+        plan = tables.CosetPlan((table if direction is None else table[direction][None],), ctx.size)
+    Q = ctx.size // ctx.modulus
+    sums = np.empty((len(rows),) + plan.flat_shape + (Q,), dtype=values.dtype)
+    for lo, block in tables.coset_sums(rows, plan):
+        sums[..., lo:lo + block.shape[len(plan.tables)], :] = plan.in_rank_order(block)
+    sums = sums.reshape(values.shape[:-1] + ((-1,) if direction is None else ()) + (Q,))
+    return (sums, f.den * ctx.modulus) if exact else (sums / ctx.modulus, None)
 
 
 def xray_l2_spectral(f: Density | Spectrum):

@@ -7,15 +7,16 @@ normalized mass of |f| over any translate:
 
 (f_star is the unnormalized line version, f_star = N * maxop_1 f).  A
 flat U through the origin is a submodule, so the mass of |f| on a + U
-depends only on the coset of a: coset_maxima reads tables.coset_table,
-sums each coset once, and takes the largest coset sum per flat, for a
-whole stack of rows (every X-ray of a density, say).  tables.blocked_sums
-adds the points of each coset, a block of flats at a time.  A wide chunk
-of rows is read point-major, as (points, rows), so that every gathered
-point copies its values for all rows at once; a narrow one is read
-row-major, each row gathered whole.  Both operators are one row of it.
-The witness is the lexicographically least achieving shift, which is the
-least rank among the cosets that reach the maximum.  The exact lane sums
+depends only on the coset of a: coset_maxima sums each coset once, and
+takes the largest coset sum per flat, for a whole stack of rows (every
+X-ray of a density, say).  tables.coset_sums adds the points of each
+coset, one CRT component of the modulus at a time (tables.coset_plan).
+A wide chunk of rows is read point-major, as (points, rows), so that
+every gathered point copies its values for all rows at once; a narrow
+one over a whole coset_table is read row-major, each row gathered whole.
+Both operators are one row of it, over the whole table.  The witness is
+the lexicographically least achieving shift, which is the least rank
+among the cosets that reach the maximum.  The exact lane sums int32 or
 int64 numerators under the shared headroom check; the float lane sums
 doubles.
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import tables
 from .geometry import proj_size
-from .harmonic import _INT_HEADROOM, Density, _abs_max, _check_headroom
+from .harmonic import _INT_HEADROOM, Density, _abs_max, _sum_dtype
 from .ring import RingContext, scale
 
 
@@ -64,11 +65,13 @@ class MaximalProfile:
         return max(self.values)
 
 
-# Bytes of int64 in a chunk of rows.  A tall stack gathered at once could
-# take tens of GiB (the induced X-rays of profinite(3,3) band 3 would take
-# about 45 GiB).  Within a chunk, tables.blocked_sums sizes the blocks of
-# flats.  A chunk of _POINT_MAJOR_ROWS rows or more is read point-major,
-# a narrower one row-major.  Timed in coset_maxima (medians of 15, 2 cores,
+# Bytes of a chunk of rows, in the dtype of its sums, times the widest
+# stage of its coset plan (the row itself on a prime-power ring).  A tall
+# stack gathered at once could take tens of GiB (the induced X-rays of
+# profinite(3,3) band 3 would take about 45 GiB).  Within a chunk,
+# tables.blocked_sums sizes the blocks of flats.  On a one-stage plan a
+# chunk of _POINT_MAJOR_ROWS rows or more is read point-major, a narrower
+# one row-major.  Timed in coset_maxima (medians of 15, 2 cores,
 # generic(12,3) k=1, padic(3,2,3) k=2, padic(5,3,2) k=1, padic(2,3,3) k=1
 # and 2), row-major ran 2-9x faster at 2-4 rows and point-major 1.2-1.7x
 # faster at 24-32; they crossed at 10-20 rows, lowest on generic(12,3).
@@ -84,44 +87,44 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, witnesses: bool = F
     check) or floats.  With an index, row r is read through it: its value
     at point x of ctx is rows[r, index[x]] (a pull-back, say, from
     harmonic.induce_rows), so the induced stack is never built.  Returns
-    (R, F) maxima, flats in coset_table order.  With witnesses=True it
-    returns (maxima, least), where least[r, i] is the least rank among the
-    cosets of flat i whose sum reaches the maximum: all shifts in a coset
-    share its sum, so that is the lex-least achieving shift.
+    (R, F) int64 or float maxima, flats in coset_table order.  With
+    witnesses=True it returns (maxima, least), where least[r, i] is the
+    least rank among the cosets of flat i whose sum reaches the maximum:
+    all shifts in a coset share its sum, so that is the lex-least achieving
+    shift.
 
-    The sums run a chunk of rows (about _CHUNK_BYTES) at a time, and
-    tables.blocked_sums adds the N**k points of every coset for a block of
-    flats.  A chunk of _POINT_MAJOR_ROWS rows or more is taken
-    point-major, as |rows|.T of shape (size, rows); a narrower one is taken
-    row-major, each row gathered whole, and a chunk of one row goes in as
-    that row.  Float sums therefore depend on the chunking in their last
-    bits; integer sums do not.
+    The sums run a chunk of rows (about _CHUNK_BYTES) at a time through
+    tables.coset_sums.  The exact lane without witnesses sums over
+    tables.coset_plan, one stage per CRT component, in int32 where
+    max|row| * N**k < 2**31; witnesses and floats read the whole
+    coset_table as one stage.  There a chunk of _POINT_MAJOR_ROWS rows or
+    more is taken point-major, as |rows|.T of shape (size, rows), and a
+    narrower one row-major, each row gathered whole.  Float sums therefore
+    depend on the chunking in their last bits; integer sums do not.
     """
-    table, least = tables.coset_table(ctx, k)
     exact = rows.dtype.kind == "i"
-    if exact:  # the largest |row entry|, without an abs copy of the stack
-        _check_headroom(_abs_max(rows) * ctx.modulus**k)
-    dtype = np.int64 if exact else rows.real.dtype
-    step = max(1, _CHUNK_BYTES // (8 * ctx.size))
-    best = np.empty((len(rows), len(table)), dtype=dtype)
+    # the largest |row entry|, without an abs copy of the stack
+    dtype = _sum_dtype(_abs_max(rows) * ctx.modulus**k) if exact else rows.real.dtype
+    if exact and not witnesses:
+        plan = tables.coset_plan(ctx, k)
+    else:
+        table, least = tables.coset_table(ctx, k)
+        plan = tables.CosetPlan((table,), ctx.size)
+    m = len(plan.tables)
+    step = max(1, _CHUNK_BYTES // (dtype.itemsize * plan.width))
+    best = np.empty((len(rows), math.prod(plan.flat_shape)), dtype=np.int64 if exact else dtype)
     arg = np.empty(best.shape, dtype=np.int64) if witnesses else None
     for lo in range(0, len(rows), step):
         a = np.abs(rows[lo:lo + step]).astype(dtype, copy=False)
-        r, narrow = len(a), len(a) < _POINT_MAJOR_ROWS
-        if not narrow:
-            a = np.ascontiguousarray(a.T)  # (size, r)
-        if index is not None:
-            a = a[:, index] if narrow else a[index]
-        for f0, sums in tables.blocked_sums(a[0] if len(a) == 1 else a, table, rows=narrow):
-            if narrow:  # (r, flats in the block, cosets), or (flats, cosets) for one row
-                sums = np.moveaxis(sums.reshape(r, *sums.shape[-2:]), 0, -1)
-            # sums is (flats in the block, cosets, r)
-            f1 = f0 + len(sums)
-            top = sums.max(axis=1)
-            best[lo:lo + step, f0:f1] = top.T
+        out = best[lo:lo + step].reshape((len(a),) + plan.flat_shape)
+        for f0, sums in tables.coset_sums(a, plan, index, len(a) >= _POINT_MAJOR_ROWS):
+            # sums is (rows, F_1, ..., F_(m-1), flats in the block, Q_1, ..., Q_m)
+            top = sums.max(axis=tuple(range(-m, 0)))
+            f1 = f0 + top.shape[-1]
+            out[..., f0:f1] = top
             if witnesses:
                 arg[lo:lo + step, f0:f1] = np.where(
-                    sums == top[:, None], least[f0:f1, :, None], ctx.size).min(axis=1).T
+                    sums == top[..., None], least[f0:f1], ctx.size).min(axis=-1)
     return (best, arg) if witnesses else best
 
 

@@ -11,14 +11,20 @@ index with it and never compute in its dtype.  Arrays are returned
 non-writeable; treat them as shared read-only state.
 
 Every reader of an index table sums values over its rows through one
-kernel, blocked_sums: the X-rays and the coset maxima over coset_table,
-the u^perp masses over perp_index, and the axis passes of the exact
-Fourier transform over their (N*N, N) pass index.
+kernel, blocked_sums: the coset sums over coset_table, the u^perp masses
+over perp_index, and the axis passes of the exact Fourier transform over
+their (N*N, N) pass index.  Over a modulus with several prime-power
+factors q_1 ... q_m, coset_sums composes that kernel once per CRT
+component: every flat and coset splits into one per component, so
+coset_plan reads a row in CRT order and stage c sums its axis of q_c**n
+points over the small table coset_table(RingContext.generic(q_c, n), k).
+The exact X-rays and coset maxima never build the whole table.
 """
 from __future__ import annotations
 
 import os
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,6 +208,97 @@ def blocked_sums(values: np.ndarray, index: np.ndarray, rows: bool = False):
         else:
             sums = add_up(values[t])
         yield lo, sums
+
+
+class CosetPlan(NamedTuple):
+    """How coset_sums reads the cosets of a ring's k-flats: one stage per
+    CRT component q_c of N, m stages in all.  tables[c] is the (F_c, Q_c,
+    q_c**k) coset table of component c, a whole coset_table for one stage;
+    width is the most entries per row that a stage reads.  points[i] is the
+    rank of the point whose component ranks, in product order over
+    (q_1**n, ..., q_m**n), make up i; quotient[c][y] is the rank in
+    (Z/q_c)^(n-k) of component c of the quotient point of rank y.  Both
+    are None for one stage."""
+
+    tables: tuple[np.ndarray, ...]
+    width: int
+    points: np.ndarray | None = None
+    quotient: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def flat_shape(self) -> tuple[int, ...]:
+        return tuple(len(t) for t in self.tables)
+
+    def in_rank_order(self, sums: np.ndarray) -> np.ndarray:
+        """Coset sums (..., Q_1, ..., Q_m), as coset_sums yields them, as
+        (..., Q) with the cosets in rank order of the quotient points."""
+        return sums if self.quotient is None else sums[(Ellipsis, *self.quotient)]
+
+
+@lru_cache(maxsize=None)
+def coset_plan(ctx: RingContext, k: int) -> CosetPlan:
+    """The plan of coset_sums for the k-flats of ctx: one stage per CRT
+    component q_c of N, in ctx.factorization order, over
+    coset_table(RingContext.generic(q_c, n), k); one stage over
+    coset_table(ctx, k) on a prime-power ring.
+
+    Flat f of the plan is flat f of coset_table: a flat is one flat per
+    component, and enumerate_proj and enumerate_grassmannian list them in
+    product order.  Its coset y is the product of the component cosets of
+    the components of y, the quotient point of rank y, since a row's
+    section places each component of y on that component's non-pivots.
+    """
+    N, n = ctx.modulus, ctx.dimension
+    basis = _crt_basis(N)
+    if len(basis) == 1:
+        return CosetPlan((coset_table(ctx, k)[0],), ctx.size)
+    stages = tuple(coset_table(RingContext.generic(q, n), k)[0] for q, _ in basis)
+    m = len(basis)
+    coords = sum(e * _lex_grid(q, n).reshape((1,) * c + (-1,) + (1,) * (m - 1 - c) + (n,))
+                 for c, (q, e) in enumerate(basis))  # the point sum_c e_c x_c
+    points = _freeze(rank_points(coords.reshape(-1, n) % N, ctx))
+    quotient = tuple(_freeze((_lex_grid(N, n - k) % q) @ q ** np.arange(n - k - 1, -1, -1))
+                     for q, _ in basis)
+    held = width = ctx.size
+    for t in stages[:-1]:  # stage c reads what the stages before it left
+        held = held // (t.shape[1] * t.shape[2]) * t.shape[0] * t.shape[1]
+        width = max(width, held)
+    return CosetPlan(stages, width, points, quotient)
+
+
+def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = None,
+               point_major: bool = False):
+    """Yield (lo, sums) per block of flats lo, lo + 1, ... of the last stage
+    of plan: sums is a view (R, F_1, ..., F_(m-1), block, Q_1, ..., Q_m) of
+    the coset sums of each row of rows (R, size), in rows' dtype.  With an
+    index, row r is read as rows[r, index], a pull-back.
+
+    The row is read in CRT order, as (q_1**n, ..., q_m**n, R).  Stage c is
+    one slab-path blocked_sums over its leading axis of q_c**n points, so
+    every later component and the rows are its columns, one copy of each
+    gathered point; its (F_c, Q_c) then move behind them, for stage c + 1.
+    Without point_major, a one-stage plan takes the rows path instead,
+    each row gathered whole: float sums are then bit for bit those of one
+    whole gather.
+    """
+    *lead, last = plan.tables
+    if not (lead or point_major):
+        data = rows if index is None else rows[:, index]
+        yield from blocked_sums(data, last, rows=True)
+        return
+    points = index if plan.points is None else plan.points if index is None else index[plan.points]
+    data = np.ascontiguousarray((rows if points is None else rows[:, points]).T)
+    for table in lead:
+        values = data.reshape(table.shape[1] * table.shape[2], -1)
+        out = np.empty(table.shape[:2] + values.shape[1:], dtype=values.dtype)
+        for lo, sums in blocked_sums(values, table):
+            out[lo:lo + len(sums)] = sums
+        data = out.reshape(-1, values.shape[1]).T
+    m = len(plan.tables)
+    raw = (-1, last.shape[1], len(rows)) + tuple(s for t in lead for s in t.shape[:2])
+    axes = (2, *range(3, 2 * m + 1, 2), 0, *range(4, 2 * m + 1, 2), 1)
+    for lo, sums in blocked_sums(data.reshape(last.shape[1] * last.shape[2], -1), last):
+        yield lo, sums.reshape(raw).transpose(axes)
 
 
 # Directions per block of perp_index, so that its (directions, N**(n-1), n)

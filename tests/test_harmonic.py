@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kakeyalab import tables
 from kakeyalab.geometry import canonical_direction, enumerate_proj, proj_size
-from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _axis_pass_exact,
+from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _axis_pass_exact, _sum_dtype,
                                 _band_project_spectral, _pass_index, band_constant,
                                 band_project, band_valuation_sets, fourier_forward,
                                 fourier_inverse, induce_rows, induce_to_modulus, power_sum,
@@ -124,6 +124,34 @@ class TestFourier:
         else:
             assert s.den == naive_den and (s.coeffs == coeffs).all()
 
+    def test_sum_dtype_bound(self):
+        assert _sum_dtype(2**31 - 1) == np.int32 and _sum_dtype(2**31) == np.int64
+        assert _sum_dtype(2**61 - 1) == np.int64
+        with pytest.raises(OverflowError):
+            _sum_dtype(2**61)
+
+    @pytest.mark.parametrize("total", [2**31 - 1, 2**31])
+    def test_int32_lane_at_its_bound(self, monkeypatch, total):
+        # sum |f| = 2**31 - 1 runs the forward passes in int32, 2**31 in
+        # int64; both give the Python-int character sums as int64, and the
+        # inverse gives f back
+        ctx = RingContext.padic(3, 1, 2)
+        num = [total // 9 * (-1) ** i for i in range(9)]
+        num[0] += total - sum(abs(v) for v in num)
+        f = Density.from_numden(ctx, num, 1)
+        dtypes = []
+
+        def spy(values, index, rows=False, _real=tables.blocked_sums):
+            dtypes.append(values.dtype)
+            return _real(values, index, rows)
+
+        monkeypatch.setattr(tables, "blocked_sums", spy)
+        s = fourier_forward(f)
+        assert set(dtypes) == {np.dtype(np.int32 if total < 2**31 else np.int64)}
+        coeffs, den = fourier_forward_naive(f)
+        assert s.coeffs.dtype == np.int64 and (s.coeffs == coeffs).all() and s.den == den
+        assert fourier_inverse(s) == f
+
     def test_inverse_rejects_irrational_spectrum(self):
         # f^(0) = zeta_3 makes f the constant zeta_3
         ctx = RingContext.padic(3, 1, 2)
@@ -222,6 +250,21 @@ class TestCorrelations:
             corr = s.correlations()
             assert corr.dtype == np.int64 and not corr.flags.writeable
             assert corr.tolist() == correlations_roll(s).tolist()
+
+
+    def test_entry_at_the_headroom_bound(self):
+        # an entry sums N products of at most max|C|**2: at the largest
+        # max|C| with max|C|**2 * N under 2**61 it is the Python-int sum,
+        # and at max|C|**2 * N = 2**61 it is refused
+        ctx = RingContext.padic(2, 1, 2)
+        c = math.isqrt((2**61 - 1) // 2)
+        coeffs = np.full((ctx.size, 2), c, dtype=np.int64)
+        coeffs[1, 1] = -c
+        s = Spectrum(ctx, coeffs=coeffs, den=1)
+        assert s.correlations().tolist() == correlations_roll(s).tolist()
+        assert int(s.correlations().max()) == 2 * c * c < 2**61
+        with pytest.raises(OverflowError):
+            Spectrum(ctx, coeffs=coeffs // c * 2**30, den=1).correlations()
 
 
 class TestPowerSum:

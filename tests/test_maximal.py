@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kakeyalab import tables
 from kakeyalab.geometry import canonical_direction, flat_points
-from kakeyalab.harmonic import Density, induce_rows
+from kakeyalab.harmonic import Density, induce_rows, xray_all
 import kakeyalab.maximal as maximal
 from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
                                f_star, flat_maximal, line_maximal, maxN_constant,
@@ -400,6 +400,153 @@ class TestCosetMaxima:
                 coset_maxima(rows, ctx, 1)
         else:
             assert coset_maxima(rows, ctx, 1).tolist() == brute
+
+
+STAGED_RINGS = [RingContext.generic(6, 2), RingContext.generic(12, 2), RingContext.generic(12, 3),
+                RingContext.profinite(2, 2), RingContext.profinite(2, 3), RingContext.profinite(3, 2),
+                RingContext.generic(30, 2)]
+
+
+def one_table_sums(rows, ctx, k):
+    """(R, F, cosets) Python-int sums of rows over the whole coset table."""
+    return np.asarray(rows, dtype=object)[:, tables.coset_table(ctx, k)[0]].sum(axis=-1)
+
+
+def staged_rows(ctx, count, seed):
+    """Signed rows, each on its own scale."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-60, 61, (count, ctx.size)) * (1 + np.arange(count))[:, None] ** 3
+
+
+class TestCosetPlan:
+    """Coset sums one CRT component at a time against the whole coset table."""
+
+    @pytest.mark.parametrize("ctx", STAGED_RINGS, ids=lambda c: c.describe())
+    def test_one_stage_per_component(self, ctx):
+        plan = tables.coset_plan(ctx, 1)
+        assert [len(t) for t in plan.tables] == [
+            len(tables.directions(RingContext.generic(p**e, ctx.dimension)))
+            for p, e in ctx.factorization]
+        assert math.prod(plan.flat_shape) == len(tables.directions(ctx))
+        assert sorted(plan.points.tolist()) == list(range(ctx.size))
+
+    @pytest.mark.parametrize("ctx", STAGED_RINGS, ids=lambda c: c.describe())
+    def test_cosets_in_rank_order(self, ctx):
+        # coset by coset, flat by flat, for k = 1, 2 and n
+        rows = staged_rows(ctx, 3, 80)
+        for k in sorted({1, 2, ctx.dimension}):
+            plan = tables.coset_plan(ctx, k)
+            want = one_table_sums(rows, ctx, k)
+            got = np.empty(want.shape, dtype=object)
+            view = got.reshape((len(rows),) + plan.flat_shape + want.shape[-1:])
+            for lo, sums in tables.coset_sums(rows, plan):
+                view[..., lo:lo + sums.shape[len(plan.tables)], :] = plan.in_rank_order(sums)
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("ctx", STAGED_RINGS, ids=lambda c: c.describe())
+    def test_maxima_and_xrays(self, ctx):
+        rows = staged_rows(ctx, 4, 81)
+        for k in sorted({1, 2, ctx.dimension}):
+            want = np.abs(one_table_sums(np.abs(rows), ctx, k)).max(axis=-1)
+            best = coset_maxima(rows, ctx, k)
+            assert best.dtype == np.int64 and best.tolist() == want.tolist()
+        f = Density(ctx, num=rows, den=[1, 2, 3, 4])
+        nums, den = xray_all(f)
+        assert nums.dtype == np.int64 and nums.tolist() == one_table_sums(f.num, ctx, 1).tolist()
+        assert xray_all(Density(ctx, num=f.num[1], den=5))[0].tolist() == nums[1].tolist()
+
+    @pytest.mark.parametrize("ctx, M", [(RingContext.generic(6, 2), 12),
+                                        (RingContext.profinite(2, 2), 24),
+                                        (RingContext.padic(2, 1, 2), 6)],
+                             ids=["6->12", "6->24", "2->6"])
+    def test_index_pull_back(self, ctx, M):
+        rows = staged_rows(ctx, 5, 82)
+        mctx, index, gaps = induce_rows(rows, ctx, M)
+        assert not gaps.any() and len(mctx.factorization) > 1
+        for k in (1, 2):
+            got = coset_maxima(rows, mctx, k, index=index)
+            assert got.tolist() == coset_maxima(rows[:, index], mctx, k).tolist()
+            assert got.tolist() == one_table_sums(np.abs(rows[:, index]), mctx, k).max(axis=-1).tolist()
+
+    @pytest.mark.parametrize("ctx", [RingContext.generic(6, 3), RingContext.generic(12, 2)],
+                             ids=lambda c: c.describe())
+    def test_chunk_and_block_splits(self, monkeypatch, ctx):
+        # chunks of one row and of three, blocks of one flat and of a few
+        rows = staged_rows(ctx, 7, 83)
+        want = {k: coset_maxima(rows, ctx, k) for k in (1, 2)}
+        xrays = xray_all(Density(ctx, num=rows, den=[1] * 7))[0]
+        for chunk_rows, block in itertools.product((1, 3), (1, 3000)):
+            plan = tables.coset_plan(ctx, 1)
+            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 4 * plan.width * chunk_rows)
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+            for k in (1, 2):
+                assert np.array_equal(coset_maxima(rows, ctx, k), want[k])
+            assert np.array_equal(xray_all(Density(ctx, num=rows, den=[1] * 7))[0], xrays)
+
+    def test_headroom_refused_where_the_one_table_refuses(self):
+        # max|row| * N**k under 2**61 sums exactly, at 2**61 or more raises,
+        # on the staged path as on the whole table (witnesses)
+        ctx = RingContext.generic(6, 2)
+        for k in (1, 2):
+            top = (2**61 - 1) // 6**k
+            rows = np.zeros((2, ctx.size), dtype=np.int64)
+            rows[1, 7] = -top
+            want = one_table_sums(np.abs(rows), ctx, k).max(axis=-1).tolist()
+            assert coset_maxima(rows, ctx, k).tolist() == want
+            assert coset_maxima(rows, ctx, k, witnesses=True)[0].tolist() == want
+            if k == 1:
+                f = Density(ctx, num=rows, den=[1, 1])
+                assert xray_all(f)[0].tolist() == one_table_sums(rows, ctx, 1).tolist()
+            rows[1, 7] = -top - 1
+            with pytest.raises(OverflowError):
+                coset_maxima(rows, ctx, k)
+            with pytest.raises(OverflowError):
+                coset_maxima(rows, ctx, k, witnesses=True)
+            if k == 1:
+                with pytest.raises(OverflowError):
+                    xray_all(Density(ctx, num=rows, den=[1, 1]))
+
+    @pytest.mark.parametrize("ctx", [RingContext.generic(6, 2), RingContext.padic(2, 1, 2)],
+                             ids=lambda c: c.describe())
+    def test_int32_lane_at_its_bound(self, monkeypatch, ctx):
+        # max|row| * N**k just under 2**31 sums in int32, just over in int64;
+        # both are the Python-int sums
+        dtypes = []
+
+        def spy(values, index, rows=False, _real=tables.blocked_sums):
+            dtypes.append(values.dtype)
+            return _real(values, index, rows)
+
+        monkeypatch.setattr(tables, "blocked_sums", spy)
+        N = ctx.modulus
+        for top, dtype in (((2**31 - 1) // N, np.int32), ((2**31 - 1) // N + 1, np.int64)):
+            rows = np.full((2, ctx.size), top, dtype=np.int64)
+            rows[1, ::2] = -top
+            dtypes.clear()
+            best = coset_maxima(rows, ctx, 1)
+            nums = xray_all(Density(ctx, num=rows, den=[1, 1]))[0]
+            assert set(dtypes) == {np.dtype(dtype)}
+            assert best.dtype == nums.dtype == np.int64
+            assert best.tolist() == one_table_sums(np.abs(rows), ctx, 1).max(axis=-1).tolist()
+            assert nums.tolist() == one_table_sums(rows, ctx, 1).tolist()
+
+    def test_composite_rings_never_build_the_whole_table(self, monkeypatch):
+        ctx = RingContext.generic(12, 3)
+
+        def refuse(c, k, _real=tables.coset_table):
+            if c == ctx:
+                raise AssertionError("the whole coset table was asked for")
+            return _real(c, k)
+
+        tables.coset_plan.cache_clear()
+        monkeypatch.setattr(tables, "coset_table", refuse)
+        rows = staged_rows(ctx, 3, 84)
+        for k in (1, 2, 3):
+            assert coset_maxima(rows, ctx, k).shape == (3, len(tables.flats(ctx, k)))
+        assert xray_all(Density(ctx, num=rows, den=[1, 1, 1]))[0].shape == (
+            3, len(tables.directions(ctx)), ctx.size // 12)
+        with pytest.raises(AssertionError):
+            coset_maxima(rows, ctx, 1, witnesses=True)
 
 
 class TestFStar:

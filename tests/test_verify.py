@@ -354,6 +354,28 @@ class TestStackedAgainstRowOracles:
             got, want = spectral_reports(ctx, trials, seed=trials)
             assert got == want
 
+    @pytest.mark.parametrize("ctx", [RingContext.padic(2, 2, 3), RingContext.profinite(2, 3)],
+                             ids=lambda c: c.describe())
+    def test_freqbounds_share_one_xray_pass(self, monkeypatch, ctx):
+        # one report per p, each the bytes of its row oracle and of its own
+        # verify_freqbound call, from one X-ray pass per chunk for every p
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)  # several chunks
+        calls = []
+
+        def counted(f, _real=verify.xray_all):
+            calls.append(len(f.num))
+            return _real(f)
+
+        monkeypatch.setattr(verify, "xray_all", counted)
+        ps = (2, 3, 4)
+        got = reports_to_json(verify.verify_freqbounds(ctx, ps, 7, 3))
+        passes = len(calls)
+        calls.clear()
+        singles = reports_to_json([verify_freqbound(ctx, p, 7, 3) for p in ps])
+        assert passes > 1 and len(calls) == len(ps) * passes
+        want = reports_to_json([freqbound_rows(ctx, p, corpus(ctx, 3, 7)) for p in ps])
+        assert got == singles == want
+
     def test_chunks_split(self, monkeypatch):
         # the small block really splits 13 trials, into chunks of more than one
         monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 12)
