@@ -411,3 +411,43 @@ def test_transform_bytes_are_frozen(op, capsys, tmp_path):
     code, out = run_cli(["transform", *ring, *op, "--input", str(path)], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TRANSFORMS[op]
+
+
+# The same for the operators that read the coset table, per ring and
+# lane: the density above in the float lane, and the seed-3
+# uniform-rational density of the composite ring generic(12,2) in both.
+GOLDEN_LANE_TRANSFORMS = {
+    ("padic", "float", "--op", "xray", "--direction", "1,2,3"):
+        "9de8de29715bc6b3e85ed3e9e8e56f31f2cbbfd2a602ec9eab168d2ac06e5623",
+    ("padic", "float", "--op", "maximal", "-k", "1"):
+        "e9fd70444eb3b1b5b211ce19009706c6adec1360d3a9f0cb8b9c6927c1aea484",
+    ("padic", "float", "--op", "maximal", "-k", "2"):
+        "4a7fa86492761659a5f184b5a4322ed3db7e201e036ee368d8fa3bc387b5bb91",
+    ("generic", "exact", "--op", "xray", "--direction", "2,3"):
+        "6b829ca3efb16ae3cc150b9e5cf8bcfa818362a179c23007eabcd0058cc9fba4",
+    ("generic", "exact", "--op", "maximal", "-k", "1"):
+        "113bbce4180d4b7429230d782ce30237b494a11a28558f645d7731a345004e22",
+    ("generic", "exact", "--op", "maximal", "-k", "2"):
+        "b64238d722dc8ccf3299602db71a338bdbf06a212dc822a3d3fbddca41515826",
+    ("generic", "float", "--op", "xray", "--direction", "2,3"):
+        "01ece53afb33e228cde011e34e6cfd0dadaa5840ef3923eebbb3639503b49720",
+    ("generic", "float", "--op", "maximal", "-k", "1"):
+        "f7eca0b2d0c7ad8f5938d15510f250a407f9a5407be6c08b5c67f5c26540555f",
+    ("generic", "float", "--op", "maximal", "-k", "2"):
+        "8d9602e8c36d469f82ca0a163d3f30a0b5c16fc168407d97cfab7d4d184069d6",
+}
+LANE_TRANSFORM_RINGS = {
+    "padic": (RingContext.padic(2, 2, 3), 8, ["--mode", "padic", "-p", "2", "-l", "2", "-n", "3"]),
+    "generic": (RingContext.generic(12, 2), 3, ["--mode", "generic", "-N", "12", "-n", "2"]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_LANE_TRANSFORMS), ids=" ".join)
+def test_lane_transform_bytes_are_frozen(key, capsys, tmp_path):
+    ring, lane, *op = key
+    ctx, seed, args = LANE_TRANSFORM_RINGS[ring]
+    path = tmp_path / "f.csv"
+    path.write_text(density_to_csv(random_density(ctx, seed=seed, dist="uniform-rational")))
+    code, out = run_cli(["transform", *args, "--lane", lane, *op, "--input", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LANE_TRANSFORMS[key]
