@@ -4,8 +4,7 @@ estimates, X-ray transforms and extremal set searches over (Z/NZ)^n."""
 from .ring import (Generic, PAdic, Profinite, RingContext, ScaleOverflowError,
                    ScaleSemantics, factorize, scale)
 from .geometry import (EnumerationCapError, Flat, ProjDirection, canonical_direction,
-                       enumerate_grassmannian, enumerate_proj, flat_points, gr_size,
-                       proj_size)
+                       enumerate_grassmannian, enumerate_proj, gr_size, proj_size)
 from .cyclotomic import cyclotomic_poly
 from .harmonic import (ConstancyError, Density, Spectrum, band_constant,
                        band_project, band_valuation_sets, fourier_forward,

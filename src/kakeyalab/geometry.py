@@ -210,18 +210,3 @@ def enumerate_grassmannian(ctx: RingContext, k: int, cap: int | None = None) -> 
         out.append(Flat(N, k, gens, zero))
     return out
 
-
-def flat_points(flat: Flat) -> frozenset[tuple[int, ...]]:
-    """The N**k points basepoint + t_1 g_1 + ... + t_k g_k of a flat."""
-    N = flat.modulus
-    n = flat.dimension
-    pts = set()
-    for ts in itertools.product(range(N), repeat=flat.k):
-        pt = list(flat.basepoint)
-        for t, g in zip(ts, flat.generators):
-            for i in range(n):
-                pt[i] = (pt[i] + t * g[i]) % N
-        pts.add(tuple(pt))
-    if len(pts) != N**flat.k:
-        raise ValueError(f"flat spans {len(pts)} points, expected {N**flat.k}")
-    return frozenset(pts)

@@ -15,11 +15,13 @@ every step under an int64 headroom check); the float lane uses numpy
 doubles and complexes, and numpy's FFT.  Every verification check runs
 in the exact lane; floats run only in the FFT round trip that
 plancherel holds beside the exact one, and in `transform --lane float`.
-The X-rays, the u^perp masses and each axis pass of the exact transform
-sum over index rows through tables.blocked_sums.  Where the bound that a
-headroom check computes is under 2**31 (_sum_dtype), the exact X-rays,
-coset maxima and transform passes gather and add int32, half the bytes;
-their results are int64 again.
+The X-rays of xray_all (exact only, over tables.coset_plan), the u^perp
+masses and each axis pass of the exact transform sum over index rows
+through tables.blocked_sums; xray_transform, one direction in either
+lane, gathers that direction's row of the line table.  Where the bound
+that a headroom check computes is under 2**31 (_sum_dtype), the exact
+X-rays, coset maxima and transform passes gather and add int32, half the
+bytes; their results are int64 again.
 
 Densities and spectra may be stacks of T rows, each over its own
 denominator.  The transforms, xray_all, band_project and Spectrum.masses
@@ -426,44 +428,41 @@ def fourier_inverse(s: Spectrum) -> Density:
 
 def xray_transform(f: Density, u: ProjDirection) -> Density:
     """Pushforward of f to Q_u: f_u(y) = N**(-1) sum_t f(section(y) + t u),
-    the X-ray of xray_all along u alone.
+    the X-ray of xray_all along u alone, in either lane.
 
-    Mass is conserved: integral of f_u over Q_u equals integral of f.
-    """
-    nums, den = xray_all(f, tables.directions(f.ctx).index(u))
-    qctx = f.ctx.quotient()
-    return Density(qctx, data=nums) if den is None else Density(qctx, num=nums, den=den)
-
-
-def xray_all(f: Density, direction: int | None = None):
-    """X-ray line sums along every direction (or the one of that index).
-
-    Exact lane: (P, size/N) int64 numerators ((T, P, size/N) for a stack)
-    over denominator den*N, under the headroom check, summed in int32
-    where that bound allows.  Float lane: values and None.  The lines of
-    every direction are summed through tables.coset_plan, one stage per
-    CRT component, so a composite ring never builds its line table.  The
-    float lane and one direction read the rows of the line table itself,
-    each row gathered whole a block of directions at a time, so float sums
-    are bit for bit those of one whole gather.
+    The fibers are u's row of the line table, each gathered whole, so the
+    float sums are those of one whole gather.  Mass is conserved: integral
+    of f_u over Q_u equals integral of f.
     """
     ctx = f.ctx
-    exact = f.lane == "exact"
-    values = f.num if exact else f.data
-    rows = values.reshape(-1, ctx.size)
-    if exact:  # the bound covers every line sum
-        rows = rows.astype(_sum_dtype(_abs_max(f.num) * ctx.modulus), copy=False)
-    if exact and direction is None:
-        plan = tables.coset_plan(ctx, 1)
-    else:
-        table = tables.coset_table(ctx, 1)[0]
-        plan = tables.CosetPlan((table if direction is None else table[direction][None],), ctx.size)
+    N = ctx.modulus
+    fibers = tables.coset_table(ctx, 1)[0][tables.directions(ctx).index(u)]
+    if f.lane == "float":
+        return Density(ctx.quotient(), data=f.data[..., fibers].sum(-1) / N)
+    _check_headroom(_abs_max(f.num) * N)
+    return Density(ctx.quotient(), num=f.num[..., fibers].sum(-1), den=f.den * N)
+
+
+def xray_all(f: Density):
+    """X-ray line sums along every direction, in the exact lane.
+
+    Returns (P, size/N) int64 numerators ((T, P, size/N) for a stack) over
+    denominator den*N, under the headroom check, summed in int32 where that
+    bound allows.  The lines of every direction are summed through
+    tables.coset_plan, one stage per CRT component, so a composite ring
+    never builds its line table.
+    """
+    if f.lane != "exact":
+        raise ValueError("xray_all is an exact-lane operation")
+    ctx = f.ctx
+    # the bound covers every line sum
+    rows = f.num.reshape(-1, ctx.size).astype(_sum_dtype(_abs_max(f.num) * ctx.modulus), copy=False)
+    plan = tables.coset_plan(ctx, 1)
     Q = ctx.size // ctx.modulus
-    sums = np.empty((len(rows),) + plan.flat_shape + (Q,), dtype=values.dtype)
+    sums = np.empty((len(rows),) + plan.flat_shape + (Q,), dtype=np.int64)
     for lo, block in tables.coset_sums(rows, plan):
         sums[..., lo:lo + block.shape[len(plan.tables)], :] = plan.in_rank_order(block)
-    sums = sums.reshape(values.shape[:-1] + ((-1,) if direction is None else ()) + (Q,))
-    return (sums, f.den * ctx.modulus) if exact else (sums / ctx.modulus, None)
+    return sums.reshape(f.num.shape[:-1] + (-1, Q)), f.den * ctx.modulus
 
 
 def xray_l2_spectral(f: Density | Spectrum):

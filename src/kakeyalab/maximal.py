@@ -7,15 +7,14 @@ normalized mass of |f| over any translate:
 
 (f_star is the unnormalized line version, f_star = N * maxop_1 f).  A
 flat U through the origin is a submodule, so the mass of |f| on a + U
-depends only on the coset of a: coset_maxima sums each coset once, and
-takes the largest coset sum per flat, for a whole stack of rows (every
-X-ray of a density, say).  tables.coset_sums adds the points of each
-coset, one CRT component of the modulus at a time (tables.coset_plan).
-A wide chunk of rows is read point-major, as (points, rows), so that
-every gathered point copies its values for all rows at once; a narrow
-one over a whole coset_table is read row-major, each row gathered whole.
-Both operators are one row of it, over the whole table.  The witness is
-the lexicographically least achieving shift, which is the least rank
+depends only on the coset of a, so each coset is summed once.  Two
+paths, one per job.  coset_maxima takes the largest coset sum per flat
+for a whole stack of exact rows (every X-ray of a density, say), through
+tables.coset_sums over tables.coset_plan, one CRT component of the
+modulus at a time; it is what the checks read.  The profiles of
+line_maximal, flat_maximal and f_star, and mweight, read one row over
+the whole coset table through tables.coset_argmax, which also gives the
+witness: the lexicographically least achieving shift, the least rank
 among the cosets that reach the maximum.  The exact lane sums int32 or
 int64 numerators under the shared headroom check; the float lane sums
 doubles.
@@ -69,77 +68,54 @@ class MaximalProfile:
 # stage of its coset plan (the row itself on a prime-power ring).  A tall
 # stack gathered at once could take tens of GiB (the induced X-rays of
 # profinite(3,3) band 3 would take about 45 GiB).  Within a chunk,
-# tables.blocked_sums sizes the blocks of flats.  On a one-stage plan a
-# chunk of _POINT_MAJOR_ROWS rows or more is read point-major, a narrower
-# one row-major.  Timed in coset_maxima (medians of 15, 2 cores,
-# generic(12,3) k=1, padic(3,2,3) k=2, padic(5,3,2) k=1, padic(2,3,3) k=1
-# and 2), row-major ran 2-9x faster at 2-4 rows and point-major 1.2-1.7x
-# faster at 24-32; they crossed at 10-20 rows, lowest on generic(12,3).
+# tables.coset_sums picks the layout and tables.blocked_sums sizes the
+# blocks of flats.
 _CHUNK_BYTES = 1 << 24
-_POINT_MAJOR_ROWS = 12
 
 
-def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, witnesses: bool = False,
-                 index: np.ndarray | None = None):
+def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, index: np.ndarray | None = None):
     """The largest coset sum of |rows| per k-flat, for a stack of rows at once.
 
-    rows is (R, size): int64 numerators (the exact lane, under the headroom
-    check) or floats.  With an index, row r is read through it: its value
-    at point x of ctx is rows[r, index[x]] (a pull-back, say, from
-    harmonic.induce_rows), so the induced stack is never built.  Returns
-    (R, F) int64 or float maxima, flats in coset_table order.  With
-    witnesses=True it returns (maxima, least), where least[r, i] is the
-    least rank among the cosets of flat i whose sum reaches the maximum:
-    all shifts in a coset share its sum, so that is the lex-least achieving
-    shift.
+    rows is (R, size) int64 numerators, under the headroom check.  With an
+    index, row r is read through it: its value at point x of ctx is
+    rows[r, index[x]] (a pull-back, say, from harmonic.induce_rows), so the
+    induced stack is never built.  Returns (R, F) int64 maxima, flats in
+    coset_table order.
 
     The sums run a chunk of rows (about _CHUNK_BYTES) at a time through
-    tables.coset_sums.  The exact lane without witnesses sums over
-    tables.coset_plan, one stage per CRT component, in int32 where
-    max|row| * N**k < 2**31; witnesses and floats read the whole
-    coset_table as one stage.  There a chunk of _POINT_MAJOR_ROWS rows or
-    more is taken point-major, as |rows|.T of shape (size, rows), and a
-    narrower one row-major, each row gathered whole.  Float sums therefore
-    depend on the chunking in their last bits; integer sums do not.
+    tables.coset_sums over tables.coset_plan, one stage per CRT component,
+    in int32 where max|row| * N**k < 2**31.
     """
-    exact = rows.dtype.kind == "i"
+    if rows.dtype.kind != "i":
+        raise TypeError("coset_maxima takes integer numerators")
     # the largest |row entry|, without an abs copy of the stack
-    dtype = _sum_dtype(_abs_max(rows) * ctx.modulus**k) if exact else rows.real.dtype
-    if exact and not witnesses:
-        plan = tables.coset_plan(ctx, k)
-    else:
-        table, least = tables.coset_table(ctx, k)
-        plan = tables.CosetPlan((table,), ctx.size)
+    dtype = _sum_dtype(_abs_max(rows) * ctx.modulus**k)
+    plan = tables.coset_plan(ctx, k)
     m = len(plan.tables)
     step = max(1, _CHUNK_BYTES // (dtype.itemsize * plan.width))
-    best = np.empty((len(rows), math.prod(plan.flat_shape)), dtype=np.int64 if exact else dtype)
-    arg = np.empty(best.shape, dtype=np.int64) if witnesses else None
+    best = np.empty((len(rows), math.prod(plan.flat_shape)), dtype=np.int64)
     for lo in range(0, len(rows), step):
         a = np.abs(rows[lo:lo + step]).astype(dtype, copy=False)
         out = best[lo:lo + step].reshape((len(a),) + plan.flat_shape)
-        for f0, sums in tables.coset_sums(a, plan, index, len(a) >= _POINT_MAJOR_ROWS):
+        for f0, sums in tables.coset_sums(a, plan, index):
             # sums is (rows, F_1, ..., F_(m-1), flats in the block, Q_1, ..., Q_m)
             top = sums.max(axis=tuple(range(-m, 0)))
-            f1 = f0 + top.shape[-1]
-            out[..., f0:f1] = top
-            if witnesses:
-                arg[lo:lo + step, f0:f1] = np.where(
-                    sums == top[..., None], least[f0:f1], ctx.size).min(axis=-1)
-    return (best, arg) if witnesses else best
+            out[..., f0:f0 + top.shape[-1]] = top
+    return best
 
 
 def _maximal(f: Density, k: int, keys) -> MaximalProfile:
-    """One row of coset_maxima, as exact or float values with witnesses."""
+    """The largest coset sum of |f| per flat and its lex-least witness
+    (tables.coset_argmax), as exact or float values."""
     ctx = f.ctx
     npts = ctx.modulus**k
-    rows = f.num[None] if f.lane == "exact" else f.data[None]
-    best, arg = coset_maxima(rows, ctx, k, witnesses=True)
-    witnesses = tuple(map(tuple, tables.coord_grid(ctx)[arg[0]].tolist()))
-    if f.lane == "exact":
-        values = tuple(Fraction(b, f.den * npts) for b in best[0].tolist())
-    else:
-        values = tuple(b / npts for b in best[0].tolist())
-    return MaximalProfile(k, tuple(keys), values, witnesses)
+    exact = f.lane == "exact"
+    values = np.abs(f.num).astype(_sum_dtype(_abs_max(f.num) * npts)) if exact else np.abs(f.data)
+    best, row = tables.coset_argmax(values, ctx, k)
+    least = tables.coset_table(ctx, k)[1]
+    shifts = tables.coord_grid(ctx)[least[np.arange(len(least)), row]]
+    maxima = tuple(Fraction(b, f.den * npts) if exact else b / npts for b in best.tolist())
+    return MaximalProfile(k, tuple(keys), maxima, tuple(map(tuple, shifts.tolist())))
 
 
 def line_maximal(f: Density) -> MaximalProfile:
@@ -178,10 +154,10 @@ def mweight(f: Density, p: int) -> int:
         max over u, z in L_0(u) of sum_{x in L_p(u)} f((x, z)).
 
     Over a prime-power modulus this is simply max_u f_star(u).  The
-    witness line is the line-table row whose least rank is the witness;
-    its points step along u for t = 0..N-1, so those with one mod-N0
+    witness line is the line-table row that tables.coset_argmax picks; its
+    points step along u for t = 0..N-1, so those with one mod-N0
     component z are those with t fixed mod N0: a column of the row taken
-    as (p**k, N0).
+    as (p**k, N0).  Numerators past the headroom raise OverflowError.
     """
     ctx = f.ctx
     N = ctx.modulus
@@ -192,9 +168,9 @@ def mweight(f: Density, p: int) -> int:
     q = 1
     while N % (q * p) == 0:
         q *= p
-    table, least = tables.coset_table(ctx, 1)
-    arg = coset_maxima(f.num[None], ctx, 1, witnesses=True)[1][0]
-    rows = table[np.arange(len(table)), (least == arg[:, None]).argmax(axis=1)]
+    table = tables.coset_table(ctx, 1)[0]
+    row = tables.coset_argmax(f.num.astype(_sum_dtype(_abs_max(f.num) * N)), ctx, 1)[1]
+    rows = table[np.arange(len(table)), row]
     return int(f.num[rows].reshape(len(rows), q, N // q).sum(axis=1).max())
 
 

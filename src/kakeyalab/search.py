@@ -78,9 +78,7 @@ def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[
     """
     table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
     F, C, _ = table.shape
-    nbytes, memory = F * C * -(-ctx.size // 8), tables._physical_memory()
-    if nbytes > memory:
-        raise tables.TableMemoryError(nbytes, memory)
+    tables.check_memory(F * C * -(-ctx.size // 8))
     grid = tables.coord_grid(ctx)
     out = []
     for rows, lows in zip(table, least):
@@ -125,9 +123,7 @@ def _coset_of(table: np.ndarray, order: np.ndarray, size: int) -> np.ndarray:
     """
     F, C, M = table.shape
     dtype = np.min_scalar_type(C - 1)
-    nbytes, memory = dtype.itemsize * F * size, tables._physical_memory()
-    if nbytes > memory:
-        raise tables.TableMemoryError(nbytes, memory)
+    tables.check_memory(dtype.itemsize * F * size)
     position = np.empty((F, C), dtype=dtype)
     np.put_along_axis(position, order, np.arange(C, dtype=dtype)[None, :], axis=1)
     out = np.empty((F, size), dtype=dtype)
@@ -305,19 +301,15 @@ def certify(points: Sequence[Sequence[int]], ctx: RingContext, k: int) -> Kakeya
             raise ValueError(f"point {tuple(p)} has {len(p)} coordinates, need {ctx.dimension}")
         reduced = tuple(c % ctx.modulus for c in p)
         ranked.setdefault(ctx.rank(reduced), reduced)
-    table, least = tables.coset_table(ctx, k)
     covered = np.zeros(ctx.size, dtype=np.int64)
     covered[list(ranked)] = 1
-    # a coset lies inside the set when all its N**k points are covered;
-    # elsewhere its least rank is replaced by size, which no rank reaches
-    shifts = np.empty(len(table), dtype=np.int64)
-    for lo, counts in tables.blocked_sums(covered, table):
-        inside = np.where(counts == table.shape[2], least[lo:lo + len(counts)], ctx.size)
-        shifts[lo:lo + len(counts)] = inside.min(axis=1)
+    # a coset lies inside the set when all its N**k points are covered
+    counts, row = tables.coset_argmax(covered, ctx, k)
     flats = tables.flats(ctx, k)
-    missing = np.flatnonzero(shifts == ctx.size)
+    missing = np.flatnonzero(counts < ctx.modulus**k)
     if len(missing):
         raise ValueError(f"no translate of {flats[missing[0]].generators} lies inside the set")
-    grid = tables.coord_grid(ctx)
-    witnesses = tuple(zip(flats, map(tuple, grid[shifts].tolist())))
+    least = tables.coset_table(ctx, k)[1]
+    shifts = tables.coord_grid(ctx)[least[np.arange(len(least)), row]]
+    witnesses = tuple(zip(flats, map(tuple, shifts.tolist())))
     return KakeyaCertificate(k, ctx, tuple(sorted(ranked.values())), witnesses, optimal=False)

@@ -11,14 +11,16 @@ index with it and never compute in its dtype.  Arrays are returned
 non-writeable; treat them as shared read-only state.
 
 Every reader of an index table sums values over its rows through one
-kernel, blocked_sums: the coset sums over coset_table, the u^perp masses
-over perp_index, and the axis passes of the exact Fourier transform over
-their (N*N, N) pass index.  Over a modulus with several prime-power
-factors q_1 ... q_m, coset_sums composes that kernel once per CRT
-component: every flat and coset splits into one per component, so
-coset_plan reads a row in CRT order and stage c sums its axis of q_c**n
-points over the small table coset_table(RingContext.generic(q_c, n), k).
-The exact X-rays and coset maxima never build the whole table.
+kernel, blocked_sums, on (R, size) rows or (size, r) slabs: the coset
+sums, the u^perp masses over perp_index, and the axis passes of the
+exact Fourier transform over their (N*N, N) pass index.  The coset sums
+have one path per job.  Stacks of exact rows (the X-rays and coset
+maxima of the checks) go through coset_sums over coset_plan, one CRT
+component q_c of N at a time over the small coset_table(generic(q_c, n),
+k), so the whole table is never built.  One row over the whole table,
+with the lex-least witnesses (the maximal profiles, mweight, certify),
+goes through coset_argmax, in either lane.  Allocations that scale with
+the ring are first checked against physical memory (check_memory).
 """
 from __future__ import annotations
 
@@ -45,6 +47,13 @@ class TableMemoryError(EnumerationCapError):
 def _physical_memory() -> int:
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(nbytes: int) -> None:
+    """Refuse (TableMemoryError) nbytes past the machine's physical memory."""
+    memory = _physical_memory()
+    if nbytes > memory:
+        raise TableMemoryError(nbytes, memory)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -97,7 +106,7 @@ def _lex_grid(N: int, m: int) -> np.ndarray:
 
 def _rank_dtype(ctx: RingContext) -> np.dtype:
     """The dtype of coset_table: uint16 while every rank and the sentinel
-    ctx.size (coset_maxima's "no witness") fit, int32 above."""
+    ctx.size (coset_argmax's "short of the best") fit, int32 above."""
     return np.dtype(np.uint16 if ctx.size <= np.iinfo(np.uint16).max else np.int32)
 
 
@@ -131,9 +140,7 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need 1 <= k <= n")
     dtype = _rank_dtype(ctx)
     F = gr_size(N, n, k)
-    nbytes, memory = dtype.itemsize * F * ctx.size, _physical_memory()
-    if nbytes > memory:
-        raise TableMemoryError(nbytes, memory)
+    check_memory(dtype.itemsize * F * ctx.size)
     if k == 1:
         gens = direction_matrix(ctx)[:, None, :]  # (F, k, n)
     else:
@@ -183,31 +190,45 @@ def blocked_sums(values: np.ndarray, index: np.ndarray, rows: bool = False):
 
     Each block of index is converted once to intp (numpy gathers faster
     through it) and holds, with its gather, about _BLOCK_BYTES.  values is
-    one row (size,), rows (R, size) with rows set, or an (size, r) stack.
-    Each row is gathered whole per block and reduced by einsum for integers
-    and .sum for floats, so float sums are bit for bit those of one whole
-    gather; sums is then (block, ...), or (R, block, ...) for rows.  An
-    (size, r) stack is added one index slab index[..., j] at a time, each
-    gathered point copying its r contiguous values: sums is (block, ..., r).
+    (R, size) rows with rows set, or an (size, r) stack of slabs.  Each
+    row is gathered whole per block and reduced by einsum for integers and
+    .sum for floats, so float sums are bit for bit those of one whole
+    gather: sums is (R, block, ...).  An (size, r) stack is added one index
+    slab index[..., j] at a time, each gathered point copying its r
+    contiguous values: sums is (block, ..., r).
     """
     m = index.shape[-1]
-    slabs = values.ndim == 2 and not rows
-    width = values.shape[1] if slabs else 1
+    width = 1 if rows else values.shape[1]
     step = max(1, _BLOCK_BYTES // (8 * (index[0].size // m) * max(m, width)))
     add_up = partial(np.einsum, "...j->...") if values.dtype.kind == "i" else partial(np.sum, axis=-1)
     for lo in range(0, len(index), step):
         t = index[lo:lo + step].astype(np.intp)
-        if slabs:
-            sums = values[t[..., 0]]
-            for j in range(1, m):
-                sums += values[t[..., j]]
-        elif values.ndim == 2:
+        if rows:
             sums = np.empty((len(values),) + t.shape[:-1], dtype=values.dtype)
             for row, out in zip(values, sums):
                 add_up(row[t], out=out)
         else:
-            sums = add_up(values[t])
+            sums = values[t[..., 0]]
+            for j in range(1, m):
+                sums += values[t[..., j]]
         yield lo, sums
+
+
+def coset_argmax(values: np.ndarray, ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(best, row), each (F,): per flat f of coset_table(ctx, k), the
+    largest coset sum of one row of values (size,) and the table row of
+    least rank that reaches it, so least[f, row[f]] is the lex-least
+    achieving shift.  The row is gathered whole a block of flats at a time
+    (blocked_sums), in values' dtype, which the caller picks wide enough."""
+    table, least = coset_table(ctx, k)
+    best = np.empty(len(table), dtype=values.dtype)
+    row = np.empty(len(table), dtype=np.intp)
+    for lo, (sums,) in blocked_sums(values[None], table, rows=True):
+        hi = lo + len(sums)
+        best[lo:hi] = sums.max(axis=1)
+        # ctx.size, above every rank, stands in for the rows short of the best
+        row[lo:hi] = np.where(sums == best[lo:hi, None], least[lo:hi], ctx.size).argmin(axis=1)
+    return best, row
 
 
 class CosetPlan(NamedTuple):
@@ -266,8 +287,16 @@ def coset_plan(ctx: RingContext, k: int) -> CosetPlan:
     return CosetPlan(stages, width, points, quotient)
 
 
-def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = None,
-               point_major: bool = False):
+# On a one-stage plan coset_sums reads fewer rows than this row-major, more
+# point-major.  Timed in maximal.coset_maxima (medians of 15, 2 cores,
+# generic(12,3) k=1, padic(3,2,3) k=2, padic(5,3,2) k=1, padic(2,3,3) k=1
+# and 2), row-major ran 2-9x faster at 2-4 rows and point-major 1.2-1.7x
+# faster at 24-32; they crossed at 10-20 rows, lowest on generic(12,3).
+# The int32 X-rays of padic(2,3,3), (3,2,3) and (5,2,3) cross at 12 too.
+_POINT_MAJOR_ROWS = 12
+
+
+def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = None):
     """Yield (lo, sums) per block of flats lo, lo + 1, ... of the last stage
     of plan: sums is a view (R, F_1, ..., F_(m-1), block, Q_1, ..., Q_m) of
     the coset sums of each row of rows (R, size), in rows' dtype.  With an
@@ -277,12 +306,11 @@ def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = Non
     one slab-path blocked_sums over its leading axis of q_c**n points, so
     every later component and the rows are its columns, one copy of each
     gathered point; its (F_c, Q_c) then move behind them, for stage c + 1.
-    Without point_major, a one-stage plan takes the rows path instead,
-    each row gathered whole: float sums are then bit for bit those of one
-    whole gather.
+    A one-stage plan of fewer than _POINT_MAJOR_ROWS rows takes the rows
+    path instead, each row gathered whole.
     """
     *lead, last = plan.tables
-    if not (lead or point_major):
+    if not lead and len(rows) < _POINT_MAJOR_ROWS:
         data = rows if index is None else rows[:, index]
         yield from blocked_sums(data, last, rows=True)
         return
@@ -353,6 +381,8 @@ def lift_map(ctx: RingContext) -> np.ndarray:
     is the line <w>: the union of the rows of u's line table at the
     quotient points t w.  Each union is matched, as a sorted rank set, with
     the coset through the origin (row 0) of a flat of coset_table(ctx, 2).
+    A (P, Pq, N*N) gather of lifts that, with its sorted copy, would take
+    more than the machine's physical memory raises TableMemoryError first.
     """
     N = ctx.modulus
     qctx = ctx.quotient()
@@ -360,6 +390,7 @@ def lift_map(ctx: RingContext) -> np.ndarray:
     lines = coset_table(ctx, 1)[0]
     t = np.arange(N)[None, :, None]
     qlines = rank_points(t * direction_matrix(qctx)[:, None, :] % N, qctx)  # (Pq, N) ranks of t w
+    check_memory(2 * lines.itemsize * len(lines) * qlines.size * N)  # the gather and its sorted copy
     lifts = np.sort(lines[:, qlines].reshape(len(lines), len(qlines), N * N), axis=2)
     flat_index = {plane.tobytes(): i for i, plane in enumerate(planes)}
     return _freeze(np.array([[flat_index[lift.tobytes()] for lift in row] for row in lifts],

@@ -261,24 +261,24 @@ def verify_freqbound(ctx: RingContext, p: int, trials: int, seed: int) -> Verifi
         avg_u integral |f_{i,u}|^p <= band_constant(i, n) * integral |f|^p.
 
     The band components of a rational density are rational and p is an
-    integer, so both sides are exact power sums for every p >= 2."""
-    if p < 2:
-        return _skip(f"freqbound[p={p}]", ctx, "needs p >= 2")
+    integer, so both sides are exact power sums for every p >= 2; a p < 2
+    is skipped."""
     return verify_freqbounds(ctx, (p,), trials, seed)[0]
 
 
 def verify_freqbounds(ctx: RingContext, ps: Sequence[int], trials: int,
                       seed: int) -> list[VerificationReport]:
-    """verify_freqbound at every p >= 2 of ps, one report per p.  Each chunk
-    of trials (_stacks) takes one projection into all bands and one X-ray
-    pass, which every p reads."""
+    """verify_freqbound at every p of ps, one report per p, skipped where
+    p < 2.  Each chunk of trials (_stacks) takes one projection into all
+    bands and one X-ray pass, which every p >= 2 reads."""
     n, bands = ctx.dimension, ctx.num_bands
     P, qsize = len(tables.directions(ctx)), ctx.size // ctx.modulus
     constants = [band_constant(i, n, ctx) for i in range(bands)]
-    worst, witness = [Fraction(10**9)] * len(ps), [None] * len(ps)
-    for lo, f in _stacks(ctx, seed, trials, bands * P * qsize):
+    kept = [p for p in ps if p >= 2]
+    worst, witness = [Fraction(10**9)] * len(kept), [None] * len(kept)
+    for lo, f in _stacks(ctx, seed, trials, bands * P * qsize) if kept else ():
         nums, den = xray_all(band_project(f, range(bands)))
-        for q, p in enumerate(ps):
+        for q, p in enumerate(kept):
             rhs = power_sum(f.num, p, axis=1)
             lhs = power_sum(nums.reshape(len(nums), -1), p, axis=1)
             for r in range(len(nums)):
@@ -287,8 +287,9 @@ def verify_freqbounds(ctx: RingContext, ps: Sequence[int], trials: int,
                 slack = constants[i] * rhs_base - Fraction(int(lhs[r]), den[r]**p * qsize * P)
                 if slack < worst[q]:
                     worst[q], witness[q] = slack, {"trial": lo + j, "band": i}
-    return [VerificationReport(f"freqbound[p={p}]", ctx.describe(), trials, "ge-exact",
-                               w, w >= 0, wit) for p, w, wit in zip(ps, worst, witness)]
+    done = {p: VerificationReport(f"freqbound[p={p}]", ctx.describe(), trials, "ge-exact",
+                                  w, w >= 0, wit) for p, w, wit in zip(kept, worst, witness)}
+    return [done[p] if p >= 2 else _skip(f"freqbound[p={p}]", ctx, "needs p >= 2") for p in ps]
 
 
 def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,

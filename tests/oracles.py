@@ -5,6 +5,7 @@ Exact values here are Python ints and Fractions, which cannot wrap.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,7 @@ import numpy as np
 
 from kakeyalab import tables
 from kakeyalab.cyclotomic import reduce_mod_cyclotomic, reduction_matrix
-from kakeyalab.geometry import ProjDirection, flat_points
+from kakeyalab.geometry import Flat, ProjDirection
 from kakeyalab.harmonic import (Density, Spectrum, band_constant, band_project,
                                 band_valuation_sets, fourier_forward, fourier_inverse,
                                 power_sum, xray_all, xray_l2_spectral, xray_transform)
@@ -23,6 +24,27 @@ from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima, 
 from kakeyalab.ring import _crt_basis, crt_combine_scalar, scale
 from kakeyalab.search import BudgetExceeded, KakeyaCertificate, translate_options
 from kakeyalab.verify import VerificationReport, _rng_for
+
+
+# ---------------------------------------------------------------------------
+# flats
+# ---------------------------------------------------------------------------
+
+
+def flat_points(flat: Flat) -> frozenset[tuple[int, ...]]:
+    """The N**k points basepoint + t_1 g_1 + ... + t_k g_k of a flat."""
+    N = flat.modulus
+    n = flat.dimension
+    pts = set()
+    for ts in itertools.product(range(N), repeat=flat.k):
+        pt = list(flat.basepoint)
+        for t, g in zip(ts, flat.generators):
+            for i in range(n):
+                pt[i] = (pt[i] + t * g[i]) % N
+        pts.add(tuple(pt))
+    if len(pts) != N**flat.k:
+        raise ValueError(f"flat spans {len(pts)} points, expected {N**flat.k}")
+    return frozenset(pts)
 
 
 # ---------------------------------------------------------------------------

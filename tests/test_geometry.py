@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from kakeyalab import tables
 from kakeyalab.geometry import (EnumerationCapError, Flat, canonical_direction,
-                                enumerate_grassmannian, enumerate_proj, flat_points,
-                                gr_size, proj_size)
+                                enumerate_grassmannian, enumerate_proj, gr_size, proj_size)
 from kakeyalab.ring import RingContext, factorize
-from oracles import lift_points
+from oracles import flat_points, lift_points
 
 
 def brute_force_directions(N, n):
@@ -233,6 +232,17 @@ class TestLiftMap:
             tables.lift_map.__wrapped__(ctx)
         assert asked == [2]
         assert err.value.estimate == 2 * gr_size(4, 4, 2) * ctx.size > 1 << 10
+
+    def test_refuses_the_gather_past_memory(self, monkeypatch):
+        # on padic(2,2,3) the line and plane tables take 3,584 B each and
+        # the (P, Pq, N*N) gather of lifts 5,376 B: with 4,096 B of memory
+        # both tables fit, and lift_map raises before it gathers
+        ctx = RingContext.padic(2, 2, 3)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 4096)
+        assert [tables.coset_table(ctx, k)[0].nbytes for k in (1, 2)] == [3584, 3584]
+        with pytest.raises(tables.TableMemoryError) as err:
+            tables.lift_map.__wrapped__(ctx)
+        assert err.value.estimate == 2 * 5376 and err.value.cap == 4096
 
     @pytest.mark.parametrize("ctx", [RingContext.padic(3, 1, 3), RingContext.generic(4, 3),
                                      RingContext.generic(6, 3)], ids=lambda c: c.describe())

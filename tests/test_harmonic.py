@@ -371,35 +371,39 @@ class TestXray:
     @pytest.mark.parametrize("rows", [1, 5, None])
     @pytest.mark.parametrize("ctx", [RingContext.padic(3, 2, 3), RingContext.generic(12, 2)],
                              ids=lambda c: c.describe())
-    def test_float_xray_all_is_the_whole_gather(self, monkeypatch, ctx, rows):
-        # bit for bit, on real and complex rows, with blocks of one and of
-        # five directions and at the default budget
-        if rows is not None:
-            monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * ctx.size * rows)
+    def test_float_xray_all_is_the_whole_gather(self, ctx, rows):
+        # the float X-ray along every direction (xray_transform) is bit for
+        # bit the sum of one whole gather of its line-table row, on real and
+        # complex values, for stacks of one and five rows and one density
+        N = ctx.modulus
         table = tables.coset_table(ctx, 1)[0]
         rng = np.random.default_rng(48)
-        for f in (random_density(ctx, seed=48).to_float(),
-                  Density.from_float(ctx, rng.normal(size=ctx.size) + 1j * rng.normal(size=ctx.size))):
-            values, den = xray_all(f)
-            assert den is None
-            assert np.array_equal(values, f.data[table].sum(axis=2) / ctx.modulus)
+        shape = (ctx.size,) if rows is None else (rows, ctx.size)
+        reals = np.stack([random_density(ctx, seed=48, trial=t).to_float().data
+                          for t in range(rows or 1)]).reshape(shape)
+        for f in (Density.from_float(ctx, reals),
+                  Density.from_float(ctx, rng.normal(size=shape) + 1j * rng.normal(size=shape))):
+            for u, fibers in zip(tables.directions(ctx), table):
+                fu = xray_transform(f, u)
+                assert fu.ctx == ctx.quotient() and fu.lane == "float"
+                assert np.array_equal(fu.data, f.data[..., fibers].sum(-1) / N)
 
-    def test_float_xray_all_builds_no_line_gather(self, monkeypatch):
-        # the float lane holds a block of the gather and of its intp index,
-        # never the (P, size/N, N) gather
+    def test_xray_all_is_exact_only(self):
+        with pytest.raises(ValueError, match="exact-lane"):
+            xray_all(random_density(RingContext.padic(2, 2, 2), seed=49).to_float())
+
+    @pytest.mark.parametrize("R", [1, 11, 12, 40])
+    def test_xray_all_layouts_agree(self, monkeypatch, R):
+        # a one-stage plan read row-major (threshold R + 1) and point-major
+        # (threshold 1) gives the line sums of the whole gather, on both
+        # sides of the shipped 12-row threshold
         ctx = RingContext.padic(3, 2, 3)
-        f = random_density(ctx, seed=47).to_float()
-        full = 8 * tables.coset_table(ctx, 1)[0].size
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
-        xray_all(f)  # warm any lazy state
-        tracemalloc.start()
-        try:
-            values, _ = xray_all(f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * (1 << 14) + 3 * values.nbytes
-        assert full > 4 * peak
+        rng = np.random.default_rng(50)
+        f = Density(ctx, num=rng.integers(-60, 61, (R, ctx.size)), den=[1] * R)
+        want = f.num.astype(object)[:, tables.coset_table(ctx, 1)[0]].sum(axis=-1).tolist()
+        for threshold in (1, R + 1):
+            monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
+            assert xray_all(f)[0].tolist() == want
 
     @given(st.lists(st.integers(-(2**62), 2**62), min_size=4, max_size=4), st.integers(0, 3))
     @example([2**62] * 4, 0)

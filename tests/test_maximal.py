@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeyalab import tables
-from kakeyalab.geometry import canonical_direction, flat_points
+from kakeyalab.geometry import canonical_direction
 from kakeyalab.harmonic import Density, induce_rows, xray_all
 import kakeyalab.maximal as maximal
 from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
@@ -17,7 +17,7 @@ from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
                                mweight, rounding_g)
 from kakeyalab.ring import RingContext
 from kakeyalab.verify import DISTRIBUTIONS, corpus_rings, random_density
-from oracles import coset_table_per_flat, mweight_lines, projmax_identity_check
+from oracles import coset_table_per_flat, flat_points, mweight_lines, projmax_identity_check
 
 
 def brute_line_max(f, u, ctx):
@@ -226,6 +226,28 @@ class TestCosetOracle:
         assert sum(v == 1 for v in prof.values) == 1
 
 
+class TestCosetArgmax:
+    """The one-row scan of the whole coset table behind the profiles."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 3000])
+    @pytest.mark.parametrize("ctx", [RingContext.generic(6, 2), RingContext.generic(12, 2),
+                                     RingContext.padic(2, 2, 2)], ids=lambda c: c.describe())
+    def test_profiles_match_brute_sums(self, monkeypatch, ctx, block_bytes):
+        # values and lex-least witnesses, k = 1 and 2, across blocks of one
+        # flat and of a few; the float rows are the exact ones over 8, so
+        # every float sum is exact and ties break as in the exact lane
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", block_bytes)
+        for t, dist in enumerate(DISTRIBUTIONS):
+            f = random_density(ctx, seed=90 + t, dist=dist, trial=t)
+            for g in (f, Density.from_float(ctx, f.num / 8)):
+                prof = line_maximal(g)
+                assert (list(prof.values), list(prof.witnesses)) == brute_profile(
+                    g, line_point_sets(ctx), 1)
+                prof = flat_maximal(g, 2)
+                assert (list(prof.values), list(prof.witnesses)) == brute_profile(
+                    g, [flat_points(F) for F in tables.flats(ctx, 2)], 2)
+
+
 class TestCosetTableBuild:
     """The blocked build against the flat-by-flat oracle, its rank dtype
     and its memory."""
@@ -291,29 +313,27 @@ class TestCosetMaxima:
         # 7 rows split into chunks of every size, including ragged last
         # chunks of one row (one gather per block) and wider ones, read
         # row-major (each row gathered whole, as the shipped threshold reads
-        # them all) or point-major (each row's N**k coset points added one
-        # slab at a time); the flats go one per block, in ragged blocks, or
-        # all in one block
-        ctx = RingContext.generic(6, 2)
-        rows = np.stack([random_density(ctx, seed=40 + r, dist=DISTRIBUTIONS[r % 4], trial=r).num
-                         * (r + 1) for r in range(7)])
-        monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
-        for point_major, block_bytes, k in itertools.product(
-                (1, maximal._POINT_MAJOR_ROWS), (1, 3000, 1 << 30), (1, 2)):
-            monkeypatch.setattr(maximal, "_POINT_MAJOR_ROWS", point_major)
-            monkeypatch.setattr(tables, "_BLOCK_BYTES", block_bytes)
-            npts = ctx.modulus**k
-            sets = line_point_sets(ctx) if k == 1 else [flat_points(F) for F in tables.flats(ctx, k)]
-            best, least = coset_maxima(rows, ctx, k, witnesses=True)
-            assert best.dtype == np.int64 and best.shape == (7, len(sets))
-            assert np.array_equal(best, coset_maxima(rows, ctx, k))
-            fbest = coset_maxima(rows / 7, ctx, k)
-            for r, row in enumerate(rows):
-                values, wits = brute_profile(Density.from_numden(ctx, row, 1), sets, k)
-                assert [Fraction(int(b), npts) for b in best[r]] == values
-                assert [ctx.unrank(int(w)) for w in least[r]] == wits
-                fvalues, _ = brute_profile(Density.from_float(ctx, row / 7), sets, k)
-                assert np.abs(fbest[r] / npts - np.array(fvalues)).max() < 1e-12
+        # them all on the one-stage plan of padic(2,2,2)) or point-major
+        # (each row's N**k coset points added one slab at a time, as every
+        # stage of generic(6,2) is read); the flats go one per block, in
+        # ragged blocks, or all in one block
+        for ctx in (RingContext.generic(6, 2), RingContext.padic(2, 2, 2)):
+            rows = np.stack([random_density(ctx, seed=40 + r, dist=DISTRIBUTIONS[r % 4],
+                                            trial=r).num * (r + 1) for r in range(7)])
+            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
+            for point_major, block_bytes, k in itertools.product(
+                    (1, tables._POINT_MAJOR_ROWS), (1, 3000, 1 << 30), (1, 2)):
+                monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", point_major)
+                monkeypatch.setattr(tables, "_BLOCK_BYTES", block_bytes)
+                npts = ctx.modulus**k
+                sets = line_point_sets(ctx) if k == 1 else [flat_points(F) for F in tables.flats(ctx, k)]
+                best = coset_maxima(rows, ctx, k)
+                assert best.dtype == np.int64 and best.shape == (7, len(sets))
+                with pytest.raises(TypeError):  # floats go through the profiles
+                    coset_maxima(rows / 7, ctx, k)
+                for r, row in enumerate(rows):
+                    values, _ = brute_profile(Density.from_numden(ctx, row, 1), sets, k)
+                    assert [Fraction(int(b), npts) for b in best[r]] == values
 
     def test_index_reads_pulled_back_rows(self, monkeypatch):
         # rows read through a pull-back index equal the built induced stack
@@ -322,20 +342,20 @@ class TestCosetMaxima:
                          for r in range(5)])
         mctx, index, gaps = induce_rows(rows, ctx, 8)
         assert not gaps.any() and mctx.modulus == 8
-        for chunk_rows in (1, 2, 5):
+        for chunk_rows, threshold in itertools.product((1, 2, 5), (1, tables._POINT_MAJOR_ROWS)):
             monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * mctx.size * chunk_rows)
+            monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
             for k in (1, 2):
-                got = coset_maxima(rows, mctx, k, witnesses=True, index=index)
-                want = coset_maxima(rows[:, index], mctx, k, witnesses=True)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                got = coset_maxima(rows, mctx, k, index=index)
+                assert np.array_equal(got, coset_maxima(rows[:, index], mctx, k))
 
     @pytest.mark.parametrize("pulled_back", [False, True], ids=["rows", "index"])
     def test_layouts_agree(self, monkeypatch, pulled_back):
         # a chunk read point-major and the same chunk read row-major give
-        # identical integer maxima and witnesses: 1, 2 and either side of
-        # the threshold rows, in one chunk and in chunks of three
+        # identical integer maxima: 1, 2 and either side of the threshold
+        # rows, in one chunk and in chunks of three
         base = RingContext.padic(2, 2, 2)
-        width = maximal._POINT_MAJOR_ROWS
+        width = tables._POINT_MAJOR_ROWS
         rows = np.stack([random_density(base, seed=70 + r, dist=DISTRIBUTIONS[r % 4], trial=r).num
                          * (r + 1) for r in range(width)])
         ctx, index = induce_rows(rows, base, 8)[:2] if pulled_back else (base, None)
@@ -344,10 +364,10 @@ class TestCosetMaxima:
             got = []
             # every chunk point-major, the shipped threshold, every chunk row-major
             for threshold in (1, width, len(rows) + 1):
-                monkeypatch.setattr(maximal, "_POINT_MAJOR_ROWS", threshold)
-                got.append(coset_maxima(rows[:R], ctx, k, witnesses=True, index=index))
-            for best, least in got[1:]:
-                assert np.array_equal(best, got[0][0]) and np.array_equal(least, got[0][1])
+                monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
+                got.append(coset_maxima(rows[:R], ctx, k, index=index))
+            for best in got[1:]:
+                assert np.array_equal(best, got[0])
 
     def test_peak_memory_is_bounded_by_the_budgets(self, monkeypatch):
         # a tall stack is summed a chunk and a block at a time: the peak
@@ -359,14 +379,14 @@ class TestCosetMaxima:
         monkeypatch.setattr(maximal, "_CHUNK_BYTES", 1 << 16)
         monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
         for stack in (rows, rows[:1]):
-            coset_maxima(stack, ctx, 1, witnesses=True)  # warm any lazy state
+            coset_maxima(stack, ctx, 1)  # warm any lazy state
             tracemalloc.start()
             try:
-                best, least = coset_maxima(stack, ctx, 1, witnesses=True)
+                best = coset_maxima(stack, ctx, 1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 4 * ((1 << 16) + (1 << 14)) + best.nbytes + least.nbytes
+            assert peak <= 4 * ((1 << 16) + (1 << 14)) + best.nbytes
             assert 8 * len(stack) * table.size > 2 * peak
 
     def test_row_maxima_above_int32_are_exact(self):
@@ -485,7 +505,7 @@ class TestCosetPlan:
 
     def test_headroom_refused_where_the_one_table_refuses(self):
         # max|row| * N**k under 2**61 sums exactly, at 2**61 or more raises,
-        # on the staged path as on the whole table (witnesses)
+        # on the staged path as on the whole table (the profiles)
         ctx = RingContext.generic(6, 2)
         for k in (1, 2):
             top = (2**61 - 1) // 6**k
@@ -493,7 +513,8 @@ class TestCosetPlan:
             rows[1, 7] = -top
             want = one_table_sums(np.abs(rows), ctx, k).max(axis=-1).tolist()
             assert coset_maxima(rows, ctx, k).tolist() == want
-            assert coset_maxima(rows, ctx, k, witnesses=True)[0].tolist() == want
+            prof = flat_maximal(Density(ctx, num=rows[1], den=1), k)
+            assert list(prof.values) == [Fraction(w, 6**k) for w in want[1]]
             if k == 1:
                 f = Density(ctx, num=rows, den=[1, 1])
                 assert xray_all(f)[0].tolist() == one_table_sums(rows, ctx, 1).tolist()
@@ -501,7 +522,7 @@ class TestCosetPlan:
             with pytest.raises(OverflowError):
                 coset_maxima(rows, ctx, k)
             with pytest.raises(OverflowError):
-                coset_maxima(rows, ctx, k, witnesses=True)
+                flat_maximal(Density(ctx, num=rows[1], den=1), k)
             if k == 1:
                 with pytest.raises(OverflowError):
                     xray_all(Density(ctx, num=rows, den=[1, 1]))
@@ -545,8 +566,9 @@ class TestCosetPlan:
             assert coset_maxima(rows, ctx, k).shape == (3, len(tables.flats(ctx, k)))
         assert xray_all(Density(ctx, num=rows, den=[1, 1, 1]))[0].shape == (
             3, len(tables.directions(ctx)), ctx.size // 12)
+        # the profiles, one row with witnesses, read the whole table
         with pytest.raises(AssertionError):
-            coset_maxima(rows, ctx, 1, witnesses=True)
+            line_maximal(Density(ctx, num=rows[0], den=1))
 
 
 class TestFStar:
@@ -602,6 +624,16 @@ class TestMweight:
         for f in densities:
             for p, _ in ctx.factorization:
                 assert mweight(f, p) == mweight_lines(f, p)
+
+    def test_headroom(self):
+        # a line sum of max f * N under 2**61 is exact, past it raises
+        ctx = RingContext.generic(6, 2)
+        num = np.zeros(ctx.size, dtype=np.int64)
+        num[7] = (2**61 - 1) // 6
+        assert mweight(Density.from_numden(ctx, num, 1), 2) == num[7]
+        num[7] += 1
+        with pytest.raises(OverflowError):
+            mweight(Density.from_numden(ctx, num, 1), 2)
 
     def test_rejects_non_divisor(self):
         ctx = RingContext.padic(3, 1, 2)

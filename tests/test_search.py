@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from kakeyalab import search, tables
-from kakeyalab.geometry import EnumerationCapError, enumerate_grassmannian, flat_points
+from kakeyalab.geometry import EnumerationCapError, enumerate_grassmannian
 from kakeyalab.ring import RingContext
 from kakeyalab.search import (BudgetExceeded, certify, exact_min_kakeya,
                               greedy_kakeya, translate_options)
 from kakeyalab.tables import TableMemoryError
-from oracles import (certify_bitmask, exact_bitmask, greedy_bitmask,
+from oracles import (certify_bitmask, exact_bitmask, flat_points, greedy_bitmask,
                      greedy_bitmask_choices)
 
 

@@ -119,6 +119,16 @@ class TestIndividualChecks:
         rep = verify_freqbound(CTX, 1, trials=2, seed=0)
         assert rep.status == "skipped"
 
+    def test_freqbounds_skip_small_p_in_place(self):
+        # a p < 2 among several is the skip report of verify_freqbound, in
+        # its place, not a failed ge-exact comparison
+        ctx = RingContext.padic(2, 2, 3)
+        got = verify.verify_freqbounds(ctx, (1, 2), 3, 0)
+        assert [r.check for r in got] == ["freqbound[p=1]", "freqbound[p=2]"]
+        assert got[0].status == "skipped"
+        assert reports_to_json(got) == reports_to_json(
+            [verify_freqbound(ctx, 1, 3, 0), verify_freqbound(ctx, 2, 3, 0)])
+
     def test_divisor_reduction_exact(self):
         rep = verify_divisor_reduction(CTX3D, None, trials=4, seed=0)
         assert rep.passed and rep.worst_slack == 0
