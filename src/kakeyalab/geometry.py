@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .ring import RingContext, crt_combine_scalar, factorize
+import numpy as np
+
+from .ring import RingContext, _crt_basis, factorize
 
 
 class EnumerationCapError(Exception):
@@ -130,7 +132,7 @@ def canonical_direction(u: Sequence[int], ctx: RingContext) -> ProjDirection:
             raise ValueError(f"{tuple(u)} has no unit coordinate mod {p}: not a projective direction")
         inv = pow(uc[pivot], -1, q)
         comps.append(tuple(c * inv % q for c in uc))
-    return ProjDirection(N, _combine_vectors(comps, N))
+    return ProjDirection(N, tuple(_combine_components([[c] for c in comps], N)[0]))
 
 
 def _first_unit(vec: Sequence[int], p: int) -> int | None:
@@ -140,9 +142,19 @@ def _first_unit(vec: Sequence[int], p: int) -> int | None:
     return None
 
 
-def _combine_vectors(comps: Sequence[Sequence[int]], N: int) -> tuple[int, ...]:
-    n = len(comps[0])
-    return tuple(crt_combine_scalar([c[i] for c in comps], N) for i in range(n))
+def _combine_components(per_component: Sequence[list], N: int) -> list:
+    """sum_c e_c x_c mod N over every tuple (x_1, ..., x_m) of component
+    vectors (or generator matrices) in itertools.product order, as nested
+    lists: one array product with the CRT idempotents e_c.  On one
+    component the combination is the identity."""
+    if len(per_component) == 1:
+        return per_component[0]
+    m = len(per_component)
+    total = 0
+    for c, (comp, (_, e)) in enumerate(zip(per_component, _crt_basis(N))):
+        a = np.array(comp, dtype=np.int64)
+        total = total + e * a.reshape((1,) * c + (len(a),) + (1,) * (m - 1 - c) + a.shape[1:])
+    return (total % N).reshape((-1,) + total.shape[m:]).tolist()
 
 
 def _component_directions(q: int, p: int, n: int) -> Iterable[tuple[int, ...]]:
@@ -165,10 +177,7 @@ def enumerate_proj(ctx: RingContext, cap: int | None = None) -> list[ProjDirecti
     if N == 1:
         return [ProjDirection(1, (0,) * n)]
     per_component = [list(_component_directions(p**r, p, n)) for p, r in ctx.factorization]
-    out = []
-    for combo in itertools.product(*per_component):
-        out.append(ProjDirection(N, _combine_vectors(combo, N)))
-    return out
+    return [ProjDirection(N, tuple(rep)) for rep in _combine_components(per_component, N)]
 
 
 def _component_flats(q: int, p: int, n: int, k: int) -> Iterable[tuple[tuple[int, ...], ...]]:
@@ -204,9 +213,6 @@ def enumerate_grassmannian(ctx: RingContext, k: int, cap: int | None = None) -> 
         return [Flat(1, k, tuple((0,) * n for _ in range(k)), (0,) * n)]
     per_component = [list(_component_flats(p**r, p, n, k)) for p, r in ctx.factorization]
     zero = (0,) * n
-    out = []
-    for combo in itertools.product(*per_component):
-        gens = tuple(_combine_vectors([comp[i] for comp in combo], N) for i in range(k))
-        out.append(Flat(N, k, gens, zero))
-    return out
+    return [Flat(N, k, tuple(map(tuple, gens)), zero)
+            for gens in _combine_components(per_component, N)]
 

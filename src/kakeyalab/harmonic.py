@@ -15,10 +15,12 @@ every step under an int64 headroom check); the float lane uses numpy
 doubles and complexes, and numpy's FFT.  Every verification check runs
 in the exact lane; floats run only in the FFT round trip that
 plancherel holds beside the exact one, and in `transform --lane float`.
-The X-rays of xray_all (exact only, over tables.coset_plan), the u^perp
-masses and each axis pass of the exact transform sum over index rows
-through tables.blocked_sums; xray_transform, one direction in either
-lane, gathers that direction's row of the line table.  Where the bound
+The X-rays of xray_all (exact only, over tables.coset_plan: one p-adic
+tower of line sums per CRT component, never the whole line table), the
+u^perp masses and each axis pass of the exact transform sum over index
+rows through tables.blocked_sums; xray_transform, one direction in
+either lane, builds and gathers that direction's row of the line table
+alone (tables.coset_rows).  Where the bound
 that a headroom check computes is under 2**31 (_sum_dtype), the exact
 X-rays, coset maxima and transform passes gather and add int32, half the
 bytes; their results are int64 again.
@@ -430,13 +432,15 @@ def xray_transform(f: Density, u: ProjDirection) -> Density:
     """Pushforward of f to Q_u: f_u(y) = N**(-1) sum_t f(section(y) + t u),
     the X-ray of xray_all along u alone, in either lane.
 
-    The fibers are u's row of the line table, each gathered whole, so the
-    float sums are those of one whole gather.  Mass is conserved: integral
-    of f_u over Q_u equals integral of f.
+    The fibers are u's row of the line table, built for u alone
+    (tables.coset_rows) and each gathered whole, so the float sums are
+    those of one whole gather.  Mass is conserved: integral of f_u over
+    Q_u equals integral of f.
     """
     ctx = f.ctx
     N = ctx.modulus
-    fibers = tables.coset_table(ctx, 1)[0][tables.directions(ctx).index(u)]
+    u_index = tables.directions(ctx).index(u)
+    fibers = tables.coset_rows(ctx, tables.direction_matrix(ctx)[u_index, None, None])[0]
     if f.lane == "float":
         return Density(ctx.quotient(), data=f.data[..., fibers].sum(-1) / N)
     _check_headroom(_abs_max(f.num) * N)
@@ -449,8 +453,8 @@ def xray_all(f: Density):
     Returns (P, size/N) int64 numerators ((T, P, size/N) for a stack) over
     denominator den*N, under the headroom check, summed in int32 where that
     bound allows.  The lines of every direction are summed through
-    tables.coset_plan, one stage per CRT component, so a composite ring
-    never builds its line table.
+    tables.coset_plan, one p-adic tower per CRT component, so no ring
+    builds its line table here.
     """
     if f.lane != "exact":
         raise ValueError("xray_all is an exact-lane operation")
@@ -461,7 +465,7 @@ def xray_all(f: Density):
     Q = ctx.size // ctx.modulus
     sums = np.empty((len(rows),) + plan.flat_shape + (Q,), dtype=np.int64)
     for lo, block in tables.coset_sums(rows, plan):
-        sums[..., lo:lo + block.shape[len(plan.tables)], :] = plan.in_rank_order(block)
+        sums[..., lo:lo + block.shape[len(plan.towers)], :] = plan.in_rank_order(block)
     return sums.reshape(f.num.shape[:-1] + (-1, Q)), f.den * ctx.modulus
 
 

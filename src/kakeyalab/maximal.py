@@ -11,7 +11,8 @@ depends only on the coset of a, so each coset is summed once.  Two
 paths, one per job.  coset_maxima takes the largest coset sum per flat
 for a whole stack of exact rows (every X-ray of a density, say), through
 tables.coset_sums over tables.coset_plan, one CRT component of the
-modulus at a time; it is what the checks read.  The profiles of
+modulus at a time and one p-adic level of each component at a time; it is
+what the checks read.  The profiles of
 line_maximal, flat_maximal and f_star, and mweight, read one row over
 the whole coset table through tables.coset_argmax, which also gives the
 witness: the lexicographically least achieving shift, the least rank
@@ -65,7 +66,7 @@ class MaximalProfile:
 
 
 # Bytes of a chunk of rows, in the dtype of its sums, times the widest
-# stage of its coset plan (the row itself on a prime-power ring).  A tall
+# level of its coset plan (CosetPlan.width, at least the row itself).  A tall
 # stack gathered at once could take tens of GiB (the induced X-rays of
 # profinite(3,3) band 3 would take about 45 GiB).  Within a chunk,
 # tables.coset_sums picks the layout and tables.blocked_sums sizes the
@@ -83,15 +84,16 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, index: np.ndarray |
     coset_table order.
 
     The sums run a chunk of rows (about _CHUNK_BYTES) at a time through
-    tables.coset_sums over tables.coset_plan, one stage per CRT component,
-    in int32 where max|row| * N**k < 2**31.
+    tables.coset_sums over tables.coset_plan, one p-adic tower per CRT
+    component, in int32 where max|row| * N**k < 2**31: every partial sum
+    of a level is a sum over part of a coset, under the same bound.
     """
     if rows.dtype.kind != "i":
         raise TypeError("coset_maxima takes integer numerators")
     # the largest |row entry|, without an abs copy of the stack
     dtype = _sum_dtype(_abs_max(rows) * ctx.modulus**k)
     plan = tables.coset_plan(ctx, k)
-    m = len(plan.tables)
+    m = len(plan.towers)
     step = max(1, _CHUNK_BYTES // (dtype.itemsize * plan.width))
     best = np.empty((len(rows), math.prod(plan.flat_shape)), dtype=np.int64)
     for lo in range(0, len(rows), step):

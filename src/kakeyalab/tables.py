@@ -16,14 +16,17 @@ sums, the u^perp masses over perp_index, and the axis passes of the
 exact Fourier transform over their (N*N, N) pass index.  The coset sums
 have one path per job.  Stacks of exact rows (the X-rays and coset
 maxima of the checks) go through coset_sums over coset_plan, one CRT
-component q_c of N at a time over the small coset_table(generic(q_c, n),
-k), so the whole table is never built.  One row over the whole table,
-with the lex-least witnesses (the maximal profiles, mweight, certify),
-goes through coset_argmax, in either lane.  Allocations that scale with
-the ring are first checked against physical memory (check_memory).
+component q_c = p**ell of N at a time, each a p-adic tower of ell
+levels: the sums over the cosets of p**j U are read off the p**k sums
+over cosets of p**(j+1) U one level below, so the whole table is never
+built.  One row over the whole table, with the lex-least witnesses (the
+maximal profiles, mweight, certify), goes through coset_argmax, in either
+lane.  Allocations that scale with the ring are first checked against
+physical memory (check_memory).
 """
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -32,7 +35,7 @@ import numpy as np
 
 from .geometry import (EnumerationCapError, Flat, ProjDirection, enumerate_grassmannian,
                        enumerate_proj, gr_size)
-from .ring import RingContext, _crt_basis
+from .ring import RingContext, _crt_basis, factorize
 
 
 class TableMemoryError(EnumerationCapError):
@@ -110,6 +113,58 @@ def _rank_dtype(ctx: RingContext) -> np.dtype:
     return np.dtype(np.uint16 if ctx.size <= np.iinfo(np.uint16).max else np.int32)
 
 
+def _generators(ctx: RingContext, k: int) -> np.ndarray:
+    """(F, k, n) int64: the canonical generators of the k-flats of ctx, in
+    directions(ctx) order for k = 1 and flats(ctx, k) order above."""
+    if k == 1:
+        return direction_matrix(ctx)[:, None, :]
+    return np.array([f.generators for f in flats(ctx, k)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _placements(ctx: RingContext, k: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Per CRT component p**e of N, (p, placed): row m of placed is the
+    coordinate m of every quotient point of (Z/NZ)^(n-k), placed by the
+    component's idempotent, and its last row, zero, is read on pivots."""
+    N, n = ctx.modulus, ctx.dimension
+    quotient = _lex_grid(N, n - k)
+    zero = np.zeros((1, len(quotient)), dtype=np.int64)
+    return tuple((p, _freeze(np.vstack([(e * (quotient % q) % N).T, zero])))
+                 for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)))
+
+
+def coset_rows(ctx: RingContext, gens: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(B, size // N**k, N**k) ranks in _rank_dtype(ctx): the rows of
+    coset_table(ctx, k) of the flats with canonical generators gens
+    (B, k, n), written into out when it is given.
+
+    Coordinate by coordinate: section plus offset, reduced mod N by one
+    conditional subtract, folded into the rank by Horner's rule in the
+    table's own dtype.
+    """
+    N, n = ctx.modulus, ctx.dimension
+    k = gens.shape[1]
+    dtype = _rank_dtype(ctx)
+    Q = ctx.size // N**k
+    offsets = (_lex_grid(N, k) @ gens % N).astype(dtype)  # (B, N**k, n): the points of U
+    # column j of a flat reads row j - #(pivots before j) of each placed,
+    # and its last row on the pivots
+    sections = np.zeros((len(gens), n, Q), dtype=np.int64)
+    for p, placed in _placements(ctx, k):
+        pivot = ((gens % p != 0).argmax(axis=2)[:, :, None] == np.arange(n)).any(axis=1)
+        sections += placed[np.where(pivot, n - k, np.arange(n) - pivot.cumsum(axis=1))]
+    sections = (sections % N).astype(dtype)
+    if out is None:
+        out = np.empty((len(gens), Q, N**k), dtype=dtype)
+    out[...] = 0
+    for j in range(n):
+        c = sections[:, j, :, None] + offsets[:, None, :, j]
+        c -= (c >= N) * dtype.type(N)
+        out *= N
+        out += c
+    return out
+
+
 @lru_cache(maxsize=None)
 def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every coset a + U of every k-flat U through the origin, once.
@@ -129,9 +184,7 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     X-ray reads the table directly.
 
     The rows are built a block of flats (about _BLOCK_BYTES of ranks) at a
-    time, one coordinate at a time: section plus offset, reduced mod N by
-    one conditional subtract, folded into the rank by Horner's rule in the
-    table's own dtype.  A table of more bytes (itemsize * F * size) than
+    time by coset_rows.  A table of more bytes (itemsize * F * size) than
     the machine's physical memory raises TableMemoryError before anything
     is enumerated.
     """
@@ -141,35 +194,12 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     dtype = _rank_dtype(ctx)
     F = gr_size(N, n, k)
     check_memory(dtype.itemsize * F * ctx.size)
-    if k == 1:
-        gens = direction_matrix(ctx)[:, None, :]  # (F, k, n)
-    else:
-        gens = np.array([f.generators for f in flats(ctx, k)], dtype=np.int64)
-    lex, quotient = _lex_grid(N, k), _lex_grid(N, n - k)
-    Q = len(quotient)
-    # per CRT component p**e: row m is the quotient coordinate m placed by
-    # the idempotent; column j reads row j - #(pivots before j) off the
-    # pivots and the last row, zero, on them
-    parts = [(p, np.vstack([(e * (quotient % q) % N).T, np.zeros((1, Q), dtype=np.int64)]))
-             for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N))]
-    table = np.empty((F, Q, N**k), dtype=dtype)
-    least = np.empty((F, Q), dtype=dtype)
+    gens = _generators(ctx, k)
+    table = np.empty((F, ctx.size // N**k, N**k), dtype=dtype)
+    least = np.empty(table.shape[:2], dtype=dtype)
     step = max(1, _BLOCK_BYTES // (dtype.itemsize * ctx.size))
     for lo in range(0, F, step):
-        g = gens[lo:lo + step]
-        offsets = (lex @ g % N).astype(dtype)  # (B, N**k, n): the points of U
-        sections = np.zeros((len(g), n, Q), dtype=np.int64)
-        for p, placed in parts:
-            pivot = ((g % p != 0).argmax(axis=2)[:, :, None] == np.arange(n)).any(axis=1)
-            sections += placed[np.where(pivot, n - k, np.arange(n) - pivot.cumsum(axis=1))]
-        sections = (sections % N).astype(dtype)
-        out = table[lo:lo + step]
-        out[...] = 0
-        for j in range(n):
-            c = sections[:, j, :, None] + offsets[:, None, :, j]
-            c -= (c >= N) * dtype.type(N)
-            out *= N
-            out += c
+        out = coset_rows(ctx, gens[lo:lo + step], table[lo:lo + step])
         least[lo:lo + step] = out.min(axis=2)
     return _freeze(table), _freeze(least)
 
@@ -177,11 +207,22 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
 # Bytes that one block of work holds: the intp index and gathered values
 # of a block of blocked_sums, the shifted coefficients of a block of
 # harmonic.Spectrum.correlations, a block of harmonic.power_sum's Python
-# ints, the ranks of a block of flats that coset_table builds, and the
-# widest stack of a chunk of trials of the spectral checks in verify.
+# ints, the ranks of a block of flats that coset_table builds or of a
+# tower level, and the widest stack of a chunk of trials of the spectral
+# checks in verify.
 # Gathered whole on generic(30,3), the line-table X-ray would take 610 MB;
 # blocks of 4 MB ran the exact X-ray of padic(5,2,3) about 3x slower.
 _BLOCK_BYTES = 1 << 18
+
+
+# Integer rows whose index rows hold at most this many entries are summed
+# by blocked_sums one index slab at a time.  On the p**k = 2 and 3 entries
+# of the tower levels of padic(2,3,3) and padic(3,2,3) lines, 1 to 8 rows
+# (1 core), slabs ran 1.1-2.5x faster than einsum; on the 5 to 9 entries
+# of padic(5,2,3) lines and padic(3,2,3) planes, and on the small whole
+# tables of the profiles and certify, einsum ran as fast or up to 2.4x
+# faster.
+_SLAB_ENTRIES = 4
 
 
 def blocked_sums(values: np.ndarray, index: np.ndarray, rows: bool = False):
@@ -193,15 +234,28 @@ def blocked_sums(values: np.ndarray, index: np.ndarray, rows: bool = False):
     (R, size) rows with rows set, or an (size, r) stack of slabs.  Each
     row is gathered whole per block and reduced by einsum for integers and
     .sum for floats, so float sums are bit for bit those of one whole
-    gather: sums is (R, block, ...).  An (size, r) stack is added one index
-    slab index[..., j] at a time, each gathered point copying its r
-    contiguous values: sums is (block, ..., r).
+    gather: sums is (R, block, ...).  Integer rows with at most
+    _SLAB_ENTRIES entries per index row are added one index slab at a
+    time instead, the block converted slab-major.  An (size, r) stack is
+    added one index slab index[..., j] at a time, each gathered point
+    copying its r contiguous values: sums is (block, ..., r).
     """
     m = index.shape[-1]
     width = 1 if rows else values.shape[1]
     step = max(1, _BLOCK_BYTES // (8 * (index[0].size // m) * max(m, width)))
-    add_up = partial(np.einsum, "...j->...") if values.dtype.kind == "i" else partial(np.sum, axis=-1)
+    integer = values.dtype.kind == "i"
+    slabs = rows and integer and m <= _SLAB_ENTRIES
+    add_up = partial(np.einsum, "...j->...") if integer else partial(np.sum, axis=-1)
     for lo in range(0, len(index), step):
+        if slabs:
+            t = np.ascontiguousarray(np.moveaxis(index[lo:lo + step], -1, 0), dtype=np.intp)
+            sums = np.empty((len(values),) + t.shape[1:], dtype=values.dtype)
+            for row, out in zip(values, sums):
+                np.take(row, t[0], out=out)
+                for slab in t[1:]:
+                    out += row[slab]
+            yield lo, sums
+            continue
         t = index[lo:lo + step].astype(np.intp)
         if rows:
             sums = np.empty((len(values),) + t.shape[:-1], dtype=values.dtype)
@@ -231,24 +285,115 @@ def coset_argmax(values: np.ndarray, ctx: RingContext, k: int) -> tuple[np.ndarr
     return best, row
 
 
-class CosetPlan(NamedTuple):
-    """How coset_sums reads the cosets of a ring's k-flats: one stage per
-    CRT component q_c of N, m stages in all.  tables[c] is the (F_c, Q_c,
-    q_c**k) coset table of component c, a whole coset_table for one stage;
-    width is the most entries per row that a stage reads.  points[i] is the
-    rank of the point whose component ranks, in product order over
-    (q_1**n, ..., q_m**n), make up i; quotient[c][y] is the rank in
-    (Z/q_c)^(n-k) of component c of the quotient point of rank y.  Both
-    are None for one stage."""
+def _tower_shape(q: int, n: int, k: int) -> list[tuple[int, int, np.dtype]]:
+    """(F_j, C_j, dtype) of the levels j = ell - 1, ..., 0 of the tower of
+    the k-flats of (Z/qZ)^n, q = p**ell: F_j = |Gr((Z/p**(ell-j))^n, k)|
+    flats of C_j = q**n / p**(k (ell-j)) cosets, indexed in the smallest
+    dtype that holds the F_(j+1) * C_(j+1) sums of the level below (the q**n
+    points below level ell - 1)."""
+    ((p, ell),) = factorize(q)
+    below, shape = q**n, []
+    for m in range(1, ell + 1):
+        F, C = gr_size(p**m, n, k), q**n // p**(k * m)
+        shape.append((F, C, np.min_scalar_type(below - 1)))
+        below = F * C
+    return shape
 
-    tables: tuple[np.ndarray, ...]
+
+def _place_values(radix: np.ndarray) -> np.ndarray:
+    """(F, n) place values of F mixed radices (F, n), the last digit least."""
+    place = np.ones_like(radix)
+    place[:, :-1] = np.cumprod(radix[:, :0:-1], axis=1)[:, ::-1]
+    return place
+
+
+def _tower(gens: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
+    """The levels, from the points up, of coset_sums over the k-flats of
+    (Z/qZ)^n, q = p**ell, whose canonical generators are gens (F, k, n).
+
+    Level j = ell - 1, ..., 0 is (F_j, C_j, p**k) (see _tower_shape): its
+    flats are the reductions V of the flats U mod p**(ell-j), and the sum
+    over a coset c of p**j V is the sum of the p**k sums over the cosets
+    c + p**j s g_V + p**(j+1) V, s in (Z/p)^k, of the level below, whose
+    flat is V mod p**(ell-j-1).  A coset of p**j V is indexed by its
+    canonical representative read in mixed radix: pivot coordinates in
+    [0, p**j), the others in Z/q.  Since c + p**j s g_V has pivot
+    coordinates c_i + p**j s_i < p**(j+1), it is already the representative
+    of its coset below; the entry is that coset's index plus C_(j+1) times
+    its flat's.  Level 0 is U itself in gens order, its cosets the quotient
+    points y, section(y) in coset_table's chart; level ell is the points.
+    Level j > 0 keeps its flats in the order np.unique sorts the bytes of
+    their reduced generators.
+    """
+    F, k, n = gens.shape
+    ((p, ell),) = factorize(q)
+    pivots = (gens % p != 0).argmax(axis=2)  # (F, k), ascending
+    steps = _lex_grid(p, k)  # s in (Z/p)^k
+    # per m, the level-m flat of each flat of gens and one flat of gens per level-m flat
+    member, first = [np.zeros(F, dtype=np.intp)], [np.zeros(1, dtype=np.intp)]
+    for m in range(1, ell):
+        reduced = gens.reshape(F, -1) % p**m
+        keys = reduced.view(np.dtype((np.void, reduced.itemsize * k * n))).ravel()  # a row's bytes
+        _, rep, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        member.append(inverse)
+        first.append(rep)
+    member.append(np.arange(F))
+    first.append(np.arange(F))
+    levels = []
+    for m, (Fm, C, dtype) in enumerate(_tower_shape(q, n, k), start=1):
+        j = ell - m
+        rep = first[m]
+        below = q**n // p**(k * (m - 1))  # cosets per flat below
+        # per pivot pattern: the digits of every representative here (pivot
+        # digits in [0, p**j)) and the place values of the digits below
+        codes = (1 << pivots[rep]).sum(axis=1)  # each flat's pivot columns as a bit mask
+        patterns = np.flatnonzero(np.bincount(codes))  # np.unique would import numpy.ma
+        pivot = (patterns[:, None] >> np.arange(n)) & 1 == 1
+        radix = np.where(pivot, p**j, q)
+        digits = np.arange(C) // _place_values(radix)[:, :, None] % radix[:, :, None]
+        weights = _place_values(np.where(pivot, p**(j + 1), q))
+        base = (digits * weights[:, :, None]).sum(axis=1)  # the index below of c itself
+        which = np.searchsorted(patterns, codes)
+        level = np.empty((Fm, C, p**k), dtype=dtype)
+        step = max(1, _BLOCK_BYTES // (8 * C * p**k))
+        for lo in range(0, Fm, step):
+            flats, pat = rep[lo:lo + step], which[lo:lo + step]
+            offsets = p**j * (steps @ gens[flats]) % q  # (B, p**k, n)
+            w = weights[pat]
+            # linear in the digits of c + p**j s g but for each coordinate
+            # that wraps past q, which no pivot does; (B, p**k, C), the long
+            # axis last
+            ids = ((member[m - 1][flats] * below)[:, None] + base[pat])[:, None, :]
+            ids = ids + (offsets * w[:, None, :]).sum(axis=2)[:, :, None]
+            for col in np.flatnonzero(~pivot[pat].all(axis=0)):
+                ids -= (digits[pat, col][:, None, :] >= q - offsets[:, :, col, None]) * (
+                    q * w[:, col, None, None])
+            level[lo:lo + step] = ids.transpose(0, 2, 1)
+        levels.append(_freeze(level))
+    return tuple(levels)
+
+
+class CosetPlan(NamedTuple):
+    """How coset_sums reads the cosets of a ring's k-flats: one p-adic
+    tower per CRT component q_c = p**ell of N, m towers in all.
+    towers[c] holds the ell levels of component c, from the points up
+    (see _tower): level ell - 1 reads the q_c**n points, each level above
+    reads the sums of the level below, and level 0, (F_c, Q_c, p**k), gives
+    the sums over the cosets of component c's flats.  width is the most
+    sums per row that coset_sums holds at once: an intermediate level can
+    hold more than the ring has points.  points[i] is the rank of the point
+    whose component ranks, in product order over (q_1**n, ..., q_m**n),
+    make up i; quotient[c][y] is the rank in (Z/q_c)^(n-k) of component c
+    of the quotient point of rank y.  Both are None for one component."""
+
+    towers: tuple[tuple[np.ndarray, ...], ...]
     width: int
     points: np.ndarray | None = None
     quotient: tuple[np.ndarray, ...] | None = None
 
     @property
     def flat_shape(self) -> tuple[int, ...]:
-        return tuple(len(t) for t in self.tables)
+        return tuple(len(t[-1]) for t in self.towers)
 
     def in_rank_order(self, sums: np.ndarray) -> np.ndarray:
         """Coset sums (..., Q_1, ..., Q_m), as coset_sums yields them, as
@@ -258,10 +403,11 @@ class CosetPlan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def coset_plan(ctx: RingContext, k: int) -> CosetPlan:
-    """The plan of coset_sums for the k-flats of ctx: one stage per CRT
-    component q_c of N, in ctx.factorization order, over
-    coset_table(RingContext.generic(q_c, n), k); one stage over
-    coset_table(ctx, k) on a prime-power ring.
+    """The plan of coset_sums for the k-flats of ctx: one tower per CRT
+    component q_c of N, in ctx.factorization order, over the flats of
+    RingContext.generic(q_c, n) (of ctx itself on a prime-power ring).  No
+    coset_table is built.  Towers of more bytes in all than the machine's
+    physical memory raise TableMemoryError before any level is allocated.
 
     Flat f of the plan is flat f of coset_table: a flat is one flat per
     component, and enumerate_proj and enumerate_grassmannian list them in
@@ -270,62 +416,95 @@ def coset_plan(ctx: RingContext, k: int) -> CosetPlan:
     section places each component of y on that component's non-pivots.
     """
     N, n = ctx.modulus, ctx.dimension
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
     basis = _crt_basis(N)
+    shapes = [_tower_shape(q, n, k) for q, _ in basis]
+    check_memory(sum(dtype.itemsize * F * C * p**k for (p, _), shape in zip(ctx.factorization, shapes)
+                     for F, C, dtype in shape))
+    towers = tuple(_tower(_generators(RingContext.generic(q, n) if len(basis) > 1 else ctx, k), q)
+                   for q, _ in basis)
+    held, sizes = ctx.size, []
+    for tower in towers:  # each level reads what the levels before it left
+        below = tower[0].shape[1] * tower[0].shape[2]
+        for level in tower:
+            held = held // below * level.shape[0] * level.shape[1]
+            below = level.shape[0] * level.shape[1]
+            sizes.append(held)
+    width = max([ctx.size] + sizes[:-1])  # the last level is read a block of flats at a time
     if len(basis) == 1:
-        return CosetPlan((coset_table(ctx, k)[0],), ctx.size)
-    stages = tuple(coset_table(RingContext.generic(q, n), k)[0] for q, _ in basis)
+        return CosetPlan(towers, width)
     m = len(basis)
     coords = sum(e * _lex_grid(q, n).reshape((1,) * c + (-1,) + (1,) * (m - 1 - c) + (n,))
                  for c, (q, e) in enumerate(basis))  # the point sum_c e_c x_c
     points = _freeze(rank_points(coords.reshape(-1, n) % N, ctx))
     quotient = tuple(_freeze((_lex_grid(N, n - k) % q) @ q ** np.arange(n - k - 1, -1, -1))
                      for q, _ in basis)
-    held = width = ctx.size
-    for t in stages[:-1]:  # stage c reads what the stages before it left
-        held = held // (t.shape[1] * t.shape[2]) * t.shape[0] * t.shape[1]
-        width = max(width, held)
-    return CosetPlan(stages, width, points, quotient)
+    return CosetPlan(towers, width, points, quotient)
 
 
-# On a one-stage plan coset_sums reads fewer rows than this row-major, more
-# point-major.  Timed in maximal.coset_maxima (medians of 15, 2 cores,
-# generic(12,3) k=1, padic(3,2,3) k=2, padic(5,3,2) k=1, padic(2,3,3) k=1
-# and 2), row-major ran 2-9x faster at 2-4 rows and point-major 1.2-1.7x
-# faster at 24-32; they crossed at 10-20 rows, lowest on generic(12,3).
-# The int32 X-rays of padic(2,3,3), (3,2,3) and (5,2,3) cross at 12 too.
+# On a one-component plan coset_sums reads fewer rows than this row-major,
+# more point-major.  Timed on the towers in maximal.coset_maxima (medians
+# of 15, one pinned core), the two crossed at 4-8 rows on padic(2,3,3)
+# and padic(3,2,3) k=2, padic(3,3,2) and padic(5,3,2) k=1 and the int32
+# X-rays of padic(5,2,3), at 8-12 on padic(2,3,3) k=1, and at 12-16 on
+# padic(3,2,3) and padic(2,4,3) k=1.  Row-major ran 2-5x faster at 2
+# rows, point-major 2-4x faster at 32.
 _POINT_MAJOR_ROWS = 12
 
 
-def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = None):
-    """Yield (lo, sums) per block of flats lo, lo + 1, ... of the last stage
-    of plan: sums is a view (R, F_1, ..., F_(m-1), block, Q_1, ..., Q_m) of
-    the coset sums of each row of rows (R, size), in rows' dtype.  With an
-    index, row r is read as rows[r, index], a pull-back.
+def _level_sums(data: np.ndarray, level: np.ndarray, rows: bool) -> np.ndarray:
+    """Every sum of one level of a tower, flats and cosets flattened: (R,
+    F * C) from (R, below) rows, or (F * C, r) from a (below, r) stack."""
+    if rows:
+        out = np.empty((len(data),) + level.shape[:2], dtype=data.dtype)
+        for lo, sums in blocked_sums(data, level, rows=True):
+            out[:, lo:lo + sums.shape[1]] = sums
+        return out.reshape(len(data), -1)
+    out = np.empty(level.shape[:2] + data.shape[1:], dtype=data.dtype)
+    for lo, sums in blocked_sums(data, level):
+        out[lo:lo + len(sums)] = sums
+    return out.reshape(-1, data.shape[1])
 
-    The row is read in CRT order, as (q_1**n, ..., q_m**n, R).  Stage c is
-    one slab-path blocked_sums over its leading axis of q_c**n points, so
-    every later component and the rows are its columns, one copy of each
-    gathered point; its (F_c, Q_c) then move behind them, for stage c + 1.
-    A one-stage plan of fewer than _POINT_MAJOR_ROWS rows takes the rows
-    path instead, each row gathered whole.
+
+def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = None):
+    """Yield (lo, sums) per block of flats lo, lo + 1, ... of the last
+    component of plan: sums is a view (R, F_1, ..., F_(m-1), block, Q_1,
+    ..., Q_m) of the coset sums of each row of rows (R, size), in rows'
+    dtype.  With an index, row r is read as rows[r, index], a pull-back.
+
+    The row is read in CRT order, as (q_1**n, ..., q_m**n, R).  Each level
+    of component c's tower is one slab-path blocked_sums over the leading
+    axis, so every later component and the rows are its columns, one copy
+    of each gathered point; after its level 0, (F_c, Q_c) move behind them,
+    for component c + 1.  Every level but the last is summed whole; the
+    last is yielded a block of flats at a time.  A one-component plan of
+    fewer than _POINT_MAJOR_ROWS rows takes the rows path instead, each row
+    gathered whole at each level.
     """
-    *lead, last = plan.tables
-    if not lead and len(rows) < _POINT_MAJOR_ROWS:
+    *lead, last = plan.towers
+    row_major = not lead and len(rows) < _POINT_MAJOR_ROWS
+    if row_major:
         data = rows if index is None else rows[:, index]
-        yield from blocked_sums(data, last, rows=True)
+    else:
+        points = index if plan.points is None else plan.points if index is None else index[plan.points]
+        data = np.ascontiguousarray((rows if points is None else rows[:, points]).T)
+        for tower in lead:
+            data = data.reshape(tower[0].shape[1] * tower[0].shape[2], -1)
+            for level in tower:
+                data = _level_sums(data, level, False)
+            data = data.T
+        data = data.reshape(last[0].shape[1] * last[0].shape[2], -1)
+    for level in last[:-1]:
+        data = _level_sums(data, level, row_major)
+    top = last[-1]
+    if row_major:
+        yield from blocked_sums(data, top, rows=True)
         return
-    points = index if plan.points is None else plan.points if index is None else index[plan.points]
-    data = np.ascontiguousarray((rows if points is None else rows[:, points]).T)
-    for table in lead:
-        values = data.reshape(table.shape[1] * table.shape[2], -1)
-        out = np.empty(table.shape[:2] + values.shape[1:], dtype=values.dtype)
-        for lo, sums in blocked_sums(values, table):
-            out[lo:lo + len(sums)] = sums
-        data = out.reshape(-1, values.shape[1]).T
-    m = len(plan.tables)
-    raw = (-1, last.shape[1], len(rows)) + tuple(s for t in lead for s in t.shape[:2])
+    m = len(plan.towers)
+    raw = (-1, top.shape[1], len(rows)) + tuple(s for t in lead for s in t[-1].shape[:2])
     axes = (2, *range(3, 2 * m + 1, 2), 0, *range(4, 2 * m + 1, 2), 1)
-    for lo, sums in blocked_sums(data.reshape(last.shape[1] * last.shape[2], -1), last):
+    for lo, sums in blocked_sums(data, top):
         yield lo, sums.reshape(raw).transpose(axes)
 
 

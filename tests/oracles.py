@@ -15,7 +15,7 @@ import numpy as np
 
 from kakeyalab import tables
 from kakeyalab.cyclotomic import reduce_mod_cyclotomic, reduction_matrix
-from kakeyalab.geometry import Flat, ProjDirection
+from kakeyalab.geometry import Flat, ProjDirection, _component_directions, _component_flats
 from kakeyalab.harmonic import (Density, Spectrum, band_constant, band_project,
                                 band_valuation_sets, fourier_forward, fourier_inverse,
                                 power_sum, xray_all, xray_l2_spectral, xray_transform)
@@ -173,6 +173,25 @@ def chart_section(u: ProjDirection, y: Sequence[int], ctx) -> tuple[int, ...]:
         comps.append(lifted)
     return tuple(crt_combine_scalar([c[i] for c in comps], ctx.modulus)
                  for i in range(ctx.dimension))
+
+
+def enumerate_proj_per_coordinate(ctx) -> list[ProjDirection]:
+    """geometry.enumerate_proj with the CRT components combined one
+    coordinate at a time by crt_combine_scalar."""
+    N, n = ctx.modulus, ctx.dimension
+    per_component = [list(_component_directions(p**r, p, n)) for p, r in ctx.factorization]
+    return [ProjDirection(N, tuple(crt_combine_scalar([c[i] for c in combo], N) for i in range(n)))
+            for combo in itertools.product(*per_component)]
+
+
+def enumerate_grassmannian_per_coordinate(ctx, k: int) -> list[Flat]:
+    """geometry.enumerate_grassmannian with the CRT components combined one
+    coordinate at a time by crt_combine_scalar."""
+    N, n = ctx.modulus, ctx.dimension
+    per_component = [list(_component_flats(p**r, p, n, k)) for p, r in ctx.factorization]
+    return [Flat(N, k, tuple(tuple(crt_combine_scalar([c[row][i] for c in combo], N)
+                                   for i in range(n)) for row in range(k)), (0,) * n)
+            for combo in itertools.product(*per_component)]
 
 
 def coset_table_per_flat(ctx, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ from kakeyalab import tables
 from kakeyalab.geometry import (EnumerationCapError, Flat, canonical_direction,
                                 enumerate_grassmannian, enumerate_proj, gr_size, proj_size)
 from kakeyalab.ring import RingContext, factorize
-from oracles import flat_points, lift_points
+from oracles import (enumerate_grassmannian_per_coordinate, enumerate_proj_per_coordinate,
+                     flat_points, lift_points)
 
 
 def brute_force_directions(N, n):
@@ -139,6 +140,23 @@ class TestGrassmannian:
         flats = enumerate_grassmannian(ctx, 2)
         point_sets = {flat_points(F) for F in flats}
         assert len(point_sets) == len(flats)
+
+
+class TestCombinedEnumeration:
+    """The CRT components combined by one array product, against the
+    per-coordinate combination."""
+
+    @pytest.mark.parametrize("ctx", [RingContext.padic(2, 3, 3), RingContext.generic(12, 3),
+                                     RingContext.generic(30, 2), RingContext.profinite(3, 2)],
+                             ids=lambda c: c.describe())
+    def test_equals_per_coordinate_oracle(self, ctx):
+        dirs = enumerate_proj(ctx)
+        assert dirs == enumerate_proj_per_coordinate(ctx)
+        assert all(type(c) is int for d in dirs for c in d.rep)
+        for k in range(1, ctx.dimension + 1):
+            got = enumerate_grassmannian(ctx, k)
+            assert got == enumerate_grassmannian_per_coordinate(ctx, k)
+            assert all(type(c) is int for f in got for g in f.generators for c in g)
 
 
 class TestFlatPoints:

@@ -388,6 +388,21 @@ class TestXray:
                 assert fu.ctx == ctx.quotient() and fu.lane == "float"
                 assert np.array_equal(fu.data, f.data[..., fibers].sum(-1) / N)
 
+    @pytest.mark.parametrize("ctx", [RingContext.padic(2, 2, 3), RingContext.generic(12, 2)],
+                             ids=lambda c: c.describe())
+    def test_xray_transform_builds_only_its_direction(self, ctx):
+        # a cold call adds no coset_table entry, and its fibers are the
+        # line table's row of u bit for bit, in both lanes
+        N = ctx.modulus
+        tables.coset_table.cache_clear()
+        f = random_density(ctx, seed=51)
+        g = Density.from_float(ctx, np.random.default_rng(51).normal(size=(3, ctx.size)))
+        got = [(xray_transform(f, u), xray_transform(g, u)) for u in tables.directions(ctx)]
+        assert tables.coset_table.cache_info().currsize == 0
+        for (fu, gu), fibers in zip(got, tables.coset_table(ctx, 1)[0]):
+            assert fu.values() == tuple(Fraction(int(v), f.den * N) for v in f.num[fibers].sum(-1))
+            assert np.array_equal(gu.data, g.data[..., fibers].sum(-1) / N)
+
     def test_xray_all_is_exact_only(self):
         with pytest.raises(ValueError, match="exact-lane"):
             xray_all(random_density(RingContext.padic(2, 2, 2), seed=49).to_float())

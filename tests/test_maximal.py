@@ -15,6 +15,8 @@ import kakeyalab.maximal as maximal
 from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
                                f_star, flat_maximal, line_maximal, maxN_constant,
                                mweight, rounding_g)
+from kakeyalab.cli import main
+from kakeyalab.geometry import gr_size
 from kakeyalab.ring import RingContext
 from kakeyalab.verify import DISTRIBUTIONS, corpus_rings, random_density
 from oracles import coset_table_per_flat, flat_points, mweight_lines, projmax_identity_check
@@ -427,6 +429,17 @@ STAGED_RINGS = [RingContext.generic(6, 2), RingContext.generic(12, 2), RingConte
                 RingContext.generic(30, 2)]
 
 
+# p-adic towers of one to four levels, alone and beside other components
+TOWER_RINGS = [RingContext.padic(2, 2, 2), RingContext.padic(2, 3, 3), RingContext.padic(3, 2, 3),
+               RingContext.padic(3, 3, 2), RingContext.padic(2, 4, 2), RingContext.padic(2, 2, 4),
+               RingContext.profinite(3, 2), RingContext.generic(12, 3)]
+
+
+def tower_ks(ctx):
+    """k = 1, 2 and min(n, 3)."""
+    return sorted({1, 2, min(ctx.dimension, 3)})
+
+
 def one_table_sums(rows, ctx, k):
     """(R, F, cosets) Python-int sums of rows over the whole coset table."""
     return np.asarray(rows, dtype=object)[:, tables.coset_table(ctx, k)[0]].sum(axis=-1)
@@ -438,14 +451,28 @@ def staged_rows(ctx, count, seed):
     return rng.integers(-60, 61, (count, ctx.size)) * (1 + np.arange(count))[:, None] ** 3
 
 
+def plan_sums(rows, ctx, k):
+    """(R, F, cosets) coset sums of rows through coset_sums, in rank order."""
+    plan = tables.coset_plan(ctx, k)
+    got = np.empty((len(rows), math.prod(plan.flat_shape), ctx.size // ctx.modulus**k),
+                   dtype=object)
+    view = got.reshape((len(rows),) + plan.flat_shape + got.shape[-1:])
+    for lo, sums in tables.coset_sums(rows, plan):
+        view[..., lo:lo + sums.shape[len(plan.towers)], :] = plan.in_rank_order(sums)
+    return got
+
+
 class TestCosetPlan:
-    """Coset sums one CRT component at a time against the whole coset table."""
+    """Coset sums one CRT component at a time, each a p-adic tower of
+    levels, against the whole coset table."""
 
     @pytest.mark.parametrize("ctx", STAGED_RINGS, ids=lambda c: c.describe())
     def test_one_stage_per_component(self, ctx):
+        # one tower per component p**e, its level j holding the lines of
+        # (Z/p**(e-j))^n: level 0 those of the component
         plan = tables.coset_plan(ctx, 1)
-        assert [len(t) for t in plan.tables] == [
-            len(tables.directions(RingContext.generic(p**e, ctx.dimension)))
+        assert [[len(level) for level in tower] for tower in plan.towers] == [
+            [len(tables.directions(RingContext.generic(p**m, ctx.dimension))) for m in range(1, e + 1)]
             for p, e in ctx.factorization]
         assert math.prod(plan.flat_shape) == len(tables.directions(ctx))
         assert sorted(plan.points.tolist()) == list(range(ctx.size))
@@ -455,13 +482,7 @@ class TestCosetPlan:
         # coset by coset, flat by flat, for k = 1, 2 and n
         rows = staged_rows(ctx, 3, 80)
         for k in sorted({1, 2, ctx.dimension}):
-            plan = tables.coset_plan(ctx, k)
-            want = one_table_sums(rows, ctx, k)
-            got = np.empty(want.shape, dtype=object)
-            view = got.reshape((len(rows),) + plan.flat_shape + want.shape[-1:])
-            for lo, sums in tables.coset_sums(rows, plan):
-                view[..., lo:lo + sums.shape[len(plan.tables)], :] = plan.in_rank_order(sums)
-            assert got.tolist() == want.tolist()
+            assert plan_sums(rows, ctx, k).tolist() == one_table_sums(rows, ctx, k).tolist()
 
     @pytest.mark.parametrize("ctx", STAGED_RINGS, ids=lambda c: c.describe())
     def test_maxima_and_xrays(self, ctx):
@@ -527,7 +548,8 @@ class TestCosetPlan:
                 with pytest.raises(OverflowError):
                     xray_all(Density(ctx, num=rows, den=[1, 1]))
 
-    @pytest.mark.parametrize("ctx", [RingContext.generic(6, 2), RingContext.padic(2, 1, 2)],
+    @pytest.mark.parametrize("ctx", [RingContext.generic(6, 2), RingContext.padic(2, 1, 2),
+                                     RingContext.padic(2, 3, 2), RingContext.profinite(3, 2)],
                              ids=lambda c: c.describe())
     def test_int32_lane_at_its_bound(self, monkeypatch, ctx):
         # max|row| * N**k just under 2**31 sums in int32, just over in int64;
@@ -569,6 +591,114 @@ class TestCosetPlan:
         # the profiles, one row with witnesses, read the whole table
         with pytest.raises(AssertionError):
             line_maximal(Density(ctx, num=rows[0], den=1))
+
+    @pytest.mark.parametrize("ctx", TOWER_RINGS, ids=lambda c: c.describe())
+    def test_tower_levels(self, ctx):
+        # level j of component p**e holds the k-flats of (Z/p**(e-j))^n and
+        # their cosets of p**j U, p**k sums below each, indexed in the
+        # smallest dtype that holds the level below; a one-level tower is
+        # the whole coset table of its component
+        n = ctx.dimension
+        for k in tower_ks(ctx):
+            plan = tables.coset_plan(ctx, k)
+            for tower, (p, e) in zip(plan.towers, ctx.factorization):
+                below = p**(e * n)
+                for m, level in enumerate(tower, start=1):
+                    F, C = gr_size(p**m, n, k), p**(e * n - k * m)
+                    assert level.shape == (F, C, p**k) and not level.flags.writeable
+                    assert level.dtype == np.min_scalar_type(below - 1)
+                    assert level.min() >= 0 and level.max() == below - 1
+                    below = F * C
+                if e == 1:
+                    want = tables.coset_table(RingContext.generic(p, n), k)[0]
+                    assert np.array_equal(tower[0], want)
+            if len(plan.towers) == 1:  # an intermediate level may hold more sums than points
+                (tower,) = plan.towers
+                assert plan.width == max([ctx.size] + [len(t) * t.shape[1] for t in tower[:-1]])
+
+    @pytest.mark.parametrize("ctx", TOWER_RINGS, ids=lambda c: c.describe())
+    def test_tower_sums_in_rank_order(self, monkeypatch, ctx):
+        # flat by flat and coset by coset, both layouts, at 1, 11, 12 and
+        # 40 rows: the staged sums are the whole table's Python-int sums
+        rows = staged_rows(ctx, 40, 85)
+        for k in tower_ks(ctx):
+            want = one_table_sums(rows, ctx, k).tolist()
+            for R, threshold in itertools.product((1, 11, 12, 40), (1, 41)):
+                monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
+                assert plan_sums(rows[:R], ctx, k).tolist() == want[:R]
+
+    @pytest.mark.parametrize("ctx", TOWER_RINGS, ids=lambda c: c.describe())
+    def test_tower_maxima_and_xrays_in_small_pieces(self, monkeypatch, ctx):
+        # one flat per block, chunks of one row and of three, either layout
+        rows = staged_rows(ctx, 13, 86)
+        maxima = {k: one_table_sums(np.abs(rows), ctx, k).max(axis=-1).tolist()
+                  for k in tower_ks(ctx)}
+        xrays = one_table_sums(rows, ctx, 1).tolist()
+        width = tables.coset_plan(ctx, 1).width
+        for chunk_rows, block, threshold in itertools.product((1, 3), (1, 1 << 30), (1, 14)):
+            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 4 * width * chunk_rows)
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
+            for k, want in maxima.items():
+                assert coset_maxima(rows, ctx, k).tolist() == want
+            assert xray_all(Density(ctx, num=rows, den=[1] * 13))[0].tolist() == xrays
+
+    @pytest.mark.parametrize("ctx", [RingContext.padic(2, 2, 2), RingContext.padic(3, 3, 2),
+                                     RingContext.profinite(3, 2)], ids=lambda c: c.describe())
+    def test_tower_index_pull_back(self, monkeypatch, ctx):
+        # rows pulled back to M = p N through an index, either layout
+        M = ctx.factorization[0][0] * ctx.modulus
+        rows = staged_rows(ctx, 5, 87)
+        mctx, index, gaps = induce_rows(rows, ctx, M)
+        assert not gaps.any() and mctx.modulus == M
+        for k, threshold in itertools.product((1, 2), (1, 6)):
+            monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
+            got = coset_maxima(rows, mctx, k, index=index).tolist()
+            assert got == one_table_sums(np.abs(rows[:, index]), mctx, k).max(axis=-1).tolist()
+
+    @pytest.mark.parametrize("ctx", [RingContext.padic(2, 3, 3), RingContext.padic(3, 2, 3),
+                                     RingContext.padic(2, 4, 2)], ids=lambda c: c.describe())
+    def test_prime_power_rings_never_build_the_whole_table(self, monkeypatch, ctx):
+        # neither on the ring nor on its pull-back to p N
+        N, n = ctx.modulus, ctx.dimension
+        rows = staged_rows(ctx, 3, 88)
+        mctx, index, _ = induce_rows(rows, ctx, ctx.factorization[0][0] * N)
+
+        def refuse(c, k, _real=tables.coset_table):
+            if c in (ctx, mctx):
+                raise AssertionError("the whole coset table was asked for")
+            return _real(c, k)
+
+        tables.coset_plan.cache_clear()
+        monkeypatch.setattr(tables, "coset_table", refuse)
+        for k in range(1, n + 1):
+            assert coset_maxima(rows, ctx, k).shape == (3, len(tables.flats(ctx, k)))
+            assert coset_maxima(rows, mctx, k, index=index).shape == (3, len(tables.flats(mctx, k)))
+        assert xray_all(Density(ctx, num=rows, den=[1, 1, 1]))[0].shape == (
+            3, len(tables.directions(ctx)), ctx.size // N)
+        with pytest.raises(AssertionError):
+            line_maximal(Density(ctx, num=rows[0], den=1))
+
+    def test_tower_memory_is_refused_before_any_level(self, monkeypatch, capsys):
+        # the towers' bytes in all against physical memory: one byte short
+        # raises TableMemoryError before a level is built, and the CLI exits 3
+        ctx = RingContext.padic(2, 3, 3)
+        tables.coset_plan.cache_clear()
+        need = sum(level.nbytes for tower in tables.coset_plan(ctx, 1).towers for level in tower)
+        built = []
+        monkeypatch.setattr(tables, "_tower", lambda *a, _real=tables._tower: built.append(1) or _real(*a))
+        monkeypatch.setattr(tables, "_physical_memory", lambda: need - 1)
+        tables.coset_plan.cache_clear()
+        with pytest.raises(tables.TableMemoryError) as err:
+            tables.coset_plan(ctx, 1)
+        assert err.value.estimate == need and not built
+        argv = ["verify", "--mode", "padic", "-p", "2", "-l", "3", "-n", "3", "--trials", "1",
+                "xray-l2"]
+        assert main(argv) == 3
+        assert "exceeds physical memory" in capsys.readouterr().err
+        monkeypatch.setattr(tables, "_physical_memory", lambda: need)
+        assert tables.coset_plan(ctx, 1).flat_shape == (len(tables.directions(ctx)),) and built
+        tables.coset_plan.cache_clear()
 
 
 class TestFStar:

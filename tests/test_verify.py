@@ -597,14 +597,16 @@ class TestSuite:
         assert all(r.passed for r in reports)
 
     def test_one_coset_table_per_ring_k_and_rule(self):
-        # lift_map, coset_maxima and xray_all ask for the same three tables
-        # (lines and planes of the ring, lines of its quotient): three cache
-        # entries, not one more per spelling of the call
+        # lift_map asks for two whole tables (lines and planes of the ring),
+        # and coset_maxima and xray_all for three plans (planes and lines of
+        # the ring, lines of its quotient), which build no whole table: one
+        # cache entry each, not one more per spelling of the call
         for cached in vars(tables).values():
             if hasattr(cached, "cache_clear"):
                 cached.cache_clear()
         verify_projmax(RingContext.padic(2, 3, 3), 1, 1)
-        assert tables.coset_table.cache_info().currsize == 3
+        assert tables.coset_table.cache_info().currsize == 2
+        assert tables.coset_plan.cache_info().currsize == 3
 
     def test_reports_reproducible_bytes(self):
         a = run_checks(["radiusN", "plancherel", "rounding"], seed=4, trials=5, ctx=CTX6)
