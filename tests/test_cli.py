@@ -342,6 +342,24 @@ def test_verify_all_report_bytes_are_frozen(seed, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPORTS[seed]
 
 
+# sha256 of the default JSON of `kakeyalab verify projmax --trials 2
+# --seed 1` on a composite ring and a prime-power ring, frozen like
+# GOLDEN_REPORTS.
+GOLDEN_PROJMAX = {
+    ("--mode", "profinite", "-L", "3", "-n", "3"):
+        "ae06202b3503cf7abc7d1bd298901802bffdc25fecda8fca93e215f7923ec8d6",
+    ("--mode", "padic", "-p", "2", "-l", "4", "-n", "3"):
+        "827843f0edd9035610c93ed0fd32b0ffc1f74fd9042bf63ea2a569b6005885bb",
+}
+
+
+@pytest.mark.parametrize("ring", sorted(GOLDEN_PROJMAX), ids=" ".join)
+def test_projmax_report_bytes_are_frozen(ring, capsys):
+    code, out = run_cli(["verify", *ring, "--trials", "2", "--seed", "1", "projmax"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PROJMAX[ring]
+
+
 def test_verify_all_searches_once(monkeypatch, capsys):
     # maxest and besicovitch share one set of search certificates
     from kakeyalab import search
