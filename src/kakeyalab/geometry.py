@@ -7,9 +7,9 @@ chosen per prime-power CRT component and recombined, which keeps every
 object unique, cheap to compare and stable under enumeration order.
 
 Nothing here works object by object on quotients: the quotient chart
-along a direction, the lift of a quotient direction to a 2-flat and the
-CRT split of a line are read off the coset table (tables.coset_table,
-tables.lift_map, maximal.mweight).
+along a direction and the CRT split of a line are read off the coset
+table (tables.coset_table, maximal.mweight), and the lift of a quotient
+direction to a 2-flat is solved from that chart (tables.lift_map).
 """
 from __future__ import annotations
 
@@ -157,16 +157,6 @@ def _combine_components(per_component: Sequence[list], N: int) -> list:
     return (total % N).reshape((-1,) + total.shape[m:]).tolist()
 
 
-def _component_directions(q: int, p: int, n: int) -> Iterable[tuple[int, ...]]:
-    """Canonical direction reps of P (Z/qZ)^(n-1): coordinates before the
-    pivot are non-units, the pivot is 1, coordinates after are free."""
-    nonunits = range(0, q, p)
-    for pivot in range(n):
-        for before in itertools.product(nonunits, repeat=pivot):
-            for after in itertools.product(range(q), repeat=n - 1 - pivot):
-                yield before + (1,) + after
-
-
 def enumerate_proj(ctx: RingContext, cap: int | None = None) -> list[ProjDirection]:
     """All canonical projective directions of (Z/NZ)^n, one per class."""
     N, n = ctx.modulus, ctx.dimension
@@ -176,28 +166,21 @@ def enumerate_proj(ctx: RingContext, cap: int | None = None) -> list[ProjDirecti
         raise EnumerationCapError(estimate, cap)
     if N == 1:
         return [ProjDirection(1, (0,) * n)]
-    per_component = [list(_component_directions(p**r, p, n)) for p, r in ctx.factorization]
+    per_component = [[g[0] for g in _component_flats(p**r, p, n, 1)] for p, r in ctx.factorization]
     return [ProjDirection(N, tuple(rep)) for rep in _combine_components(per_component, N)]
 
 
 def _component_flats(q: int, p: int, n: int, k: int) -> Iterable[tuple[tuple[int, ...], ...]]:
-    """Canonical rank-k echelon matrices over Z/qZ, one per submodule."""
+    """Canonical rank-k echelon matrices over Z/qZ, one per submodule, in
+    row-major lex order per pivot set: each row is 1 on its pivot, 0 on the
+    other pivots, a non-unit before its pivot and free after it."""
     nonunits = range(0, q, p)
     for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        slots = []  # (row, col, choices) in row-major order
-        for i, piv in enumerate(pivots):
-            for col in range(n):
-                if col in pivot_set:
-                    continue
-                slots.append((i, col, nonunits if col < piv else range(q)))
-        for assignment in itertools.product(*(choices for _, _, choices in slots)):
-            rows = [[0] * n for _ in range(k)]
-            for i, piv in enumerate(pivots):
-                rows[i][piv] = 1
-            for (i, col, _), val in zip(slots, assignment):
-                rows[i][col] = val
-            yield tuple(tuple(row) for row in rows)
+        rows = [list(itertools.product(*[(1,) if col == piv else (0,) if col in pivots
+                                          else nonunits if col < piv else range(q)
+                                          for col in range(n)]))
+                for piv in pivots]
+        yield from itertools.product(*rows)
 
 
 def enumerate_grassmannian(ctx: RingContext, k: int, cap: int | None = None) -> list[Flat]:

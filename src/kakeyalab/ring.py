@@ -249,10 +249,3 @@ def _crt_basis(N: int) -> tuple[tuple[int, int], ...]:
         e = (m * pow(m, -1, q)) % N if m > 1 else 1 % N
         out.append((q, e))
     return tuple(out)
-
-
-def crt_combine_scalar(parts: Sequence[int], N: int) -> int:
-    basis = _crt_basis(N)
-    if len(parts) != len(basis):
-        raise ValueError("component count does not match factorization")
-    return sum(c * e for c, (_, e) in zip(parts, basis)) % N

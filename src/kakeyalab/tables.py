@@ -11,22 +11,20 @@ index with it and never compute in its dtype.  Arrays are returned
 non-writeable; treat them as shared read-only state.
 
 Every reader of an index table sums values over its rows through one
-kernel, blocked_sums, on (R, size) rows or (size, r) slabs: the coset
-sums, the u^perp masses over perp_index, and the axis passes of the
-exact Fourier transform over their (N*N, N) pass index.  The coset sums
-have one path per job.  Stacks of exact rows (the X-rays and coset
-maxima of the checks) go through coset_sums over coset_plan, one CRT
-component q_c = p**ell of N at a time, each a p-adic tower of ell
-levels: the sums over the cosets of p**j U are read off the p**k sums
-over cosets of p**(j+1) U one level below, so the whole table is never
-built.  One row over the whole table, with the lex-least witnesses (the
-maximal profiles, mweight, certify), goes through coset_argmax, in either
-lane.  Allocations that scale with the ring are first checked against
-physical memory (check_memory).
+kernel, blocked_sums: the coset sums, the u^perp masses over perp_index,
+and the axis passes of the exact Fourier transform.  Stacks of exact
+rows (the X-rays and coset maxima of the checks) go through coset_sums
+over coset_plan, one CRT component q_c = p**ell of N at a time, each a
+p-adic tower of ell levels: the sums over the cosets of p**j U are read
+off the p**k sums over cosets of p**(j+1) U one level below.  The whole
+table is read only by coset_argmax, one row with its lex-least witnesses
+(the maximal profiles, mweight, certify), and by the search; perp_index
+and lift_map solve u^perp and the lift of (u, w) from its chart.
+Allocations that scale with the ring are first checked against physical
+memory (check_memory).
 """
 from __future__ import annotations
 
-import math
 import os
 from functools import lru_cache, partial
 from typing import NamedTuple
@@ -34,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (EnumerationCapError, Flat, ProjDirection, enumerate_grassmannian,
-                       enumerate_proj, gr_size)
+                       enumerate_proj, gr_size, proj_size)
 from .ring import RingContext, _crt_basis, factorize
 
 
@@ -133,6 +131,22 @@ def _placements(ctx: RingContext, k: int) -> tuple[tuple[int, np.ndarray], ...]:
                  for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)))
 
 
+def _sections(ctx: RingContext, gens: np.ndarray, points=slice(None)) -> np.ndarray:
+    """(B, n, Q) int64: column y of flat b is section(y) mod N, the chart
+    of coset_table at the quotient point of rank points[y], for the flats
+    with canonical generators gens (B, k, n)."""
+    N, n = ctx.modulus, ctx.dimension
+    k = gens.shape[1]
+    sections = 0
+    # column j of a flat reads row j - #(pivots before j) of each placed,
+    # and its last row on the pivots
+    for p, placed in _placements(ctx, k):
+        pivot = ((gens % p != 0).argmax(axis=2)[:, :, None] == np.arange(n)).any(axis=1)
+        rows = np.where(pivot, n - k, np.arange(n) - pivot.cumsum(axis=1))
+        sections = sections + placed[:, points][rows]
+    return sections % N
+
+
 def coset_rows(ctx: RingContext, gens: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(B, size // N**k, N**k) ranks in _rank_dtype(ctx): the rows of
     coset_table(ctx, k) of the flats with canonical generators gens
@@ -145,17 +159,10 @@ def coset_rows(ctx: RingContext, gens: np.ndarray, out: np.ndarray | None = None
     N, n = ctx.modulus, ctx.dimension
     k = gens.shape[1]
     dtype = _rank_dtype(ctx)
-    Q = ctx.size // N**k
     offsets = (_lex_grid(N, k) @ gens % N).astype(dtype)  # (B, N**k, n): the points of U
-    # column j of a flat reads row j - #(pivots before j) of each placed,
-    # and its last row on the pivots
-    sections = np.zeros((len(gens), n, Q), dtype=np.int64)
-    for p, placed in _placements(ctx, k):
-        pivot = ((gens % p != 0).argmax(axis=2)[:, :, None] == np.arange(n)).any(axis=1)
-        sections += placed[np.where(pivot, n - k, np.arange(n) - pivot.cumsum(axis=1))]
-    sections = (sections % N).astype(dtype)
+    sections = _sections(ctx, gens).astype(dtype)  # (B, n, size // N**k)
     if out is None:
-        out = np.empty((len(gens), Q, N**k), dtype=dtype)
+        out = np.empty((len(gens), sections.shape[2], N**k), dtype=dtype)
     out[...] = 0
     for j in range(n):
         c = sections[:, j, :, None] + offsets[:, None, :, j]
@@ -518,35 +525,24 @@ def perp_index(ctx: RingContext) -> np.ndarray:
     """(P, N**(n-1)) int32: row u lists, ascending, the ranks of the
     frequencies a with <u, a> = 0 mod N, directions in directions(ctx) order.
 
-    u^perp is solved, not searched for: per CRT component q = p**e, a pivot
-    coordinate i of u is a unit mod p, the other coordinates of a run over
-    (Z/qZ)^(n-1) and a_i = -u_i**(-1) sum_{j != i} u_j a_j mod q.  The
-    components are combined with the CRT idempotents, a block of directions
-    at a time, so no (P, size) dot product is built.
+    u^perp is solved, not searched for: a runs over the sections of u's
+    quotient chart (coset_table's), and per CRT component q = p**e its
+    pivot coordinate, where u is 1 and the section 0, is -<u, section> mod
+    q.  A block of directions at a time, so no (P, size) dot product is
+    built; an index past physical memory raises TableMemoryError first.
     """
     N, n = ctx.modulus, ctx.dimension
     dirs = direction_matrix(ctx)
-    free = _lex_grid(N, n - 1)  # (N**(n-1), n-1)
-    out = np.empty((len(dirs), len(free)), dtype=np.int32)
-    step = max(1, _PERP_BLOCK_BYTES // (8 * n * len(free)))
+    check_memory(4 * len(dirs) * N**(n - 1))
+    out = np.empty((len(dirs), N**(n - 1)), dtype=np.int32)
+    step = max(1, _PERP_BLOCK_BYTES // (8 * n * N**(n - 1)))
     for lo in range(0, len(dirs), step):
         u = dirs[lo:lo + step]
-        coords = np.zeros((n, len(u), len(free)), dtype=np.int64)  # a_j per (u, free point)
+        a = _sections(ctx, u[:, None, :])  # (B, n, N**(n-1))
+        dots = np.einsum("bj,bjy->by", u, a)
         for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)):
-            inverse = np.array([pow(c, -1, q) if c % p else 0 for c in range(q)])
-            pivots = (u % p != 0).argmax(axis=1)[:, None]
-            fq = free % q
-            cols = []  # a_j is free coordinate j off the pivot, j - 1 past it, 0 on it
-            for j in range(n):
-                before = fq[:, j] if j < n - 1 else 0
-                after = fq[:, j - 1] if j else 0
-                cols.append(np.where(j == pivots, 0, np.where(j > pivots, after, before)))
-            dots = sum(u[:, j, None] * cols[j] for j in range(n))
-            solved = -inverse[np.take_along_axis(u, pivots, axis=1) % q] * dots % q
-            for j in range(n):
-                coords[j] += e * np.where(j == pivots, solved, cols[j])
-        ranks = sum(coords[j] % N * N ** (n - 1 - j) for j in range(n))
-        out[lo:lo + step] = np.sort(ranks, axis=1)
+            a[np.arange(len(u)), (u % p != 0).argmax(axis=1)] += e * (-dots % q)
+        out[lo:lo + step] = np.sort(rank_points((a % N).transpose(0, 2, 1), ctx), axis=1)
     return _freeze(out)
 
 
@@ -556,21 +552,41 @@ def lift_map(ctx: RingContext) -> np.ndarray:
     of (u, w), u and w indexed as in directions(ctx) and
     directions(ctx.quotient()).
 
-    The lift of (u, w) is the 2-flat whose image in the quotient chart of u
-    is the line <w>: the union of the rows of u's line table at the
-    quotient points t w.  Each union is matched, as a sorted rank set, with
-    the coset through the origin (row 0) of a flat of coset_table(ctx, 2).
-    A (P, Pq, N*N) gather of lifts that, with its sorted copy, would take
-    more than the machine's physical memory raises TableMemoryError first.
+    The lift of (u, w), the 2-flat whose image in u's quotient chart is
+    the line <w>, is span(u, s), s = section(w) in coset_table's chart.
+    Per CRT component s is 0 on u's pivot i and 1 on its own pivot j, so
+    {u - u_j s, s} in pivot order is enumerate_grassmannian's echelon
+    form.  The components are combined by the idempotents and each lift
+    is found among the flats by its generators read in base N, a block of
+    directions at a time.  No coset table is read.  Before any flat is
+    enumerated, a ring whose codes pass intp raises OverflowError, and a
+    map of more bytes than physical memory TableMemoryError.
     """
-    N = ctx.modulus
+    N, n = ctx.modulus, ctx.dimension
+    if N**(2 * n) > np.iinfo(np.intp).max:
+        raise OverflowError(f"the 2-flat codes of {ctx.describe()} exceed intp")
+    check_memory(8 * proj_size(N, n) * proj_size(N, n - 1))
     qctx = ctx.quotient()
-    planes = np.sort(coset_table(ctx, 2)[0][:, 0], axis=1)  # refused, if at all, before the gather
-    lines = coset_table(ctx, 1)[0]
-    t = np.arange(N)[None, :, None]
-    qlines = rank_points(t * direction_matrix(qctx)[:, None, :] % N, qctx)  # (Pq, N) ranks of t w
-    check_memory(2 * lines.itemsize * len(lines) * qlines.size * N)  # the gather and its sorted copy
-    lifts = np.sort(lines[:, qlines].reshape(len(lines), len(qlines), N * N), axis=2)
-    flat_index = {plane.tobytes(): i for i, plane in enumerate(planes)}
-    return _freeze(np.array([[flat_index[lift.tobytes()] for lift in row] for row in lifts],
-                            dtype=np.int64))
+    dims = (N,) * (2 * n)
+    codes = np.ravel_multi_index(tuple(_generators(ctx, 2).reshape(-1, 2 * n).T), dims)
+    order = np.argsort(codes)
+    dirs = direction_matrix(ctx)[:, None, :]  # (P, 1, n)
+    w = rank_points(direction_matrix(qctx), qctx)  # each w as a quotient point
+    out = np.empty((len(dirs), len(w)), dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (16 * n * len(w)))
+    for lo in range(0, len(dirs), step):
+        u = dirs[lo:lo + step]
+        s = _sections(ctx, u, w).transpose(0, 2, 1)  # (B, Pq, n)
+        gens = 0
+        for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)):
+            uq, sq = u % q, s % q
+            j = (sq % p != 0).argmax(axis=2)[:, :, None]
+            r = (uq - np.take_along_axis(uq, j, axis=2) * sq) % q
+            first = ((uq % p != 0).argmax(axis=2)[:, :, None] < j)[..., None]  # i < j
+            gens = gens + e * np.where(first, np.stack([r, sq], axis=2), np.stack([sq, r], axis=2))
+        lifts = np.ravel_multi_index(tuple((gens % N).reshape(-1, 2 * n).T), dims)
+        at = order[np.minimum(np.searchsorted(codes, lifts, sorter=order), len(codes) - 1)]
+        if not (codes[at] == lifts).all():
+            raise LookupError(f"a lift of directions {lo} on is not a canonical 2-flat")
+        out[lo:lo + step] = at.reshape(-1, len(w))
+    return _freeze(out)

@@ -15,13 +15,13 @@ import numpy as np
 
 from kakeyalab import tables
 from kakeyalab.cyclotomic import reduce_mod_cyclotomic, reduction_matrix
-from kakeyalab.geometry import Flat, ProjDirection, _component_directions, _component_flats
+from kakeyalab.geometry import Flat, ProjDirection, _component_flats
 from kakeyalab.harmonic import (Density, Spectrum, band_constant, band_project,
                                 band_valuation_sets, fourier_forward, fourier_inverse,
                                 power_sum, xray_all, xray_l2_spectral, xray_transform)
 from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima, flat_maximal,
                                line_maximal)
-from kakeyalab.ring import _crt_basis, crt_combine_scalar, scale
+from kakeyalab.ring import _crt_basis, scale
 from kakeyalab.search import BudgetExceeded, KakeyaCertificate, translate_options
 from kakeyalab.verify import VerificationReport, _rng_for
 
@@ -162,6 +162,14 @@ def coefficient(s: Spectrum, a: Sequence[int]):
 # ---------------------------------------------------------------------------
 
 
+def crt_combine_scalar(parts: Sequence[int], N: int) -> int:
+    """sum_c e_c x_c mod N of one residue x_c per CRT component of N."""
+    basis = _crt_basis(N)
+    if len(parts) != len(basis):
+        raise ValueError("component count does not match factorization")
+    return sum(c * e for c, (_, e) in zip(parts, basis)) % N
+
+
 def chart_section(u: ProjDirection, y: Sequence[int], ctx) -> tuple[int, ...]:
     """The section of the quotient chart of u at a point y of (Z/NZ)^(n-1),
     point by point: per CRT component q = p**e, y mod q with 0 inserted at
@@ -179,7 +187,7 @@ def enumerate_proj_per_coordinate(ctx) -> list[ProjDirection]:
     """geometry.enumerate_proj with the CRT components combined one
     coordinate at a time by crt_combine_scalar."""
     N, n = ctx.modulus, ctx.dimension
-    per_component = [list(_component_directions(p**r, p, n)) for p, r in ctx.factorization]
+    per_component = [[g[0] for g in _component_flats(p**r, p, n, 1)] for p, r in ctx.factorization]
     return [ProjDirection(N, tuple(crt_combine_scalar([c[i] for c in combo], N) for i in range(n)))
             for combo in itertools.product(*per_component)]
 
@@ -225,6 +233,23 @@ def lift_points(u: ProjDirection, w: ProjDirection, ctx) -> frozenset[tuple[int,
     sec = chart_section(u, w.rep, ctx)
     return frozenset(tuple((t * a + s * b) % N for a, b in zip(u.rep, sec))
                      for t in range(N) for s in range(N))
+
+
+def lift_map_gather(ctx) -> np.ndarray:
+    """tables.lift_map by matching rank sets: the lift of (u, w) is the
+    union of the rows of u's line table at the quotient points t w, sorted
+    and looked up, by its bytes, among the sorted origin rows of the plane
+    table.  Gathers a (P, Pq, N*N) stack of ranks."""
+    N = ctx.modulus
+    qctx = ctx.quotient()
+    planes = np.sort(tables.coset_table(ctx, 2)[0][:, 0], axis=1)
+    lines = tables.coset_table(ctx, 1)[0]
+    t = np.arange(N)[None, :, None]
+    qlines = tables.rank_points(t * tables.direction_matrix(qctx)[:, None, :] % N, qctx)
+    lifts = np.sort(lines[:, qlines].reshape(len(lines), len(qlines), N * N), axis=2)
+    flat_index = {plane.tobytes(): i for i, plane in enumerate(planes)}
+    return np.array([[flat_index[lift.tobytes()] for lift in row] for row in lifts],
+                    dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from kakeyalab.geometry import (EnumerationCapError, Flat, canonical_direction,
                                 enumerate_grassmannian, enumerate_proj, gr_size, proj_size)
 from kakeyalab.ring import RingContext, factorize
 from oracles import (enumerate_grassmannian_per_coordinate, enumerate_proj_per_coordinate,
-                     flat_points, lift_points)
+                     flat_points, lift_map_gather, lift_points)
 
 
 def brute_force_directions(N, n):
@@ -234,33 +234,62 @@ class TestLiftMap:
         U = tables.flats(ctx, 2)[tables.lift_map(ctx)[ui, wi]]
         assert flat_points(U) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)}
 
-    def test_refuses_before_it_gathers(self, monkeypatch):
-        # with too little memory for the plane table, lift_map raises on
-        # asking for it, before the line table is built or gathered
+    @staticmethod
+    def refused(*args):
+        raise AssertionError("lift_map called a refused table function")
+
+    def refuse_whole_tables(self, monkeypatch):
+        monkeypatch.setattr(tables, "coset_table", self.refused)
+        monkeypatch.setattr(tables, "coset_plan", self.refused)
+
+    def test_reads_no_coset_table_or_plan(self, monkeypatch):
+        # the lifts are solved from the chart: with the whole tables and the
+        # towers refused, lift_map still returns the gather's map
         ctx = RingContext.padic(2, 2, 4)
-        asked = []
+        expected = lift_map_gather(ctx)
+        self.refuse_whole_tables(monkeypatch)
+        assert np.array_equal(tables.lift_map.__wrapped__(ctx), expected)
 
-        def recorded(c, k, _real=tables.coset_table.__wrapped__):
-            asked.append(k)
-            return _real(c, k)
-
-        monkeypatch.setattr(tables, "coset_table", recorded)
-        monkeypatch.setattr(tables, "_physical_memory", lambda: 1 << 10)
-        with pytest.raises(tables.TableMemoryError) as err:
-            tables.lift_map.__wrapped__(ctx)
-        assert asked == [2]
-        assert err.value.estimate == 2 * gr_size(4, 4, 2) * ctx.size > 1 << 10
-
-    def test_refuses_the_gather_past_memory(self, monkeypatch):
-        # on padic(2,2,3) the line and plane tables take 3,584 B each and
-        # the (P, Pq, N*N) gather of lifts 5,376 B: with 4,096 B of memory
-        # both tables fit, and lift_map raises before it gathers
+    def test_refuses_only_its_own_map_past_memory(self, monkeypatch):
+        # on padic(2,2,3) the (P, Pq, N*N) gather and its sorted copy took
+        # 10,752 B, the (28, 6) int64 map takes 1,344 B: with 4,096 B of
+        # memory lift_map returns, and one byte short of its map it
+        # refuses before any flat is enumerated
         ctx = RingContext.padic(2, 2, 3)
+        expected = lift_map_gather(ctx)
+        self.refuse_whole_tables(monkeypatch)
         monkeypatch.setattr(tables, "_physical_memory", lambda: 4096)
-        assert [tables.coset_table(ctx, k)[0].nbytes for k in (1, 2)] == [3584, 3584]
+        assert np.array_equal(tables.lift_map.__wrapped__(ctx), expected)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 1343)
+        monkeypatch.setattr(tables, "_generators", self.refused)
         with pytest.raises(tables.TableMemoryError) as err:
             tables.lift_map.__wrapped__(ctx)
-        assert err.value.estimate == 2 * 5376 and err.value.cap == 4096
+        assert err.value.estimate == 8 * 28 * 6
+
+    def test_refuses_codes_past_intp(self, capsys):
+        # the four base-N digits of a 2-flat of (Z/65537)^2 pass 2**63:
+        # OverflowError before any flat is enumerated, and the CLI exits 3
+        from kakeyalab.cli import main
+
+        with pytest.raises(OverflowError):
+            tables.lift_map.__wrapped__(RingContext.padic(65537, 1, 2))
+        assert main(["verify", "--mode", "padic", "-p", "65537", "-l", "1", "-n", "2",
+                     "projmax"]) == 3
+        assert "exceed intp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [None, 64], ids=["default-block", "block-64"])
+    @pytest.mark.parametrize("ctx", [RingContext.padic(5, 2, 3), RingContext.profinite(3, 3),
+                                     RingContext.padic(2, 2, 4), RingContext.generic(12, 3),
+                                     RingContext.generic(30, 2)], ids=lambda c: c.describe())
+    def test_matches_the_gather_oracle(self, ctx, block, monkeypatch):
+        # the closed-form lifts against the rank-set matching of the line
+        # and plane tables, whole and a few directions per block
+        expected = lift_map_gather(ctx)
+        if block is not None:
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+        lift = tables.lift_map.__wrapped__(ctx)
+        assert lift.dtype == np.int64 and not lift.flags.writeable
+        assert np.array_equal(lift, expected)
 
     @pytest.mark.parametrize("ctx", [RingContext.padic(3, 1, 3), RingContext.generic(4, 3),
                                      RingContext.generic(6, 3)], ids=lambda c: c.describe())

@@ -584,6 +584,29 @@ class TestUperp:
         finally:
             tables.perp_index.cache_clear()
 
+    def test_perp_index_memory_is_refused_before_any_block(self, monkeypatch, capsys):
+        # its (P, N**(n-1)) int32 bytes against physical memory: one byte
+        # short raises TableMemoryError before a block is solved, and the
+        # CLI exits 3
+        from kakeyalab.cli import main
+
+        def solved(N):
+            raise AssertionError("perp_index solved a block")
+
+        ctx = RingContext.padic(2, 3, 3)
+        need = 4 * len(tables.directions(ctx)) * ctx.size // ctx.modulus
+        monkeypatch.setattr(tables, "_crt_basis", solved)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: need - 1)
+        tables.perp_index.cache_clear()
+        try:
+            with pytest.raises(tables.TableMemoryError) as err:
+                tables.perp_index(ctx)
+            assert err.value.estimate == need
+            assert main(["verify", "--mode", "padic", "-p", "2", "-l", "3", "-n", "3", "radiusN"]) == 3
+            assert "exceeds physical memory" in capsys.readouterr().err
+        finally:
+            tables.perp_index.cache_clear()
+
     def test_constant(self):
         ctx = RingContext.padic(2, 2, 2)
         f = Density.constant(ctx, 1)

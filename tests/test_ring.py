@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from kakeyalab import tables
 from kakeyalab.ring import (Profinite, RingContext, ScaleOverflowError, ScaleUndefinedError,
-                            crt_combine_scalar, factorize, scale)
+                            factorize, scale)
+from oracles import crt_combine_scalar
 
 
 def trial_division_oracle(n):

@@ -596,17 +596,30 @@ class TestSuite:
         assert [r.check for r in reports] == ["radiusN", "plancherel"]
         assert all(r.passed for r in reports)
 
-    def test_one_coset_table_per_ring_k_and_rule(self):
-        # lift_map asks for two whole tables (lines and planes of the ring),
-        # and coset_maxima and xray_all for three plans (planes and lines of
-        # the ring, lines of its quotient), which build no whole table: one
-        # cache entry each, not one more per spelling of the call
+    @staticmethod
+    def clear_tables():
         for cached in vars(tables).values():
             if hasattr(cached, "cache_clear"):
                 cached.cache_clear()
+
+    def test_one_coset_table_per_ring_k_and_rule(self):
+        # coset_maxima and xray_all ask for three plans (planes and lines of
+        # the ring, lines of its quotient), one cache entry each, not one
+        # more per spelling of the call; lift_map and the plans build no
+        # whole table
+        self.clear_tables()
         verify_projmax(RingContext.padic(2, 3, 3), 1, 1)
-        assert tables.coset_table.cache_info().currsize == 2
+        assert tables.coset_table.cache_info().currsize == 0
         assert tables.coset_plan.cache_info().currsize == 3
+
+    def test_checks_build_no_whole_coset_table(self):
+        # only the witness paths (profiles, mweight, certify) and the search
+        # read the whole table, and no check but besicovitch takes them
+        self.clear_tables()
+        ids = [cid for cid in verify.CHECK_IDS if cid != "besicovitch"]
+        reports = run_checks(ids, seed=1, trials=5, ctx=RingContext.padic(2, 3, 3))
+        assert len(reports) == len(ids) + 1 and all(r.passed for r in reports)  # freqbound p = 2, 3
+        assert tables.coset_table.cache_info().currsize == 0
 
     def test_reports_reproducible_bytes(self):
         a = run_checks(["radiusN", "plancherel", "rounding"], seed=4, trials=5, ctx=CTX6)
