@@ -7,16 +7,21 @@ coverage counts over that table.  Covering a point x lowers the count of
 uncovered points of exactly one coset per flat, the one holding x, so the
 greedy keeps those counts in an (F, C) array and updates them through the
 inverse index coset_of (the coset of each flat that holds each point).
-The exact branch and bound runs on rings small enough that a translate is
-one machine word: there each translate is a Python int bitmask, built once
-per (ring, k) by translate_options, and a node's costs are ANDs and
-popcounts.
+The exact branch and bound keeps each translate as a Python int bitmask,
+built once per (ring, k) by translate_options, and a node's costs are
+ANDs and popcounts.
 
 Both searches are deterministic: ties break on enumeration order, flats
 in table order and translates in the order of their lex-least shift.  The
-exact search fixes the first direction's translate to the one through the
-origin, since any translate of a Kakeya set is a Kakeya set of the same
-size.
+exact search branches on one translate per translation orbit.  Let S_i
+be the intersection of the flats U_0, ..., U_{i-1} through the origin
+(S_0 the whole group).  The union at a node of depth d <= i is made of
+cosets of U_0, ..., U_{d-1}, so translation by any s in S_i fixes it:
+the cosets of U_i in one S_i-orbit (the cosets of U_i inside one coset
+of S_i + U_i) add the same number of points to it, and at depth i they
+have translated, equally small, best completions.  Only the orbit's
+least-shift coset is branched on, which at the root is the translate
+through the origin.
 """
 from __future__ import annotations
 
@@ -136,6 +141,34 @@ def _coset_of(table: np.ndarray, order: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+def _orbit_representatives(ctx: RingContext, k: int) -> list[list[int]]:
+    """Per flat i of tables.flats(ctx, k), the positions in lex-least-shift
+    order of the least-shift coset of each S_i-orbit of its cosets, in
+    increasing order; S_i is the intersection of the flats before i
+    through the origin, S_0 the whole group.
+
+    The orbit of the coset at position j holds the cosets of the points
+    low_j + s, s in S_i, where low_j is its lex-least point; it keeps j
+    when none of them comes earlier.  The coordinates and ranks of every
+    low_j + s of a flat are held at once, C * size * (n + 1) int64 at S_0
+    for C cosets per flat; more bytes than the machine's physical memory
+    raise tables.TableMemoryError before any is built.
+    """
+    table, least = tables.coset_table(ctx, k)
+    tables.check_memory(8 * least.shape[1] * ctx.size * (ctx.dimension + 1))
+    order = np.argsort(least, axis=1)
+    coset_of = _coset_of(table, order, ctx.size)
+    grid = tables.coord_grid(ctx)
+    inside = np.ones(ctx.size, dtype=bool)  # S_i, by rank
+    out = []
+    for i, lows in enumerate(np.take_along_axis(least, order, axis=1)):
+        moved = (grid[lows][:, None] + grid[inside][None]) % ctx.modulus
+        orbit = coset_of[i, tables.rank_points(moved, ctx)].min(axis=1)
+        out.append(np.flatnonzero(orbit == np.arange(len(lows))).tolist())
+        inside &= coset_of[i] == 0  # position 0 is the coset through the origin
+    return out
+
+
 def _greedy(ctx: RingContext, k: int) -> tuple[list[Choice], int]:
     """The choices of greedy_kakeya, in the order they were committed, and
     the size of their union.
@@ -192,14 +225,19 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
     exhaustion raises BudgetExceeded carrying the best certificate found
     so far.  The greedy cover is the first incumbent.
 
-    The root keeps only its first branch, the first direction's translate
-    through the origin.  A translate of a Kakeya set is a Kakeya set of
-    the same size, so translating an optimum until that translate passes
-    through the origin gives an optimum inside the first branch; later
-    root branches could never strictly improve the incumbent.  The nodes
-    visited are therefore a prefix of those of the unrestricted search,
-    with the same result, and a budget runs out at the same node or not
-    at all.
+    Flat i branches only on the least-shift coset of each orbit of its
+    cosets under S_i, the intersection of the flats before it through the
+    origin (_orbit_representatives).  Translation by s in S_i fixes every
+    union of cosets of earlier flats, so the members of an orbit have
+    equal increments, and translating a completion of a member's node by
+    s gives a completion, of the same size, of the node of the orbit's
+    least-shift member, which the stable sort ranks first among them.
+    Later members could never strictly improve the incumbent, so the
+    certificate is the one the search over every coset finds.  At the
+    root S_0 is the whole group and the one branch is the translate
+    through the origin.  The least increment of a later flat is the same
+    over its representatives, as S_i lies in the S_d of every node depth
+    d < i, so the bound prunes the same nodes.
     """
     if not 1 <= k <= ctx.dimension:
         raise ValueError("need 1 <= k <= n")
@@ -208,12 +246,14 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
     if k == ctx.dimension:
         return _certificate(ctx, k, [(0, 0)], optimal=True)
 
-    masks = [[m for m, _ in opts] for opts in translate_options(ctx, k)]
+    options = translate_options(ctx, k)  # refuses oversized bitmasks first
+    reps = _orbit_representatives(ctx, k)
+    masks = [[opts[j][0] for j in js] for opts, js in zip(options, reps)]
     F = len(masks)
     best_chosen, best_size = _greedy(ctx, k)
     picks = [0] * F  # per flat, the position of its translate in shift order
     best_picks = None
-    hint = [0] * F  # per flat, the translate of least increment when last scanned
+    hint = [0] * F  # per flat, the representative of least increment when last scanned
     nodes = 0
     bit_count = int.bit_count
 
@@ -246,17 +286,16 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
             if low >= need:
                 return
             hint[fi] = incs_fi.index(low)
-        if pos == 0:
-            # at the root: the translate through the origin (see above)
-            ranked = [0]
-        elif least == 0:
+        if least == 0:
             # a translate already inside the union dominates every other
-            # choice (swapping it in can only shrink the final union)
+            # choice (swapping it in can only shrink the final union); the
+            # first such is its orbit's representative
             ranked = [incs.index(0)]
         else:
             # a stable sort, so ties on cost stay in shift order
             ranked = sorted(range(len(incs)), key=incs.__getitem__)
         row_masks = masks[pos]
+        shifts = reps[pos]
         for i, j in enumerate(ranked):
             size = have + incs[j]
             if size >= best_size:
@@ -267,7 +306,7 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
                     raise _Exhausted()
                 nodes += rest
                 return
-            picks[pos] = j
+            picks[pos] = shifts[j]
             dfs(pos + 1, union | row_masks[j], size)
 
     try:

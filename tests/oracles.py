@@ -694,10 +694,47 @@ def greedy_bitmask(ctx, k: int):
                                 optimal=False)
 
 
-def exact_bitmask(ctx, k: int, budget: int = 5_000_000):
+def orbit_representatives_bitmask(ctx, options, order) -> list:
+    """Per position of order, the translates of flat order[pos] that come
+    first, in shift order, in their orbit under S_pos, the intersection of
+    the flats order[:pos] through the origin (S_0 the whole group); each
+    orbit is found by translating the translate's points by every point of
+    S_pos and looking the moved bitmask up among the flat's translates."""
+    N = ctx.modulus
+
+    def points(mask):
+        return [ctx.unrank(r) for r in range(ctx.size) if mask >> r & 1]
+
+    origin = 1 << ctx.rank((0,) * ctx.dimension)
+    inside = set(ctx.points())
+    reps = []
+    for fi in order:
+        position = {mask: i for i, (mask, _) in enumerate(options[fi])}
+        kept = []
+        for i, (mask, shift) in enumerate(options[fi]):
+            pts = points(mask)
+            orbit = set()
+            for s in inside:
+                moved = 0
+                for pt in pts:
+                    moved |= 1 << ctx.rank(tuple((a + b) % N for a, b in zip(pt, s)))
+                orbit.add(position[moved])
+            if min(orbit) == i:
+                kept.append((mask, shift))
+        reps.append(kept)
+        inside &= set(points(next(m for m, _ in options[fi] if m & origin)))
+    return reps
+
+
+def exact_bitmask(ctx, k: int, budget: int = 5_000_000, orbits: bool = True):
     """(certificate, nodes expanded) of the branch and bound on bitmasks;
     raises BudgetExceeded, as search.exact_min_kakeya does, when the
-    budget runs out."""
+    budget runs out.
+
+    With orbits, each flat branches only on the translates that
+    orbit_representatives_bitmask keeps.  Without, every translate is
+    branched on except at the root, which keeps the translate through the
+    origin alone."""
     if k == ctx.dimension:
         cert = _certificate_bitmask(ctx, k, [(0, (1 << ctx.size) - 1, (0,) * ctx.dimension)], True)
         return cert, 0
@@ -710,6 +747,10 @@ def exact_bitmask(ctx, k: int, budget: int = 5_000_000):
     best_size = union.bit_count()
     nodes = 0
     order = sorted(range(len(options)), key=lambda fi: -min(m.bit_count() for m in masks[fi]))
+    if orbits:
+        branches = orbit_representatives_bitmask(ctx, options, order)
+    else:
+        branches = [options[fi] for fi in order]
 
     class Exhausted(Exception):
         pass
@@ -738,8 +779,8 @@ def exact_bitmask(ctx, k: int, budget: int = 5_000_000):
             return
         fi = order[pos]
         free = ~union
-        ranked = sorted(options[fi], key=lambda ms: (ms[0] & free).bit_count())
-        if pos == 0 or ranked[0][0] & free == 0:
+        ranked = sorted(branches[pos], key=lambda ms: (ms[0] & free).bit_count())
+        if (pos == 0 and not orbits) or ranked[0][0] & free == 0:
             ranked = ranked[:1]
         for mask, shift in ranked:
             chosen.append((fi, mask, shift))

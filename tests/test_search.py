@@ -16,6 +16,11 @@ from kakeyalab.tables import TableMemoryError
 from oracles import (certify_bitmask, exact_bitmask, flat_points, greedy_bitmask,
                      greedy_bitmask_choices)
 
+EXACT = [(RingContext.padic(7, 1, 2), 1), (RingContext.padic(2, 2, 3), 2),
+         (RingContext.padic(3, 1, 3), 2), (RingContext.padic(2, 3, 2), 1),
+         (RingContext.generic(6, 2), 1), (RingContext.padic(2, 2, 2), 1),
+         (RingContext.padic(2, 1, 3), 2)]
+
 
 def shift_by_shift_translates(ctx, flat):
     """Oracle: distinct translates of a flat as (bitmask, lex-least shift)
@@ -156,10 +161,19 @@ class TestExactMinimum:
                                           (RingContext.padic(2, 1, 3), 5)],
                              ids=lambda c: getattr(c, "describe", lambda: str(c))())
     def test_lines_match_oracle_beyond_prime_planes(self, ctx, want):
-        # the root fixes the first direction's translate through the origin
+        # one translate per orbit at every flat, at the root the one through
+        # the origin
         cert = exact_min_kakeya(ctx, 1)
         assert cert.optimal
         assert cert.size == exhaustive_minimum(ctx, 1) == want
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_prime_planes_reach_the_least_kakeya_set(self, p):
+        # Blokhuis-Mazzocca: the least Kakeya set of AG(2, q), q odd, has
+        # q(q + 1)/2 + (q - 1)/2 points
+        cert = exact_min_kakeya(RingContext.padic(p, 1, 2), 1)
+        assert cert.optimal
+        assert cert.size == p * (p + 1) // 2 + (p - 1) // 2
 
     def test_k_equals_n_immediate(self):
         ctx = RingContext.padic(3, 1, 2)
@@ -350,13 +364,7 @@ class TestAgainstBitmaskOracles:
             certify(pts, ctx, 1)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("ctx,k", [(RingContext.padic(7, 1, 2), 1),
-                                       (RingContext.padic(2, 2, 3), 2),
-                                       (RingContext.padic(3, 1, 3), 2),
-                                       (RingContext.padic(2, 3, 2), 1),
-                                       (RingContext.generic(6, 2), 1),
-                                       (RingContext.padic(2, 2, 2), 1),
-                                       (RingContext.padic(2, 1, 3), 2)], ids=ring_id)
+    @pytest.mark.parametrize("ctx,k", EXACT, ids=ring_id)
     def test_exact_certificates_and_nodes(self, ctx, k):
         want, nodes = exact_bitmask(ctx, k)
         # a budget of exactly the oracle's node count completes, one node
@@ -377,3 +385,62 @@ class TestAgainstBitmaskOracles:
         for budget in (0, -5):
             with pytest.raises(ValueError, match="budget"):
                 exact_min_kakeya(ctx, 2, budget=budget)
+
+    @pytest.mark.parametrize("ctx,k", EXACT + [(RingContext.padic(3, 1, 2), 1),
+                                               (RingContext.padic(5, 1, 2), 1)], ids=ring_id)
+    def test_orbit_rule_keeps_the_certificate(self, ctx, k):
+        # the oracle that branches on every translate below the root finds
+        # the certificate that the search over orbit representatives finds
+        want, _ = exact_bitmask(ctx, k, orbits=False)
+        assert exact_min_kakeya(ctx, k) == want
+
+
+class TestOrbitRepresentatives:
+    """The lemma behind the exact search's branching rule, checked on
+    point sets: translation by S_i, the intersection of the flats before
+    i, fixes every union of cosets of those flats."""
+
+    @pytest.mark.parametrize("ctx,k", [(RingContext.padic(2, 2, 2), 1),
+                                       (RingContext.generic(6, 2), 1),
+                                       (RingContext.padic(3, 1, 2), 1),
+                                       (RingContext.padic(2, 1, 3), 2),
+                                       (RingContext.padic(2, 2, 3), 1)], ids=ring_id)
+    def test_orbits_have_equal_increments(self, ctx, k):
+        N = ctx.modulus
+        flats = tables.flats(ctx, k)
+        # the translates of each flat, in shift order, as point sets
+        cosets = [[frozenset(ctx.unrank(r) for r in range(ctx.size) if mask >> r & 1)
+                   for mask, _ in opts] for opts in translate_options(ctx, k)]
+        where = [{pt: j for j, coset in enumerate(cs) for pt in coset} for cs in cosets]
+        inside = [set(ctx.points())]  # S_i
+        for flat in flats:
+            inside.append(inside[-1] & flat_points(flat))
+        orbits = []  # per flat, the orbit of each translate as a set of positions
+        for i, cs in enumerate(cosets):
+            orbits.append([{where[i][tuple((a + b) % N for a, b in zip(pt, s))]
+                            for pt in coset for s in inside[i]} for coset in cs])
+        reps = search._orbit_representatives(ctx, k)
+        assert len(reps) == len(flats)
+        for i, orbit in enumerate(orbits):
+            assert reps[i] == sorted({min(o) for o in orbit})
+            assert all(min(orbit[j]) == j for j in reps[i])
+        assert reps[0] == [0]
+        rng = random.Random(f"orbits|{ctx.describe()}|{k}")
+        for _ in range(25):
+            d = rng.randrange(len(flats))
+            union = set().union(*(rng.choice(cosets[f]) for f in range(d)))
+            for i in range(d, len(flats)):
+                for orbit in orbits[i]:
+                    assert len({len(cosets[i][j] - union) for j in orbit}) == 1
+
+    def test_over_memory_refused(self, monkeypatch):
+        # padic(2,2,3) lines: 16 cosets moved by all 64 points, as 3
+        # coordinates and a rank in int64, 32,768 bytes at S_0
+        ctx = RingContext.padic(2, 2, 3)
+        tables.coset_table(ctx, 1)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 32_767)
+        with pytest.raises(TableMemoryError) as err:
+            search._orbit_representatives(ctx, 1)
+        assert err.value.estimate == 16 * 64 * 4 * 8
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 32_768)
+        assert search._orbit_representatives(ctx, 1)[0] == [0]
