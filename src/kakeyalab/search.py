@@ -13,15 +13,20 @@ ANDs and popcounts.
 
 Both searches are deterministic: ties break on enumeration order, flats
 in table order and translates in the order of their lex-least shift.  The
-exact search branches on one translate per translation orbit.  Let S_i
-be the intersection of the flats U_0, ..., U_{i-1} through the origin
-(S_0 the whole group).  The union at a node of depth d <= i is made of
-cosets of U_0, ..., U_{d-1}, so translation by any s in S_i fixes it:
-the cosets of U_i in one S_i-orbit (the cosets of U_i inside one coset
-of S_i + U_i) add the same number of points to it, and at depth i they
-have translated, equally small, best completions.  Only the orbit's
-least-shift coset is branched on, which at the root is the translate
-through the origin.
+exact search branches on one translate per orbit of a group that fixes
+the node's union.  Let S_i be the intersection of the flats U_0, ...,
+U_{i-1} through the origin (S_0 the whole group).  The union at a node
+of depth d <= i is made of cosets of U_0, ..., U_{d-1}, so translation by
+any s in S_i fixes it.  A flat through the origin is a submodule, so a
+unit dilation x -> lam x maps each coset a + U_j to the coset lam a + U_j,
+and it fixes the union when it fixes each chosen coset that added points
+((lam - 1) a_j in U_j); the others lie in the union of those.  These
+units form a group Lambda, every unit of Z/N at the root.  So the maps
+x -> lam x + s, s in S_i and lam in Lambda, fix the union: the cosets of
+U_i in one orbit of them add the same number of points to it, and their
+best completions are images of each other, equally small.  Only the
+orbit's least-shift coset is branched on, which at the root is the
+translate through the origin.
 """
 from __future__ import annotations
 
@@ -141,35 +146,54 @@ def _coset_of(table: np.ndarray, order: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _orbit_representatives(ctx: RingContext, k: int) -> list[list[int]]:
-    """Per flat i of tables.flats(ctx, k), the positions in lex-least-shift
-    order of the least-shift coset of each S_i-orbit of its cosets, in
-    increasing order; S_i is the intersection of the flats before i
-    through the origin, S_0 the whole group.
+def _orbit_representatives(ctx: RingContext, least: np.ndarray, order: np.ndarray,
+                            coset_of: np.ndarray) -> tuple[list, list, list]:
+    """(reps, orbit_min, dilate), per flat i of tables.flats(ctx, k), over
+    the positions of its cosets in lex-least-shift order (least, order and
+    coset_of as from _shift_index).  reps[i] lists in increasing order the
+    least-shift coset of each S_i-orbit, S_i the intersection of the flats
+    before i through the origin (S_0 the whole group); orbit_min[i][j] is
+    the least position in the S_i-orbit of position j; dilate[i][u][j] is
+    the position of lam (a + U_i), for a + U_i the coset at position j and
+    lam the u-th unit of Z/N other than 1.
 
-    The orbit of the coset at position j holds the cosets of the points
-    low_j + s, s in S_i, where low_j is its lex-least point; it keeps j
-    when none of them comes earlier.  The coordinates and ranks of every
-    low_j + s of a flat are held at once, C * size * (n + 1) int64 at S_0
-    for C cosets per flat; more bytes than the machine's physical memory
+    The S_i-orbit of the coset at position j holds the cosets of the
+    points low_j + s, s in S_i, where low_j is its lex-least point, and
+    lam maps it to the coset of lam low_j.  The coordinates and ranks of
+    every low_j + s of a flat are held at once, C * size * (n + 1) int64
+    at S_0 for C cosets per flat, which also bounds the fewer than N
+    dilates of each low_j; more bytes than the machine's physical memory
     raise tables.TableMemoryError before any is built.
     """
-    table, least = tables.coset_table(ctx, k)
+    N = ctx.modulus
     tables.check_memory(8 * least.shape[1] * ctx.size * (ctx.dimension + 1))
-    order = np.argsort(least, axis=1)
-    coset_of = _coset_of(table, order, ctx.size)
+    units = np.flatnonzero(np.gcd(np.arange(N), N) == 1)[1:]
     grid = tables.coord_grid(ctx)
     inside = np.ones(ctx.size, dtype=bool)  # S_i, by rank
-    out = []
+    reps, orbit_min, dilate = [], [], []
     for i, lows in enumerate(np.take_along_axis(least, order, axis=1)):
-        moved = (grid[lows][:, None] + grid[inside][None]) % ctx.modulus
+        points = grid[lows]
+        moved = (points[:, None] + grid[inside][None]) % N
         orbit = coset_of[i, tables.rank_points(moved, ctx)].min(axis=1)
-        out.append(np.flatnonzero(orbit == np.arange(len(lows))).tolist())
+        reps.append(np.flatnonzero(orbit == np.arange(len(lows))).tolist())
+        orbit_min.append(orbit.tolist())
+        dilated = units[:, None, None] * points % N
+        dilate.append(coset_of[i, tables.rank_points(dilated, ctx)].tolist())
         inside &= coset_of[i] == 0  # position 0 is the coset through the origin
-    return out
+    return reps, orbit_min, dilate
 
 
-def _greedy(ctx: RingContext, k: int) -> tuple[list[Choice], int]:
+def _shift_index(ctx: RingContext, k: int) -> tuple[np.ndarray, ...]:
+    """(table, least, order, coset_of): tables.coset_table(ctx, k), each
+    flat's rows in lex-least-shift order (order[f, j] is the row at
+    position j) and the inverse index _coset_of over those positions."""
+    table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
+    order = np.argsort(least, axis=1)
+    return table, least, order, _coset_of(table, order, ctx.size)
+
+
+def _greedy(ctx: RingContext, table: np.ndarray, order: np.ndarray,
+            coset_of: np.ndarray) -> tuple[list[Choice], int]:
     """The choices of greedy_kakeya, in the order they were committed, and
     the size of their union.
 
@@ -181,10 +205,7 @@ def _greedy(ctx: RingContext, k: int) -> tuple[list[Choice], int]:
     size + 1: it loses at most size - N**k points after that, so its
     counts stay above any coset's size and it is never the minimum again.
     """
-    table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
     F, C, M = table.shape
-    order = np.argsort(least, axis=1)
-    coset_of = _coset_of(table, order, ctx.size)
     cost = np.full((F, C), M, dtype=np.int64)
     low = np.full(F, M, dtype=np.int64)
     keys = np.arange(F)[:, None] * C  # cost.flat index of (f, 0)
@@ -210,7 +231,8 @@ def greedy_kakeya(ctx: RingContext, k: int) -> KakeyaCertificate:
     lex-least minimizing shift."""
     if not 1 <= k <= ctx.dimension:
         raise ValueError("need 1 <= k <= n")
-    return _certificate(ctx, k, _greedy(ctx, k)[0], optimal=False)
+    table, _, order, coset_of = _shift_index(ctx, k)
+    return _certificate(ctx, k, _greedy(ctx, table, order, coset_of)[0], optimal=False)
 
 
 def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> KakeyaCertificate:
@@ -226,18 +248,22 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
     so far.  The greedy cover is the first incumbent.
 
     Flat i branches only on the least-shift coset of each orbit of its
-    cosets under S_i, the intersection of the flats before it through the
-    origin (_orbit_representatives).  Translation by s in S_i fixes every
-    union of cosets of earlier flats, so the members of an orbit have
-    equal increments, and translating a completion of a member's node by
-    s gives a completion, of the same size, of the node of the orbit's
+    cosets under the maps x -> lam x + s, for s in S_i, the intersection
+    of the flats before it through the origin, and lam in Lambda, the
+    units of Z/N whose dilation maps each earlier chosen coset that added
+    points onto itself (_orbit_representatives gives the S_i-orbits and
+    the dilates).  These maps fix the node's union, so the members of an
+    orbit have equal increments, and mapping a completion of a member's
+    node gives a completion, of the same size, of the node of the orbit's
     least-shift member, which the stable sort ranks first among them.
     Later members could never strictly improve the incumbent, so the
     certificate is the one the search over every coset finds.  At the
     root S_0 is the whole group and the one branch is the translate
-    through the origin.  The least increment of a later flat is the same
-    over its representatives, as S_i lies in the S_d of every node depth
-    d < i, so the bound prunes the same nodes.
+    through the origin.  Lambda shrinks only when a choice adds points,
+    and filters the S_i-representatives only while it holds a unit other
+    than 1.  The least increment of a later flat is the same over its
+    S_i-representatives, as S_i lies in the S_d of every node depth d < i,
+    so the bound prunes the same nodes.
     """
     if not 1 <= k <= ctx.dimension:
         raise ValueError("need 1 <= k <= n")
@@ -247,18 +273,21 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
         return _certificate(ctx, k, [(0, 0)], optimal=True)
 
     options = translate_options(ctx, k)  # refuses oversized bitmasks first
-    reps = _orbit_representatives(ctx, k)
+    table, least, order, coset_of = _shift_index(ctx, k)
+    reps, orbit_min, dilate = _orbit_representatives(ctx, least, order, coset_of)
     masks = [[opts[j][0] for j in js] for opts, js in zip(options, reps)]
     F = len(masks)
-    best_chosen, best_size = _greedy(ctx, k)
+    best_chosen, best_size = _greedy(ctx, table, order, coset_of)
     picks = [0] * F  # per flat, the position of its translate in shift order
     best_picks = None
     hint = [0] * F  # per flat, the representative of least increment when last scanned
     nodes = 0
     bit_count = int.bit_count
 
-    def dfs(pos: int, union: int, have: int):
-        # have is the size of union
+    def dfs(pos: int, union: int, have: int, units: tuple[int, ...]):
+        # have is the size of union; units indexes the units lam != 1 of
+        # Lambda, whose dilations fix every coset chosen so far that added
+        # points, and so fix union
         nonlocal nodes, best_size, best_picks
         if nodes >= budget:
             raise _Exhausted()
@@ -286,18 +315,26 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
             if low >= need:
                 return
             hint[fi] = incs_fi.index(low)
+        shifts = reps[pos]
+        dil = dilate[pos]
         if least == 0:
             # a translate already inside the union dominates every other
             # choice (swapping it in can only shrink the final union); the
             # first such is its orbit's representative
             ranked = [incs.index(0)]
         else:
+            kept = range(len(incs))
+            if units:
+                # the representatives that no unit of Lambda maps into an
+                # S_pos-orbit of a lesser least shift
+                mins = orbit_min[pos]
+                kept = [t for t, j in enumerate(shifts)
+                        if all(mins[dil[u][j]] >= j for u in units)]
             # a stable sort, so ties on cost stay in shift order
-            ranked = sorted(range(len(incs)), key=incs.__getitem__)
+            ranked = sorted(kept, key=incs.__getitem__)
         row_masks = masks[pos]
-        shifts = reps[pos]
-        for i, j in enumerate(ranked):
-            size = have + incs[j]
+        for i, t in enumerate(ranked):
+            size = have + incs[t]
             if size >= best_size:
                 # this child and every later one, none cheaper, are nodes
                 # that their own size prunes: count them without a visit
@@ -306,16 +343,21 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
                     raise _Exhausted()
                 nodes += rest
                 return
-            picks[pos] = shifts[j]
-            dfs(pos + 1, union | row_masks[j], size)
+            j = picks[pos] = shifts[t]
+            fixing = units
+            if units and size > have:
+                fixing = tuple(u for u in units if dil[u][j] == j)
+            dfs(pos + 1, union | row_masks[t], size, fixing)
 
     try:
-        dfs(0, 0, 0)
+        dfs(0, 0, 0, tuple(range(len(dilate[0]))))
         optimal = True
     except _Exhausted:
         optimal = False
+    # dfs reaches itself through its closure; dropping the name frees the
+    # search state now, not at the next cyclic garbage collection
+    del dfs
     if best_picks is not None:
-        order = np.argsort(tables.coset_table(ctx, k)[1], axis=1)
         best_chosen = [(f, int(order[f, j])) for f, j in enumerate(best_picks)]
     cert = _certificate(ctx, k, best_chosen, optimal=optimal)
     if not optimal:

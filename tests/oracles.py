@@ -694,36 +694,58 @@ def greedy_bitmask(ctx, k: int):
                                 optimal=False)
 
 
-def orbit_representatives_bitmask(ctx, options, order) -> list:
-    """Per position of order, the translates of flat order[pos] that come
-    first, in shift order, in their orbit under S_pos, the intersection of
-    the flats order[:pos] through the origin (S_0 the whole group); each
-    orbit is found by translating the translate's points by every point of
-    S_pos and looking the moved bitmask up among the flat's translates."""
+def orbit_minima_bitmask(ctx, options, order) -> list:
+    """Per position of order, per translate of flat order[pos] in shift
+    order, the least position in its orbit under translation by S_pos, the
+    intersection of the flats order[:pos] through the origin (S_0 the
+    whole group); each orbit is found by translating the translate's
+    points by every point of S_pos and looking the moved bitmask up among
+    the flat's translates."""
     N = ctx.modulus
-
-    def points(mask):
-        return [ctx.unrank(r) for r in range(ctx.size) if mask >> r & 1]
-
     origin = 1 << ctx.rank((0,) * ctx.dimension)
     inside = set(ctx.points())
-    reps = []
+    minima = []
     for fi in order:
         position = {mask: i for i, (mask, _) in enumerate(options[fi])}
-        kept = []
-        for i, (mask, shift) in enumerate(options[fi]):
-            pts = points(mask)
+        least = []
+        for mask, _ in options[fi]:
+            pts = _mask_points(ctx, mask)
             orbit = set()
             for s in inside:
                 moved = 0
                 for pt in pts:
                     moved |= 1 << ctx.rank(tuple((a + b) % N for a, b in zip(pt, s)))
                 orbit.add(position[moved])
-            if min(orbit) == i:
-                kept.append((mask, shift))
-        reps.append(kept)
-        inside &= set(points(next(m for m, _ in options[fi] if m & origin)))
-    return reps
+            least.append(min(orbit))
+        minima.append(least)
+        inside &= set(_mask_points(ctx, next(m for m, _ in options[fi] if m & origin)))
+    return minima
+
+
+def dilates_bitmask(ctx, options, units) -> list:
+    """Per flat, {lam: the position of lam x for each translate x of the
+    flat} over lam in units; each dilate is found by multiplying the
+    translate's points by lam and looking the moved bitmask up among the
+    flat's translates."""
+    N = ctx.modulus
+    out = []
+    for opts in options:
+        position = {mask: i for i, (mask, _) in enumerate(opts)}
+        per_unit = {}
+        for lam in units:
+            moved = []
+            for mask, _ in opts:
+                dilate = 0
+                for pt in _mask_points(ctx, mask):
+                    dilate |= 1 << ctx.rank(tuple(lam * a % N for a in pt))
+                moved.append(position[dilate])
+            per_unit[lam] = moved
+        out.append(per_unit)
+    return out
+
+
+def _mask_points(ctx, mask) -> list:
+    return [ctx.unrank(r) for r in range(ctx.size) if mask >> r & 1]
 
 
 def exact_bitmask(ctx, k: int, budget: int = 5_000_000, orbits: bool = True):
@@ -731,10 +753,12 @@ def exact_bitmask(ctx, k: int, budget: int = 5_000_000, orbits: bool = True):
     raises BudgetExceeded, as search.exact_min_kakeya does, when the
     budget runs out.
 
-    With orbits, each flat branches only on the translates that
-    orbit_representatives_bitmask keeps.  Without, every translate is
-    branched on except at the root, which keeps the translate through the
-    origin alone."""
+    With orbits, flat order[pos] branches only on the translates that come
+    first, in shift order, in their orbit under the maps x -> lam x + s, s
+    in S_pos and lam in Lambda: the units of Z/N whose dilation maps every
+    chosen translate that added points onto itself.  Without, every
+    translate is branched on except at the root, which keeps the
+    translate through the origin alone."""
     if k == ctx.dimension:
         cert = _certificate_bitmask(ctx, k, [(0, (1 << ctx.size) - 1, (0,) * ctx.dimension)], True)
         return cert, 0
@@ -748,9 +772,21 @@ def exact_bitmask(ctx, k: int, budget: int = 5_000_000, orbits: bool = True):
     nodes = 0
     order = sorted(range(len(options)), key=lambda fi: -min(m.bit_count() for m in masks[fi]))
     if orbits:
-        branches = orbit_representatives_bitmask(ctx, options, order)
-    else:
-        branches = [options[fi] for fi in order]
+        units = [lam for lam in range(1, ctx.modulus) if math.gcd(lam, ctx.modulus) == 1]
+        minima = orbit_minima_bitmask(ctx, options, order)
+        dilates = dilates_bitmask(ctx, options, units)
+
+    def branches(pos, added):
+        # (position, mask, shift) of each translate flat order[pos] branches
+        # on; added holds the (flat, position) of each chosen translate that
+        # added points
+        fi = order[pos]
+        every = [(j, mask, shift) for j, (mask, shift) in enumerate(options[fi])]
+        if not orbits:
+            return every
+        fixing = [lam for lam in units if all(dilates[f][lam][j] == j for f, j in added)]
+        return [b for b in every
+                if min(minima[pos][dilates[fi][lam][b[0]]] for lam in fixing) == b[0]]
 
     class Exhausted(Exception):
         pass
@@ -765,7 +801,7 @@ def exact_bitmask(ctx, k: int, budget: int = 5_000_000, orbits: bool = True):
                 break
         return have + worst
 
-    def dfs(pos, union, chosen):
+    def dfs(pos, union, chosen, added):
         nonlocal nodes, best_size, best_chosen
         if nodes >= budget:
             raise Exhausted()
@@ -779,16 +815,16 @@ def exact_bitmask(ctx, k: int, budget: int = 5_000_000, orbits: bool = True):
             return
         fi = order[pos]
         free = ~union
-        ranked = sorted(branches[pos], key=lambda ms: (ms[0] & free).bit_count())
-        if (pos == 0 and not orbits) or ranked[0][0] & free == 0:
+        ranked = sorted(branches(pos, added), key=lambda b: (b[1] & free).bit_count())
+        if (pos == 0 and not orbits) or ranked[0][1] & free == 0:
             ranked = ranked[:1]
-        for mask, shift in ranked:
+        for j, mask, shift in ranked:
             chosen.append((fi, mask, shift))
-            dfs(pos + 1, union | mask, chosen)
+            dfs(pos + 1, union | mask, chosen, added + [(fi, j)] if mask & free else added)
             chosen.pop()
 
     try:
-        dfs(0, 0, [])
+        dfs(0, 0, [], [])
     except Exhausted:
         raise BudgetExceeded(_certificate_bitmask(ctx, k, best_chosen, False)) from None
     return _certificate_bitmask(ctx, k, best_chosen, True), nodes

@@ -48,6 +48,7 @@ class TestVerifyCommand:
         code, _ = run_cli(["verify", *RING, "--ci", "--seed", "1", "--trials", "2", "plancherel"], capsys)
         assert code == 0
 
+    @pytest.mark.filterwarnings("ignore:numeric band semantics")
     def test_failing_check_exits_1(self, capsys):
         # numeric band semantics over N = 24 violates coset constancy, so the
         # reduction check reports a failure
@@ -90,6 +91,7 @@ class TestConstantsCommand:
         sums = [row["chain_partial_sum"] for row in payload["tables"]["numeric"]]
         assert sums == sorted(sums)
 
+    @pytest.mark.filterwarnings("ignore:numeric band semantics")
     def test_profinite_both_semantics(self, capsys):
         code, out = run_cli(["constants", "--mode", "profinite", "-L", "2", "-n", "3"], capsys)
         assert code == 0

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -167,10 +168,11 @@ class TestExactMinimum:
         assert cert.optimal
         assert cert.size == exhaustive_minimum(ctx, 1) == want
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_prime_planes_reach_the_least_kakeya_set(self, p):
         # Blokhuis-Mazzocca: the least Kakeya set of AG(2, q), q odd, has
-        # q(q + 1)/2 + (q - 1)/2 points
+        # q(q + 1)/2 + (q - 1)/2 points; p = 11 is proven within the
+        # default budget
         cert = exact_min_kakeya(RingContext.padic(p, 1, 2), 1)
         assert cert.optimal
         assert cert.size == p * (p + 1) // 2 + (p - 1) // 2
@@ -317,9 +319,9 @@ class TestAgainstBitmaskOracles:
 
     @pytest.mark.parametrize("ctx,k", GREEDY, ids=ring_id)
     def test_greedy_choices(self, ctx, k):
-        table, least = tables.coset_table(ctx, k)
+        table, least, order, coset_of = search._shift_index(ctx, k)
         grid = tables.coord_grid(ctx)
-        chosen, size = search._greedy(ctx, k)
+        chosen, size = search._greedy(ctx, table, order, coset_of)
         committed = [(f, tuple(grid[least[f, row]].tolist())) for f, row in chosen]
         want = greedy_bitmask_choices(translate_options(ctx, k))
         assert committed == [(f, shift) for f, _, shift in want]
@@ -387,7 +389,9 @@ class TestAgainstBitmaskOracles:
                 exact_min_kakeya(ctx, 2, budget=budget)
 
     @pytest.mark.parametrize("ctx,k", EXACT + [(RingContext.padic(3, 1, 2), 1),
-                                               (RingContext.padic(5, 1, 2), 1)], ids=ring_id)
+                                               (RingContext.padic(5, 1, 2), 1),
+                                               (RingContext.padic(3, 1, 3), 1),
+                                               (RingContext.padic(3, 2, 2), 1)], ids=ring_id)
     def test_orbit_rule_keeps_the_certificate(self, ctx, k):
         # the oracle that branches on every translate below the root finds
         # the certificate that the search over orbit representatives finds
@@ -397,14 +401,17 @@ class TestAgainstBitmaskOracles:
 
 class TestOrbitRepresentatives:
     """The lemma behind the exact search's branching rule, checked on
-    point sets: translation by S_i, the intersection of the flats before
-    i, fixes every union of cosets of those flats."""
+    point sets: the maps x -> lam x + s, s in S_i (the intersection of the
+    flats before i) and lam a unit whose dilation maps every chosen coset
+    that added points onto itself, fix every union of cosets of those
+    flats."""
 
     @pytest.mark.parametrize("ctx,k", [(RingContext.padic(2, 2, 2), 1),
                                        (RingContext.generic(6, 2), 1),
                                        (RingContext.padic(3, 1, 2), 1),
                                        (RingContext.padic(2, 1, 3), 2),
-                                       (RingContext.padic(2, 2, 3), 1)], ids=ring_id)
+                                       (RingContext.padic(2, 2, 3), 1),
+                                       (RingContext.padic(3, 2, 2), 1)], ids=ring_id)
     def test_orbits_have_equal_increments(self, ctx, k):
         N = ctx.modulus
         flats = tables.flats(ctx, k)
@@ -415,32 +422,56 @@ class TestOrbitRepresentatives:
         inside = [set(ctx.points())]  # S_i
         for flat in flats:
             inside.append(inside[-1] & flat_points(flat))
-        orbits = []  # per flat, the orbit of each translate as a set of positions
+        orbits = []  # per flat, the S_i-orbit of each translate as a set of positions
         for i, cs in enumerate(cosets):
             orbits.append([{where[i][tuple((a + b) % N for a, b in zip(pt, s))]
                             for pt in coset for s in inside[i]} for coset in cs])
-        reps = search._orbit_representatives(ctx, k)
-        assert len(reps) == len(flats)
+        units = [lam for lam in range(2, N) if math.gcd(lam, N) == 1]
+
+        def dilate(coset, lam):
+            return frozenset(tuple(lam * a % N for a in pt) for pt in coset)
+
+        # per flat and unit, the position of the dilate of each translate,
+        # which must itself be a translate
+        dilates = [[[cs.index(dilate(coset, lam)) for coset in cs] for lam in units]
+                   for cs in cosets]
+        _, least, order, coset_of = search._shift_index(ctx, k)
+        reps, low, dilated = search._orbit_representatives(ctx, least, order, coset_of)
+        assert len(reps) == len(low) == len(dilated) == len(flats)
         for i, orbit in enumerate(orbits):
             assert reps[i] == sorted({min(o) for o in orbit})
             assert all(min(orbit[j]) == j for j in reps[i])
+            assert low[i] == [min(o) for o in orbit]
+            assert dilated[i] == dilates[i]
         assert reps[0] == [0]
         rng = random.Random(f"orbits|{ctx.describe()}|{k}")
+        dilations_used = 0
         for _ in range(25):
             d = rng.randrange(len(flats))
-            union = set().union(*(rng.choice(cosets[f]) for f in range(d)))
+            union, fixing = set(), units
+            for f in range(d):
+                # the translate through the origin half the time, which
+                # keeps every unit over a prime field
+                coset = cosets[f][0] if rng.random() < 0.5 else rng.choice(cosets[f])
+                if coset - union:
+                    fixing = [lam for lam in fixing if dilate(coset, lam) == coset]
+                    union |= coset
+            dilations_used += bool(fixing)
             for i in range(d, len(flats)):
-                for orbit in orbits[i]:
-                    assert len({len(cosets[i][j] - union) for j in orbit}) == 1
+                for j in range(len(cosets[i])):
+                    orbit = orbits[i][j].union(*(orbits[i][dilates[i][units.index(lam)][j]]
+                                                 for lam in fixing))
+                    assert len({len(cosets[i][m] - union) for m in orbit}) == 1
+        assert dilations_used or not units
 
     def test_over_memory_refused(self, monkeypatch):
         # padic(2,2,3) lines: 16 cosets moved by all 64 points, as 3
         # coordinates and a rank in int64, 32,768 bytes at S_0
         ctx = RingContext.padic(2, 2, 3)
-        tables.coset_table(ctx, 1)
+        _, least, order, coset_of = search._shift_index(ctx, 1)
         monkeypatch.setattr(tables, "_physical_memory", lambda: 32_767)
         with pytest.raises(TableMemoryError) as err:
-            search._orbit_representatives(ctx, 1)
+            search._orbit_representatives(ctx, least, order, coset_of)
         assert err.value.estimate == 16 * 64 * 4 * 8
         monkeypatch.setattr(tables, "_physical_memory", lambda: 32_768)
-        assert search._orbit_representatives(ctx, 1)[0] == [0]
+        assert search._orbit_representatives(ctx, least, order, coset_of)[0][0] == [0]
