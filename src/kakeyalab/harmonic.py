@@ -20,7 +20,9 @@ tower of line sums per CRT component, never the whole line table), the
 u^perp masses and each axis pass of the exact transform sum over index
 rows through tables.blocked_sums; xray_transform, one direction in
 either lane, builds and gathers that direction's row of the line table
-alone (tables.coset_rows).  Where the bound
+alone (tables.coset_rows).  Asked for powers, xray_all folds each block
+of line sums into per-direction power sums as it is made, so a check
+that reads only moments holds no X-ray.  Where the bound
 that a headroom check computes is under 2**31 (_sum_dtype), the exact
 X-rays, coset maxima and transform passes gather and add int32, half the
 bytes; their results are int64 again.
@@ -28,8 +30,9 @@ bytes; their results are int64 again.
 Densities and spectra may be stacks of T rows, each over its own
 denominator.  The transforms, xray_all, band_project and Spectrum.masses
 run one density as a stack of one, so a check takes each exact step once
-per chunk of trials: as many as fit tables._BLOCK_BYTES in the check's
-widest stack.  Every headroom check bounds each row on its own.
+per chunk of trials: as many as fit tables._CHUNK_BYTES in the widest
+stack that a chunk of the check holds.  Every headroom check bounds each
+row on its own.
 """
 from __future__ import annotations
 
@@ -105,16 +108,24 @@ def _lowest_terms(x: np.ndarray, den):
 
 
 def power_sum(x: np.ndarray, p: int, axis: int | None = None):
-    """sum |x|**p of an int64 array (along axis), exact.
+    """sum |x|**p of an integer or object array (along axis), exact.
 
     The sum runs in int64 when max|x|**p times the number of terms summed
-    is under the headroom, and over Python ints (object dtype) past it, so
-    the result is an int64 or an object array (or scalar).  Python ints are
-    taken a block of terms (about tables._BLOCK_BYTES of int64) at a time."""
+    is under the headroom: by einsum for p = 2, with no temporary of x's
+    size, and otherwise through one int64 copy of |x| raised in place.
+    Past the headroom, and for an object array, it runs over Python ints
+    (object dtype), a block of terms (about tables._BLOCK_BYTES of int64)
+    at a time.  So the result is an int64 or an object array (or scalar)."""
     count = x.size if axis is None else x.shape[axis]
-    if _abs_max(x) ** p * count < _INT_HEADROOM:
-        return (np.abs(x) ** p).sum(axis=axis)
-    terms = x.reshape(-1) if axis is None else np.moveaxis(x, axis, -1)
+    if axis is None:
+        terms = x.reshape(-1)
+    else:  # moveaxis costs more than a small sum, so only where it moves one
+        terms = x if axis % x.ndim == x.ndim - 1 else np.moveaxis(x, axis, -1)
+    if x.dtype != object and _abs_max(x) ** p * count < _INT_HEADROOM:
+        if p == 2:
+            return np.einsum("...j,...j->...", terms, terms, dtype=np.int64)
+        powers = np.abs(terms, dtype=np.int64)
+        return np.power(powers, p, out=powers).sum(axis=-1)
     step = max(1, tables._BLOCK_BYTES * count // (8 * x.size))
     return sum((np.abs(terms[..., lo:lo + step].astype(object)) ** p).sum(axis=-1)
                for lo in range(0, count, step))
@@ -285,19 +296,20 @@ class Spectrum:
 
     def correlations(self) -> np.ndarray:
         """(size, N) integer coefficients of den**2 * |f^(a)|**2 per a (per
-        row of a stack): corr[a, m] = sum_j C[a, j] C[a, j - m], one gather
-        of the shifted coefficients and one integer matmul per block of rows
-        (about tables._BLOCK_BYTES; whole, generic(30,3) would take 194 MB)."""
+        row of a stack): corr[a, m] = sum_j C[a, j] C[a, j - m].  The sum
+        splits at j = m into two rolled dot products, one einsum each, and
+        corr[a, N - m] = corr[a, m], so only the shifts m <= N // 2 are
+        summed and the rest copied; no shifted copy of C is made."""
         if self._corr is None:
             N = self.ctx.modulus
             C = self.coeffs.reshape(-1, N)
             _check_headroom(_abs_max(C) ** 2 * N)  # an entry sums N products
-            shifts = (np.arange(N)[:, None] - np.arange(N)) % N  # [j, m] = j - m
             corr = np.empty_like(C)
-            step = max(1, tables._BLOCK_BYTES // (8 * N * N))
-            for lo in range(0, len(C), step):
-                block = C[lo:lo + step]
-                corr[lo:lo + step] = (block[:, None, :] @ block[:, shifts])[:, 0]
+            np.einsum("aj,aj->a", C, C, out=corr[:, 0])
+            for m in range(1, N // 2 + 1):
+                np.einsum("aj,aj->a", C[:, m:], C[:, :N - m], out=corr[:, m])
+                corr[:, m] += np.einsum("aj,aj->a", C[:, :m], C[:, N - m:])
+            corr[:, N // 2 + 1:] = corr[:, (N - 1) // 2:0:-1]  # column N - m is column m
             corr = corr.reshape(self.coeffs.shape)
             corr.setflags(write=False)
             self._corr = corr
@@ -377,10 +389,12 @@ def _axis_pass_exact(C: np.ndarray, ctx: RingContext, axis: int, sign: int) -> n
 
     The pass axis and the coefficient axis of a (T, size, N) stack (T = 1
     for one spectrum) lead an (N*N, T*size/N) stack, and
-    tables.blocked_sums sums it over the rows of _pass_index."""
+    tables.blocked_sums sums it over the rows of _pass_index.  The stack is
+    a contiguous copy: on the last axis a reshape alone would give a
+    column-major view, whose rows each gather strided."""
     N, n = ctx.modulus, ctx.dimension
     front = np.moveaxis(C.reshape((-1,) + (N,) * (n + 1)), (axis + 1, n + 1), (0, 1))
-    values = front.reshape(N * N, -1)
+    values = np.ascontiguousarray(front.reshape(N * N, -1))
     out = np.empty_like(values)
     for lo, sums in tables.blocked_sums(values, _pass_index(N, sign)):
         out[lo:lo + len(sums)] = sums
@@ -447,26 +461,57 @@ def xray_transform(f: Density, u: ProjDirection) -> Density:
     return Density(ctx.quotient(), num=f.num[..., fibers].sum(-1), den=f.den * N)
 
 
-def xray_all(f: Density):
+def xray_all(f: Density, powers: Sequence[int] | None = None):
     """X-ray line sums along every direction, in the exact lane.
 
     Returns (P, size/N) int64 numerators ((T, P, size/N) for a stack) over
     denominator den*N, under the headroom check, summed in int32 where that
-    bound allows.  The lines of every direction are summed through
-    tables.coset_plan, one p-adic tower per CRT component, so no ring
-    builds its line table here.
+    bound allows; a stack past physical memory raises TableMemoryError
+    before it is allocated.  The lines of every direction are summed
+    through tables.coset_plan, one p-adic tower per CRT component, so no
+    ring builds its line table here; the rows go a chunk (about
+    tables._CHUNK_BYTES) at a time.
+
+    With powers, the X-rays are never held: each block of flats that
+    tables.coset_sums yields is folded into sum_y |line sum y|**p per
+    direction (power_sum, in int64 under the headroom and over Python ints
+    past it, a block at a time), and the result is a list of (P,) ((T, P)
+    for a stack) arrays, one per p in powers, over the same denominator.
+    A direction's sum does not depend on the order of its lines, so the
+    cosets are not put in rank order.
     """
     if f.lane != "exact":
         raise ValueError("xray_all is an exact-lane operation")
     ctx = f.ctx
     # the bound covers every line sum
-    rows = f.num.reshape(-1, ctx.size).astype(_sum_dtype(_abs_max(f.num) * ctx.modulus), copy=False)
+    dtype = _sum_dtype(_abs_max(f.num) * ctx.modulus)
+    rows = f.num.reshape(-1, ctx.size)
     plan = tables.coset_plan(ctx, 1)
     Q = ctx.size // ctx.modulus
-    sums = np.empty((len(rows),) + plan.flat_shape + (Q,), dtype=np.int64)
-    for lo, block in tables.coset_sums(rows, plan):
-        sums[..., lo:lo + block.shape[len(plan.towers)], :] = plan.in_rank_order(block)
-    return sums.reshape(f.num.shape[:-1] + (-1, Q)), f.den * ctx.modulus
+    lead = (len(rows),) + plan.flat_shape
+    if powers is None:
+        tables.check_memory(8 * math.prod(lead) * Q)
+        out = [np.empty(lead + (Q,), dtype=np.int64)]
+    else:
+        out = [np.empty(lead, dtype=np.int64) for _ in powers]
+    step = max(1, tables._CHUNK_BYTES // (dtype.itemsize * plan.width))
+    for r0 in range(0, len(rows), step):
+        chunk = rows[r0:r0 + step].astype(dtype, copy=False)
+        for lo, block in tables.coset_sums(chunk, plan):
+            at = (slice(r0, r0 + len(chunk)), Ellipsis, slice(lo, lo + block.shape[len(plan.towers)]))
+            if powers is None:
+                out[0][at + (slice(None),)] = plan.in_rank_order(block)
+                continue
+            lines = block.reshape(block.shape[:len(lead)] + (Q,))
+            for q, p in enumerate(powers):
+                sums = power_sum(lines, p, axis=-1)
+                if sums.dtype == object and out[q].dtype != object:
+                    out[q] = out[q].astype(object)
+                out[q][at] = sums
+    shape = f.num.shape[:-1] + (-1,)
+    if powers is None:
+        return out[0].reshape(shape + (Q,)), f.den * ctx.modulus
+    return [s.reshape(shape) for s in out], f.den * ctx.modulus
 
 
 def xray_l2_spectral(f: Density | Spectrum):

@@ -65,15 +65,6 @@ class MaximalProfile:
         return max(self.values)
 
 
-# Bytes of a chunk of rows, in the dtype of its sums, times the widest
-# level of its coset plan (CosetPlan.width, at least the row itself).  A tall
-# stack gathered at once could take tens of GiB (the induced X-rays of
-# profinite(3,3) band 3 would take about 45 GiB).  Within a chunk,
-# tables.coset_sums picks the layout and tables.blocked_sums sizes the
-# blocks of flats.
-_CHUNK_BYTES = 1 << 24
-
-
 def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, index: np.ndarray | None = None):
     """The largest coset sum of |rows| per k-flat, for a stack of rows at once.
 
@@ -83,10 +74,10 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, index: np.ndarray |
     induced stack is never built.  Returns (R, F) int64 maxima, flats in
     coset_table order.
 
-    The sums run a chunk of rows (about _CHUNK_BYTES) at a time through
-    tables.coset_sums over tables.coset_plan, one p-adic tower per CRT
-    component, in int32 where max|row| * N**k < 2**31: every partial sum
-    of a level is a sum over part of a coset, under the same bound.
+    The sums run a chunk of rows (about tables._CHUNK_BYTES) at a time
+    through tables.coset_sums over tables.coset_plan, one p-adic tower per
+    CRT component, in int32 where max|row| * N**k < 2**31: every partial
+    sum of a level is a sum over part of a coset, under the same bound.
     """
     if rows.dtype.kind != "i":
         raise TypeError("coset_maxima takes integer numerators")
@@ -94,7 +85,7 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, index: np.ndarray |
     dtype = _sum_dtype(_abs_max(rows) * ctx.modulus**k)
     plan = tables.coset_plan(ctx, k)
     m = len(plan.towers)
-    step = max(1, _CHUNK_BYTES // (dtype.itemsize * plan.width))
+    step = max(1, tables._CHUNK_BYTES // (dtype.itemsize * plan.width))
     best = np.empty((len(rows), math.prod(plan.flat_shape)), dtype=np.int64)
     for lo in range(0, len(rows), step):
         a = np.abs(rows[lo:lo + step]).astype(dtype, copy=False)

@@ -212,14 +212,22 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Bytes that one block of work holds: the intp index and gathered values
-# of a block of blocked_sums, the shifted coefficients of a block of
-# harmonic.Spectrum.correlations, a block of harmonic.power_sum's Python
-# ints, the ranks of a block of flats that coset_table builds or of a
-# tower level, and the widest stack of a chunk of trials of the spectral
-# checks in verify.
+# of a block of blocked_sums, a block of harmonic.power_sum's Python ints,
+# and the ranks of a block of flats that coset_table builds or of a tower
+# level.
 # Gathered whole on generic(30,3), the line-table X-ray would take 610 MB;
 # blocks of 4 MB ran the exact X-ray of padic(5,2,3) about 3x slower.
 _BLOCK_BYTES = 1 << 18
+
+
+# Bytes that one chunk of rows holds: the rows of maximal.coset_maxima and
+# harmonic.xray_all, in the dtype of their sums, times the widest level of
+# their coset plan (CosetPlan.width, at least the row itself), and the
+# widest stack of a chunk of trials of a check in verify.  A tall stack
+# gathered at once could take tens of GiB (the induced X-rays of
+# profinite(3,3) band 3 would take about 45 GiB).  Within a chunk,
+# coset_sums picks the layout and blocked_sums sizes the blocks of flats.
+_CHUNK_BYTES = 1 << 24
 
 
 # Integer rows whose index rows hold at most this many entries are summed

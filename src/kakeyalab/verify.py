@@ -123,11 +123,14 @@ def _corpus(ctx: RingContext, seed: int, trials: int) -> Iterable[Density]:
 def _stacks(ctx: RingContext, seed: int, trials: int, width: int,
             extra: Sequence[Density] = ()) -> Iterator[tuple[int, Density]]:
     """The corpus, drawn once, then extra, as (first trial, stack) chunks of as
-    many trials as fit their widest stack, width int64s a trial, in
-    tables._BLOCK_BYTES."""
+    many trials as fit the widest stack that a chunk of the check holds,
+    width int64s a trial, in tables._CHUNK_BYTES.  A chunk whose stack
+    would pass physical memory raises TableMemoryError before it is drawn."""
     densities = itertools.chain(_corpus(ctx, seed, trials), extra)
-    step = max(1, tables._BLOCK_BYTES // (8 * width))
-    for lo in range(0, trials + len(extra), step):
+    total = trials + len(extra)
+    step = max(1, tables._CHUNK_BYTES // (8 * width))
+    for lo in range(0, total, step):
+        tables.check_memory(8 * width * min(step, total - lo))
         chunk = list(itertools.islice(densities, step))
         yield lo, Density(ctx, num=[f.num for f in chunk], den=[f.den for f in chunk])
 
@@ -228,17 +231,18 @@ def verify_xray_l2(ctx: RingContext, trials: int, seed: int) -> VerificationRepo
     """The X-ray l2 identity: avg_u integral |f_u|^2 equals the
     valuation-weighted spectral sum, and per direction the orthogonal-sum identity
     sum_{a in u-perp} |f^(a)|^2 = integral |f_u|^2, all exact.  Each chunk
-    of trials (_stacks) takes one transform and one X-ray pass, which both
-    identities share."""
+    of trials (_stacks, sized by its spectrum) takes one transform and one
+    X-ray pass, which both identities share; the pass folds each block of
+    line sums into per-direction sums of squares, so no X-ray is held."""
     worst, witness = Fraction(0), None
     perp, qsize = tables.perp_index(ctx), ctx.size // ctx.modulus
-    for lo, f in _stacks(ctx, seed, trials, max(perp.shape[0] * qsize, ctx.size * ctx.modulus)):
+    for lo, f in _stacks(ctx, seed, trials, ctx.size * ctx.modulus):
         s = fourier_forward(f)
-        nums, den = xray_all(f)
+        (row_l2,), den = xray_all(f, (2,))  # integral |f_u|^2 * xray_den per direction
+        row_l2 = row_l2.astype(object)
         spectral = xray_l2_spectral(s)
         spec, spec_den = s.masses(perp)
-        row_l2 = power_sum(nums, 2, axis=2).astype(object)  # integral |f_u|^2 * xray_den
-        for j in range(len(nums)):
+        for j in range(len(row_l2)):
             xray_den = den[j]**2 * qsize
             spatial = Fraction(int(row_l2[j].sum()), xray_den * len(perp))
             diff = abs(spatial - spectral[j])
@@ -269,19 +273,21 @@ def verify_freqbound(ctx: RingContext, p: int, trials: int, seed: int) -> Verifi
 def verify_freqbounds(ctx: RingContext, ps: Sequence[int], trials: int,
                       seed: int) -> list[VerificationReport]:
     """verify_freqbound at every p of ps, one report per p, skipped where
-    p < 2.  Each chunk of trials (_stacks) takes one projection into all
-    bands and one X-ray pass, which every p >= 2 reads."""
+    p < 2.  Each chunk of trials (_stacks, sized by the density and its
+    band components) takes one projection into all bands and one X-ray
+    pass, which folds each block of line sums into per-direction power
+    sums for every p >= 2 at once, so no X-ray is held."""
     n, bands = ctx.dimension, ctx.num_bands
     P, qsize = len(tables.directions(ctx)), ctx.size // ctx.modulus
     constants = [band_constant(i, n, ctx) for i in range(bands)]
     kept = [p for p in ps if p >= 2]
     worst, witness = [Fraction(10**9)] * len(kept), [None] * len(kept)
-    for lo, f in _stacks(ctx, seed, trials, bands * P * qsize) if kept else ():
-        nums, den = xray_all(band_project(f, range(bands)))
+    for lo, f in _stacks(ctx, seed, trials, (1 + bands) * ctx.size) if kept else ():
+        moments, den = xray_all(band_project(f, range(bands)), kept)
         for q, p in enumerate(kept):
             rhs = power_sum(f.num, p, axis=1)
-            lhs = power_sum(nums.reshape(len(nums), -1), p, axis=1)
-            for r in range(len(nums)):
+            lhs = power_sum(moments[q], 1, axis=1)  # over the directions
+            for r in range(len(lhs)):
                 j, i = divmod(r, bands)
                 rhs_base = Fraction(int(rhs[j]), f.den[j]**p * ctx.size)
                 slack = constants[i] * rhs_base - Fraction(int(lhs[r]), den[r]**p * qsize * P)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kakeyalab import tables
+from kakeyalab import harmonic, tables
 from kakeyalab.geometry import canonical_direction, enumerate_proj, proj_size
 from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _axis_pass_exact, _sum_dtype,
                                 _band_project_spectral, _pass_index, band_constant,
@@ -235,14 +235,19 @@ class TestMasses:
 
 class TestCorrelations:
     @pytest.mark.parametrize("rows", [1, 2, 4])
-    def test_blocks_match_roll(self, monkeypatch, rows):
-        # 27 rows in blocks of 1, 2 and 4 rows: every last block but the
-        # first is ragged
-        ctx = RingContext.padic(3, 1, 3)
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * 3 * 3 * rows)
-        for t, dist in enumerate(DISTRIBUTIONS):
-            s = fourier_forward(random_density(ctx, seed=37, dist=dist, trial=t))
-            assert s.correlations().tolist() == correlations_roll(s).tolist()
+    def test_blocks_match_roll(self, rows):
+        # stacks of 1, 2 and 4 spectra over odd and even N: the shifts
+        # m <= N // 2 are summed and their mirrors N - m copied, and at even
+        # N the middle shift is its own mirror
+        for ctx in (RingContext.padic(3, 1, 3), RingContext.padic(2, 2, 2),
+                    RingContext.generic(5, 2), RingContext.generic(6, 2)):
+            dens = [random_density(ctx, seed=37, dist=dist, trial=t)
+                    for t, dist in enumerate(DISTRIBUTIONS[:rows])]
+            s = fourier_forward(Density(ctx, num=[f.num for f in dens], den=[f.den for f in dens]))
+            for t, f in enumerate(dens):
+                one = fourier_forward(f)
+                assert one.den == s.den[t]
+                assert s.correlations()[t].tolist() == correlations_roll(one).tolist()
 
     def test_default_budget_matches_roll(self):
         for ctx in (RingContext.generic(12, 2), RingContext.padic(2, 3, 3)):
@@ -298,6 +303,38 @@ class TestPowerSum:
         assert power_sum(x, 1) == 2**63 + 1
         assert power_sum(x, 2) == 2**126 + 1
         assert power_sum(np.zeros(3, dtype=np.int64), 4) == 0
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_int64_path_is_the_object_path(self, monkeypatch, p):
+        # at the dtype minima (-2**63, and -2**31, whose abs wraps in int32)
+        # and on both sides of the headroom edge, in int32 and int64 and
+        # along either axis, the int64 sums (einsum at p = 2, a power taken
+        # in place otherwise) equal the Python-int sums of the object path
+        count = 3
+        edge = int(((2**61 - 1) // count) ** (1 / p))
+        while (edge + 1) ** p * count < 2**61:
+            edge += 1
+        while edge**p * count >= 2**61:
+            edge -= 1
+        cases = [np.array([[-(2**63), 5, 0], [1, -2, 3]], dtype=np.int64)]
+        for top in (edge, edge + 1):
+            cases.append(np.array([[top, -top, 1], [-(top // 2), 0, top - 1]], dtype=np.int64))
+        if p < 3:
+            cases.append(np.array([[-(2**31), 2**31 - 1, 0], [7, -8, 9]], dtype=np.int32))
+        for x in cases:
+            for axis in (None, 0, 1):
+                got = power_sum(x, p, axis)
+                with monkeypatch.context() as m:
+                    m.setattr(harmonic, "_INT_HEADROOM", 0)  # every sum over Python ints
+                    want = power_sum(x, p, axis)
+                python = abs(x.astype(object)) ** p
+                if axis is None:
+                    assert type(want) is int and int(got) == want == python.sum()
+                else:
+                    assert want.dtype == object
+                    assert got.tolist() == want.tolist() == python.sum(axis=axis).tolist()
+        # along the rows of count terms, the edge sums in int64 and one past it not
+        assert [power_sum(x, p, axis=1).dtype for x in cases[1:3]] == [np.int64, object]
 
 
 class TestXray:
@@ -402,6 +439,35 @@ class TestXray:
         for (fu, gu), fibers in zip(got, tables.coset_table(ctx, 1)[0]):
             assert fu.values() == tuple(Fraction(int(v), f.den * N) for v in f.num[fibers].sum(-1))
             assert np.array_equal(gu.data, g.data[..., fibers].sum(-1) / N)
+
+    @pytest.mark.parametrize("setting", ["default", "small-block", "small-chunk", "low-headroom"])
+    @pytest.mark.parametrize("ctx", corpus_rings() + [RingContext.padic(5, 2, 3)],
+                             ids=lambda c: c.describe())
+    def test_xray_all_powers_fold_the_xrays(self, monkeypatch, ctx, setting):
+        # xray_all(f, ps) is power_sum of xray_all(f) per direction, for a
+        # stack and one density, with blocks of a few flats, chunks of one
+        # row, or a headroom that sends the blocks' sums to Python ints
+        dens = [random_density(ctx, seed=52, dist=d, trial=t) for t, d in enumerate(DISTRIBUTIONS)]
+        stack = Density(ctx, num=[f.num for f in dens], den=[f.den for f in dens])
+        ps = (2, 3, 4)
+        want = []
+        for f in (stack, dens[0]):
+            nums, den = xray_all(f)
+            want.append((f, [power_sum(nums, p, axis=-1).tolist() for p in ps], den))
+        if setting == "small-block":
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 10)
+        elif setting == "small-chunk":
+            itemsize = _sum_dtype(harmonic._abs_max(stack.num) * ctx.modulus).itemsize
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", itemsize * tables.coset_plan(ctx, 1).width)
+        elif setting == "low-headroom":
+            monkeypatch.setattr(harmonic, "_INT_HEADROOM", harmonic._abs_max(stack.num) * ctx.modulus + 1)
+        for f, sums, den in want:
+            got, got_den = xray_all(f, ps)
+            assert [g.tolist() for g in got] == sums
+            assert np.array_equal(np.asarray(got_den), np.asarray(den))
+            assert got[0].shape == f.num.shape[:-1] + (len(tables.directions(ctx)),)
+        if setting == "low-headroom":
+            assert xray_all(stack, ps)[0][-1].dtype == object
 
     def test_xray_all_is_exact_only(self):
         with pytest.raises(ValueError, match="exact-lane"):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from kakeyalab import tables
 from kakeyalab.geometry import canonical_direction
 from kakeyalab.harmonic import Density, induce_rows, xray_all
-import kakeyalab.maximal as maximal
 from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
                                f_star, flat_maximal, line_maximal, maxN_constant,
                                mweight, rounding_g)
@@ -322,7 +321,7 @@ class TestCosetMaxima:
         for ctx in (RingContext.generic(6, 2), RingContext.padic(2, 2, 2)):
             rows = np.stack([random_density(ctx, seed=40 + r, dist=DISTRIBUTIONS[r % 4],
                                             trial=r).num * (r + 1) for r in range(7)])
-            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
             for point_major, block_bytes, k in itertools.product(
                     (1, tables._POINT_MAJOR_ROWS), (1, 3000, 1 << 30), (1, 2)):
                 monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", point_major)
@@ -345,7 +344,7 @@ class TestCosetMaxima:
         mctx, index, gaps = induce_rows(rows, ctx, 8)
         assert not gaps.any() and mctx.modulus == 8
         for chunk_rows, threshold in itertools.product((1, 2, 5), (1, tables._POINT_MAJOR_ROWS)):
-            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * mctx.size * chunk_rows)
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", 8 * mctx.size * chunk_rows)
             monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
             for k in (1, 2):
                 got = coset_maxima(rows, mctx, k, index=index)
@@ -362,7 +361,7 @@ class TestCosetMaxima:
                          * (r + 1) for r in range(width)])
         ctx, index = induce_rows(rows, base, 8)[:2] if pulled_back else (base, None)
         for R, chunk_rows, k in itertools.product((1, 2, width - 1, width), (3, width), (1, 2)):
-            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
             got = []
             # every chunk point-major, the shipped threshold, every chunk row-major
             for threshold in (1, width, len(rows) + 1):
@@ -378,7 +377,7 @@ class TestCosetMaxima:
         ctx = RingContext.padic(3, 3, 2)
         rows = np.random.default_rng(8).integers(-(2**20), 2**20, (117, ctx.size))
         table, _ = tables.coset_table(ctx, 1)
-        monkeypatch.setattr(maximal, "_CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 16)
         monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
         for stack in (rows, rows[:1]):
             coset_maxima(stack, ctx, 1)  # warm any lazy state
@@ -518,7 +517,7 @@ class TestCosetPlan:
         xrays = xray_all(Density(ctx, num=rows, den=[1] * 7))[0]
         for chunk_rows, block in itertools.product((1, 3), (1, 3000)):
             plan = tables.coset_plan(ctx, 1)
-            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 4 * plan.width * chunk_rows)
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", 4 * plan.width * chunk_rows)
             monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
             for k in (1, 2):
                 assert np.array_equal(coset_maxima(rows, ctx, k), want[k])
@@ -636,7 +635,7 @@ class TestCosetPlan:
         xrays = one_table_sums(rows, ctx, 1).tolist()
         width = tables.coset_plan(ctx, 1).width
         for chunk_rows, block, threshold in itertools.product((1, 3), (1, 1 << 30), (1, 14)):
-            monkeypatch.setattr(maximal, "_CHUNK_BYTES", 4 * width * chunk_rows)
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", 4 * width * chunk_rows)
             monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
             monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
             for k, want in maxima.items():

@@ -310,20 +310,23 @@ class TestBatchedAgainstRowOracles:
     def test_xray_l2_one_transform_and_one_xray_per_trial(self, monkeypatch):
         # counted in rows, since the check passes stacks of trials, wherever
         # they are called from, the identity's helpers included; the small
-        # block splits the 5 trials into chunks of one
+        # chunk bound splits the 5 trials into chunks of one.  The X-ray
+        # pass is asked for the sums of squares alone
         import kakeyalab.harmonic as harmonic
 
         for name in ("fourier_forward", "xray_all"):
-            def counted(f, _real=getattr(harmonic, name), _name=name):
+            def counted(f, *args, _real=getattr(harmonic, name), _name=name):
                 rows[_name] += len(f.num) if f.num.ndim == 2 else 1
-                return _real(f)
+                asked.append((_name, args))
+                return _real(f, *args)
             monkeypatch.setattr(harmonic, name, counted)
             monkeypatch.setattr(verify, name, counted)
-        for block in (tables._BLOCK_BYTES, 1 << 10):
-            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
-            rows = {"fourier_forward": 0, "xray_all": 0}
+        for chunk, chunks in ((tables._CHUNK_BYTES, 1), (1 << 10, 5)):
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
+            rows, asked = {"fourier_forward": 0, "xray_all": 0}, []
             rep = verify_xray_l2(CTX6, trials=5, seed=0)
             assert rep.passed and rows == {"fourier_forward": 5, "xray_all": 5}
+            assert asked.count(("xray_all", ((2,),))) == chunks == len(asked) // 2
 
     def test_large_rows_are_exact(self, monkeypatch):
         # row maxima past 2**31, so (n-1)-th powers pass 2**62: the batched
@@ -337,6 +340,39 @@ class TestBatchedAgainstRowOracles:
         assert reports_to_json([rep]) == reports_to_json([divisor_reduction_oracle(ctx, None, dens)])
         rep = verify_projmax(ctx, trials=2, seed=0)
         assert reports_to_json([rep]) == reports_to_json([projmax_oracle(ctx, dens)])
+
+    def test_projmax_stack_refused_before_it_is_allocated(self, monkeypatch, capsys):
+        # a budget that every table of projmax fits but not the int64 X-ray
+        # stack of its chunk of five trials: the chunk's estimate is refused
+        # first, so the CLI exits 3 with nothing of the stack allocated, and
+        # xray_all refuses the same stack on its own
+        from kakeyalab import cli
+
+        ctx = RingContext.padic(2, 3, 3)
+        need = 8 * 5 * len(tables.directions(ctx)) * (ctx.size // ctx.modulus)
+        asked = []
+
+        def spy(nbytes, _real=tables.check_memory):
+            asked.append(nbytes)
+            _real(nbytes)
+
+        monkeypatch.setattr(tables, "check_memory", spy)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: need - 1)
+        for cache in (tables.coset_plan, tables.lift_map):
+            cache.cache_clear()
+        argv = ["verify", "--mode", "padic", "-p", "2", "-l", "3", "-n", "3", "--trials", "25",
+                "projmax"]  # projmax runs trials // 5
+        assert cli.main(argv) == 3
+        assert "exceeds physical memory" in capsys.readouterr().err
+        assert asked[-1] == need and max(asked[:-1]) < need
+        dens = corpus(ctx, 0, 5)
+        f = Density(ctx, num=[g.num for g in dens], den=[g.den for g in dens])
+        with pytest.raises(tables.TableMemoryError) as err:
+            xray_all(f)
+        assert err.value.estimate == need
+        assert len(xray_all(f, (2,))[0][0]) == 5  # the folded pass holds no stack
+        for cache in (tables.coset_plan, tables.lift_map):
+            cache.cache_clear()
 
 
 def spectral_reports(ctx, trials, seed):
@@ -355,11 +391,11 @@ class TestStackedAgainstRowOracles:
     of trials; the trial-by-trial loops they replaced must give the same
     JSON, in one chunk and split into many."""
 
-    @pytest.mark.parametrize("block", [None, 1 << 12], ids=["one-chunk", "small-chunks"])
+    @pytest.mark.parametrize("chunk", [None, 1 << 12], ids=["one-chunk", "small-chunks"])
     @pytest.mark.parametrize("ctx", verify.corpus_rings(), ids=lambda c: c.describe())
-    def test_corpus(self, monkeypatch, ctx, block):
-        if block:
-            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+    def test_corpus(self, monkeypatch, ctx, chunk):
+        if chunk:
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
         for trials in (1, 4, 7, 13):
             got, want = spectral_reports(ctx, trials, seed=trials)
             assert got == want
@@ -369,26 +405,27 @@ class TestStackedAgainstRowOracles:
     def test_freqbounds_share_one_xray_pass(self, monkeypatch, ctx):
         # one report per p, each the bytes of its row oracle and of its own
         # verify_freqbound call, from one X-ray pass per chunk for every p
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)  # several chunks
+        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 12)  # several chunks
         calls = []
 
-        def counted(f, _real=verify.xray_all):
-            calls.append(len(f.num))
-            return _real(f)
+        def counted(f, powers, _real=verify.xray_all):
+            calls.append(tuple(powers))
+            return _real(f, powers)
 
         monkeypatch.setattr(verify, "xray_all", counted)
         ps = (2, 3, 4)
         got = reports_to_json(verify.verify_freqbounds(ctx, ps, 7, 3))
         passes = len(calls)
+        assert passes > 1 and calls == [ps] * passes
         calls.clear()
         singles = reports_to_json([verify_freqbound(ctx, p, 7, 3) for p in ps])
-        assert passes > 1 and len(calls) == len(ps) * passes
+        assert calls == [(p,) for p in ps for _ in range(passes)]
         want = reports_to_json([freqbound_rows(ctx, p, corpus(ctx, 3, 7)) for p in ps])
         assert got == singles == want
 
     def test_chunks_split(self, monkeypatch):
-        # the small block really splits 13 trials, into chunks of more than one
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 12)
+        # the small chunk bound really splits 13 trials, into chunks of more than one
+        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 12)
         ctx = RingContext.padic(2, 2, 2)
         sizes = [len(f.num) for _, f in verify._stacks(ctx, 0, 13, ctx.size * ctx.modulus)]
         assert sum(sizes) == 13 and len(sizes) > 1 and max(sizes) > 1
@@ -400,7 +437,7 @@ class TestStackedAgainstRowOracles:
         # trials put them past the first chunk
         from kakeyalab import harmonic
 
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 10)  # chunks of one and two trials
+        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 10)  # chunks of one and two trials
 
         def shrunken(i, m, c, _real=harmonic.band_constant):
             return _real(i, m, c) / 10**9
@@ -424,7 +461,7 @@ class TestStackedAgainstRowOracles:
             assert not any(rep["status"] == "pass" for rep in json.loads(got)["reports"])
         # the identity alone fails: its witness is the trial of the largest sum
         monkeypatch.undo()
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 10)
+        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 10)
         for module in (verify, oracles):
             monkeypatch.setattr(module, "xray_l2_spectral", scaled)
         for ctx in rings:
@@ -482,19 +519,19 @@ class TestMaximalStackedAgainstRowOracles:
     RINGS = [RingContext.padic(2, 3, 3), RingContext.padic(3, 2, 3), RingContext.generic(12, 3),
              RingContext.padic(2, 2, 3), RingContext.profinite(2, 3)]
 
-    @pytest.mark.parametrize("block", [None, 1 << 16], ids=["one-chunk", "small-chunks"])
+    @pytest.mark.parametrize("chunk", [None, 1 << 16], ids=["one-chunk", "small-chunks"])
     @pytest.mark.parametrize("ctx", RINGS, ids=lambda c: c.describe())
-    def test_maximal_rings(self, monkeypatch, ctx, block):
-        if block:
-            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+    def test_maximal_rings(self, monkeypatch, ctx, chunk):
+        if chunk:
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
         for trials in (0, 1, 4, 9):
             got, want = maximal_reports(ctx, trials, seed=trials)
             assert got == want
 
     def test_chunks_split(self, monkeypatch):
-        # the small block splits main-theorem's 8 trials into chunks of
-        # three, the ball riding in the last
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 16)
+        # the small chunk bound splits main-theorem's 8 trials into chunks
+        # of three, the ball riding in the last
+        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 16)
         ctx = RingContext.padic(2, 3, 3)
         ball = random_density(ctx, 0, "ball")
         width = (1 + ctx.num_bands) * ctx.size
@@ -509,9 +546,9 @@ class TestMaximalStackedAgainstRowOracles:
         extra = [Density.indicator(CTX3D, greedy_kakeya(CTX3D, 1).points)]
         extra += [Density.from_numden(CTX3D, rng.integers(0, 4 * d, CTX3D.size), d) for d in (5, 7, 12)]
         assert len({f.den for f in extra}) == 4
-        for block in (None, 1 << 10):  # chunks of two densities put extras in every chunk
-            if block:
-                monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+        for chunk in (None, 1 << 10):  # chunks of two densities put extras in every chunk
+            if chunk:
+                monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
             for trials in (0, 3):
                 rep = verify_maxest(CTX3D, trials, 1, extra)
                 assert rep.trials == trials + 4
@@ -525,7 +562,7 @@ class TestMaximalStackedAgainstRowOracles:
         def inflated(N, n, _real=appendix_constant):
             return _real(N, n) * 10**12
 
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 16)
+        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 16)
         for module in (verify, oracles):
             monkeypatch.setattr(module, "appendix_constant", inflated)
         for ctx in (RingContext.padic(2, 3, 3), RingContext.padic(3, 2, 3)):
