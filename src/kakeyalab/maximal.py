@@ -86,6 +86,8 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, index: np.ndarray |
     plan = tables.coset_plan(ctx, k)
     m = len(plan.towers)
     step = max(1, tables._CHUNK_BYTES // (dtype.itemsize * plan.width))
+    # the (chunk, size) rows that coset_sums gathers
+    tables.check_memory(dtype.itemsize * min(step, len(rows)) * ctx.size)
     best = np.empty((len(rows), math.prod(plan.flat_shape)), dtype=np.int64)
     for lo in range(0, len(rows), step):
         a = np.abs(rows[lo:lo + step]).astype(dtype, copy=False)

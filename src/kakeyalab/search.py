@@ -25,8 +25,8 @@ units form a group Lambda, every unit of Z/N at the root.  So the maps
 x -> lam x + s, s in S_i and lam in Lambda, fix the union: the cosets of
 U_i in one orbit of them add the same number of points to it, and their
 best completions are images of each other, equally small.  Only the
-orbit's least-shift coset is branched on, which at the root is the
-translate through the origin.
+orbit's least-shift coset is branched on (at the root, the translate
+through the origin); the orbits take one pass per distinct S_i to set up.
 """
 from __future__ import annotations
 
@@ -88,35 +88,36 @@ def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[
     """
     table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
     F, C, _ = table.shape
-    tables.check_memory(F * C * -(-ctx.size // 8))
-    grid = tables.coord_grid(ctx)
-    out = []
-    for rows, lows in zip(table, least):
-        order = np.argsort(lows)
-        onehot = np.zeros((len(rows), ctx.size), dtype=bool)
-        onehot[np.arange(len(rows))[:, None], rows[order]] = True
-        packed = np.packbits(onehot, axis=1, bitorder="little")
-        masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        shifts = [tuple(pt) for pt in grid[lows[order]].tolist()]
-        out.append(tuple(zip(masks, shifts)))
-    return tuple(out)
+    width = -(-ctx.size // 8)  # bytes per bitmask
+    tables.check_memory(F * C * width)
+    order = np.argsort(least, axis=1)
+    shifts = tables.coord_grid(ctx)[least[np.arange(F)[:, None], order]].tolist()
+    masks = []  # in table order
+    step = max(1, tables._BLOCK_BYTES // (C * ctx.size))
+    for lo in range(0, F, step):
+        onehot = np.zeros((min(step, F - lo), C, ctx.size), dtype=bool)
+        np.put_along_axis(onehot, table[lo:lo + step], True, axis=2)
+        data = np.packbits(onehot, axis=2, bitorder="little").tobytes()
+        masks += [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return tuple(tuple((masks[f * C + r], tuple(pt)) for r, pt in zip(rows, pts))
+                 for f, (rows, pts) in enumerate(zip(order.tolist(), shifts)))
 
 
 Choice = tuple[int, int]  # (flat index, row of the flat's coset table)
 
 
-def _certificate(ctx: RingContext, k: int, chosen: Sequence[Choice],
-                 optimal: bool) -> KakeyaCertificate:
-    """The union of the chosen cosets, one per flat, with each coset's
-    lex-least point as its flat's witness shift."""
+def _certificate(ctx: RingContext, k: int, chosen: Sequence[Choice], optimal: bool,
+                 covered: np.ndarray | None = None) -> KakeyaCertificate:
+    """The covered points (by default the union of the chosen cosets, one
+    for every flat), each flat's witness the lex-least point of its coset."""
     table, least = tables.coset_table(ctx, k)
     fs, rows = np.array(sorted(chosen), dtype=np.intp).reshape(-1, 2).T
-    covered = np.zeros(ctx.size, dtype=bool)
-    covered[table[fs, rows]] = True
+    if covered is None:
+        covered = np.zeros(ctx.size, dtype=bool)
+        covered[table[fs, rows]] = True
     grid = tables.coord_grid(ctx)
-    flats = tables.flats(ctx, k)
     shifts = grid[least[fs, rows]].tolist()
-    witnesses = tuple((flats[f], tuple(s)) for f, s in zip(fs.tolist(), shifts))
+    witnesses = tuple(zip(tables.flats(ctx, k), map(tuple, shifts)))
     points = tuple(map(tuple, grid[covered].tolist()))
     return KakeyaCertificate(k, ctx, points, witnesses, optimal)
 
@@ -157,30 +158,40 @@ def _orbit_representatives(ctx: RingContext, least: np.ndarray, order: np.ndarra
     the position of lam (a + U_i), for a + U_i the coset at position j and
     lam the u-th unit of Z/N other than 1.
 
-    The S_i-orbit of the coset at position j holds the cosets of the
-    points low_j + s, s in S_i, where low_j is its lex-least point, and
-    lam maps it to the coset of lam low_j.  The coordinates and ranks of
-    every low_j + s of a flat are held at once, C * size * (n + 1) int64
-    at S_0 for C cosets per flat, which also bounds the fewer than N
-    dilates of each low_j; more bytes than the machine's physical memory
-    raise tables.TableMemoryError before any is built.
+    The S_i-orbit of position j holds the cosets of low_j + s, s in S_i,
+    low_j its lex-least point, and lam maps it to the coset of lam low_j.
+    The S_i are a chain of subgroups, a strict step at least halving one:
+    one pass per run of equal S_i but {0} (singleton orbits), at most
+    log2(size) + 1, in blocks of flats (tables._BLOCK_BYTES) of
+    C * |S_i| * (n + 1) int64 a flat; a block past physical memory raises
+    tables.TableMemoryError before it is built.
     """
-    N = ctx.modulus
-    tables.check_memory(8 * least.shape[1] * ctx.size * (ctx.dimension + 1))
-    units = np.flatnonzero(np.gcd(np.arange(N), N) == 1)[1:]
+    N, n = ctx.modulus, ctx.dimension
+    F, C = least.shape
     grid = tables.coord_grid(ctx)
-    inside = np.ones(ctx.size, dtype=bool)  # S_i, by rank
-    reps, orbit_min, dilate = [], [], []
-    for i, lows in enumerate(np.take_along_axis(least, order, axis=1)):
-        points = grid[lows]
-        moved = (points[:, None] + grid[inside][None]) % N
-        orbit = coset_of[i, tables.rank_points(moved, ctx)].min(axis=1)
-        reps.append(np.flatnonzero(orbit == np.arange(len(lows))).tolist())
-        orbit_min.append(orbit.tolist())
-        dilated = units[:, None, None] * points % N
-        dilate.append(coset_of[i, tables.rank_points(dilated, ctx)].tolist())
-        inside &= coset_of[i] == 0  # position 0 is the coset through the origin
-    return reps, orbit_min, dilate
+    lows = least[np.arange(F)[:, None], order]
+    orbit = np.repeat(np.arange(C, dtype=coset_of.dtype)[None], F, axis=0)
+    a, inside = 0, np.arange(ctx.size)  # S_a by rank
+    while a < F and len(inside) > 1:
+        outside = np.append((coset_of[a:F - 1, inside] != 0).any(axis=1), True)
+        b = a + 1 + int(outside.argmax())  # U_a, ..., U_(b-2) hold S_a
+        s = grid[inside]
+        step = max(1, tables._BLOCK_BYTES // (8 * (n + 1) * C * len(s)))
+        for lo in range(a, b, step):
+            hi = min(b, lo + step)
+            tables.check_memory(8 * (n + 1) * (hi - lo) * C * len(s))
+            points, index = grid[lows[lo:hi]], np.arange(lo, hi)[:, None, None]
+            for d in range(n):  # not @, a slow int matmul
+                index = index * N + (points[:, :, None, d] + s[:, d]) % N
+            orbit[lo:hi] = coset_of.take(index).min(axis=2)
+        a, inside = b, inside[coset_of[b - 1, inside] == 0]  # position 0 holds the origin
+    units = np.flatnonzero(np.gcd(np.arange(N), N) == 1)[1:]
+    scaled = tables.rank_points(units[:, None, None] * grid % N, ctx)  # the rank of lam x
+    dilate = coset_of[np.arange(F)[:, None, None], scaled.T[lows].transpose(0, 2, 1)]
+    is_rep = orbit == np.arange(C)
+    cols = np.nonzero(is_rep)[1].tolist()
+    ends = np.cumsum(is_rep.sum(axis=1)).tolist()
+    return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)], orbit.tolist(), dilate.tolist()
 
 
 def _shift_index(ctx: RingContext, k: int) -> tuple[np.ndarray, ...]:
@@ -247,23 +258,12 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
     exhaustion raises BudgetExceeded carrying the best certificate found
     so far.  The greedy cover is the first incumbent.
 
-    Flat i branches only on the least-shift coset of each orbit of its
-    cosets under the maps x -> lam x + s, for s in S_i, the intersection
-    of the flats before it through the origin, and lam in Lambda, the
-    units of Z/N whose dilation maps each earlier chosen coset that added
-    points onto itself (_orbit_representatives gives the S_i-orbits and
-    the dilates).  These maps fix the node's union, so the members of an
-    orbit have equal increments, and mapping a completion of a member's
-    node gives a completion, of the same size, of the node of the orbit's
-    least-shift member, which the stable sort ranks first among them.
-    Later members could never strictly improve the incumbent, so the
-    certificate is the one the search over every coset finds.  At the
-    root S_0 is the whole group and the one branch is the translate
-    through the origin.  Lambda shrinks only when a choice adds points,
-    and filters the S_i-representatives only while it holds a unit other
-    than 1.  The least increment of a later flat is the same over its
-    S_i-representatives, as S_i lies in the S_d of every node depth d < i,
-    so the bound prunes the same nodes.
+    Flat i branches only on the least-shift member of each orbit of its
+    cosets under the maps x -> lam x + s of the module docstring (see
+    _orbit_representatives), which the stable sort ranks first among
+    them, so the certificate is the one the search over every coset finds.
+    The bound prunes the same nodes: a later flat's least increment is the
+    same over its S_i-representatives, as S_i lies in each S_d, d < i.
     """
     if not 1 <= k <= ctx.dimension:
         raise ValueError("need 1 <= k <= n")
@@ -376,21 +376,17 @@ def certify(points: Sequence[Sequence[int]], ctx: RingContext, k: int) -> Kakeya
     on a point with the wrong number of coordinates.  The witness of each
     flat is the lex-least shift of its translates inside the set.
     """
-    ranked: dict[int, tuple[int, ...]] = {}
     for p in points:
         if len(p) != ctx.dimension:
             raise ValueError(f"point {tuple(p)} has {len(p)} coordinates, need {ctx.dimension}")
-        reduced = tuple(c % ctx.modulus for c in p)
-        ranked.setdefault(ctx.rank(reduced), reduced)
+    # Python ints: any sign and size reduce as c % N
+    reduced = np.array(points, dtype=object).reshape(-1, ctx.dimension) % ctx.modulus
     covered = np.zeros(ctx.size, dtype=np.int64)
-    covered[list(ranked)] = 1
+    covered[tables.rank_points(reduced.astype(np.int64), ctx)] = 1
     # a coset lies inside the set when all its N**k points are covered
     counts, row = tables.coset_argmax(covered, ctx, k)
-    flats = tables.flats(ctx, k)
     missing = np.flatnonzero(counts < ctx.modulus**k)
     if len(missing):
-        raise ValueError(f"no translate of {flats[missing[0]].generators} lies inside the set")
-    least = tables.coset_table(ctx, k)[1]
-    shifts = tables.coord_grid(ctx)[least[np.arange(len(least)), row]]
-    witnesses = tuple(zip(flats, map(tuple, shifts.tolist())))
-    return KakeyaCertificate(k, ctx, tuple(sorted(ranked.values())), witnesses, optimal=False)
+        flat = tables.flats(ctx, k)[missing[0]]
+        raise ValueError(f"no translate of {flat.generators} lies inside the set")
+    return _certificate(ctx, k, list(enumerate(row.tolist())), False, covered > 0)

@@ -744,6 +744,30 @@ def dilates_bitmask(ctx, options, units) -> list:
     return out
 
 
+def orbit_representatives_per_flat(ctx, least, order, coset_of) -> tuple[list, list, list]:
+    """search._orbit_representatives one flat at a time: flat i moves the
+    lex-least point of each of its cosets by every point of S_i, ranks the
+    moved points with tables.rank_points and takes the least coset
+    position they reach, then dilates the same points by every unit of
+    Z/N but 1; S_(i+1) is S_i less the points off the flat's coset
+    through the origin."""
+    N = ctx.modulus
+    units = np.flatnonzero(np.gcd(np.arange(N), N) == 1)[1:]
+    grid = tables.coord_grid(ctx)
+    inside = np.ones(ctx.size, dtype=bool)  # S_i, by rank
+    reps, orbit_min, dilate = [], [], []
+    for i, lows in enumerate(np.take_along_axis(least, order, axis=1)):
+        points = grid[lows]
+        moved = (points[:, None] + grid[inside][None]) % N
+        orbit = coset_of[i, tables.rank_points(moved, ctx)].min(axis=1)
+        reps.append(np.flatnonzero(orbit == np.arange(len(lows))).tolist())
+        orbit_min.append(orbit.tolist())
+        dilated = units[:, None, None] * points % N
+        dilate.append(coset_of[i, tables.rank_points(dilated, ctx)].tolist())
+        inside &= coset_of[i] == 0  # position 0 is the coset through the origin
+    return reps, orbit_min, dilate
+
+
 def _mask_points(ctx, mask) -> list:
     return [ctx.unrank(r) for r in range(ctx.size) if mask >> r & 1]
 

@@ -328,6 +328,21 @@ def test_verify_all_never_imports_numpy_ma():
     assert proc.stderr.strip() == "False"
 
 
+@pytest.mark.parametrize("call", [
+    "cli.main(['search', '--strategy', 'exact', '--mode', 'padic', '-p', '2', '-l', '2',"
+    " '-n', '3', '-k', '2'])",
+    "ctx = RingContext.generic(6, 2)\n"
+    "search.certify([(a - 6, b + 2**70) for a, b in search.greedy_kakeya(ctx, 1).points], ctx, 1)\n"
+    "search.certify(list(ctx.points()), ctx, 2)"], ids=["exact-search", "certify"])
+def test_search_never_imports_numpy_ma(call):
+    code = ("import sys\nfrom kakeyalab import cli, search\nfrom kakeyalab.ring import RingContext\n"
+            f"{call}\nprint('numpy.ma' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"
+
+
 # sha256 of the default JSON of `kakeyalab verify all --trials 5 --seed S`.
 # A performance change keeps these bytes; a change that must move them
 # updates the digest here and says in CHANGES.md which fields moved and why.

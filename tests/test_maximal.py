@@ -350,6 +350,33 @@ class TestCosetMaxima:
                 got = coset_maxima(rows, mctx, k, index=index)
                 assert np.array_equal(got, coset_maxima(rows[:, index], mctx, k))
 
+    def test_pulled_back_chunk_refused_before_it_is_gathered(self, monkeypatch):
+        # a budget that the coset plan fits but not the int32 chunk of 64
+        # rows pulled back to the 64 points of Z/4: refused before
+        # coset_sums gathers rows[:, index]
+        base = RingContext.padic(2, 1, 3)
+        rows = np.random.default_rng(9).integers(-50, 50, (64, base.size))
+        ctx, index, _ = induce_rows(rows, base, 4)
+        want = coset_maxima(rows, ctx, 1, index=index)
+        need = 4 * len(rows) * ctx.size
+        asked, sums = [], []
+
+        def spy(nbytes, _real=tables.check_memory):
+            asked.append(nbytes)
+            _real(nbytes)
+
+        monkeypatch.setattr(tables, "check_memory", spy)
+        monkeypatch.setattr(tables, "coset_sums", lambda *a: sums.append(a))
+        monkeypatch.setattr(tables, "_physical_memory", lambda: need - 1)
+        tables.coset_plan.cache_clear()
+        with pytest.raises(tables.TableMemoryError) as err:
+            coset_maxima(rows, ctx, 1, index=index)
+        assert err.value.estimate == asked[-1] == need and max(asked[:-1]) < need
+        assert not sums
+        monkeypatch.undo()
+        tables.coset_plan.cache_clear()
+        assert np.array_equal(coset_maxima(rows, ctx, 1, index=index), want)
+
     @pytest.mark.parametrize("pulled_back", [False, True], ids=["rows", "index"])
     def test_layouts_agree(self, monkeypatch, pulled_back):
         # a chunk read point-major and the same chunk read row-major give

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from kakeyalab.search import (BudgetExceeded, certify, exact_min_kakeya,
                               greedy_kakeya, translate_options)
 from kakeyalab.tables import TableMemoryError
 from oracles import (certify_bitmask, exact_bitmask, flat_points, greedy_bitmask,
-                     greedy_bitmask_choices)
+                     greedy_bitmask_choices, orbit_representatives_per_flat)
 
 EXACT = [(RingContext.padic(7, 1, 2), 1), (RingContext.padic(2, 2, 3), 2),
          (RingContext.padic(3, 1, 3), 2), (RingContext.padic(2, 3, 2), 1),
@@ -217,6 +219,20 @@ def digest(cert):
     return hashlib.sha256(repr((cert.points, cert.witnesses)).encode()).hexdigest()[:16]
 
 
+def test_readme_node_counts():
+    # the README's table of exact-search nodes: its last column, the nodes
+    # under translation and dilation orbits, is what the search expands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(padic|generic)\(([\d,]+)\)`, (\d) \|.* \| ([\d,]+) \|$", readme, re.M)
+    assert len(rows) == 7
+    for mode, args, k, nodes in rows:
+        ctx = getattr(RingContext, mode)(*map(int, args.split(",")))
+        nodes = int(nodes.replace(",", ""))
+        assert exact_min_kakeya(ctx, int(k), budget=nodes).optimal
+        with pytest.raises(BudgetExceeded):
+            exact_min_kakeya(ctx, int(k), budget=nodes - 1)
+
+
 class TestFrozenCertificates:
     """Certificates of the benchmark's searches, frozen from the
     shift-by-shift search that preceded the coset-table one."""
@@ -269,6 +285,16 @@ class TestCertify:
         ctx = RingContext.padic(2, 1, 2)
         with pytest.raises(ValueError, match="no translate"):
             certify([(0, 0), (1, 0)], ctx, 1)
+
+    def test_coordinates_of_any_sign_and_size(self):
+        # coordinates reduce mod N as Python ints do, past int64 too
+        ctx = RingContext.generic(6, 2)
+        base = list(greedy_kakeya(ctx, 1).points)
+        for lift in (-6, 6 * 2**40, -(6 * 2**70) + 1, 2**64):
+            pts = [(a + lift, b - 3 * lift) for a, b in base] + [(lift, lift)]
+            want = certify_bitmask(pts, ctx, 1)
+            assert certify(pts, ctx, 1) == want
+        assert certify(np.array(base) + 6, ctx, 1) == certify(base, ctx, 1)
 
 
 def ring_id(case):
@@ -463,6 +489,32 @@ class TestOrbitRepresentatives:
                                                  for lam in fixing))
                     assert len({len(cosets[i][m] - union) for m in orbit}) == 1
         assert dilations_used or not units
+
+    @pytest.mark.parametrize("ctx,k", [(RingContext.padic(7, 1, 2), 1),
+                                       (RingContext.padic(2, 2, 3), 1),
+                                       (RingContext.padic(2, 2, 3), 2),
+                                       (RingContext.padic(2, 1, 3), 2),  # N = 2: no unit but 1
+                                       (RingContext.padic(3, 1, 3), 2),
+                                       (RingContext.padic(5, 1, 3), 2),
+                                       (RingContext.generic(6, 2), 1),
+                                       (RingContext.generic(6, 3), 1),
+                                       (RingContext.padic(13, 1, 2), 1),
+                                       (RingContext.padic(2, 3, 3), 2)], ids=ring_id)
+    def test_equals_per_flat_oracle(self, monkeypatch, ctx, k):
+        # whole runs of equal S_i at once, and one flat per block
+        _, least, order, coset_of = search._shift_index(ctx, k)
+        want = orbit_representatives_per_flat(ctx, least, order, coset_of)
+        inside, sizes = np.ones(ctx.size, dtype=bool), set()  # the sizes of the S_i
+        for row in coset_of:
+            sizes.add(int(inside.sum()))
+            inside &= row == 0
+        asked = []
+        monkeypatch.setattr(tables, "check_memory", asked.append)
+        assert search._orbit_representatives(ctx, least, order, coset_of) == want
+        # one pass per distinct S_i but {0}
+        assert len(asked) == len(sizes - {1}) <= math.log2(ctx.size) + 1
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1)
+        assert search._orbit_representatives(ctx, least, order, coset_of) == want
 
     def test_over_memory_refused(self, monkeypatch):
         # padic(2,2,3) lines: 16 cosets moved by all 64 points, as 3
