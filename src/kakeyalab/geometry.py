@@ -7,8 +7,8 @@ chosen per prime-power CRT component and recombined, which keeps every
 object unique, cheap to compare and stable under enumeration order.
 
 Nothing here works object by object on quotients: the quotient chart
-along a direction and the CRT split of a line are read off the coset
-table (tables.coset_table, maximal.mweight), and the lift of a quotient
+along a direction is read off tables.coset_rows, the CRT split of a line
+off the coset table (maximal.mweight), and the lift of a quotient
 direction to a 2-flat is solved from that chart (tables.lift_map).
 """
 from __future__ import annotations
@@ -157,13 +157,12 @@ def _combine_components(per_component: Sequence[list], N: int) -> list:
     return (total % N).reshape((-1,) + total.shape[m:]).tolist()
 
 
-def enumerate_proj(ctx: RingContext, cap: int | None = None) -> list[ProjDirection]:
+def enumerate_proj(ctx: RingContext) -> list[ProjDirection]:
     """All canonical projective directions of (Z/NZ)^n, one per class."""
     N, n = ctx.modulus, ctx.dimension
-    cap = ctx.cap if cap is None else cap
     estimate = proj_size(N, n)
-    if estimate > cap:
-        raise EnumerationCapError(estimate, cap)
+    if estimate > ctx.cap:
+        raise EnumerationCapError(estimate, ctx.cap)
     if N == 1:
         return [ProjDirection(1, (0,) * n)]
     per_component = [[g[0] for g in _component_flats(p**r, p, n, 1)] for p, r in ctx.factorization]
@@ -183,15 +182,14 @@ def _component_flats(q: int, p: int, n: int, k: int) -> Iterable[tuple[tuple[int
         yield from itertools.product(*rows)
 
 
-def enumerate_grassmannian(ctx: RingContext, k: int, cap: int | None = None) -> list[Flat]:
+def enumerate_grassmannian(ctx: RingContext, k: int) -> list[Flat]:
     """All canonical k-flats through the origin, one per submodule."""
     N, n = ctx.modulus, ctx.dimension
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    cap = ctx.cap if cap is None else cap
     estimate = gr_size(N, n, k)
-    if estimate > cap:
-        raise EnumerationCapError(estimate, cap)
+    if estimate > ctx.cap:
+        raise EnumerationCapError(estimate, ctx.cap)
     if N == 1:
         return [Flat(1, k, tuple((0,) * n for _ in range(k)), (0,) * n)]
     per_component = [list(_component_flats(p**r, p, n, k)) for p, r in ctx.factorization]

@@ -19,8 +19,8 @@ The X-rays of xray_all (exact only, over tables.coset_plan: one p-adic
 tower of line sums per CRT component, never the whole line table), the
 u^perp masses and each axis pass of the exact transform sum over index
 rows through tables.blocked_sums; xray_transform, one direction in
-either lane, builds and gathers that direction's row of the line table
-alone (tables.coset_rows).  Asked for powers, xray_all folds each block
+either lane, builds and gathers that direction's chart rows alone
+(tables.coset_rows).  Asked for powers, xray_all folds each block
 of line sums into per-direction power sums as it is made, so a check
 that reads only moments holds no X-ray.  Where the bound
 that a headroom check computes is under 2**31 (_sum_dtype), the exact
@@ -446,7 +446,7 @@ def xray_transform(f: Density, u: ProjDirection) -> Density:
     """Pushforward of f to Q_u: f_u(y) = N**(-1) sum_t f(section(y) + t u),
     the X-ray of xray_all along u alone, in either lane.
 
-    The fibers are u's row of the line table, built for u alone
+    The fibers are u's rows of the quotient chart, built for u alone
     (tables.coset_rows) and each gathered whole, so the float sums are
     those of one whole gather.  Mass is conserved: integral of f_u over
     Q_u equals integral of f.

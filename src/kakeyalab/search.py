@@ -1,12 +1,13 @@
 """Search for small sets containing a k-flat translate in every direction.
 
 The translates of each flat are its cosets, the rows of
-tables.coset_table, and a search choice is a (flat, coset) pair: a flat
-index and a row of its table.  The greedy pass and certify work on
-coverage counts over that table.  Covering a point x lowers the count of
-uncovered points of exactly one coset per flat, the one holding x, so the
-greedy keeps those counts in an (F, C) array and updates them through the
-inverse index coset_of (the coset of each flat that holds each point).
+tables.coset_table in the order of their lex-least shift (not the
+quotient chart of tables.coset_rows), and a search choice is a (flat,
+row) pair.  The greedy pass and certify work on coverage counts over
+that table.  Covering a point x lowers the count of uncovered points of
+exactly one coset per flat, the one holding x, so the greedy keeps those
+counts in an (F, C) array and updates them through the inverse index
+coset_of (the row of each flat that holds each point).
 The exact branch and bound keeps each translate as a Python int bitmask,
 built once per (ring, k) by translate_options, and a node's costs are
 ANDs and popcounts.
@@ -26,7 +27,7 @@ x -> lam x + s, s in S_i and lam in Lambda, fix the union: the cosets of
 U_i in one orbit of them add the same number of points to it, and their
 best completions are images of each other, equally small.  Only the
 orbit's least-shift coset is branched on (at the root, the translate
-through the origin); the orbits take one pass per distinct S_i to set up.
+through the origin); one pass per distinct S_i but S_0 and {0} sets them up.
 """
 from __future__ import annotations
 
@@ -78,8 +79,8 @@ def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[
     (bitmask, lex-least shift) pairs ordered by that shift.
 
     The translates of a flat U are its cosets a + U, which are the rows of
-    tables.coset_table(ctx, k); a row's lex-least shift is its lex-least
-    point, the row's least rank.  For k = 1 the table follows
+    tables.coset_table(ctx, k), in this order; a row's lex-least shift is
+    its lex-least point, the row's least rank.  For k = 1 the table follows
     tables.directions(ctx), which is the order of tables.flats(ctx, 1).
 
     Bitmasks of more bytes (F * C * ceil(size / 8), for F flats of C
@@ -90,17 +91,15 @@ def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[
     F, C, _ = table.shape
     width = -(-ctx.size // 8)  # bytes per bitmask
     tables.check_memory(F * C * width)
-    order = np.argsort(least, axis=1)
-    shifts = tables.coord_grid(ctx)[least[np.arange(F)[:, None], order]].tolist()
-    masks = []  # in table order
+    shifts = tables.coord_grid(ctx)[least].tolist()
+    masks = []
     step = max(1, tables._BLOCK_BYTES // (C * ctx.size))
     for lo in range(0, F, step):
         onehot = np.zeros((min(step, F - lo), C, ctx.size), dtype=bool)
         np.put_along_axis(onehot, table[lo:lo + step], True, axis=2)
         data = np.packbits(onehot, axis=2, bitorder="little").tobytes()
         masks += [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    return tuple(tuple((masks[f * C + r], tuple(pt)) for r, pt in zip(rows, pts))
-                 for f, (rows, pts) in enumerate(zip(order.tolist(), shifts)))
+    return tuple(tuple(zip(masks[f * C:(f + 1) * C], map(tuple, pts))) for f, pts in enumerate(shifts))
 
 
 Choice = tuple[int, int]  # (flat index, row of the flat's coset table)
@@ -122,10 +121,9 @@ def _certificate(ctx: RingContext, k: int, chosen: Sequence[Choice], optimal: bo
     return KakeyaCertificate(k, ctx, points, witnesses, optimal)
 
 
-def _coset_of(table: np.ndarray, order: np.ndarray, size: int) -> np.ndarray:
-    """(F, size): entry [f, x] is the position j of the coset of flat f
-    that holds point x, where order[f, j] is its row of table; in the
-    smallest unsigned dtype that holds C - 1.
+def _coset_of(table: np.ndarray, size: int) -> np.ndarray:
+    """(F, size): entry [f, x] is the row of table of the coset of flat f
+    that holds point x, in the smallest unsigned dtype that holds C - 1.
 
     One scatter of the table rows, a block of flats (about
     tables._BLOCK_BYTES of intp index) at a time.  More bytes than the
@@ -135,43 +133,42 @@ def _coset_of(table: np.ndarray, order: np.ndarray, size: int) -> np.ndarray:
     F, C, M = table.shape
     dtype = np.min_scalar_type(C - 1)
     tables.check_memory(dtype.itemsize * F * size)
-    position = np.empty((F, C), dtype=dtype)
-    np.put_along_axis(position, order, np.arange(C, dtype=dtype)[None, :], axis=1)
     out = np.empty((F, size), dtype=dtype)
     flat_out = out.reshape(-1)
     step = max(1, tables._BLOCK_BYTES // (8 * size))
     for lo in range(0, F, step):
         block = table[lo:lo + step]
         index = block + (np.arange(lo, lo + len(block), dtype=np.intp) * size)[:, None, None]
-        flat_out[index] = position[lo:lo + step, :, None]
+        flat_out[index] = np.arange(C, dtype=dtype)[:, None]
     return out
 
 
-def _orbit_representatives(ctx: RingContext, least: np.ndarray, order: np.ndarray,
+def _orbit_representatives(ctx: RingContext, least: np.ndarray,
                             coset_of: np.ndarray) -> tuple[list, list, list]:
     """(reps, orbit_min, dilate), per flat i of tables.flats(ctx, k), over
-    the positions of its cosets in lex-least-shift order (least, order and
-    coset_of as from _shift_index).  reps[i] lists in increasing order the
-    least-shift coset of each S_i-orbit, S_i the intersection of the flats
-    before i through the origin (S_0 the whole group); orbit_min[i][j] is
-    the least position in the S_i-orbit of position j; dilate[i][u][j] is
-    the position of lam (a + U_i), for a + U_i the coset at position j and
-    lam the u-th unit of Z/N other than 1.
+    the rows of its coset table (least as from tables.coset_table, coset_of
+    from _coset_of).  reps[i] lists in increasing order the least-shift
+    coset of each S_i-orbit, S_i the intersection of the flats before i
+    through the origin (S_0 the whole group); orbit_min[i][j] is the least
+    row in the S_i-orbit of row j; dilate[i][u][j] is the row of
+    lam (a + U_i), for a + U_i the coset of row j and lam the u-th unit of
+    Z/N other than 1.
 
-    The S_i-orbit of position j holds the cosets of low_j + s, s in S_i,
-    low_j its lex-least point, and lam maps it to the coset of lam low_j.
-    The S_i are a chain of subgroups, a strict step at least halving one:
-    one pass per run of equal S_i but {0} (singleton orbits), at most
-    log2(size) + 1, in blocks of flats (tables._BLOCK_BYTES) of
-    C * |S_i| * (n + 1) int64 a flat; a block past physical memory raises
-    tables.TableMemoryError before it is built.
+    The S_i-orbit of row j holds the cosets of low_j + s, s in S_i, low_j
+    its lex-least point, and lam maps it to the coset of lam low_j.  S_0
+    makes one orbit of flat 0's cosets.  The S_i are a chain of subgroups,
+    a strict step at least halving one: one pass per run of equal S_i
+    other than S_0 and {0} (singleton orbits), at most log2(size), in
+    blocks of flats (tables._BLOCK_BYTES) of C * |S_i| * (n + 1) int64 a
+    flat; a block past physical memory raises tables.TableMemoryError
+    before it is built.
     """
     N, n = ctx.modulus, ctx.dimension
     F, C = least.shape
     grid = tables.coord_grid(ctx)
-    lows = least[np.arange(F)[:, None], order]
     orbit = np.repeat(np.arange(C, dtype=coset_of.dtype)[None], F, axis=0)
-    a, inside = 0, np.arange(ctx.size)  # S_a by rank
+    orbit[0] = 0
+    a, inside = 1, np.flatnonzero(coset_of[0] == 0)  # S_1 = U_0 by rank; row 0 holds the origin
     while a < F and len(inside) > 1:
         outside = np.append((coset_of[a:F - 1, inside] != 0).any(axis=1), True)
         b = a + 1 + int(outside.argmax())  # U_a, ..., U_(b-2) hold S_a
@@ -180,39 +177,28 @@ def _orbit_representatives(ctx: RingContext, least: np.ndarray, order: np.ndarra
         for lo in range(a, b, step):
             hi = min(b, lo + step)
             tables.check_memory(8 * (n + 1) * (hi - lo) * C * len(s))
-            points, index = grid[lows[lo:hi]], np.arange(lo, hi)[:, None, None]
+            points, index = grid[least[lo:hi]], np.arange(lo, hi)[:, None, None]
             for d in range(n):  # not @, a slow int matmul
                 index = index * N + (points[:, :, None, d] + s[:, d]) % N
             orbit[lo:hi] = coset_of.take(index).min(axis=2)
-        a, inside = b, inside[coset_of[b - 1, inside] == 0]  # position 0 holds the origin
+        a, inside = b, inside[coset_of[b - 1, inside] == 0]
     units = np.flatnonzero(np.gcd(np.arange(N), N) == 1)[1:]
     scaled = tables.rank_points(units[:, None, None] * grid % N, ctx)  # the rank of lam x
-    dilate = coset_of[np.arange(F)[:, None, None], scaled.T[lows].transpose(0, 2, 1)]
+    dilate = coset_of[np.arange(F)[:, None, None], scaled.T[least].transpose(0, 2, 1)]
     is_rep = orbit == np.arange(C)
     cols = np.nonzero(is_rep)[1].tolist()
     ends = np.cumsum(is_rep.sum(axis=1)).tolist()
     return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)], orbit.tolist(), dilate.tolist()
 
 
-def _shift_index(ctx: RingContext, k: int) -> tuple[np.ndarray, ...]:
-    """(table, least, order, coset_of): tables.coset_table(ctx, k), each
-    flat's rows in lex-least-shift order (order[f, j] is the row at
-    position j) and the inverse index _coset_of over those positions."""
-    table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
-    order = np.argsort(least, axis=1)
-    return table, least, order, _coset_of(table, order, ctx.size)
-
-
-def _greedy(ctx: RingContext, table: np.ndarray, order: np.ndarray,
-            coset_of: np.ndarray) -> tuple[list[Choice], int]:
+def _greedy(ctx: RingContext, table: np.ndarray, coset_of: np.ndarray) -> tuple[list[Choice], int]:
     """The choices of greedy_kakeya, in the order they were committed, and
     the size of their union.
 
-    cost[f, j] counts the uncovered points of the j-th coset of flat f in
-    lex-least-shift order, and low[f] is the least cost of flat f.  A step
-    commits the first minimum in (flat, shift) order, then lowers, by one
-    bincount of the newly covered points, the one count per flat and
-    point of the coset holding it.  A committed flat's costs are set to
+    cost[f, r] counts the uncovered points of row r of flat f, and low[f]
+    is the least cost of flat f.  A step commits the first minimum in
+    (flat, shift) order, then lowers, by one bincount of the newly covered
+    points, the one count per flat and point of the coset holding it.  A committed flat's costs are set to
     size + 1: it loses at most size - N**k points after that, so its
     counts stay above any coset's size and it is never the minimum again.
     """
@@ -224,7 +210,7 @@ def _greedy(ctx: RingContext, table: np.ndarray, order: np.ndarray,
     chosen: list[Choice] = []
     for _ in range(F):
         f = int(low.argmin())
-        row = int(order[f, cost[f].argmin()])
+        row = int(cost[f].argmin())
         chosen.append((f, row))
         cost[f] = low[f] = ctx.size + 1
         points = table[f, row]
@@ -242,8 +228,8 @@ def greedy_kakeya(ctx: RingContext, k: int) -> KakeyaCertificate:
     lex-least minimizing shift."""
     if not 1 <= k <= ctx.dimension:
         raise ValueError("need 1 <= k <= n")
-    table, _, order, coset_of = _shift_index(ctx, k)
-    return _certificate(ctx, k, _greedy(ctx, table, order, coset_of)[0], optimal=False)
+    table, _ = tables.coset_table(ctx, k)
+    return _certificate(ctx, k, _greedy(ctx, table, _coset_of(table, ctx.size))[0], optimal=False)
 
 
 def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> KakeyaCertificate:
@@ -273,12 +259,13 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
         return _certificate(ctx, k, [(0, 0)], optimal=True)
 
     options = translate_options(ctx, k)  # refuses oversized bitmasks first
-    table, least, order, coset_of = _shift_index(ctx, k)
-    reps, orbit_min, dilate = _orbit_representatives(ctx, least, order, coset_of)
+    table, least = tables.coset_table(ctx, k)
+    coset_of = _coset_of(table, ctx.size)
+    reps, orbit_min, dilate = _orbit_representatives(ctx, least, coset_of)
     masks = [[opts[j][0] for j in js] for opts, js in zip(options, reps)]
     F = len(masks)
-    best_chosen, best_size = _greedy(ctx, table, order, coset_of)
-    picks = [0] * F  # per flat, the position of its translate in shift order
+    best_chosen, best_size = _greedy(ctx, table, coset_of)
+    picks = [0] * F  # per flat, the row of its translate
     best_picks = None
     hint = [0] * F  # per flat, the representative of least increment when last scanned
     nodes = 0
@@ -358,7 +345,7 @@ def exact_min_kakeya(ctx: RingContext, k: int, budget: int = 5_000_000) -> Kakey
     # search state now, not at the next cyclic garbage collection
     del dfs
     if best_picks is not None:
-        best_chosen = [(f, int(order[f, j])) for f, j in enumerate(best_picks)]
+        best_chosen = list(enumerate(best_picks))
     cert = _certificate(ctx, k, best_chosen, optimal=optimal)
     if not optimal:
         raise BudgetExceeded(cert)

@@ -120,11 +120,19 @@ def _read_payload(text: str, ctx: RingContext, kind: str, body: str) -> dict:
     return payload
 
 
+def _complex(value, where: str) -> complex:
+    """An [re, im] pair of JSON numbers as a complex; ValueError otherwise."""
+    if not (isinstance(value, list) and len(value) == 2 and all(isinstance(c, (int, float)) for c in value)):
+        raise ValueError(f"{where}: {value!r} is not an [re, im] pair of numbers")
+    return complex(*value)
+
+
 def density_from_json(text: str, ctx: RingContext) -> Density:
     payload = _read_payload(text, ctx, "density", "values")
     if payload["lane"] == "exact":
         return Density.exact(ctx, [parse_value(v) for v in payload["values"]])
-    return Density.from_float(ctx, np.array([complex(re, im) for re, im in payload["values"]]))
+    return Density.from_float(ctx, np.array([_complex(v, f"density value {i}")
+                                             for i, v in enumerate(payload["values"])]))
 
 
 def spectrum_to_json(s: Spectrum) -> str:
@@ -215,25 +223,34 @@ def certificate_to_json(cert: KakeyaCertificate) -> str:
 
 def spectrum_from_json(text: str, ctx: RingContext) -> Spectrum:
     """The spectrum of a JSON file; an entry that is not an object with a
-    frequency and its lane's value field raises ValueError."""
+    frequency (n coordinates in 0..N-1, in no other entry) and its lane's
+    value (N root coefficients, or an [re, im] pair) raises ValueError."""
     payload = _read_payload(text, ctx, "spectrum", "coefficients")
+    N, n = ctx.modulus, ctx.dimension
     exact = payload["lane"] == "exact"
     key = "root_coefficients" if exact else "value"
-    entries = []
+    entries = {}  # by rank
     for pos, entry in enumerate(payload["coefficients"]):
+        where = f"spectrum coefficient {pos}"
         if not isinstance(entry, dict) or "frequency" not in entry or key not in entry:
-            raise ValueError(f"spectrum coefficient {pos} is not an object with frequency and {key}")
-        entries.append((ctx.rank(entry["frequency"]), entry[key]))
+            raise ValueError(f"{where} is not an object with frequency and {key}")
+        a, value = entry["frequency"], entry[key]
+        if not (isinstance(a, list) and len(a) == n and all(isinstance(c, int) and 0 <= c < N for c in a)):
+            raise ValueError(f"{where}: frequency {a!r} is not {n} coordinates in 0..{N - 1}")
+        if ctx.rank(a) in entries:
+            raise ValueError(f"{where}: frequency {a} is given twice")
+        if exact and not (isinstance(value, list) and len(value) == N):
+            raise ValueError(f"{where}: {value!r} is not {N} root coefficients")
+        entries[ctx.rank(a)] = value if exact else _complex(value, where)
     if exact:
-        rows = [(rank, [parse_value(c) for c in values]) for rank, values in entries]
+        rows = [(rank, [parse_value(c) for c in values]) for rank, values in entries.items()]
         den = lcm(*(c.denominator for _, coeffs in rows for c in coeffs))
         mat = np.zeros((ctx.size, ctx.modulus), dtype=np.int64)
         for rank, coeffs in rows:
             mat[rank] = [int(c * den) for c in coeffs]
         return Spectrum(ctx, coeffs=mat, den=den)
     values = np.zeros(ctx.size, dtype=np.complex128)
-    for rank, (re, im) in entries:
-        values[rank] = complex(re, im)
+    values[list(entries)] = list(entries.values())
     return Spectrum(ctx, values=values)
 
 

@@ -1,13 +1,14 @@
 """Precomputed index tables shared by the transform and maximal-operator code.
 
 Everything here is keyed by an immutable RingContext and cached, so each
-table is built once per ring.  The central one is coset_table: for every
+table is built once per ring.  coset_rows is the one quotient chart: per
 k-flat U through the origin it lists each coset a + U of (Z/NZ)^n once,
-as a row of point ranks, plus the least rank of each row.  The X-ray
+as a row of point ranks, row y over the quotient point y; coset_table
+holds every flat's rows sorted by least rank, plus that rank.  The X-ray
 (k = 1) sums rows in place of fibers, and the maximal operators sum rows
-in place of shifts, so no coset is summed more than once.  Its ranks are
+in place of shifts, so no coset is summed more than once.  Ranks are
 uint16 on rings of at most 65,535 points and int32 above, so readers
-index with it and never compute in its dtype.  Arrays are returned
+index with them and never compute in their dtype.  Arrays are returned
 non-writeable; treat them as shared read-only state.
 
 Every reader of an index table sums values over its rows through one
@@ -19,7 +20,7 @@ p-adic tower of ell levels: the sums over the cosets of p**j U are read
 off the p**k sums over cosets of p**(j+1) U one level below.  The whole
 table is read only by coset_argmax, one row with its lex-least witnesses
 (the maximal profiles, mweight, certify), and by the search; perp_index
-and lift_map solve u^perp and the lift of (u, w) from its chart.
+and lift_map solve u^perp and the lift of (u, w) from the chart.
 Allocations that scale with the ring are first checked against physical
 memory (check_memory).
 """
@@ -106,8 +107,7 @@ def _lex_grid(N: int, m: int) -> np.ndarray:
 
 
 def _rank_dtype(ctx: RingContext) -> np.dtype:
-    """The dtype of coset_table: uint16 while every rank and the sentinel
-    ctx.size (coset_argmax's "short of the best") fit, int32 above."""
+    """The rank dtype of coset_rows and coset_table: uint16 to 65,535 points, int32 above."""
     return np.dtype(np.uint16 if ctx.size <= np.iinfo(np.uint16).max else np.int32)
 
 
@@ -133,7 +133,7 @@ def _placements(ctx: RingContext, k: int) -> tuple[tuple[int, np.ndarray], ...]:
 
 def _sections(ctx: RingContext, gens: np.ndarray, points=slice(None)) -> np.ndarray:
     """(B, n, Q) int64: column y of flat b is section(y) mod N, the chart
-    of coset_table at the quotient point of rank points[y], for the flats
+    of coset_rows at the quotient point of rank points[y], for the flats
     with canonical generators gens (B, k, n)."""
     N, n = ctx.modulus, ctx.dimension
     k = gens.shape[1]
@@ -147,10 +147,16 @@ def _sections(ctx: RingContext, gens: np.ndarray, points=slice(None)) -> np.ndar
     return sections % N
 
 
-def coset_rows(ctx: RingContext, gens: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(B, size // N**k, N**k) ranks in _rank_dtype(ctx): the rows of
-    coset_table(ctx, k) of the flats with canonical generators gens
-    (B, k, n), written into out when it is given.
+def coset_rows(ctx: RingContext, gens: np.ndarray) -> np.ndarray:
+    """(B, size // N**k, N**k) ranks in _rank_dtype(ctx), the quotient
+    chart of the k-flats with canonical generators gens (B, k, n): row y of
+    flat b lists the ranks of section(y) + sum_j t_j g_j over t in
+    (Z/NZ)^k in lex order, where g_j are the generators and section(y)
+    places the quotient point y in (Z/NZ)^(n-k) on the non-pivot columns of
+    each CRT component (zeros on the pivots).  The pivot of a generator is
+    its first unit coordinate mod p, per CRT component p**e of N: for
+    canonical generators, its echelon pivots.  So row y of a line is the
+    fiber over y of Q_u = (Z/NZ)^n / <u>, which the X-ray reads.
 
     Coordinate by coordinate: section plus offset, reduced mod N by one
     conditional subtract, folded into the rank by Horner's rule in the
@@ -161,9 +167,7 @@ def coset_rows(ctx: RingContext, gens: np.ndarray, out: np.ndarray | None = None
     dtype = _rank_dtype(ctx)
     offsets = (_lex_grid(N, k) @ gens % N).astype(dtype)  # (B, N**k, n): the points of U
     sections = _sections(ctx, gens).astype(dtype)  # (B, n, size // N**k)
-    if out is None:
-        out = np.empty((len(gens), sections.shape[2], N**k), dtype=dtype)
-    out[...] = 0
+    out = np.zeros((len(gens), sections.shape[2], N**k), dtype=dtype)
     for j in range(n):
         c = sections[:, j, :, None] + offsets[:, None, :, j]
         c -= (c >= N) * dtype.type(N)
@@ -176,19 +180,11 @@ def coset_rows(ctx: RingContext, gens: np.ndarray, out: np.ndarray | None = None
 def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every coset a + U of every k-flat U through the origin, once.
 
-    Returns (table, least).  table is (F, size // N**k, N**k) of ranks in
-    _rank_dtype(ctx); row y of flat i lists the ranks of
-    section(y) + sum_j t_j g_j over t in (Z/NZ)^k in lex order, where g_j
-    are the generators and section(y) places the quotient point y in
-    (Z/NZ)^(n-k) on the non-pivot columns of each CRT component (zeros on
-    the pivots).  least is (F, size // N**k), the smallest rank in each
-    row.  Flats follow directions(ctx) for k = 1 and flats(ctx, k) above.
-
-    This is the package's one quotient chart.  The pivot of a generator is
-    its first unit coordinate mod p, per CRT component p**e of N; for the
-    canonical generators of a k-flat these are its echelon pivots.  So row
-    y of a line table is the fiber over y of Q_u = (Z/NZ)^n / <u>, and the
-    X-ray reads the table directly.
+    Returns (table, least).  table is (F, size // N**k, N**k): the rows of
+    coset_rows, each flat's sorted by least rank (the order of lex-least
+    shift), so row 0 is U itself.  least is (F, size // N**k), the
+    smallest rank in each row, ascending along each flat.  Flats follow
+    directions(ctx) for k = 1 and flats(ctx, k) above.
 
     The rows are built a block of flats (about _BLOCK_BYTES of ranks) at a
     time by coset_rows.  A table of more bytes (itemsize * F * size) than
@@ -206,8 +202,11 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     least = np.empty(table.shape[:2], dtype=dtype)
     step = max(1, _BLOCK_BYTES // (dtype.itemsize * ctx.size))
     for lo in range(0, F, step):
-        out = coset_rows(ctx, gens[lo:lo + step], table[lo:lo + step])
-        least[lo:lo + step] = out.min(axis=2)
+        rows = coset_rows(ctx, gens[lo:lo + step])
+        low = rows.min(axis=2)
+        order = low.argsort(axis=1) + np.arange(len(low))[:, None] * low.shape[1]  # into low.flat
+        np.take(rows.reshape(-1, N**k), order, axis=0, out=table[lo:lo + step])
+        np.take(low, order, out=least[lo:lo + step])
     return _freeze(table), _freeze(least)
 
 
@@ -285,18 +284,16 @@ def blocked_sums(values: np.ndarray, index: np.ndarray, rows: bool = False):
 
 def coset_argmax(values: np.ndarray, ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(best, row), each (F,): per flat f of coset_table(ctx, k), the
-    largest coset sum of one row of values (size,) and the table row of
-    least rank that reaches it, so least[f, row[f]] is the lex-least
-    achieving shift.  The row is gathered whole a block of flats at a time
+    largest coset sum of one row of values (size,) and the first table
+    row that reaches it, so least[f, row[f]] is the lex-least achieving
+    shift.  The row is gathered whole a block of flats at a time
     (blocked_sums), in values' dtype, which the caller picks wide enough."""
-    table, least = coset_table(ctx, k)
+    table, _ = coset_table(ctx, k)
     best = np.empty(len(table), dtype=values.dtype)
     row = np.empty(len(table), dtype=np.intp)
     for lo, (sums,) in blocked_sums(values[None], table, rows=True):
-        hi = lo + len(sums)
-        best[lo:hi] = sums.max(axis=1)
-        # ctx.size, above every rank, stands in for the rows short of the best
-        row[lo:hi] = np.where(sums == best[lo:hi, None], least[lo:hi], ctx.size).argmin(axis=1)
+        best[lo:lo + len(sums)] = sums.max(axis=1)
+        row[lo:lo + len(sums)] = sums.argmax(axis=1)
     return best, row
 
 
@@ -336,7 +333,7 @@ def _tower(gens: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
     coordinates c_i + p**j s_i < p**(j+1), it is already the representative
     of its coset below; the entry is that coset's index plus C_(j+1) times
     its flat's.  Level 0 is U itself in gens order, its cosets the quotient
-    points y, section(y) in coset_table's chart; level ell is the points.
+    points y, section(y) in coset_rows' chart; level ell is the points.
     Level j > 0 keeps its flats in the order np.unique sorts the bytes of
     their reduced generators.
     """
@@ -394,8 +391,8 @@ class CosetPlan(NamedTuple):
     towers[c] holds the ell levels of component c, from the points up
     (see _tower): level ell - 1 reads the q_c**n points, each level above
     reads the sums of the level below, and level 0, (F_c, Q_c, p**k), gives
-    the sums over the cosets of component c's flats.  width is the most
-    sums per row that coset_sums holds at once: an intermediate level can
+    the sums over the cosets of component c's flats in chart order.  width
+    is the most sums per row that coset_sums holds at once: a level can
     hold more than the ring has points.  points[i] is the rank of the point
     whose component ranks, in product order over (q_1**n, ..., q_m**n),
     make up i; quotient[c][y] is the rank in (Z/q_c)^(n-k) of component c
@@ -426,9 +423,9 @@ def coset_plan(ctx: RingContext, k: int) -> CosetPlan:
 
     Flat f of the plan is flat f of coset_table: a flat is one flat per
     component, and enumerate_proj and enumerate_grassmannian list them in
-    product order.  Its coset y is the product of the component cosets of
-    the components of y, the quotient point of rank y, since a row's
-    section places each component of y on that component's non-pivots.
+    product order.  Its coset y, row y of coset_rows, is the product of the
+    component cosets of the components of y, the quotient point of rank y:
+    a row's section places each component of y on its non-pivots.
     """
     N, n = ctx.modulus, ctx.dimension
     if not 1 <= k <= n:
@@ -534,7 +531,7 @@ def perp_index(ctx: RingContext) -> np.ndarray:
     frequencies a with <u, a> = 0 mod N, directions in directions(ctx) order.
 
     u^perp is solved, not searched for: a runs over the sections of u's
-    quotient chart (coset_table's), and per CRT component q = p**e its
+    quotient chart (coset_rows'), and per CRT component q = p**e its
     pivot coordinate, where u is 1 and the section 0, is -<u, section> mod
     q.  A block of directions at a time, so no (P, size) dot product is
     built; an index past physical memory raises TableMemoryError first.
@@ -561,7 +558,7 @@ def lift_map(ctx: RingContext) -> np.ndarray:
     directions(ctx.quotient()).
 
     The lift of (u, w), the 2-flat whose image in u's quotient chart is
-    the line <w>, is span(u, s), s = section(w) in coset_table's chart.
+    the line <w>, is span(u, s), s = section(w) in coset_rows' chart.
     Per CRT component s is 0 on u's pivot i and 1 on its own pivot j, so
     {u - u_j s, s} in pivot order is enumerate_grassmannian's echelon
     form.  The components are combined by the idempotents and each lift

@@ -202,11 +202,20 @@ def enumerate_grassmannian_per_coordinate(ctx, k: int) -> list[Flat]:
             for combo in itertools.product(*per_component)]
 
 
+def chart_rows(ctx, k: int) -> np.ndarray:
+    """(F, size // N**k, N**k) the cosets of every k-flat of ctx in the
+    quotient chart, row y over the quotient point of rank y: tables.coset_rows
+    over every flat at once, where tables.coset_table sorts each flat's rows
+    by least rank."""
+    return tables.coset_rows(ctx, tables._generators(ctx, k))
+
+
 def coset_table_per_flat(ctx, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """tables.coset_table built one flat at a time, as int32: each flat's
-    sections put the quotient points on its non-pivot columns with
-    np.delete, and its (Q, N**k, n) int64 coordinate stack is ranked by
-    the place-value product."""
+    """The quotient chart of tables.coset_rows built one flat at a time, as
+    int32, with each row's least rank: each flat's sections put the
+    quotient points on its non-pivot columns with np.delete, and its
+    (Q, N**k, n) int64 coordinate stack is ranked by the place-value
+    product."""
     N, n = ctx.modulus, ctx.dimension
     if k == 1:
         gens = tables.direction_matrix(ctx)[:, None, :]
@@ -237,13 +246,13 @@ def lift_points(u: ProjDirection, w: ProjDirection, ctx) -> frozenset[tuple[int,
 
 def lift_map_gather(ctx) -> np.ndarray:
     """tables.lift_map by matching rank sets: the lift of (u, w) is the
-    union of the rows of u's line table at the quotient points t w, sorted
-    and looked up, by its bytes, among the sorted origin rows of the plane
-    table.  Gathers a (P, Pq, N*N) stack of ranks."""
+    union of the chart rows of u's lines at the quotient points t w, sorted
+    and looked up, by its bytes, among the sorted origin rows (row 0) of
+    the plane table.  Gathers a (P, Pq, N*N) stack of ranks."""
     N = ctx.modulus
     qctx = ctx.quotient()
     planes = np.sort(tables.coset_table(ctx, 2)[0][:, 0], axis=1)
-    lines = tables.coset_table(ctx, 1)[0]
+    lines = chart_rows(ctx, 1)
     t = np.arange(N)[None, :, None]
     qlines = tables.rank_points(t * tables.direction_matrix(qctx)[:, None, :] % N, qctx)
     lifts = np.sort(lines[:, qlines].reshape(len(lines), len(qlines), N * N), axis=2)
@@ -343,8 +352,8 @@ def orthogonality_mask(ctx) -> np.ndarray:
 
 def xray_all_gather(f: Density) -> np.ndarray:
     """Exact X-ray numerators of every direction as Python ints, from the
-    whole (P, size/N, N) gather of the line table."""
-    return f.num.astype(object)[tables.coset_table(f.ctx, 1)[0]].sum(axis=2)
+    whole (P, size/N, N) gather of the lines' chart rows."""
+    return f.num.astype(object)[chart_rows(f.ctx, 1)].sum(axis=2)
 
 
 def uperp_sum(f: Density, u: ProjDirection):
@@ -744,11 +753,11 @@ def dilates_bitmask(ctx, options, units) -> list:
     return out
 
 
-def orbit_representatives_per_flat(ctx, least, order, coset_of) -> tuple[list, list, list]:
-    """search._orbit_representatives one flat at a time: flat i moves the
-    lex-least point of each of its cosets by every point of S_i, ranks the
-    moved points with tables.rank_points and takes the least coset
-    position they reach, then dilates the same points by every unit of
+def orbit_representatives_per_flat(ctx, least, coset_of) -> tuple[list, list, list]:
+    """search._orbit_representatives one flat at a time, S_0 too: flat i
+    moves the lex-least point of each of its cosets by every point of S_i,
+    ranks the moved points with tables.rank_points and takes the least
+    coset row they reach, then dilates the same points by every unit of
     Z/N but 1; S_(i+1) is S_i less the points off the flat's coset
     through the origin."""
     N = ctx.modulus
@@ -756,7 +765,7 @@ def orbit_representatives_per_flat(ctx, least, order, coset_of) -> tuple[list, l
     grid = tables.coord_grid(ctx)
     inside = np.ones(ctx.size, dtype=bool)  # S_i, by rank
     reps, orbit_min, dilate = [], [], []
-    for i, lows in enumerate(np.take_along_axis(least, order, axis=1)):
+    for i, lows in enumerate(least):
         points = grid[lows]
         moved = (points[:, None] + grid[inside][None]) % N
         orbit = coset_of[i, tables.rank_points(moved, ctx)].min(axis=1)
@@ -764,7 +773,7 @@ def orbit_representatives_per_flat(ctx, least, order, coset_of) -> tuple[list, l
         orbit_min.append(orbit.tolist())
         dilated = units[:, None, None] * points % N
         dilate.append(coset_of[i, tables.rank_points(dilated, ctx)].tolist())
-        inside &= coset_of[i] == 0  # position 0 is the coset through the origin
+        inside &= coset_of[i] == 0  # row 0 is the coset through the origin
     return reps, orbit_min, dilate
 
 

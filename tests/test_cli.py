@@ -235,6 +235,36 @@ class TestTransformCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    # over N = 2, n = 2: a one-coordinate frequency was read as (0, 1), a
+    # three-coordinate one raised IndexError, a repeated one overwrote the
+    # first, one root coefficient broadcast to 1 + zeta = 0, and bare float
+    # values raised TypeError
+    @pytest.mark.parametrize("payload, named", [
+        ({"coefficients": [{"frequency": [1], "root_coefficients": ["1", "0"]}]},
+         "spectrum coefficient 0: frequency [1] is not 2 coordinates in 0..1"),
+        ({"coefficients": [{"frequency": [1, 1, 1], "root_coefficients": ["1", "0"]}]},
+         "spectrum coefficient 0: frequency [1, 1, 1] is not 2 coordinates in 0..1"),
+        ({"coefficients": [{"frequency": [0, 1], "root_coefficients": ["1", "0"]},
+                           {"frequency": [0, 1], "root_coefficients": ["0", "1"]}]},
+         "spectrum coefficient 1: frequency [0, 1] is given twice"),
+        ({"coefficients": [{"frequency": [0, 1], "root_coefficients": ["1"]}]},
+         "spectrum coefficient 0: ['1'] is not 2 root coefficients"),
+        ({"lane": "float", "coefficients": [{"frequency": [0, 1], "value": 1.0}]},
+         "spectrum coefficient 0: 1.0 is not an [re, im] pair of numbers"),
+        ({"kind": "density", "lane": "float", "values": [0.5, 0.0, 0.0, 0.0]},
+         "density value 0: 0.5 is not an [re, im] pair of numbers"),
+    ], ids=["short-frequency", "long-frequency", "repeated-frequency", "short-root-coefficients",
+            "bare-spectrum-value", "bare-density-values"])
+    def test_malformed_entry_named(self, payload, named, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"kind": "spectrum", "modulus": 2, "dimension": 2,
+                                    "lane": "exact", **payload}))
+        op = "ifourier" if "coefficients" in payload else "fourier"
+        code = main(["transform", "--mode", "padic", "-p", "2", "-l", "1", "-n", "2",
+                     "--op", op, "--input", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
     def test_malformed_row_named(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2,value\n0,0,1\n0,1,oops\n")

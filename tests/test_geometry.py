@@ -10,8 +10,8 @@ from kakeyalab import tables
 from kakeyalab.geometry import (EnumerationCapError, Flat, canonical_direction,
                                 enumerate_grassmannian, enumerate_proj, gr_size, proj_size)
 from kakeyalab.ring import RingContext, factorize
-from oracles import (enumerate_grassmannian_per_coordinate, enumerate_proj_per_coordinate,
-                     flat_points, lift_map_gather, lift_points)
+from oracles import (chart_rows, enumerate_grassmannian_per_coordinate,
+                     enumerate_proj_per_coordinate, flat_points, lift_map_gather, lift_points)
 
 
 def brute_force_directions(N, n):
@@ -185,12 +185,12 @@ class TestFlatPoints:
 
 
 class TestQuotient:
-    """The line table of a direction u is the quotient chart of u: row y
-    lists the points over y in Q_u = (Z/NZ)^n / <u>."""
+    """The chart rows of a direction u (tables.coset_rows) are the quotient
+    chart of u: row y lists the points over y in Q_u = (Z/NZ)^n / <u>."""
 
     @staticmethod
     def fiber_of(ctx, ui):
-        table = tables.coset_table(ctx, 1)[0][ui]
+        table = chart_rows(ctx, 1)[ui]
         fiber = np.empty(ctx.size, dtype=np.int64)
         fiber[table] = np.arange(len(table))[:, None]
         return fiber

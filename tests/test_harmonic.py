@@ -17,7 +17,7 @@ from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _axis_pass_ex
                                 xray_all, xray_l2_spectral, xray_transform)
 from kakeyalab.ring import RingContext, ScaleSemantics
 from kakeyalab.verify import DISTRIBUTIONS, corpus_rings, random_density
-from oracles import (band_project_naive, chart_section, coefficient, correlations_roll,
+from oracles import (band_project_naive, chart_rows, chart_section, coefficient, correlations_roll,
                      fourier_forward_naive, masses_dense, orthogonal_fraction,
                      orthogonality_mask, uperp_sum, uperp_sum_spatial, xray_all_gather,
                      xray_l2_spatial)
@@ -410,10 +410,10 @@ class TestXray:
                              ids=lambda c: c.describe())
     def test_float_xray_all_is_the_whole_gather(self, ctx, rows):
         # the float X-ray along every direction (xray_transform) is bit for
-        # bit the sum of one whole gather of its line-table row, on real and
+        # bit the sum of one whole gather of its chart rows, on real and
         # complex values, for stacks of one and five rows and one density
         N = ctx.modulus
-        table = tables.coset_table(ctx, 1)[0]
+        table = chart_rows(ctx, 1)
         rng = np.random.default_rng(48)
         shape = (ctx.size,) if rows is None else (rows, ctx.size)
         reals = np.stack([random_density(ctx, seed=48, trial=t).to_float().data
@@ -429,14 +429,14 @@ class TestXray:
                              ids=lambda c: c.describe())
     def test_xray_transform_builds_only_its_direction(self, ctx):
         # a cold call adds no coset_table entry, and its fibers are the
-        # line table's row of u bit for bit, in both lanes
+        # chart rows of u bit for bit, in both lanes
         N = ctx.modulus
         tables.coset_table.cache_clear()
         f = random_density(ctx, seed=51)
         g = Density.from_float(ctx, np.random.default_rng(51).normal(size=(3, ctx.size)))
         got = [(xray_transform(f, u), xray_transform(g, u)) for u in tables.directions(ctx)]
         assert tables.coset_table.cache_info().currsize == 0
-        for (fu, gu), fibers in zip(got, tables.coset_table(ctx, 1)[0]):
+        for (fu, gu), fibers in zip(got, chart_rows(ctx, 1)):
             assert fu.values() == tuple(Fraction(int(v), f.den * N) for v in f.num[fibers].sum(-1))
             assert np.array_equal(gu.data, g.data[..., fibers].sum(-1) / N)
 
@@ -481,7 +481,7 @@ class TestXray:
         ctx = RingContext.padic(3, 2, 3)
         rng = np.random.default_rng(50)
         f = Density(ctx, num=rng.integers(-60, 61, (R, ctx.size)), den=[1] * R)
-        want = f.num.astype(object)[:, tables.coset_table(ctx, 1)[0]].sum(axis=-1).tolist()
+        want = f.num.astype(object)[:, chart_rows(ctx, 1)].sum(axis=-1).tolist()
         for threshold in (1, R + 1):
             monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
             assert xray_all(f)[0].tolist() == want
@@ -524,18 +524,20 @@ class TestXray:
             xray_transform(f, tables.directions(ctx)[0])
 
     def test_line_table_rows_are_chart_fibers(self):
-        # row y of a direction's line table is section(y) + t*u, t = 0..N-1
+        # chart row y of a direction is section(y) + t*u, t = 0..N-1, and
+        # the line table holds it at the place of its least rank
         for ctx in (RingContext.generic(12, 2), RingContext.generic(6, 3)):
             N = ctx.modulus
+            chart = chart_rows(ctx, 1)
             table, least = tables.coset_table(ctx, 1)
             for ui, u in enumerate(tables.directions(ctx)):
                 for y in ctx.quotient().points():
                     sec = chart_section(u, y, ctx)
                     row = [ctx.rank(tuple((s + t * c) % N for s, c in zip(sec, u.rep)))
                            for t in range(N)]
-                    yi = ctx.quotient().rank(y)
-                    assert table[ui, yi].tolist() == row
-                    assert least[ui, yi] == min(row)
+                    assert chart[ui, ctx.quotient().rank(y)].tolist() == row
+                    at = np.searchsorted(least[ui], min(row))
+                    assert least[ui, at] == min(row) and table[ui, at].tolist() == row
 
 
 class TestDensityArithmetic:

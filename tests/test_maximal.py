@@ -18,7 +18,8 @@ from kakeyalab.cli import main
 from kakeyalab.geometry import gr_size
 from kakeyalab.ring import RingContext
 from kakeyalab.verify import DISTRIBUTIONS, corpus_rings, random_density
-from oracles import coset_table_per_flat, flat_points, mweight_lines, projmax_identity_check
+from oracles import (chart_rows, coset_table_per_flat, flat_points, mweight_lines,
+                     projmax_identity_check)
 
 
 def brute_line_max(f, u, ctx):
@@ -250,8 +251,8 @@ class TestCosetArgmax:
 
 
 class TestCosetTableBuild:
-    """The blocked build against the flat-by-flat oracle, its rank dtype
-    and its memory."""
+    """The blocked build against the flat-by-flat chart oracle, its rows
+    sorted by least rank, its rank dtype and its memory."""
 
     RINGS = corpus_rings() + [RingContext.padic(2, 1, 1), RingContext.generic(6, 1),
                               RingContext.padic(2, 1, 4), RingContext.padic(2, 2, 4),
@@ -269,10 +270,16 @@ class TestCosetTableBuild:
             elif blocks == "ragged":  # the fewest flats per block that leave a short last one
                 step = next((b for b in range(2, F) if F % b), 1)
                 monkeypatch.setattr(tables, "_BLOCK_BYTES", step * itemsize * ctx.size)
+            rows = tables.coset_rows(ctx, tables._generators(ctx, k))
+            assert rows.dtype == tables._rank_dtype(ctx)
+            assert np.array_equal(rows.astype(np.int64), want)
             table, least = tables.coset_table.__wrapped__(ctx, k)
             assert table.dtype == least.dtype == tables._rank_dtype(ctx)
-            assert np.array_equal(table.astype(np.int64), want)
-            assert np.array_equal(least.astype(np.int64), want_least)
+            # the chart's rows, each flat's sorted by least rank: U itself first
+            flat, order = np.arange(F)[:, None], np.argsort(want_least, axis=1)
+            assert np.array_equal(table.astype(np.int64), want[flat, order])
+            assert np.array_equal(least.astype(np.int64), want_least[flat, order])
+            assert (least[:, 0] == 0).all() and (np.diff(least.astype(np.int64), axis=1) > 0).all()
 
     def test_rank_dtype_holds_every_rank_and_the_sentinel(self):
         assert tables._rank_dtype(RingContext.generic(255, 2)) == np.uint16  # 65,025 points
@@ -467,8 +474,8 @@ def tower_ks(ctx):
 
 
 def one_table_sums(rows, ctx, k):
-    """(R, F, cosets) Python-int sums of rows over the whole coset table."""
-    return np.asarray(rows, dtype=object)[:, tables.coset_table(ctx, k)[0]].sum(axis=-1)
+    """(R, F, cosets) Python-int sums of rows over every flat's chart rows."""
+    return np.asarray(rows, dtype=object)[:, chart_rows(ctx, k)].sum(axis=-1)
 
 
 def staged_rows(ctx, count, seed):
@@ -636,7 +643,7 @@ class TestCosetPlan:
                     assert level.min() >= 0 and level.max() == below - 1
                     below = F * C
                 if e == 1:
-                    want = tables.coset_table(RingContext.generic(p, n), k)[0]
+                    want = chart_rows(RingContext.generic(p, n), k)
                     assert np.array_equal(tower[0], want)
             if len(plan.towers) == 1:  # an intermediate level may hold more sums than points
                 (tower,) = plan.towers

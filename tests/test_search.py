@@ -306,15 +306,14 @@ class TestCosetOf:
                                        (RingContext.generic(6, 3), 1),
                                        (RingContext.generic(17, 3), 1)], ids=ring_id)
     def test_each_point_lies_in_its_coset(self, ctx, k):
-        table, least = tables.coset_table(ctx, k)
-        order = np.argsort(least, axis=1)
-        coset_of = search._coset_of(table, order, ctx.size)
+        table, _ = tables.coset_table(ctx, k)
+        coset_of = search._coset_of(table, ctx.size)
         F, C, _ = table.shape
         assert coset_of.shape == (F, ctx.size)
         assert coset_of.dtype == (np.uint8 if C <= 256 else np.uint16)  # C = 289 at N = 17
-        # every point of row order[f, j] of flat f reads j
+        # every point of row r of flat f reads r
         got = np.take_along_axis(coset_of, table.reshape(F, -1).astype(np.intp), axis=1)
-        assert (got.reshape(table.shape) == np.argsort(order, axis=1)[:, :, None]).all()
+        assert (got.reshape(table.shape) == np.arange(C)[:, None]).all()
 
     def test_over_memory_refused(self, monkeypatch, capsys):
         # padic(2,3,3) lines: 112 lines of 64 cosets, so one byte per
@@ -345,9 +344,9 @@ class TestAgainstBitmaskOracles:
 
     @pytest.mark.parametrize("ctx,k", GREEDY, ids=ring_id)
     def test_greedy_choices(self, ctx, k):
-        table, least, order, coset_of = search._shift_index(ctx, k)
+        table, least = tables.coset_table(ctx, k)
         grid = tables.coord_grid(ctx)
-        chosen, size = search._greedy(ctx, table, order, coset_of)
+        chosen, size = search._greedy(ctx, table, search._coset_of(table, ctx.size))
         committed = [(f, tuple(grid[least[f, row]].tolist())) for f, row in chosen]
         want = greedy_bitmask_choices(translate_options(ctx, k))
         assert committed == [(f, shift) for f, _, shift in want]
@@ -461,8 +460,9 @@ class TestOrbitRepresentatives:
         # which must itself be a translate
         dilates = [[[cs.index(dilate(coset, lam)) for coset in cs] for lam in units]
                    for cs in cosets]
-        _, least, order, coset_of = search._shift_index(ctx, k)
-        reps, low, dilated = search._orbit_representatives(ctx, least, order, coset_of)
+        table, least = tables.coset_table(ctx, k)
+        reps, low, dilated = search._orbit_representatives(ctx, least,
+                                                            search._coset_of(table, ctx.size))
         assert len(reps) == len(low) == len(dilated) == len(flats)
         for i, orbit in enumerate(orbits):
             assert reps[i] == sorted({min(o) for o in orbit})
@@ -502,28 +502,31 @@ class TestOrbitRepresentatives:
                                        (RingContext.padic(2, 3, 3), 2)], ids=ring_id)
     def test_equals_per_flat_oracle(self, monkeypatch, ctx, k):
         # whole runs of equal S_i at once, and one flat per block
-        _, least, order, coset_of = search._shift_index(ctx, k)
-        want = orbit_representatives_per_flat(ctx, least, order, coset_of)
+        table, least = tables.coset_table(ctx, k)
+        coset_of = search._coset_of(table, ctx.size)
+        want = orbit_representatives_per_flat(ctx, least, coset_of)
         inside, sizes = np.ones(ctx.size, dtype=bool), set()  # the sizes of the S_i
         for row in coset_of:
             sizes.add(int(inside.sum()))
             inside &= row == 0
         asked = []
         monkeypatch.setattr(tables, "check_memory", asked.append)
-        assert search._orbit_representatives(ctx, least, order, coset_of) == want
-        # one pass per distinct S_i but {0}
-        assert len(asked) == len(sizes - {1}) <= math.log2(ctx.size) + 1
+        assert search._orbit_representatives(ctx, least, coset_of) == want
+        # one pass per distinct S_i other than the whole group and {0}
+        assert len(asked) == len(sizes - {1, ctx.size}) <= math.log2(ctx.size) + 1
         monkeypatch.setattr(tables, "_BLOCK_BYTES", 1)
-        assert search._orbit_representatives(ctx, least, order, coset_of) == want
+        assert search._orbit_representatives(ctx, least, coset_of) == want
 
     def test_over_memory_refused(self, monkeypatch):
-        # padic(2,2,3) lines: 16 cosets moved by all 64 points, as 3
-        # coordinates and a rank in int64, 32,768 bytes at S_0
+        # padic(2,2,3) lines: the 16 cosets of line 1 moved by the 4 points
+        # of S_1 = U_0, as 3 coordinates and a rank in int64, 2,048 bytes
+        # in the first (and here only) pass, S_0 taking none
         ctx = RingContext.padic(2, 2, 3)
-        _, least, order, coset_of = search._shift_index(ctx, 1)
-        monkeypatch.setattr(tables, "_physical_memory", lambda: 32_767)
+        table, least = tables.coset_table(ctx, 1)
+        coset_of = search._coset_of(table, ctx.size)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 2_047)
         with pytest.raises(TableMemoryError) as err:
-            search._orbit_representatives(ctx, least, order, coset_of)
-        assert err.value.estimate == 16 * 64 * 4 * 8
-        monkeypatch.setattr(tables, "_physical_memory", lambda: 32_768)
-        assert search._orbit_representatives(ctx, least, order, coset_of)[0][0] == [0]
+            search._orbit_representatives(ctx, least, coset_of)
+        assert err.value.estimate == 16 * 4 * 4 * 8
+        monkeypatch.setattr(tables, "_physical_memory", lambda: 2_048)
+        assert search._orbit_representatives(ctx, least, coset_of)[0][0] == [0]
