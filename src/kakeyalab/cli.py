@@ -1,15 +1,16 @@
 """Command-line surface: verification suites, constants, searches, transforms.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error,
-3 resource cap (enumeration cap, a coset table over physical memory, or
-search budget).  Identical config and seed produce byte-identical
-outputs; wall times are only written when --timings is given so default
-reports stay reproducible.
+3 resource limit (a table, directions or flats past physical memory, all
+refused by tables.check_memory; the int64 headroom; or search budget).
+Identical config and seed produce byte-identical outputs; wall times are
+only written when --timings is given so default reports stay reproducible.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import serialize, verify
@@ -132,8 +133,7 @@ def cmd_verify(args) -> int:
 
 
 def _constants_rows(ctx: RingContext, depth: int, semantics: ScaleSemantics) -> list[dict]:
-    view = RingContext(ctx.modulus, ctx.factorization, ctx.dimension, ctx.mode,
-                       semantics, ctx.cap)
+    view = replace(ctx, scale_semantics=semantics)
     n = view.dimension
     chain = chain_constant(view, depth) if n >= 3 else None
     rows = []

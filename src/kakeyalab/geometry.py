@@ -10,6 +10,8 @@ Nothing here works object by object on quotients: the quotient chart
 along a direction is read off tables.coset_rows, the CRT split of a line
 off the coset table (maximal.mweight), and the lift of a quotient
 direction to a 2-flat is solved from that chart (tables.lift_map).
+The enumerators set no limit: their callers tables.directions and
+tables.flats refuse a count past memory before anything is enumerated.
 """
 from __future__ import annotations
 
@@ -24,12 +26,7 @@ from .ring import RingContext, _crt_basis, factorize
 
 
 class EnumerationCapError(Exception):
-    """Enumeration refused because the object count exceeds the cap."""
-
-    def __init__(self, estimate: int, cap: int):
-        super().__init__(f"enumeration of {estimate} objects exceeds cap {cap}")
-        self.estimate = estimate
-        self.cap = cap
+    """A resource refused before it is built (CLI exit 3): tables.TableMemoryError."""
 
 
 @dataclass(frozen=True)
@@ -160,9 +157,6 @@ def _combine_components(per_component: Sequence[list], N: int) -> list:
 def enumerate_proj(ctx: RingContext) -> list[ProjDirection]:
     """All canonical projective directions of (Z/NZ)^n, one per class."""
     N, n = ctx.modulus, ctx.dimension
-    estimate = proj_size(N, n)
-    if estimate > ctx.cap:
-        raise EnumerationCapError(estimate, ctx.cap)
     if N == 1:
         return [ProjDirection(1, (0,) * n)]
     per_component = [[g[0] for g in _component_flats(p**r, p, n, 1)] for p, r in ctx.factorization]
@@ -187,9 +181,6 @@ def enumerate_grassmannian(ctx: RingContext, k: int) -> list[Flat]:
     N, n = ctx.modulus, ctx.dimension
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    estimate = gr_size(N, n, k)
-    if estimate > ctx.cap:
-        raise EnumerationCapError(estimate, ctx.cap)
     if N == 1:
         return [Flat(1, k, tuple((0,) * n for _ in range(k)), (0,) * n)]
     per_component = [list(_component_flats(p**r, p, n, k)) for p, r in ctx.factorization]

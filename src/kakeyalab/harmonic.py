@@ -694,9 +694,9 @@ def _context_at_modulus(ctx: RingContext, M: int, n: int) -> RingContext:
     if isinstance(ctx.mode, PAdic):
         p, ell = ctx.mode.p, round(math.log(M, ctx.mode.p))
         if ell >= 1 and p**ell == M:
-            return RingContext.padic(p, ell, n, ctx.scale_semantics, ctx.cap)
+            return RingContext.padic(p, ell, n, ctx.scale_semantics)
     if isinstance(ctx.mode, Profinite):
         L = next(L for L in itertools.count(1) if math.factorial(L + 1) >= M)
         if math.factorial(L + 1) == M:
-            return RingContext.profinite(L, n, ctx.scale_semantics, ctx.cap)
-    return RingContext.generic(M, n, ctx.cap)
+            return RingContext.profinite(L, n, ctx.scale_semantics)
+    return RingContext.generic(M, n)

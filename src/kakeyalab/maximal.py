@@ -61,9 +61,6 @@ class MaximalProfile:
     def min_value(self):
         return min(self.values)
 
-    def max_value(self):
-        return max(self.values)
-
 
 def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, index: np.ndarray | None = None):
     """The largest coset sum of |rows| per k-flat, for a stack of rows at once.

@@ -11,7 +11,7 @@ need not be a prime power or a factorial, e.g. N = 12).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -109,55 +109,44 @@ def factorize(N: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class RingContext:
-    """The working ring (Z/NZ)^n together with its truncation metadata.
-
-    Immutable after construction; safe to share across workers and to use
-    as a cache key.  All arithmetic on residues is exact.
+    """The working ring (Z/NZ)^n: a truncation mode, a dimension and a scale
+    semantics.  The mode fixes N and its factorization, which are set from
+    it and take no part in equality.  Immutable; safe to share across
+    workers and to use as a cache key.  It sets no resource limit: what
+    is built over it is checked against memory by tables.check_memory.
     """
 
-    modulus: int
-    factorization: tuple[tuple[int, int], ...]
-    dimension: int
     mode: Mode
+    dimension: int
     scale_semantics: ScaleSemantics
-    cap: int = 10_000_000
+    modulus: int = field(init=False, compare=False)
+    factorization: tuple[tuple[int, int], ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        prod = 1
-        last_p = 1
-        for p, r in self.factorization:
-            if p <= last_p or r < 1:
-                raise ValueError("factorization must list ascending primes with exponents >= 1")
-            prod *= p**r
-            last_p = p
-        if prod != self.modulus:
-            raise ValueError(f"factorization {self.factorization} does not multiply to {self.modulus}")
-        if self.mode.modulus != self.modulus:
-            raise ValueError(f"mode {self.mode} implies modulus {self.mode.modulus}, got {self.modulus}")
+        object.__setattr__(self, "modulus", self.mode.modulus)
+        object.__setattr__(self, "factorization", tuple(factorize(self.modulus)))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def padic(cls, p: int, ell: int, n: int, semantics: ScaleSemantics = ScaleSemantics.NUMERIC,
-              cap: int = 10_000_000) -> "RingContext":
+    def padic(cls, p: int, ell: int, n: int,
+              semantics: ScaleSemantics = ScaleSemantics.NUMERIC) -> "RingContext":
         if ell < 1:
             raise ValueError("ell must be >= 1")
-        mode = PAdic(p, ell)
-        return cls(mode.modulus, tuple(factorize(mode.modulus)), n, mode, semantics, cap)
+        return cls(PAdic(p, ell), n, semantics)
 
     @classmethod
-    def profinite(cls, L: int, n: int, semantics: ScaleSemantics = ScaleSemantics.DIVISIBILITY,
-                  cap: int = 10_000_000) -> "RingContext":
+    def profinite(cls, L: int, n: int,
+                  semantics: ScaleSemantics = ScaleSemantics.DIVISIBILITY) -> "RingContext":
         if L < 1:
             raise ValueError("L must be >= 1")
-        mode = Profinite(L)
-        return cls(mode.modulus, tuple(factorize(mode.modulus)), n, mode, semantics, cap)
+        return cls(Profinite(L), n, semantics)
 
     @classmethod
-    def generic(cls, N: int, n: int, cap: int = 10_000_000) -> "RingContext":
-        return cls(N, tuple(factorize(N)), n, Generic(N), ScaleSemantics.NUMERIC, cap)
+    def generic(cls, N: int, n: int) -> "RingContext":
+        return cls(Generic(N), n, ScaleSemantics.NUMERIC)
 
     # -- basic structure ----------------------------------------------
 
@@ -201,8 +190,7 @@ class RingContext:
         """Context for Q_u = (Z/NZ)^(n-1), same modulus and mode."""
         if self.dimension < 2:
             raise ValueError("quotient requires dimension >= 2")
-        return RingContext(self.modulus, self.factorization, self.dimension - 1,
-                           self.mode, self.scale_semantics, self.cap)
+        return replace(self, dimension=self.dimension - 1)
 
     # -- scales --------------------------------------------------------
 

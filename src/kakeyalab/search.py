@@ -69,9 +69,6 @@ class KakeyaCertificate:
     def measure(self) -> Fraction:
         return Fraction(self.size, self.ctx.size)
 
-    def point_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.points)
-
 
 @lru_cache(maxsize=None)
 def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:

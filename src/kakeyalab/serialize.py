@@ -127,12 +127,27 @@ def _complex(value, where: str) -> complex:
     return complex(*value)
 
 
+def _rational(value, where: str) -> Fraction:
+    """A JSON string of a rational as a Fraction; ValueError otherwise."""
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {value!r} is not a rational string")
+    try:
+        return parse_value(value)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+
+
 def density_from_json(text: str, ctx: RingContext) -> Density:
+    """The density of a JSON file; values not a list of the lane's entries
+    (rational strings, or [re, im] pairs) raise ValueError."""
     payload = _read_payload(text, ctx, "density", "values")
+    values = payload["values"]
+    if not isinstance(values, list):
+        raise ValueError(f"density values: {values!r} is not a list")
     if payload["lane"] == "exact":
-        return Density.exact(ctx, [parse_value(v) for v in payload["values"]])
+        return Density.exact(ctx, [_rational(v, f"density value {i}") for i, v in enumerate(values)])
     return Density.from_float(ctx, np.array([_complex(v, f"density value {i}")
-                                             for i, v in enumerate(payload["values"])]))
+                                             for i, v in enumerate(values)]))
 
 
 def spectrum_to_json(s: Spectrum) -> str:
@@ -224,7 +239,8 @@ def certificate_to_json(cert: KakeyaCertificate) -> str:
 def spectrum_from_json(text: str, ctx: RingContext) -> Spectrum:
     """The spectrum of a JSON file; an entry that is not an object with a
     frequency (n coordinates in 0..N-1, in no other entry) and its lane's
-    value (N root coefficients, or an [re, im] pair) raises ValueError."""
+    value (N root coefficients as rational strings, or an [re, im] pair)
+    raises ValueError."""
     payload = _read_payload(text, ctx, "spectrum", "coefficients")
     N, n = ctx.modulus, ctx.dimension
     exact = payload["lane"] == "exact"
@@ -241,12 +257,11 @@ def spectrum_from_json(text: str, ctx: RingContext) -> Spectrum:
             raise ValueError(f"{where}: frequency {a} is given twice")
         if exact and not (isinstance(value, list) and len(value) == N):
             raise ValueError(f"{where}: {value!r} is not {N} root coefficients")
-        entries[ctx.rank(a)] = value if exact else _complex(value, where)
+        entries[ctx.rank(a)] = [_rational(c, where) for c in value] if exact else _complex(value, where)
     if exact:
-        rows = [(rank, [parse_value(c) for c in values]) for rank, values in entries.items()]
-        den = lcm(*(c.denominator for _, coeffs in rows for c in coeffs))
+        den = lcm(*(c.denominator for coeffs in entries.values() for c in coeffs))
         mat = np.zeros((ctx.size, ctx.modulus), dtype=np.int64)
-        for rank, coeffs in rows:
+        for rank, coeffs in entries.items():
             mat[rank] = [int(c * den) for c in coeffs]
         return Spectrum(ctx, coeffs=mat, den=den)
     values = np.zeros(ctx.size, dtype=np.complex128)

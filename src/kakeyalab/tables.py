@@ -21,8 +21,9 @@ off the p**k sums over cosets of p**(j+1) U one level below.  The whole
 table is read only by coset_argmax, one row with its lex-least witnesses
 (the maximal profiles, mweight, certify), and by the search; perp_index
 and lift_map solve u^perp and the lift of (u, w) from the chart.
-Allocations that scale with the ring are first checked against physical
-memory (check_memory).
+Allocations that scale with the ring, the enumerations of directions
+and flats included, are first checked against physical memory by
+check_memory, the one resource guard.
 """
 from __future__ import annotations
 
@@ -41,9 +42,9 @@ class TableMemoryError(EnumerationCapError):
     """A table refused because its bytes exceed the machine's physical memory."""
 
     def __init__(self, nbytes: int, memory: int):
-        Exception.__init__(self, f"table of {nbytes} bytes exceeds physical memory of {memory} bytes")
+        super().__init__(f"table of {nbytes} bytes exceeds physical memory of {memory} bytes")
         self.estimate = nbytes
-        self.cap = memory
+        self.memory = memory
 
 
 def _physical_memory() -> int:
@@ -84,8 +85,16 @@ def valuations(ctx: RingContext) -> np.ndarray:
     return _freeze(N // np.gcd.reduce(coord_grid(ctx), axis=1, initial=N))
 
 
+# Peak bytes of an enumeration per generator (one per direction, k per
+# k-flat): tracemalloc read 64-308 (k = 1-6, n = 3-7, N up to 1,000,
+# prime powers and composites); this is about 1.7x the largest.
+_GENERATOR_BYTES = 512
+
+
 @lru_cache(maxsize=None)
 def directions(ctx: RingContext) -> tuple[ProjDirection, ...]:
+    """enumerate_proj(ctx), refused by check_memory before any is built."""
+    check_memory(_GENERATOR_BYTES * proj_size(ctx.modulus, ctx.dimension))
     return tuple(enumerate_proj(ctx))
 
 
@@ -96,6 +105,8 @@ def direction_matrix(ctx: RingContext) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def flats(ctx: RingContext, k: int) -> tuple[Flat, ...]:
+    """enumerate_grassmannian(ctx, k), refused by check_memory before any is built."""
+    check_memory(_GENERATOR_BYTES * k * gr_size(ctx.modulus, ctx.dimension, k))
     return tuple(enumerate_grassmannian(ctx, k))
 
 
@@ -537,8 +548,8 @@ def perp_index(ctx: RingContext) -> np.ndarray:
     built; an index past physical memory raises TableMemoryError first.
     """
     N, n = ctx.modulus, ctx.dimension
+    check_memory(4 * proj_size(N, n) * N**(n - 1))
     dirs = direction_matrix(ctx)
-    check_memory(4 * len(dirs) * N**(n - 1))
     out = np.empty((len(dirs), N**(n - 1)), dtype=np.int32)
     step = max(1, _PERP_BLOCK_BYTES // (8 * n * N**(n - 1)))
     for lo in range(0, len(dirs), step):

@@ -237,8 +237,10 @@ class TestTransformCommand:
 
     # over N = 2, n = 2: a one-coordinate frequency was read as (0, 1), a
     # three-coordinate one raised IndexError, a repeated one overwrote the
-    # first, one root coefficient broadcast to 1 + zeta = 0, and bare float
-    # values raised TypeError
+    # first, one root coefficient broadcast to 1 + zeta = 0, bare float
+    # values raised TypeError, exact values or root coefficients given as
+    # JSON numbers raised AttributeError, and exact values given as one
+    # string were read a character per point
     @pytest.mark.parametrize("payload, named", [
         ({"coefficients": [{"frequency": [1], "root_coefficients": ["1", "0"]}]},
          "spectrum coefficient 0: frequency [1] is not 2 coordinates in 0..1"),
@@ -253,8 +255,15 @@ class TestTransformCommand:
          "spectrum coefficient 0: 1.0 is not an [re, im] pair of numbers"),
         ({"kind": "density", "lane": "float", "values": [0.5, 0.0, 0.0, 0.0]},
          "density value 0: 0.5 is not an [re, im] pair of numbers"),
+        ({"kind": "density", "values": ["1", 0, 0, 0]},
+         "density value 1: 0 is not a rational string"),
+        ({"kind": "density", "values": "1234"},
+         "density values: '1234' is not a list"),
+        ({"coefficients": [{"frequency": [0, 1], "root_coefficients": [1, 0]}]},
+         "spectrum coefficient 0: 1 is not a rational string"),
     ], ids=["short-frequency", "long-frequency", "repeated-frequency", "short-root-coefficients",
-            "bare-spectrum-value", "bare-density-values"])
+            "bare-spectrum-value", "bare-density-values", "numeric-exact-values",
+            "string-exact-values", "numeric-root-coefficients"])
     def test_malformed_entry_named(self, payload, named, capsys, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"kind": "spectrum", "modulus": 2, "dimension": 2,

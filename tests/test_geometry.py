@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -57,11 +58,24 @@ class TestProjEnumeration:
                 for d in dirs:
                     assert any(d.rep in orbit for orbit in orbits)
 
-    def test_cap_refused_with_estimate(self):
-        ctx = RingContext.generic(30, 4, cap=1000)
-        with pytest.raises(EnumerationCapError) as err:
-            enumerate_proj(ctx)
-        assert err.value.estimate == proj_size(30, 4)
+    def test_cap_refused_with_estimate(self, monkeypatch, capsys):
+        # memory one byte short of the 93,600 directions of generic(30,4):
+        # the count comes from proj_size, so nothing is enumerated
+        from kakeyalab.cli import main
+
+        ctx = RingContext.generic(30, 4)
+        need = tables._GENERATOR_BYTES * proj_size(30, 4)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: need - 1)
+        started = time.perf_counter()
+        with pytest.raises(tables.TableMemoryError) as err:
+            tables.directions.__wrapped__(ctx)
+        assert err.value.estimate == need and isinstance(err.value, EnumerationCapError)
+        with pytest.raises(tables.TableMemoryError) as err:
+            tables.flats.__wrapped__(ctx, 2)
+        assert err.value.estimate == tables._GENERATOR_BYTES * 2 * gr_size(30, 4, 2)
+        assert main(["verify", "radiusN", "--mode", "generic", "-N", "30", "-n", "4"]) == 3
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err.startswith("error: table of ")
 
 
 class TestProjSize:

@@ -289,10 +289,9 @@ class TestCosetTableBuild:
         # memory between the uint16 and the int32 bytes of a table: a
         # uint16 ring builds, a ring past 65,535 points is refused
         small, large = RingContext.padic(2, 2, 3), RingContext.generic(256, 2)
-        F = len(tables.direction_matrix(small))
+        F, P = len(tables.direction_matrix(small)), len(tables.direction_matrix(large))
         monkeypatch.setattr(tables, "_physical_memory", lambda: 3 * F * small.size)
         assert tables.coset_table.__wrapped__(small, 1)[0].nbytes == 2 * F * small.size
-        P = len(tables.direction_matrix(large))
         monkeypatch.setattr(tables, "_physical_memory", lambda: 3 * P * large.size)
         with pytest.raises(tables.TableMemoryError) as err:
             tables.coset_table.__wrapped__(large, 1)

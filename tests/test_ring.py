@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeyalab import tables
-from kakeyalab.ring import (Profinite, RingContext, ScaleOverflowError, ScaleUndefinedError,
-                            factorize, scale)
+from kakeyalab.ring import (Generic, PAdic, Profinite, RingContext, ScaleOverflowError,
+                            ScaleSemantics, ScaleUndefinedError, factorize, scale)
 from oracles import crt_combine_scalar
 
 
@@ -148,8 +149,20 @@ class TestRingContext:
     def test_mode_modulus_consistency(self):
         assert RingContext.padic(2, 3, 2).modulus == 8
         assert RingContext.profinite(2, 2).modulus == 6
-        with pytest.raises(ValueError):
-            RingContext(8, ((2, 3),), 2, Profinite(2), RingContext.padic(2, 3, 2).scale_semantics)
+        # the mode fixes N: a context is its (mode, dimension, semantics)
+        contexts = [RingContext(mode, n, sem) for mode in (PAdic(2, 3), Profinite(3), Generic(8))
+                    for n in (2, 3) for sem in ScaleSemantics]
+        copies = [RingContext(ctx.mode, ctx.dimension, ctx.scale_semantics) for ctx in contexts]
+        for (i, a), (j, b) in itertools.product(enumerate(contexts), enumerate(copies)):
+            assert (a == b) == (i == j)
+            if i == j:
+                assert hash(a) == hash(b)
+        for ctx in contexts:
+            assert ctx.modulus == ctx.mode.modulus
+            assert ctx.factorization == tuple(factorize(ctx.modulus))
+        q = RingContext.profinite(3, 3).quotient()
+        assert (q.modulus, q.factorization) == (24, ((2, 3), (3, 1)))
+        assert q == RingContext.profinite(3, 2)
 
     def test_rank_unrank_lexicographic(self):
         ctx = RingContext.generic(5, 3)

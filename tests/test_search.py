@@ -76,8 +76,8 @@ class TestTranslateOptions:
             assert list(opts) == shift_by_shift_translates(ctx, flat)
 
     def test_oversized_ring_refused_before_enumeration(self):
-        # 1,835,008 lines (under the enumeration cap) times 2**30 points
-        # would take about 7.9 PB of coset table
+        # 1,835,008 lines times 2**30 points would take about 7.9 PB of
+        # coset table
         ctx = RingContext.padic(2, 10, 3)
         started = time.perf_counter()
         with pytest.raises(TableMemoryError) as err:
@@ -207,7 +207,7 @@ class TestExactMinimum:
     def test_witnesses_are_contained_translates(self):
         ctx = RingContext.padic(2, 1, 3)
         cert = exact_min_kakeya(ctx, 2)
-        pts = cert.point_set()
+        pts = frozenset(cert.points)
         for flat, shift in cert.witnesses:
             translate = {tuple((p + s) % 2 for p, s in zip(pt, shift))
                          for pt in flat_points(flat)}
