@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config error,
 3 resource limit (a table, directions or flats past physical memory, all
-refused by tables.check_memory; the int64 headroom; or search budget).
+refused by tables.check_memory; a MemoryError; int64 headroom; search budget).
 Identical config and seed produce byte-identical outputs; wall times are
 only written when --timings is given so default reports stay reproducible.
 """
@@ -283,8 +283,8 @@ def main(argv=None) -> int:
     except SystemExit2 as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
-    except (EnumerationCapError, OverflowError) as err:  # a table or the int64 headroom
-        sys.stderr.write(f"error: {err}\n")
+    except (EnumerationCapError, MemoryError, OverflowError) as err:  # a table, memory, int64
+        sys.stderr.write(f"error: {str(err) or type(err).__name__}\n")
         return EXIT_RESOURCE
     except (ValueError, OSError, ScaleUndefinedError) as err:
         sys.stderr.write(f"error: {err}\n")

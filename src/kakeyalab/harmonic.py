@@ -16,16 +16,16 @@ doubles and complexes, and numpy's FFT.  Every verification check runs
 in the exact lane; floats run only in the FFT round trip that
 plancherel holds beside the exact one, and in `transform --lane float`.
 The X-rays of xray_all (exact only, over tables.coset_plan: one p-adic
-tower of line sums per CRT component, never the whole line table), the
-u^perp masses and each axis pass of the exact transform sum over index
-rows through tables.blocked_sums; xray_transform, one direction in
-either lane, builds and gathers that direction's chart rows alone
-(tables.coset_rows).  Asked for powers, xray_all folds each block
-of line sums into per-direction power sums as it is made, so a check
-that reads only moments holds no X-ray.  Where the bound
-that a headroom check computes is under 2**31 (_sum_dtype), the exact
-X-rays, coset maxima and transform passes gather and add int32, half the
-bytes; their results are int64 again.
+tower of line sums per CRT component, never the whole line table) and
+the u^perp masses sum over index rows through tables.blocked_sums; the
+exact transform's passes add shifted rows, one level per prime factor of
+N (_radix_levels).  xray_transform, one direction in either lane, builds
+and gathers that direction's chart rows alone (tables.coset_rows).  Asked
+for powers, xray_all folds each block of line sums into per-direction
+power sums as it is made, so a check that reads only moments holds no
+X-ray.  Where the bound that a headroom check computes is under 2**31
+(_sum_dtype), the exact X-rays, coset maxima and transform passes gather
+and add int32, half the bytes; their results are int64 again.
 
 Densities and spectra may be stacks of T rows, each over its own
 denominator.  The transforms, xray_all, band_project and Spectrum.masses
@@ -52,6 +52,7 @@ from .geometry import ProjDirection, proj_size
 from .ring import PAdic, Profinite, RingContext, ScaleSemantics, factorize, scale
 
 _INT_HEADROOM = 1 << 61
+_PASS_BLOCK_BYTES = 1 << 20  # of int64 per gathered block of an exact pass (_radix_sums)
 
 
 class ConstancyError(Exception):
@@ -95,16 +96,22 @@ def _negatable(x: np.ndarray) -> np.ndarray:
 
 
 def _lowest_terms(x: np.ndarray, den):
-    """x and den over the gcd of den and all entries of x, row by row for a
-    stack (den a sequence); dens come back as Python ints (an object array)."""
-    if np.ndim(den) == 0:
-        g = gcd(int(np.gcd.reduce(np.abs(x), axis=None)), int(den))
-        return (x // g if g > 1 else x), int(den) // g
-    rows = np.gcd.reduce(np.abs(x).reshape(len(den), -1), axis=1).tolist()
-    g = [gcd(r, int(d)) for r, d in zip(rows, den)]
-    if max(g, default=0) > 1:
-        x = x // np.array(g, dtype=np.int64).reshape((-1,) + (1,) * (x.ndim - 1))
-    return x, np.array([int(d) // c for d, c in zip(den, g)], dtype=object)
+    """x (divided in place) and den over gcd(den, entries of x), per row of a
+    stack (den a sequence; dens back as an object array of Python ints), read
+    64, 256, 1024, ... columns at a time until every row's gcd is 1."""
+    one = isinstance(den, (int, np.integer))  # np.ndim costs more than a small row's gcd
+    dens = [int(d) for d in ([den] if one else den)]
+    rows, g, live, lo = x.reshape(len(dens), -1), [abs(d) for d in dens], range(len(dens)), 0
+    while (live := [r for r in live if g[r] != 1]) and lo < rows.shape[1]:
+        block = rows[:, lo:4 * lo + 64] if len(live) == len(g) else rows[live, lo:4 * lo + 64]
+        for r, c in zip(live, np.gcd.reduce(block, axis=1).tolist()):
+            g[r] = gcd(g[r], c)
+        lo = 4 * lo + 64
+    for r, c in enumerate(g):
+        if 1 < c < 1 << 63:  # a zero row keeps den as its gcd, which may pass int64
+            rows[r] //= c
+    x = rows.reshape(x.shape)  # rows is a copy where x is not C-contiguous
+    return x, dens[0] // g[0] if one else np.array([d // c for d, c in zip(dens, g)], dtype=object)
 
 
 def power_sum(x: np.ndarray, p: int, axis: int | None = None):
@@ -375,30 +382,56 @@ def _group_sums(x: np.ndarray, groups) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pass_index(N: int, sign: int) -> np.ndarray:
-    """Read-only (N*N, N) int32 index: row a*N + j lists x*N + (j - sign*x*a) mod N
-    over x, the (x, coefficient) rows that one pass sums into (a, j)."""
-    a, j, x = np.ogrid[:N, :N, :N]
-    idx = (x * N + (j - sign * x * a) % N).reshape(N * N, N).astype(np.int32)
-    idx.setflags(write=False)
-    return idx
+def _radix_levels(N: int, sign: int) -> tuple[np.ndarray, ...]:
+    """Read-only intp (p, N*N) tables, one per prime factor p of N with
+    multiplicity: decimation-in-frequency levels of a DFT over Z[X]/(X**N -
+    1), root X**sign, in Stockham order.  With P the product of the earlier
+    radices, M = N/P, M' = M/p, row ((B + P*b)*M' + x')*N + j sums over q < p
+    the rows (B*M + x' + M'*q)*N + (j - sign*P*b*(x' + M'*q)) mod N of the
+    level before: block B + P*b is the frequency read so far, so the last
+    level's rows come in the order a*N + j (sum(radices) rows, not N)."""
+    levels, P = [], 1
+    for p in (p for p, e in factorize(N) for _ in range(e)):
+        M = N // P
+        q, b, B, x, j = np.ogrid[:p, :p, :P, :M // p, :N]
+        x = x + M // p * q
+        levels.append(((B * M + x) * N + (j - sign * P * b * x) % N).reshape(p, N * N))
+        P *= p
+    return tuple(tables._freeze(t.astype(np.intp)) for t in levels)
 
 
-def _axis_pass_exact(C: np.ndarray, ctx: RingContext, axis: int, sign: int) -> np.ndarray:
-    """One separable stage: out[.., a, ..] = sum_x zeta**(sign*x*a) in[.., x, ..].
+def _radix_sums(values: np.ndarray, level: np.ndarray, out: np.ndarray) -> None:
+    """out[r] = sum_q values[level[q, r]], gathered a block of rows at a time:
+    with 5 stacked trials on one core, 1 MB blocks ran generic(30,3), padic(7,2,2)
+    and padic(2,5,3) 1.3-1.9x faster than whole gathers, 1.8-2.3x than 64 KB."""
+    step = max(1, _PASS_BLOCK_BYTES // (8 * values.shape[1]))
+    for lo in range(0, len(out), step):
+        sums = out[lo:lo + step]
+        np.take(values, level[0, lo:lo + step], axis=0, out=sums, mode="clip")
+        for rows in level[1:]:
+            sums += np.take(values, rows[lo:lo + step], axis=0)
 
-    The pass axis and the coefficient axis of a (T, size, N) stack (T = 1
-    for one spectrum) lead an (N*N, T*size/N) stack, and
-    tables.blocked_sums sums it over the rows of _pass_index.  The stack is
-    a contiguous copy: on the last axis a reshape alone would give a
-    column-major view, whose rows each gather strided."""
+
+def _passes_exact(C: np.ndarray, ctx: RingContext, sign: int) -> np.ndarray:
+    """out[.., a, ..] = sum_x zeta**(sign*x*a) in[.., x, ..] along each axis of
+    a (T, size, N) stack: a pass leads an (N*N, T*size/N) slab with its axis and
+    the coefficient axis, and its levels (_radix_levels) sum it back and forth
+    between two slabs.  Every partial sum sums a subset of the terms of one full
+    sum, so the sum |f| and sum |coeffs| bounds that chose the dtype hold."""
     N, n = ctx.modulus, ctx.dimension
-    front = np.moveaxis(C.reshape((-1,) + (N,) * (n + 1)), (axis + 1, n + 1), (0, 1))
-    values = np.ascontiguousarray(front.reshape(N * N, -1))
-    out = np.empty_like(values)
-    for lo, sums in tables.blocked_sums(values, _pass_index(N, sign)):
-        out[lo:lo + len(sums)] = sums
-    return np.moveaxis(out.reshape(front.shape), (0, 1), (axis + 1, n + 1)).reshape(C.shape)
+    grid, axes = C.reshape((-1,) + (N,) * (n + 1)), list(range(n + 2))
+    values, spare = np.empty(C.size, C.dtype), np.empty(C.size, C.dtype)
+    for axis in range(1, n + 1):
+        order = sorted(range(n + 2), key=lambda i: (axes[i] != axis, axes[i] != n + 1))
+        shape = [grid.shape[i] for i in order]
+        np.copyto(values.reshape(shape), grid.transpose(order))
+        for level in _radix_levels(N, sign):
+            _radix_sums(values.reshape(N * N, -1), level, spare.reshape(N * N, -1))
+            values, spare = spare, values
+        grid, axes = values.reshape(shape), [axes[i] for i in order]
+        values, spare = spare, values  # the next pass copies into the slab grid is not in
+    np.copyto(values.reshape((-1,) + (N,) * (n + 1)), grid.transpose(np.argsort(axes)))
+    return values.reshape(C.shape)
 
 
 def fourier_forward(f: Density) -> Spectrum:
@@ -412,9 +445,7 @@ def fourier_forward(f: Density) -> Spectrum:
     if f.lane == "exact":
         C = np.zeros(f.num.shape + (N,), dtype=_sum_dtype(_abs_sum(f.num, 1)))
         C[..., 0] = f.num
-        for axis in range(n):
-            C = _axis_pass_exact(C, ctx, axis, +1)
-        return Spectrum(ctx, coeffs=C, den=f.den * ctx.size)
+        return Spectrum(ctx, coeffs=_passes_exact(C, ctx, +1), den=f.den * ctx.size)
     grid = f.data.reshape(f.data.shape[:-1] + (N,) * n)
     return Spectrum(ctx, values=np.fft.ifftn(grid, axes=range(-n, 0)).reshape(f.data.shape))
 
@@ -429,9 +460,7 @@ def fourier_inverse(s: Spectrum) -> Density:
     ctx = s.ctx
     N, n = ctx.modulus, ctx.dimension
     if s.lane == "exact":
-        C = s.coeffs.astype(_sum_dtype(_abs_sum(s.coeffs, 2)), copy=False)
-        for axis in range(n):
-            C = _axis_pass_exact(C, ctx, axis, -1)
+        C = _passes_exact(s.coeffs.astype(_sum_dtype(_abs_sum(s.coeffs, 2)), copy=False), ctx, -1)
         return Density(ctx, num=_rationalize(C.astype(np.int64, copy=False), N), den=s.den)
     grid = s.values.reshape(s.values.shape[:-1] + (N,) * n)
     return Density(ctx, data=np.fft.fftn(grid, axes=range(-n, 0)).reshape(s.values.shape))

@@ -12,18 +12,18 @@ index with them and never compute in their dtype.  Arrays are returned
 non-writeable; treat them as shared read-only state.
 
 Every reader of an index table sums values over its rows through one
-kernel, blocked_sums: the coset sums, the u^perp masses over perp_index,
-and the axis passes of the exact Fourier transform.  Stacks of exact
-rows (the X-rays and coset maxima of the checks) go through coset_sums
-over coset_plan, one CRT component q_c = p**ell of N at a time, each a
-p-adic tower of ell levels: the sums over the cosets of p**j U are read
-off the p**k sums over cosets of p**(j+1) U one level below.  The whole
-table is read only by coset_argmax, one row with its lex-least witnesses
-(the maximal profiles, mweight, certify), and by the search; perp_index
-and lift_map solve u^perp and the lift of (u, w) from the chart.
-Allocations that scale with the ring, the enumerations of directions
-and flats included, are first checked against physical memory by
-check_memory, the one resource guard.
+kernel, blocked_sums: the coset sums and the u^perp masses over
+perp_index (the exact transform gathers its own radix levels).  Stacks
+of exact rows (the X-rays and coset maxima of the checks) go through
+coset_sums over coset_plan, one CRT component q_c = p**ell of N at a
+time, each a p-adic tower of ell levels: the sums over the cosets of
+p**j U are read off the p**k sums over cosets of p**(j+1) U one level
+below.  The whole table is read only by coset_argmax, one row with its
+lex-least witnesses (the maximal profiles, mweight, certify), and by the
+search; perp_index and lift_map solve u^perp and the lift of (u, w) from
+the chart.  Allocations that scale with the ring, the enumerations of
+directions and flats included, are first checked against physical memory
+by check_memory, the one resource guard.
 """
 from __future__ import annotations
 

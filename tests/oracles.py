@@ -262,6 +262,26 @@ def lift_map_gather(ctx) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# exact values
+# ---------------------------------------------------------------------------
+
+
+def lowest_terms_full(x: np.ndarray, den):
+    """x and den over the gcd of den and all entries of x, row by row for a
+    stack, from one gcd over every entry of each row (harmonic._lowest_terms
+    stops reading a row once its gcd is 1).  A zero row whose den is past
+    int64 raises OverflowError here."""
+    if np.ndim(den) == 0:
+        g = math.gcd(int(np.gcd.reduce(np.abs(x), axis=None)), int(den))
+        return (x // g if g > 1 else x), int(den) // g
+    rows = np.gcd.reduce(np.abs(x).reshape(len(den), -1), axis=1).tolist()
+    g = [math.gcd(r, int(d)) for r, d in zip(rows, den)]
+    if max(g, default=0) > 1:
+        x = x // np.array(g, dtype=np.int64).reshape((-1,) + (1,) * (x.ndim - 1))
+    return x, np.array([int(d) // c for d, c in zip(den, g)], dtype=object)
+
+
+# ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
@@ -291,6 +311,27 @@ def fourier_forward_naive(f: Density):
         phases = np.exp(2j * np.pi * (grid @ grid[ia] % N) / N)
         vals[ia] = (phases * f.data).sum() / ctx.size
     return vals
+
+
+def pass_index(N: int, sign: int) -> np.ndarray:
+    """(N*N, N) int32 index: row a*N + j lists x*N + (j - sign*x*a) mod N
+    over x, the (x, coefficient) rows that one pass sums into (a, j)."""
+    a, j, x = np.ogrid[:N, :N, :N]
+    return (x * N + (j - sign * x * a) % N).reshape(N * N, N).astype(np.int32)
+
+
+def axis_pass_gather(C: np.ndarray, ctx, axis: int, sign: int) -> np.ndarray:
+    """One exact axis pass by its definition, out[.., a, ..] = sum_x
+    zeta**(sign*x*a) in[.., x, ..]: the (N*N, T*size/N) stack of the pass
+    and coefficient axes summed over the N rows of pass_index per output,
+    through tables.blocked_sums."""
+    N, n = ctx.modulus, ctx.dimension
+    front = np.moveaxis(C.reshape((-1,) + (N,) * (n + 1)), (axis + 1, n + 1), (0, 1))
+    values = np.ascontiguousarray(front.reshape(N * N, -1))
+    out = np.empty_like(values)
+    for lo, sums in tables.blocked_sums(values, pass_index(N, sign)):
+        out[lo:lo + len(sums)] = sums
+    return np.moveaxis(out.reshape(front.shape), (0, 1), (axis + 1, n + 1)).reshape(C.shape)
 
 
 def band_project_naive(f: Density, i: int) -> tuple[Fraction, ...]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kakeyalab import verify
+from kakeyalab import tables, verify
 from kakeyalab.cli import main
 from kakeyalab.ring import RingContext
 from kakeyalab.serialize import (certificate_points_from_json, density_from_csv,
@@ -59,6 +59,18 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["all_passed"] is False
         assert payload["reports"][0]["details"]["violation_count"] > 0
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 252. MiB for an array", ""])
+    def test_failed_allocation_exits_3(self, capsys, monkeypatch, message):
+        # a table build that fails below physical memory (as under ulimit -v,
+        # where numpy raises MemoryError) ends in exit 3 and one error line
+        def refused(ctx, k):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(tables, "coset_plan", refused)
+        code = main(["verify", *RING, "xray-l2"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
 
     def test_check_ids_documented(self, capsys, monkeypatch):
         # the README's "Check ids:" line and the verify help both list

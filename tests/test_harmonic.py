@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 
 from kakeyalab import harmonic, tables
 from kakeyalab.geometry import canonical_direction, enumerate_proj, proj_size
-from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _axis_pass_exact, _sum_dtype,
-                                _band_project_spectral, _pass_index, band_constant,
+from kakeyalab.harmonic import (ConstancyError, Density, Spectrum, _passes_exact, _sum_dtype,
+                                _band_project_spectral, _lowest_terms, _radix_levels, band_constant,
                                 band_project, band_valuation_sets, fourier_forward,
                                 fourier_inverse, induce_rows, induce_to_modulus, power_sum,
                                 xray_all, xray_l2_spectral, xray_transform)
 from kakeyalab.ring import RingContext, ScaleSemantics
 from kakeyalab.verify import DISTRIBUTIONS, corpus_rings, random_density
-from oracles import (band_project_naive, chart_rows, chart_section, coefficient, correlations_roll,
-                     fourier_forward_naive, masses_dense, orthogonal_fraction,
-                     orthogonality_mask, uperp_sum, uperp_sum_spatial, xray_all_gather,
-                     xray_l2_spatial)
+from oracles import (axis_pass_gather, band_project_naive, chart_rows, chart_section, coefficient,
+                     correlations_roll, fourier_forward_naive, lowest_terms_full, masses_dense,
+                     orthogonal_fraction, orthogonality_mask, pass_index, uperp_sum,
+                     uperp_sum_spatial, xray_all_gather, xray_l2_spatial)
 
 RINGS_SMALL = [
     RingContext.padic(2, 2, 2),
@@ -67,40 +67,65 @@ class TestFourier:
     @pytest.mark.parametrize("ctx", [RingContext.padic(3, 2, 3), RingContext.generic(6, 2),
                                      RingContext.generic(12, 2)], ids=lambda c: c.describe())
     def test_pass_blocks(self, monkeypatch, ctx, rows):
-        # the (N*N, size/N) stack of a pass in blocks of one, two and five
-        # rows; its 81, 36 and 144 rows leave a ragged last block at five
-        # rows, and the 81 of padic(3,2,3) also at two
+        # each level of a pass over the (N*N, size/N) stack in blocks of one,
+        # two and five rows; its 81, 36 and 144 rows leave a ragged last
+        # block at five rows, and the 81 of padic(3,2,3) also at two
         N = ctx.modulus
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * max(N, ctx.size // N) * rows)
+        monkeypatch.setattr(harmonic, "_PASS_BLOCK_BYTES", 8 * max(N, ctx.size // N) * rows)
         f = random_density(ctx, seed=5, dist="uniform-rational")
         s, (coeffs, den) = fourier_forward(f), fourier_forward_naive(f)
         assert s.den == den and (s.coeffs == coeffs).all()
         assert fourier_inverse(s) == f
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("N", [2, 6, 9, 12])
+    @pytest.mark.parametrize("N", [1, 2, 6, 9, 12, 30])
     def test_pass_index_rows(self, N, sign):
-        # row a*N + j reads coefficient (j - sign*x*a) mod N of each x once
-        idx = _pass_index(N, sign)
-        assert idx.shape == (N * N, N) and idx.dtype == np.int32 and not idx.flags.writeable
-        x = np.arange(N)
-        assert (idx // N == x).all()
-        a, j = np.divmod(np.arange(N * N), N)
-        assert (idx % N == (j[:, None] - sign * x * a[:, None]) % N).all()
+        # the radix levels: one read-only intp (p, N*N) table per prime
+        # factor with multiplicity, each reading every row of the level
+        # before p times; composed, they are the gather pass of pass_index,
+        # row a*N + j summing coefficient (j - sign*x*a) mod N of each x once
+        levels = _radix_levels(N, sign)
+        assert [len(t) for t in levels] == {1: [], 2: [2], 6: [2, 3], 9: [3, 3],
+                                            12: [2, 2, 3], 30: [2, 3, 5]}[N]
+        gather = np.eye(N * N, dtype=np.int64)  # row r: the input rows that row r sums
+        for t in levels:
+            assert t.shape == (len(t), N * N) and t.dtype == np.intp and not t.flags.writeable
+            assert (np.bincount(t.ravel(), minlength=N * N) == len(t)).all()
+            gather = gather[t].sum(axis=0)
+        whole = np.zeros((N * N, N * N), dtype=np.int64)
+        np.put_along_axis(whole, pass_index(N, sign).astype(np.intp), 1, axis=1)
+        assert (gather == whole).all()
+
+    @pytest.mark.parametrize("ctx", [*corpus_rings(), RingContext.generic(30, 2),
+                                     RingContext.profinite(3, 2), RingContext.padic(7, 2, 2)],
+                             ids=lambda c: c.describe())
+    def test_passes_equal_gather_oracle(self, ctx):
+        # the passes along every axis in turn, both signs, on a stack of two
+        # rows in either lane; random coefficients, so no pass can cancel
+        # another's error
+        N = ctx.modulus
+        C = np.random.default_rng(N).integers(-2**20, 2**20, (2, ctx.size, N))
+        for dtype in (np.int32, np.int64):
+            for sign in (1, -1):
+                want = C.astype(dtype)
+                for axis in range(ctx.dimension):
+                    want = axis_pass_gather(want, ctx, axis, sign)
+                got = _passes_exact(C.astype(dtype), ctx, sign)
+                assert got.dtype == dtype and np.array_equal(got, want)
 
     def test_pass_builds_no_whole_gather(self, monkeypatch):
-        # one exact pass holds a block of the (size/N, N*N, N) gather, the
-        # value stack, its sums and the result, never the whole gather
+        # the exact passes hold two value slabs and one gathered block at a
+        # time, never the (size/N, N*N, N) gather of one pass
         ctx = RingContext.generic(12, 3)
         N = ctx.modulus
         C = np.zeros((ctx.size, N), dtype=np.int64)
         C[:, 0] = random_density(ctx, seed=49, dist="uniform-rational").num
         full = 8 * ctx.size * N * N
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
-        _axis_pass_exact(C, ctx, 1, 1)  # warm the index cache
+        monkeypatch.setattr(harmonic, "_PASS_BLOCK_BYTES", 1 << 14)
+        _passes_exact(C, ctx, 1)  # warm the level cache
         tracemalloc.start()
         try:
-            _axis_pass_exact(C, ctx, 1, 1)
+            _passes_exact(C, ctx, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -134,23 +159,33 @@ class TestFourier:
     def test_int32_lane_at_its_bound(self, monkeypatch, total):
         # sum |f| = 2**31 - 1 runs the forward passes in int32, 2**31 in
         # int64; both give the Python-int character sums as int64, and the
-        # inverse gives f back
+        # inverse gives f back.  The inverse picks its lane from sum |coeffs|
+        # the same way: rows (k, -k alternating) of (k, k, k) sum to zero over
+        # zeta_3, so with C[0] = (m, 0, 0) the inverse is the constant m
         ctx = RingContext.padic(3, 1, 2)
+        lane = np.dtype(np.int32 if total < 2**31 else np.int64)
         num = [total // 9 * (-1) ** i for i in range(9)]
         num[0] += total - sum(abs(v) for v in num)
         f = Density.from_numden(ctx, num, 1)
         dtypes = []
 
-        def spy(values, index, rows=False, _real=tables.blocked_sums):
+        def spy(values, level, out, _real=harmonic._radix_sums):
             dtypes.append(values.dtype)
-            return _real(values, index, rows)
+            _real(values, level, out)
 
-        monkeypatch.setattr(tables, "blocked_sums", spy)
+        monkeypatch.setattr(harmonic, "_radix_sums", spy)
         s = fourier_forward(f)
-        assert set(dtypes) == {np.dtype(np.int32 if total < 2**31 else np.int64)}
+        assert set(dtypes) == {lane} and len(dtypes) == 2
         coeffs, den = fourier_forward_naive(f)
         assert s.coeffs.dtype == np.int64 and (s.coeffs == coeffs).all() and s.den == den
         assert fourier_inverse(s) == f
+        k = total // 27
+        coeffs = np.repeat([[k], [-k]] * 4, 3, axis=1)
+        coeffs = np.vstack([[[total - 24 * k, 0, 0]], coeffs])
+        dtypes.clear()
+        back = fourier_inverse(Spectrum(ctx, coeffs=coeffs, den=1))
+        assert set(dtypes) == {lane} and len(dtypes) == 2
+        assert back == Density.constant(ctx, total - 24 * k)
 
     def test_inverse_rejects_irrational_spectrum(self):
         # f^(0) = zeta_3 makes f the constant zeta_3
@@ -988,6 +1023,46 @@ class TestStacks:
         assert f.den.tolist() == [2, 3, 1]
         assert f.num[0].tolist() == [3] * 16 and f.num[1].tolist() == (np.arange(16) * 2).tolist()
         assert not f.num[2].any()
+
+    @given(st.integers(0, 4), st.integers(1, 700), st.sampled_from([0, 1, 3]), st.booleans(),
+           st.lists(st.tuples(st.sampled_from([1, 4, 6, 36, 2**40 * 3, 6**30]),
+                              st.sampled_from([1, 2, 3, 6]), st.integers(-1, 699),
+                              st.booleans()), min_size=4, max_size=4),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_lowest_terms_equal_the_full_gcd(self, stack, length, width, fortran, rows, seed):
+        # stack = 0 is one row over an int den, else that many rows over
+        # their own dens, some past int64 (6**30), each row flat or split
+        # into (length / width, width) as a spectrum's, in C or Fortran
+        # order (whose rows reshape to a copy); each row's entries share
+        # a factor, of either sign, and the entry at column `odd` (none at
+        # -1) is off that factor, so a row's gcd with den may drop only
+        # past the first block of 64; a zero row is 0 over 1
+        rng = np.random.default_rng(seed)
+        cases = rows[:max(stack, 1)]
+        x = np.zeros((len(cases), length), dtype=np.int64)
+        for row, (den, factor, odd, zero) in zip(x, cases):
+            if not zero:
+                row[:] = factor * rng.integers(-10**6, 10**6, length)
+                if odd < length:
+                    row[odd] = factor * rng.integers(-10**6, 10**6) + 1
+        dens = [den for den, *_ in cases]
+        shape = (length // width, width) if width and length % width == 0 else (length,)
+        x = x.reshape(x.shape[:1] + shape) if stack else x[0].reshape(shape)
+        x = np.asfortranarray(x) if fortran else x
+        den = dens if stack else dens[0]
+        try:
+            want, want_den = lowest_terms_full(x, den)
+        except OverflowError:  # a zero row over a den past int64
+            assert any(d >= 2**63 and not r.any() for r, d in zip(x.reshape(len(dens), -1), dens))
+            plain = [d if r.any() else 1 for r, d in zip(x.reshape(len(dens), -1), dens)]
+            want, want_den = lowest_terms_full(x, plain if stack else plain[0])
+        got, got_den = _lowest_terms(x, den)  # divides x in place
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        if stack:
+            assert got_den.dtype == object and got_den.tolist() == want_den.tolist()
+        else:
+            assert type(got_den) is int and got_den == want_den
 
     def test_headroom_trips_with_the_stack_exactly_when_a_row_does(self):
         # the transforms and the band projection bound each row's sum |f|;
