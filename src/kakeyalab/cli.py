@@ -117,6 +117,8 @@ def cmd_verify(args) -> int:
     ctx = _ctx_from_args(args)
     if args.seed is None and args.ci:
         raise SystemExit2("--seed is required in CI mode")
+    if args.trials < 1:
+        raise SystemExit2("--trials must be at least 1")
     seed = 0 if args.seed is None else args.seed
     checks = list(args.checks)
     if checks == ["all"]:

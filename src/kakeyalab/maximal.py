@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -248,6 +249,7 @@ def _maxN_at_weight(mw: int, ctx: RingContext) -> Fraction:
     return first**n * _later_primes_block(factors, n)**n
 
 
+@lru_cache(maxsize=None)
 def appendix_constant(N: int, n: int) -> Fraction:
     """The rational-density constant D_{N,n} / (2**n + 1).
 
@@ -288,6 +290,7 @@ class ChainConstant:
     effective: Fraction
 
 
+@lru_cache(maxsize=None)
 def chain_constant(ctx: RingContext, depth: int) -> ChainConstant:
     """Evaluate the scale chain to the given depth (bands past the
     truncation only contribute constants, so any depth >= 1 is allowed)."""

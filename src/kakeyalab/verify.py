@@ -92,11 +92,16 @@ def random_density(ctx: RingContext, seed: int, dist: str = "uniform-rational",
                    trial: int = 0) -> Density:
     """Deterministic seeded density; sparse and flat-supported bias toward
     adversarial structure, ball is a single radius-1/N point."""
+    return Density.from_numden(ctx, *_draw(ctx, seed, dist, trial))
+
+
+def _draw(ctx: RingContext, seed: int, dist: str, trial: int) -> tuple[np.ndarray, int]:
+    """The numerators and denominator of random_density, not yet in lowest terms."""
     rng = _rng_for(ctx, seed, dist, trial)
     size = ctx.size
     if dist == "uniform-rational":
         den = rng.choice((2, 3, 4, 6, 8, 12))
-        return Density.from_numden(ctx, _randints(rng, 4 * den + 1, size), den)
+        return _randints(rng, 4 * den + 1, size), den
     num = np.zeros(size, dtype=np.int64)
     if dist == "sparse":
         support = rng.sample(range(size), max(1, size // 8))
@@ -111,28 +116,29 @@ def random_density(ctx: RingContext, seed: int, dist: str = "uniform-rational",
         num[rng.randrange(size)] = 1
     else:
         raise ValueError(f"unknown distribution {dist!r}")
-    return Density.from_numden(ctx, num, 1)
+    return num, 1
 
 
-def _corpus(ctx: RingContext, seed: int, trials: int) -> Iterable[Density]:
-    for t in range(trials):
-        dist = DISTRIBUTIONS[t % len(DISTRIBUTIONS)]
-        yield random_density(ctx, seed, dist, trial=t)
+def _corpus(ctx: RingContext, seed: int, trials: int) -> Iterable[tuple[np.ndarray, int]]:
+    return (_draw(ctx, seed, DISTRIBUTIONS[t % len(DISTRIBUTIONS)], t) for t in range(trials))
 
 
-def _stacks(ctx: RingContext, seed: int, trials: int, width: int,
-            extra: Sequence[Density] = ()) -> Iterator[tuple[int, Density]]:
-    """The corpus, drawn once, then extra, as (first trial, stack) chunks of as
-    many trials as fit the widest stack that a chunk of the check holds,
-    width int64s a trial, in tables._CHUNK_BYTES.  A chunk whose stack
-    would pass physical memory raises TableMemoryError before it is drawn."""
-    densities = itertools.chain(_corpus(ctx, seed, trials), extra)
+def _stacks(ctx: RingContext, seed: int, trials: int, width: int, extra: Sequence[Density] = (),
+            budget: int | None = None) -> Iterator[tuple[int, Density]]:
+    """The corpus, drawn once, then extra, as (first trial, Density) chunks of as
+    many trials as fit the widest stack that a chunk of the check holds, width
+    int64s a trial, in budget (or tables._CHUNK_BYTES) bytes.  A chunk whose
+    stack would pass physical memory raises TableMemoryError before it is drawn."""
+    draws = itertools.chain(_corpus(ctx, seed, trials), ((f.num, f.den) for f in extra))
     total = trials + len(extra)
-    step = max(1, tables._CHUNK_BYTES // (8 * width))
+    step = max(1, (budget or tables._CHUNK_BYTES) // (8 * width))
     for lo in range(0, total, step):
         tables.check_memory(8 * width * min(step, total - lo))
-        chunk = list(itertools.islice(densities, step))
-        yield lo, Density(ctx, num=[f.num for f in chunk], den=[f.den for f in chunk])
+        nums, dens = zip(*itertools.islice(draws, step))
+        yield lo, Density(ctx, num=nums, den=dens)
+
+
+_XRAY_SHARE = 16  # divisor-reduction's 1 MiB X-ray stacks stay in cache (BENCH_28.json)
 
 
 def _power_means(f: Density, power: int) -> list[Fraction]:
@@ -309,39 +315,43 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
     component.  If the band is not coset-constant (numeric semantics over
     factorial scales), the constancy violation is reported instead.
 
-    Per trial and band every X-ray row is checked at once: one constancy
-    check over the stack (induce_rows), one coset_maxima per side, and the
-    (n-1)-th power sums as Python ints, compared over a common denominator.
-    The witness is the first direction with the largest gap."""
-    n = ctx.dimension
-    bands = range(ctx.num_bands) if band is None else [band]
-    qctx = ctx.quotient()
+    A chunk of trials (_stacks, by its X-ray stack: _XRAY_SHARE) takes one
+    projection into its bands, one X-ray pass and one quotient-side
+    coset_maxima over its (trial, band) rows, and per band (M_{i+1} differs)
+    one induce_rows and one finite-scale coset_maxima over that band's rows;
+    past the bound, a chunk is as many bands of one trial as fit.  The power
+    sums are Python ints, compared over a common denominator in (trial, band,
+    direction) order: the witness is the first largest gap."""
+    n, P, qctx = ctx.dimension, len(tables.directions(ctx)), ctx.quotient()
+    bands = list(range(ctx.num_bands)) if band is None else [band]
+    Q, budget = qctx.size, tables._CHUNK_BYTES // _XRAY_SHARE
+    group = min(len(bands), max(1, budget // (8 * P * Q)))  # bands projected at once
+    # a line maximum at modulus M is best / (den * M): a side's mean is over den**(n-1) * scale
+    lhs_scale = qctx.modulus ** (n - 1) * len(tables.directions(qctx))
     worst, witness, violations = Fraction(0), None, []
-    for t, f in enumerate(_corpus(ctx, seed, trials)):
-        for i in bands:
-            nums, den = xray_all(band_project(f, i))
-            m_next = scale(i + 1, ctx, beyond_truncation=True)
-            mctx, index, gaps = induce_rows(nums, qctx, m_next)
-            for ui in np.flatnonzero(gaps):
-                violations.append({"trial": t, "band": i, "direction": int(ui),
-                                   "violation": str(Fraction(int(gaps[ui]), den))})
-            kept = np.flatnonzero(gaps == 0)
-            if not len(kept):
-                continue
-            # a line maximum at modulus M is best / (den * M), so each side's
-            # mean of (n-1)-th powers is a moment over (den * M)**(n-1) * #directions;
-            # every row is summed (a violating row only wastes its sums), so
-            # only the small moment arrays are indexed, not the row stacks
-            lhs = _line_moments(nums, qctx, n - 1)
-            lhs_den = (den * qctx.modulus) ** (n - 1) * len(tables.directions(qctx))
-            rhs = _line_moments(nums, mctx, n - 1, index)
-            rhs_den = (den * mctx.modulus) ** (n - 1) * len(tables.directions(mctx))
-            common = math.lcm(lhs_den, rhs_den)
-            diffs = np.abs(lhs[kept] * (common // lhs_den) - rhs[kept] * (common // rhs_den)).tolist()
-            j = diffs.index(max(diffs))  # the first direction with the largest gap
-            diff = Fraction(diffs[j], common)
-            if diff > worst:
-                worst, witness = diff, {"trial": t, "band": i, "direction": int(kept[j])}
+    for lo, f in _stacks(ctx, seed, trials, group * P * Q, budget=budget):
+        for part in (bands[b:b + group] for b in range(0, len(bands), group)):
+            nums, den = xray_all(band_project(f, part))  # row t * G + b: band part[b] of trial t
+            nums, G = nums.reshape(len(f.num), len(part), P, Q), len(part)
+            lhs = _line_moments(nums.reshape(-1, Q), qctx, n - 1).reshape(-1, G, P)
+            sides = []
+            for b, i in enumerate(part):
+                rows = nums[:, b].reshape(-1, Q)
+                mctx, index, gaps = induce_rows(rows, qctx, scale(i + 1, ctx, beyond_truncation=True))
+                rhs_scale = mctx.modulus ** (n - 1) * len(tables.directions(mctx))
+                common, gaps = math.lcm(lhs_scale, rhs_scale), gaps.reshape(-1, P)
+                rhs = _line_moments(rows, mctx, n - 1, index).reshape(-1, P) * (common // rhs_scale)
+                diffs = np.abs(lhs[:, b] * (common // lhs_scale) - rhs)
+                sides.append((np.where(gaps == 0, diffs, -1), gaps, common))  # -1: not compared
+            for t, (b, i) in itertools.product(range(len(nums)), enumerate(part)):
+                diffs, gaps, common = sides[b]
+                violations += [{"trial": lo + t, "band": i, "direction": ui,
+                                "violation": str(Fraction(int(gaps[t, ui]), den[t * G + b]))}
+                               for ui in np.flatnonzero(gaps[t]).tolist()]
+                j = int(np.argmax(diffs[t]))  # the first direction with the largest gap
+                diff = Fraction(int(diffs[t, j]), den[t * G + b] ** (n - 1) * common)
+                if gaps[t, j] == 0 and diff > worst:
+                    worst, witness = diff, {"trial": lo + t, "band": i, "direction": j}
     details = {}
     if violations:
         details["constancy_violations"] = violations[:5]

@@ -48,6 +48,16 @@ class TestVerifyCommand:
         code, _ = run_cli(["verify", *RING, "--ci", "--seed", "1", "--trials", "2", "plancherel"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_exit_2(self, capsys, trials):
+        # no trial is no measurement: the checks' 10**9 start value must not
+        # be reported as a passing worst slack
+        code = main(["verify", "--mode", "padic", "-p", "2", "-l", "2", "-n", "3",
+                     "--trials", trials, "--seed", "1", "main-theorem"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --trials must be at least 1\n"
+
     @pytest.mark.filterwarnings("ignore:numeric band semantics")
     def test_failing_check_exits_1(self, capsys):
         # numeric band semantics over N = 24 violates coset constancy, so the

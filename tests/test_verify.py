@@ -289,6 +289,118 @@ class TestBatchedAgainstRowOracles:
         assert rep.details["violation_count"] > 5
         assert reports_to_json([rep]) == reports_to_json([oracle])
 
+    @pytest.mark.parametrize("split", ["trials", "bands"])
+    @pytest.mark.parametrize("ctx", RINGS + [NUMERIC], ids=lambda c: c.describe())
+    def test_divisor_reduction_in_split_chunks(self, monkeypatch, ctx, split):
+        # chunks of two trials with every band, or of one band of one trial,
+        # give the row oracle's report; the projections' shapes show the split
+        B, P, Q = ctx.num_bands, len(tables.directions(ctx)), ctx.size // ctx.modulus
+        band_bytes = 8 * P * Q * verify._XRAY_SHARE  # one band's X-ray, in _CHUNK_BYTES
+        monkeypatch.setattr(tables, "_CHUNK_BYTES", band_bytes * (2 * B if split == "trials" else 1))
+        shapes = []
+
+        def counted(f, part, _real=verify.band_project):
+            shapes.append((len(f.num), len(part)))
+            return _real(f, part)
+
+        monkeypatch.setattr(verify, "band_project", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = verify_divisor_reduction(ctx, None, trials=5, seed=4)
+            oracle = divisor_reduction_oracle(ctx, None, corpus(ctx, 4, 5))
+        assert reports_to_json([rep]) == reports_to_json([oracle])
+        assert shapes == ([(2, B), (2, B), (1, B)] if split == "trials" else [(1, 1)] * (5 * B))
+
+    def test_divisor_reduction_witness_ties_in_trial_band_order(self, monkeypatch):
+        # every band is compared at M = N through an index with two entries
+        # swapped, so a row's gaps depend on its values alone.  Rows alternate
+        # between two densities, g and h (h's largest gap the larger), so the
+        # largest gap ties between (trial 0, band 1) and (trial 1, band 0) in
+        # one chunk: the witness is the first in (trial, band, direction)
+        # order, where a band-major loop would name trial 1
+        ctx = RingContext.padic(2, 2, 3)
+
+        def swapped(rows, c, M, _real=verify.induce_rows):
+            mctx, index, gaps = _real(rows, c, M)
+            index = index.copy()
+            index[[0, 1]] = index[[1, 0]]
+            return mctx, index, gaps
+
+        def rows_of(pick):
+            def project(f, part):
+                rows = [pick(t, b) for t in range(len(f.num)) for b in range(len(part))]
+                return Density(ctx, num=[r.num for r in rows], den=[r.den for r in rows])
+            return project
+
+        monkeypatch.setattr(verify, "scale", lambda i, c, beyond_truncation: c.modulus)
+        monkeypatch.setattr(verify, "induce_rows", swapped)
+        g, h = corpus(ctx, 0, 2)
+        alone = []
+        for d in (g, h):
+            monkeypatch.setattr(verify, "band_project", rows_of(lambda t, b, d=d: d))
+            alone.append(verify_divisor_reduction(ctx, None, trials=2, seed=0))
+        assert alone[0].worst_slack != alone[1].worst_slack > 0
+        if alone[0].worst_slack > alone[1].worst_slack:
+            g, h, alone = h, g, alone[::-1]
+        monkeypatch.setattr(verify, "band_project", rows_of(lambda t, b: h if (t + b) % 2 else g))
+        rep = verify_divisor_reduction(ctx, None, trials=2, seed=0)
+        assert not rep.passed and rep.worst_slack == alone[1].worst_slack
+        assert rep.witness == {"trial": 0, "band": 1, "direction": alone[1].witness["direction"]}
+
+    def test_divisor_reduction_one_projection_and_one_xray_per_chunk(self, monkeypatch):
+        # counted in rows, wherever they are called from: five trials in one
+        # chunk, then in chunks of two, each one projection into every band
+        # and one X-ray pass over the chunk's (trial, band) rows
+        import kakeyalab.harmonic as harmonic
+
+        ctx = CTX3D
+        B = ctx.num_bands
+        trial_bytes = 8 * B * len(tables.directions(ctx)) * (ctx.size // ctx.modulus)
+        for name in ("band_project", "xray_all"):
+            def counted(f, *args, _real=getattr(harmonic, name), _name=name):
+                rows[_name].append(len(f.num))
+                return _real(f, *args)
+            monkeypatch.setattr(harmonic, name, counted)
+            monkeypatch.setattr(verify, name, counted)
+        for chunk, sizes in ((tables._CHUNK_BYTES, [5]), (2 * trial_bytes * verify._XRAY_SHARE, [2, 2, 1])):
+            monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
+            rows = {"band_project": [], "xray_all": []}
+            rep = verify_divisor_reduction(ctx, None, trials=5, seed=0)
+            assert rep.passed
+            assert rows == {"band_project": sizes, "xray_all": [B * t for t in sizes]}
+
+    def test_divisor_reduction_stack_refused_before_it_is_allocated(self, monkeypatch, capsys):
+        # a budget that every table of the check fits but not the X-ray stack
+        # of its first chunk: the chunk's estimate is refused before anything
+        # of it is drawn, so the CLI exits 3, and xray_all refuses the same stack
+        from kakeyalab import cli
+
+        ctx = RingContext.padic(2, 3, 3)
+        B, P, Q = ctx.num_bands, len(tables.directions(ctx)), ctx.size // ctx.modulus
+        step = tables._CHUNK_BYTES // verify._XRAY_SHARE // (8 * B * P * Q)  # trials a chunk
+        need = 8 * step * B * P * Q
+        asked, projected = [], []
+
+        def spy(nbytes, _real=tables.check_memory):
+            asked.append(nbytes)
+            _real(nbytes)
+
+        monkeypatch.setattr(tables, "check_memory", spy)
+        monkeypatch.setattr(tables, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(verify, "band_project", lambda f, part: projected.append(f))
+        tables.coset_plan.cache_clear()
+        argv = ["verify", "--mode", "padic", "-p", "2", "-l", "3", "-n", "3", "--trials", "25",
+                "divisor-reduction"]  # divisor-reduction runs trials // 5
+        assert step > 1 and cli.main(argv) == 3
+        assert "exceeds physical memory" in capsys.readouterr().err
+        assert asked[-1] == need and max(asked[:-1], default=0) < need and projected == []
+        dens = corpus(ctx, 0, step)
+        f = Density(ctx, num=[g.num for g in dens], den=[g.den for g in dens])
+        with pytest.raises(tables.TableMemoryError) as err:
+            xray_all(band_project(f, range(B)))
+        assert err.value.estimate == need
+        tables.coset_plan.cache_clear()
+
     @pytest.mark.parametrize("ctx", RINGS + [NUMERIC], ids=lambda c: c.describe())
     def test_projmax(self, ctx):
         with warnings.catch_warnings():
@@ -335,7 +447,7 @@ class TestBatchedAgainstRowOracles:
         dens = large_densities(ctx, 2)
         assert max(int(xray_all(band_project(f, i))[0].max())
                    for f in dens for i in range(ctx.num_bands)) > 2**31
-        monkeypatch.setattr(verify, "_corpus", lambda c, seed, trials: iter(dens))
+        monkeypatch.setattr(verify, "_corpus", lambda c, seed, trials: ((f.num, f.den) for f in dens))
         rep = verify_divisor_reduction(ctx, None, trials=2, seed=0)
         assert reports_to_json([rep]) == reports_to_json([divisor_reduction_oracle(ctx, None, dens)])
         rep = verify_projmax(ctx, trials=2, seed=0)
@@ -477,7 +589,7 @@ class TestStackedAgainstRowOracles:
         # pass the band projections'; a stack raises OverflowError exactly
         # where the rows do, and otherwise gives the rows' report
         dens = corpus(ctx, 0, 3) + large_densities(ctx, 2)
-        monkeypatch.setattr(verify, "_corpus", lambda c, seed, trials: iter(dens))
+        monkeypatch.setattr(verify, "_corpus", lambda c, seed, trials: ((f.num, f.den) for f in dens))
         cases = [(lambda: verify_plancherel(ctx, 5, 0), lambda: plancherel_rows(ctx, dens)),
                  (lambda: verify_xray_l2(ctx, 5, 0), lambda: xray_l2_rows(ctx, dens))]
         cases += [(lambda p=p: verify_freqbound(ctx, p, 5, 0), lambda p=p: freqbound_rows(ctx, p, dens))
@@ -585,7 +697,7 @@ class TestMaximalStackedAgainstRowOracles:
         rng = np.random.default_rng(17)
         dens = corpus(ctx, 0, 3) + [Density.from_numden(ctx, 2**bits + rng.integers(0, 2**36, ctx.size), 1)
                                     for _ in range(2)]
-        monkeypatch.setattr(verify, "_corpus", lambda c, seed, trials: iter(dens))
+        monkeypatch.setattr(verify, "_corpus", lambda c, seed, trials: ((f.num, f.den) for f in dens))
         ball = random_density(ctx, 0, "ball")
         cases = [(lambda: verify_maxest(ctx, 5, 0), lambda: maxest_rows(ctx, dens)),
                  (lambda: verify_projmax(ctx, 5, 0), lambda: projmax_rows(ctx, dens)),
