@@ -172,15 +172,16 @@ def cmd_constants(args) -> int:
     semantics_list = [ctx.scale_semantics]
     if isinstance(ctx.mode, Profinite) and args.semantics is None:
         semantics_list = [ScaleSemantics.NUMERIC, ScaleSemantics.DIVISIBILITY]
-    tables_out = {sem.value: _constants_rows(ctx, depth, sem) for sem in semantics_list}
     from .maximal import constant_ledger
 
+    ledger = constant_ledger(ctx, depth)  # refuses an n = 1 ring before any table is made
+    tables_out = {sem.value: _constants_rows(ctx, depth, sem) for sem in semantics_list}
     payload = {
         "schema": serialize.SCHEMA_VERSION,
         "kind": "constants",
         "ring": ctx.describe(),
         "depth": depth,
-        "ledger": serialize.ledger_to_obj(constant_ledger(ctx, depth)),
+        "ledger": serialize.ledger_to_obj(ledger),
         "tables": tables_out,
     }
     if args.format == "csv":

@@ -114,9 +114,11 @@ def gr_size(N: int, n: int, k: int) -> int:
 def canonical_direction(u: Sequence[int], ctx: RingContext) -> ProjDirection:
     """Canonicalize a vector to its projective representative.
 
-    Raises ValueError if some prime dividing N divides every coordinate
-    (then u generates no direction).
+    Raises ValueError if u has not n coordinates, or if some prime dividing
+    N divides every coordinate (then u generates no direction).
     """
+    if len(u) != ctx.dimension:
+        raise ValueError(f"direction {tuple(u)} has {len(u)} coordinates, need {ctx.dimension}")
     N = ctx.modulus
     if N == 1:
         return ProjDirection(1, tuple(0 for _ in u))

@@ -17,15 +17,16 @@ in the exact lane; floats run only in the FFT round trip that
 plancherel holds beside the exact one, and in `transform --lane float`.
 The X-rays of xray_all (exact only, over tables.coset_plan: one p-adic
 tower of line sums per CRT component, never the whole line table) and
-the u^perp masses sum over index rows through tables.blocked_sums; the
-exact transform's passes add shifted rows, one level per prime factor of
-N (_radix_levels).  xray_transform, one direction in either lane, builds
-and gathers that direction's chart rows alone (tables.coset_rows).  Asked
-for powers, xray_all folds each block of line sums into per-direction
-power sums as it is made, so a check that reads only moments holds no
-X-ray.  Where the bound that a headroom check computes is under 2**31
-(_sum_dtype), the exact X-rays, coset maxima and transform passes gather
-and add int32, half the bytes; their results are int64 again.
+the exact transform's passes, which add shifted rows, one level per prime
+factor of N (_radix_levels), go through one kernel, tables.gather_sums;
+the u^perp masses through tables.blocked_sums.  xray_transform, one
+direction in either lane, builds and gathers that direction's chart rows
+alone (tables.coset_rows).  Asked for powers, xray_all folds each block
+of line sums into per-direction power sums as it is made, so a check that
+reads only moments holds no X-ray.  Where the bound that a headroom check
+computes is under 2**31 (_sum_dtype), the exact X-rays, coset maxima and
+transform passes gather and add int32, half the bytes; their results are
+int64 again.
 
 Densities and spectra may be stacks of T rows, each over its own
 denominator.  The transforms, xray_all, band_project and Spectrum.masses
@@ -52,7 +53,6 @@ from .geometry import ProjDirection, proj_size
 from .ring import PAdic, Profinite, RingContext, ScaleSemantics, factorize, scale
 
 _INT_HEADROOM = 1 << 61
-_PASS_BLOCK_BYTES = 1 << 20  # of int64 per gathered block of an exact pass (_radix_sums)
 
 
 class ConstancyError(Exception):
@@ -371,7 +371,7 @@ def _group_sums(x: np.ndarray, groups) -> np.ndarray:
         return np.stack([x.take(g, axis=1).sum(axis=1) for g in groups], axis=1)
     out = np.empty((T * c, len(groups)), dtype=x.dtype)
     rows = np.moveaxis(x, 1, 2).reshape(T * c, size)
-    for lo, sums in tables.blocked_sums(rows, groups, rows=True):
+    for lo, sums in tables.blocked_sums(rows, groups):
         out[:, lo:lo + sums.shape[1]] = sums
     return np.moveaxis(out.reshape(T, c, -1), 1, 2)
 
@@ -400,24 +400,13 @@ def _radix_levels(N: int, sign: int) -> tuple[np.ndarray, ...]:
     return tuple(tables._freeze(t.astype(np.intp)) for t in levels)
 
 
-def _radix_sums(values: np.ndarray, level: np.ndarray, out: np.ndarray) -> None:
-    """out[r] = sum_q values[level[q, r]], gathered a block of rows at a time:
-    with 5 stacked trials on one core, 1 MB blocks ran generic(30,3), padic(7,2,2)
-    and padic(2,5,3) 1.3-1.9x faster than whole gathers, 1.8-2.3x than 64 KB."""
-    step = max(1, _PASS_BLOCK_BYTES // (8 * values.shape[1]))
-    for lo in range(0, len(out), step):
-        sums = out[lo:lo + step]
-        np.take(values, level[0, lo:lo + step], axis=0, out=sums, mode="clip")
-        for rows in level[1:]:
-            sums += np.take(values, rows[lo:lo + step], axis=0)
-
-
 def _passes_exact(C: np.ndarray, ctx: RingContext, sign: int) -> np.ndarray:
     """out[.., a, ..] = sum_x zeta**(sign*x*a) in[.., x, ..] along each axis of
     a (T, size, N) stack: a pass leads an (N*N, T*size/N) slab with its axis and
     the coefficient axis, and its levels (_radix_levels) sum it back and forth
-    between two slabs.  Every partial sum sums a subset of the terms of one full
-    sum, so the sum |f| and sum |coeffs| bounds that chose the dtype hold."""
+    between two slabs, one tables.gather_sums each.  Every partial sum sums a
+    subset of the terms of one full sum, so the sum |f| and sum |coeffs|
+    bounds that chose the dtype hold."""
     N, n = ctx.modulus, ctx.dimension
     grid, axes = C.reshape((-1,) + (N,) * (n + 1)), list(range(n + 2))
     values, spare = np.empty(C.size, C.dtype), np.empty(C.size, C.dtype)
@@ -426,7 +415,7 @@ def _passes_exact(C: np.ndarray, ctx: RingContext, sign: int) -> np.ndarray:
         shape = [grid.shape[i] for i in order]
         np.copyto(values.reshape(shape), grid.transpose(order))
         for level in _radix_levels(N, sign):
-            _radix_sums(values.reshape(N * N, -1), level, spare.reshape(N * N, -1))
+            tables.gather_sums(values.reshape(N * N, -1), level, spare.reshape(N * N, -1))
             values, spare = spare, values
         grid, axes = values.reshape(shape), [axes[i] for i in order]
         values, spare = spare, values  # the next pass copies into the slab grid is not in

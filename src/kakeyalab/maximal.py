@@ -11,8 +11,9 @@ depends only on the coset of a, so each coset is summed once.  Two
 paths, one per job.  coset_maxima takes the largest coset sum per flat
 for a whole stack of exact rows (every X-ray of a density, say), through
 tables.coset_sums over tables.coset_plan, one CRT component of the
-modulus at a time and one p-adic level of each component at a time; it is
-what the checks read.  The profiles of
+modulus at a time and one p-adic level of each component at a time, each
+level one tables.gather_sums over the stack held point-major; it is what
+the checks read.  The profiles of
 line_maximal, flat_maximal and f_star, and mweight, read one row over
 the whole coset table through tables.coset_argmax, which also gives the
 witness: the lexicographically least achieving shift, the least rank
@@ -237,12 +238,14 @@ def _maxN_at_weight(mw: int, ctx: RingContext) -> Fraction:
         C = first**n                      for r = 1
         C = first**n * (last * prod_{i=2}^{r-1} mid_i)**n   otherwise
 
-    (the middle product is empty at r = 2).
+    (the middle product is empty at r = 2); undefined at mw * n = 1 (ValueError).
     """
     n = ctx.dimension
     factors = ctx.factorization
     p1 = factors[0][0]
     ceil_term = _ceil_log(p1, mw * n)
+    if ceil_term == 0:
+        raise ValueError(f"the integer-density constant is undefined at weight {mw} and n = {n}")
     first = 1 / (2 * (_ln(mw) + 1) * ceil_term)
     if len(factors) == 1:
         return first**n

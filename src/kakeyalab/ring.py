@@ -111,7 +111,7 @@ def factorize(N: int) -> list[tuple[int, int]]:
 class RingContext:
     """The working ring (Z/NZ)^n: a truncation mode, a dimension and a scale
     semantics.  The mode fixes N and its factorization, which are set from
-    it and take no part in equality.  Immutable; safe to share across
+    it and take no part in equality; a p-adic mode needs a prime p.  Immutable; safe to share across
     workers and to use as a cache key.  It sets no resource limit: what
     is built over it is checked against memory by tables.check_memory.
     """
@@ -125,6 +125,8 @@ class RingContext:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if isinstance(self.mode, PAdic) and (self.mode.p < 2 or factorize(self.mode.p) != [(self.mode.p, 1)]):
+            raise ValueError(f"p must be prime, got {self.mode.p}")
         object.__setattr__(self, "modulus", self.mode.modulus)
         object.__setattr__(self, "factorization", tuple(factorize(self.modulus)))
 

@@ -11,9 +11,9 @@ uint16 on rings of at most 65,535 points and int32 above, so readers
 index with them and never compute in their dtype.  Arrays are returned
 non-writeable; treat them as shared read-only state.
 
-Every reader of an index table sums values over its rows through one
-kernel, blocked_sums: the coset sums and the u^perp masses over
-perp_index (the exact transform gathers its own radix levels).  Stacks
+One kernel, gather_sums, adds a stack over the slabs of an index table:
+every tower level below and the exact transform's radix levels;
+blocked_sums reduces whole rows (coset_argmax, the u^perp masses).  Stacks
 of exact rows (the X-rays and coset maxima of the checks) go through
 coset_sums over coset_plan, one CRT component q_c = p**ell of N at a
 time, each a p-adic tower of ell levels: the sums over the cosets of
@@ -221,10 +221,9 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     return _freeze(table), _freeze(least)
 
 
-# Bytes that one block of work holds: the intp index and gathered values
-# of a block of blocked_sums, a block of harmonic.power_sum's Python ints,
-# and the ranks of a block of flats that coset_table builds or of a tower
-# level.
+# Bytes that one block of work holds: a block of harmonic.power_sum's
+# Python ints, of the whole rows that blocked_sums gathers, and of the
+# ranks of a block of flats that coset_table builds or of a tower level.
 # Gathered whole on generic(30,3), the line-table X-ray would take 610 MB;
 # blocks of 4 MB ran the exact X-ray of padic(5,2,3) about 3x slower.
 _BLOCK_BYTES = 1 << 18
@@ -235,61 +234,60 @@ _BLOCK_BYTES = 1 << 18
 # their coset plan (CosetPlan.width, at least the row itself), and the
 # widest stack of a chunk of trials of a check in verify.  A tall stack
 # gathered at once could take tens of GiB (the induced X-rays of
-# profinite(3,3) band 3 would take about 45 GiB).  Within a chunk,
-# coset_sums picks the layout and blocked_sums sizes the blocks of flats.
+# profinite(3,3) band 3 would take about 45 GiB).
 _CHUNK_BYTES = 1 << 24
 
 
-# Integer rows whose index rows hold at most this many entries are summed
-# by blocked_sums one index slab at a time.  On the p**k = 2 and 3 entries
-# of the tower levels of padic(2,3,3) and padic(3,2,3) lines, 1 to 8 rows
-# (1 core), slabs ran 1.1-2.5x faster than einsum; on the 5 to 9 entries
-# of padic(5,2,3) lines and padic(3,2,3) planes, and on the small whole
-# tables of the profiles and certify, einsum ran as fast or up to 2.4x
-# faster.
-_SLAB_ENTRIES = 4
+# Bytes of one block of gather_sums: its intp index or its gathered values,
+# whichever is wider.  On one core, against 1 MB, 512 KB blocks ran the
+# exact inverse of generic(30,3), padic(2,5,3) and padic(7,2,3) 1.1-1.2x
+# faster, the forward within 4%, and the benchmark's maximal work 4% faster;
+# 256 KB ran the forward of generic(12,3) and padic(7,2,2) 5-18% slower.
+_GATHER_BYTES = 1 << 19
 
 
-def blocked_sums(values: np.ndarray, index: np.ndarray, rows: bool = False):
-    """Yield (lo, sums) over blocks of leading rows of an integer index
-    table (..., m): sums is values[index[lo:hi]] summed over the last axis.
+def _block_rows(m: int, columns: int) -> int:
+    """Output rows per block of gather_sums over m slabs and columns values a row."""
+    return max(1, _GATHER_BYTES // (8 * max(m, columns)))
 
-    Each block of index is converted once to intp (numpy gathers faster
-    through it) and holds, with its gather, about _BLOCK_BYTES.  values is
-    (R, size) rows with rows set, or an (size, r) stack of slabs.  Each
-    row is gathered whole per block and reduced by einsum for integers and
-    .sum for floats, so float sums are bit for bit those of one whole
-    gather: sums is (R, block, ...).  Integer rows with at most
-    _SLAB_ENTRIES entries per index row are added one index slab at a
-    time instead, the block converted slab-major.  An (size, r) stack is
-    added one index slab index[..., j] at a time, each gathered point
-    copying its r contiguous values: sums is (block, ..., r).
+
+def gather_sums(values: np.ndarray, slabs: np.ndarray, out: np.ndarray) -> None:
+    """out[r] = sum_j values[slabs[j, r]]: the one gather-add kernel.
+
+    values is a (size, ...) stack, slabs an (m, R) integer index table,
+    one slab per term, and out (R, ...) in values' dtype.  A block of
+    output rows (_block_rows) at a time, its index is converted once to
+    intp and each slab of it gathered by np.take, the first into out (with
+    mode="clip", which numpy does not buffer), so every gathered point
+    copies its contiguous values.  Each level of the exact transform
+    (harmonic._radix_levels) and of a coset tower (_tower) is one call.
     """
-    m = index.shape[-1]
-    width = 1 if rows else values.shape[1]
-    step = max(1, _BLOCK_BYTES // (8 * (index[0].size // m) * max(m, width)))
-    integer = values.dtype.kind == "i"
-    slabs = rows and integer and m <= _SLAB_ENTRIES
-    add_up = partial(np.einsum, "...j->...") if integer else partial(np.sum, axis=-1)
+    step = _block_rows(len(slabs), out[0].size)
+    for lo in range(0, len(out), step):
+        t = slabs[:, lo:lo + step].astype(np.intp, copy=False)
+        sums = out[lo:lo + step]
+        np.take(values, t[0], axis=0, out=sums, mode="clip")
+        for rows in t[1:]:
+            sums += np.take(values, rows, axis=0)
+
+
+def blocked_sums(values: np.ndarray, index: np.ndarray):
+    """Yield (lo, sums) over blocks of leading rows of an integer index
+    table (..., m): sums (R, block, ...) is, per row of values (R, size),
+    row[index[lo:hi]] summed over the last axis.
+
+    Each block of index is converted once to intp and holds, with its
+    gather, about _BLOCK_BYTES.  Each row is gathered whole per block and
+    reduced by einsum for integers and .sum for floats, so float sums are
+    bit for bit those of one whole gather.
+    """
+    step = max(1, _BLOCK_BYTES // (8 * index[0].size))
+    add_up = partial(np.einsum, "...j->...") if values.dtype.kind == "i" else partial(np.sum, axis=-1)
     for lo in range(0, len(index), step):
-        if slabs:
-            t = np.ascontiguousarray(np.moveaxis(index[lo:lo + step], -1, 0), dtype=np.intp)
-            sums = np.empty((len(values),) + t.shape[1:], dtype=values.dtype)
-            for row, out in zip(values, sums):
-                np.take(row, t[0], out=out)
-                for slab in t[1:]:
-                    out += row[slab]
-            yield lo, sums
-            continue
         t = index[lo:lo + step].astype(np.intp)
-        if rows:
-            sums = np.empty((len(values),) + t.shape[:-1], dtype=values.dtype)
-            for row, out in zip(values, sums):
-                add_up(row[t], out=out)
-        else:
-            sums = values[t[..., 0]]
-            for j in range(1, m):
-                sums += values[t[..., j]]
+        sums = np.empty((len(values),) + t.shape[:-1], dtype=values.dtype)
+        for row, out in zip(values, sums):
+            add_up(row[t], out=out)
         yield lo, sums
 
 
@@ -302,7 +300,7 @@ def coset_argmax(values: np.ndarray, ctx: RingContext, k: int) -> tuple[np.ndarr
     table, _ = coset_table(ctx, k)
     best = np.empty(len(table), dtype=values.dtype)
     row = np.empty(len(table), dtype=np.intp)
-    for lo, (sums,) in blocked_sums(values[None], table, rows=True):
+    for lo, (sums,) in blocked_sums(values[None], table):
         best[lo:lo + len(sums)] = sums.max(axis=1)
         row[lo:lo + len(sums)] = sums.argmax(axis=1)
     return best, row
@@ -334,19 +332,19 @@ def _tower(gens: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
     """The levels, from the points up, of coset_sums over the k-flats of
     (Z/qZ)^n, q = p**ell, whose canonical generators are gens (F, k, n).
 
-    Level j = ell - 1, ..., 0 is (F_j, C_j, p**k) (see _tower_shape): its
-    flats are the reductions V of the flats U mod p**(ell-j), and the sum
-    over a coset c of p**j V is the sum of the p**k sums over the cosets
-    c + p**j s g_V + p**(j+1) V, s in (Z/p)^k, of the level below, whose
-    flat is V mod p**(ell-j-1).  A coset of p**j V is indexed by its
-    canonical representative read in mixed radix: pivot coordinates in
-    [0, p**j), the others in Z/q.  Since c + p**j s g_V has pivot
-    coordinates c_i + p**j s_i < p**(j+1), it is already the representative
-    of its coset below; the entry is that coset's index plus C_(j+1) times
-    its flat's.  Level 0 is U itself in gens order, its cosets the quotient
-    points y, section(y) in coset_rows' chart; level ell is the points.
-    Level j > 0 keeps its flats in the order np.unique sorts the bytes of
-    their reduced generators.
+    Level j = ell - 1, ..., 0 is (p**k, F_j, C_j) (see _tower_shape), one
+    slab per term, as gather_sums reads it.  Its flats are the reductions V
+    of the flats U mod p**(ell-j), and the sum over a coset c of p**j V is
+    the sum of the p**k sums over the cosets c + p**j s g_V + p**(j+1) V,
+    s in (Z/p)^k, of the level below, whose flat is V mod p**(ell-j-1).
+    A coset of p**j V is indexed by its canonical representative read in
+    mixed radix: pivot coordinates in [0, p**j), the others in Z/q.  Since
+    c + p**j s g_V has pivot coordinates c_i + p**j s_i < p**(j+1), it is
+    already the representative of its coset below; the entry is that
+    coset's index plus C_(j+1) times its flat's.  Level 0 is U itself in
+    gens order, its cosets the quotient points y, section(y) in coset_rows'
+    chart; level ell is the points.  Level j > 0 keeps its flats in the
+    order np.unique sorts the bytes of their reduced generators.
     """
     F, k, n = gens.shape
     ((p, ell),) = factorize(q)
@@ -377,21 +375,20 @@ def _tower(gens: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
         weights = _place_values(np.where(pivot, p**(j + 1), q))
         base = (digits * weights[:, :, None]).sum(axis=1)  # the index below of c itself
         which = np.searchsorted(patterns, codes)
-        level = np.empty((Fm, C, p**k), dtype=dtype)
+        level = np.empty((p**k, Fm, C), dtype=dtype)
         step = max(1, _BLOCK_BYTES // (8 * C * p**k))
         for lo in range(0, Fm, step):
             flats, pat = rep[lo:lo + step], which[lo:lo + step]
             offsets = p**j * (steps @ gens[flats]) % q  # (B, p**k, n)
             w = weights[pat]
             # linear in the digits of c + p**j s g but for each coordinate
-            # that wraps past q, which no pivot does; (B, p**k, C), the long
-            # axis last
+            # that wraps past q, which no pivot does; (B, p**k, C)
             ids = ((member[m - 1][flats] * below)[:, None] + base[pat])[:, None, :]
             ids = ids + (offsets * w[:, None, :]).sum(axis=2)[:, :, None]
             for col in np.flatnonzero(~pivot[pat].all(axis=0)):
                 ids -= (digits[pat, col][:, None, :] >= q - offsets[:, :, col, None]) * (
                     q * w[:, col, None, None])
-            level[lo:lo + step] = ids.transpose(0, 2, 1)
+            level[:, lo:lo + step] = ids.transpose(1, 0, 2)
         levels.append(_freeze(level))
     return tuple(levels)
 
@@ -401,7 +398,7 @@ class CosetPlan(NamedTuple):
     tower per CRT component q_c = p**ell of N, m towers in all.
     towers[c] holds the ell levels of component c, from the points up
     (see _tower): level ell - 1 reads the q_c**n points, each level above
-    reads the sums of the level below, and level 0, (F_c, Q_c, p**k), gives
+    reads the sums of the level below, and level 0, (p**k, F_c, Q_c), gives
     the sums over the cosets of component c's flats in chart order.  width
     is the most sums per row that coset_sums holds at once: a level can
     hold more than the ring has points.  points[i] is the rank of the point
@@ -416,7 +413,7 @@ class CosetPlan(NamedTuple):
 
     @property
     def flat_shape(self) -> tuple[int, ...]:
-        return tuple(len(t[-1]) for t in self.towers)
+        return tuple(t[-1].shape[1] for t in self.towers)
 
     def in_rank_order(self, sums: np.ndarray) -> np.ndarray:
         """Coset sums (..., Q_1, ..., Q_m), as coset_sums yields them, as
@@ -449,10 +446,10 @@ def coset_plan(ctx: RingContext, k: int) -> CosetPlan:
                    for q, _ in basis)
     held, sizes = ctx.size, []
     for tower in towers:  # each level reads what the levels before it left
-        below = tower[0].shape[1] * tower[0].shape[2]
+        below = len(tower[0]) * tower[0].shape[2]
         for level in tower:
-            held = held // below * level.shape[0] * level.shape[1]
-            below = level.shape[0] * level.shape[1]
+            held = held // below * level[0].size
+            below = level[0].size
             sizes.append(held)
     width = max([ctx.size] + sizes[:-1])  # the last level is read a block of flats at a time
     if len(basis) == 1:
@@ -466,28 +463,11 @@ def coset_plan(ctx: RingContext, k: int) -> CosetPlan:
     return CosetPlan(towers, width, points, quotient)
 
 
-# On a one-component plan coset_sums reads fewer rows than this row-major,
-# more point-major.  Timed on the towers in maximal.coset_maxima (medians
-# of 15, one pinned core), the two crossed at 4-8 rows on padic(2,3,3)
-# and padic(3,2,3) k=2, padic(3,3,2) and padic(5,3,2) k=1 and the int32
-# X-rays of padic(5,2,3), at 8-12 on padic(2,3,3) k=1, and at 12-16 on
-# padic(3,2,3) and padic(2,4,3) k=1.  Row-major ran 2-5x faster at 2
-# rows, point-major 2-4x faster at 32.
-_POINT_MAJOR_ROWS = 12
-
-
-def _level_sums(data: np.ndarray, level: np.ndarray, rows: bool) -> np.ndarray:
-    """Every sum of one level of a tower, flats and cosets flattened: (R,
-    F * C) from (R, below) rows, or (F * C, r) from a (below, r) stack."""
-    if rows:
-        out = np.empty((len(data),) + level.shape[:2], dtype=data.dtype)
-        for lo, sums in blocked_sums(data, level, rows=True):
-            out[:, lo:lo + sums.shape[1]] = sums
-        return out.reshape(len(data), -1)
-    out = np.empty(level.shape[:2] + data.shape[1:], dtype=data.dtype)
-    for lo, sums in blocked_sums(data, level):
-        out[lo:lo + len(sums)] = sums
-    return out.reshape(-1, data.shape[1])
+def _level_sums(data: np.ndarray, slabs: np.ndarray) -> np.ndarray:
+    """(F * C, r) sums of slabs (m, F, C) of a tower level over a (below, r) stack."""
+    out = np.empty((slabs[0].size, data.shape[1]), dtype=data.dtype)
+    gather_sums(data, slabs.reshape(len(slabs), -1), out)
+    return out
 
 
 def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = None):
@@ -496,39 +476,32 @@ def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = Non
     ..., Q_m) of the coset sums of each row of rows (R, size), in rows'
     dtype.  With an index, row r is read as rows[r, index], a pull-back.
 
-    The row is read in CRT order, as (q_1**n, ..., q_m**n, R).  Each level
-    of component c's tower is one slab-path blocked_sums over the leading
-    axis, so every later component and the rows are its columns, one copy
-    of each gathered point; after its level 0, (F_c, Q_c) move behind them,
-    for component c + 1.  Every level but the last is summed whole; the
-    last is yielded a block of flats at a time.  A one-component plan of
-    fewer than _POINT_MAJOR_ROWS rows takes the rows path instead, each row
-    gathered whole at each level.
+    The rows are read point-major, in CRT order, as (q_1**n, ..., q_m**n,
+    R).  Each level of component c's tower is one gather_sums over the
+    leading axis, so every later component and the rows are its columns,
+    one copy of each gathered point; after its level 0, (F_c, Q_c) move
+    behind them, for component c + 1.  Every level but the last is summed
+    whole; the last is summed and yielded a block of gather_sums at a time,
+    one flat at least.
     """
     *lead, last = plan.towers
-    row_major = not lead and len(rows) < _POINT_MAJOR_ROWS
-    if row_major:
-        data = rows if index is None else rows[:, index]
-    else:
-        points = index if plan.points is None else plan.points if index is None else index[plan.points]
-        data = np.ascontiguousarray((rows if points is None else rows[:, points]).T)
-        for tower in lead:
-            data = data.reshape(tower[0].shape[1] * tower[0].shape[2], -1)
-            for level in tower:
-                data = _level_sums(data, level, False)
-            data = data.T
-        data = data.reshape(last[0].shape[1] * last[0].shape[2], -1)
+    points = index if plan.points is None else plan.points if index is None else index[plan.points]
+    data = np.ascontiguousarray((rows if points is None else rows[:, points]).T)
+    for tower in lead:
+        data = data.reshape(len(tower[0]) * tower[0].shape[2], -1)
+        for level in tower:
+            data = _level_sums(data, level)
+        data = data.T
+    data = data.reshape(len(last[0]) * last[0].shape[2], -1)
     for level in last[:-1]:
-        data = _level_sums(data, level, row_major)
+        data = _level_sums(data, level)
     top = last[-1]
-    if row_major:
-        yield from blocked_sums(data, top, rows=True)
-        return
     m = len(plan.towers)
-    raw = (-1, top.shape[1], len(rows)) + tuple(s for t in lead for s in t[-1].shape[:2])
+    raw = (-1, top.shape[2], len(rows)) + tuple(s for t in lead for s in t[-1].shape[1:])
     axes = (2, *range(3, 2 * m + 1, 2), 0, *range(4, 2 * m + 1, 2), 1)
-    for lo, sums in blocked_sums(data, top):
-        yield lo, sums.reshape(raw).transpose(axes)
+    step = max(1, _block_rows(len(top), data.shape[1]) // top.shape[2])
+    for lo in range(0, top.shape[1], step):
+        yield lo, _level_sums(data, top[:, lo:lo + step]).reshape(raw).transpose(axes)
 
 
 # Directions per block of perp_index, so that its (directions, N**(n-1), n)

@@ -324,13 +324,11 @@ def axis_pass_gather(C: np.ndarray, ctx, axis: int, sign: int) -> np.ndarray:
     """One exact axis pass by its definition, out[.., a, ..] = sum_x
     zeta**(sign*x*a) in[.., x, ..]: the (N*N, T*size/N) stack of the pass
     and coefficient axes summed over the N rows of pass_index per output,
-    through tables.blocked_sums."""
+    one whole numpy gather in C's dtype."""
     N, n = ctx.modulus, ctx.dimension
     front = np.moveaxis(C.reshape((-1,) + (N,) * (n + 1)), (axis + 1, n + 1), (0, 1))
-    values = np.ascontiguousarray(front.reshape(N * N, -1))
-    out = np.empty_like(values)
-    for lo, sums in tables.blocked_sums(values, pass_index(N, sign)):
-        out[lo:lo + len(sums)] = sums
+    values = front.reshape(N * N, -1)
+    out = values[pass_index(N, sign)].sum(axis=1, dtype=C.dtype)
     return np.moveaxis(out.reshape(front.shape), (0, 1), (axis + 1, n + 1)).reshape(C.shape)
 
 

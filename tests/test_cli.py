@@ -42,6 +42,13 @@ class TestVerifyCommand:
         code, _ = run_cli(["verify", *RING, "no-such-check"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("p", ["1", "4"])
+    def test_non_prime_p_exits_2(self, p, capsys):
+        # p = 1 failed inside einsum, p = 4 passed every check on Z/16 as padic(p=4)
+        code = main(["verify", "--mode", "padic", "-p", p, "-l", "2", "-n", "2", "radiusN"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: p must be prime, got {p}\n"
+
     def test_ci_mode_requires_seed(self, capsys):
         code, _ = run_cli(["verify", *RING, "--ci", "plancherel"], capsys)
         assert code == 2
@@ -124,6 +131,15 @@ class TestConstantsCommand:
         code, _ = run_cli(["constants", "--mode", "generic", "-N", "12", "-n", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("ring", [["--mode", "padic", "-p", "3", "-l", "2"],
+                                      ["--mode", "profinite", "-L", "2"]], ids=["padic", "profinite"])
+    def test_one_dimensional_ring_exits_2(self, ring, capsys):
+        # the weight-1 constant's ceiling is 0 at n = 1: a ZeroDivisionError before
+        code = main(["constants", *ring, "-n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: the integer-density constant is undefined at weight 1 and n = 1\n"
+
 
 class TestSearchCommand:
     def test_greedy_with_bound(self, capsys, tmp_path):
@@ -180,6 +196,13 @@ class TestTransformCommand:
         path = tmp_path / "f.csv"
         path.write_text(density_to_csv(f))
         return ctx, f, path
+
+    def test_direction_of_wrong_length_named(self, density_file, capsys):
+        _, _, path = density_file
+        code = main(["transform", "--mode", "padic", "-p", "3", "-l", "1", "-n", "2", "--op", "xray",
+                     "--direction", "1,2,3", "--input", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: direction (1, 2, 3) has 3 coordinates, need 2\n"
 
     def test_fourier_round_trip_files(self, density_file, capsys, tmp_path):
         ctx, f, path = density_file

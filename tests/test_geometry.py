@@ -114,6 +114,9 @@ class TestCanonicalDirection:
         ctx = RingContext.generic(6, 2)
         with pytest.raises(ValueError):
             canonical_direction((2, 4), ctx)  # all even: no unit mod 2
+        for u in ((1,), (1, 2, 3)):
+            with pytest.raises(ValueError, match=f"has {len(u)} coordinates, need 2"):
+                canonical_direction(u, ctx)
 
     @given(st.sampled_from([2, 3, 4, 6, 9, 12]), st.integers(0, 11), st.integers(0, 11))
     @settings(max_examples=60, deadline=None)

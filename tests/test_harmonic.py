@@ -71,7 +71,7 @@ class TestFourier:
         # two and five rows; its 81, 36 and 144 rows leave a ragged last
         # block at five rows, and the 81 of padic(3,2,3) also at two
         N = ctx.modulus
-        monkeypatch.setattr(harmonic, "_PASS_BLOCK_BYTES", 8 * max(N, ctx.size // N) * rows)
+        monkeypatch.setattr(tables, "_GATHER_BYTES", 8 * max(N, ctx.size // N) * rows)
         f = random_density(ctx, seed=5, dist="uniform-rational")
         s, (coeffs, den) = fourier_forward(f), fourier_forward_naive(f)
         assert s.den == den and (s.coeffs == coeffs).all()
@@ -121,7 +121,7 @@ class TestFourier:
         C = np.zeros((ctx.size, N), dtype=np.int64)
         C[:, 0] = random_density(ctx, seed=49, dist="uniform-rational").num
         full = 8 * ctx.size * N * N
-        monkeypatch.setattr(harmonic, "_PASS_BLOCK_BYTES", 1 << 14)
+        monkeypatch.setattr(tables, "_GATHER_BYTES", 1 << 14)
         _passes_exact(C, ctx, 1)  # warm the level cache
         tracemalloc.start()
         try:
@@ -169,11 +169,11 @@ class TestFourier:
         f = Density.from_numden(ctx, num, 1)
         dtypes = []
 
-        def spy(values, level, out, _real=harmonic._radix_sums):
+        def spy(values, slabs, out, _real=tables.gather_sums):
             dtypes.append(values.dtype)
-            _real(values, level, out)
+            _real(values, slabs, out)
 
-        monkeypatch.setattr(harmonic, "_radix_sums", spy)
+        monkeypatch.setattr(tables, "gather_sums", spy)
         s = fourier_forward(f)
         assert set(dtypes) == {lane} and len(dtypes) == 2
         coeffs, den = fourier_forward_naive(f)
@@ -417,9 +417,10 @@ class TestXray:
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_xray_all_blocks(self, monkeypatch, rows):
-        # blocks of one and of five directions (117 directions)
+        # blocks of one and of five directions (117 directions): gather_sums
+        # blocks of rows lines of 3 slabs (p**k = 3) per direction of one row
         ctx = RingContext.padic(3, 2, 3)
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * ctx.size * rows)
+        monkeypatch.setattr(tables, "_GATHER_BYTES", 8 * 3 * (ctx.size // ctx.modulus) * rows)
         f = random_density(ctx, seed=46)
         assert xray_all(f)[0].tolist() == xray_all_gather(f).tolist()
 
@@ -429,7 +430,7 @@ class TestXray:
         ctx = RingContext.padic(3, 2, 3)
         f = random_density(ctx, seed=47)
         full = 8 * tables.coset_table(ctx, 1)[0].size
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
+        monkeypatch.setattr(tables, "_GATHER_BYTES", 1 << 14)
         xray_all(f)  # warm any lazy state
         tracemalloc.start()
         try:
@@ -490,7 +491,7 @@ class TestXray:
             nums, den = xray_all(f)
             want.append((f, [power_sum(nums, p, axis=-1).tolist() for p in ps], den))
         if setting == "small-block":
-            monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 10)
+            monkeypatch.setattr(tables, "_GATHER_BYTES", 1 << 10)
         elif setting == "small-chunk":
             itemsize = _sum_dtype(harmonic._abs_max(stack.num) * ctx.modulus).itemsize
             monkeypatch.setattr(tables, "_CHUNK_BYTES", itemsize * tables.coset_plan(ctx, 1).width)
@@ -508,18 +509,15 @@ class TestXray:
         with pytest.raises(ValueError, match="exact-lane"):
             xray_all(random_density(RingContext.padic(2, 2, 2), seed=49).to_float())
 
-    @pytest.mark.parametrize("R", [1, 11, 12, 40])
-    def test_xray_all_layouts_agree(self, monkeypatch, R):
-        # a one-stage plan read row-major (threshold R + 1) and point-major
-        # (threshold 1) gives the line sums of the whole gather, on both
-        # sides of the shipped 12-row threshold
+    @pytest.mark.parametrize("R", [1, 2, 11, 12, 13, 40])
+    def test_xray_all_layouts_agree(self, R):
+        # the one point-major layout of a one-component plan gives the line
+        # sums of the whole gather, for narrow and tall stacks
         ctx = RingContext.padic(3, 2, 3)
         rng = np.random.default_rng(50)
         f = Density(ctx, num=rng.integers(-60, 61, (R, ctx.size)), den=[1] * R)
         want = f.num.astype(object)[:, chart_rows(ctx, 1)].sum(axis=-1).tolist()
-        for threshold in (1, R + 1):
-            monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
-            assert xray_all(f)[0].tolist() == want
+        assert xray_all(f)[0].tolist() == want
 
     @given(st.lists(st.integers(-(2**62), 2**62), min_size=4, max_size=4), st.integers(0, 3))
     @example([2**62] * 4, 0)

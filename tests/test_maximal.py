@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeyalab import tables
+from kakeyalab import harmonic, tables
 from kakeyalab.geometry import canonical_direction
 from kakeyalab.harmonic import Density, induce_rows, xray_all
 from kakeyalab.maximal import (appendix_constant, chain_constant, coset_maxima,
@@ -312,26 +312,23 @@ class TestCosetTableBuild:
 
 
 class TestCosetMaxima:
-    """The point-major and row-major kernels against Python-int coset sums
-    and each other."""
+    """The coset sums of coset_plan, read point-major through gather_sums,
+    against Python-int coset sums and each other."""
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 8, 100])
     def test_chunk_boundaries(self, monkeypatch, chunk_rows):
         # 7 rows split into chunks of every size, including ragged last
-        # chunks of one row (one gather per block) and wider ones, read
-        # row-major (each row gathered whole, as the shipped threshold reads
-        # them all on the one-stage plan of padic(2,2,2)) or point-major
-        # (each row's N**k coset points added one slab at a time, as every
-        # stage of generic(6,2) is read); the flats go one per block, in
-        # ragged blocks, or all in one block
+        # chunks of one row and wider ones, each level read point-major
+        # (every coset's slabs added one at a time, every row of the chunk a
+        # column), on the one-component plan of padic(2,2,2) and the two
+        # of generic(6,2); the flats go one per block, in ragged blocks, or
+        # all in one block
         for ctx in (RingContext.generic(6, 2), RingContext.padic(2, 2, 2)):
             rows = np.stack([random_density(ctx, seed=40 + r, dist=DISTRIBUTIONS[r % 4],
                                             trial=r).num * (r + 1) for r in range(7)])
             monkeypatch.setattr(tables, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
-            for point_major, block_bytes, k in itertools.product(
-                    (1, tables._POINT_MAJOR_ROWS), (1, 3000, 1 << 30), (1, 2)):
-                monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", point_major)
-                monkeypatch.setattr(tables, "_BLOCK_BYTES", block_bytes)
+            for block_bytes, k in itertools.product((1, 3000, 1 << 30), (1, 2)):
+                monkeypatch.setattr(tables, "_GATHER_BYTES", block_bytes)
                 npts = ctx.modulus**k
                 sets = line_point_sets(ctx) if k == 1 else [flat_points(F) for F in tables.flats(ctx, k)]
                 best = coset_maxima(rows, ctx, k)
@@ -349,9 +346,8 @@ class TestCosetMaxima:
                          for r in range(5)])
         mctx, index, gaps = induce_rows(rows, ctx, 8)
         assert not gaps.any() and mctx.modulus == 8
-        for chunk_rows, threshold in itertools.product((1, 2, 5), (1, tables._POINT_MAJOR_ROWS)):
+        for chunk_rows in (1, 2, 5):
             monkeypatch.setattr(tables, "_CHUNK_BYTES", 8 * mctx.size * chunk_rows)
-            monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
             for k in (1, 2):
                 got = coset_maxima(rows, mctx, k, index=index)
                 assert np.array_equal(got, coset_maxima(rows[:, index], mctx, k))
@@ -385,23 +381,19 @@ class TestCosetMaxima:
 
     @pytest.mark.parametrize("pulled_back", [False, True], ids=["rows", "index"])
     def test_layouts_agree(self, monkeypatch, pulled_back):
-        # a chunk read point-major and the same chunk read row-major give
-        # identical integer maxima: 1, 2 and either side of the threshold
-        # rows, in one chunk and in chunks of three
+        # 1, 2, 11, 12 and 13 rows, read point-major in one chunk and in
+        # chunks of three, give the maxima of the whole table's Python-int
+        # sums, directly or through a pull-back index
         base = RingContext.padic(2, 2, 2)
-        width = tables._POINT_MAJOR_ROWS
         rows = np.stack([random_density(base, seed=70 + r, dist=DISTRIBUTIONS[r % 4], trial=r).num
-                         * (r + 1) for r in range(width)])
+                         * (r + 1) for r in range(13)])
         ctx, index = induce_rows(rows, base, 8)[:2] if pulled_back else (base, None)
-        for R, chunk_rows, k in itertools.product((1, 2, width - 1, width), (3, width), (1, 2)):
-            monkeypatch.setattr(tables, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
-            got = []
-            # every chunk point-major, the shipped threshold, every chunk row-major
-            for threshold in (1, width, len(rows) + 1):
-                monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
-                got.append(coset_maxima(rows[:R], ctx, k, index=index))
-            for best in got[1:]:
-                assert np.array_equal(best, got[0])
+        pulled = rows if index is None else rows[:, index]
+        for k in (1, 2):
+            want = one_table_sums(np.abs(pulled), ctx, k).max(axis=-1).tolist()
+            for R, chunk_rows in itertools.product((1, 2, 11, 12, 13), (3, 13)):
+                monkeypatch.setattr(tables, "_CHUNK_BYTES", 8 * ctx.size * chunk_rows)
+                assert coset_maxima(rows[:R], ctx, k, index=index).tolist() == want[:R]
 
     def test_peak_memory_is_bounded_by_the_budgets(self, monkeypatch):
         # a tall stack is summed a chunk and a block at a time: the peak
@@ -411,7 +403,7 @@ class TestCosetMaxima:
         rows = np.random.default_rng(8).integers(-(2**20), 2**20, (117, ctx.size))
         table, _ = tables.coset_table(ctx, 1)
         monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 16)
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1 << 14)
+        monkeypatch.setattr(tables, "_GATHER_BYTES", 1 << 14)
         for stack in (rows, rows[:1]):
             coset_maxima(stack, ctx, 1)  # warm any lazy state
             tracemalloc.start()
@@ -503,7 +495,7 @@ class TestCosetPlan:
         # one tower per component p**e, its level j holding the lines of
         # (Z/p**(e-j))^n: level 0 those of the component
         plan = tables.coset_plan(ctx, 1)
-        assert [[len(level) for level in tower] for tower in plan.towers] == [
+        assert [[level.shape[1] for level in tower] for tower in plan.towers] == [
             [len(tables.directions(RingContext.generic(p**m, ctx.dimension))) for m in range(1, e + 1)]
             for p, e in ctx.factorization]
         assert math.prod(plan.flat_shape) == len(tables.directions(ctx))
@@ -551,7 +543,7 @@ class TestCosetPlan:
         for chunk_rows, block in itertools.product((1, 3), (1, 3000)):
             plan = tables.coset_plan(ctx, 1)
             monkeypatch.setattr(tables, "_CHUNK_BYTES", 4 * plan.width * chunk_rows)
-            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(tables, "_GATHER_BYTES", block)
             for k in (1, 2):
                 assert np.array_equal(coset_maxima(rows, ctx, k), want[k])
             assert np.array_equal(xray_all(Density(ctx, num=rows, den=[1] * 7))[0], xrays)
@@ -588,11 +580,11 @@ class TestCosetPlan:
         # both are the Python-int sums
         dtypes = []
 
-        def spy(values, index, rows=False, _real=tables.blocked_sums):
+        def spy(values, slabs, out, _real=tables.gather_sums):
             dtypes.append(values.dtype)
-            return _real(values, index, rows)
+            _real(values, slabs, out)
 
-        monkeypatch.setattr(tables, "blocked_sums", spy)
+        monkeypatch.setattr(tables, "gather_sums", spy)
         N = ctx.modulus
         for top, dtype in (((2**31 - 1) // N, np.int32), ((2**31 - 1) // N + 1, np.int64)):
             rows = np.full((2, ctx.size), top, dtype=np.int64)
@@ -604,6 +596,36 @@ class TestCosetPlan:
             assert best.dtype == nums.dtype == np.int64
             assert best.tolist() == one_table_sums(np.abs(rows), ctx, 1).max(axis=-1).tolist()
             assert nums.tolist() == one_table_sums(rows, ctx, 1).tolist()
+
+    def test_every_level_goes_through_the_one_kernel(self, monkeypatch):
+        # every level of the two-component towers of generic(12,3) (two
+        # levels over 2**2, one over 3), for lines and planes, and every
+        # radix level of both transforms is read by gather_sums, and every
+        # call reads one of them; the towers and the forward passes in int32
+        ctx = RingContext.generic(12, 3)
+        calls = []
+
+        def spy(values, slabs, out, _real=tables.gather_sums):
+            calls.append((values.dtype, slabs))
+            _real(values, slabs, out)
+
+        monkeypatch.setattr(tables, "gather_sums", spy)
+        rows = staged_rows(ctx, 3, 89)
+        f = Density(ctx, num=rows, den=[1, 1, 1])
+        for k in (1, 2):
+            coset_maxima(rows, ctx, k)
+        xray_all(f)
+        towers = len(calls)
+        harmonic.fourier_inverse(harmonic.fourier_forward(f))
+        levels = [level for k in (1, 2) for tower in tables.coset_plan(ctx, k).towers
+                  for level in tower] + [*harmonic._radix_levels(12, 1), *harmonic._radix_levels(12, -1)]
+        assert len(levels) == 2 * 3 + 2 * 3
+        for level in levels:
+            assert any(np.may_share_memory(slabs, level) for _, slabs in calls)
+        for _, slabs in calls:
+            assert sum(np.may_share_memory(slabs, level) for level in levels) == 1
+        forward = calls[towers:towers + 3 * ctx.dimension]
+        assert {dtype for dtype, _ in calls[:towers] + forward} == {np.dtype(np.int32)}
 
     def test_composite_rings_never_build_the_whole_table(self, monkeypatch):
         ctx = RingContext.generic(12, 3)
@@ -637,40 +659,38 @@ class TestCosetPlan:
                 below = p**(e * n)
                 for m, level in enumerate(tower, start=1):
                     F, C = gr_size(p**m, n, k), p**(e * n - k * m)
-                    assert level.shape == (F, C, p**k) and not level.flags.writeable
+                    assert level.shape == (p**k, F, C) and not level.flags.writeable
                     assert level.dtype == np.min_scalar_type(below - 1)
                     assert level.min() >= 0 and level.max() == below - 1
                     below = F * C
                 if e == 1:
                     want = chart_rows(RingContext.generic(p, n), k)
-                    assert np.array_equal(tower[0], want)
+                    assert np.array_equal(np.moveaxis(tower[0], 0, -1), want)
             if len(plan.towers) == 1:  # an intermediate level may hold more sums than points
                 (tower,) = plan.towers
-                assert plan.width == max([ctx.size] + [len(t) * t.shape[1] for t in tower[:-1]])
+                assert plan.width == max([ctx.size] + [t[0].size for t in tower[:-1]])
 
     @pytest.mark.parametrize("ctx", TOWER_RINGS, ids=lambda c: c.describe())
     def test_tower_sums_in_rank_order(self, monkeypatch, ctx):
-        # flat by flat and coset by coset, both layouts, at 1, 11, 12 and
-        # 40 rows: the staged sums are the whole table's Python-int sums
+        # flat by flat and coset by coset, at 1, 2, 11, 12, 13 and 40 rows:
+        # the staged sums are the whole table's Python-int sums
         rows = staged_rows(ctx, 40, 85)
         for k in tower_ks(ctx):
             want = one_table_sums(rows, ctx, k).tolist()
-            for R, threshold in itertools.product((1, 11, 12, 40), (1, 41)):
-                monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
+            for R in (1, 2, 11, 12, 13, 40):
                 assert plan_sums(rows[:R], ctx, k).tolist() == want[:R]
 
     @pytest.mark.parametrize("ctx", TOWER_RINGS, ids=lambda c: c.describe())
     def test_tower_maxima_and_xrays_in_small_pieces(self, monkeypatch, ctx):
-        # one flat per block, chunks of one row and of three, either layout
+        # one flat per block, chunks of one row and of three
         rows = staged_rows(ctx, 13, 86)
         maxima = {k: one_table_sums(np.abs(rows), ctx, k).max(axis=-1).tolist()
                   for k in tower_ks(ctx)}
         xrays = one_table_sums(rows, ctx, 1).tolist()
         width = tables.coset_plan(ctx, 1).width
-        for chunk_rows, block, threshold in itertools.product((1, 3), (1, 1 << 30), (1, 14)):
+        for chunk_rows, block in itertools.product((1, 3), (1, 1 << 30)):
             monkeypatch.setattr(tables, "_CHUNK_BYTES", 4 * width * chunk_rows)
-            monkeypatch.setattr(tables, "_BLOCK_BYTES", block)
-            monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
+            monkeypatch.setattr(tables, "_GATHER_BYTES", block)
             for k, want in maxima.items():
                 assert coset_maxima(rows, ctx, k).tolist() == want
             assert xray_all(Density(ctx, num=rows, den=[1] * 13))[0].tolist() == xrays
@@ -678,13 +698,12 @@ class TestCosetPlan:
     @pytest.mark.parametrize("ctx", [RingContext.padic(2, 2, 2), RingContext.padic(3, 3, 2),
                                      RingContext.profinite(3, 2)], ids=lambda c: c.describe())
     def test_tower_index_pull_back(self, monkeypatch, ctx):
-        # rows pulled back to M = p N through an index, either layout
+        # rows pulled back to M = p N through an index
         M = ctx.factorization[0][0] * ctx.modulus
         rows = staged_rows(ctx, 5, 87)
         mctx, index, gaps = induce_rows(rows, ctx, M)
         assert not gaps.any() and mctx.modulus == M
-        for k, threshold in itertools.product((1, 2), (1, 6)):
-            monkeypatch.setattr(tables, "_POINT_MAJOR_ROWS", threshold)
+        for k in (1, 2):
             got = coset_maxima(rows, mctx, k, index=index).tolist()
             assert got == one_table_sums(np.abs(rows[:, index]), mctx, k).max(axis=-1).tolist()
 

@@ -172,6 +172,15 @@ class TestRingContext:
             assert ctx.rank(x) == i
             assert ctx.unrank(i) == x
 
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 15])
+    def test_padic_needs_prime_p(self, p):
+        # through the constructor and through the mode alike
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            RingContext.padic(p, 2, 3)
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            RingContext(PAdic(p, 2), 3, ScaleSemantics.NUMERIC)
+        assert RingContext.padic(13, 1, 2).factorization == ((13, 1),)
+
     def test_quotient(self):
         ctx = RingContext.padic(2, 2, 3)
         q = ctx.quotient()
