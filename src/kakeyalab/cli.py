@@ -99,6 +99,8 @@ def _ctx_from_args(args) -> RingContext | None:
                                      semantics or ScaleSemantics.DIVISIBILITY)
     if args.N is None:
         raise SystemExit2("generic mode needs -N")
+    if args.N < 2:
+        raise SystemExit2(f"-N must be at least 2, got {args.N}")
     return RingContext.generic(args.N, args.n)
 
 

@@ -18,8 +18,8 @@ plancherel holds beside the exact one, and in `transform --lane float`.
 The X-rays of xray_all (exact only, over tables.coset_plan: one p-adic
 tower of line sums per CRT component, never the whole line table) and
 the exact transform's passes, which add shifted rows, one level per prime
-factor of N (_radix_levels), go through one kernel, tables.gather_sums;
-the u^perp masses through tables.blocked_sums.  xray_transform, one
+factor of N (_radix_levels), and the u^perp masses go through one
+kernel, tables.gather_sums.  xray_transform, one
 direction in either lane, builds and gathers that direction's chart rows
 alone (tables.coset_rows).  Asked for powers, xray_all folds each block
 of line sums into per-direction power sums as it is made, so a check that
@@ -328,9 +328,9 @@ class Spectrum:
         lane; a stack gives (T, groups) numerators and T denominators.
 
         groups is a sequence of rank arrays, each free of repeats; a 2-D
-        array (equal-size groups, such as tables.perp_index) is read through
-        tables.blocked_sums.  The float lane sums through the 0/1
-        (groups, size) mask, one matrix product."""
+        array (equal-size groups, such as tables.perp_index) is summed by
+        one tables.gather_sums (see _group_sums).  The float lane sums
+        through the 0/1 (groups, size) mask, one matrix product."""
         if self.lane == "exact":
             return _rationalize(self.correlations(), self.ctx.modulus, groups), self.den**2
         mask = np.zeros((len(groups), self.ctx.size), dtype=bool)
@@ -340,7 +340,7 @@ class Spectrum:
 
     def plancherel(self):
         """sum_a |f^(a)|**2, exact in the exact lane."""
-        nums, den = self.masses(np.arange(self.ctx.size)[None])
+        nums, den = self.masses([np.arange(self.ctx.size)])
         return Fraction(int(nums[0]), den) if self.lane == "exact" else float(nums[0])
 
 
@@ -363,17 +363,16 @@ def _rationalize(C: np.ndarray, N: int, groups=None) -> np.ndarray:
 def _group_sums(x: np.ndarray, groups) -> np.ndarray:
     """(T, G, c) sums x[t, g].sum(axis=0) per group g of rows of x (T, size, c).
 
-    A 2-D array of equal-size groups is read through tables.blocked_sums,
-    every column of every spectrum as a row of one call; any other groups
+    A 2-D array of equal-size groups is one tables.gather_sums over x read
+    point-major, (size, T*c), one group member per slab; any other groups
     are summed one group at a time."""
     T, size, c = x.shape
     if not (isinstance(groups, np.ndarray) and groups.ndim == 2):
         return np.stack([x.take(g, axis=1).sum(axis=1) for g in groups], axis=1)
-    out = np.empty((T * c, len(groups)), dtype=x.dtype)
-    rows = np.moveaxis(x, 1, 2).reshape(T * c, size)
-    for lo, sums in tables.blocked_sums(rows, groups):
-        out[:, lo:lo + sums.shape[1]] = sums
-    return np.moveaxis(out.reshape(T, c, -1), 1, 2)
+    out = np.empty((len(groups), T, c), dtype=x.dtype)
+    values = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(size, T * c)
+    tables.gather_sums(values, groups.T, out.reshape(len(groups), -1))
+    return out.transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

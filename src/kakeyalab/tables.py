@@ -12,13 +12,13 @@ index with them and never compute in their dtype.  Arrays are returned
 non-writeable; treat them as shared read-only state.
 
 One kernel, gather_sums, adds a stack over the slabs of an index table:
-every tower level below and the exact transform's radix levels;
-blocked_sums reduces whole rows (coset_argmax, the u^perp masses).  Stacks
-of exact rows (the X-rays and coset maxima of the checks) go through
-coset_sums over coset_plan, one CRT component q_c = p**ell of N at a
-time, each a p-adic tower of ell levels: the sums over the cosets of
-p**j U are read off the p**k sums over cosets of p**(j+1) U one level
-below.  The whole table is read only by coset_argmax, one row with its
+every tower level below, the exact transform's radix levels and the
+u^perp masses (harmonic._group_sums).  Stacks of exact rows (the X-rays
+and coset maxima of the checks) go through coset_sums over coset_plan,
+one CRT component q_c = p**ell of N at a time, each a p-adic tower of
+ell levels: the sums over the cosets of p**j U are read off the p**k
+sums over cosets of p**(j+1) U one level below.  The whole table is
+read only by coset_argmax, the one whole-row scan, one row with its
 lex-least witnesses (the maximal profiles, mweight, certify), and by the
 search; perp_index and lift_map solve u^perp and the lift of (u, w) from
 the chart.  Allocations that scale with the ring, the enumerations of
@@ -222,10 +222,10 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Bytes that one block of work holds: a block of harmonic.power_sum's
-# Python ints, of the whole rows that blocked_sums gathers, and of the
-# ranks of a block of flats that coset_table builds or of a tower level.
-# Gathered whole on generic(30,3), the line-table X-ray would take 610 MB;
-# blocks of 4 MB ran the exact X-ray of padic(5,2,3) about 3x slower.
+# Python ints, of the whole rows that coset_argmax gathers, and of what a
+# block of coset_table, a tower level, perp_index or lift_map builds.  Not
+# _GATHER_BYTES: at 512 KB the cold coset_plan of generic(12,3) lines took
+# 0.89-0.96 ms against 0.47 ms, and its coset_table 8.2-10.0 against 6.5-6.7.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -238,17 +238,17 @@ _BLOCK_BYTES = 1 << 18
 _CHUNK_BYTES = 1 << 24
 
 
-# Bytes of one block of gather_sums: its intp index or its gathered values,
-# whichever is wider.  On one core, against 1 MB, 512 KB blocks ran the
-# exact inverse of generic(30,3), padic(2,5,3) and padic(7,2,3) 1.1-1.2x
-# faster, the forward within 4%, and the benchmark's maximal work 4% faster;
-# 256 KB ran the forward of generic(12,3) and padic(7,2,2) 5-18% slower.
+# Bytes of the values that one block of gather_sums gathers from a slab.
+# On one core, against 1 MB, 512 KB blocks ran the exact inverse of
+# generic(30,3), padic(2,5,3) and padic(7,2,3) 1.1-1.2x faster, the forward
+# within 4%, and the benchmark's maximal work 4% faster; 256 KB ran the
+# forward of generic(12,3) and padic(7,2,2) 5-18% slower.
 _GATHER_BYTES = 1 << 19
 
 
-def _block_rows(m: int, columns: int) -> int:
-    """Output rows per block of gather_sums over m slabs and columns values a row."""
-    return max(1, _GATHER_BYTES // (8 * max(m, columns)))
+def _block_rows(columns: int) -> int:
+    """Output rows per block of gather_sums with columns values a row."""
+    return max(1, _GATHER_BYTES // (8 * columns))
 
 
 def gather_sums(values: np.ndarray, slabs: np.ndarray, out: np.ndarray) -> None:
@@ -256,53 +256,39 @@ def gather_sums(values: np.ndarray, slabs: np.ndarray, out: np.ndarray) -> None:
 
     values is a (size, ...) stack, slabs an (m, R) integer index table,
     one slab per term, and out (R, ...) in values' dtype.  A block of
-    output rows (_block_rows) at a time, its index is converted once to
-    intp and each slab of it gathered by np.take, the first into out (with
-    mode="clip", which numpy does not buffer), so every gathered point
-    copies its contiguous values.  Each level of the exact transform
-    (harmonic._radix_levels) and of a coset tower (_tower) is one call.
+    output rows (_block_rows: its values, not its index, as the u^perp
+    masses take N**(n-1) slabs of a few columns) at a time, each slab is
+    gathered by np.take, the first into out (with mode="clip", which numpy
+    does not buffer), so every gathered point copies its contiguous
+    values.  Each level of the exact transform (harmonic._radix_levels)
+    and of a coset tower (_tower) is one call.
     """
-    step = _block_rows(len(slabs), out[0].size)
+    step = _block_rows(out[0].size)
     for lo in range(0, len(out), step):
-        t = slabs[:, lo:lo + step].astype(np.intp, copy=False)
+        t = slabs[:, lo:lo + step]
         sums = out[lo:lo + step]
         np.take(values, t[0], axis=0, out=sums, mode="clip")
         for rows in t[1:]:
             sums += np.take(values, rows, axis=0)
 
 
-def blocked_sums(values: np.ndarray, index: np.ndarray):
-    """Yield (lo, sums) over blocks of leading rows of an integer index
-    table (..., m): sums (R, block, ...) is, per row of values (R, size),
-    row[index[lo:hi]] summed over the last axis.
-
-    Each block of index is converted once to intp and holds, with its
-    gather, about _BLOCK_BYTES.  Each row is gathered whole per block and
-    reduced by einsum for integers and .sum for floats, so float sums are
-    bit for bit those of one whole gather.
-    """
-    step = max(1, _BLOCK_BYTES // (8 * index[0].size))
-    add_up = partial(np.einsum, "...j->...") if values.dtype.kind == "i" else partial(np.sum, axis=-1)
-    for lo in range(0, len(index), step):
-        t = index[lo:lo + step].astype(np.intp)
-        sums = np.empty((len(values),) + t.shape[:-1], dtype=values.dtype)
-        for row, out in zip(values, sums):
-            add_up(row[t], out=out)
-        yield lo, sums
-
-
 def coset_argmax(values: np.ndarray, ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(best, row), each (F,): per flat f of coset_table(ctx, k), the
     largest coset sum of one row of values (size,) and the first table
     row that reaches it, so least[f, row[f]] is the lex-least achieving
-    shift.  The row is gathered whole a block of flats at a time
-    (blocked_sums), in values' dtype, which the caller picks wide enough."""
+    shift.  The one whole-table row scan, a block of flats (_BLOCK_BYTES
+    of intp index) at a time, in values' dtype, which the caller picks
+    wide enough: einsum for integers, .sum for floats, so float sums are
+    bit for bit those of one whole gather."""
     table, _ = coset_table(ctx, k)
+    add_up = partial(np.einsum, "...j->...") if values.dtype.kind == "i" else partial(np.sum, axis=-1)
     best = np.empty(len(table), dtype=values.dtype)
     row = np.empty(len(table), dtype=np.intp)
-    for lo, (sums,) in blocked_sums(values[None], table):
-        best[lo:lo + len(sums)] = sums.max(axis=1)
-        row[lo:lo + len(sums)] = sums.argmax(axis=1)
+    step = max(1, _BLOCK_BYTES // (8 * table[0].size))
+    for lo in range(0, len(table), step):
+        sums = add_up(values[table[lo:lo + step].astype(np.intp)])
+        best[lo:lo + step] = sums.max(axis=1)
+        row[lo:lo + step] = sums.argmax(axis=1)
     return best, row
 
 
@@ -499,14 +485,9 @@ def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = Non
     m = len(plan.towers)
     raw = (-1, top.shape[2], len(rows)) + tuple(s for t in lead for s in t[-1].shape[1:])
     axes = (2, *range(3, 2 * m + 1, 2), 0, *range(4, 2 * m + 1, 2), 1)
-    step = max(1, _block_rows(len(top), data.shape[1]) // top.shape[2])
+    step = max(1, _block_rows(data.shape[1]) // top.shape[2])
     for lo in range(0, top.shape[1], step):
         yield lo, _level_sums(data, top[:, lo:lo + step]).reshape(raw).transpose(axes)
-
-
-# Directions per block of perp_index, so that its (directions, N**(n-1), n)
-# coordinate stack stays near this many bytes of int64.
-_PERP_BLOCK_BYTES = 1 << 23
 
 
 @lru_cache(maxsize=None)
@@ -517,14 +498,15 @@ def perp_index(ctx: RingContext) -> np.ndarray:
     u^perp is solved, not searched for: a runs over the sections of u's
     quotient chart (coset_rows'), and per CRT component q = p**e its
     pivot coordinate, where u is 1 and the section 0, is -<u, section> mod
-    q.  A block of directions at a time, so no (P, size) dot product is
-    built; an index past physical memory raises TableMemoryError first.
+    q.  A block of directions (about _BLOCK_BYTES of coordinates) at a
+    time, so no (P, size) dot product is built; an index past physical
+    memory raises TableMemoryError first.
     """
     N, n = ctx.modulus, ctx.dimension
     check_memory(4 * proj_size(N, n) * N**(n - 1))
     dirs = direction_matrix(ctx)
     out = np.empty((len(dirs), N**(n - 1)), dtype=np.int32)
-    step = max(1, _PERP_BLOCK_BYTES // (8 * n * N**(n - 1)))
+    step = max(1, _BLOCK_BYTES // (8 * n * N**(n - 1)))
     for lo in range(0, len(dirs), step):
         u = dirs[lo:lo + step]
         a = _sections(ctx, u[:, None, :])  # (B, n, N**(n-1))

@@ -205,7 +205,7 @@ def verify_plancherel(ctx: RingContext, trials: int, seed: int) -> VerificationR
     worst_exact, worst_float, witness = Fraction(0), 0.0, None
     for lo, f in _stacks(ctx, seed, trials, ctx.size * ctx.modulus):
         s = fourier_forward(f)
-        masses, den = s.masses(np.arange(ctx.size)[None])
+        masses, den = s.masses([np.arange(ctx.size)])
         back = fourier_inverse(s)
         same = (back.num == f.num).all(axis=1) & (back.den == f.den)
         power = power_sum(f.num, 2, axis=1)
@@ -322,6 +322,8 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
     past the bound, a chunk is as many bands of one trial as fit.  The power
     sums are Python ints, compared over a common denominator in (trial, band,
     direction) order: the witness is the first largest gap."""
+    if ctx.dimension < 2:
+        return _skip("divisor-reduction", ctx, "needs n >= 2")
     n, P, qctx = ctx.dimension, len(tables.directions(ctx)), ctx.quotient()
     bands = list(range(ctx.num_bands)) if band is None else [band]
     Q, budget = qctx.size, tables._CHUNK_BYTES // _XRAY_SHARE

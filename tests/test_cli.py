@@ -49,6 +49,26 @@ class TestVerifyCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: p must be prime, got {p}\n"
 
+    @pytest.mark.parametrize("N", ["1", "0"])
+    def test_modulus_below_two_exits_2(self, N, capsys):
+        # N = 1 failed inside einsum with exit 2 and a numpy message
+        code = main(["verify", "--mode", "generic", "-N", N, "-n", "2", "radiusN"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: -N must be at least 2, got {N}\n"
+
+    def test_one_dimensional_ring_skips_divisor_reduction(self, capsys):
+        # the quotient of an n = 1 ring does not exist: divisor-reduction is
+        # skipped as projmax is, and the other checks still report
+        code, out = run_cli(["verify", "--mode", "padic", "-p", "2", "-l", "1", "-n", "1",
+                             "--trials", "2", "all"], capsys)
+        assert code == 0
+        reports = {r["check"]: r for r in json.loads(out)["reports"]}
+        for check in ("divisor-reduction", "projmax"):
+            assert reports[check]["status"] == "skipped"
+            assert reports[check]["details"] == {"skipped": "needs n >= 2"}
+        assert reports["plancherel"]["status"] == "pass"
+
     def test_ci_mode_requires_seed(self, capsys):
         code, _ = run_cli(["verify", *RING, "--ci", "plancherel"], capsys)
         assert code == 2
@@ -163,6 +183,13 @@ class TestSearchCommand:
                            "-k", "3"], capsys)
         assert code == 2
 
+    def test_modulus_below_two_exits_2(self, capsys):
+        # N = 1 died with an AttributeError traceback and exit 1, a failed check's code
+        code = main(["search", "--mode", "generic", "-N", "1", "-n", "2", "-k", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: -N must be at least 2, got 1\n"
+
     def test_oversized_coset_table_exits_3(self, capsys):
         code = main(["search", "-k", "1", "--mode", "padic", "-p", "2", "-l", "10", "-n", "3"])
         assert code == 3
@@ -203,6 +230,14 @@ class TestTransformCommand:
                      "--direction", "1,2,3", "--input", str(path)])
         assert code == 2
         assert capsys.readouterr().err == "error: direction (1, 2, 3) has 3 coordinates, need 2\n"
+
+    def test_modulus_below_two_exits_2(self, density_file, capsys):
+        _, _, path = density_file
+        code = main(["transform", "--mode", "generic", "-N", "1", "-n", "2", "--op", "fourier",
+                     "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: -N must be at least 2, got 1\n"
 
     def test_fourier_round_trip_files(self, density_file, capsys, tmp_path):
         ctx, f, path = density_file

@@ -260,12 +260,36 @@ class TestMasses:
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_mass_blocks(self, monkeypatch, rows):
-        # blocks of one and of two groups, the last block ragged (117 groups)
+        # blocks of gather_sums of one and of two groups, the last block
+        # ragged (117 groups), each group 6 reduced columns
         ctx = RingContext.padic(3, 2, 3)
         perp = tables.perp_index(ctx)
-        monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * perp.shape[1] * rows)
+        monkeypatch.setattr(tables, "_GATHER_BYTES", 8 * 6 * rows)
+        assert tables._block_rows(6) == rows
         s = fourier_forward(random_density(ctx, seed=35))
         assert s.masses(perp)[0].tolist() == masses_dense(s, orthogonality_mask(ctx))[0].tolist()
+
+    def test_perp_masses_are_one_gather_sums(self, monkeypatch):
+        # no second kernel: the u^perp masses of a stack of two spectra are
+        # one gather_sums over the reduced correlations read point-major,
+        # (size, T * phi(N)), one group member per slab
+        assert not hasattr(tables, "blocked_sums")
+        ctx = RingContext.padic(3, 2, 3)
+        perp = tables.perp_index(ctx)
+        s = fourier_forward(stack_of([random_density(ctx, seed=36, trial=t) for t in range(2)]))
+        calls = []
+
+        def spy(values, slabs, out, _real=tables.gather_sums):
+            calls.append((values.shape, slabs.shape, out.shape))
+            _real(values, slabs, out)
+
+        monkeypatch.setattr(tables, "gather_sums", spy)
+        nums, _ = s.masses(perp)
+        assert calls == [((ctx.size, 2 * 6), perp.T.shape, (len(perp), 2 * 6))]
+        for t in range(2):
+            want = masses_dense(Spectrum(ctx, coeffs=s.coeffs[t], den=s.den[t]),
+                                orthogonality_mask(ctx))[0]
+            assert nums[t].tolist() == want.tolist()
 
 
 class TestCorrelations:
@@ -417,10 +441,10 @@ class TestXray:
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_xray_all_blocks(self, monkeypatch, rows):
-        # blocks of one and of five directions (117 directions): gather_sums
-        # blocks of rows lines of 3 slabs (p**k = 3) per direction of one row
+        # blocks of one and of five directions (117 directions): the top
+        # level of one row sums size // N lines a direction
         ctx = RingContext.padic(3, 2, 3)
-        monkeypatch.setattr(tables, "_GATHER_BYTES", 8 * 3 * (ctx.size // ctx.modulus) * rows)
+        monkeypatch.setattr(tables, "_GATHER_BYTES", 8 * (ctx.size // ctx.modulus) * rows)
         f = random_density(ctx, seed=46)
         assert xray_all(f)[0].tolist() == xray_all_gather(f).tolist()
 
@@ -678,7 +702,7 @@ class TestUperp:
         # one direction per block gives the same index
         ctx = RingContext.generic(12, 3)
         whole = tables.perp_index(ctx)
-        monkeypatch.setattr(tables, "_PERP_BLOCK_BYTES", 1)
+        monkeypatch.setattr(tables, "_BLOCK_BYTES", 1)
         tables.perp_index.cache_clear()
         try:
             assert np.array_equal(tables.perp_index(ctx), whole)

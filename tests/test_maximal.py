@@ -249,6 +249,27 @@ class TestCosetArgmax:
                 assert (list(prof.values), list(prof.witnesses)) == brute_profile(
                     g, [flat_points(F) for F in tables.flats(ctx, 2)], 2)
 
+    @pytest.mark.parametrize("blocks", ["one flat", "two flats", "ragged"])
+    def test_blocks_match_one_whole_gather(self, monkeypatch, blocks):
+        # coset_argmax itself, a block of one, two and a ragged number of
+        # flats at a time, against the max and argmax of one whole gather
+        # values[table].sum(-1): int64 and int32 rows, and float rows whose
+        # sums round, bit for bit
+        for ctx, k in [(RingContext.padic(2, 2, 3), 1), (RingContext.padic(2, 2, 3), 2),
+                       (RingContext.generic(12, 2), 1)]:
+            table, _ = tables.coset_table(ctx, k)
+            F = len(table)
+            step = {"one flat": 1, "two flats": 2}.get(blocks) or next(b for b in range(3, F) if F % b)
+            monkeypatch.setattr(tables, "_BLOCK_BYTES", 8 * ctx.size * step)
+            num = np.abs(random_density(ctx, seed=95, dist="uniform-rational").num)
+            floats = np.random.default_rng(95).random(ctx.size) / 3
+            for values in (num, num.astype(np.int32), floats):
+                best, row = tables.coset_argmax(values, ctx, k)
+                whole = values[table].sum(axis=-1)
+                assert best.dtype == values.dtype and row.shape == (F,)
+                assert best.tobytes() == whole.max(axis=1).astype(values.dtype).tobytes()
+                assert np.array_equal(row, whole.argmax(axis=1))
+
 
 class TestCosetTableBuild:
     """The blocked build against the flat-by-flat chart oracle, its rows
