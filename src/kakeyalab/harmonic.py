@@ -120,9 +120,9 @@ def power_sum(x: np.ndarray, p: int, axis: int | None = None):
     The sum runs in int64 when max|x|**p times the number of terms summed
     is under the headroom: by einsum for p = 2, with no temporary of x's
     size, and otherwise through one int64 copy of |x| raised in place.
-    Past the headroom, and for an object array, it runs over Python ints
-    (object dtype), a block of terms (about tables._BLOCK_BYTES of int64)
-    at a time.  So the result is an int64 or an object array (or scalar)."""
+    Past the headroom, and for an object array, it runs over Python ints,
+    a block of terms (tables.blocks: int64, in tables._BLOCK_BYTES) at a
+    time.  So the result is an int64 or an object array (or scalar)."""
     count = x.size if axis is None else x.shape[axis]
     if axis is None:
         terms = x.reshape(-1)
@@ -133,9 +133,8 @@ def power_sum(x: np.ndarray, p: int, axis: int | None = None):
             return np.einsum("...j,...j->...", terms, terms, dtype=np.int64)
         powers = np.abs(terms, dtype=np.int64)
         return np.power(powers, p, out=powers).sum(axis=-1)
-    step = max(1, tables._BLOCK_BYTES * count // (8 * x.size))
-    return sum((np.abs(terms[..., lo:lo + step].astype(object)) ** p).sum(axis=-1)
-               for lo in range(0, count, step))
+    return sum((np.abs(terms[..., block].astype(object)) ** p).sum(axis=-1)
+               for block in tables.blocks(count, 8 * x.size // count, tables._BLOCK_BYTES))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +485,8 @@ def xray_all(f: Density, powers: Sequence[int] | None = None):
     bound allows; a stack past physical memory raises TableMemoryError
     before it is allocated.  The lines of every direction are summed
     through tables.coset_plan, one p-adic tower per CRT component, so no
-    ring builds its line table here; the rows go a chunk (about
-    tables._CHUNK_BYTES) at a time.
+    ring builds its line table here; the rows go a chunk (tables.blocks:
+    their widest level, in tables._CHUNK_BYTES) at a time.
 
     With powers, the X-rays are never held: each block of flats that
     tables.coset_sums yields is folded into sum_y |line sum y|**p per
@@ -511,11 +510,10 @@ def xray_all(f: Density, powers: Sequence[int] | None = None):
         out = [np.empty(lead + (Q,), dtype=np.int64)]
     else:
         out = [np.empty(lead, dtype=np.int64) for _ in powers]
-    step = max(1, tables._CHUNK_BYTES // (dtype.itemsize * plan.width))
-    for r0 in range(0, len(rows), step):
-        chunk = rows[r0:r0 + step].astype(dtype, copy=False)
+    for part in tables.blocks(len(rows), dtype.itemsize * plan.width, tables._CHUNK_BYTES):
+        chunk = rows[part].astype(dtype, copy=False)
         for lo, block in tables.coset_sums(chunk, plan):
-            at = (slice(r0, r0 + len(chunk)), Ellipsis, slice(lo, lo + block.shape[len(plan.towers)]))
+            at = (part, Ellipsis, slice(lo, lo + block.shape[len(plan.towers)]))
             if powers is None:
                 out[0][at + (slice(None),)] = plan.in_rank_order(block)
                 continue

@@ -73,10 +73,10 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, index: np.ndarray |
     induced stack is never built.  Returns (R, F) int64 maxima, flats in
     coset_table order.
 
-    The sums run a chunk of rows (about tables._CHUNK_BYTES) at a time
-    through tables.coset_sums over tables.coset_plan, one p-adic tower per
-    CRT component, in int32 where max|row| * N**k < 2**31: every partial
-    sum of a level is a sum over part of a coset, under the same bound.
+    The sums run a chunk of rows at a time (tables.blocks) through
+    tables.coset_sums over tables.coset_plan, one p-adic tower per CRT
+    component, in int32 where max|row| * N**k < 2**31: every partial sum
+    of a level is a sum over part of a coset, under the same bound.
     """
     if rows.dtype.kind != "i":
         raise TypeError("coset_maxima takes integer numerators")
@@ -84,13 +84,13 @@ def coset_maxima(rows: np.ndarray, ctx: RingContext, k: int, index: np.ndarray |
     dtype = _sum_dtype(_abs_max(rows) * ctx.modulus**k)
     plan = tables.coset_plan(ctx, k)
     m = len(plan.towers)
-    step = max(1, tables._CHUNK_BYTES // (dtype.itemsize * plan.width))
-    # the (chunk, size) rows that coset_sums gathers
-    tables.check_memory(dtype.itemsize * min(step, len(rows)) * ctx.size)
+    # held: the (chunk, size) rows that coset_sums gathers
+    chunks = tables.blocks(len(rows), dtype.itemsize * plan.width, tables._CHUNK_BYTES,
+                           held=dtype.itemsize * ctx.size)
     best = np.empty((len(rows), math.prod(plan.flat_shape)), dtype=np.int64)
-    for lo in range(0, len(rows), step):
-        a = np.abs(rows[lo:lo + step]).astype(dtype, copy=False)
-        out = best[lo:lo + step].reshape((len(a),) + plan.flat_shape)
+    for chunk in chunks:
+        a = np.abs(rows[chunk]).astype(dtype, copy=False)
+        out = best[chunk].reshape((len(a),) + plan.flat_shape)
         for f0, sums in tables.coset_sums(a, plan, index):
             # sums is (rows, F_1, ..., F_(m-1), flats in the block, Q_1, ..., Q_m)
             top = sums.max(axis=tuple(range(-m, 0)))
@@ -155,8 +155,8 @@ def mweight(f: Density, p: int) -> int:
     """
     ctx = f.ctx
     N = ctx.modulus
-    if N % p:
-        raise ValueError(f"{p} does not divide the modulus {N}")
+    if p not in dict(ctx.factorization):
+        raise ValueError(f"{p} is not a prime factor of the modulus {N}")
     if f.lane != "exact" or f.den != 1 or (f.num < 0).any():
         raise ValueError("mweight needs a nonnegative integer-valued density")
     q = 1

@@ -83,6 +83,7 @@ def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[
     Bitmasks of more bytes (F * C * ceil(size / 8), for F flats of C
     cosets each) than the machine's physical memory raise
     tables.TableMemoryError before any is built, as an oversized table does.
+    They are packed a block of flats (tables.blocks: one-hot) at a time.
     """
     table, least = tables.coset_table(ctx, k)  # refuses oversized rings first
     F, C, _ = table.shape
@@ -90,10 +91,9 @@ def translate_options(ctx: RingContext, k: int) -> tuple[tuple[tuple[int, tuple[
     tables.check_memory(F * C * width)
     shifts = tables.coord_grid(ctx)[least].tolist()
     masks = []
-    step = max(1, tables._BLOCK_BYTES // (C * ctx.size))
-    for lo in range(0, F, step):
-        onehot = np.zeros((min(step, F - lo), C, ctx.size), dtype=bool)
-        np.put_along_axis(onehot, table[lo:lo + step], True, axis=2)
+    for block in tables.blocks(F, C * ctx.size, tables._BLOCK_BYTES):
+        onehot = np.zeros((block.stop - block.start, C, ctx.size), dtype=bool)
+        np.put_along_axis(onehot, table[block], True, axis=2)
         data = np.packbits(onehot, axis=2, bitorder="little").tobytes()
         masks += [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
     return tuple(tuple(zip(masks[f * C:(f + 1) * C], map(tuple, pts))) for f, pts in enumerate(shifts))
@@ -122,8 +122,8 @@ def _coset_of(table: np.ndarray, size: int) -> np.ndarray:
     """(F, size): entry [f, x] is the row of table of the coset of flat f
     that holds point x, in the smallest unsigned dtype that holds C - 1.
 
-    One scatter of the table rows, a block of flats (about
-    tables._BLOCK_BYTES of intp index) at a time.  More bytes than the
+    One scatter of the table rows, a block of flats (tables.blocks: its
+    intp index, in tables._BLOCK_BYTES) at a time.  More bytes than the
     machine's physical memory raise tables.TableMemoryError before any is
     allocated.
     """
@@ -132,10 +132,8 @@ def _coset_of(table: np.ndarray, size: int) -> np.ndarray:
     tables.check_memory(dtype.itemsize * F * size)
     out = np.empty((F, size), dtype=dtype)
     flat_out = out.reshape(-1)
-    step = max(1, tables._BLOCK_BYTES // (8 * size))
-    for lo in range(0, F, step):
-        block = table[lo:lo + step]
-        index = block + (np.arange(lo, lo + len(block), dtype=np.intp) * size)[:, None, None]
+    for block in tables.blocks(F, 8 * size, tables._BLOCK_BYTES):
+        index = table[block] + (np.arange(block.start, block.stop, dtype=np.intp) * size)[:, None, None]
         flat_out[index] = np.arange(C, dtype=dtype)[:, None]
     return out
 
@@ -156,9 +154,9 @@ def _orbit_representatives(ctx: RingContext, least: np.ndarray,
     makes one orbit of flat 0's cosets.  The S_i are a chain of subgroups,
     a strict step at least halving one: one pass per run of equal S_i
     other than S_0 and {0} (singleton orbits), at most log2(size), in
-    blocks of flats (tables._BLOCK_BYTES) of C * |S_i| * (n + 1) int64 a
-    flat; a block past physical memory raises tables.TableMemoryError
-    before it is built.
+    blocks of flats (tables.blocks) of C * |S_i| * (n + 1) int64 a flat;
+    a block past physical memory raises tables.TableMemoryError before its
+    pass is built.
     """
     N, n = ctx.modulus, ctx.dimension
     F, C = least.shape
@@ -170,10 +168,9 @@ def _orbit_representatives(ctx: RingContext, least: np.ndarray,
         outside = np.append((coset_of[a:F - 1, inside] != 0).any(axis=1), True)
         b = a + 1 + int(outside.argmax())  # U_a, ..., U_(b-2) hold S_a
         s = grid[inside]
-        step = max(1, tables._BLOCK_BYTES // (8 * (n + 1) * C * len(s)))
-        for lo in range(a, b, step):
-            hi = min(b, lo + step)
-            tables.check_memory(8 * (n + 1) * (hi - lo) * C * len(s))
+        item = 8 * (n + 1) * C * len(s)
+        for block in tables.blocks(b - a, item, tables._BLOCK_BYTES, held=item):
+            lo, hi = a + block.start, a + block.stop
             points, index = grid[least[lo:hi]], np.arange(lo, hi)[:, None, None]
             for d in range(n):  # not @, a slow int matmul
                 index = index * N + (points[:, :, None, d] + s[:, d]) % N

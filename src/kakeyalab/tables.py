@@ -22,12 +22,14 @@ read only by coset_argmax, the one whole-row scan, one row with its
 lex-least witnesses (the maximal profiles, mweight, certify), and by the
 search; perp_index and lift_map solve u^perp and the lift of (u, w) from
 the chart.  Allocations that scale with the ring, the enumerations of
-directions and flats included, are first checked against physical memory
-by check_memory, the one resource guard.
+directions and flats included, are first checked by check_memory, the one
+resource guard; every block and chunk of work in the package is sized by
+blocks, the one block planner.
 """
 from __future__ import annotations
 
 import os
+import resource
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -39,10 +41,10 @@ from .ring import RingContext, _crt_basis, factorize
 
 
 class TableMemoryError(EnumerationCapError):
-    """A table refused because its bytes exceed the machine's physical memory."""
+    """A table refused because its bytes exceed the memory it may take."""
 
-    def __init__(self, nbytes: int, memory: int):
-        super().__init__(f"table of {nbytes} bytes exceeds physical memory of {memory} bytes")
+    def __init__(self, nbytes: int, memory: int, bound: str = "physical memory"):
+        super().__init__(f"table of {nbytes} bytes exceeds {bound} of {memory} bytes")
         self.estimate = nbytes
         self.memory = memory
 
@@ -53,10 +55,23 @@ def _physical_memory() -> int:
 
 
 def check_memory(nbytes: int) -> None:
-    """Refuse (TableMemoryError) nbytes past the machine's physical memory."""
-    memory = _physical_memory()
+    """Refuse (TableMemoryError) nbytes past the machine's physical memory,
+    or past the soft RLIMIT_AS (ulimit -v) where that is set and lower."""
+    memory, limit = _physical_memory(), resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY and limit < memory and nbytes > limit:
+        raise TableMemoryError(nbytes, limit, "the address-space limit (RLIMIT_AS)")
     if nbytes > memory:
         raise TableMemoryError(nbytes, memory)
+
+
+def blocks(count: int, item_bytes: int, budget: int, held: int = 0) -> list[slice]:
+    """range(count) as slices of max(1, budget // item_bytes) items, the
+    last ragged: the one block planner.  With held, the bytes a block holds
+    per item, the first block (the largest) is checked by check_memory."""
+    step = max(1, budget // item_bytes)
+    if held:
+        check_memory(held * min(step, count))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -197,10 +212,10 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     smallest rank in each row, ascending along each flat.  Flats follow
     directions(ctx) for k = 1 and flats(ctx, k) above.
 
-    The rows are built a block of flats (about _BLOCK_BYTES of ranks) at a
-    time by coset_rows.  A table of more bytes (itemsize * F * size) than
-    the machine's physical memory raises TableMemoryError before anything
-    is enumerated.
+    The rows are built a block of flats (blocks: their ranks, in
+    _BLOCK_BYTES) at a time by coset_rows.  A table of more bytes
+    (itemsize * F * size) than check_memory allows raises TableMemoryError
+    before anything is enumerated.
     """
     N, n = ctx.modulus, ctx.dimension
     if not 1 <= k <= n:
@@ -211,13 +226,12 @@ def coset_table(ctx: RingContext, k: int) -> tuple[np.ndarray, np.ndarray]:
     gens = _generators(ctx, k)
     table = np.empty((F, ctx.size // N**k, N**k), dtype=dtype)
     least = np.empty(table.shape[:2], dtype=dtype)
-    step = max(1, _BLOCK_BYTES // (dtype.itemsize * ctx.size))
-    for lo in range(0, F, step):
-        rows = coset_rows(ctx, gens[lo:lo + step])
+    for block in blocks(F, dtype.itemsize * ctx.size, _BLOCK_BYTES):
+        rows = coset_rows(ctx, gens[block])
         low = rows.min(axis=2)
         order = low.argsort(axis=1) + np.arange(len(low))[:, None] * low.shape[1]  # into low.flat
-        np.take(rows.reshape(-1, N**k), order, axis=0, out=table[lo:lo + step])
-        np.take(low, order, out=least[lo:lo + step])
+        np.take(rows.reshape(-1, N**k), order, axis=0, out=table[block])
+        np.take(low, order, out=least[block])
     return _freeze(table), _freeze(least)
 
 
@@ -246,27 +260,21 @@ _CHUNK_BYTES = 1 << 24
 _GATHER_BYTES = 1 << 19
 
 
-def _block_rows(columns: int) -> int:
-    """Output rows per block of gather_sums with columns values a row."""
-    return max(1, _GATHER_BYTES // (8 * columns))
-
-
 def gather_sums(values: np.ndarray, slabs: np.ndarray, out: np.ndarray) -> None:
     """out[r] = sum_j values[slabs[j, r]]: the one gather-add kernel.
 
     values is a (size, ...) stack, slabs an (m, R) integer index table,
     one slab per term, and out (R, ...) in values' dtype.  A block of
-    output rows (_block_rows: its values, not its index, as the u^perp
-    masses take N**(n-1) slabs of a few columns) at a time, each slab is
+    output rows (blocks: its values, not its index, as the u^perp masses
+    take N**(n-1) slabs of a few columns) at a time, each slab is
     gathered by np.take, the first into out (with mode="clip", which numpy
     does not buffer), so every gathered point copies its contiguous
     values.  Each level of the exact transform (harmonic._radix_levels)
     and of a coset tower (_tower) is one call.
     """
-    step = _block_rows(out[0].size)
-    for lo in range(0, len(out), step):
-        t = slabs[:, lo:lo + step]
-        sums = out[lo:lo + step]
+    for block in blocks(len(out), 8 * out[0].size, _GATHER_BYTES):
+        t = slabs[:, block]
+        sums = out[block]
         np.take(values, t[0], axis=0, out=sums, mode="clip")
         for rows in t[1:]:
             sums += np.take(values, rows, axis=0)
@@ -276,19 +284,18 @@ def coset_argmax(values: np.ndarray, ctx: RingContext, k: int) -> tuple[np.ndarr
     """(best, row), each (F,): per flat f of coset_table(ctx, k), the
     largest coset sum of one row of values (size,) and the first table
     row that reaches it, so least[f, row[f]] is the lex-least achieving
-    shift.  The one whole-table row scan, a block of flats (_BLOCK_BYTES
-    of intp index) at a time, in values' dtype, which the caller picks
+    shift.  The one whole-table row scan, a block of flats (blocks: intp
+    index) at a time, in values' dtype, which the caller picks
     wide enough: einsum for integers, .sum for floats, so float sums are
     bit for bit those of one whole gather."""
     table, _ = coset_table(ctx, k)
     add_up = partial(np.einsum, "...j->...") if values.dtype.kind == "i" else partial(np.sum, axis=-1)
     best = np.empty(len(table), dtype=values.dtype)
     row = np.empty(len(table), dtype=np.intp)
-    step = max(1, _BLOCK_BYTES // (8 * table[0].size))
-    for lo in range(0, len(table), step):
-        sums = add_up(values[table[lo:lo + step].astype(np.intp)])
-        best[lo:lo + step] = sums.max(axis=1)
-        row[lo:lo + step] = sums.argmax(axis=1)
+    for block in blocks(len(table), 8 * table[0].size, _BLOCK_BYTES):
+        sums = add_up(values[table[block].astype(np.intp)])
+        best[block] = sums.max(axis=1)
+        row[block] = sums.argmax(axis=1)
     return best, row
 
 
@@ -330,7 +337,8 @@ def _tower(gens: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
     coset's index plus C_(j+1) times its flat's.  Level 0 is U itself in
     gens order, its cosets the quotient points y, section(y) in coset_rows'
     chart; level ell is the points.  Level j > 0 keeps its flats in the
-    order np.unique sorts the bytes of their reduced generators.
+    order np.unique sorts the bytes of their reduced generators, and is
+    built a block of flats (blocks: int64 entries, in _BLOCK_BYTES) at once.
     """
     F, k, n = gens.shape
     ((p, ell),) = factorize(q)
@@ -362,9 +370,8 @@ def _tower(gens: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
         base = (digits * weights[:, :, None]).sum(axis=1)  # the index below of c itself
         which = np.searchsorted(patterns, codes)
         level = np.empty((p**k, Fm, C), dtype=dtype)
-        step = max(1, _BLOCK_BYTES // (8 * C * p**k))
-        for lo in range(0, Fm, step):
-            flats, pat = rep[lo:lo + step], which[lo:lo + step]
+        for block in blocks(Fm, 8 * C * p**k, _BLOCK_BYTES):
+            flats, pat = rep[block], which[block]
             offsets = p**j * (steps @ gens[flats]) % q  # (B, p**k, n)
             w = weights[pat]
             # linear in the digits of c + p**j s g but for each coordinate
@@ -374,7 +381,7 @@ def _tower(gens: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
             for col in np.flatnonzero(~pivot[pat].all(axis=0)):
                 ids -= (digits[pat, col][:, None, :] >= q - offsets[:, :, col, None]) * (
                     q * w[:, col, None, None])
-            level[:, lo:lo + step] = ids.transpose(1, 0, 2)
+            level[:, block] = ids.transpose(1, 0, 2)
         levels.append(_freeze(level))
     return tuple(levels)
 
@@ -467,8 +474,8 @@ def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = Non
     leading axis, so every later component and the rows are its columns,
     one copy of each gathered point; after its level 0, (F_c, Q_c) move
     behind them, for component c + 1.  Every level but the last is summed
-    whole; the last is summed and yielded a block of gather_sums at a time,
-    one flat at least.
+    whole; the last is summed and yielded a block of flats (blocks: their
+    sums, in _GATHER_BYTES, as gather_sums) at a time, one flat at least.
     """
     *lead, last = plan.towers
     points = index if plan.points is None else plan.points if index is None else index[plan.points]
@@ -485,9 +492,8 @@ def coset_sums(rows: np.ndarray, plan: CosetPlan, index: np.ndarray | None = Non
     m = len(plan.towers)
     raw = (-1, top.shape[2], len(rows)) + tuple(s for t in lead for s in t[-1].shape[1:])
     axes = (2, *range(3, 2 * m + 1, 2), 0, *range(4, 2 * m + 1, 2), 1)
-    step = max(1, _block_rows(data.shape[1]) // top.shape[2])
-    for lo in range(0, top.shape[1], step):
-        yield lo, _level_sums(data, top[:, lo:lo + step]).reshape(raw).transpose(axes)
+    for block in blocks(top.shape[1], 8 * data.shape[1] * top.shape[2], _GATHER_BYTES):
+        yield block.start, _level_sums(data, top[:, block]).reshape(raw).transpose(axes)
 
 
 @lru_cache(maxsize=None)
@@ -498,22 +504,21 @@ def perp_index(ctx: RingContext) -> np.ndarray:
     u^perp is solved, not searched for: a runs over the sections of u's
     quotient chart (coset_rows'), and per CRT component q = p**e its
     pivot coordinate, where u is 1 and the section 0, is -<u, section> mod
-    q.  A block of directions (about _BLOCK_BYTES of coordinates) at a
-    time, so no (P, size) dot product is built; an index past physical
+    q.  A block of directions (blocks: its coordinates, in _BLOCK_BYTES)
+    at a time, so no (P, size) dot product is built; an index past physical
     memory raises TableMemoryError first.
     """
     N, n = ctx.modulus, ctx.dimension
     check_memory(4 * proj_size(N, n) * N**(n - 1))
     dirs = direction_matrix(ctx)
     out = np.empty((len(dirs), N**(n - 1)), dtype=np.int32)
-    step = max(1, _BLOCK_BYTES // (8 * n * N**(n - 1)))
-    for lo in range(0, len(dirs), step):
-        u = dirs[lo:lo + step]
+    for block in blocks(len(dirs), 8 * n * N**(n - 1), _BLOCK_BYTES):
+        u = dirs[block]
         a = _sections(ctx, u[:, None, :])  # (B, n, N**(n-1))
         dots = np.einsum("bj,bjy->by", u, a)
         for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)):
             a[np.arange(len(u)), (u % p != 0).argmax(axis=1)] += e * (-dots % q)
-        out[lo:lo + step] = np.sort(rank_points((a % N).transpose(0, 2, 1), ctx), axis=1)
+        out[block] = np.sort(rank_points((a % N).transpose(0, 2, 1), ctx), axis=1)
     return _freeze(out)
 
 
@@ -529,9 +534,9 @@ def lift_map(ctx: RingContext) -> np.ndarray:
     {u - u_j s, s} in pivot order is enumerate_grassmannian's echelon
     form.  The components are combined by the idempotents and each lift
     is found among the flats by its generators read in base N, a block of
-    directions at a time.  No coset table is read.  Before any flat is
-    enumerated, a ring whose codes pass intp raises OverflowError, and a
-    map of more bytes than physical memory TableMemoryError.
+    directions (blocks) at a time.  No coset table is read.  Before any
+    flat is enumerated, a ring whose codes pass intp raises OverflowError,
+    and a map of more bytes than physical memory TableMemoryError.
     """
     N, n = ctx.modulus, ctx.dimension
     if N**(2 * n) > np.iinfo(np.intp).max:
@@ -544,9 +549,8 @@ def lift_map(ctx: RingContext) -> np.ndarray:
     dirs = direction_matrix(ctx)[:, None, :]  # (P, 1, n)
     w = rank_points(direction_matrix(qctx), qctx)  # each w as a quotient point
     out = np.empty((len(dirs), len(w)), dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (16 * n * len(w)))
-    for lo in range(0, len(dirs), step):
-        u = dirs[lo:lo + step]
+    for block in blocks(len(dirs), 16 * n * len(w), _BLOCK_BYTES):
+        u = dirs[block]
         s = _sections(ctx, u, w).transpose(0, 2, 1)  # (B, Pq, n)
         gens = 0
         for (p, _), (q, e) in zip(ctx.factorization, _crt_basis(N)):
@@ -558,6 +562,6 @@ def lift_map(ctx: RingContext) -> np.ndarray:
         lifts = np.ravel_multi_index(tuple((gens % N).reshape(-1, 2 * n).T), dims)
         at = order[np.minimum(np.searchsorted(codes, lifts, sorter=order), len(codes) - 1)]
         if not (codes[at] == lifts).all():
-            raise LookupError(f"a lift of directions {lo} on is not a canonical 2-flat")
-        out[lo:lo + step] = at.reshape(-1, len(w))
+            raise LookupError(f"a lift of directions {block.start} on is not a canonical 2-flat")
+        out[block] = at.reshape(-1, len(w))
     return _freeze(out)

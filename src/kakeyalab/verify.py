@@ -127,15 +127,13 @@ def _stacks(ctx: RingContext, seed: int, trials: int, width: int, extra: Sequenc
             budget: int | None = None) -> Iterator[tuple[int, Density]]:
     """The corpus, drawn once, then extra, as (first trial, Density) chunks of as
     many trials as fit the widest stack that a chunk of the check holds, width
-    int64s a trial, in budget (or tables._CHUNK_BYTES) bytes.  A chunk whose
-    stack would pass physical memory raises TableMemoryError before it is drawn."""
+    int64s a trial, in budget (or tables._CHUNK_BYTES) bytes, by tables.blocks.
+    A first chunk past physical memory raises TableMemoryError before any is drawn."""
     draws = itertools.chain(_corpus(ctx, seed, trials), ((f.num, f.den) for f in extra))
     total = trials + len(extra)
-    step = max(1, (budget or tables._CHUNK_BYTES) // (8 * width))
-    for lo in range(0, total, step):
-        tables.check_memory(8 * width * min(step, total - lo))
-        nums, dens = zip(*itertools.islice(draws, step))
-        yield lo, Density(ctx, num=nums, den=dens)
+    for chunk in tables.blocks(total, 8 * width, budget or tables._CHUNK_BYTES, held=8 * width):
+        nums, dens = zip(*itertools.islice(draws, chunk.stop - chunk.start))
+        yield chunk.start, Density(ctx, num=nums, den=dens)
 
 
 _XRAY_SHARE = 16  # divisor-reduction's 1 MiB X-ray stacks stay in cache (BENCH_28.json)
@@ -319,20 +317,21 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
     projection into its bands, one X-ray pass and one quotient-side
     coset_maxima over its (trial, band) rows, and per band (M_{i+1} differs)
     one induce_rows and one finite-scale coset_maxima over that band's rows;
-    past the bound, a chunk is as many bands of one trial as fit.  The power
-    sums are Python ints, compared over a common denominator in (trial, band,
-    direction) order: the witness is the first largest gap."""
+    past the bound, a chunk is as many bands of one trial as fit (tables.blocks
+    plans both).  The power sums are Python ints, compared over a common
+    denominator in (trial, band, direction) order: the witness is the first
+    largest gap."""
     if ctx.dimension < 2:
         return _skip("divisor-reduction", ctx, "needs n >= 2")
     n, P, qctx = ctx.dimension, len(tables.directions(ctx)), ctx.quotient()
     bands = list(range(ctx.num_bands)) if band is None else [band]
     Q, budget = qctx.size, tables._CHUNK_BYTES // _XRAY_SHARE
-    group = min(len(bands), max(1, budget // (8 * P * Q)))  # bands projected at once
+    parts = [bands[b] for b in tables.blocks(len(bands), 8 * P * Q, budget)]  # projected at once
     # a line maximum at modulus M is best / (den * M): a side's mean is over den**(n-1) * scale
     lhs_scale = qctx.modulus ** (n - 1) * len(tables.directions(qctx))
     worst, witness, violations = Fraction(0), None, []
-    for lo, f in _stacks(ctx, seed, trials, group * P * Q, budget=budget):
-        for part in (bands[b:b + group] for b in range(0, len(bands), group)):
+    for lo, f in _stacks(ctx, seed, trials, len(parts[0]) * P * Q, budget=budget):
+        for part in parts:
             nums, den = xray_all(band_project(f, part))  # row t * G + b: band part[b] of trial t
             nums, G = nums.reshape(len(f.num), len(part), P, Q), len(part)
             lhs = _line_moments(nums.reshape(-1, Q), qctx, n - 1).reshape(-1, G, P)

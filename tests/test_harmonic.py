@@ -265,7 +265,7 @@ class TestMasses:
         ctx = RingContext.padic(3, 2, 3)
         perp = tables.perp_index(ctx)
         monkeypatch.setattr(tables, "_GATHER_BYTES", 8 * 6 * rows)
-        assert tables._block_rows(6) == rows
+        assert tables.blocks(len(perp), 8 * 6, tables._GATHER_BYTES)[0] == slice(0, rows)
         s = fourier_forward(random_density(ctx, seed=35))
         assert s.masses(perp)[0].tolist() == masses_dense(s, orthogonality_mask(ctx))[0].tolist()
 

@@ -841,6 +841,13 @@ class TestMweight:
         ctx = RingContext.padic(3, 1, 2)
         with pytest.raises(ValueError):
             mweight(Density.constant(ctx, 1), 2)
+        # not a prime factor: 0 divided by zero and 1 and -1 never ended
+        # the loop over the powers of p; 6 divides 12 but is no prime
+        for p in (0, 1, -1):
+            with pytest.raises(ValueError):
+                mweight(Density.constant(ctx, 1), p)
+        with pytest.raises(ValueError):
+            mweight(Density.constant(RingContext.generic(12, 2), 1), 6)
 
     def test_rejects_fractional(self):
         ctx = RingContext.padic(2, 1, 2)
