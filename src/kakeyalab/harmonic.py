@@ -31,7 +31,7 @@ int64 again.
 Densities and spectra may be stacks of T rows, each over its own
 denominator.  The transforms, xray_all, band_project and Spectrum.masses
 run one density as a stack of one, so a check takes each exact step once
-per chunk of trials: as many as fit tables._CHUNK_BYTES in the widest
+per chunk of trials: as many as fit tables._STACK_BYTES in the widest
 stack that a chunk of the check holds.  Every headroom check bounds each
 row on its own.
 """
@@ -326,10 +326,10 @@ class Spectrum:
         numerators, den**2) in the exact lane, (floats, None) in the float
         lane; a stack gives (T, groups) numerators and T denominators.
 
-        groups is a sequence of rank arrays, each free of repeats; a 2-D
-        array (equal-size groups, such as tables.perp_index) is summed by
-        one tables.gather_sums (see _group_sums).  The float lane sums
-        through the 0/1 (groups, size) mask, one matrix product."""
+        groups is a sequence of rank arrays, each free of repeats, or
+        slices; a 2-D array (equal-size groups, such as tables.perp_index)
+        is summed by one tables.gather_sums (see _group_sums).  The float
+        lane sums through the 0/1 (groups, size) mask, one matrix product."""
         if self.lane == "exact":
             return _rationalize(self.correlations(), self.ctx.modulus, groups), self.den**2
         mask = np.zeros((len(groups), self.ctx.size), dtype=bool)
@@ -339,7 +339,7 @@ class Spectrum:
 
     def plancherel(self):
         """sum_a |f^(a)|**2, exact in the exact lane."""
-        nums, den = self.masses([np.arange(self.ctx.size)])
+        nums, den = self.masses([slice(None)])
         return Fraction(int(nums[0]), den) if self.lane == "exact" else float(nums[0])
 
 
@@ -364,10 +364,10 @@ def _group_sums(x: np.ndarray, groups) -> np.ndarray:
 
     A 2-D array of equal-size groups is one tables.gather_sums over x read
     point-major, (size, T*c), one group member per slab; any other groups
-    are summed one group at a time."""
+    are summed one group at a time, a slice with no copy."""
     T, size, c = x.shape
     if not (isinstance(groups, np.ndarray) and groups.ndim == 2):
-        return np.stack([x.take(g, axis=1).sum(axis=1) for g in groups], axis=1)
+        return np.stack([x[:, g].sum(axis=1) for g in groups], axis=1)
     out = np.empty((len(groups), T, c), dtype=x.dtype)
     values = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(size, T * c)
     tables.gather_sums(values, groups.T, out.reshape(len(groups), -1))
@@ -553,22 +553,26 @@ def xray_l2_spectral(f: Density | Spectrum):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def band_valuation_sets(ctx: RingContext) -> tuple[frozenset[int], ...]:
     """Partition of the dual valuations (divisors of N) into scale bands.
 
     NUMERIC: band i holds the v with M_i <= v < M_{i+1}.  DIVISIBILITY:
     band i holds the v with v | M_i and v not | M_{i-1}.  The two agree in
     p-adic mode; they differ over factorial scales, where only the
-    divisibility reading keeps every band coset-constant.
+    divisibility reading keeps every band coset-constant, and every call
+    that reads the numeric one there warns.  The partition is cached.
     """
+    if ctx.scale_semantics is ScaleSemantics.NUMERIC and isinstance(ctx.mode, Profinite):
+        warnings.warn("numeric band semantics over factorial scales: coset constancy "
+                      "of band components may fail", stacklevel=2)
+    return _band_partition(ctx)
+
+
+@lru_cache(maxsize=None)
+def _band_partition(ctx: RingContext) -> tuple[frozenset[int], ...]:
     divisors = ctx.divisors()
     bands = []
     if ctx.scale_semantics is ScaleSemantics.NUMERIC:
-        if isinstance(ctx.mode, Profinite):
-            warnings.warn(
-                "numeric band semantics over factorial scales: coset constancy "
-                "of band components may fail", stacklevel=2)
         for i in range(ctx.num_bands):
             lo = scale(i, ctx)
             hi = scale(i + 1, ctx, beyond_truncation=True)

@@ -245,11 +245,14 @@ _BLOCK_BYTES = 1 << 18
 
 # Bytes that one chunk of rows holds: the rows of maximal.coset_maxima and
 # harmonic.xray_all, in the dtype of their sums, times the widest level of
-# their coset plan (CosetPlan.width, at least the row itself), and the
-# widest stack of a chunk of trials of a check in verify.  A tall stack
-# gathered at once could take tens of GiB (the induced X-rays of
+# their coset plan (CosetPlan.width, at least the row itself).  A tall
+# stack gathered at once could take tens of GiB (the induced X-rays of
 # profinite(3,3) band 3 would take about 45 GiB).
 _CHUNK_BYTES = 1 << 24
+# Bytes of the widest stack of a chunk of trials of a check in verify, and of
+# divisor-reduction's band groups: against _CHUNK_BYTES, default `verify all`
+# peaks at half the memory and runs no slower (BENCH_32.json).
+_STACK_BYTES = 1 << 20
 
 
 # Bytes of the values that one block of gather_sums gathers from a slab.

@@ -123,20 +123,17 @@ def _corpus(ctx: RingContext, seed: int, trials: int) -> Iterable[tuple[np.ndarr
     return (_draw(ctx, seed, DISTRIBUTIONS[t % len(DISTRIBUTIONS)], t) for t in range(trials))
 
 
-def _stacks(ctx: RingContext, seed: int, trials: int, width: int, extra: Sequence[Density] = (),
-            budget: int | None = None) -> Iterator[tuple[int, Density]]:
+def _stacks(ctx: RingContext, seed: int, trials: int, width: int,
+            extra: Sequence[Density] = ()) -> Iterator[tuple[int, Density]]:
     """The corpus, drawn once, then extra, as (first trial, Density) chunks of as
     many trials as fit the widest stack that a chunk of the check holds, width
-    int64s a trial, in budget (or tables._CHUNK_BYTES) bytes, by tables.blocks.
+    int64s a trial, in tables._STACK_BYTES (one at least), by tables.blocks.
     A first chunk past physical memory raises TableMemoryError before any is drawn."""
     draws = itertools.chain(_corpus(ctx, seed, trials), ((f.num, f.den) for f in extra))
     total = trials + len(extra)
-    for chunk in tables.blocks(total, 8 * width, budget or tables._CHUNK_BYTES, held=8 * width):
+    for chunk in tables.blocks(total, 8 * width, tables._STACK_BYTES, held=8 * width):
         nums, dens = zip(*itertools.islice(draws, chunk.stop - chunk.start))
         yield chunk.start, Density(ctx, num=nums, den=dens)
-
-
-_XRAY_SHARE = 16  # divisor-reduction's 1 MiB X-ray stacks stay in cache (BENCH_28.json)
 
 
 def _power_means(f: Density, power: int) -> list[Fraction]:
@@ -203,7 +200,7 @@ def verify_plancherel(ctx: RingContext, trials: int, seed: int) -> VerificationR
     worst_exact, worst_float, witness = Fraction(0), 0.0, None
     for lo, f in _stacks(ctx, seed, trials, ctx.size * ctx.modulus):
         s = fourier_forward(f)
-        masses, den = s.masses([np.arange(ctx.size)])
+        masses, den = s.masses([slice(None)])
         back = fourier_inverse(s)
         same = (back.num == f.num).all(axis=1) & (back.den == f.den)
         power = power_sum(f.num, 2, axis=1)
@@ -313,24 +310,24 @@ def verify_divisor_reduction(ctx: RingContext, band: int | None, trials: int,
     component.  If the band is not coset-constant (numeric semantics over
     factorial scales), the constancy violation is reported instead.
 
-    A chunk of trials (_stacks, by its X-ray stack: _XRAY_SHARE) takes one
-    projection into its bands, one X-ray pass and one quotient-side
-    coset_maxima over its (trial, band) rows, and per band (M_{i+1} differs)
-    one induce_rows and one finite-scale coset_maxima over that band's rows;
-    past the bound, a chunk is as many bands of one trial as fit (tables.blocks
-    plans both).  The power sums are Python ints, compared over a common
-    denominator in (trial, band, direction) order: the witness is the first
-    largest gap."""
+    A chunk of trials (_stacks, by its X-ray stack) takes one projection
+    into its bands, one X-ray pass and one quotient-side coset_maxima over
+    its (trial, band) rows, and per band (M_{i+1} differs) one induce_rows
+    and one finite-scale coset_maxima over that band's rows; past
+    tables._STACK_BYTES, a chunk is as many bands of one trial as fit
+    (tables.blocks plans both).  The power sums are Python ints, compared
+    over a common denominator in (trial, band, direction) order: the
+    witness is the first largest gap."""
     if ctx.dimension < 2:
         return _skip("divisor-reduction", ctx, "needs n >= 2")
     n, P, qctx = ctx.dimension, len(tables.directions(ctx)), ctx.quotient()
     bands = list(range(ctx.num_bands)) if band is None else [band]
-    Q, budget = qctx.size, tables._CHUNK_BYTES // _XRAY_SHARE
-    parts = [bands[b] for b in tables.blocks(len(bands), 8 * P * Q, budget)]  # projected at once
+    Q = qctx.size  # parts: the bands that a chunk projects at once
+    parts = [bands[b] for b in tables.blocks(len(bands), 8 * P * Q, tables._STACK_BYTES)]
     # a line maximum at modulus M is best / (den * M): a side's mean is over den**(n-1) * scale
     lhs_scale = qctx.modulus ** (n - 1) * len(tables.directions(qctx))
     worst, witness, violations = Fraction(0), None, []
-    for lo, f in _stacks(ctx, seed, trials, len(parts[0]) * P * Q, budget=budget):
+    for lo, f in _stacks(ctx, seed, trials, len(parts[0]) * P * Q):
         for part in parts:
             nums, den = xray_all(band_project(f, part))  # row t * G + b: band part[b] of trial t
             nums, G = nums.reshape(len(f.num), len(part), P, Q), len(part)

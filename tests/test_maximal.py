@@ -496,6 +496,12 @@ def staged_rows(ctx, count, seed):
     return rng.integers(-60, 61, (count, ctx.size)) * (1 + np.arange(count))[:, None] ** 3
 
 
+def last_flat_bytes(ctx, k):
+    """The bytes of one flat of one row at the last level of coset_sums."""
+    *lead, last = tables.coset_plan(ctx, k).towers
+    return 8 * last[-1].shape[2] * math.prod(s for t in lead for s in t[-1].shape[1:])
+
+
 def plan_sums(rows, ctx, k):
     """(R, F, cosets) coset sums of rows through coset_sums, in rank order."""
     plan = tables.coset_plan(ctx, k)
@@ -703,18 +709,42 @@ class TestCosetPlan:
 
     @pytest.mark.parametrize("ctx", TOWER_RINGS, ids=lambda c: c.describe())
     def test_tower_maxima_and_xrays_in_small_pieces(self, monkeypatch, ctx):
-        # one flat per block, chunks of one row and of three
+        # chunks of one row and of three; per k, gather blocks just under
+        # two flats of one row of the plan's last level, so every block of
+        # that level holds one flat, and gather blocks hold several output
+        # rows, the last ragged
         rows = staged_rows(ctx, 13, 86)
         maxima = {k: one_table_sums(np.abs(rows), ctx, k).max(axis=-1).tolist()
                   for k in tower_ks(ctx)}
         xrays = one_table_sums(rows, ctx, 1).tolist()
         width = tables.coset_plan(ctx, 1).width
-        for chunk_rows, block in itertools.product((1, 3), (1, 1 << 30)):
+        flats, gathers = [], []
+
+        def counted(rows, plan, index=None, _real=tables.coset_sums):
+            for lo, sums in _real(rows, plan, index):
+                flats.append(sums.shape[len(plan.towers)])
+                yield lo, sums
+
+        def planned(count, item_bytes, budget, held=0, _real=tables.blocks):
+            got = _real(count, item_bytes, budget, held)
+            gathers.append([len(range(count)[b]) for b in got])
+            return got
+
+        monkeypatch.setattr(tables, "coset_sums", counted)
+        monkeypatch.setattr(tables, "blocks", planned)
+        for chunk_rows, small in itertools.product((1, 3), (True, False)):
             monkeypatch.setattr(tables, "_CHUNK_BYTES", 4 * width * chunk_rows)
-            monkeypatch.setattr(tables, "_GATHER_BYTES", block)
             for k, want in maxima.items():
+                block = 2 * last_flat_bytes(ctx, k) - 8 if small else 1 << 30
+                monkeypatch.setattr(tables, "_GATHER_BYTES", block)
                 assert coset_maxima(rows, ctx, k).tolist() == want
-            assert xray_all(Density(ctx, num=rows, den=[1] * 13))[0].tolist() == xrays
+                if k == 1:
+                    assert xray_all(Density(ctx, num=rows, den=[1] * 13))[0].tolist() == xrays
+            if small:
+                assert set(flats) == {1}
+                assert any(len(b) > 1 and b[0] > 1 and b[-1] < b[0] for b in gathers)
+            flats.clear()
+            gathers.clear()
 
     @pytest.mark.parametrize("ctx", [RingContext.padic(2, 2, 2), RingContext.padic(3, 3, 2),
                                      RingContext.profinite(3, 2)], ids=lambda c: c.describe())

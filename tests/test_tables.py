@@ -57,12 +57,13 @@ class TestBlocks:
             return _real(*args)
 
         monkeypatch.setattr(verify, "_draw", draw)
+        monkeypatch.setattr(tables, "_STACK_BYTES", 8 * ctx.size * 3)
         monkeypatch.setattr(tables, "_physical_memory", lambda: 8 * ctx.size * 3 - 1)
         with pytest.raises(TableMemoryError) as err:
-            next(verify._stacks(ctx, 0, 5, ctx.size, budget=8 * ctx.size * 3))
+            next(verify._stacks(ctx, 0, 5, ctx.size))
         assert err.value.estimate == 8 * ctx.size * 3 and drawn == []
         monkeypatch.setattr(tables, "_physical_memory", lambda: 8 * ctx.size * 3)
-        assert [lo for lo, _ in verify._stacks(ctx, 0, 5, ctx.size, budget=8 * ctx.size * 3)] == [0, 3]
+        assert [lo for lo, _ in verify._stacks(ctx, 0, 5, ctx.size)] == [0, 3]
         assert len(drawn) == 5
 
     @pytest.mark.parametrize("bound", ["_GATHER_BYTES", "_BLOCK_BYTES", "_CHUNK_BYTES"])

@@ -295,8 +295,8 @@ class TestBatchedAgainstRowOracles:
         # chunks of two trials with every band, or of one band of one trial,
         # give the row oracle's report; the projections' shapes show the split
         B, P, Q = ctx.num_bands, len(tables.directions(ctx)), ctx.size // ctx.modulus
-        band_bytes = 8 * P * Q * verify._XRAY_SHARE  # one band's X-ray, in _CHUNK_BYTES
-        monkeypatch.setattr(tables, "_CHUNK_BYTES", band_bytes * (2 * B if split == "trials" else 1))
+        band_bytes = 8 * P * Q  # one band's X-ray
+        monkeypatch.setattr(tables, "_STACK_BYTES", band_bytes * (2 * B if split == "trials" else 1))
         shapes = []
 
         def counted(f, part, _real=verify.band_project):
@@ -362,8 +362,8 @@ class TestBatchedAgainstRowOracles:
                 return _real(f, *args)
             monkeypatch.setattr(harmonic, name, counted)
             monkeypatch.setattr(verify, name, counted)
-        for chunk, sizes in ((tables._CHUNK_BYTES, [5]), (2 * trial_bytes * verify._XRAY_SHARE, [2, 2, 1])):
-            monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
+        for chunk, sizes in ((tables._STACK_BYTES, [5]), (2 * trial_bytes, [2, 2, 1])):
+            monkeypatch.setattr(tables, "_STACK_BYTES", chunk)
             rows = {"band_project": [], "xray_all": []}
             rep = verify_divisor_reduction(ctx, None, trials=5, seed=0)
             assert rep.passed
@@ -377,7 +377,7 @@ class TestBatchedAgainstRowOracles:
 
         ctx = RingContext.padic(2, 3, 3)
         B, P, Q = ctx.num_bands, len(tables.directions(ctx)), ctx.size // ctx.modulus
-        step = tables._CHUNK_BYTES // verify._XRAY_SHARE // (8 * B * P * Q)  # trials a chunk
+        step = tables._STACK_BYTES // (8 * B * P * Q)  # trials a chunk
         need = 8 * step * B * P * Q
         asked, projected = [], []
 
@@ -433,8 +433,8 @@ class TestBatchedAgainstRowOracles:
                 return _real(f, *args)
             monkeypatch.setattr(harmonic, name, counted)
             monkeypatch.setattr(verify, name, counted)
-        for chunk, chunks in ((tables._CHUNK_BYTES, 1), (1 << 10, 5)):
-            monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
+        for chunk, chunks in ((tables._STACK_BYTES, 1), (1 << 10, 5)):
+            monkeypatch.setattr(tables, "_STACK_BYTES", chunk)
             rows, asked = {"fourier_forward": 0, "xray_all": 0}, []
             rep = verify_xray_l2(CTX6, trials=5, seed=0)
             assert rep.passed and rows == {"fourier_forward": 5, "xray_all": 5}
@@ -506,8 +506,9 @@ class TestStackedAgainstRowOracles:
     @pytest.mark.parametrize("chunk", [None, 1 << 12], ids=["one-chunk", "small-chunks"])
     @pytest.mark.parametrize("ctx", verify.corpus_rings(), ids=lambda c: c.describe())
     def test_corpus(self, monkeypatch, ctx, chunk):
-        if chunk:
-            monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
+        if chunk:  # small chunks of rows and of trials
+            for bound in ("_CHUNK_BYTES", "_STACK_BYTES"):
+                monkeypatch.setattr(tables, bound, chunk)
         for trials in (1, 4, 7, 13):
             got, want = spectral_reports(ctx, trials, seed=trials)
             assert got == want
@@ -517,7 +518,7 @@ class TestStackedAgainstRowOracles:
     def test_freqbounds_share_one_xray_pass(self, monkeypatch, ctx):
         # one report per p, each the bytes of its row oracle and of its own
         # verify_freqbound call, from one X-ray pass per chunk for every p
-        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 12)  # several chunks
+        monkeypatch.setattr(tables, "_STACK_BYTES", 1 << 12)  # several chunks
         calls = []
 
         def counted(f, powers, _real=verify.xray_all):
@@ -536,8 +537,8 @@ class TestStackedAgainstRowOracles:
         assert got == singles == want
 
     def test_chunks_split(self, monkeypatch):
-        # the small chunk bound really splits 13 trials, into chunks of more than one
-        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 12)
+        # the small stack bound really splits 13 trials, into chunks of more than one
+        monkeypatch.setattr(tables, "_STACK_BYTES", 1 << 12)
         ctx = RingContext.padic(2, 2, 2)
         sizes = [len(f.num) for _, f in verify._stacks(ctx, 0, 13, ctx.size * ctx.modulus)]
         assert sum(sizes) == 13 and len(sizes) > 1 and max(sizes) > 1
@@ -549,7 +550,7 @@ class TestStackedAgainstRowOracles:
         # trials put them past the first chunk
         from kakeyalab import harmonic
 
-        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 10)  # chunks of one and two trials
+        monkeypatch.setattr(tables, "_STACK_BYTES", 1 << 10)  # chunks of one and two trials
 
         def shrunken(i, m, c, _real=harmonic.band_constant):
             return _real(i, m, c) / 10**9
@@ -573,7 +574,7 @@ class TestStackedAgainstRowOracles:
             assert not any(rep["status"] == "pass" for rep in json.loads(got)["reports"])
         # the identity alone fails: its witness is the trial of the largest sum
         monkeypatch.undo()
-        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 10)
+        monkeypatch.setattr(tables, "_STACK_BYTES", 1 << 10)
         for module in (verify, oracles):
             monkeypatch.setattr(module, "xray_l2_spectral", scaled)
         for ctx in rings:
@@ -634,16 +635,17 @@ class TestMaximalStackedAgainstRowOracles:
     @pytest.mark.parametrize("chunk", [None, 1 << 16], ids=["one-chunk", "small-chunks"])
     @pytest.mark.parametrize("ctx", RINGS, ids=lambda c: c.describe())
     def test_maximal_rings(self, monkeypatch, ctx, chunk):
-        if chunk:
-            monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
+        if chunk:  # small chunks of rows and of trials
+            for bound in ("_CHUNK_BYTES", "_STACK_BYTES"):
+                monkeypatch.setattr(tables, bound, chunk)
         for trials in (0, 1, 4, 9):
             got, want = maximal_reports(ctx, trials, seed=trials)
             assert got == want
 
     def test_chunks_split(self, monkeypatch):
-        # the small chunk bound splits main-theorem's 8 trials into chunks
+        # the small stack bound splits main-theorem's 8 trials into chunks
         # of three, the ball riding in the last
-        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(tables, "_STACK_BYTES", 1 << 16)
         ctx = RingContext.padic(2, 3, 3)
         ball = random_density(ctx, 0, "ball")
         width = (1 + ctx.num_bands) * ctx.size
@@ -660,7 +662,7 @@ class TestMaximalStackedAgainstRowOracles:
         assert len({f.den for f in extra}) == 4
         for chunk in (None, 1 << 10):  # chunks of two densities put extras in every chunk
             if chunk:
-                monkeypatch.setattr(tables, "_CHUNK_BYTES", chunk)
+                monkeypatch.setattr(tables, "_STACK_BYTES", chunk)
             for trials in (0, 3):
                 rep = verify_maxest(CTX3D, trials, 1, extra)
                 assert rep.trials == trials + 4
@@ -674,7 +676,7 @@ class TestMaximalStackedAgainstRowOracles:
         def inflated(N, n, _real=appendix_constant):
             return _real(N, n) * 10**12
 
-        monkeypatch.setattr(tables, "_CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(tables, "_STACK_BYTES", 1 << 16)
         for module in (verify, oracles):
             monkeypatch.setattr(module, "appendix_constant", inflated)
         for ctx in (RingContext.padic(2, 3, 3), RingContext.padic(3, 2, 3)):
@@ -714,6 +716,47 @@ class TestMaximalStackedAgainstRowOracles:
                 assert reports_to_json([check()]) == want
                 outcomes.append("report")
         assert outcomes == expected
+
+
+class TestStackBound:
+    """Every check holds its trials in stacks of at most tables._STACK_BYTES,
+    past it only as one trial."""
+
+    @staticmethod
+    def stacks_seen(monkeypatch):
+        seen = []
+
+        def spy(ctx, seed, trials, width, extra=(), _real=verify._stacks):
+            for lo, f in _real(ctx, seed, trials, width, extra):
+                seen.append((len(f.num), 8 * width))
+                yield lo, f
+
+        monkeypatch.setattr(verify, "_stacks", spy)
+        return seen
+
+    def test_plancherel_chunks(self, monkeypatch):
+        # a generic(12,3) spectrum is 165,888 bytes, six to a chunk; a
+        # generic(30,3) spectrum passes the bound alone
+        seen = self.stacks_seen(monkeypatch)
+        assert verify_plancherel(RingContext.generic(12, 3), 100, 0).passed
+        assert [t for t, _ in seen] == [6] * 16 + [4]
+        seen.clear()
+        assert verify_plancherel(RingContext.generic(30, 3), 2, 0).passed
+        assert seen == [(1, 8 * 30**4)] * 2 and 8 * 30**4 > tables._STACK_BYTES
+
+    @pytest.mark.parametrize("bound", [None, 1 << 12], ids=["default", "small"])
+    def test_every_check(self, monkeypatch, bound):
+        if bound:
+            monkeypatch.setattr(tables, "_STACK_BYTES", bound)
+        seen = self.stacks_seen(monkeypatch)
+        ctx = CTX3D
+        checks = [verify_plancherel(ctx, 9, 1), verify_xray_l2(ctx, 9, 1),
+                  *verify.verify_freqbounds(ctx, (2, 3), 9, 1),
+                  verify_divisor_reduction(ctx, None, 9, 1), verify_projmax(ctx, 9, 1),
+                  verify_maxest(ctx, 9, 1), verify_main_theorem(ctx, 9, 1)]
+        assert all(rep.passed for rep in checks) and len(seen) >= 7
+        assert all(t * item <= tables._STACK_BYTES or t == 1 for t, item in seen)
+        assert bound is None or max(t for t, _ in seen) > 1
 
 
 class TestBesicovitchCases:
